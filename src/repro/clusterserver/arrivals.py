@@ -27,8 +27,10 @@ count, a time horizon, or both — because an unbounded stream with no
 admission control would never drain.
 
 :func:`closed_stream` adapts a materialized job list to the stream
-interface, letting both engines speak streams exclusively while the
-closed paths stay bit-identical.
+interface.  The engines already run a ``Sequence[JobSpec]`` through
+their one stream loop in this same arrival order, so the adapter changes
+no scheduling decision — only what comes back: streaming SLO aggregates
+(and the policy's admission hook) instead of per-job dicts.
 """
 
 from __future__ import annotations
@@ -299,9 +301,9 @@ def closed_stream(
 ) -> Iterator[tuple[float, JobSpec]]:
     """Adapt a materialized (closed) job list to the stream interface.
 
-    Yields the exact ``JobSpec`` objects in arrival order, so a closed
-    workload pushed through the open-system machinery reproduces the
-    closed run bit-for-bit.
+    Yields the exact ``JobSpec`` objects in stable arrival order — the
+    order in which the engines themselves feed a ``Sequence[JobSpec]`` to
+    their run loop — so the makespan matches the Sequence run bit-for-bit.
     """
     for spec in sorted(specs, key=lambda s: s.arrival):
         yield spec.arrival, spec

@@ -7,14 +7,16 @@ progress as fluid work at ``nodes x efficiency(nodes)``.  Reallocation at
 tail phases, so an adaptive policy shrinks it mid-run — the cluster-level
 generalization of the paper's "kill 4 after iteration 1" experiment.
 
-Two workload shapes, one entry point: :meth:`ClusterServer.run` takes
-either a **closed** workload (a materialized ``Sequence[JobSpec]``, the
-paper's §9 shape — per-job result dicts, state O(total jobs)) or an
-**open** one (any other iterable of ``(arrival_time, JobSpec)`` pairs,
-see :mod:`repro.clusterserver.arrivals`).  Open runs pull arrivals on
-demand, consult the policy's admission hook, and retire completed jobs
-into a streaming :class:`~repro.clusterserver.metrics.SloAggregator`, so
-memory stays O(active jobs) no matter how long the stream is.
+Two workload shapes, one entry point, one loop: :meth:`ClusterServer.run`
+takes either a materialized ``Sequence[JobSpec]`` (the paper's §9 shape)
+or any other iterable of ``(arrival_time, JobSpec)`` pairs (an open
+arrival stream, see :mod:`repro.clusterserver.arrivals`).  Both enter the
+same loop as a stream of ``(time, index, spec)`` arrivals pulled on
+demand.  Only where a settled job goes differs: a Sequence admits every
+job and keeps the completed ones for per-job result dicts (state O(total
+jobs)); a stream consults the policy's admission hook and retires into a
+streaming :class:`~repro.clusterserver.metrics.SloAggregator`, so memory
+stays O(active jobs) no matter how long the stream is.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.clusterserver.metrics import SloAggregator, SloSummary
 from repro.clusterserver.scheduler import Scheduler
@@ -158,12 +160,78 @@ class ServerResult:
         return count / self.makespan
 
 
+class _KeptJobs:
+    """Retirement of a ``Sequence[JobSpec]`` run: keep, don't fold.
+
+    Answers the ``observe_*`` calls the run loops make on a stream's
+    :class:`SloAggregator`, but keeps each completed
+    :class:`MalleableJob` at its spec position instead of folding and
+    forgetting it, so :func:`finalize_result` can report per-job dicts
+    in workload order.  (No ``observe_rejection``: a Sequence admits
+    every job.)
+    """
+
+    def __init__(self, count: int) -> None:
+        self.jobs: list[Optional[MalleableJob]] = [None] * count
+
+    def observe_completion(self, job: MalleableJob) -> None:
+        self.jobs[job.index] = job
+
+    def observe_utilization(
+        self, now: float, granted: int, capacity: int
+    ) -> None:
+        """A Sequence's result carries no utilization series."""
+
+
+def _open_workload(workload, scheduler: Scheduler):
+    """Everything the run loops know about workload shape, in one place.
+
+    Returns ``(arrivals, admit, sink)``.  ``arrivals`` yields
+    ``(time, index, spec)`` in nondecreasing time; ``index`` is the job
+    identity the fault layer addresses, so it travels with the arrival: a
+    Sequence's spec position (stable-sorted by arrival, ties in spec
+    order), a stream's pull position.  A Sequence admits every job and
+    keeps the completed ones (:class:`_KeptJobs`); any other iterable is
+    a stream of ``(arrival_time, JobSpec)`` pairs that asks the policy's
+    admission hook and folds completions into an :class:`SloAggregator`.
+    """
+    if isinstance(workload, SequenceABC):
+        ordered = sorted(enumerate(workload), key=lambda p: p[1].arrival)
+        return (
+            ((spec.arrival, i, spec) for i, spec in ordered),
+            lambda spec, running, avail: True,
+            _KeptJobs(len(workload)),
+        )
+    return (
+        ((t, i, spec) for i, (t, spec) in enumerate(workload)),
+        scheduler.admit,
+        SloAggregator(),
+    )
+
+
+def _allocate_checked(
+    scheduler: Scheduler, running: Sequence[MalleableJob], avail: int
+) -> tuple[dict[MalleableJob, int], int, int]:
+    """One policy decision: ``(allocation, granted, capacity)``, checked."""
+    allocation = scheduler.allocate(running, avail)
+    granted = sum(allocation.values())
+    # Read the capacity after allocate(): autoscalers resize their pool
+    # inside the allocation call.
+    capacity = scheduler.capacity(avail)
+    if granted > capacity:
+        raise ConfigurationError(
+            f"{scheduler.name} over-allocated: {granted} > {capacity}"
+        )
+    return allocation, granted, capacity
+
+
 def finalize_result(
     scheduler_name: str,
     total_nodes: int,
-    jobs: Sequence[MalleableJob],
+    sink,
     makespan: float,
     events: int,
+    starved: int,
     faults=None,
 ) -> ServerResult:
     """Starvation check plus metric assembly, shared by both engines.
@@ -172,45 +240,58 @@ def finalize_result(
     :class:`~repro.clusterserver.sharded.ShardedServer` must compute
     turnaround/wait/slowdown identically — the sharded-equivalence gate
     compares them field by field — so the tail lives here exactly once.
-    ``jobs`` must carry final ``started_at``/``finished_at``/
-    ``node_seconds`` state, in workload-spec order.  ``faults`` is the
-    run's :class:`~repro.faults.FaultRuntime` (if any): jobs it failed
-    are excluded from the per-job dicts — their discarded work shows up
-    in ``lost_work``, not ``total_work``.
+    ``sink`` is what :func:`_open_workload` handed the loop: a stream's
+    :class:`SloAggregator` becomes ``result.slo``; a Sequence's
+    :class:`_KeptJobs` become the per-job dicts, in workload-spec order
+    (jobs must carry final ``started_at``/``finished_at``/
+    ``node_seconds`` state).  ``starved`` counts the jobs still running
+    or deferred when the event queue drained.  ``faults`` is the run's
+    :class:`~repro.faults.FaultRuntime` (if any): jobs it failed reach
+    neither sink — their discarded work shows up in ``lost_work``, not
+    ``total_work``.
     """
-    unfinished = [j for j in jobs if not j.done and not j.failed]
-    if unfinished:
+    if starved:
         raise ConfigurationError(
-            f"{scheduler_name}: {len(unfinished)} jobs never "
+            f"{scheduler_name}: {starved} jobs never "
             "completed (policy starved them); check min_nodes and "
             "cluster size"
         )
-    completed = [j for j in jobs if not j.failed]
-    slowdown = {}
-    for j in completed:
-        ideal = j.spec.ideal_duration()
-        turnaround = j.finished_at - j.spec.arrival
-        slowdown[j.spec.name] = turnaround / ideal if ideal > 0 else math.inf
-    return ServerResult(
+    result = ServerResult(
         scheduler=scheduler_name,
         total_nodes=total_nodes,
         makespan=makespan,
-        job_turnaround={
-            j.spec.name: j.finished_at - j.spec.arrival for j in completed
-        },
-        job_node_seconds={j.spec.name: j.node_seconds for j in completed},
-        total_work=sum(j.spec.total_work for j in completed),
-        job_wait={
-            j.spec.name: j.started_at - j.spec.arrival for j in completed
-        },
-        job_slowdown=slowdown,
+        job_turnaround={},
+        job_node_seconds={},
+        total_work=0.0,
         events=events,
-        jobs_completed=len(completed),
         retries=faults.retries if faults is not None else 0,
         lost_work=faults.lost_work if faults is not None else 0.0,
         failed_jobs=faults.failed_jobs if faults is not None else 0,
         fault_trace=tuple(faults.trace) if faults is not None else (),
     )
+    if isinstance(sink, SloAggregator):
+        sink.retries = result.retries
+        sink.lost_work = result.lost_work
+        sink.failed_jobs = result.failed_jobs
+        result.slo = summary = sink.summary(makespan)
+        result.total_work = summary.total_work
+        result.jobs_completed = summary.jobs_completed
+        result.jobs_rejected = summary.jobs_rejected
+        return result
+    completed = [j for j in sink.jobs if j is not None]
+    for j in completed:
+        name = j.spec.name
+        ideal = j.spec.ideal_duration()
+        turnaround = j.finished_at - j.spec.arrival
+        result.job_turnaround[name] = turnaround
+        result.job_node_seconds[name] = j.node_seconds
+        result.job_wait[name] = j.started_at - j.spec.arrival
+        result.job_slowdown[name] = (
+            turnaround / ideal if ideal > 0 else math.inf
+        )
+    result.total_work = sum(j.spec.total_work for j in completed)
+    result.jobs_completed = len(completed)
+    return result
 
 
 class ClusterServer:
@@ -235,30 +316,28 @@ class ClusterServer:
     def run(self, workload) -> ServerResult:
         """Simulate a workload to completion.
 
-        A ``Sequence[JobSpec]`` runs the closed-system path (per-job
-        result dicts, bit-identical to previous releases); any other
-        iterable is treated as an open arrival stream of
-        ``(arrival_time, JobSpec)`` pairs and runs the O(active-jobs)
-        streaming path with SLO aggregates in ``result.slo``.
+        One loop for both workload shapes (:func:`_open_workload`): it
+        pulls arrivals one ahead and holds :class:`MalleableJob` state
+        only for *active* jobs (admitted, unfinished).  A
+        ``Sequence[JobSpec]`` gets per-job result dicts back and
+        ``slo is None``; any other iterable is an open arrival stream of
+        ``(arrival_time, JobSpec)`` pairs whose completions fold into
+        ``result.slo`` and are forgotten, so memory is O(active jobs)
+        regardless of how many jobs the stream produces.
         """
-        if isinstance(workload, SequenceABC):
-            return self._run_closed(workload)
-        return self._run_open(iter(workload))
-
-    def _run_closed(self, specs: Sequence[JobSpec]) -> ServerResult:
-        """The closed-system path: every job materialized up front."""
+        arrivals, admit, sink = _open_workload(workload, self.scheduler)
         kernel = Kernel()
-        jobs = [MalleableJob(spec, index=i) for i, spec in enumerate(specs)]
-        pending = sorted(jobs, key=lambda j: j.spec.arrival)
         running: list[MalleableJob] = []
+        deferred: deque[tuple[int, JobSpec]] = deque()
         runtime = (
             FaultRuntime(self.faults, self.total_nodes)
             if self.faults is not None
             else None
         )
         last_update = 0.0
+        last_arrival = 0.0
+        exhausted = False
         boundary: list = [None]  # pending phase-boundary event handle
-        arrivals_left = len(pending)
         fault_handles: dict[float, object] = {}
 
         def advance_to_now() -> None:
@@ -268,6 +347,27 @@ class ClusterServer:
                 for job in running:
                     job.advance(dt)
             last_update = kernel.now
+
+        def schedule_next_arrival() -> None:
+            nonlocal last_arrival, exhausted
+            item = next(arrivals, None)
+            if item is None:
+                exhausted = True
+                return
+            t, idx, spec = item
+            if t < last_arrival:
+                raise ConfigurationError(
+                    "arrival process yielded decreasing times "
+                    f"({t} after {last_arrival}); streams must be "
+                    "nondecreasing"
+                )
+            last_arrival = t
+            kernel.schedule_at(t, on_arrival, idx, spec)
+
+        def available_nodes() -> int:
+            if runtime is not None:
+                return runtime.capacity(self.total_nodes)
+            return self.total_nodes
 
         def apply_faults() -> None:
             # Fire every fault due now against the pre-fault grants of
@@ -310,167 +410,7 @@ class ClusterServer:
                 job.finished_at = kernel.now
                 job.nodes = 0
                 running.remove(job)
-            capacity = self.total_nodes
-            if runtime is not None:
-                if not running and arrivals_left == 0:
-                    # Workload done: faults scheduled past the end must
-                    # not drag the makespan out.
-                    for handle in fault_handles.values():
-                        kernel.cancel(handle)
-                    fault_handles.clear()
-                capacity = runtime.capacity(self.total_nodes)
-            allocation = self.scheduler.allocate(running, capacity)
-            granted = sum(allocation.values())
-            if granted > capacity:
-                raise ConfigurationError(
-                    f"{self.scheduler.name} over-allocated: {granted} > "
-                    f"{capacity}"
-                )
-            for job in running:
-                job.nodes = allocation.get(job, 0)
-                if job.nodes > 0 and math.isnan(job.started_at):
-                    job.started_at = kernel.now
-            if runtime is not None and runtime.factors_live:
-                factors = runtime.rate_factors(
-                    sorted((j.index, j.nodes) for j in running)
-                )
-                for job in running:
-                    job.rate_factor = factors[job.index]
-            horizon = min(
-                (j.time_to_phase_end() for j in running), default=math.inf
-            )
-            if math.isfinite(horizon):
-                boundary[0] = kernel.schedule(
-                    max(horizon, 1e-12), on_phase_boundary
-                )
-
-        def on_phase_boundary() -> None:
-            boundary[0] = None
-            advance_to_now()
-            reschedule()
-
-        def on_arrival(job: MalleableJob) -> None:
-            nonlocal arrivals_left
-            arrivals_left -= 1
-            advance_to_now()
-            running.append(job)
-            reschedule()
-
-        def on_fault(t: float) -> None:
-            fault_handles.pop(t, None)
-            advance_to_now()
-            apply_faults()
-            reschedule()
-
-        if runtime is not None:
-            # Scheduled before the arrivals so their lower sequence
-            # numbers win timestamp ties: at equal times the order is
-            # completions (advance + retire), then faults, then arrivals
-            # — the sharded barrier's ordering.
-            for t in sorted({e[0] for e in self.faults.entries}):
-                fault_handles[t] = kernel.schedule_at(t, on_fault, t)
-        for job in pending:
-            kernel.schedule_at(job.spec.arrival, on_arrival, job)
-        kernel.run()
-        advance_to_now()
-        return finalize_result(
-            self.scheduler.name,
-            self.total_nodes,
-            jobs,
-            kernel.now,
-            kernel.events_executed,
-            faults=runtime,
-        )
-
-    def _run_open(
-        self, stream: Iterator[tuple[float, JobSpec]]
-    ) -> ServerResult:
-        """The open-system path: pull arrivals lazily, retire eagerly.
-
-        Only *active* jobs (admitted, unfinished) hold
-        :class:`MalleableJob` state; completions fold into a
-        :class:`~repro.clusterserver.metrics.SloAggregator` and are
-        forgotten, so memory is O(active jobs) regardless of how many
-        jobs the stream produces.
-        """
-        kernel = Kernel()
-        agg = SloAggregator()
-        running: list[MalleableJob] = []
-        deferred: deque[tuple[int, JobSpec]] = deque()
-        runtime = (
-            FaultRuntime(self.faults, self.total_nodes)
-            if self.faults is not None
-            else None
-        )
-        last_update = 0.0
-        last_arrival = 0.0
-        next_index = 0
-        exhausted = False
-        boundary: list = [None]
-        fault_handles: dict[float, object] = {}
-
-        def advance_to_now() -> None:
-            nonlocal last_update
-            dt = kernel.now - last_update
-            if dt > 0:
-                for job in running:
-                    job.advance(dt)
-            last_update = kernel.now
-
-        def schedule_next_arrival() -> None:
-            nonlocal last_arrival, exhausted
-            item = next(stream, None)
-            if item is None:
-                exhausted = True
-                return
-            t, spec = item
-            if t < last_arrival:
-                raise ConfigurationError(
-                    "arrival process yielded decreasing times "
-                    f"({t} after {last_arrival}); streams must be "
-                    "nondecreasing"
-                )
-            last_arrival = t
-            kernel.schedule_at(t, on_arrival, spec)
-
-        def available_nodes() -> int:
-            if runtime is not None:
-                return runtime.capacity(self.total_nodes)
-            return self.total_nodes
-
-        def apply_faults() -> None:
-            # Identical victim semantics to the closed path: restart the
-            # current phase under the retry budget, fail past it.
-            live = {j.index: j for j in running if not j.done}
-            ordered = sorted((idx, j.nodes) for idx, j in live.items())
-            _fired, victims = runtime.fire(kernel.now, ordered)
-            for idx, entry in victims:
-                job = live.get(idx)
-                if job is None:
-                    entry["outcome"] = "absent"
-                    continue
-                lost = job.spec.phase_work[job.phase] - job.remaining_in_phase
-                if runtime.record_loss(idx, lost, entry) == "retry":
-                    job.remaining_in_phase = job.spec.phase_work[job.phase]
-                else:
-                    job.failed = True
-                    job.finished_at = kernel.now
-                    job.nodes = 0
-                    running.remove(job)
-                    del live[idx]
-
-        def reschedule() -> None:
-            # Same decision structure as the closed path, with retirement
-            # into the aggregator and the policy's admission hooks.
-            if boundary[0] is not None:
-                kernel.cancel(boundary[0])
-                boundary[0] = None
-            finished = [j for j in running if j.done]
-            for job in finished:
-                job.finished_at = kernel.now
-                job.nodes = 0
-                running.remove(job)
-                agg.observe_completion(job)
+                sink.observe_completion(job)
             avail = available_nodes()
             if (
                 runtime is not None
@@ -478,26 +418,19 @@ class ClusterServer:
                 and not running
                 and not deferred
             ):
+                # Workload done: faults scheduled past the end must not
+                # drag the makespan out.
                 for handle in fault_handles.values():
                     kernel.cancel(handle)
                 fault_handles.clear()
             # Deferred arrivals retry in FIFO order; membership state may
             # have changed since they were parked.
-            while deferred and self.scheduler.admit(
-                deferred[0][1], running, avail
-            ):
+            while deferred and admit(deferred[0][1], running, avail):
                 idx, spec = deferred.popleft()
                 running.append(MalleableJob(spec, index=idx))
-            allocation = self.scheduler.allocate(running, avail)
-            granted = sum(allocation.values())
-            # Read the capacity after allocate(): autoscalers resize
-            # their pool inside the allocation call.
-            capacity = self.scheduler.capacity(avail)
-            if granted > capacity:
-                raise ConfigurationError(
-                    f"{self.scheduler.name} over-allocated: {granted} > "
-                    f"{capacity}"
-                )
+            allocation, granted, capacity = _allocate_checked(
+                self.scheduler, running, avail
+            )
             for job in running:
                 job.nodes = allocation.get(job, 0)
                 if job.nodes > 0 and math.isnan(job.started_at):
@@ -508,13 +441,21 @@ class ClusterServer:
                 )
                 for job in running:
                     job.rate_factor = factors[job.index]
-            agg.observe_utilization(kernel.now, granted, capacity)
+            sink.observe_utilization(kernel.now, granted, capacity)
             horizon = min(
                 (j.time_to_phase_end() for j in running), default=math.inf
             )
             if math.isfinite(horizon):
-                boundary[0] = kernel.schedule(
-                    max(horizon, 1e-12), on_phase_boundary
+                # Past 2**14 simulated seconds ``now + 1e-12 == now``: a
+                # boundary armed there fires with dt == 0, advances
+                # nothing and re-arms itself forever.  The next
+                # representable time always moves the clock.
+                boundary[0] = kernel.schedule_at(
+                    max(
+                        kernel.now + max(horizon, 1e-12),
+                        math.nextafter(kernel.now, math.inf),
+                    ),
+                    on_phase_boundary,
                 )
 
         def on_phase_boundary() -> None:
@@ -522,19 +463,16 @@ class ClusterServer:
             advance_to_now()
             reschedule()
 
-        def on_arrival(spec: JobSpec) -> None:
-            nonlocal next_index
+        def on_arrival(idx: int, spec: JobSpec) -> None:
             advance_to_now()
             # One-ahead pull: exactly one future arrival is ever buffered.
             schedule_next_arrival()
-            idx = next_index
-            next_index += 1
-            if self.scheduler.admit(spec, running, available_nodes()):
+            if admit(spec, running, available_nodes()):
                 running.append(MalleableJob(spec, index=idx))
             elif self.scheduler.defer_rejected:
                 deferred.append((idx, spec))
             else:
-                agg.observe_rejection(kernel.now, spec)
+                sink.observe_rejection(kernel.now, spec)
             reschedule()
 
         def on_fault(t: float) -> None:
@@ -553,31 +491,12 @@ class ClusterServer:
         schedule_next_arrival()
         kernel.run()
         advance_to_now()
-        if running or deferred:
-            starved = len(running) + len(deferred)
-            raise ConfigurationError(
-                f"{self.scheduler.name}: {starved} jobs never "
-                "completed (policy starved them); check min_nodes and "
-                "cluster size"
-            )
-        if runtime is not None:
-            agg.retries = runtime.retries
-            agg.lost_work = runtime.lost_work
-            agg.failed_jobs = runtime.failed_jobs
-        summary = agg.summary(kernel.now)
-        return ServerResult(
-            scheduler=self.scheduler.name,
-            total_nodes=self.total_nodes,
-            makespan=kernel.now,
-            job_turnaround={},
-            job_node_seconds={},
-            total_work=summary.total_work,
-            events=kernel.events_executed,
-            slo=summary,
-            jobs_completed=summary.jobs_completed,
-            jobs_rejected=summary.jobs_rejected,
-            retries=summary.retries,
-            lost_work=summary.lost_work,
-            failed_jobs=summary.failed_jobs,
-            fault_trace=tuple(runtime.trace) if runtime is not None else (),
+        return finalize_result(
+            self.scheduler.name,
+            self.total_nodes,
+            sink,
+            kernel.now,
+            kernel.events_executed,
+            starved=len(running) + len(deferred),
+            faults=runtime,
         )

@@ -19,8 +19,14 @@ instances and advances them with the conservative epoch controller of
   every rate is piecewise-constant, so each shard's pending event times
   are a valid conservative lookahead bound: every shard can safely
   ``run(until=epoch_end)`` without observing the other shards;
-* at each epoch barrier the controller replays the scheduler's *global*
-  reallocation over phase-granular job mirrors and pushes only the
+* arrivals never enter a shard kernel: the controller owns the
+  workload — a ``Sequence[JobSpec]`` or a lazy stream, one loop for both
+  — and folds the next arrival time into the epoch bound as its own
+  lookahead, so a shard's events are phase completions only (and
+  ``ServerResult.events`` counts exactly those);
+* at each epoch barrier the controller admits the due arrivals to their
+  owner shards, replays the scheduler's *global* reallocation over
+  phase-granular job mirrors and pushes only the
   changed node grants back to the shards.  Barriers whose
   scheduler-visible state provably did not change (pure within-job phase
   boundaries under a :attr:`~repro.clusterserver.scheduler.Scheduler.\
@@ -49,15 +55,15 @@ import multiprocessing
 import os
 import time
 from collections import deque
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Collection, Iterator, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
-from repro.clusterserver.metrics import SloAggregator
 from repro.clusterserver.scheduler import Scheduler
 from repro.clusterserver.server import (
     ServerResult,
+    _allocate_checked,
     _compile_faults,
+    _open_workload,
     finalize_result,
 )
 from repro.clusterserver.workload import JobSpec, MalleableJob
@@ -122,7 +128,7 @@ class _ExternalRateAllocator(RateAllocator):
 
     Rates change only at epoch barriers, through
     :meth:`JobShard.apply_allocation` → ``pool.reallocate(hint=changed)``;
-    membership changes (phase-task admissions/retirements) just carry each
+    membership changes (phase tasks joining or leaving) just carry each
     job's current rate over.  Everything is O(dirty), keeping the shard's
     hot loop sub-linear.
     """
@@ -168,20 +174,9 @@ class JobShard:
         self.jobs: dict[int, _ShardJob] = {}
         #: every job this shard ever hosted (stats; O(1) state)
         self.jobs_seen = 0
-        self._arrived: list[int] = []
         self._completed: list[tuple[int, bool]] = []
 
-    # ------------------------------------------------------------------ setup
-    def schedule_arrival(self, index: int, spec: JobSpec) -> None:
-        """Register a job and arm its arrival event (closed workloads)."""
-        self.jobs[index] = _ShardJob(index, spec)
-        self.jobs_seen += 1
-        self.kernel.schedule_at(spec.arrival, self._on_arrival, index)
-
     # ----------------------------------------------------------------- events
-    def _on_arrival(self, index: int) -> None:
-        self._arrived.append(index)
-
     def _on_phase_complete(self, task: FluidTask) -> None:
         job: _ShardJob = task.tag
         job.phase += 1
@@ -201,31 +196,23 @@ class JobShard:
 
     # ---------------------------------------------------------------- epoch api
     def next_event_time(self) -> Optional[float]:
-        """Earliest pending event (arrival or pool horizon), or None."""
+        """Earliest pending event (a pool horizon), or None."""
         return self.kernel.next_event_time()
 
-    def run_until(self, bound: float) -> tuple[list[int], list[tuple[int, bool]]]:
-        """Advance to the epoch bound; report arrivals and completions."""
+    def run_until(self, bound: float) -> list[tuple[int, bool]]:
+        """Advance to the epoch bound; report ``(index, job_done)`` per
+        phase completion."""
         self.kernel.run(until=bound)
-        arrived, self._arrived = self._arrived, []
         completed, self._completed = self._completed, []
-        return arrived, completed
-
-    def admit(self, index: int) -> None:
-        """Admit an arrived job's first phase into the pool (rate 0)."""
-        job = self.jobs[index]
-        job.task = FluidTask(
-            job.spec.phase_work[0], self._on_phase_complete, tag=job
-        )
-        self.pool.add(job.task)
+        return completed
 
     def admit_spec(self, index: int, spec: JobSpec) -> None:
-        """Register and admit a streamed job at the barrier clock.
+        """Register and admit a job at the barrier clock (rate 0).
 
-        Open-system path: the controller pulled ``spec`` from the arrival
-        stream, so the shard never saw an arrival event — the job starts
-        existing here, at ``kernel.now`` (== the barrier bound), exactly
-        when the eager engine would admit it.
+        Arrivals are the controller's: it pulled ``spec`` from the
+        workload, so the shard never sees an arrival event — the job
+        starts existing here, at ``kernel.now`` (== the barrier bound),
+        exactly when the eager engine would admit it.
         """
         self.jobs[index] = job = _ShardJob(index, spec)
         self.jobs_seen += 1
@@ -306,7 +293,6 @@ class _LocalShardHandle(ShardHandle):
 
     def begin_apply(
         self,
-        admissions: Sequence[int],
         updates: Sequence[tuple[int, int, float]],
         new_specs: Sequence[tuple[int, JobSpec]] = (),
         restarts: Sequence[int] = (),
@@ -316,8 +302,6 @@ class _LocalShardHandle(ShardHandle):
             self.shard.restart_phase(index)
         for index in drops:
             self.shard.drop(index)
-        for index in admissions:
-            self.shard.admit(index)
         for index, spec in new_specs:
             self.shard.admit_spec(index, spec)
         self.shard.apply_allocation(updates)
@@ -329,29 +313,26 @@ class _LocalShardHandle(ShardHandle):
         return (self.shard.kernel.events_executed, self.shard.jobs_seen)
 
 
-def _shard_worker(conn, shard_id: int, assignments) -> None:
+def _shard_worker(conn, shard_id: int) -> None:
     """Worker-process loop: one shard driven by pipe commands."""
     try:
         shard = JobShard(shard_id)
-        for index, spec in assignments:
-            shard.schedule_arrival(index, spec)
         conn.send(("ok", shard.next_event_time()))
         while True:
             msg = conn.recv()
             cmd = msg[0]
             if cmd == "run":
-                arrived, completed = shard.run_until(msg[1])
-                conn.send(("ok", (arrived, completed, shard.next_event_time())))
+                completed = shard.run_until(msg[1])
+                conn.send(("ok", (completed, shard.next_event_time())))
             elif cmd == "apply":
-                for index in msg[4]:
+                _cmd, updates, new_specs, restarts, drops = msg
+                for index in restarts:
                     shard.restart_phase(index)
-                for index in msg[5]:
+                for index in drops:
                     shard.drop(index)
-                for index in msg[1]:
-                    shard.admit(index)
-                for index, spec in msg[3]:
+                for index, spec in new_specs:
                     shard.admit_spec(index, spec)
-                shard.apply_allocation(msg[2])
+                shard.apply_allocation(updates)
                 conn.send(("ok", shard.next_event_time()))
             elif cmd == "finish":
                 conn.send(
@@ -389,19 +370,18 @@ class _ProcessShardHandle(ShardHandle):
     #: how long shutdown waits for the final stats reply
     _FINISH_TIMEOUT_S = 60.0
 
-    def __init__(self, ctx, shard_id: int, assignments) -> None:
+    def __init__(self, ctx, shard_id: int) -> None:
         self.shard_id = shard_id
         self._last_cmd = "start"
         self._conn, child = multiprocessing.Pipe()
         self._proc = ctx.Process(
             target=_shard_worker,
-            args=(child, shard_id, assignments),
+            args=(child, shard_id),
             daemon=True,
         )
         self._proc.start()
         child.close()
         self._next: Optional[float] = self._recv()
-        self._jobs = len(assignments)
 
     def _crashed(self) -> ShardCrashError:
         self._proc.join(timeout=5.0)
@@ -444,12 +424,11 @@ class _ProcessShardHandle(ShardHandle):
         self._send(("run", until))
 
     def finish_advance(self):
-        arrived, completed, self._next = self._recv()
-        return (arrived, completed)
+        completed, self._next = self._recv()
+        return completed
 
     def begin_apply(
         self,
-        admissions: Sequence[int],
         updates: Sequence[tuple[int, int, float]],
         new_specs: Sequence[tuple[int, JobSpec]] = (),
         restarts: Sequence[int] = (),
@@ -458,7 +437,6 @@ class _ProcessShardHandle(ShardHandle):
         self._send(
             (
                 "apply",
-                list(admissions),
                 list(updates),
                 list(new_specs),
                 list(restarts),
@@ -552,11 +530,23 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
     def run(self, workload) -> ServerResult:
         """Simulate a workload to completion (deterministic in K/mode).
 
-        A ``Sequence[JobSpec]`` runs the closed-system path; any other
-        iterable is an open arrival stream of ``(arrival_time, JobSpec)``
-        pairs (:mod:`repro.clusterserver.arrivals`), pulled lazily by the
-        epoch controller with memory bounded by active jobs.  Both paths
-        honour the bit-identical-for-every-K contract.
+        One loop for both workload shapes, entered the way the eager
+        engine enters its own: a ``Sequence[JobSpec]`` gets per-job
+        result dicts back, any other iterable is an open arrival stream
+        of ``(arrival_time, JobSpec)`` pairs
+        (:mod:`repro.clusterserver.arrivals`) summarized in
+        ``result.slo``.
+
+        The controller owns the arrivals: it buffers exactly one pending
+        arrival, feeds its time into the epoch bound (the controller-side
+        *lookahead*, so no epoch overshoots an arrival no shard knows
+        about), and at each barrier admits due jobs to their owner shards
+        via :meth:`JobShard.admit_spec`.  Completed jobs retire in index
+        order and are dropped from the decision state — controller
+        mirrors and shard state are both bounded by the active-job
+        count.  All decisions replay in pull order, so the result
+        (including the :class:`~repro.clusterserver.metrics.SloSummary`)
+        is bit-identical for every shard count and mode.
         """
         if not getattr(self.scheduler, "progress_insensitive", False):
             raise ConfigurationError(
@@ -565,310 +555,10 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 "job progress — phase index or remaining work); run it on "
                 "ClusterServer instead"
             )
-        if isinstance(workload, SequenceABC):
-            return self._run_closed(workload)
-        return self._run_open(iter(workload))
-
-    def _run_closed(self, specs: Sequence[JobSpec]) -> ServerResult:
-        """The closed-system path: jobs pre-partitioned across shards."""
         t_start = time.perf_counter()
         mode = self._resolve_mode()
         K = self.shards
-        mirrors = [
-            MalleableJob(spec, index=i) for i, spec in enumerate(specs)
-        ]
-        runtime = (
-            FaultRuntime(self.faults, self.total_nodes)
-            if self.faults is not None
-            else None
-        )
-        # Round-robin partition in arrival order balances shard load; the
-        # result is partition-independent, so any deterministic rule works.
-        order = sorted(range(len(specs)), key=lambda i: specs[i].arrival)
-        owner = [0] * len(specs)
-        assignments: list[list[tuple[int, JobSpec]]] = [[] for _ in range(K)]
-        for pos, idx in enumerate(order):
-            owner[idx] = pos % K
-            assignments[pos % K].append((idx, specs[idx]))
-
-        handles: list[ShardHandle] = []
-        completed_run = False
-        try:
-            if mode == "process":
-                ctx = multiprocessing.get_context()
-                for sid in range(K):
-                    handles.append(
-                        _ProcessShardHandle(ctx, sid, assignments[sid])
-                    )
-            else:
-                for sid in range(K):
-                    shard = JobShard(sid)
-                    for index, spec in assignments[sid]:
-                        shard.schedule_arrival(index, spec)
-                    handles.append(_LocalShardHandle(shard))
-            stats = ShardStats(
-                shards=K,
-                mode=mode,
-                shard_jobs=tuple(len(a) for a in assignments),
-            )
-
-            # Controller-side decision state, all K-independent.
-            running: dict[int, MalleableJob] = {}
-            last_change: dict[int, float] = {}
-            last_bound = 0.0
-            settled = 0  # jobs finished or failed
-            # Lazy within-phase remaining tracking, kept only under a
-            # fault plan: folded at exactly the barrier times where the
-            # job's rate changes (the same sync points as the shard's
-            # fluid task), so a victim's lost work is a K-independent
-            # float.
-            rem: dict[int, float] = {}
-            rem_sync: dict[int, float] = {}
-
-            def close_chunk(idx: int, now: float) -> None:
-                mirror = mirrors[idx]
-                mirror.node_seconds += mirror.nodes * (now - last_change[idx])
-                last_change[idx] = now
-
-            def fold_rem(idx: int, now: float) -> None:
-                dt = now - rem_sync[idx]
-                if dt > 0:
-                    rem[idx] -= mirrors[idx].rate() * dt
-                rem_sync[idx] = now
-
-            def fault_lookahead() -> Optional[float]:
-                # Post-workload faults must not drag barriers (and the
-                # makespan) past the true end of the run.
-                if settled >= len(mirrors):
-                    return None
-                return runtime.next_time()
-
-            def apply_faults(now: float) -> bool:
-                nonlocal settled
-                ordered = sorted(
-                    (idx, m.nodes) for idx, m in running.items()
-                )
-                fired, victims = runtime.fire(now, ordered)
-                drops: dict[int, list[int]] = {}
-                restarts: dict[int, list[int]] = {}
-                for idx, entry in victims:
-                    mirror = running.get(idx)
-                    if mirror is None:
-                        entry["outcome"] = "absent"
-                        continue
-                    fold_rem(idx, now)
-                    lost = mirror.spec.phase_work[mirror.phase] - rem[idx]
-                    if runtime.record_loss(idx, lost, entry) == "retry":
-                        rem[idx] = mirror.spec.phase_work[mirror.phase]
-                        mirror.remaining_in_phase = rem[idx]
-                        restarts.setdefault(owner[idx], []).append(idx)
-                    else:
-                        close_chunk(idx, now)
-                        mirror.failed = True
-                        mirror.finished_at = now
-                        mirror.nodes = 0
-                        del running[idx]
-                        del rem[idx], rem_sync[idx]
-                        settled += 1
-                        drops.setdefault(owner[idx], []).append(idx)
-                if fired:
-                    pending_ops["restarts"] = restarts
-                    pending_ops["drops"] = drops
-                return fired
-
-            pending_ops: dict = {"restarts": {}, "drops": {}}
-
-            def on_barrier(now: float, reports: list) -> bool:
-                nonlocal last_bound, settled
-                last_bound = now
-                arrived: list[int] = []
-                job_done = False
-                for report in reports:
-                    shard_arrived, completed = report
-                    arrived.extend(shard_arrived)
-                    for idx, done in completed:
-                        mirror = mirrors[idx]
-                        if done:
-                            job_done = True
-                            close_chunk(idx, now)
-                            mirror.phase = len(mirror.spec.phase_work)
-                            mirror.remaining_in_phase = 0.0
-                            mirror.finished_at = now
-                            mirror.nodes = 0
-                            del running[idx]
-                            settled += 1
-                            if runtime is not None:
-                                del rem[idx], rem_sync[idx]
-                        else:
-                            mirror.phase += 1
-                            mirror.remaining_in_phase = (
-                                mirror.spec.phase_work[mirror.phase]
-                            )
-                            if runtime is not None:
-                                rem[idx] = mirror.remaining_in_phase
-                                rem_sync[idx] = now
-                # Completions settle before faults, faults before
-                # arrivals — the eager engine's tie order.
-                fired = False
-                if runtime is not None:
-                    fired = apply_faults(now)
-                # Equal-arrival ties admit in spec order, matching the
-                # FIFO order of the single-kernel event queue.
-                arrived.sort()
-                for idx in arrived:
-                    running[idx] = mirrors[idx]
-                    last_change[idx] = now
-                    if runtime is not None:
-                        rem[idx] = mirrors[idx].spec.phase_work[0]
-                        rem_sync[idx] = now
-                admissions: dict[int, list[int]] = {}
-                for idx in arrived:
-                    admissions.setdefault(owner[idx], []).append(idx)
-                updates: dict[int, list[tuple[int, int, float]]] = {}
-                if arrived or job_done or fired:
-                    # A real membership (or fault) change: replay the
-                    # global policy against the effective capacity.
-                    stats.allocations += 1
-                    capacity = self.total_nodes
-                    if runtime is not None:
-                        capacity = runtime.capacity(self.total_nodes)
-                    allocation = self.scheduler.allocate(
-                        list(running.values()), capacity
-                    )
-                    granted = sum(allocation.values())
-                    if granted > capacity:
-                        raise ConfigurationError(
-                            f"{self.scheduler.name} over-allocated: "
-                            f"{granted} > {capacity}"
-                        )
-                    if runtime is None:
-                        for idx, mirror in running.items():
-                            nodes = allocation.get(mirror, 0)
-                            if nodes != mirror.nodes:
-                                close_chunk(idx, now)
-                                mirror.nodes = nodes
-                                if nodes > 0 and math.isnan(
-                                    mirror.started_at
-                                ):
-                                    mirror.started_at = now
-                                updates.setdefault(owner[idx], []).append(
-                                    (idx, nodes, 1.0)
-                                )
-                    else:
-                        changed: set[int] = set()
-                        for idx, mirror in running.items():
-                            nodes = allocation.get(mirror, 0)
-                            if nodes != mirror.nodes:
-                                close_chunk(idx, now)
-                                fold_rem(idx, now)
-                                mirror.nodes = nodes
-                                if nodes > 0 and math.isnan(
-                                    mirror.started_at
-                                ):
-                                    mirror.started_at = now
-                                changed.add(idx)
-                        if runtime.factors_live:
-                            factors = runtime.rate_factors(
-                                sorted(
-                                    (idx, m.nodes)
-                                    for idx, m in running.items()
-                                )
-                            )
-                            for idx, mirror in running.items():
-                                f = factors[idx]
-                                if f != mirror.rate_factor:
-                                    fold_rem(idx, now)
-                                    mirror.rate_factor = f
-                                    changed.add(idx)
-                        for idx, mirror in running.items():
-                            if idx in changed:
-                                updates.setdefault(owner[idx], []).append(
-                                    (idx, mirror.nodes, mirror.rate_factor)
-                                )
-                else:
-                    # Pure within-job phase boundaries: the scheduler's
-                    # inputs (running set, grants, done flags) are
-                    # unchanged, so by progress-insensitivity the
-                    # allocation is too — skip the call.
-                    stats.allocations_elided += 1
-                restarts = pending_ops["restarts"]
-                drops = pending_ops["drops"]
-                pending_ops["restarts"] = {}
-                pending_ops["drops"] = {}
-                touched = sorted(
-                    set(admissions) | set(updates) | set(restarts)
-                    | set(drops)
-                )
-                for sid in touched:
-                    handles[sid].begin_apply(
-                        admissions.get(sid, ()),
-                        updates.get(sid, ()),
-                        (),
-                        restarts.get(sid, ()),
-                        drops.get(sid, ()),
-                    )
-                for sid in touched:
-                    handles[sid].finish_apply()
-                return True
-
-            controller = EpochController(handles)
-            controller.run(
-                on_barrier,
-                lookahead=fault_lookahead if runtime is not None else None,
-            )
-            stats.epochs = controller.stats.epochs
-            stats.barrier_wait_s = controller.stats.barrier_wait_s
-            completed_run = True
-        finally:
-            shard_events = []
-            teardown_error: Optional[BaseException] = None
-            for handle in handles:
-                try:
-                    events, _jobs = handle.shutdown()
-                    shard_events.append(events)
-                except Exception as exc:
-                    shard_events.append(0)
-                    if teardown_error is None:
-                        teardown_error = exc
-            # A lost shard invalidates the result, but never mask the
-            # error that aborted the run body.
-            if completed_run and teardown_error is not None:
-                raise teardown_error
-
-        stats.shard_events = tuple(shard_events)
-        result = finalize_result(
-            self.scheduler.name,
-            self.total_nodes,
-            mirrors,
-            last_bound,
-            stats.events_total,
-            faults=runtime,
-        )
-        stats.wall_s = time.perf_counter() - t_start
-        self.stats = stats
-        return result
-
-    def _run_open(
-        self, stream: Iterator[tuple[float, JobSpec]]
-    ) -> ServerResult:
-        """The open-system path: stream-fed shards, O(active-jobs) state.
-
-        The controller owns the stream: it buffers exactly one pending
-        arrival, feeds its time into the epoch bound (the controller-side
-        *lookahead*, so no epoch overshoots an arrival no shard knows
-        about), and at each barrier admits due jobs to their owner shards
-        via :meth:`JobShard.admit_spec`.  Completed jobs fold into a
-        :class:`~repro.clusterserver.metrics.SloAggregator` in index
-        order and are dropped everywhere — controller mirrors and shard
-        state are both bounded by the active-job count.  All decisions
-        replay in pull order, so the result (including the
-        :class:`~repro.clusterserver.metrics.SloSummary`) is bit-identical
-        for every shard count and mode.
-        """
-        t_start = time.perf_counter()
-        mode = self._resolve_mode()
-        K = self.shards
-        agg = SloAggregator()
+        arrivals, admit, sink = _open_workload(workload, self.scheduler)
         runtime = (
             FaultRuntime(self.faults, self.total_nodes)
             if self.faults is not None
@@ -881,7 +571,7 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
             if mode == "process":
                 ctx = multiprocessing.get_context()
                 for sid in range(K):
-                    handles.append(_ProcessShardHandle(ctx, sid, []))
+                    handles.append(_ProcessShardHandle(ctx, sid))
             else:
                 for sid in range(K):
                     handles.append(_LocalShardHandle(JobShard(sid)))
@@ -892,9 +582,9 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
             last_change: dict[int, float] = {}
             rem: dict[int, float] = {}
             rem_sync: dict[int, float] = {}
-            deferred: deque[tuple[int, JobSpec]] = deque()
-            pending: list = [next(stream, None)]
-            state = {"next_index": 0, "last_bound": 0.0}
+            deferred: deque[tuple[int, int, JobSpec]] = deque()
+            pending: list = [next(arrivals, None)]
+            state = {"pulled": 0, "last_bound": 0.0}
 
             def lookahead() -> Optional[float]:
                 item = pending[0]
@@ -928,15 +618,15 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                     del rem[idx], rem_sync[idx]
 
             def admit_job(
-                idx: int, spec: JobSpec, now: float, new_specs: dict
+                idx: int, sid: int, spec: JobSpec, now: float, new_specs: dict
             ) -> None:
                 running[idx] = MalleableJob(spec, index=idx)
-                owner[idx] = idx % K
+                owner[idx] = sid
                 last_change[idx] = now
                 if runtime is not None:
                     rem[idx] = spec.phase_work[0]
                     rem_sync[idx] = now
-                new_specs.setdefault(idx % K, []).append((idx, spec))
+                new_specs.setdefault(sid, []).append((idx, spec))
 
             def available_nodes() -> int:
                 if runtime is not None:
@@ -974,8 +664,8 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 """Admit/defer/reject every arrival due at or before now."""
                 admitted = False
                 while pending[0] is not None and pending[0][0] <= now:
-                    t, spec = pending[0]
-                    nxt = next(stream, None)
+                    t, idx, spec = pending[0]
+                    nxt = next(arrivals, None)
                     if nxt is not None and nxt[0] < t:
                         raise ConfigurationError(
                             "arrival process yielded decreasing times "
@@ -983,32 +673,32 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                             "nondecreasing"
                         )
                     pending[0] = nxt
-                    idx = state["next_index"]
-                    state["next_index"] += 1
-                    if self.scheduler.admit(
-                        spec, list(running.values()), available_nodes()
-                    ):
-                        admit_job(idx, spec, now, new_specs)
+                    # Round-robin in pull (= arrival) order balances
+                    # shard load; the result is partition-independent,
+                    # so any deterministic rule works.
+                    sid = state["pulled"] % K
+                    state["pulled"] += 1
+                    if admit(spec, list(running.values()), available_nodes()):
+                        admit_job(idx, sid, spec, now, new_specs)
                         admitted = True
                     elif self.scheduler.defer_rejected:
-                        deferred.append((idx, spec))
+                        deferred.append((idx, sid, spec))
                     else:
-                        agg.observe_rejection(now, spec)
+                        sink.observe_rejection(now, spec)
                 return admitted
 
             def drain_deferred(now: float, new_specs: dict) -> None:
-                while deferred and self.scheduler.admit(
-                    deferred[0][1], list(running.values()), available_nodes()
+                while deferred and admit(
+                    deferred[0][2], list(running.values()), available_nodes()
                 ):
-                    idx, spec = deferred.popleft()
-                    admit_job(idx, spec, now, new_specs)
+                    idx, sid, spec = deferred.popleft()
+                    admit_job(idx, sid, spec, now, new_specs)
 
             def on_barrier(now: float, reports: list) -> bool:
                 state["last_bound"] = now
                 job_done = False
                 retired: list[tuple[int, MalleableJob]] = []
-                for report in reports:
-                    _arrived, completed = report
+                for completed in reports:
                     for idx, done in completed:
                         mirror = running[idx]
                         if done:
@@ -1031,7 +721,7 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 # sequence — hence the SloSummary — is K-independent.
                 for idx, mirror in sorted(retired):
                     forget(idx)
-                    agg.observe_completion(mirror)
+                    sink.observe_completion(mirror)
                 ops: dict = {"restarts": {}, "drops": {}}
                 fired = False
                 if runtime is not None:
@@ -1045,17 +735,11 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                     # then the global policy replays.
                     drain_deferred(now, new_specs)
                     stats.allocations += 1
-                    avail = available_nodes()
-                    allocation = self.scheduler.allocate(
-                        list(running.values()), avail
+                    allocation, granted, capacity = _allocate_checked(
+                        self.scheduler,
+                        list(running.values()),
+                        available_nodes(),
                     )
-                    granted = sum(allocation.values())
-                    capacity = self.scheduler.capacity(avail)
-                    if granted > capacity:
-                        raise ConfigurationError(
-                            f"{self.scheduler.name} over-allocated: "
-                            f"{granted} > {capacity}"
-                        )
                     updates: dict[int, list[tuple[int, int, float]]] = {}
                     if runtime is None:
                         for idx, mirror in running.items():
@@ -1101,7 +785,7 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                                 updates.setdefault(owner[idx], []).append(
                                     (idx, mirror.nodes, mirror.rate_factor)
                                 )
-                    agg.observe_utilization(now, granted, capacity)
+                    sink.observe_utilization(now, granted, capacity)
                 else:
                     # Pure phase boundaries (or rejected arrivals): no
                     # scheduler-visible change, by progress-insensitivity.
@@ -1113,7 +797,6 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 )
                 for sid in touched:
                     handles[sid].begin_apply(
-                        (),
                         updates.get(sid, ()),
                         new_specs.get(sid, ()),
                         ops["restarts"].get(sid, ()),
@@ -1142,38 +825,21 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                     shard_jobs.append(0)
                     if teardown_error is None:
                         teardown_error = exc
+            # A lost shard invalidates the result, but never mask the
+            # error that aborted the run body.
             if completed_run and teardown_error is not None:
                 raise teardown_error
 
         stats.shard_events = tuple(shard_events)
         stats.shard_jobs = tuple(shard_jobs)
-        if running or deferred:
-            starved = len(running) + len(deferred)
-            raise ConfigurationError(
-                f"{self.scheduler.name}: {starved} jobs never "
-                "completed (policy starved them); check min_nodes and "
-                "cluster size"
-            )
-        if runtime is not None:
-            agg.retries = runtime.retries
-            agg.lost_work = runtime.lost_work
-            agg.failed_jobs = runtime.failed_jobs
-        summary = agg.summary(state["last_bound"])
-        result = ServerResult(
-            scheduler=self.scheduler.name,
-            total_nodes=self.total_nodes,
-            makespan=state["last_bound"],
-            job_turnaround={},
-            job_node_seconds={},
-            total_work=summary.total_work,
-            events=stats.events_total,
-            slo=summary,
-            jobs_completed=summary.jobs_completed,
-            jobs_rejected=summary.jobs_rejected,
-            retries=summary.retries,
-            lost_work=summary.lost_work,
-            failed_jobs=summary.failed_jobs,
-            fault_trace=tuple(runtime.trace) if runtime is not None else (),
+        result = finalize_result(
+            self.scheduler.name,
+            self.total_nodes,
+            sink,
+            state["last_bound"],
+            stats.events_total,
+            starved=len(running) + len(deferred),
+            faults=runtime,
         )
         stats.wall_s = time.perf_counter() - t_start
         self.stats = stats

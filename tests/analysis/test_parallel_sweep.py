@@ -76,7 +76,13 @@ def _server_spec_dict(seed: int = 2) -> dict:
         "name": f"resident-{seed}",
         "app": {"name": "lu"},
         "engine": {"name": "server", "seed": seed},
-        "cluster": {"nodes": 8, "jobs": 4, "interarrival": 10.0, "policy": "fcfs"},
+        "cluster": {
+            "nodes": 8,
+            "policy": "fcfs",
+            "arrivals": {
+                "process": "poisson", "mean_interarrival": 10.0, "jobs": 4,
+            },
+        },
     }
 
 

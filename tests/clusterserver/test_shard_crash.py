@@ -23,16 +23,21 @@ from repro.clusterserver.workload import synthetic_workload
 from repro.errors import ShardCrashError
 
 
-def _assignments(jobs=3):
+def _spawn(shard_id, jobs=3):
+    """A live worker hosting ``jobs`` admitted jobs at two nodes each."""
+    h = _ProcessShardHandle(multiprocessing.get_context(), shard_id)
     specs = synthetic_workload(jobs=jobs, seed=1, max_nodes=4)
-    return list(enumerate(specs))
+    h.begin_apply(
+        [(index, 2, 1.0) for index in range(jobs)],
+        new_specs=list(enumerate(specs)),
+    )
+    h.finish_apply()
+    return h
 
 
 @pytest.fixture
 def handle():
-    h = _ProcessShardHandle(
-        multiprocessing.get_context(), 7, _assignments()
-    )
+    h = _spawn(7)
     yield h
     if h._proc.is_alive():
         h._proc.terminate()
@@ -81,14 +86,12 @@ class TestProcessHandle:
     def test_nonzero_exit_at_teardown_is_an_error(self, monkeypatch):
         # The worker answers the whole protocol correctly but its
         # process exits 3 — shutdown must report it, not swallow it.
-        def dying_worker(conn, shard_id, assignments):
-            _shard_worker(conn, shard_id, assignments)
+        def dying_worker(conn, shard_id):
+            _shard_worker(conn, shard_id)
             os._exit(3)
 
         monkeypatch.setattr(sharded_mod, "_shard_worker", dying_worker)
-        h = _ProcessShardHandle(
-            multiprocessing.get_context(), 2, _assignments()
-        )
+        h = _spawn(2)
         with pytest.raises(ShardCrashError) as exc:
             h.shutdown()
         assert exc.value.shard_id == 2
@@ -101,15 +104,12 @@ class TestServerEndToEnd:
     def test_mid_run_worker_death_propagates(self, monkeypatch):
         # Shard 1's worker dies on its first command; the controller
         # must raise the diagnostic error instead of hanging the run.
-        def suicidal_worker(conn, shard_id, assignments):
+        def suicidal_worker(conn, shard_id):
             if shard_id == 1:
-                shard = sharded_mod.JobShard(shard_id)
-                for index, spec in assignments:
-                    shard.schedule_arrival(index, spec)
-                conn.send(("ok", shard.next_event_time()))
+                conn.send(("ok", None))  # the idle-shard handshake
                 conn.recv()
                 os._exit(11)
-            _shard_worker(conn, shard_id, assignments)
+            _shard_worker(conn, shard_id)
 
         monkeypatch.setattr(sharded_mod, "_shard_worker", suicidal_worker)
         server = ShardedServer(

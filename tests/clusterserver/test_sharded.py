@@ -11,6 +11,7 @@ agree to float reassociation noise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -123,6 +124,26 @@ def test_sharded_agrees_with_eager_engine(policy):
             value, rel=1e-9
         )
     assert sharded.total_work == pytest.approx(eager.total_work, rel=1e-12)
+
+
+def test_eager_engine_terminates_past_2_to_the_14_seconds():
+    """Regression: the eager loop armed its phase boundary at
+    ``now + max(horizon, 1e-12)``.  From 2**14 simulated seconds on that
+    sum can equal ``now``; the boundary then fired with dt == 0, advanced
+    nothing and re-armed itself forever (this test hung).  It now arms at
+    the next representable time at the earliest."""
+    specs = [
+        dataclasses.replace(spec, arrival=spec.arrival + 2.0**15)
+        for spec in synthetic_workload(jobs=20, mean_interarrival=12.0, seed=0)
+    ]
+    eager = ClusterServer(16, AdaptiveEfficiencyScheduler(0.5)).run(specs)
+    sharded = ShardedServer(
+        16, AdaptiveEfficiencyScheduler(0.5), shards=2, mode="inprocess"
+    ).run(specs)
+    assert eager.makespan > 2.0**15
+    assert eager.makespan == pytest.approx(sharded.makespan, abs=1e-9)
+    for name, value in sharded.job_turnaround.items():
+        assert eager.job_turnaround[name] == pytest.approx(value, abs=1e-9)
 
 
 # ---------------------------------------------------------------- accounting

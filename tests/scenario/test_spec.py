@@ -169,13 +169,9 @@ def _open_cluster(**arrivals):
 
 
 class TestArrivalsShim:
-    @pytest.fixture(autouse=True)
-    def _fresh_warning_flag(self, monkeypatch):
-        # The deprecation warning fires once per process; reset it so
-        # each test observes (or asserts the absence of) its own copy.
-        from repro.scenario import spec as spec_module
-
-        monkeypatch.setattr(spec_module, "_INTERARRIVAL_WARNED", False)
+    # tests/conftest.py re-arms the once-per-process deprecation warning
+    # before every test, so each one observes (or asserts the absence
+    # of) its own copy.
 
     def test_arrivals_requires_process_name(self):
         with pytest.raises(ConfigurationError, match="'process' name"):
