@@ -73,8 +73,8 @@ def add_engine_options(parser: argparse.ArgumentParser) -> None:
         "--cpumodel",
         default=None,
         metavar="NAME",
-        help="CPU model plugin for the sim engine (e.g. shared, "
-        "shared-soa; see 'repro scenarios list'); default: shared",
+        help="CPU model plugin for the sim engine (shared or timeslice; "
+        "see 'repro scenarios list'); default: shared",
     )
     parser.add_argument(
         "--persist-cache",

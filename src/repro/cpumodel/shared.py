@@ -35,7 +35,7 @@ from repro.cpumodel.base import (
     NodeSlicedAllocator,
 )
 from repro.cpumodel.commcost import CommCostModel
-from repro.des.fluid import FluidPool, FluidTask, FullRecomputeAllocator
+from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 
@@ -50,7 +50,6 @@ class IncrementalSharedCpuAllocator(NodeSlicedAllocator):
 class SharedCpuModel(CpuModel):
     """Even-share fluid CPU model (the simulator's model).
 
-    ``incremental=False`` restores the full recompute-everything allocator;
     ``verify_incremental=True`` shadows every incremental update with a full
     recompute and raises on divergence.
     """
@@ -59,14 +58,12 @@ class SharedCpuModel(CpuModel):
         self,
         kernel: Kernel,
         comm_cost: CommCostModel | None = None,
-        incremental: bool = True,
         verify_incremental: bool = False,
     ) -> None:
         super().__init__(kernel, comm_cost)
-        allocator_cls = (
-            IncrementalSharedCpuAllocator if incremental else _FullSharedCpuAllocator
+        self.allocator = IncrementalSharedCpuAllocator(
+            self, verify=verify_incremental
         )
-        self.allocator = allocator_cls(self, verify=verify_incremental)
         self._pool = FluidPool(kernel, self.allocator, name="shared-cpu")
         self._running: dict[int, int] = {}
 
@@ -99,7 +96,3 @@ class SharedCpuModel(CpuModel):
 
     def _on_network_change(self, nodes: Optional[tuple[int, ...]] = None) -> None:
         self._pool.reallocate(hint=nodes)
-
-
-class _FullSharedCpuAllocator(FullRecomputeAllocator, IncrementalSharedCpuAllocator):
-    """Full recomputation on every change (baseline)."""

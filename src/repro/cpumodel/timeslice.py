@@ -15,7 +15,7 @@ model:
 * **seeded OS noise** — every step's total work is inflated by a
   multiplicative lognormal factor, sampled once per step.
 
-Rate allocation is *incremental* by default: the overheadful rate of a step
+Rate allocation is *incremental*: the overheadful rate of a step
 still depends only on its own host's available power and slice-group size,
 so the per-host machinery of
 :class:`~repro.cpumodel.base.NodeSlicedAllocator` applies unchanged — this
@@ -34,7 +34,7 @@ from repro.cpumodel.base import (
     NodeSlicedAllocator,
 )
 from repro.cpumodel.commcost import CommCostModel, CommCostParams
-from repro.des.fluid import FluidPool, FluidTask, FullRecomputeAllocator
+from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 from repro.util.rng import SeedSequenceFactory
@@ -98,14 +98,9 @@ class IncrementalTimesliceAllocator(NodeSlicedAllocator):
         return degraded / resident
 
 
-class _FullTimesliceAllocator(FullRecomputeAllocator, IncrementalTimesliceAllocator):
-    """Full recomputation on every change (baseline)."""
-
-
 class TimesliceCpuModel(CpuModel):
     """Noisy, overhead-laden CPU model used as ground truth by the testbed.
 
-    ``incremental=False`` restores the full recompute-everything allocator;
     ``verify_incremental=True`` shadows every incremental update with a full
     recompute and raises on divergence.
     """
@@ -115,17 +110,13 @@ class TimesliceCpuModel(CpuModel):
         kernel: Kernel,
         params: TimesliceParams | None = None,
         seed: int = 0,
-        incremental: bool = True,
         verify_incremental: bool = False,
     ) -> None:
         ts = params or TimesliceParams()
         super().__init__(kernel, _ConvexCommCost(ts))
         self.params = ts
         self._rng = SeedSequenceFactory(seed).rng("timeslice-cpu")
-        allocator_cls = (
-            IncrementalTimesliceAllocator if incremental else _FullTimesliceAllocator
-        )
-        self.allocator = allocator_cls(
+        self.allocator = IncrementalTimesliceAllocator(
             self, ts.csw_overhead, verify=verify_incremental
         )
         self._pool = FluidPool(kernel, self.allocator, name="timeslice-cpu")

@@ -75,8 +75,8 @@ min-heap:
 Together with an incremental allocator this makes the per-event cost of the
 whole hot loop ``O(dirty · log n)`` instead of ``O(n)``.
 :class:`HorizonStats` counts the real heap work plus the hypothetical cost
-of the pre-heap linear scan, which ``benchmarks/bench_allocator_scaling.py``
-uses to demonstrate the gap.
+of the pre-heap linear scan; the perf ledger's ``churn_dense`` workload
+reports the heap side as ``des.horizon_heap_ops``.
 
 :class:`AllocatorStats` counts full recomputations, incremental updates,
 full-recompute *fallbacks* (e.g. max-min cascades whose warm-start prefix
@@ -86,7 +86,7 @@ rate assignments.
 Documentation: ``docs/allocator_protocol.md`` is the contract (dirty
 sets, the shared geometry bases, the warm-start invariants);
 ``docs/performance.md`` is the design and measurement story (solver
-complexity, counters, the scaling bench).
+complexity, counters, the ledger workloads).
 """
 
 from __future__ import annotations
@@ -99,6 +99,7 @@ from typing import Any, Callable, Collection, Optional, Sequence, Union
 from repro.des.event_queue import EventHandle
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
+from repro.util.validation import check_type
 
 #: Relative tolerance under which remaining work counts as drained.
 _COMPLETION_RTOL = 1e-9
@@ -256,8 +257,7 @@ class AllocatorStats:
     #: incremental (dirty-set-bounded) updates
     incremental_updates: int = 0
     #: incremental updates that *fell back* to a real full recompute
-    #: (e.g. a max-min cascade whose warm-start prefix check failed, or
-    #: baseline mode)
+    #: (e.g. a max-min cascade whose warm-start prefix check failed)
     full_fallbacks: int = 0
     #: cascades resolved by replaying the previous solve's saturation
     #: prefix and re-solving only the suffix (never also counted as a
@@ -265,7 +265,7 @@ class AllocatorStats:
     warm_starts: int = 0
     #: rounds *inserted* into the cached saturation order during a warm
     #: replay (an affected link undercut a cached round and was frozen in
-    #: place instead of ending the prefix) — see ``warm_insert``
+    #: place instead of ending the prefix)
     warm_inserts: int = 0
     #: component-restricted re-solves that *repaired* the cached
     #: saturation order in place (dirty component's rounds replaced and
@@ -351,7 +351,8 @@ class RateAllocator:
     """
 
     def __init__(self, verify: bool = False) -> None:
-        self.verify = verify
+        # Reaches here from spec files and request bodies; "no" is truthy.
+        self.verify = check_type("verify_incremental", verify, bool)
         self.stats = AllocatorStats()
 
     # ---------------------------------------------------------- subclass api
@@ -378,8 +379,8 @@ class RateAllocator:
     def allocate(self, tasks: Collection[FluidTask]) -> None:
         """Assign every task's rate from scratch — O(n) at minimum.
 
-        The non-incremental entry point (legacy callables, baseline
-        mode); counted in ``stats.full_allocations``.
+        The non-incremental entry point (legacy callables); counted in
+        ``stats.full_allocations``.
         """
         self.stats.full_allocations += 1
         self.stats.rates_computed += len(tasks)
@@ -451,31 +452,8 @@ class RateAllocator:
             if abs(task.rate - inc_rate) > VERIFY_RTOL * scale:
                 raise SimulationError(
                     f"incremental allocation diverged from full recompute: "
-                    f"task {task!r} incremental={inc_rate!r} full={task.rate!r}"
+                    f"task {task!r} incremental {inc_rate!r} != full {task.rate!r}"
                 )
-
-
-class FullRecomputeAllocator(RateAllocator):
-    """Mixin forcing every update/refresh through the full recompute.
-
-    Mix in *before* an incremental allocator class to get its full path on
-    every change — the benchmark baseline mode.
-    """
-
-    def _update(
-        self,
-        tasks: Collection[FluidTask],
-        added: Sequence[FluidTask],
-        removed: Sequence[FluidTask],
-    ) -> None:
-        self.stats.full_fallbacks += 1
-        self.stats.rates_computed += len(tasks)
-        self._full(tasks)
-
-    def _refresh(self, tasks: Collection[FluidTask], hint: Any = None) -> None:
-        self.stats.full_fallbacks += 1
-        self.stats.rates_computed += len(tasks)
-        self._full(tasks)
 
 
 class _CallableAllocator(RateAllocator):

@@ -4,7 +4,7 @@
 is an object-per-task design: every horizon event and every rate update
 touches Python objects one at a time.  PRs 2-3 made the *algorithm*
 sub-linear (dirty sets, warm-started water-filling), after which the dense
-all-to-all regime of ``benchmarks/bench_allocator_scaling.py`` is bound by
+all-to-all regime (the perf ledger's ``churn_dense`` workload) is bound by
 per-object interpreter constants, not by operation counts.
 
 :class:`SoaFluidEngine` removes those constants by fusing the pool and the
@@ -58,6 +58,7 @@ from repro.des.fluid import (
 )
 from repro.des.kernel import Kernel
 from repro.errors import ConfigurationError, SimulationError
+from repro.util.validation import check_type
 
 _NO_NUMPY_HINT = (
     "hint: numpy not found - structure-of-arrays backends need it; "
@@ -89,18 +90,18 @@ def emit_numpy_hint_once(emit: Callable[[str], None]) -> None:
 class SoaFluidEngine:
     """Fused fluid pool + rate allocator over parallel numpy arrays.
 
-    Subclasses supply the allocation law by overriding three hooks, each of
-    which must write ``self.rate`` for every slot whose rate changed:
+    Subclasses supply the allocation law by overriding two hooks:
 
-    * :meth:`_solve_update` — apply a membership delta (slot index lists);
-    * :meth:`_solve_refresh` — recompute after an external coupling change
-      (the CPU models' reaction to network membership);
+    * :meth:`_solve_update` — apply a membership delta (slot index lists),
+      writing ``self.rate`` for every slot whose rate changed;
     * :meth:`_verify_full` — shadow the incremental state with a reference
       solve and raise :class:`~repro.errors.SimulationError` on divergence
       (``verify=True`` mode).
 
-    Completion is reported through the ``on_complete(tag)`` callable given
-    at construction; ``tag`` is the per-slot payload passed to :meth:`add`.
+    They admit tasks through :meth:`_admit`, stage the slot in ``_added``
+    and call :meth:`_solve_pending`.  Completion is reported through the
+    ``on_complete(tag)`` callable given at construction; ``tag`` is the
+    per-slot payload given at admission.
     """
 
     def __init__(
@@ -118,7 +119,7 @@ class SoaFluidEngine:
             )
         self.kernel = kernel
         self.name = name
-        self.verify = verify
+        self.verify = check_type("verify_incremental", verify, bool)
         self._on_complete = on_complete
         self.stats = AllocatorStats()
         self.horizon = HorizonStats()
@@ -203,19 +204,6 @@ class SoaFluidEngine:
         self._nlive += 1
         return slot
 
-    def add(self, work: float, tag: Any) -> int:
-        """Admit a task and solve; returns the slot (-1 when synchronous)."""
-        slot = self._admit(work, tag)
-        if slot < 0:
-            return slot
-        self._register(slot)
-        self._added.append(slot)
-        self._solve_pending()
-        return slot
-
-    def _register(self, slot: int) -> None:
-        """Subclass hook: record a new slot's topology (links, node, ...)."""
-
     def remove(self, slot: int) -> None:
         """Withdraw a live task before completion."""
         if not (0 <= slot < self.live.shape[0]) or not self.live[slot]:
@@ -225,10 +213,6 @@ class SoaFluidEngine:
         self._sync_all()
         self._detach(slot)
         self._solve_pending()
-
-    def reallocate(self, hint: Any = None) -> None:
-        """Force a rate refresh (cross-pool couplings), like FluidPool's."""
-        self._solve_pending(refresh=True, hint=hint)
 
     def peek_horizon(self) -> float:
         """Absolute completion time of the earliest rated task (test hook)."""
@@ -273,8 +257,8 @@ class SoaFluidEngine:
             np.maximum(self.remaining, 0.0, out=self.remaining)
         self._synced_at = now
 
-    def _solve_pending(self, refresh: bool = False, hint: Any = None) -> None:
-        """Deliver pending deltas (and any refresh) in one solve.
+    def _solve_pending(self) -> None:
+        """Deliver pending deltas in one solve.
 
         The SoA analogue of ``FluidPool._reallocate``: cancel the pending
         horizon event, hand the combined added/removed delta to the
@@ -294,12 +278,9 @@ class SoaFluidEngine:
             self.stats.incremental_updates += 1
             self._solve_update(added, removed)
             self._release(removed)
-        if refresh and self._nlive:
-            self.stats.refreshes += 1
-            self._solve_refresh(hint)
-        if self.verify and self._nlive and (added or removed or refresh):
-            self.stats.verify_recomputes += 1
-            self._verify_full()
+            if self.verify and self._nlive:
+                self.stats.verify_recomputes += 1
+                self._verify_full()
         # Same accounting as FluidPool: what a validation-plus-horizon scan
         # over the active tasks would cost right here.
         self.horizon.scan_cost += self._nlive
@@ -367,9 +348,6 @@ class SoaFluidEngine:
 
     # ---------------------------------------------------------------- hooks
     def _solve_update(self, added: list[int], removed: list[int]) -> None:
-        raise NotImplementedError
-
-    def _solve_refresh(self, hint: Any) -> None:
         raise NotImplementedError
 
     def _verify_full(self) -> None:

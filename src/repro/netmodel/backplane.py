@@ -12,7 +12,7 @@ With ``capacity = math.inf`` the model degrades to the paper's exactly;
 the ablation bench sweeps the oversubscription ratio to find where the
 "never a bottleneck" assumption starts to matter for the LU workload.
 
-Rate allocation is *incremental* by default.  The per-node equal-share
+Rate allocation is *incremental*.  The per-node equal-share
 base rates have single-hop dirty sets (no redistribution), and the shared
 backplane couples every flow only through one scalar — the aggregate
 demand.  :class:`IncrementalBackplaneAllocator` therefore maintains the
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Collection
 
-from repro.des.fluid import FluidPool, FluidTask, FullRecomputeAllocator
+from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
 from repro.errors import ConfigurationError
 from repro.netmodel.base import NetworkModel, StarFlowAllocator, Transfer
@@ -118,10 +118,6 @@ class IncrementalBackplaneAllocator(StarFlowAllocator):
         return len(dirty)
 
 
-class _FullBackplaneAllocator(FullRecomputeAllocator, IncrementalBackplaneAllocator):
-    """Full recomputation on every membership change (baseline)."""
-
-
 class BackplaneStarNetwork(NetworkModel):
     """Equal-share star whose switch fabric carries at most ``capacity`` B/s.
 
@@ -130,9 +126,6 @@ class BackplaneStarNetwork(NetworkModel):
     capacity:
         Aggregate backplane throughput in bytes/s.  ``math.inf`` recovers
         the paper's ideal crossbar.
-    incremental:
-        ``False`` restores full recomputation on every membership change
-        (the benchmark baseline).
     verify_incremental:
         Shadow every incremental update with a full recompute and raise on
         divergence (the equivalence-test mode).
@@ -143,7 +136,6 @@ class BackplaneStarNetwork(NetworkModel):
         kernel: Kernel,
         params: NetworkParams,
         capacity: float = math.inf,
-        incremental: bool = True,
         verify_incremental: bool = False,
     ) -> None:
         super().__init__(kernel, params)
@@ -152,10 +144,7 @@ class BackplaneStarNetwork(NetworkModel):
                 f"backplane capacity must be positive, got {capacity!r}"
             )
         self.capacity = float(capacity)
-        allocator_cls = (
-            IncrementalBackplaneAllocator if incremental else _FullBackplaneAllocator
-        )
-        self.allocator = allocator_cls(
+        self.allocator = IncrementalBackplaneAllocator(
             params.bandwidth, self.capacity, verify=verify_incremental
         )
         self._pool = FluidPool(kernel, self.allocator, name="backplane-network")

@@ -37,7 +37,7 @@ from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 from repro.netmodel.params import NetworkParams
 from repro.netmodel.waterfill import Link, MaxMinSolution, maxmin_solve
-from repro.util.validation import check_non_negative
+from repro.util.validation import check_in_range, check_non_negative, check_type
 
 #: Callback type invoked when a transfer completes.
 CompletionCallback = Callable[["Transfer"], None]
@@ -398,14 +398,15 @@ class LinkComponentAllocator(RateAllocator):
         capacity: float,
         cascade_threshold: float = 0.5,
         verify: bool = False,
-        warm_start: bool = True,
-        warm_insert: bool = True,
     ) -> None:
         super().__init__(verify=verify)
         self.capacity = capacity
-        self.cascade_threshold = cascade_threshold
-        self.warm_start = warm_start
-        self.warm_insert = warm_insert
+        # A model option, so it arrives unchecked from spec files and
+        # request bodies; a string would only fail at the first cascade.
+        check_type("cascade_threshold", cascade_threshold, (int, float))
+        self.cascade_threshold = check_in_range(
+            "cascade_threshold", cascade_threshold, 0.0, 1.0
+        )
         # Insertion-ordered (dict-as-set): set iteration over id-hashed
         # tasks or str-hashed links would vary between process runs and
         # leak float nondeterminism into the solve order.
@@ -485,7 +486,7 @@ class LinkComponentAllocator(RateAllocator):
     def _solve_all(self, tasks: list[FluidTask]) -> None:
         """Whole-pool solve; caches the saturation order for warm starts."""
         solution = self._solve(tasks)
-        if solution is not None and self.warm_start:
+        if solution is not None:
             self._warm = _WarmSolution(
                 self.capacity,
                 [
@@ -515,23 +516,20 @@ class LinkComponentAllocator(RateAllocator):
         the accounted full fallback.  Cost: O(prefix flows + rounds ·
         |affected|) for the replay plus a suffix-sized bottleneck search.
 
-        When ``warm_insert`` is on, an undercut does not end the prefix:
-        the undercutting link *is* the true next bottleneck (its fair
-        share is below the round's share, every unaffected link's share
-        is at or above it, and it is the minimum among the affected
-        links), so a new round freezing its unfrozen flows at that share
-        is inserted into the order and the replay continues.  The links
-        of the just-frozen flows join the affected set — their residuals
-        changed — so later rounds they bottleneck still break the prefix.
+        An undercut does not end the prefix: the undercutting link *is*
+        the true next bottleneck (its fair share is below the round's
+        share, every unaffected link's share is at or above it, and it is
+        the minimum among the affected links), so a new round freezing
+        its unfrozen flows at that share is inserted into the order and
+        the replay continues.  The links of the just-frozen flows join
+        the affected set — their residuals changed — so later rounds they
+        bottleneck still break the prefix.
         Each insertion is exact and bounded by the link's membership;
         ``stats.warm_inserts`` counts them.  This is what lets a flow
         added to an already-solved component warm-start even when its
         link undercuts the very first cached round.
         """
-        if self.warm_insert:
-            prefix, frozen, consumed = self._replay_insert(affected)
-        else:
-            prefix, frozen, consumed = self._replay_plain(affected)
+        prefix, frozen, consumed = self._replay_insert(affected)
         if not prefix:
             return False
         suffix = [task for task in tasks if task not in frozen]
@@ -558,61 +556,6 @@ class LinkComponentAllocator(RateAllocator):
         # the next warm start.
         self._warm = _WarmSolution(self.capacity, prefix + suffix_rounds)
         return True
-
-    def _replay_plain(
-        self, affected: list[Link]
-    ) -> tuple[
-        list[tuple[Link, float, tuple[FluidTask, ...]]],
-        dict[FluidTask, None],
-        dict[Link, float],
-    ]:
-        """The PR 3 replay: the prefix ends at the first affected round.
-
-        Kept verbatim as the ``warm_insert=False`` baseline the dense
-        bench compares against.
-        """
-        warm = self._warm
-        affected_set = set(affected)
-        # Unfrozen-flow counts on the affected links under the *new*
-        # membership (added flows included, removed flows gone).
-        counts = {
-            link: len(self._link_tasks.get(link, ())) for link in affected
-        }
-        consumed: dict[Link, float] = {}
-        frozen: dict[FluidTask, None] = {}
-        prefix: list[tuple[Link, float, tuple[FluidTask, ...]]] = []
-        for entry in warm.rounds:
-            bottleneck, share, round_tasks = entry
-            if bottleneck in affected_set:
-                # The delta touched this round's bottleneck link: its share
-                # (and, for removals, its frozen-flow set) may be wrong.
-                break
-            undercut = False
-            for link in affected:
-                count = counts[link]
-                if count > 0 and (
-                    self.capacity - consumed.get(link, 0.0)
-                    < share * count * (1.0 - _WARM_RTOL)
-                ):
-                    # An affected link's fair share genuinely dropped below
-                    # this round's share — in the true solve it would have
-                    # become the bottleneck first.  (Ties are accepted: the
-                    # max-min fixed point is unique, so order is irrelevant.)
-                    undercut = True
-                    break
-            if undercut:
-                break
-            # Accept the round.  Every frozen task is still present: a
-            # removed task's links are both in ``affected``, so the round
-            # that froze it has an affected bottleneck and broke above.
-            for task in round_tasks:
-                frozen[task] = None
-                for link in self._links(task):
-                    consumed[link] = consumed.get(link, 0.0) + share
-                    if link in counts:
-                        counts[link] -= 1
-            prefix.append(entry)
-        return prefix, frozen, consumed
 
     def _replay_insert(
         self, affected: list[Link]
@@ -807,8 +750,7 @@ class LinkComponentAllocator(RateAllocator):
             # would cost as much as the full one.  Replay the previous
             # solve's saturation prefix when one is cached and valid.
             if (
-                self.warm_start
-                and self._warm is not None
+                self._warm is not None
                 and self._warm.capacity == self.capacity
                 and self._warm_solve(tasks, list(seed_links))
             ):
@@ -828,8 +770,7 @@ class LinkComponentAllocator(RateAllocator):
         self.stats.rates_computed += len(dirty)
         solution = self._solve(dirty)
         if (
-            self.warm_start
-            and self._warm is not None
+            self._warm is not None
             and self._warm.capacity == self.capacity
             and solution is not None
         ):

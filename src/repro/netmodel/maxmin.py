@@ -9,7 +9,7 @@ model while the paper's simulator uses the simpler equal-share law; the
 difference between the two is one genuine source of prediction error, and
 ``benchmarks/bench_ablation_network.py`` quantifies it.
 
-Rate allocation is *incremental* by default: max-min rates decompose over
+Rate allocation is *incremental*: max-min rates decompose over
 connected components of the bipartite flow/link graph, so when a flow
 arrives or departs only the flows in its component — those sharing a link
 with it directly or transitively through chained bottlenecks — can change
@@ -23,7 +23,7 @@ design and ``docs/allocator_protocol.md`` for the dirty-set contract.
 
 from __future__ import annotations
 
-from repro.des.fluid import FluidPool, FluidTask, FullRecomputeAllocator
+from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
 from repro.netmodel.base import LinkComponentAllocator, NetworkModel, Transfer
 from repro.netmodel.params import NetworkParams
@@ -82,10 +82,6 @@ class IncrementalMaxMinAllocator(LinkComponentAllocator):
 class MaxMinStarNetwork(NetworkModel):
     """Star-topology fluid network with max-min fair bandwidth sharing.
 
-    ``incremental=False`` restores the full-recompute-per-event allocator
-    (the benchmark baseline); ``warm_start=False`` keeps the incremental
-    component tracking but disables the warm-started cascade re-solve (the
-    PR 2 baseline the dense-traffic bench compares against);
     ``verify_incremental=True`` shadows every incremental update with a
     full solve and raises on divergence.
     """
@@ -94,22 +90,14 @@ class MaxMinStarNetwork(NetworkModel):
         self,
         kernel: Kernel,
         params: NetworkParams,
-        incremental: bool = True,
         verify_incremental: bool = False,
         cascade_threshold: float = 0.5,
-        warm_start: bool = True,
-        warm_insert: bool = True,
     ) -> None:
         super().__init__(kernel, params)
-        allocator_cls = (
-            IncrementalMaxMinAllocator if incremental else _FullMaxMinAllocator
-        )
-        self.allocator = allocator_cls(
+        self.allocator = IncrementalMaxMinAllocator(
             params.bandwidth,
             cascade_threshold=cascade_threshold,
             verify=verify_incremental,
-            warm_start=warm_start and incremental,
-            warm_insert=warm_insert,
         )
         self._pool = FluidPool(kernel, self.allocator, name="maxmin-network")
 
@@ -126,7 +114,3 @@ class MaxMinStarNetwork(NetworkModel):
 
     def _drain_done(self, task: FluidTask) -> None:
         self._finish(task.tag)
-
-
-class _FullMaxMinAllocator(FullRecomputeAllocator, IncrementalMaxMinAllocator):
-    """Full water-filling on every membership change (baseline)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.des.fluid import FluidPool, FluidTask, FullRecomputeAllocator
+from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
 from repro.netmodel.base import LinkComponentAllocator, NetworkModel, Transfer
 from repro.errors import ConfigurationError
@@ -91,17 +91,9 @@ class IncrementalPacketAllocator(LinkComponentAllocator):
         task.rate = rate * task.tag[1]
 
 
-class _FullPacketAllocator(FullRecomputeAllocator, IncrementalPacketAllocator):
-    """Full water-filling on every membership change (baseline)."""
-
-
 class PacketNetwork(NetworkModel):
     """Chunked, noisy, max-min-fair star network (testbed ground truth).
 
-    ``incremental=False`` restores the full-recompute-per-event allocator
-    (the benchmark baseline); ``warm_start=False`` keeps the incremental
-    component tracking but disables the warm-started cascade re-solve (the
-    PR 2 baseline the dense-traffic bench compares against);
     ``verify_incremental=True`` shadows every incremental update with a
     full solve and raises on divergence.
     """
@@ -112,24 +104,16 @@ class PacketNetwork(NetworkModel):
         params: NetworkParams,
         packet_params: PacketNetworkParams | None = None,
         seed: int = 0,
-        incremental: bool = True,
         verify_incremental: bool = False,
         cascade_threshold: float = 0.5,
-        warm_start: bool = True,
-        warm_insert: bool = True,
     ) -> None:
         super().__init__(kernel, params)
         self.packet_params = packet_params or PacketNetworkParams()
         self._rng = SeedSequenceFactory(seed).rng("packet-network")
-        allocator_cls = (
-            IncrementalPacketAllocator if incremental else _FullPacketAllocator
-        )
-        self.allocator = allocator_cls(
+        self.allocator = IncrementalPacketAllocator(
             params.bandwidth,
             cascade_threshold=cascade_threshold,
             verify=verify_incremental,
-            warm_start=warm_start and incremental,
-            warm_insert=warm_insert,
         )
         self._pool = FluidPool(kernel, self.allocator, name="packet-network")
 

@@ -1,8 +1,7 @@
 """Structure-of-arrays network backends: vectorized star-topology models.
 
-These are the numpy counterparts of :class:`~repro.netmodel.maxmin.MaxMinStarNetwork`,
-:class:`~repro.netmodel.packet.PacketNetwork` and
-:class:`~repro.netmodel.star.EqualShareStarNetwork`, built on
+These are the numpy counterparts of :class:`~repro.netmodel.maxmin.MaxMinStarNetwork`
+and :class:`~repro.netmodel.packet.PacketNetwork`, built on
 :class:`~repro.des.soa.SoaFluidEngine` — one fused engine per model that
 holds flows as rows of parallel arrays (remaining bytes, rate, link
 membership as index arrays, frozen fair share, saturation-round index) and
@@ -36,7 +35,13 @@ with the scalar :func:`~repro.netmodel.waterfill.maxmin_solve` and
 enforces 1e-9 agreement, and the fallback *is* the scalar solver.  The
 equivalence contract is documented in ``docs/allocator_protocol.md``.
 
-Constructing any of these models without numpy raises
+Only the water-filling laws have a twin: their solve is a program over
+the whole component, which numpy runs at once.  The equal-share and
+CPU laws re-rate a one-hop dirty set, where array set-up costs more than
+the handful of Python assignments it replaces (``docs/performance.md``
+section 6).
+
+Constructing either model without numpy raises
 :class:`~repro.errors.ConfigurationError`; the scenario registry
 (``scenario/builtins.py``) instead falls back to the scalar model with a
 one-line hint, so specs naming ``maxmin-soa`` etc. still run everywhere.
@@ -170,10 +175,6 @@ class _StarSoaEngine(SoaFluidEngine):
         """(live slot indices, out link ids, in link ids) of active flows."""
         live_idx = np.flatnonzero(self.live)
         return live_idx, self.out_l[live_idx], self.in_l[live_idx]
-
-    def _solve_refresh(self, hint: Any) -> None:
-        # Star networks have no external rate coupling; nothing to refresh.
-        pass
 
 
 class _MaxMinSoaEngine(_StarSoaEngine):
@@ -490,52 +491,6 @@ class _MaxMinSoaEngine(_StarSoaEngine):
             )
 
 
-class _EqualShareSoaEngine(_StarSoaEngine):
-    """Vectorized equal-share law: ``min(B/n_out(src), B/n_in(dst))``.
-
-    No redistribution means no saturation order: every solve recomputes
-    the whole live vector (two gathers and a minimum — cheaper than
-    tracking the one-hop dirty set in Python).
-    """
-
-    def _solve_update(self, added: list[int], removed: list[int]) -> None:
-        self._apply_delta(added, removed)
-        if self._nlive:
-            self._rerate()
-
-    def _rerate(self) -> None:
-        live_idx, out, inn = self._live_flows()
-        lt = self.link_total
-        fair = np.minimum(
-            self.capacity / lt[out], self.capacity / lt[inn]
-        )
-        new = fair * self.factor[live_idx]
-        self.stats.rates_computed += int(
-            np.count_nonzero(new != self.rate[live_idx])
-        )
-        self.fair[live_idx] = fair
-        self.rate[live_idx] = new
-
-    def _verify_full(self) -> None:
-        live_idx, out, inn = self._live_flows()
-        L = len(self._link_ids)
-        counts = np.bincount(np.concatenate((out, inn)), minlength=L)
-        if not np.array_equal(counts, self.link_total[:L]):
-            raise SimulationError(
-                f"engine {self.name!r}: link membership counts diverged"
-            )
-        expected = (
-            np.minimum(self.capacity / counts[out], self.capacity / counts[inn])
-            * self.factor[live_idx]
-        )
-        got = self.rate[live_idx]
-        scale = np.maximum(np.maximum(np.abs(expected), np.abs(got)), 1.0)
-        if np.any(np.abs(expected - got) > _VERIFY_RTOL * scale):
-            raise SimulationError(
-                f"engine {self.name!r}: equal-share rates diverged from law"
-            )
-
-
 # --------------------------------------------------------------------------
 # model front-ends
 # --------------------------------------------------------------------------
@@ -633,56 +588,4 @@ class PacketNetworkSoA(NetworkModel):
         )
 
     def _drain_done(self, transfer: Transfer) -> None:
-        self._finish(transfer)
-
-
-class EqualShareStarNetworkSoA(NetworkModel):
-    """SoA backend of :class:`~repro.netmodel.star.EqualShareStarNetwork`.
-
-    The paper's equal-share law over numpy arrays.  Keeps the scalar
-    model's draining-transfer metrics (``draining_outgoing`` /
-    ``draining_incoming``) so diagnostics read both backends identically.
-    """
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        params: NetworkParams,
-        verify_incremental: bool = False,
-    ) -> None:
-        super().__init__(kernel, params)
-        self._pool = _EqualShareSoaEngine(
-            kernel,
-            "star-soa-network",
-            self._drain_done,
-            params.bandwidth,
-            verify=verify_incremental,
-        )
-        self.allocator = self._pool
-        self._drain_out: dict[int, int] = {}
-        self._drain_in: dict[int, int] = {}
-
-    def draining_outgoing(self, node: int) -> int:
-        """Transfers of ``node`` currently draining (post-latency)."""
-        return self._drain_out.get(node, 0)
-
-    def draining_incoming(self, node: int) -> int:
-        """Transfers into ``node`` currently draining (post-latency)."""
-        return self._drain_in.get(node, 0)
-
-    def _start(self, transfer: Transfer) -> None:
-        delay = self.params.effective_latency
-        if delay > 0.0:
-            self.kernel.schedule(delay, self._begin_drain, transfer)
-        else:
-            self._begin_drain(transfer)
-
-    def _begin_drain(self, transfer: Transfer) -> None:
-        self._drain_out[transfer.src] = self._drain_out.get(transfer.src, 0) + 1
-        self._drain_in[transfer.dst] = self._drain_in.get(transfer.dst, 0) + 1
-        self._pool.add_flow(transfer.size, transfer.src, transfer.dst, transfer)
-
-    def _drain_done(self, transfer: Transfer) -> None:
-        self._drain_out[transfer.src] -= 1
-        self._drain_in[transfer.dst] -= 1
         self._finish(transfer)

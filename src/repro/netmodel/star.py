@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Collection
 
-from repro.des.fluid import FluidPool, FluidTask, FullRecomputeAllocator
+from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
 from repro.netmodel.base import NetworkModel, StarFlowAllocator, Transfer
 from repro.netmodel.params import NetworkParams
@@ -58,30 +58,23 @@ class IncrementalEqualShareAllocator(StarFlowAllocator):
         return len(dirty)
 
 
-class _FullEqualShareAllocator(FullRecomputeAllocator, IncrementalEqualShareAllocator):
-    """Full recomputation on every membership change (baseline)."""
-
-
 class EqualShareStarNetwork(NetworkModel):
     """Fluid star-topology network with per-node equal bandwidth sharing.
 
-    ``incremental=False`` restores full recomputation on every membership
-    change; ``verify_incremental=True`` shadows incremental updates with a
-    full recompute and raises on divergence.
+    ``verify_incremental=True`` shadows incremental updates with a full
+    recompute and raises on divergence.
     """
 
     def __init__(
         self,
         kernel: Kernel,
         params: NetworkParams,
-        incremental: bool = True,
         verify_incremental: bool = False,
     ) -> None:
         super().__init__(kernel, params)
-        allocator_cls = (
-            IncrementalEqualShareAllocator if incremental else _FullEqualShareAllocator
+        self.allocator = IncrementalEqualShareAllocator(
+            params.bandwidth, verify=verify_incremental
         )
-        self.allocator = allocator_cls(params.bandwidth, verify=verify_incremental)
         self._pool = FluidPool(kernel, self.allocator, name="star-network")
         # Draining-transfer counts per node (latency-phase transfers are
         # tracked by the base class but hold no bandwidth).  Kept here, not

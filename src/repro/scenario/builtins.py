@@ -6,10 +6,10 @@ may use to the concrete classes of the repository:
 * **apps** — ``lu``, ``stencil``, ``sort``, ``matmul``, ``imgpipe``;
 * **netmodels** — ``star`` (equal share, the paper's model), ``maxmin``,
   ``packet``, ``backplane``, ``analytic``, plus the numpy
-  structure-of-arrays variants ``star-soa``, ``maxmin-soa``,
-  ``packet-soa`` (scalar fallback when numpy is absent);
+  structure-of-arrays variants ``maxmin-soa`` and ``packet-soa`` (scalar
+  fallback when numpy is absent);
 * **cpumodels** — ``shared`` (the simulator's), ``timeslice`` (the
-  testbed's), plus ``shared-soa`` / ``timeslice-soa``;
+  testbed's);
 * **providers** — ``costmodel`` (PDEXEC), ``direct``,
   ``measure_first_n`` (plus the ``auto`` mode-derived default);
 * **engines** — ``sim``, ``testbed``, ``server``;
@@ -235,15 +235,6 @@ def _install_netmodels(registry: Registry) -> None:
         description="contention-free closed-form latency+size (scalar backend)",
     )
     registry.register(
-        "netmodel", "star-soa",
-        _soa_or_scalar(
-            "netmodel star-soa",
-            _soa("EqualShareStarNetworkSoA"),
-            _strict("netmodel star-soa", EqualShareStarNetwork),
-        ),
-        description="equal-share star over numpy arrays (soa backend)",
-    )
-    registry.register(
         "netmodel", "maxmin-soa",
         _soa_or_scalar(
             "netmodel maxmin-soa",
@@ -279,39 +270,6 @@ def _install_cpumodels(registry: Registry) -> None:
             kernel, TimesliceParams(), **options
         )
 
-    def shared_soa(kernel: Any, platform: Any, **options: Any) -> Any:
-        def load() -> Any:
-            from repro.cpumodel.soa import SharedCpuModelSoA
-
-            return SharedCpuModelSoA
-
-        factory = _soa_or_scalar(
-            "cpumodel shared-soa",
-            load,
-            _strict("cpumodel shared-soa", SharedCpuModel),
-        )
-        return factory(kernel, CommCostModel(platform.comm_cost), **options)
-
-    def timeslice_soa(kernel: Any, platform: Any, **options: Any) -> Any:
-        def load() -> Any:
-            from repro.cpumodel.soa import TimesliceCpuModelSoA
-
-            return TimesliceCpuModelSoA
-
-        def scalar(*args: Any, **kw: Any) -> Any:
-            from repro.cpumodel.timeslice import TimesliceCpuModel
-
-            return _strict("cpumodel timeslice-soa", TimesliceCpuModel)(
-                *args, **kw
-            )
-
-        # Both backends default their TimesliceParams internally, so the
-        # hint still fires before any numpy-needing import on the
-        # fallback path.
-        return _soa_or_scalar("cpumodel timeslice-soa", load, scalar)(
-            kernel, **options
-        )
-
     registry.register(
         "cpumodel", "shared",
         shared,
@@ -321,16 +279,6 @@ def _install_cpumodels(registry: Registry) -> None:
         "cpumodel", "timeslice",
         timeslice,
         description="noisy overhead-laden testbed CPU (scalar backend)",
-    )
-    registry.register(
-        "cpumodel", "shared-soa",
-        shared_soa,
-        description="even-share fluid CPU over numpy arrays (soa backend)",
-    )
-    registry.register(
-        "cpumodel", "timeslice-soa",
-        timeslice_soa,
-        description="noisy testbed CPU over numpy arrays (soa backend)",
     )
 
 

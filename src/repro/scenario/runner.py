@@ -382,23 +382,18 @@ def run_testbed(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     mode = spec.mode()
     engine_options = dict(spec.engine.options)
     trace = TraceLevel[str(engine_options.pop("trace_level", "SUMMARY")).upper()]
-    incremental = bool(engine_options.pop("incremental", True))
-    verify_incremental = bool(engine_options.pop("verify_incremental", False))
-    backend = str(engine_options.pop("backend", "scalar"))
+    verify_incremental = engine_options.pop("verify_incremental", False)
     if engine_options:
         raise ConfigurationError(
             f"unknown testbed engine options {sorted(engine_options)}; "
-            "valid: ['trace_level', 'incremental', 'verify_incremental', "
-            "'backend']"
+            "valid: ['trace_level', 'verify_incremental']"
         )
     cluster = VirtualCluster(num_nodes=cfg.num_nodes, seed=spec.engine.seed)
     executor = TestbedExecutor(
         cluster,
         run_kernels=mode.runs_kernels,
         trace_level=trace,
-        incremental=incremental,
         verify_incremental=verify_incremental,
-        backend=backend,
     )
     app = plugin.build(cfg)
     measurement = executor.run(app)

@@ -76,14 +76,10 @@ class DPSSimulator:
     measure_memory:
         Track peak memory with :mod:`tracemalloc` (adds host overhead;
         used by the Table 1 bench).
-    incremental:
-        Rate allocation mode of the assembled models; ``False`` restores
-        full recomputation on every membership change (the benchmark
-        baseline).  Applied to the default network factory and the CPU
-        model; a custom ``network_factory`` manages its own flags.
     verify_incremental:
         Shadow every incremental update with a full recompute and raise on
-        divergence (the equivalence-test mode; slow).
+        divergence (the equivalence-test mode; slow).  Applied to the
+        default network and CPU models; a custom factory manages its own.
     """
 
     def __init__(
@@ -93,7 +89,6 @@ class DPSSimulator:
         trace_level: TraceLevel = TraceLevel.SUMMARY,
         network_factory: Optional[type] = None,
         measure_memory: bool = False,
-        incremental: bool = True,
         verify_incremental: bool = False,
         cpu_factory: Optional[Callable[[Kernel], "CpuModel"]] = None,
     ) -> None:
@@ -103,7 +98,6 @@ class DPSSimulator:
         self.network_factory = network_factory
         self.cpu_factory = cpu_factory
         self.measure_memory = measure_memory
-        self.incremental = incremental
         self.verify_incremental = verify_incremental
 
     # ------------------------------------------------------------------ run
@@ -116,7 +110,6 @@ class DPSSimulator:
             network = EqualShareStarNetwork(
                 kernel,
                 self.platform.network,
-                incremental=self.incremental,
                 verify_incremental=self.verify_incremental,
             )
         if self.cpu_factory is not None:
@@ -125,7 +118,6 @@ class DPSSimulator:
             cpu = SharedCpuModel(
                 kernel,
                 CommCostModel(self.platform.comm_cost),
-                incremental=self.incremental,
                 verify_incremental=self.verify_incremental,
             )
         return ExecutionBackend(

@@ -10,8 +10,9 @@ documentation — from drifting apart:
   ``docs/*.md`` page (the inventory comes from the *live* registry —
   ``repro check --list-plugins`` prints the same list);
 * every ``examples/*.toml|json`` spec parses through the unknown-key-
-  rejecting :class:`~repro.scenario.spec.ScenarioSpec` loaders (no
-  engine runs: parse only);
+  rejecting :class:`~repro.scenario.spec.ScenarioSpec` loaders and
+  names only plugins the live registry has (no engine runs: parse and
+  look up only);
 * every spec-section dataclass field appears in ``docs/scenarios.md``,
   and every ``[section]`` table the doc's schema example shows is a
   real spec section.
@@ -81,19 +82,38 @@ class RegistryDocsRule(ProjectRule):
                     )
 
 
-class ExampleSpecsParseRule(ProjectRule):
-    """REP-R002: every example spec parses through the strict loaders.
+def _plugin_names(spec: Any) -> Iterator[tuple[str, str]]:
+    """``(kind, name)`` of every registry lookup running ``spec`` makes."""
+    yield "engine", spec.engine.name
+    yield "netmodel", spec.netmodel.name
+    yield "cpumodel", spec.cpumodel.name
+    if spec.provider.name != "auto":  # derived from the mode at run time
+        yield "provider", spec.provider.name
+    if spec.engine.name != "server":
+        yield "app", spec.app.name
+        return
+    cluster = spec.cluster
+    yield "policy", cluster.policy
+    if "inner" in cluster.policy_options:
+        yield "policy", str(cluster.policy_options["inner"])
+    # Open system: the arrival process; closed: the app names the job mix.
+    yield "workload", str(cluster.arrivals.get("process", spec.app.name))
 
-    Parsing a spec never executes an engine, so this is safe (and
-    fast) to run on every check: a drifted key or type in an
-    ``examples/`` file fails here instead of in the scenario-matrix CI
-    job that actually runs engines.
+
+class ExampleSpecsParseRule(ProjectRule):
+    """REP-R002: every example spec loads and names registered plugins.
+
+    Parsing a spec and looking its names up never executes an engine,
+    so this is safe (and fast) to run on every check: a drifted key or
+    type, or a plugin name that was since removed, fails here instead
+    of in the scenario-matrix CI job that actually runs engines.
     """
 
     rule_id = "REP-R002"
     summary = (
-        "examples/*.toml|json must load via ScenarioSpec.from_file "
-        "(unknown keys reject; engines never run)"
+        "examples/*.toml|json must load via ScenarioSpec.from_file and "
+        "name only registered plugins (unknown keys reject; engines "
+        "never run)"
     )
 
     def check_project(self, project: Project) -> Iterator[Finding]:
@@ -103,18 +123,29 @@ class ExampleSpecsParseRule(ProjectRule):
         if not specs:
             return
         from repro.errors import ConfigurationError
+        from repro.scenario import default_registry
         from repro.scenario.spec import ScenarioSpec, tomllib
 
+        registry = default_registry()
         for path, rel in sorted(specs):
             if path.suffix == ".toml" and tomllib is None:
                 continue  # Python 3.10: TOML parsing unavailable
             try:
-                ScenarioSpec.from_file(path)
+                spec = ScenarioSpec.from_file(path)
             except ConfigurationError as exc:
                 yield Finding(
                     rel, 1, self.rule_id,
                     f"example spec does not load: {exc}",
                 )
+                continue
+            for kind, name in _plugin_names(spec):
+                try:
+                    registry.resolve(kind, name)
+                except ConfigurationError as exc:
+                    yield Finding(
+                        rel, 1, self.rule_id,
+                        f"example spec names a plugin nobody registered: {exc}",
+                    )
 
 
 #: ``[section]`` / ``[section.sub]`` / ``[[section.array]]`` headers in

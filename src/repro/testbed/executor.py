@@ -19,7 +19,6 @@ from repro.dps.backend import ExecutionBackend
 from repro.dps.operations import Compute, OperationContext
 from repro.dps.runtime import DurationProvider, Runtime, RunResult
 from repro.dps.trace import TraceLevel
-from repro.errors import ConfigurationError
 from repro.netmodel.packet import PacketNetwork
 from repro.testbed.cluster import VirtualCluster
 from repro.testbed.noise import DEFAULT_KERNEL_BIAS, KernelBias, NoisySampler
@@ -80,67 +79,28 @@ class TestbedExecutor:
         bias: Optional[KernelBias] = None,
         run_kernels: bool = True,
         trace_level: TraceLevel = TraceLevel.SUMMARY,
-        incremental: bool = True,
         verify_incremental: bool = False,
-        backend: str = "scalar",
     ) -> None:
-        if backend not in ("scalar", "soa"):
-            raise ConfigurationError(
-                f"unknown testbed backend {backend!r}; "
-                "choose from ['scalar', 'soa']"
-            )
-        if backend == "soa" and not incremental:
-            raise ConfigurationError(
-                "the 'soa' testbed backend is incremental by construction; "
-                "incremental=False requires the scalar backend"
-            )
         self.cluster = cluster
         self.bias = bias or DEFAULT_KERNEL_BIAS
         self.run_kernels = run_kernels
         self.trace_level = trace_level
-        self.incremental = incremental
         self.verify_incremental = verify_incremental
-        self.backend = backend
 
     def build_backend(self) -> ExecutionBackend:
-        """Fresh kernel + ground-truth models for one measurement run.
-
-        ``backend="soa"`` swaps in the numpy structure-of-arrays models;
-        they replay the scalar models' seeded noise draw-for-draw, so the
-        measured times are identical (see ``docs/performance.md``).
-        """
+        """Fresh kernel + ground-truth models for one measurement run."""
         kernel = Kernel()
-        if self.backend == "soa":
-            from repro.cpumodel.soa import TimesliceCpuModelSoA
-            from repro.netmodel.soa import PacketNetworkSoA
-
-            network: Any = PacketNetworkSoA(
-                kernel,
-                self.cluster.network,
-                self.cluster.packet_params,
-                seed=self.cluster.seed,
-                verify_incremental=self.verify_incremental,
-            )
-            cpu: Any = TimesliceCpuModelSoA(
-                kernel,
-                self.cluster.timeslice_params,
-                seed=self.cluster.seed,
-                verify_incremental=self.verify_incremental,
-            )
-            return ExecutionBackend(kernel, cpu, network)
         network = PacketNetwork(
             kernel,
             self.cluster.network,
             self.cluster.packet_params,
             seed=self.cluster.seed,
-            incremental=self.incremental,
             verify_incremental=self.verify_incremental,
         )
         cpu = TimesliceCpuModel(
             kernel,
             self.cluster.timeslice_params,
             seed=self.cluster.seed,
-            incremental=self.incremental,
             verify_incremental=self.verify_incremental,
         )
         return ExecutionBackend(kernel, cpu, network)

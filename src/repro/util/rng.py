@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import zlib
 
+from repro.util.validation import check_type
+
 try:
     import numpy as np
 except ImportError:  # degraded no-numpy install: fail at .rng() call time
@@ -32,7 +34,9 @@ class SeedSequenceFactory:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._root = int(seed)
+        # Model seeds come from spec files and request bodies; int() would
+        # truncate 1.7 and raise a bare ValueError on "abc".
+        self._root = check_type("seed", seed, int)
 
     @property
     def seed(self) -> int:

@@ -8,15 +8,16 @@ the multiprogramming-overhead rate law, including the network coupling
 re-rate exactly the touched hosts).
 """
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from churn_driver import (
+    assert_matches_verify_run,
+    drive_cpu,
+    submission_strategy,
+)
+from hypothesis import given, settings
 
 from repro.cpumodel.timeslice import TimesliceCpuModel, TimesliceParams
 from repro.des.kernel import Kernel
-from repro.netmodel.params import NetworkParams
-from repro.netmodel.star import EqualShareStarNetwork
 
 try:
     import numpy  # noqa: F401
@@ -29,51 +30,9 @@ requires_numpy = pytest.mark.skipif(
 )
 
 
-#: Deterministic knobs (noise off) keep the inc/full comparison exact even
-#: under heavy churn; noise is covered by the seeded-equivalence test below.
+#: Deterministic knobs (noise off) for the law and counter checks; noise is
+#: covered by the seeded-equivalence test below.
 QUIET = TimesliceParams(csw_overhead=0.05, noise_sigma=0.0)
-
-
-def _drive(cpu_factory, submissions, with_network=False):
-    """Submit (time, node, work) steps; return completion times."""
-    kernel = Kernel()
-    cpu = cpu_factory(kernel)
-    if with_network:
-        # Couple to a network and keep transfers churning so available
-        # power moves mid-run (the refresh path).
-        net = EqualShareStarNetwork(kernel, NetworkParams(latency=0.0, bandwidth=1e6))
-        cpu.attach_network(net)
-        rng = random.Random(9)
-        for i in range(10):
-            kernel.schedule(
-                rng.uniform(0.0, 2.0),
-                net.submit,
-                rng.randrange(4),
-                4 + rng.randrange(4),
-                rng.uniform(1e5, 1e6),
-                lambda tr: None,
-            )
-    completions = {}
-
-    def submit(index, node, work):
-        cpu.submit(node, work, lambda h: completions.setdefault(index, kernel.now))
-
-    for i, (time, node, work) in enumerate(submissions):
-        kernel.schedule(time, submit, i, node, work)
-    kernel.run()
-    assert len(completions) == len(submissions)
-    return [completions[i] for i in range(len(submissions))], cpu
-
-
-submission_strategy = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=3.0),    # submit time
-        st.integers(min_value=0, max_value=3),      # node
-        st.floats(min_value=0.01, max_value=2.0),   # work
-    ),
-    min_size=1,
-    max_size=25,
-)
 
 
 @requires_numpy
@@ -82,7 +41,7 @@ submission_strategy = st.lists(
 def test_timeslice_incremental_matches_full_shadow(submissions):
     """verify_incremental=True raises if any incremental update diverges
     from the full recompute by more than 1e-9 relative."""
-    times, cpu = _drive(
+    times, cpu = drive_cpu(
         lambda kernel: TimesliceCpuModel(
             kernel, QUIET, seed=0, verify_incremental=True
         ),
@@ -98,7 +57,7 @@ def test_timeslice_incremental_matches_full_shadow(submissions):
 def test_timeslice_shadow_with_network_coupling(submissions):
     """The refresh path (power moved by transfer activity) must also match
     the full recompute exactly."""
-    times, cpu = _drive(
+    times, cpu = drive_cpu(
         lambda kernel: TimesliceCpuModel(
             kernel, QUIET, seed=0, verify_incremental=True
         ),
@@ -113,18 +72,9 @@ def test_timeslice_shadow_with_network_coupling(submissions):
 @given(submission_strategy)
 def test_timeslice_incremental_end_to_end_equivalence(submissions):
     """Completion times agree between incremental and full allocation, with
-    seeded noise on (identical submission order → identical draws)."""
-    noisy = TimesliceParams(csw_overhead=0.02, noise_sigma=0.05)
-    inc_times, _ = _drive(
-        lambda kernel: TimesliceCpuModel(kernel, noisy, seed=5, incremental=True),
-        submissions,
-    )
-    full_times, _ = _drive(
-        lambda kernel: TimesliceCpuModel(kernel, noisy, seed=5, incremental=False),
-        submissions,
-    )
-    for a, b in zip(inc_times, full_times):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    seeded noise on (identical submission order → identical draws) and
+    transfers moving the available power mid-run."""
+    assert_matches_verify_run("timeslice", submissions)
 
 
 @requires_numpy

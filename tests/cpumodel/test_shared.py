@@ -1,10 +1,10 @@
 """Even-share CPU model and its coupling to the network."""
 
 import pytest
+from churn_driver import assert_matches_verify_run
 
 from repro.cpumodel.commcost import CommCostModel, CommCostParams
 from repro.cpumodel.shared import SharedCpuModel
-from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 from repro.netmodel.params import NetworkParams
 from repro.netmodel.star import EqualShareStarNetwork
@@ -90,51 +90,40 @@ def test_running_steps_counter(kernel):
     assert cpu.running_steps(0) == 0
 
 
-def _coupled_workload(kernel, incremental, verify=False):
-    """Compute steps on several nodes overlapping a transfer storm."""
+#: (submit time, node, work) steps the coupled tests run
+_STEPS = [
+    (0.0, 0, 1.0), (0.0, 0, 2.0), (0.0, 1, 0.5),
+    (0.0, 1, 1.5), (0.0, 2, 1.0), (0.0, 3, 0.25),
+]
+
+
+def test_incremental_cpu_matches_full_shadow(kernel):
+    """verify_incremental=True shadows every update/refresh with a full
+    recompute and raises on divergence: compute steps on several nodes
+    overlapping a transfer storm."""
     params = CommCostParams(
         recv_fraction=0.1, send_fraction=0.2, marginal_decay=0.7, max_fraction=0.9
     )
-    net = EqualShareStarNetwork(
-        kernel, NetworkParams(latency=0.0, bandwidth=1e6), incremental=incremental
-    )
-    cpu = SharedCpuModel(
-        kernel,
-        CommCostModel(params),
-        incremental=incremental,
-        verify_incremental=verify,
-    )
+    net = EqualShareStarNetwork(kernel, NetworkParams(latency=0.0, bandwidth=1e6))
+    cpu = SharedCpuModel(kernel, CommCostModel(params), verify_incremental=True)
     cpu.attach_network(net)
     done = {}
-    for i, (node, work) in enumerate(
-        [(0, 1.0), (0, 2.0), (1, 0.5), (1, 1.5), (2, 1.0), (3, 0.25)]
-    ):
+    for i, (_, node, work) in enumerate(_STEPS):
         cpu.submit(node, work, lambda h, i=i: done.setdefault(i, kernel.now))
     for j, (src, dst, size) in enumerate(
         [(0, 1, 1e6), (0, 2, 5e5), (1, 3, 2e6), (2, 0, 1e6), (3, 1, 7e5)]
     ):
         kernel.schedule(0.1 * j, net.submit, src, dst, size, lambda tr: None)
     kernel.run()
-    return done, cpu
-
-
-def test_incremental_cpu_matches_full_shadow(kernel):
-    """verify_incremental=True shadows every update/refresh with a full
-    recompute and raises on divergence."""
-    done, cpu = _coupled_workload(kernel, incremental=True, verify=True)
     assert len(done) == 6
     assert cpu.allocator.stats.incremental_updates > 0
     assert cpu.allocator.stats.refreshes > 0
 
 
 def test_incremental_cpu_end_to_end_equivalence():
-    """Completion times agree between incremental and full allocation."""
-    k1, k2 = Kernel(), Kernel()
-    inc_done, _ = _coupled_workload(k1, incremental=True)
-    full_done, _ = _coupled_workload(k2, incremental=False)
-    assert inc_done.keys() == full_done.keys()
-    for key in inc_done:
-        assert inc_done[key] == pytest.approx(full_done[key], rel=1e-9)
+    """Completion times agree between incremental and full allocation,
+    with transfers moving the available power mid-run."""
+    assert_matches_verify_run("shared", _STEPS)
 
 
 def test_verify_mode_survives_submit_from_transfer_callback(kernel):

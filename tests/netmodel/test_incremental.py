@@ -6,16 +6,21 @@ Two complementary checks:
   the full allocator after every incremental update and raise on any
   divergence beyond 1e-9 relative, so simply driving a randomized workload
   through them exercises the equivalence at every membership change;
-* **end-to-end** — the same workload through an ``incremental=True`` and an
-  ``incremental=False`` model must produce identical completion times.
+* **end-to-end** — the same workload through a plain and a shadowed model
+  must produce identical completion times; the shadow assigns the full
+  rates, so its run is the full-recompute trajectory (``churn_driver``).
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from churn_driver import (
+    arrival_strategy,
+    assert_matches_verify_run,
+    drive_network,
+)
+from hypothesis import given, settings
 
-from repro.des.kernel import Kernel
 from repro.netmodel.maxmin import (
     IncrementalMaxMinAllocator,
     MaxMinStarNetwork,
@@ -25,41 +30,13 @@ from repro.netmodel.params import NetworkParams
 from repro.netmodel.star import EqualShareStarNetwork
 
 
-def _drive(net_factory, arrivals):
-    """Submit (time, src, dst, size) arrivals; return completion times."""
-    kernel = Kernel()
-    net = net_factory(kernel)
-    completions = {}
-
-    def submit(index, src, dst, size):
-        net.submit(src, dst, size, lambda tr: completions.setdefault(index, kernel.now))
-
-    for i, (time, src, dst, size) in enumerate(arrivals):
-        kernel.schedule(time, submit, i, src, dst, size)
-    kernel.run()
-    assert len(completions) == len(arrivals)
-    return [completions[i] for i in range(len(arrivals))], net
-
-
-arrival_strategy = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=5.0),     # arrival time
-        st.integers(min_value=0, max_value=5),       # src
-        st.integers(min_value=0, max_value=5),       # dst
-        st.floats(min_value=1e3, max_value=5e6),     # size
-    ).filter(lambda t: t[1] != t[2]),
-    min_size=1,
-    max_size=25,
-)
-
-
 @settings(deadline=None, max_examples=40)
 @given(arrival_strategy)
 def test_maxmin_incremental_matches_full_shadow(arrivals):
     """verify_incremental=True raises if any incremental update diverges
     from the full water-filling result by more than 1e-9 relative."""
     params = NetworkParams(latency=0.0, bandwidth=1e6)
-    times, net = _drive(
+    times, net = drive_network(
         lambda kernel: MaxMinStarNetwork(kernel, params, verify_incremental=True),
         arrivals,
     )
@@ -70,7 +47,7 @@ def test_maxmin_incremental_matches_full_shadow(arrivals):
 @given(arrival_strategy)
 def test_equal_share_incremental_matches_full_shadow(arrivals):
     params = NetworkParams(latency=0.0, bandwidth=1e6)
-    times, net = _drive(
+    times, net = drive_network(
         lambda kernel: EqualShareStarNetwork(kernel, params, verify_incremental=True),
         arrivals,
     )
@@ -81,29 +58,13 @@ def test_equal_share_incremental_matches_full_shadow(arrivals):
 @given(arrival_strategy)
 def test_maxmin_incremental_end_to_end_equivalence(arrivals):
     """Completion times agree between incremental and full allocation."""
-    params = NetworkParams(latency=0.0, bandwidth=1e6)
-    inc_times, _ = _drive(
-        lambda kernel: MaxMinStarNetwork(kernel, params, incremental=True), arrivals
-    )
-    full_times, _ = _drive(
-        lambda kernel: MaxMinStarNetwork(kernel, params, incremental=False), arrivals
-    )
-    for a, b in zip(inc_times, full_times):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    assert_matches_verify_run("maxmin", arrivals)
 
 
 @settings(deadline=None, max_examples=25)
 @given(arrival_strategy)
 def test_equal_share_incremental_end_to_end_equivalence(arrivals):
-    params = NetworkParams(latency=0.0, bandwidth=1e6)
-    inc_times, _ = _drive(
-        lambda kernel: EqualShareStarNetwork(kernel, params, incremental=True), arrivals
-    )
-    full_times, _ = _drive(
-        lambda kernel: EqualShareStarNetwork(kernel, params, incremental=False), arrivals
-    )
-    for a, b in zip(inc_times, full_times):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    assert_matches_verify_run("star", arrivals)
 
 
 def test_incremental_touches_fewer_flows_than_full(kernel):

@@ -9,14 +9,21 @@ rates plus the shared-backplane scale factor).
 * **shadow mode** — ``verify_incremental=True`` re-runs the full allocator
   after every incremental update and raises on any divergence beyond 1e-9
   relative;
-* **end-to-end** — the same workload through ``incremental=True`` and
-  ``incremental=False`` must produce matching completion times.
+* **end-to-end** — the same workload through a plain and a shadowed model
+  must produce matching completion times (``churn_driver``).
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from churn_driver import (
+    PARAMS,
+    TIGHT_BACKPLANE,
+    arrival_strategy,
+    assert_matches_verify_run,
+    drive_network,
+)
+from hypothesis import given, settings
 
 from repro.des.kernel import Kernel
 from repro.netmodel.backplane import BackplaneStarNetwork
@@ -34,45 +41,11 @@ requires_numpy = pytest.mark.skipif(
 )
 
 
-
-def _drive(net_factory, arrivals):
-    """Submit (time, src, dst, size) arrivals; return completion times."""
-    kernel = Kernel()
-    net = net_factory(kernel)
-    completions = {}
-
-    def submit(index, src, dst, size):
-        net.submit(src, dst, size, lambda tr: completions.setdefault(index, kernel.now))
-
-    for i, (time, src, dst, size) in enumerate(arrivals):
-        kernel.schedule(time, submit, i, src, dst, size)
-    kernel.run()
-    assert len(completions) == len(arrivals)
-    return [completions[i] for i in range(len(arrivals))], net
-
-
-arrival_strategy = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=5.0),     # arrival time
-        st.integers(min_value=0, max_value=5),       # src
-        st.integers(min_value=0, max_value=5),       # dst
-        st.floats(min_value=1e3, max_value=5e6),     # size
-    ).filter(lambda t: t[1] != t[2]),
-    min_size=1,
-    max_size=25,
-)
-
-PARAMS = NetworkParams(latency=1e-4, bandwidth=1e6)
-#: Tight enough that dense random traffic regularly saturates the fabric —
-#: the scale factor moves, exercising the whole-pool re-rate path.
-TIGHT_BACKPLANE = 1.5e6
-
-
 @requires_numpy
 @settings(deadline=None, max_examples=40)
 @given(arrival_strategy)
 def test_packet_incremental_matches_full_shadow(arrivals):
-    times, net = _drive(
+    times, net = drive_network(
         lambda kernel: PacketNetwork(kernel, PARAMS, seed=3, verify_incremental=True),
         arrivals,
     )
@@ -83,7 +56,7 @@ def test_packet_incremental_matches_full_shadow(arrivals):
 @settings(deadline=None, max_examples=40)
 @given(arrival_strategy)
 def test_backplane_incremental_matches_full_shadow(arrivals):
-    times, net = _drive(
+    times, net = drive_network(
         lambda kernel: BackplaneStarNetwork(
             kernel, PARAMS, capacity=TIGHT_BACKPLANE, verify_incremental=True
         ),
@@ -98,35 +71,13 @@ def test_backplane_incremental_matches_full_shadow(arrivals):
 def test_packet_incremental_end_to_end_equivalence(arrivals):
     """Completion times agree between incremental and full allocation (the
     seeded jitter draws are identical because submission order is)."""
-    inc_times, _ = _drive(
-        lambda kernel: PacketNetwork(kernel, PARAMS, seed=3, incremental=True),
-        arrivals,
-    )
-    full_times, _ = _drive(
-        lambda kernel: PacketNetwork(kernel, PARAMS, seed=3, incremental=False),
-        arrivals,
-    )
-    for a, b in zip(inc_times, full_times):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    assert_matches_verify_run("packet", arrivals)
 
 
 @settings(deadline=None, max_examples=25)
 @given(arrival_strategy)
 def test_backplane_incremental_end_to_end_equivalence(arrivals):
-    inc_times, _ = _drive(
-        lambda kernel: BackplaneStarNetwork(
-            kernel, PARAMS, capacity=TIGHT_BACKPLANE, incremental=True
-        ),
-        arrivals,
-    )
-    full_times, _ = _drive(
-        lambda kernel: BackplaneStarNetwork(
-            kernel, PARAMS, capacity=TIGHT_BACKPLANE, incremental=False
-        ),
-        arrivals,
-    )
-    for a, b in zip(inc_times, full_times):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+    assert_matches_verify_run("backplane", arrivals)
 
 
 def test_backplane_uncongested_updates_touch_one_hop_only(kernel):

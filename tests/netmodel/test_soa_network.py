@@ -2,9 +2,9 @@
 
 The equivalence contract (docs/allocator_protocol.md): for any submission
 sequence, an SoA model and its scalar twin produce completion times equal
-within 1e-9 relative — the SoA engine solves the *same* max-min (or
-equal-share) program over parallel arrays, and ``verify_incremental=True``
-shadows every solve with the scalar reference solver in-process.
+within 1e-9 relative — the SoA engine solves the *same* max-min program
+over parallel arrays, and ``verify_incremental=True`` shadows every solve
+with the scalar reference solver in-process.
 
 Also here: the PR 3 remainder regression — adding a flow to an
 already-solved dense component warm-starts (``warm_starts`` rises,
@@ -15,49 +15,17 @@ full solve (``full_fallbacks`` stays flat).
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 np = pytest.importorskip("numpy")
+
+from churn_driver import PARAMS, arrival_strategy, drive_network
 
 from repro.des.kernel import Kernel
 from repro.netmodel.maxmin import MaxMinStarNetwork
 from repro.netmodel.packet import PacketNetwork
 from repro.netmodel.params import NetworkParams
-from repro.netmodel.soa import (
-    EqualShareStarNetworkSoA,
-    MaxMinStarNetworkSoA,
-    PacketNetworkSoA,
-)
-from repro.netmodel.star import EqualShareStarNetwork
-
-PARAMS = NetworkParams(latency=1e-4, bandwidth=1e6)
-
-arrival_strategy = st.lists(
-    st.tuples(
-        st.floats(min_value=0.0, max_value=5.0),     # arrival time
-        st.integers(min_value=0, max_value=5),       # src
-        st.integers(min_value=0, max_value=5),       # dst
-        st.floats(min_value=1e3, max_value=5e6),     # size
-    ).filter(lambda t: t[1] != t[2]),
-    min_size=1,
-    max_size=25,
-)
-
-
-def _drive(net_factory, arrivals):
-    """Submit (time, src, dst, size) arrivals; return completion times."""
-    kernel = Kernel()
-    net = net_factory(kernel)
-    completions = {}
-
-    def submit(index, src, dst, size):
-        net.submit(src, dst, size, lambda tr: completions.setdefault(index, kernel.now))
-
-    for i, (time, src, dst, size) in enumerate(arrivals):
-        kernel.schedule(time, submit, i, src, dst, size)
-    kernel.run()
-    assert len(completions) == len(arrivals)
-    return [completions[i] for i in range(len(arrivals))], net
+from repro.netmodel.soa import MaxMinStarNetworkSoA, PacketNetworkSoA
 
 
 @settings(deadline=None, max_examples=40)
@@ -65,7 +33,7 @@ def _drive(net_factory, arrivals):
 def test_maxmin_soa_shadow_verifies_every_solve(arrivals):
     """Random churn under the scalar-reference shadow: any rate diverging
     beyond 1e-9 relative raises inside the engine."""
-    times, net = _drive(
+    times, net = drive_network(
         lambda kernel: MaxMinStarNetworkSoA(kernel, PARAMS, verify_incremental=True),
         arrivals,
     )
@@ -77,10 +45,10 @@ def test_maxmin_soa_shadow_verifies_every_solve(arrivals):
 @settings(deadline=None, max_examples=40)
 @given(arrival_strategy)
 def test_maxmin_soa_matches_scalar(arrivals):
-    soa_times, _ = _drive(
+    soa_times, _ = drive_network(
         lambda kernel: MaxMinStarNetworkSoA(kernel, PARAMS), arrivals
     )
-    scalar_times, _ = _drive(
+    scalar_times, _ = drive_network(
         lambda kernel: MaxMinStarNetwork(kernel, PARAMS), arrivals
     )
     for a, b in zip(soa_times, scalar_times):
@@ -92,24 +60,11 @@ def test_maxmin_soa_matches_scalar(arrivals):
 def test_packet_soa_matches_scalar_draw_for_draw(arrivals):
     """Same seed, same submission order — the SoA packet model replays the
     scalar model's jitter stream, so measurements are identical."""
-    soa_times, _ = _drive(
+    soa_times, _ = drive_network(
         lambda kernel: PacketNetworkSoA(kernel, PARAMS, seed=3), arrivals
     )
-    scalar_times, _ = _drive(
+    scalar_times, _ = drive_network(
         lambda kernel: PacketNetwork(kernel, PARAMS, seed=3), arrivals
-    )
-    for a, b in zip(soa_times, scalar_times):
-        assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
-
-
-@settings(deadline=None, max_examples=25)
-@given(arrival_strategy)
-def test_star_soa_matches_scalar(arrivals):
-    soa_times, _ = _drive(
-        lambda kernel: EqualShareStarNetworkSoA(kernel, PARAMS), arrivals
-    )
-    scalar_times, _ = _drive(
-        lambda kernel: EqualShareStarNetwork(kernel, PARAMS), arrivals
     )
     for a, b in zip(soa_times, scalar_times):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
@@ -134,9 +89,7 @@ class TestWarmInsertRegression:
 
     def test_scalar_added_flow_warm_starts(self):
         kernel = Kernel()
-        net = MaxMinStarNetwork(
-            kernel, NetworkParams(latency=0.0, bandwidth=1e6), warm_insert=True
-        )
+        net = MaxMinStarNetwork(kernel, NetworkParams(latency=0.0, bandwidth=1e6))
         rng = random.Random(5)
         _dense_churn(net, rng, self.NODES, self.FLOWS)
         stats = net.allocator.stats
@@ -150,16 +103,6 @@ class TestWarmInsertRegression:
         assert stats.full_fallbacks == fallbacks_before
         kernel.run()
         assert stats.warm_inserts > 0
-
-    def test_scalar_warm_insert_off_is_the_pr3_baseline(self):
-        kernel = Kernel()
-        net = MaxMinStarNetwork(
-            kernel, NetworkParams(latency=0.0, bandwidth=1e6), warm_insert=False
-        )
-        rng = random.Random(5)
-        _dense_churn(net, rng, self.NODES, self.FLOWS)
-        kernel.run()
-        assert net.allocator.stats.warm_inserts == 0
 
     def test_soa_added_flow_warm_starts(self):
         kernel = Kernel()

@@ -9,8 +9,7 @@ tests pin:
   bursts, capacity edits) produces, after every update, exactly the rates
   a from-scratch :func:`~repro.netmodel.maxmin.maxmin_rates` assigns;
 * **accounting** — warm starts and full fallbacks partition the cascades,
-  and the dense-traffic fallback rate stays strictly below the
-  warm-start-disabled (PR 2) level;
+  and on seeded dense traffic most cascades warm-start;
 * **invalidation** — capacity edits and pool-emptying updates drop the
   cached saturation order instead of replaying stale state.
 """
@@ -88,39 +87,16 @@ def test_warm_started_churn_matches_scratch_solver(num_nodes, seed):
         _assert_matches_scratch(allocator, active)
 
 
-@settings(deadline=None, max_examples=20)
-@given(st.integers(min_value=0, max_value=2**32))
-def test_warm_start_disabled_matches_scratch_solver(seed):
-    """The PR 2 baseline (warm_start=False) stays exact too — the flag
-    only selects the cascade strategy, never the result."""
-    rng = random.Random(seed)
-    allocator = IncrementalMaxMinAllocator(capacity=1.0, warm_start=False)
-    active: list[FluidTask] = []
-    for _ in range(60):
-        if active and rng.random() < 0.4:
-            task = active.pop(rng.randrange(len(active)))
-            allocator.update(active, [], [task])
-        else:
-            src = rng.randrange(4)
-            dst = (src + 1 + rng.randrange(3)) % 4
-            task = _flow_task(src, dst)
-            active.append(task)
-            allocator.update(active, [task], [])
-        _assert_matches_scratch(allocator, active)
-    assert allocator.stats.warm_starts == 0
-
-
 # ---------------------------------------------------------------- accounting
 
 
-def _dense_churn(warm_start, flows=64, num_nodes=9, seed=7, verify=False):
+def _dense_churn(flows=64, num_nodes=9, seed=7, verify=False):
     """All-to-all-ish churn on few nodes: every change cascades."""
     kernel = Kernel()
     rng = random.Random(seed)
     net = MaxMinStarNetwork(
         kernel,
         NetworkParams(latency=0.0, bandwidth=1e6),
-        warm_start=warm_start,
         verify_incremental=verify,
     )
     total = 3 * flows
@@ -144,28 +120,28 @@ def _dense_churn(warm_start, flows=64, num_nodes=9, seed=7, verify=False):
 
 
 def test_dense_traffic_fallback_rate_below_pr2_level():
-    """Regression: on dense traffic the warm-started allocator must turn
-    most PR 2 full fallbacks into warm starts — strictly fewer fallbacks
-    and strictly fewer rate computations, never more total cascades."""
-    warm = _dense_churn(warm_start=True)
-    baseline = _dense_churn(warm_start=False)
-    assert baseline.warm_starts == 0
-    assert warm.warm_starts > 0
-    assert warm.full_fallbacks < baseline.full_fallbacks
-    # The bulk of the cascades must warm-start, not just a token few.
-    assert warm.full_fallbacks < baseline.full_fallbacks / 2
-    assert warm.rates_computed < baseline.rates_computed
-    # Warm starts and fallbacks partition the same cascade events.
-    assert (
-        warm.warm_starts + warm.full_fallbacks <= baseline.full_fallbacks
-    )
+    """Regression: on dense traffic the bulk of the cascades must
+    warm-start, not just a token few.  A solver that falls back on every
+    cascade pays about one whole-pool solve per update (245 fallbacks and
+    12,237 rates for this run's 256 updates, when there was a switch to
+    measure it); the counters of a seeded run repeat exactly, so the
+    bounds are absolute."""
+    flows = 64
+    stats = _dense_churn(flows=flows)
+    updates = stats.incremental_updates
+    assert stats.warm_starts > stats.full_fallbacks
+    assert stats.full_fallbacks < updates / 2
+    assert stats.rates_computed < flows * updates / 2
+    assert stats.warm_inserts > 0
+    # Warm starts and fallbacks partition the cascade events.
+    assert stats.warm_starts + stats.full_fallbacks <= updates
 
 
 def test_dense_warm_started_solves_survive_verify_shadow():
     """verify_incremental=True shadows every warm-started solve with a
     from-scratch solve and raises beyond 1e-9 relative; surviving the run
     is the bit-for-bit-within-tolerance equivalence check."""
-    stats = _dense_churn(warm_start=True, flows=48, verify=True)
+    stats = _dense_churn(flows=48, verify=True)
     assert stats.warm_starts > 0
     assert stats.verify_recomputes > 0
 
@@ -266,13 +242,3 @@ def test_component_restricted_update_repairs_cache_for_later_warm_start():
     assert allocator.stats.warm_merges == merges
     _assert_matches_scratch(allocator, active)
 
-
-def test_warm_start_disabled_never_merges():
-    allocator = IncrementalMaxMinAllocator(capacity=1.0, warm_start=False)
-    active: list[FluidTask] = []
-    for s, d in [(0, 1), (1, 0), (0, 2), (5, 6), (6, 5)]:
-        t = _flow_task(s, d)
-        active.append(t)
-        allocator.update(active, [t], [])
-    assert allocator.stats.warm_merges == 0
-    _assert_matches_scratch(allocator, active)

@@ -60,11 +60,9 @@ class TestDefaultRegistry:
         ]
         assert registry.names("netmodel") == [
             "analytic", "backplane", "maxmin", "maxmin-soa",
-            "packet", "packet-soa", "star", "star-soa",
+            "packet", "packet-soa", "star",
         ]
-        assert registry.names("cpumodel") == [
-            "shared", "shared-soa", "timeslice", "timeslice-soa",
-        ]
+        assert registry.names("cpumodel") == ["shared", "timeslice"]
         assert registry.names("engine") == ["server", "sim", "testbed"]
         assert registry.names("workload") == [
             "bursty", "diurnal", "lu", "mixed", "poisson", "trace",
@@ -82,7 +80,7 @@ class TestDefaultRegistry:
         assert "scalar backend" in registry.describe("netmodel", "maxmin")
         assert "soa backend" in registry.describe("netmodel", "maxmin-soa")
         assert "scalar backend" in registry.describe("cpumodel", "timeslice")
-        assert "soa backend" in registry.describe("cpumodel", "shared-soa")
+        assert "soa backend" in registry.describe("netmodel", "packet-soa")
         assert registry.describe("engine", "sim") == ""
         with pytest.raises(ConfigurationError, match="unknown workload"):
             registry.describe("workload", "nope")

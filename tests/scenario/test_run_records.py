@@ -115,6 +115,60 @@ class TestSimParity:
         with pytest.raises(ConfigurationError, match="netmodel star"):
             run_scenario(spec)
 
+    @pytest.mark.parametrize(
+        "section, model, complaint",
+        [
+            # used to pass construction and die on the first cascade with
+            # TypeError: '>' not supported between 'int' and 'str'
+            ("netmodel", ModelSection("maxmin", {"cascade_threshold": "abc"}),
+             "cascade_threshold must be of type"),
+            ("netmodel", ModelSection("maxmin", {"cascade_threshold": 1.5}),
+             "cascade_threshold must satisfy"),
+            ("netmodel", ModelSection("packet", {"cascade_threshold": float("nan")}),
+             "cascade_threshold must be finite"),
+            # a string is truthy, "no" included
+            ("netmodel", ModelSection("star", {"verify_incremental": "no"}),
+             "verify_incremental must be of type bool"),
+            ("netmodel", ModelSection("maxmin-soa", {"verify_incremental": 1}),
+             "verify_incremental must be of type bool"),
+            ("cpumodel", ModelSection("shared", {"verify_incremental": "yes"}),
+             "verify_incremental must be of type bool"),
+            ("cpumodel", ModelSection("timeslice", {"seed": 1.7}),
+             "seed must be of type int"),
+            ("netmodel", ModelSection("packet", {"seed": "abc"}),
+             "seed must be of type int"),
+        ],
+    )
+    def test_bad_model_option_value_is_a_configuration_error(
+        self, section, model, complaint
+    ):
+        spec = dataclasses.replace(_lu_spec("sim"), **{section: model})
+        with pytest.raises(ConfigurationError, match=complaint):
+            run_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "changes, complaint",
+        [
+            ({"netmodel": ModelSection("star-soa")}, "unknown netmodel 'star-soa'"),
+            ({"cpumodel": ModelSection("shared-soa")}, "unknown cpumodel 'shared-soa'"),
+            ({"cpumodel": ModelSection("timeslice-soa")}, "unknown cpumodel"),
+            ({"netmodel": ModelSection("maxmin", {"incremental": False})},
+             "invalid options for 'netmodel maxmin'"),
+            ({"netmodel": ModelSection("maxmin", {"warm_start": False})},
+             "invalid options for 'netmodel maxmin'"),
+            ({"netmodel": ModelSection("packet", {"warm_insert": False})},
+             "invalid options for 'netmodel packet'"),
+            ({"cpumodel": ModelSection("shared", {"incremental": False})},
+             "invalid options for 'cpumodel shared'"),
+        ],
+    )
+    def test_removed_plugins_and_switches_are_rejected(self, changes, complaint):
+        """One allocator per rate law: the SoA twins that lost at every
+        scale and the baseline-selecting switches are gone, not aliased."""
+        spec = dataclasses.replace(_lu_spec("sim"), **changes)
+        with pytest.raises(ConfigurationError, match=complaint):
+            run_scenario(spec)
+
 
 class TestTestbedParity:
     def test_record_matches_native_executor(self):
@@ -136,6 +190,18 @@ class TestTestbedParity:
         a = run_scenario(_lu_spec("testbed", seed=1))
         b = run_scenario(_lu_spec("testbed", seed=2))
         assert a.makespan != b.makespan
+
+    @pytest.mark.parametrize(
+        "options, complaint",
+        [
+            ({"incremental": False}, r"unknown testbed engine options \['incremental'\]"),
+            ({"backend": "soa"}, r"unknown testbed engine options \['backend'\]"),
+            ({"verify_incremental": "no"}, "verify_incremental must be of type bool"),
+        ],
+    )
+    def test_bad_engine_options_report_cleanly(self, options, complaint):
+        with pytest.raises(ConfigurationError, match=complaint):
+            run_scenario(_lu_spec("testbed", options=options))
 
 
 class TestServerParity:

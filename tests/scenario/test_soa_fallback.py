@@ -48,15 +48,6 @@ def test_netmodel_soa_falls_back_to_scalar(no_numpy, registry, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_cpumodel_soa_falls_back_to_scalar(no_numpy, registry):
-    from repro.cpumodel.shared import SharedCpuModel
-    from repro.sim import PAPER_CLUSTER
-
-    factory = registry.resolve("cpumodel", "shared-soa")
-    cpu = factory(Kernel(), PAPER_CLUSTER)
-    assert isinstance(cpu, SharedCpuModel)
-
-
 def test_hint_printed_once_per_process(no_numpy, registry, capsys):
     factory = registry.resolve("netmodel", "maxmin-soa")
     factory(Kernel(), PARAMS)

@@ -27,7 +27,7 @@ def _full_spec() -> ScenarioSpec:
             name="sim", mode="noalloc", seed=3, verify=False,
             shards=1, shard_mode="auto",
         ),
-        netmodel=ModelSection("maxmin", {"warm_start": True}),
+        netmodel=ModelSection("maxmin", {"cascade_threshold": 0.25}),
         cpumodel=ModelSection("shared"),
         provider=ProviderSection("costmodel"),
         platform=PlatformSection("paper", calibrate=True),

@@ -54,6 +54,26 @@ class TestMalformedPayloads:
         assert exc.value.status == 400
         assert "unknown engine.mode" in exc.value.message
 
+    @pytest.mark.parametrize("bad", ["abc", 1.5, float("nan")])
+    def test_bad_model_option_value_is_400_not_500(self, make_service, bad):
+        """Model options are checked where the model is built, inside the
+        job: a bad value is still the client's error, not a traceback."""
+        pytest.importorskip("numpy")  # the job runs LU kernels' cost model
+        _, client = make_service()
+        payload = {
+            "name": "bad-threshold",
+            "app": {"name": "lu", "options": {
+                "n": 192, "r": 48, "num_threads": 4, "num_nodes": 2}},
+            "engine": {"name": "sim", "mode": "noalloc"},
+            "netmodel": {"name": "maxmin",
+                         "options": {"cascade_threshold": bad}},
+        }
+        with pytest.raises(ServiceError) as exc:
+            client.run(payload)
+        assert exc.value.status == 400
+        assert "cascade_threshold must" in exc.value.message
+        assert client.healthz()["status"] == "ok"
+
     def test_validation_failures_do_not_create_jobs(self, make_service):
         _, client = make_service()
         for _ in range(3):

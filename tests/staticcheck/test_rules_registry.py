@@ -101,6 +101,50 @@ class TestExampleSpecsParse:
         found = list(ExampleSpecsParseRule().check_project(project))
         assert [f.rule_id for f in found] == ["REP-R002"]
 
+    @pytest.mark.parametrize(
+        "changes, unknown",
+        [
+            ({"netmodel": {"name": "hypercube"}}, "unknown netmodel 'hypercube'"),
+            ({"cpumodel": {"name": "gang"}}, "unknown cpumodel 'gang'"),
+            ({"provider": {"name": "oracle"}}, "unknown provider 'oracle'"),
+            ({"app": {"name": "fft"}}, "unknown app 'fft'"),
+            ({"engine": {"name": "emulator"}}, "unknown engine 'emulator'"),
+            ({"engine": {"name": "server"}, "cluster": {"policy": "lottery"}},
+             "unknown policy 'lottery'"),
+            ({"engine": {"name": "server"},
+              "cluster": {"policy": "admission",
+                          "policy_options": {"inner": "lottery"}}},
+             "unknown policy 'lottery'"),
+            ({"engine": {"name": "server"}, "app": {"name": "stencil"}},
+             "unknown workload 'stencil'"),
+            ({"engine": {"name": "server"},
+              "cluster": {"arrivals": {"process": "weibull", "jobs": 5}}},
+             "unknown workload 'weibull'"),
+        ],
+    )
+    def test_unregistered_plugin_name_fires(self, tmp_path, changes, unknown):
+        """The spec parses; only the live registry knows the name is gone."""
+        spec = {"name": "stale", "app": {"name": "lu"}, **changes}
+        project = project_for(tmp_path, {
+            "examples/stale.json": json.dumps(spec)
+        })
+        found = list(ExampleSpecsParseRule().check_project(project))
+        assert [f.rule_id for f in found] == ["REP-R002"]
+        assert unknown in found[0].message
+
+    def test_open_server_spec_resolves_its_process_not_its_shape(self, tmp_path):
+        # 'stencil' is a job shape here, not a workload plugin.
+        spec = {
+            "name": "open",
+            "app": {"name": "stencil"},
+            "engine": {"name": "server"},
+            "cluster": {"arrivals": {"process": "poisson", "jobs": 5}},
+        }
+        project = project_for(tmp_path, {
+            "examples/open.json": json.dumps(spec)
+        })
+        assert list(ExampleSpecsParseRule().check_project(project)) == []
+
     def test_non_example_files_ignored(self, tmp_path):
         project = project_for(tmp_path, {"scenarios/bad.json": "{]"})
         assert list(ExampleSpecsParseRule().check_project(project)) == []
