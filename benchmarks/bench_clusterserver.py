@@ -174,12 +174,12 @@ def test_sharded_clusterserver_scaling(benchmark):
     eager_wall = time.perf_counter() - t0
 
     single = ShardedServer(
-        SHARD_BENCH_NODES, scheduler(), shards=1, mode="inprocess"
+        SHARD_BENCH_NODES, scheduler(), shards=1
     )
     serial = single.run(specs)
 
     sharded = ShardedServer(
-        SHARD_BENCH_NODES, scheduler(), shards=4, mode="inprocess"
+        SHARD_BENCH_NODES, scheduler(), shards=4
     )
     holder = {}
     benchmark.pedantic(
@@ -212,7 +212,7 @@ def test_sharded_clusterserver_scaling(benchmark):
             rows,
             title=(
                 f"Sharded clusterserver — {len(specs)} jobs on "
-                f"{SHARD_BENCH_NODES} nodes ({stats.mode} shards)"
+                f"{SHARD_BENCH_NODES} nodes"
             ),
         )
     )
@@ -238,29 +238,6 @@ def test_sharded_clusterserver_scaling(benchmark):
         f"sharded run only {speedup:.2f}x faster "
         f"({stats.wall_s:.2f}s vs {eager_wall:.2f}s)"
     )
-
-
-def test_sharded_process_mode_identical(benchmark):
-    """Process-pool shards produce the same bits as the in-process run.
-
-    Kept small: on a multi-core host the pool parallelizes the per-epoch
-    advance, but the determinism contract is what this pins down.
-    """
-    specs = sharded_scenario(jobs=min(SHARD_BENCH_JOBS, 400))
-    baseline = ShardedServer(
-        SHARD_BENCH_NODES, EquipartitionScheduler(), shards=1, mode="inprocess"
-    ).run(specs)
-    server = ShardedServer(
-        SHARD_BENCH_NODES, EquipartitionScheduler(), shards=4, mode="process"
-    )
-    holder = {}
-    benchmark.pedantic(
-        lambda: holder.update(result=server.run(specs)),
-        rounds=1,
-        iterations=1,
-    )
-    assert _results_identical(holder["result"], baseline)
-    assert server.stats.mode == "process"
 
 
 # --------------------------------------------------------------------------
@@ -302,7 +279,7 @@ def _traced_open_run(jobs: int, shards: int):
     """Run the sharded open-system engine under tracemalloc."""
     server = ShardedServer(
         OPEN_BENCH_NODES, FcfsScheduler(backfill=True),
-        shards=shards, mode="inprocess",
+        shards=shards,
     )
     tracemalloc.start()
     t0 = time.perf_counter()
@@ -335,7 +312,7 @@ def test_sharded_open_system_million_jobs(benchmark):
     for shards in (1, 2, 4):
         server = ShardedServer(
             OPEN_BENCH_NODES, FcfsScheduler(backfill=True),
-            shards=shards, mode="inprocess",
+            shards=shards,
         )
         results[shards] = server.run(open_stream(prefix))
         assert sum(server.stats.shard_jobs) == prefix
@@ -375,7 +352,7 @@ def test_sharded_open_system_million_jobs(benchmark):
             ],
             title=(
                 f"Open-system sharded clusterserver — Poisson stream on "
-                f"{OPEN_BENCH_NODES} nodes ({stats.mode} shards, K=4)"
+                f"{OPEN_BENCH_NODES} nodes (K=4)"
             ),
         )
     )

@@ -60,7 +60,6 @@ def _run(jobs: int, faults=None, shards: int = 4):
         FAULT_BENCH_NODES,
         FcfsScheduler(backfill=True),
         shards=shards,
-        mode="inprocess",
         faults=faults,
     )
     t0 = time.perf_counter()
@@ -101,7 +100,7 @@ def test_empty_fault_plan_overhead(benchmark):
             ],
             title=(
                 f"Empty-fault-plan overhead — {jobs} jobs on "
-                f"{FAULT_BENCH_NODES} nodes, 4 in-process shards"
+                f"{FAULT_BENCH_NODES} nodes, 4 shards"
             ),
         )
     )

@@ -22,7 +22,7 @@ setup(
     # The des/netmodel/cpumodel core runs dependency-free; numpy (and the
     # scipy triangular-solve accelerator) power the opt-in "*-soa"
     # structure-of-arrays backends and the numerical apps.
-    install_requires=["networkx>=2.8"],
+    install_requires=[],
     extras_require={
         "fast": ["numpy>=1.23", "scipy>=1.9"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],

@@ -68,13 +68,6 @@ def add_server_parser(sub: argparse._SubParsersAction) -> None:
              "simulation; 1 = classic single-kernel run)",
     )
     p.add_argument(
-        "--shard-mode", choices=("auto", "inprocess", "process"),
-        default="auto",
-        help="shard execution: worker processes, in-process round-robin, "
-             "or auto (processes when >1 CPU); results are identical "
-             "either way",
-    )
-    p.add_argument(
         "--record-json",
         metavar="PATH",
         default=None,
@@ -97,9 +90,7 @@ def cmd_server(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"unknown policies {unknown}; choose from {known}"
         )
-    shard_note = (
-        f", {args.shards} shards ({args.shard_mode})" if args.shards > 1 else ""
-    )
+    shard_note = f", {args.shards} shards" if args.shards > 1 else ""
     print(
         f"{args.jobs} {args.workload} jobs on {args.nodes} nodes, "
         f"mean interarrival {args.interarrival:.0f} s, seed {args.seed}"
@@ -115,7 +106,6 @@ def cmd_server(args: argparse.Namespace) -> int:
                 name="server",
                 seed=args.seed,
                 shards=args.shards,
-                shard_mode=args.shard_mode,
             ),
             cluster=ClusterSection(
                 nodes=args.nodes,
@@ -135,7 +125,7 @@ def cmd_server(args: argparse.Namespace) -> int:
                 f"{stats.allocations} reallocations "
                 f"({stats.allocations_elided} elided), "
                 f"events/shard {list(stats.shard_events)}, "
-                f"barrier wait {stats.barrier_wait_s * 1e3:.1f} ms"
+                f"shard advance {stats.barrier_wait_s * 1e3:.1f} ms"
             )
         rows.append(
             (

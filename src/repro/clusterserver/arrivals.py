@@ -49,6 +49,7 @@ from repro.clusterserver.workload import (
 )
 from repro.errors import ConfigurationError
 from repro.util.rng import SeedSequenceFactory
+from repro.util.validation import check_positive, check_type
 
 #: An arrival process: yields ``(arrival_time, JobSpec)`` lazily, in
 #: nondecreasing time order.  Any iterable qualifies; the generators in
@@ -60,16 +61,33 @@ ArrivalProcess = Iterable[tuple[float, JobSpec]]
 JOB_SHAPES = ("lu", "mixed")
 
 
-def _check_stop(jobs: Optional[int], horizon: Optional[float]) -> None:
-    if jobs is None and horizon is None:
+def _check_positive(name: str, value) -> None:
+    """Require a finite real > 0: options arrive from spec files and
+    ``POST /run``, a string must not reach a comparison, and NaN makes
+    every comparison false."""
+    check_type(f"arrivals.{name}", value, (int, float))
+    check_positive(f"arrivals.{name}", value)
+
+
+def _check_stop(jobs, horizon, required: bool = True) -> None:
+    if required and jobs is None and horizon is None:
         raise ConfigurationError(
             "an arrival process needs a stop condition: set jobs (count) "
             "and/or horizon (last admission time)"
         )
-    if jobs is not None and jobs < 1:
+    if jobs is not None and check_type("arrivals.jobs", jobs, int) < 1:
         raise ConfigurationError("arrivals.jobs must be >= 1")
-    if horizon is not None and horizon <= 0:
-        raise ConfigurationError("arrivals.horizon must be > 0")
+    if horizon is not None:
+        _check_positive("horizon", horizon)
+
+
+def _check_synthetic(mean_interarrival, max_nodes, jobs, horizon) -> None:
+    """What every synthetic process takes, checked when the stream is
+    built — a generator body would not run before the engine's first
+    ``next()``."""
+    _check_positive("mean_interarrival", mean_interarrival)
+    check_type("arrivals.max_nodes", max_nodes, int)
+    _check_stop(jobs, horizon)
 
 
 def _sample_job(shape: str, rng, index: int, t: float, max_nodes: int) -> JobSpec:
@@ -117,18 +135,20 @@ def poisson_arrivals(
     horizon: Optional[float] = None,
 ) -> Iterator[tuple[float, JobSpec]]:
     """Constant-rate memoryless arrivals (rate ``1/mean_interarrival``)."""
-    if mean_interarrival <= 0:
-        raise ConfigurationError("mean_interarrival must be > 0")
-    _check_stop(jobs, horizon)
-    rng = SeedSequenceFactory(seed).rng("arrivals/poisson")
-    t = 0.0
-    i = 0
-    while jobs is None or i < jobs:
-        t += float(rng.exponential(mean_interarrival))
-        if horizon is not None and t > horizon:
-            return
-        yield t, _sample_job(shape, rng, i, t, max_nodes)
-        i += 1
+    _check_synthetic(mean_interarrival, max_nodes, jobs, horizon)
+
+    def stream() -> Iterator[tuple[float, JobSpec]]:
+        rng = SeedSequenceFactory(seed).rng("arrivals/poisson")
+        t = 0.0
+        i = 0
+        while jobs is None or i < jobs:
+            t += float(rng.exponential(mean_interarrival))
+            if horizon is not None and t > horizon:
+                return
+            yield t, _sample_job(shape, rng, i, t, max_nodes)
+            i += 1
+
+    return stream()
 
 
 def bursty_arrivals(
@@ -151,35 +171,38 @@ def bursty_arrivals(
     memoryless, redrawing the pending gap at each state switch is
     distributionally exact.
     """
-    if mean_interarrival <= 0:
-        raise ConfigurationError("mean_interarrival must be > 0")
+    _check_synthetic(mean_interarrival, max_nodes, jobs, horizon)
+    _check_positive("burst_factor", burst_factor)
     if burst_factor < 1.0:
         raise ConfigurationError("burst_factor must be >= 1")
-    if mean_quiet <= 0 or mean_burst <= 0:
-        raise ConfigurationError("mean_quiet and mean_burst must be > 0")
-    _check_stop(jobs, horizon)
-    rng = SeedSequenceFactory(seed).rng("arrivals/bursty")
-    t = 0.0
-    i = 0
-    bursting = False
-    t_switch = t + float(rng.exponential(mean_quiet))
-    while jobs is None or i < jobs:
-        mean = mean_interarrival / (burst_factor if bursting else 1.0)
-        gap = float(rng.exponential(mean))
-        if t + gap >= t_switch:
-            # Dwell expired before the next arrival: flip state and
-            # redraw from the switch instant (exact by memorylessness).
-            t = t_switch
-            bursting = not bursting
-            t_switch = t + float(
-                rng.exponential(mean_burst if bursting else mean_quiet)
-            )
-            continue
-        t += gap
-        if horizon is not None and t > horizon:
-            return
-        yield t, _sample_job(shape, rng, i, t, max_nodes)
-        i += 1
+    _check_positive("mean_quiet", mean_quiet)
+    _check_positive("mean_burst", mean_burst)
+
+    def stream() -> Iterator[tuple[float, JobSpec]]:
+        rng = SeedSequenceFactory(seed).rng("arrivals/bursty")
+        t = 0.0
+        i = 0
+        bursting = False
+        t_switch = t + float(rng.exponential(mean_quiet))
+        while jobs is None or i < jobs:
+            mean = mean_interarrival / (burst_factor if bursting else 1.0)
+            gap = float(rng.exponential(mean))
+            if t + gap >= t_switch:
+                # Dwell expired before the next arrival: flip state and
+                # redraw from the switch instant (exact by memorylessness).
+                t = t_switch
+                bursting = not bursting
+                t_switch = t + float(
+                    rng.exponential(mean_burst if bursting else mean_quiet)
+                )
+                continue
+            t += gap
+            if horizon is not None and t > horizon:
+                return
+            yield t, _sample_job(shape, rng, i, t, max_nodes)
+            i += 1
+
+    return stream()
 
 
 def diurnal_arrivals(
@@ -199,27 +222,28 @@ def diurnal_arrivals(
     mean_interarrival``: candidate arrivals are drawn at the peak rate
     and accepted with probability ``rate(t)/peak``.
     """
-    if mean_interarrival <= 0:
-        raise ConfigurationError("mean_interarrival must be > 0")
+    _check_synthetic(mean_interarrival, max_nodes, jobs, horizon)
     if not 0.0 <= amplitude < 1.0:
         raise ConfigurationError("amplitude must be in [0, 1)")
-    if period <= 0:
-        raise ConfigurationError("period must be > 0")
-    _check_stop(jobs, horizon)
-    rng = SeedSequenceFactory(seed).rng("arrivals/diurnal")
-    base = 1.0 / mean_interarrival
-    peak = base * (1.0 + amplitude)
-    t = 0.0
-    i = 0
-    while jobs is None or i < jobs:
-        t += float(rng.exponential(1.0 / peak))
-        if horizon is not None and t > horizon:
-            return
-        rate = base * (1.0 + amplitude * math.sin(2.0 * math.pi * t / period))
-        if float(rng.uniform(0.0, 1.0)) * peak >= rate:
-            continue  # thinned-out candidate
-        yield t, _sample_job(shape, rng, i, t, max_nodes)
-        i += 1
+    _check_positive("period", period)
+
+    def stream() -> Iterator[tuple[float, JobSpec]]:
+        rng = SeedSequenceFactory(seed).rng("arrivals/diurnal")
+        base = 1.0 / mean_interarrival
+        peak = base * (1.0 + amplitude)
+        t = 0.0
+        i = 0
+        while jobs is None or i < jobs:
+            t += float(rng.exponential(1.0 / peak))
+            if horizon is not None and t > horizon:
+                return
+            rate = base * (1.0 + amplitude * math.sin(2.0 * math.pi * t / period))
+            if float(rng.uniform(0.0, 1.0)) * peak >= rate:
+                continue  # thinned-out candidate
+            yield t, _sample_job(shape, rng, i, t, max_nodes)
+            i += 1
+
+    return stream()
 
 
 def trace_arrivals(
@@ -238,62 +262,67 @@ def trace_arrivals(
     is finite by construction, so the stop condition is optional and only
     truncates.
     """
+    _check_stop(jobs, horizon, required=False)
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read arrival trace: {exc}") from None
-    last_t = -math.inf
-    emitted = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if jobs is not None and emitted >= jobs:
-            return
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{path.name}:{lineno}: invalid JSON: {exc}"
-            ) from None
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"{path.name}:{lineno}: each trace line must be an object"
-            )
-        try:
-            t = float(entry["arrival"])
-            work = tuple(float(w) for w in entry["phase_work"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"{path.name}:{lineno}: needs 'arrival' and 'phase_work': "
-                f"{exc}"
-            ) from None
-        if t < last_t:
-            raise ConfigurationError(
-                f"{path.name}:{lineno}: arrivals must be nondecreasing "
-                f"({t} after {last_t})"
-            )
-        last_t = t
-        if horizon is not None and t > horizon:
-            return
-        try:
-            spec = JobSpec(
-                name=str(entry.get("name", f"trace{lineno}")),
-                arrival=t,
-                phase_work=work,
-                efficiency=amdahl_efficiency(
-                    float(entry.get("parallel_fraction", 0.95))
-                ),
-                max_nodes=int(entry.get("max_nodes", 8)),
-                min_nodes=int(entry.get("min_nodes", 1)),
-                preferred_nodes=int(entry.get("preferred_nodes", 0)),
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(
-                f"{path.name}:{lineno}: bad job: {exc}"
-            ) from None
-        yield t, spec
-        emitted += 1
+
+    def stream() -> Iterator[tuple[float, JobSpec]]:
+        last_t = -math.inf
+        emitted = 0
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            if jobs is not None and emitted >= jobs:
+                return
+            try:
+                entry = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(
+                    f"{path.name}:{lineno}: invalid JSON: {exc}"
+                ) from None
+            if not isinstance(entry, dict):
+                raise ConfigurationError(
+                    f"{path.name}:{lineno}: each trace line must be an object"
+                )
+            try:
+                t = float(entry["arrival"])
+                work = tuple(float(w) for w in entry["phase_work"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(
+                    f"{path.name}:{lineno}: needs 'arrival' and 'phase_work': "
+                    f"{exc}"
+                ) from None
+            if t < last_t:
+                raise ConfigurationError(
+                    f"{path.name}:{lineno}: arrivals must be nondecreasing "
+                    f"({t} after {last_t})"
+                )
+            last_t = t
+            if horizon is not None and t > horizon:
+                return
+            try:
+                spec = JobSpec(
+                    name=str(entry.get("name", f"trace{lineno}")),
+                    arrival=t,
+                    phase_work=work,
+                    efficiency=amdahl_efficiency(
+                        float(entry.get("parallel_fraction", 0.95))
+                    ),
+                    max_nodes=int(entry.get("max_nodes", 8)),
+                    min_nodes=int(entry.get("min_nodes", 1)),
+                    preferred_nodes=int(entry.get("preferred_nodes", 0)),
+                )
+            except ConfigurationError as exc:
+                raise ConfigurationError(
+                    f"{path.name}:{lineno}: bad job: {exc}"
+                ) from None
+            yield t, spec
+            emitted += 1
+
+    return stream()
 
 
 def closed_stream(

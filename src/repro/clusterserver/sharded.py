@@ -34,25 +34,23 @@ progress_insensitive` policy) skip the allocation call entirely.
 
 Determinism contract (see ``docs/sharding.md``): the
 :class:`~repro.clusterserver.server.ServerResult` is **bit-identical for
-every shard count and execution mode** — all timing arithmetic is either
+every shard count** — all timing arithmetic is either
 per-job (identical regardless of which shard holds the job) or performed
 by the controller (identical regardless of K).  ``shards=1`` is therefore
 *the* single-kernel run that the sharded-equivalence property tests and
 the ``benchmarks/bench_clusterserver.py`` gate compare against.
 
-Execution modes: ``"process"`` runs each shard in a worker process
-(barriers exchange only node-grant deltas and completion reports over
-pipes), ``"inprocess"`` advances the shard kernels round-robin on the
-calling thread (no parallelism, useful for K small, determinism tests and
-single-CPU hosts); ``"auto"`` picks processes when the host has more than
-one CPU.
+Shards are :class:`JobShard` objects advanced one after another on the
+calling thread: an epoch carries about one event, so a second core has
+nothing to run, and a round trip to a worker process per shard per epoch
+costs more than the event itself (``docs/sharding.md`` has the
+measurement).  Sharding here is a determinism contract and an algorithmic
+win over the eager engine, not a parallel speed-up.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -67,10 +65,10 @@ from repro.clusterserver.server import (
     finalize_result,
 )
 from repro.clusterserver.workload import JobSpec, MalleableJob
-from repro.des.epoch import EpochController, ShardHandle
+from repro.des.epoch import EpochController
 from repro.des.fluid import FluidPool, FluidTask, RateAllocator
 from repro.des.kernel import Kernel
-from repro.errors import ConfigurationError, ShardCrashError, SimulationError
+from repro.errors import ConfigurationError
 from repro.faults import FaultRuntime
 
 
@@ -80,11 +78,9 @@ class ShardStats:
 
     #: number of shards the scenario was partitioned into
     shards: int
-    #: execution mode actually used ("inprocess" or "process")
-    mode: str
     #: epoch barriers executed
     epochs: int = 0
-    #: wall seconds blocked at barriers after kicking off every shard
+    #: wall seconds spent advancing the shards to their epoch bounds
     barrier_wait_s: float = 0.0
     #: barriers that ran the scheduler's global reallocation
     allocations: int = 0
@@ -244,14 +240,25 @@ class JobShard:
         job.task = None
 
     def apply_allocation(
-        self, updates: Sequence[tuple[int, int, float]]
+        self,
+        updates: Sequence[tuple[int, int, float]],
+        new_specs: Sequence[tuple[int, JobSpec]] = (),
+        restarts: Sequence[int] = (),
+        drops: Sequence[int] = (),
     ) -> None:
-        """Apply the controller's node-grant deltas and re-rate the tasks.
+        """Apply one barrier's decisions: restarts, drops, admissions, then
+        the controller's node-grant deltas, re-rating the touched tasks.
 
         ``factor`` is the fault layer's degraded-node slowdown — 1.0
         unless a degrade fault is live, and ``x * 1.0`` is exact under
         IEEE arithmetic, so fault-free runs are bit-unchanged.
         """
+        for index in restarts:
+            self.restart_phase(index)
+        for index in drops:
+            self.drop(index)
+        for index, spec in new_specs:
+            self.admit_spec(index, spec)
         changed: list[FluidTask] = []
         for index, nodes, factor in updates:
             job = self.jobs[index]
@@ -270,209 +277,6 @@ class JobShard:
 
 
 # --------------------------------------------------------------------------
-# shard handles: in-process and worker-process transports
-# --------------------------------------------------------------------------
-
-
-class _LocalShardHandle(ShardHandle):
-    """Direct calls into a shard living on the calling thread."""
-
-    def __init__(self, shard: JobShard) -> None:
-        self.shard = shard
-        self._report: Optional[tuple] = None
-
-    def next_event_time(self) -> Optional[float]:
-        return self.shard.next_event_time()
-
-    def begin_advance(self, until: float) -> None:
-        self._report = self.shard.run_until(until)
-
-    def finish_advance(self):
-        report, self._report = self._report, None
-        return report
-
-    def begin_apply(
-        self,
-        updates: Sequence[tuple[int, int, float]],
-        new_specs: Sequence[tuple[int, JobSpec]] = (),
-        restarts: Sequence[int] = (),
-        drops: Sequence[int] = (),
-    ) -> None:
-        for index in restarts:
-            self.shard.restart_phase(index)
-        for index in drops:
-            self.shard.drop(index)
-        for index, spec in new_specs:
-            self.shard.admit_spec(index, spec)
-        self.shard.apply_allocation(updates)
-
-    def finish_apply(self) -> None:
-        return None
-
-    def shutdown(self) -> tuple[int, int]:
-        return (self.shard.kernel.events_executed, self.shard.jobs_seen)
-
-
-def _shard_worker(conn, shard_id: int) -> None:
-    """Worker-process loop: one shard driven by pipe commands."""
-    try:
-        shard = JobShard(shard_id)
-        conn.send(("ok", shard.next_event_time()))
-        while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "run":
-                completed = shard.run_until(msg[1])
-                conn.send(("ok", (completed, shard.next_event_time())))
-            elif cmd == "apply":
-                _cmd, updates, new_specs, restarts, drops = msg
-                for index in restarts:
-                    shard.restart_phase(index)
-                for index in drops:
-                    shard.drop(index)
-                for index, spec in new_specs:
-                    shard.admit_spec(index, spec)
-                shard.apply_allocation(updates)
-                conn.send(("ok", shard.next_event_time()))
-            elif cmd == "finish":
-                conn.send(
-                    ("ok", (shard.kernel.events_executed, shard.jobs_seen))
-                )
-                return
-            else:  # pragma: no cover - protocol guard
-                conn.send(("error", f"unknown command {cmd!r}"))
-                return
-    except BaseException as exc:  # pragma: no cover - crash reporting
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-        raise
-
-
-class _ProcessShardHandle(ShardHandle):
-    """Pipe proxy to a shard in a worker process.
-
-    ``next_event_time`` is cached from the last reply — every message that
-    can change it (advance, apply) returns the fresh value, so the cache
-    is always current when the controller computes the next bound.
-
-    Crash safety: :meth:`_recv` polls the pipe in short slices and checks
-    worker liveness between them, so a SIGKILLed (or OOM-killed) worker
-    surfaces as a diagnostic :class:`~repro.errors.ShardCrashError` —
-    shard id, in-flight command, exit code — within roughly one poll
-    slice instead of blocking the controller forever.
-    """
-
-    #: pipe poll granularity; ``poll`` returns immediately once data is
-    #: ready, so this bounds crash-detection latency, not reply latency
-    _POLL_SLICE_S = 0.05
-    #: how long shutdown waits for the final stats reply
-    _FINISH_TIMEOUT_S = 60.0
-
-    def __init__(self, ctx, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self._last_cmd = "start"
-        self._conn, child = multiprocessing.Pipe()
-        self._proc = ctx.Process(
-            target=_shard_worker,
-            args=(child, shard_id),
-            daemon=True,
-        )
-        self._proc.start()
-        child.close()
-        self._next: Optional[float] = self._recv()
-
-    def _crashed(self) -> ShardCrashError:
-        self._proc.join(timeout=5.0)
-        return ShardCrashError(
-            self.shard_id, self._last_cmd, self._proc.exitcode
-        )
-
-    def _recv(self, timeout: Optional[float] = None):
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        while not self._conn.poll(self._POLL_SLICE_S):
-            if not self._proc.is_alive():
-                if self._conn.poll(0):
-                    break  # parting words made it out before death
-                raise self._crashed()
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ShardCrashError(self.shard_id, self._last_cmd, None)
-        try:
-            tag, payload = self._conn.recv()
-        except (EOFError, OSError):
-            raise self._crashed() from None
-        if tag != "ok":
-            raise SimulationError(
-                f"shard {self.shard_id} worker failed: {payload}"
-            )
-        return payload
-
-    def _send(self, msg: tuple) -> None:
-        self._last_cmd = msg[0]
-        try:
-            self._conn.send(msg)
-        except (BrokenPipeError, OSError):
-            raise self._crashed() from None
-
-    def next_event_time(self) -> Optional[float]:
-        return self._next
-
-    def begin_advance(self, until: float) -> None:
-        self._send(("run", until))
-
-    def finish_advance(self):
-        completed, self._next = self._recv()
-        return completed
-
-    def begin_apply(
-        self,
-        updates: Sequence[tuple[int, int, float]],
-        new_specs: Sequence[tuple[int, JobSpec]] = (),
-        restarts: Sequence[int] = (),
-        drops: Sequence[int] = (),
-    ) -> None:
-        self._send(
-            (
-                "apply",
-                list(updates),
-                list(new_specs),
-                list(restarts),
-                list(drops),
-            )
-        )
-
-    def finish_apply(self) -> None:
-        self._next = self._recv()
-
-    def shutdown(self) -> tuple[int, int]:
-        """Stop the worker and return its stats; crashes are errors.
-
-        A worker that died, stalled, or exited nonzero raises
-        :class:`~repro.errors.ShardCrashError` instead of being silently
-        terminated — losing a shard mid-teardown means the result may be
-        incomplete, and the caller must know.
-        """
-        try:
-            self._send(("finish",))
-            stats = self._recv(timeout=self._FINISH_TIMEOUT_S)
-            self._proc.join(timeout=10.0)
-            if self._proc.is_alive():
-                raise ShardCrashError(self.shard_id, "finish", None)
-            exitcode = self._proc.exitcode
-            if exitcode not in (0, None):
-                raise ShardCrashError(self.shard_id, "finish", exitcode)
-            return stats
-        finally:
-            if self._proc.is_alive():
-                self._proc.terminate()
-                self._proc.join(timeout=10.0)
-            self._conn.close()
-
-
-# --------------------------------------------------------------------------
 # the sharded server
 # --------------------------------------------------------------------------
 
@@ -481,10 +285,10 @@ class ShardedServer:
     """Cluster-server simulation partitioned over K shard kernels.
 
     Drop-in companion to :class:`~repro.clusterserver.server.ClusterServer`
-    — same constructor shape plus ``shards``/``mode``, same
+    — same constructor shape plus ``shards``, same
     :class:`~repro.clusterserver.server.ServerResult` — with the
     determinism contract that the result is bit-identical for every
-    ``shards`` value and mode.  ``shards=1`` is the single-kernel run.
+    ``shards`` value.  ``shards=1`` is the single-kernel run.
 
     Requires a :attr:`~repro.clusterserver.scheduler.Scheduler.\
 progress_insensitive` policy: the scheduler sees *phase-granular* job
@@ -497,21 +301,15 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
         total_nodes: int,
         scheduler: Scheduler,
         shards: int = 1,
-        mode: str = "auto",
         faults=None,
     ) -> None:
         if total_nodes < 1:
             raise ConfigurationError("total_nodes must be >= 1")
         if shards < 1:
             raise ConfigurationError("shards must be >= 1")
-        if mode not in ("auto", "inprocess", "process"):
-            raise ConfigurationError(
-                f"unknown shard mode {mode!r}; choose auto, inprocess or process"
-            )
         self.total_nodes = total_nodes
         self.scheduler = scheduler
         self.shards = shards
-        self.mode = mode
         #: compiled fault plan (``docs/faults.md``); fault replay happens
         #: controller-side at barriers, so the trace and every counter
         #: are bit-identical for every K — the runtime never crosses a
@@ -520,15 +318,8 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
         #: accounting of the last run (None before the first)
         self.stats: Optional[ShardStats] = None
 
-    def _resolve_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        if self.shards > 1 and (os.cpu_count() or 1) > 1:
-            return "process"
-        return "inprocess"
-
     def run(self, workload) -> ServerResult:
-        """Simulate a workload to completion (deterministic in K/mode).
+        """Simulate a workload to completion (deterministic in K).
 
         One loop for both workload shapes, entered the way the eager
         engine enters its own: a ``Sequence[JobSpec]`` gets per-job
@@ -546,7 +337,7 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
         mirrors and shard state are both bounded by the active-job
         count.  All decisions replay in pull order, so the result
         (including the :class:`~repro.clusterserver.metrics.SloSummary`)
-        is bit-identical for every shard count and mode.
+        is bit-identical for every shard count.
         """
         if not getattr(self.scheduler, "progress_insensitive", False):
             raise ConfigurationError(
@@ -556,7 +347,6 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 "ClusterServer instead"
             )
         t_start = time.perf_counter()
-        mode = self._resolve_mode()
         K = self.shards
         arrivals, admit, sink = _open_workload(workload, self.scheduler)
         runtime = (
@@ -564,274 +354,245 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
             if self.faults is not None
             else None
         )
-        stats = ShardStats(shards=K, mode=mode)
-        handles: list[ShardHandle] = []
-        completed_run = False
-        try:
-            if mode == "process":
-                ctx = multiprocessing.get_context()
-                for sid in range(K):
-                    handles.append(_ProcessShardHandle(ctx, sid))
-            else:
-                for sid in range(K):
-                    handles.append(_LocalShardHandle(JobShard(sid)))
+        stats = ShardStats(shards=K)
+        shards = [JobShard(sid) for sid in range(K)]
 
-            # Controller-side decision state — active jobs only.
-            running: dict[int, MalleableJob] = {}
-            owner: dict[int, int] = {}
-            last_change: dict[int, float] = {}
-            rem: dict[int, float] = {}
-            rem_sync: dict[int, float] = {}
-            deferred: deque[tuple[int, int, JobSpec]] = deque()
-            pending: list = [next(arrivals, None)]
-            state = {"pulled": 0, "last_bound": 0.0}
+        # Controller-side decision state — active jobs only.
+        running: dict[int, MalleableJob] = {}
+        owner: dict[int, int] = {}
+        last_change: dict[int, float] = {}
+        rem: dict[int, float] = {}
+        rem_sync: dict[int, float] = {}
+        deferred: deque[tuple[int, int, JobSpec]] = deque()
+        pending: list = [next(arrivals, None)]
+        state = {"pulled": 0, "last_bound": 0.0}
 
-            def lookahead() -> Optional[float]:
-                item = pending[0]
-                t = item[0] if item is not None else None
-                if runtime is not None and (
-                    item is not None or running or deferred
-                ):
-                    # Post-workload faults must not drag the makespan —
-                    # only consult the fault clock while work remains.
-                    ft = runtime.next_time()
-                    if ft is not None and (t is None or ft < t):
-                        t = ft
-                return t
+        def lookahead() -> Optional[float]:
+            item = pending[0]
+            t = item[0] if item is not None else None
+            if runtime is not None and (
+                item is not None or running or deferred
+            ):
+                # Post-workload faults must not drag the makespan —
+                # only consult the fault clock while work remains.
+                ft = runtime.next_time()
+                if ft is not None and (t is None or ft < t):
+                    t = ft
+            return t
 
-            def close_chunk(idx: int, now: float) -> None:
-                mirror = running[idx]
-                mirror.node_seconds += mirror.nodes * (now - last_change[idx])
-                last_change[idx] = now
+        def close_chunk(idx: int, now: float) -> None:
+            mirror = running[idx]
+            mirror.node_seconds += mirror.nodes * (now - last_change[idx])
+            last_change[idx] = now
 
-            def fold_rem(idx: int, now: float) -> None:
-                dt = now - rem_sync[idx]
-                if dt > 0:
-                    rem[idx] -= running[idx].rate() * dt
+        def fold_rem(idx: int, now: float) -> None:
+            dt = now - rem_sync[idx]
+            if dt > 0:
+                rem[idx] -= running[idx].rate() * dt
+            rem_sync[idx] = now
+
+        def forget(idx: int) -> None:
+            del running[idx]
+            del owner[idx]
+            del last_change[idx]
+            if runtime is not None:
+                del rem[idx], rem_sync[idx]
+
+        def admit_job(
+            idx: int, sid: int, spec: JobSpec, now: float, new_specs: dict
+        ) -> None:
+            running[idx] = MalleableJob(spec, index=idx)
+            owner[idx] = sid
+            last_change[idx] = now
+            if runtime is not None:
+                rem[idx] = spec.phase_work[0]
                 rem_sync[idx] = now
+            new_specs.setdefault(sid, []).append((idx, spec))
 
-            def forget(idx: int) -> None:
-                del running[idx]
-                del owner[idx]
-                del last_change[idx]
-                if runtime is not None:
-                    del rem[idx], rem_sync[idx]
+        def available_nodes() -> int:
+            if runtime is not None:
+                return runtime.capacity(self.total_nodes)
+            return self.total_nodes
 
-            def admit_job(
-                idx: int, sid: int, spec: JobSpec, now: float, new_specs: dict
-            ) -> None:
-                running[idx] = MalleableJob(spec, index=idx)
-                owner[idx] = sid
-                last_change[idx] = now
-                if runtime is not None:
-                    rem[idx] = spec.phase_work[0]
-                    rem_sync[idx] = now
-                new_specs.setdefault(sid, []).append((idx, spec))
+        def apply_faults(now: float, ops: dict) -> bool:
+            ordered = sorted(
+                (idx, m.nodes) for idx, m in running.items()
+            )
+            fired, victims = runtime.fire(now, ordered)
+            for idx, entry in victims:
+                mirror = running.get(idx)
+                if mirror is None:
+                    entry["outcome"] = "absent"
+                    continue
+                fold_rem(idx, now)
+                lost = mirror.spec.phase_work[mirror.phase] - rem[idx]
+                if runtime.record_loss(idx, lost, entry) == "retry":
+                    rem[idx] = mirror.spec.phase_work[mirror.phase]
+                    mirror.remaining_in_phase = rem[idx]
+                    ops["restarts"].setdefault(owner[idx], []).append(
+                        idx
+                    )
+                else:
+                    close_chunk(idx, now)
+                    mirror.failed = True
+                    mirror.finished_at = now
+                    mirror.nodes = 0
+                    ops["drops"].setdefault(owner[idx], []).append(idx)
+                    forget(idx)
+            return fired
 
-            def available_nodes() -> int:
-                if runtime is not None:
-                    return runtime.capacity(self.total_nodes)
-                return self.total_nodes
+        def pull_arrivals(now: float, new_specs: dict) -> bool:
+            """Admit/defer/reject every arrival due at or before now."""
+            admitted = False
+            while pending[0] is not None and pending[0][0] <= now:
+                t, idx, spec = pending[0]
+                nxt = next(arrivals, None)
+                if nxt is not None and nxt[0] < t:
+                    raise ConfigurationError(
+                        "arrival process yielded decreasing times "
+                        f"({nxt[0]} after {t}); streams must be "
+                        "nondecreasing"
+                    )
+                pending[0] = nxt
+                # Round-robin in pull (= arrival) order balances
+                # shard load; the result is partition-independent,
+                # so any deterministic rule works.
+                sid = state["pulled"] % K
+                state["pulled"] += 1
+                if admit(spec, list(running.values()), available_nodes()):
+                    admit_job(idx, sid, spec, now, new_specs)
+                    admitted = True
+                elif self.scheduler.defer_rejected:
+                    deferred.append((idx, sid, spec))
+                else:
+                    sink.observe_rejection(now, spec)
+            return admitted
 
-            def apply_faults(now: float, ops: dict) -> bool:
-                ordered = sorted(
-                    (idx, m.nodes) for idx, m in running.items()
-                )
-                fired, victims = runtime.fire(now, ordered)
-                for idx, entry in victims:
-                    mirror = running.get(idx)
-                    if mirror is None:
-                        entry["outcome"] = "absent"
-                        continue
-                    fold_rem(idx, now)
-                    lost = mirror.spec.phase_work[mirror.phase] - rem[idx]
-                    if runtime.record_loss(idx, lost, entry) == "retry":
-                        rem[idx] = mirror.spec.phase_work[mirror.phase]
-                        mirror.remaining_in_phase = rem[idx]
-                        ops["restarts"].setdefault(owner[idx], []).append(
-                            idx
-                        )
-                    else:
+        def drain_deferred(now: float, new_specs: dict) -> None:
+            while deferred and admit(
+                deferred[0][2], list(running.values()), available_nodes()
+            ):
+                idx, sid, spec = deferred.popleft()
+                admit_job(idx, sid, spec, now, new_specs)
+
+        def on_barrier(now: float, reports: list) -> bool:
+            state["last_bound"] = now
+            job_done = False
+            retired: list[tuple[int, MalleableJob]] = []
+            for completed in reports:
+                for idx, done in completed:
+                    mirror = running[idx]
+                    if done:
+                        job_done = True
                         close_chunk(idx, now)
-                        mirror.failed = True
+                        mirror.phase = len(mirror.spec.phase_work)
+                        mirror.remaining_in_phase = 0.0
                         mirror.finished_at = now
                         mirror.nodes = 0
-                        ops["drops"].setdefault(owner[idx], []).append(idx)
-                        forget(idx)
-                return fired
-
-            def pull_arrivals(now: float, new_specs: dict) -> bool:
-                """Admit/defer/reject every arrival due at or before now."""
-                admitted = False
-                while pending[0] is not None and pending[0][0] <= now:
-                    t, idx, spec = pending[0]
-                    nxt = next(arrivals, None)
-                    if nxt is not None and nxt[0] < t:
-                        raise ConfigurationError(
-                            "arrival process yielded decreasing times "
-                            f"({nxt[0]} after {t}); streams must be "
-                            "nondecreasing"
+                        retired.append((idx, mirror))
+                    else:
+                        mirror.phase += 1
+                        mirror.remaining_in_phase = (
+                            mirror.spec.phase_work[mirror.phase]
                         )
-                    pending[0] = nxt
-                    # Round-robin in pull (= arrival) order balances
-                    # shard load; the result is partition-independent,
-                    # so any deterministic rule works.
-                    sid = state["pulled"] % K
-                    state["pulled"] += 1
-                    if admit(spec, list(running.values()), available_nodes()):
-                        admit_job(idx, sid, spec, now, new_specs)
-                        admitted = True
-                    elif self.scheduler.defer_rejected:
-                        deferred.append((idx, sid, spec))
-                    else:
-                        sink.observe_rejection(now, spec)
-                return admitted
-
-            def drain_deferred(now: float, new_specs: dict) -> None:
-                while deferred and admit(
-                    deferred[0][2], list(running.values()), available_nodes()
-                ):
-                    idx, sid, spec = deferred.popleft()
-                    admit_job(idx, sid, spec, now, new_specs)
-
-            def on_barrier(now: float, reports: list) -> bool:
-                state["last_bound"] = now
-                job_done = False
-                retired: list[tuple[int, MalleableJob]] = []
-                for completed in reports:
-                    for idx, done in completed:
-                        mirror = running[idx]
-                        if done:
-                            job_done = True
-                            close_chunk(idx, now)
-                            mirror.phase = len(mirror.spec.phase_work)
-                            mirror.remaining_in_phase = 0.0
-                            mirror.finished_at = now
-                            mirror.nodes = 0
-                            retired.append((idx, mirror))
-                        else:
-                            mirror.phase += 1
-                            mirror.remaining_in_phase = (
-                                mirror.spec.phase_work[mirror.phase]
-                            )
-                            if runtime is not None:
-                                rem[idx] = mirror.remaining_in_phase
-                                rem_sync[idx] = now
-                # Fold retirements in index order: the aggregator's call
-                # sequence — hence the SloSummary — is K-independent.
-                for idx, mirror in sorted(retired):
-                    forget(idx)
-                    sink.observe_completion(mirror)
-                ops: dict = {"restarts": {}, "drops": {}}
-                fired = False
-                if runtime is not None:
-                    # Completions settle before faults, faults before
-                    # arrivals — the eager engine's tie order.
-                    fired = apply_faults(now, ops)
-                new_specs: dict[int, list[tuple[int, JobSpec]]] = {}
-                admitted = pull_arrivals(now, new_specs)
-                if admitted or job_done or fired:
-                    # Membership changed: deferred jobs get their retry,
-                    # then the global policy replays.
-                    drain_deferred(now, new_specs)
-                    stats.allocations += 1
-                    allocation, granted, capacity = _allocate_checked(
-                        self.scheduler,
-                        list(running.values()),
-                        available_nodes(),
-                    )
-                    updates: dict[int, list[tuple[int, int, float]]] = {}
-                    if runtime is None:
-                        for idx, mirror in running.items():
-                            nodes = allocation.get(mirror, 0)
-                            if nodes != mirror.nodes:
-                                close_chunk(idx, now)
-                                mirror.nodes = nodes
-                                if nodes > 0 and math.isnan(
-                                    mirror.started_at
-                                ):
-                                    mirror.started_at = now
-                                updates.setdefault(owner[idx], []).append(
-                                    (idx, nodes, 1.0)
-                                )
-                    else:
-                        changed: set[int] = set()
-                        for idx, mirror in running.items():
-                            nodes = allocation.get(mirror, 0)
-                            if nodes != mirror.nodes:
-                                close_chunk(idx, now)
-                                fold_rem(idx, now)
-                                mirror.nodes = nodes
-                                if nodes > 0 and math.isnan(
-                                    mirror.started_at
-                                ):
-                                    mirror.started_at = now
-                                changed.add(idx)
-                        if runtime.factors_live:
-                            factors = runtime.rate_factors(
-                                sorted(
-                                    (idx, m.nodes)
-                                    for idx, m in running.items()
-                                )
-                            )
-                            for idx, mirror in running.items():
-                                f = factors[idx]
-                                if f != mirror.rate_factor:
-                                    fold_rem(idx, now)
-                                    mirror.rate_factor = f
-                                    changed.add(idx)
-                        for idx, mirror in running.items():
-                            if idx in changed:
-                                updates.setdefault(owner[idx], []).append(
-                                    (idx, mirror.nodes, mirror.rate_factor)
-                                )
-                    sink.observe_utilization(now, granted, capacity)
-                else:
-                    # Pure phase boundaries (or rejected arrivals): no
-                    # scheduler-visible change, by progress-insensitivity.
-                    stats.allocations_elided += 1
-                    updates = {}
-                touched = sorted(
-                    set(new_specs) | set(updates) | set(ops["restarts"])
-                    | set(ops["drops"])
+                        if runtime is not None:
+                            rem[idx] = mirror.remaining_in_phase
+                            rem_sync[idx] = now
+            # Fold retirements in index order: the aggregator's call
+            # sequence — hence the SloSummary — is K-independent.
+            for idx, mirror in sorted(retired):
+                forget(idx)
+                sink.observe_completion(mirror)
+            ops: dict = {"restarts": {}, "drops": {}}
+            fired = False
+            if runtime is not None:
+                # Completions settle before faults, faults before
+                # arrivals — the eager engine's tie order.
+                fired = apply_faults(now, ops)
+            new_specs: dict[int, list[tuple[int, JobSpec]]] = {}
+            admitted = pull_arrivals(now, new_specs)
+            if admitted or job_done or fired:
+                # Membership changed: deferred jobs get their retry,
+                # then the global policy replays.
+                drain_deferred(now, new_specs)
+                stats.allocations += 1
+                allocation, granted, capacity = _allocate_checked(
+                    self.scheduler,
+                    list(running.values()),
+                    available_nodes(),
                 )
-                for sid in touched:
-                    handles[sid].begin_apply(
-                        updates.get(sid, ()),
-                        new_specs.get(sid, ()),
-                        ops["restarts"].get(sid, ()),
-                        ops["drops"].get(sid, ()),
-                    )
-                for sid in touched:
-                    handles[sid].finish_apply()
-                return True
+                updates: dict[int, list[tuple[int, int, float]]] = {}
+                if runtime is None:
+                    for idx, mirror in running.items():
+                        nodes = allocation.get(mirror, 0)
+                        if nodes != mirror.nodes:
+                            close_chunk(idx, now)
+                            mirror.nodes = nodes
+                            if nodes > 0 and math.isnan(
+                                mirror.started_at
+                            ):
+                                mirror.started_at = now
+                            updates.setdefault(owner[idx], []).append(
+                                (idx, nodes, 1.0)
+                            )
+                else:
+                    changed: set[int] = set()
+                    for idx, mirror in running.items():
+                        nodes = allocation.get(mirror, 0)
+                        if nodes != mirror.nodes:
+                            close_chunk(idx, now)
+                            fold_rem(idx, now)
+                            mirror.nodes = nodes
+                            if nodes > 0 and math.isnan(
+                                mirror.started_at
+                            ):
+                                mirror.started_at = now
+                            changed.add(idx)
+                    if runtime.factors_live:
+                        factors = runtime.rate_factors(
+                            sorted(
+                                (idx, m.nodes)
+                                for idx, m in running.items()
+                            )
+                        )
+                        for idx, mirror in running.items():
+                            f = factors[idx]
+                            if f != mirror.rate_factor:
+                                fold_rem(idx, now)
+                                mirror.rate_factor = f
+                                changed.add(idx)
+                    for idx, mirror in running.items():
+                        if idx in changed:
+                            updates.setdefault(owner[idx], []).append(
+                                (idx, mirror.nodes, mirror.rate_factor)
+                            )
+                sink.observe_utilization(now, granted, capacity)
+            else:
+                # Pure phase boundaries (or rejected arrivals): no
+                # scheduler-visible change, by progress-insensitivity.
+                stats.allocations_elided += 1
+                updates = {}
+            touched = sorted(
+                set(new_specs) | set(updates) | set(ops["restarts"])
+                | set(ops["drops"])
+            )
+            for sid in touched:
+                shards[sid].apply_allocation(
+                    updates.get(sid, ()),
+                    new_specs.get(sid, ()),
+                    ops["restarts"].get(sid, ()),
+                    ops["drops"].get(sid, ()),
+                )
+            return True
 
-            controller = EpochController(handles)
-            controller.run(on_barrier, lookahead=lookahead)
-            stats.epochs = controller.stats.epochs
-            stats.barrier_wait_s = controller.stats.barrier_wait_s
-            completed_run = True
-        finally:
-            shard_events = []
-            shard_jobs = []
-            teardown_error: Optional[BaseException] = None
-            for handle in handles:
-                try:
-                    events, jobs_seen = handle.shutdown()
-                    shard_events.append(events)
-                    shard_jobs.append(jobs_seen)
-                except Exception as exc:
-                    shard_events.append(0)
-                    shard_jobs.append(0)
-                    if teardown_error is None:
-                        teardown_error = exc
-            # A lost shard invalidates the result, but never mask the
-            # error that aborted the run body.
-            if completed_run and teardown_error is not None:
-                raise teardown_error
-
-        stats.shard_events = tuple(shard_events)
-        stats.shard_jobs = tuple(shard_jobs)
+        controller = EpochController(shards)
+        controller.run(on_barrier, lookahead=lookahead)
+        stats.epochs = controller.stats.epochs
+        stats.barrier_wait_s = controller.stats.barrier_wait_s
+        stats.shard_events = tuple(
+            shard.kernel.events_executed for shard in shards
+        )
+        stats.shard_jobs = tuple(shard.jobs_seen for shard in shards)
         result = finalize_result(
             self.scheduler.name,
             self.total_nodes,

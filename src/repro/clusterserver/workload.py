@@ -23,11 +23,9 @@ EfficiencyFn = Callable[[int], float]
 class AmdahlEfficiency:
     """Amdahl-style efficiency curve with a given parallel fraction.
 
-    A class (rather than a closure) so that job specs are picklable —
-    the sharded server's process-pool mode ships specs to worker
-    processes (:mod:`repro.clusterserver.sharded`).  Custom efficiency
-    callables work too, but must likewise be picklable to use process
-    shards.
+    A class (rather than a closure) so that job specs pickle — a
+    workload can cross a process boundary, e.g. into a sweep worker.
+    Any ``int -> float`` callable works as a custom efficiency curve.
     """
 
     __slots__ = ("parallel_fraction",)

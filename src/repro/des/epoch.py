@@ -16,12 +16,13 @@ fluid models:
   global decisions (e.g. the cluster scheduler's reallocation) before the
   next epoch begins.
 
-The controller is deliberately transport-agnostic: a
-:class:`ShardHandle` may wrap an in-process shard or a proxy speaking to a
-worker process over a pipe.  ``begin_advance``/``finish_advance`` are
-split so process-backed shards overlap their work — the controller sends
-every shard its bound before it blocks on the first reply, and the time it
-spends blocked is accounted in :attr:`EpochStats.barrier_wait_s`.
+A shard is anything with ``next_event_time()`` (earliest pending event,
+or ``None`` when idle — it must reflect every update the barrier callback
+applied) and ``run_until(bound)`` (advance to the bound, return the
+shard's report for the epoch, which the controller hands to the barrier
+callback unread).  Shards run on the calling thread, one after another:
+an epoch carries about one event, so there is nothing to overlap
+(``docs/sharding.md`` has the measurement).
 
 The cluster-server binding of this machinery (job shards, scheduler
 replay, the determinism contract) lives in
@@ -32,39 +33,8 @@ replay, the determinism contract) lives in
 from __future__ import annotations
 
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
-
-
-class ShardHandle(ABC):
-    """One shard as seen by the epoch controller.
-
-    Implementations wrap either a local shard object (direct calls) or a
-    worker-process proxy (pipe messages).  The contract:
-
-    * :meth:`next_event_time` — earliest pending event in the shard's
-      kernel, or ``None`` when it is idle; must reflect every update the
-      barrier callback applied to the shard;
-    * :meth:`begin_advance` — start advancing the shard to ``until``
-      (non-blocking for proxies);
-    * :meth:`finish_advance` — block until the advance completes and
-      return the shard's report for the epoch (arrivals, completions —
-      the controller treats it as opaque and hands it to the barrier
-      callback).
-    """
-
-    @abstractmethod
-    def next_event_time(self) -> Optional[float]:
-        """Earliest pending event time, or ``None`` when idle."""
-
-    @abstractmethod
-    def begin_advance(self, until: float) -> None:
-        """Start advancing the shard's kernel to ``until``."""
-
-    @abstractmethod
-    def finish_advance(self) -> Any:
-        """Wait for the advance and return the shard's epoch report."""
 
 
 @dataclass
@@ -73,7 +43,7 @@ class EpochStats:
 
     #: epochs executed (== barriers reached)
     epochs: int = 0
-    #: wall seconds the controller spent blocked on shard advancement
+    #: wall seconds spent advancing shards to their epoch bounds
     barrier_wait_s: float = 0.0
 
     def reset(self) -> None:
@@ -94,7 +64,7 @@ class EpochController:
     which the caller detects from its own state.
     """
 
-    def __init__(self, shards: Sequence[ShardHandle]) -> None:
+    def __init__(self, shards: Sequence[Any]) -> None:
         self.shards = list(shards)
         self.stats = EpochStats()
 
@@ -126,10 +96,8 @@ class EpochController:
                     bound = t
             if bound is None:
                 return
-            for shard in shards:
-                shard.begin_advance(bound)
             t0 = time.perf_counter()
-            reports = [shard.finish_advance() for shard in shards]
+            reports = [shard.run_until(bound) for shard in shards]
             self.stats.barrier_wait_s += time.perf_counter() - t0
             self.stats.epochs += 1
             if not on_barrier(bound, reports):

@@ -20,8 +20,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-import networkx as nx
-
 from repro.dps.operations import (
     LeafOperation,
     MergeOperation,
@@ -195,22 +193,46 @@ class FlowGraph:
         """Thread-group names referenced by the graph."""
         return {v.group for v in self.vertices.values()}
 
-    def as_networkx(self) -> "nx.DiGraph":
-        """Export the graph structure for analysis and visualization."""
-        g = nx.DiGraph(name=self.name)
-        for v in self.vertices.values():
-            g.add_node(v.name, kind=v.kind.value, group=v.group)
+    def _find_cycle(self) -> Optional[list[str]]:
+        """Vertices of one directed cycle, in edge order; None if acyclic.
+
+        Kahn's toposort peels every vertex with no unpeeled predecessor.
+        Each survivor still has one, so walking predecessors from any
+        survivor must revisit a vertex, and the revisited stretch is a
+        cycle.  Parallel edges count once each; a self-loop is a cycle
+        of one.
+        """
+        preds: dict[str, list[str]] = {name: [] for name in self.vertices}
+        succs: dict[str, list[str]] = {name: [] for name in self.vertices}
         for e in self.edges:
-            g.add_edge(e.src, e.dst)
-        return g
+            preds[e.dst].append(e.src)
+            succs[e.src].append(e.dst)
+        indegree = {name: len(p) for name, p in preds.items()}
+        ready = [name for name, d in indegree.items() if d == 0]
+        while ready:
+            name = ready.pop()
+            del indegree[name]
+            for dst in succs[name]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    ready.append(dst)
+        if not indegree:
+            return None
+        walk = [next(iter(indegree))]
+        while True:
+            prev = next(p for p in preds[walk[-1]] if p in indegree)
+            if prev in walk:
+                return walk[walk.index(prev):][::-1]
+            walk.append(prev)
 
     # ---------------------------------------------------------- validation
     def validate(self) -> None:
         """Check structural invariants; raise :class:`FlowGraphError` if violated."""
-        g = self.as_networkx()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise FlowGraphError(f"flow graph has a cycle: {cycle}")
+        cycle = self._find_cycle()
+        if cycle is not None:
+            raise FlowGraphError(
+                "flow graph has a cycle: " + " -> ".join(cycle + cycle[:1])
+            )
         splits = {
             n for n, v in self.vertices.items() if v.kind is VertexKind.SPLIT
         }

@@ -63,33 +63,6 @@ class VerificationError(ReproError):
     """A numerical result failed verification (e.g. P@A != L@U)."""
 
 
-class ShardCrashError(SimulationError):
-    """A sharded-simulation worker process died instead of replying.
-
-    Carries enough to diagnose the loss without the worker's cooperation:
-    ``shard_id`` identifies the shard, ``last_command`` the protocol
-    command in flight when the worker stopped answering, and ``exitcode``
-    the process exit status (negative for a signal, e.g. -9 for SIGKILL;
-    ``None`` when the worker is unaccountably silent but still alive).
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        last_command: str | None = None,
-        exitcode: int | None = None,
-    ) -> None:
-        detail = f"shard {shard_id} worker died"
-        if exitcode is not None:
-            detail += f" with exit code {exitcode}"
-        if last_command is not None:
-            detail += f" while handling {last_command!r}"
-        super().__init__(detail)
-        self.shard_id = shard_id
-        self.last_command = last_command
-        self.exitcode = exitcode
-
-
 class WorkerCrashError(ReproError):
     """A resident-pool worker process died while running a job.
 

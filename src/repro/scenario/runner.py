@@ -494,7 +494,6 @@ def run_server(spec: ScenarioSpec, registry: Registry) -> RunRecord:
             cluster.nodes,
             policy,
             shards=spec.engine.shards,
-            mode=spec.engine.shard_mode,
             faults=plan,
         )
         result = server.run(workload)

@@ -32,6 +32,7 @@ from typing import Any, Mapping, Optional
 from repro.dps.malleability import STATIC, AllocationEvent, AllocationSchedule
 from repro.errors import ConfigurationError
 from repro.sim.modes import SimulationMode
+from repro.util.validation import check_finite, check_type
 
 try:  # Python >= 3.11; TOML specs degrade gracefully to JSON below that.
     import tomllib
@@ -125,11 +126,12 @@ class EngineSection:
     """Which engine executes the scenario, and how.
 
     ``mode`` and ``verify`` apply to the DPS engines (``sim``,
-    ``testbed``); ``shards``/``shard_mode`` to the ``server`` engine
-    (``shards > 1`` selects the sharded epoch-barrier engine).  ``seed``
-    is the measurement seed: testbed noise for ``testbed``, the workload
-    stream for ``server``, and the calibration cluster for calibrated
-    ``sim`` platforms.
+    ``testbed``); ``shards`` to the ``server`` engine (``shards > 1``
+    selects the sharded epoch-barrier engine).  ``shard_mode`` chooses
+    nothing — shards run in process — and is accepted for older specs.
+    ``seed`` is the measurement seed: testbed noise for ``testbed``, the
+    workload stream for ``server``, and the calibration cluster for
+    calibrated ``sim`` platforms.
     """
 
     name: str = "sim"
@@ -149,10 +151,15 @@ class EngineSection:
             )
         if self.shards < 1:
             raise ConfigurationError("engine.shards must be >= 1")
-        if self.shard_mode not in ("auto", "inprocess", "process"):
+        if self.shard_mode == "process":
+            raise ConfigurationError(
+                "engine.shard_mode 'process' was removed (worker-process "
+                "shards were slower at every shard count); drop the key"
+            )
+        if self.shard_mode not in ("auto", "inprocess"):
             raise ConfigurationError(
                 f"unknown engine.shard_mode {self.shard_mode!r}; choose from "
-                "['auto', 'inprocess', 'process']"
+                "['auto', 'inprocess']"
             )
 
 
@@ -307,19 +314,34 @@ _SECTION_TYPES: dict[str, type] = {
 }
 
 
+#: Scalar field annotations (strings, under ``from __future__ import
+#: annotations``) checked at load: spec files and ``POST /run`` bodies are
+#: outside input, and a mistyped scalar must not reach the comparisons in
+#: ``__post_init__``.  A float field takes any finite real, so TOML
+#: ``interarrival = 20`` still loads; option tables and fault events
+#: validate themselves.
+_SCALAR_FIELDS = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
 def _section_from_dict(section: str, cls: type, payload: Any):
     if not isinstance(payload, Mapping):
         raise ConfigurationError(
             f"spec section {section!r} must be a table/dict, "
             f"got {type(payload).__name__}"
         )
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - known)
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
         raise ConfigurationError(
             f"unknown keys {unknown} in spec section {section!r}; "
-            f"valid keys: {sorted(known)}"
+            f"valid keys: {sorted(fields)}"
         )
+    for key, value in payload.items():
+        expected = _SCALAR_FIELDS.get(fields[key])
+        if expected is not None:
+            check_type(f"{section}.{key}", value, expected)
+            if isinstance(value, float):
+                check_finite(f"{section}.{key}", value)
     return cls(**payload)
 
 

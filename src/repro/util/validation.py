@@ -16,13 +16,15 @@ T = TypeVar("T")
 
 
 def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Raise :class:`ConfigurationError` unless ``value`` is an ``expected`` instance."""
-    if not isinstance(value, expected):
-        exp = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " or ".join(t.__name__ for t in expected)
-        )
+    """Raise :class:`ConfigurationError` unless ``value`` is an ``expected`` instance.
+
+    ``bool`` is an ``int`` subclass; it passes only where ``bool`` is expected.
+    """
+    types = expected if isinstance(expected, tuple) else (expected,)
+    if not isinstance(value, types) or (
+        isinstance(value, bool) and bool not in types
+    ):
+        exp = " or ".join(t.__name__ for t in types)
         raise ConfigurationError(
             f"{name} must be of type {exp}, got {type(value).__name__}"
         )

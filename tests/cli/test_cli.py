@@ -325,6 +325,37 @@ def test_run_missing_spec_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, bad, complaint",
+    [
+        ("cluster", "nodes", "16", "cluster.nodes must be of type int"),
+        ("engine", "shards", 2.5, "engine.shards must be of type int"),
+        ("arrivals", "jobs", "abc", "arrivals.jobs must be of type int"),
+        ("arrivals", "jobs", float("nan"), "arrivals.jobs must be of type int"),
+        ("arrivals", "mean_interarrival", "x",
+         "arrivals.mean_interarrival must be of type int or float"),
+    ],
+)
+def test_run_bad_spec_value_is_one_error_line(
+    tmp_path, capsys, section, key, bad, complaint
+):
+    import json as _json
+
+    payload = {
+        "app": {"name": "lu"},
+        "engine": {"name": "server"},
+        "cluster": {"nodes": 8, "arrivals": {"process": "poisson", "jobs": 4}},
+    }
+    target = payload["cluster"] if section == "arrivals" else payload
+    target[section][key] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(_json.dumps(payload))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert complaint in err
+
+
 def test_scenarios_list(capsys):
     code = main(["scenarios", "list"])
     out = capsys.readouterr().out

@@ -54,10 +54,10 @@ POLICIES = {
 ENGINES = {
     "eager": lambda policy, plan: ClusterServer(NODES, policy, faults=plan),
     "k1": lambda policy, plan: ShardedServer(
-        NODES, policy, shards=1, mode="inprocess", faults=plan
+        NODES, policy, shards=1, faults=plan
     ),
     "k3": lambda policy, plan: ShardedServer(
-        NODES, policy, shards=3, mode="inprocess", faults=plan
+        NODES, policy, shards=3, faults=plan
     ),
 }
 

@@ -80,8 +80,7 @@ def _assert_equivalent(eager, sharded):
 def test_sharded_fault_replay_is_k_invariant():
     results = {
         shards: ShardedServer(
-            NODES, EquipartitionScheduler(), shards=shards,
-            mode="inprocess", faults=_plan(),
+            NODES, EquipartitionScheduler(), shards=shards, faults=_plan(),
         ).run(_workload())
         for shards in (1, 2, 4)
     }
@@ -96,7 +95,7 @@ def test_eager_engine_agrees_with_sharded():
         NODES, EquipartitionScheduler(), faults=_plan()
     ).run(_workload())
     sharded = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=2, mode="inprocess",
+        NODES, EquipartitionScheduler(), shards=2,
         faults=_plan(),
     ).run(_workload())
     _assert_equivalent(eager, sharded)
@@ -104,10 +103,10 @@ def test_eager_engine_agrees_with_sharded():
 
 def test_empty_plan_is_bit_identical_to_no_plan():
     plain = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=2, mode="inprocess"
+        NODES, EquipartitionScheduler(), shards=2
     ).run(_workload())
     empty = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=2, mode="inprocess",
+        NODES, EquipartitionScheduler(), shards=2,
         faults=FaultPlan(),
     ).run(_workload())
     _assert_identical(plain, empty)
@@ -119,18 +118,6 @@ def test_empty_plan_is_bit_identical_to_no_plan():
         NODES, EquipartitionScheduler(), faults=FaultPlan()
     ).run(_workload())
     _assert_identical(eager_plain, eager_empty)
-
-
-def test_process_mode_matches_inprocess_under_faults():
-    baseline = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=1, mode="inprocess",
-        faults=_plan(),
-    ).run(_workload())
-    result = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=3, mode="process",
-        faults=_plan(),
-    ).run(_workload())
-    _assert_identical(result, baseline)
 
 
 # --------------------------------------------------------------- semantics
@@ -154,7 +141,7 @@ def test_exhausted_retry_budget_fails_the_job():
             NODES, EquipartitionScheduler(), faults=_plan(max_retries=0)
         ),
         ShardedServer(
-            NODES, EquipartitionScheduler(), shards=2, mode="inprocess",
+            NODES, EquipartitionScheduler(), shards=2,
             faults=_plan(max_retries=0),
         ),
     ):
@@ -175,7 +162,7 @@ def test_exhausted_retry_budget_fails_the_job():
 
 def test_trace_records_every_applied_operation():
     result = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=2, mode="inprocess",
+        NODES, EquipartitionScheduler(), shards=2,
         faults=_plan(),
     ).run(_workload())
     ops = [entry["op"] for entry in result.fault_trace]
@@ -201,7 +188,7 @@ def test_seed_resolved_targets_are_k_invariant():
     )
     results = {
         shards: ShardedServer(
-            NODES, FcfsScheduler(), shards=shards, mode="inprocess",
+            NODES, FcfsScheduler(), shards=shards,
             faults=plan,
         ).run(_workload())
         for shards in (1, 4)
@@ -233,8 +220,7 @@ def test_open_system_fault_replay_is_k_invariant():
     results = {}
     for shards in (1, 2, 4):
         result = ShardedServer(
-            NODES, EquipartitionScheduler(), shards=shards,
-            mode="inprocess", faults=plan,
+            NODES, EquipartitionScheduler(), shards=shards, faults=plan,
         ).run(_arrivals())
         results[shards] = result
     for shards in (2, 4):
@@ -253,7 +239,7 @@ def test_open_system_eager_agrees_with_sharded():
         NODES, EquipartitionScheduler(), faults=_plan()
     ).run(_arrivals())
     sharded = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=2, mode="inprocess",
+        NODES, EquipartitionScheduler(), shards=2,
         faults=_plan(),
     ).run(_arrivals())
     _assert_equivalent(eager, sharded)
@@ -268,7 +254,7 @@ def test_open_system_eager_agrees_with_sharded():
 
 def test_open_system_slo_reports_fault_counters():
     result = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=2, mode="inprocess",
+        NODES, EquipartitionScheduler(), shards=2,
         faults=_plan(),
     ).run(_arrivals())
     metrics = result.slo.to_metrics()

@@ -111,7 +111,7 @@ def test_sharded_open_bit_identical_across_shard_counts():
     results = {}
     for shards in (1, 2, 4):
         server = ShardedServer(
-            32, AdaptiveEfficiencyScheduler(), shards=shards, mode="inprocess"
+            32, AdaptiveEfficiencyScheduler(), shards=shards
         )
         results[shards] = server.run(_stream())
         assert sum(server.stats.shard_jobs) == 60
@@ -120,21 +120,10 @@ def test_sharded_open_bit_identical_across_shard_counts():
         assert results[shards].slo == results[1].slo
 
 
-def test_sharded_open_process_mode_identical():
-    baseline = ShardedServer(
-        32, EquipartitionScheduler(), shards=2, mode="inprocess"
-    ).run(_stream(jobs=40))
-    server = ShardedServer(
-        32, EquipartitionScheduler(), shards=2, mode="process"
-    )
-    assert server.run(_stream(jobs=40)) == baseline
-    assert server.stats.mode == "process"
-
-
 def test_sharded_open_agrees_with_eager():
     eager = ClusterServer(32, AdaptiveEfficiencyScheduler()).run(_stream())
     sharded = ShardedServer(
-        32, AdaptiveEfficiencyScheduler(), shards=4, mode="inprocess"
+        32, AdaptiveEfficiencyScheduler(), shards=4
     ).run(_stream())
     assert sharded.makespan == pytest.approx(eager.makespan, rel=1e-9)
     assert sharded.jobs_completed == eager.jobs_completed
@@ -154,7 +143,7 @@ def test_decreasing_stream_rejected():
     ]
     for engine in (
         ClusterServer(8, EquipartitionScheduler()),
-        ShardedServer(8, EquipartitionScheduler(), shards=2, mode="inprocess"),
+        ShardedServer(8, EquipartitionScheduler(), shards=2),
     ):
         with pytest.raises(ConfigurationError, match="nondecreasing"):
             engine.run(iter(bad))
@@ -163,7 +152,7 @@ def test_decreasing_stream_rejected():
 def test_empty_stream():
     for engine in (
         ClusterServer(8, EquipartitionScheduler()),
-        ShardedServer(8, EquipartitionScheduler(), shards=2, mode="inprocess"),
+        ShardedServer(8, EquipartitionScheduler(), shards=2),
     ):
         result = engine.run(iter([]))
         assert result.makespan == 0.0
@@ -179,7 +168,7 @@ def test_open_starvation_detected():
     with pytest.raises(ConfigurationError, match="never completed"):
         ClusterServer(4, StaticScheduler(8)).run(closed_stream(big))
     with pytest.raises(ConfigurationError, match="never completed"):
-        ShardedServer(4, StaticScheduler(8), shards=2, mode="inprocess").run(
+        ShardedServer(4, StaticScheduler(8), shards=2).run(
             closed_stream(big)
         )
     del stream
@@ -216,7 +205,7 @@ def test_admission_control_sharded_identical():
         )
 
     results = [
-        ShardedServer(16, make(), shards=k, mode="inprocess").run(
+        ShardedServer(16, make(), shards=k).run(
             _stream(jobs=50, mean=2.0, seed=1)
         )
         for k in (1, 2, 4)
@@ -254,7 +243,6 @@ def test_autoscaler_sharded_identical():
             64,
             AutoscalingScheduler(EquipartitionScheduler(), min_nodes=2),
             shards=k,
-            mode="inprocess",
         ).run(_stream(jobs=40, mean=15.0, seed=5))
         for k in (1, 2, 4)
     ]
@@ -278,7 +266,7 @@ def test_autoscaler_validation():
 # ------------------------------------------------------------------- memory
 def _peak_memory(jobs: int) -> int:
     server = ShardedServer(
-        128, FcfsScheduler(backfill=True), shards=2, mode="inprocess"
+        128, FcfsScheduler(backfill=True), shards=2
     )
     tracemalloc.start()
     try:

@@ -73,7 +73,7 @@ def test_sharded_reproduces_single_kernel_exactly(jobs, seed, policy, mixed):
     stats = {}
     for shards in (1, 2, 4):
         server = ShardedServer(
-            16, SCHEDULERS[policy](), shards=shards, mode="inprocess"
+            16, SCHEDULERS[policy](), shards=shards
         )
         results[shards] = server.run(specs)
         stats[shards] = server.stats
@@ -85,26 +85,6 @@ def test_sharded_reproduces_single_kernel_exactly(jobs, seed, policy, mixed):
         assert sum(stats[shards].shard_jobs) == jobs
 
 
-# --------------------------------------------------------------------- modes
-def test_process_mode_matches_inprocess():
-    specs = mixed_workload(jobs=14, mean_interarrival=8.0, seed=21)
-    baseline = ShardedServer(
-        16, EquipartitionScheduler(), shards=1, mode="inprocess"
-    ).run(specs)
-    server = ShardedServer(
-        16, EquipartitionScheduler(), shards=3, mode="process"
-    )
-    result = server.run(specs)
-    _assert_identical(result, baseline)
-    assert server.stats.mode == "process"
-    assert server.stats.events_total == baseline.events
-
-
-def test_auto_mode_resolves_by_cpu_count():
-    server = ShardedServer(8, EquipartitionScheduler(), shards=1, mode="auto")
-    assert server._resolve_mode() == "inprocess"  # K=1 never forks
-
-
 # ------------------------------------------------------- eager-engine parity
 @pytest.mark.parametrize("policy", sorted(SCHEDULERS))
 def test_sharded_agrees_with_eager_engine(policy):
@@ -114,7 +94,7 @@ def test_sharded_agrees_with_eager_engine(policy):
     specs = synthetic_workload(jobs=10, mean_interarrival=12.0, seed=9)
     eager = ClusterServer(16, SCHEDULERS[policy]()).run(specs)
     sharded = ShardedServer(
-        16, SCHEDULERS[policy](), shards=2, mode="inprocess"
+        16, SCHEDULERS[policy](), shards=2
     ).run(specs)
     assert sharded.makespan == pytest.approx(eager.makespan, rel=1e-9)
     for name, value in eager.job_turnaround.items():
@@ -138,7 +118,7 @@ def test_eager_engine_terminates_past_2_to_the_14_seconds():
     ]
     eager = ClusterServer(16, AdaptiveEfficiencyScheduler(0.5)).run(specs)
     sharded = ShardedServer(
-        16, AdaptiveEfficiencyScheduler(0.5), shards=2, mode="inprocess"
+        16, AdaptiveEfficiencyScheduler(0.5), shards=2
     ).run(specs)
     assert eager.makespan > 2.0**15
     assert eager.makespan == pytest.approx(sharded.makespan, abs=1e-9)
@@ -164,11 +144,10 @@ def test_phase_only_barriers_elide_the_scheduler():
 
 def test_stats_record_shape():
     specs = synthetic_workload(jobs=6, mean_interarrival=10.0, seed=2)
-    server = ShardedServer(16, StaticScheduler(4), shards=3, mode="inprocess")
+    server = ShardedServer(16, StaticScheduler(4), shards=3)
     result = server.run(specs)
     stats = server.stats
     assert stats.shards == 3
-    assert stats.mode == "inprocess"
     assert len(stats.shard_events) == 3
     assert sum(stats.shard_jobs) == 6
     assert stats.events_total == result.events
@@ -208,8 +187,6 @@ def test_validation_errors():
         ShardedServer(0, EquipartitionScheduler())
     with pytest.raises(ConfigurationError):
         ShardedServer(8, EquipartitionScheduler(), shards=0)
-    with pytest.raises(ConfigurationError):
-        ShardedServer(8, EquipartitionScheduler(), mode="threads")
 
 
 def test_empty_workload():

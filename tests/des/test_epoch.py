@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.des.epoch import EpochController, ShardHandle
+from repro.des.epoch import EpochController
 from repro.des.kernel import Kernel
 
 
-class _KernelShard(ShardHandle):
+class _KernelShard:
     """Minimal shard: a kernel plus a log of executed event labels."""
 
     def __init__(self, events: list[tuple[float, str]]) -> None:
@@ -24,10 +24,8 @@ class _KernelShard(ShardHandle):
     def next_event_time(self) -> Optional[float]:
         return self.kernel.next_event_time()
 
-    def begin_advance(self, until: float) -> None:
-        self.kernel.run(until=until)
-
-    def finish_advance(self):
+    def run_until(self, bound: float) -> list[str]:
+        self.kernel.run(until=bound)
         report, self._pending = self._pending, []
         self.fired.extend(report)
         return report

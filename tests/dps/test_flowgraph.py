@@ -74,6 +74,31 @@ def test_cycle_detected():
         g.validate()
 
 
+@pytest.mark.parametrize(
+    "acyclic, closing, reported",
+    [
+        # the cycle is named, not the vertices up- or downstream of it
+        ("ab bc cd de", "db", {"b -> c -> d -> b", "c -> d -> b -> c",
+                               "d -> b -> c -> d"}),
+        ("ab", "aa", {"a -> a"}),
+        # parallel edges and a diamond, on the cycle and off it
+        ("ab ab ac bd cd cd de", "db db", {"b -> d -> b", "d -> b -> d"}),
+    ],
+)
+def test_cycle_report_names_one_cycle(acyclic, closing, reported):
+    g = FlowGraph("g")
+    for name in "abcde":
+        g.add_leaf(name, L, group="x")
+    for src, dst in acyclic.split():
+        g.connect(src, dst, Constant(0))
+    g.validate()
+    for src, dst in closing.split():
+        g.connect(src, dst, Constant(0))
+    with pytest.raises(FlowGraphError) as exc:
+        g.validate()
+    assert str(exc.value).removeprefix("flow graph has a cycle: ") in reported
+
+
 def test_merge_closing_unknown_split_rejected():
     g = FlowGraph("g")
     g.add_merge("m", M, group="x", closes="ghost")
@@ -125,13 +150,6 @@ def test_edge_to_named():
 
 def test_groups_collected():
     assert simple_graph().groups() == {"main", "workers"}
-
-
-def test_as_networkx_structure():
-    nx_graph = simple_graph().as_networkx()
-    assert set(nx_graph.nodes) == {"split", "work", "merge"}
-    assert nx_graph.nodes["split"]["kind"] == "split"
-    assert ("split", "work") in nx_graph.edges
 
 
 def test_max_in_flight_validated():

@@ -49,9 +49,7 @@ def _server_spec(shards: int = 1) -> ScenarioSpec:
     return ScenarioSpec(
         name="srv-tiny",
         app=AppSection("lu"),
-        engine=EngineSection(
-            name="server", seed=2, shards=shards, shard_mode="inprocess"
-        ),
+        engine=EngineSection(name="server", seed=2, shards=shards),
         cluster=ClusterSection(
             nodes=12, jobs=6, interarrival=20.0, policy="adaptive"
         ),
@@ -149,25 +147,32 @@ class TestSimParity:
     @pytest.mark.parametrize(
         "changes, complaint",
         [
-            ({"netmodel": ModelSection("star-soa")}, "unknown netmodel 'star-soa'"),
-            ({"cpumodel": ModelSection("shared-soa")}, "unknown cpumodel 'shared-soa'"),
-            ({"cpumodel": ModelSection("timeslice-soa")}, "unknown cpumodel"),
-            ({"netmodel": ModelSection("maxmin", {"incremental": False})},
+            ({"netmodel": {"name": "star-soa"}}, "unknown netmodel 'star-soa'"),
+            ({"cpumodel": {"name": "shared-soa"}}, "unknown cpumodel 'shared-soa'"),
+            ({"cpumodel": {"name": "timeslice-soa"}}, "unknown cpumodel"),
+            ({"netmodel": {"name": "maxmin", "options": {"incremental": False}}},
              "invalid options for 'netmodel maxmin'"),
-            ({"netmodel": ModelSection("maxmin", {"warm_start": False})},
+            ({"netmodel": {"name": "maxmin", "options": {"warm_start": False}}},
              "invalid options for 'netmodel maxmin'"),
-            ({"netmodel": ModelSection("packet", {"warm_insert": False})},
+            ({"netmodel": {"name": "packet", "options": {"warm_insert": False}}},
              "invalid options for 'netmodel packet'"),
-            ({"cpumodel": ModelSection("shared", {"incremental": False})},
+            ({"cpumodel": {"name": "shared", "options": {"incremental": False}}},
              "invalid options for 'cpumodel shared'"),
+            ({"engine": {"name": "server", "shards": 2, "shard_mode": "process"}},
+             "shard_mode 'process' was removed"),
         ],
     )
     def test_removed_plugins_and_switches_are_rejected(self, changes, complaint):
-        """One allocator per rate law: the SoA twins that lost at every
-        scale and the baseline-selecting switches are gone, not aliased."""
-        spec = dataclasses.replace(_lu_spec("sim"), **changes)
+        """One allocator per rate law, one shard transport: the SoA twins
+        and worker-process shards that lost at every scale and the
+        baseline-selecting switches are gone, not aliased."""
+        payload = {
+            "app": {"name": "lu", "options": dict(LU_OPTIONS)},
+            "engine": {"name": "sim", "mode": "noalloc"},
+            **changes,
+        }
         with pytest.raises(ConfigurationError, match=complaint):
-            run_scenario(spec)
+            run_scenario(ScenarioSpec.from_dict(payload))
 
 
 class TestTestbedParity:
@@ -255,9 +260,7 @@ class TestOpenSystemRecords:
         return ScenarioSpec(
             name="srv-open",
             app=AppSection("lu"),
-            engine=EngineSection(
-                name="server", seed=2, shards=shards, shard_mode="inprocess"
-            ),
+            engine=EngineSection(name="server", seed=2, shards=shards),
             cluster=ClusterSection(**defaults),
         )
 
@@ -354,6 +357,64 @@ class TestOpenSystemRecords:
         )
         with pytest.raises(ConfigurationError, match="cluster.arrivals"):
             run_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "process, option, bad",
+        [
+            ("poisson", "jobs", "abc"), ("poisson", "jobs", 2.5),
+            ("poisson", "jobs", float("nan")), ("poisson", "jobs", True),
+            ("poisson", "mean_interarrival", "x"),
+            ("poisson", "mean_interarrival", float("nan")),
+            ("poisson", "horizon", "soon"), ("poisson", "horizon", float("inf")),
+            ("poisson", "max_nodes", "x"),
+            ("bursty", "jobs", "abc"), ("diurnal", "jobs", "abc"),
+        ],
+    )
+    def test_bad_arrival_values_fail_before_the_engine_starts(
+        self, monkeypatch, process, option, bad
+    ):
+        """The arrival processes are lazy, their argument checks are not:
+        a bad value never reaches an engine's first ``next()``."""
+        from repro.clusterserver import server, sharded
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine started")
+
+        monkeypatch.setattr(server.ClusterServer, "run", no_engine)
+        monkeypatch.setattr(sharded.ShardedServer, "run", no_engine)
+        arrivals = {"process": process, "jobs": 5, option: bad}
+        for shards in (1, 2):
+            with pytest.raises(ConfigurationError, match=f"arrivals.{option}"):
+                run_scenario(self._open_spec(shards=shards, arrivals=arrivals))
+
+    def test_bad_trace_stop_condition_reports_cleanly(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"arrival": 1.0, "phase_work": [5.0]}\n')
+        for option, bad in (("jobs", "abc"), ("horizon", "soon")):
+            spec = self._open_spec(
+                arrivals={"process": "trace", "path": str(trace), option: bad}
+            )
+            with pytest.raises(ConfigurationError, match=f"arrivals.{option}"):
+                run_scenario(spec)
+
+    def test_surviving_shard_modes_are_synonyms(self, monkeypatch):
+        """``engine.shard_mode`` still loads for older specs and chooses
+        nothing: shards run on the calling thread, whatever the host."""
+        import multiprocessing.process
+
+        def no_fork(self):
+            raise AssertionError("a shard left the calling process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+        payload = self._open_spec(shards=2).to_dict()
+        records = []
+        for mode in ("auto", "inprocess"):
+            payload["engine"]["shard_mode"] = mode
+            record = run_scenario(ScenarioSpec.from_dict(payload))
+            records.append(
+                (record.makespan, record.events, record.raw["result"])
+            )
+        assert records[0] == records[1]
 
 
 # --------------------------------------------------------------------------

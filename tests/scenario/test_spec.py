@@ -146,6 +146,35 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="table/dict"):
             AppSection("lu", options=[1, 2])  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "section, key, bad, complaint",
+        [
+            ("cluster", "nodes", "16", "must be of type int, got str"),
+            ("cluster", "nodes", 16.5, "must be of type int, got float"),
+            ("cluster", "nodes", True, "must be of type int, got bool"),
+            ("engine", "shards", "2", "must be of type int, got str"),
+            ("engine", "shards", 2.5, "must be of type int, got float"),
+            ("engine", "verify", 1, "must be of type bool, got int"),
+            ("engine", "name", 3, "must be of type str, got int"),
+            ("cluster", "efficiency_floor", "x",
+             "must be of type int or float, got str"),
+            ("cluster", "efficiency_floor", float("nan"),
+             "must be finite, got nan"),
+            ("cluster", "interarrival", float("inf"), "must be finite, got inf"),
+            ("faults", "max_retries", None, "must be of type int, got NoneType"),
+        ],
+    )
+    def test_mistyped_scalar_rejected_at_load(self, section, key, bad, complaint):
+        """Spec files and ``POST /run`` bodies are outside input: a value
+        of the wrong type is named, not compared — while an integer still
+        loads into a float field (TOML ``efficiency_floor = 1``)."""
+        with pytest.raises(
+            ConfigurationError, match=f"{section}.{key} {complaint}"
+        ):
+            ScenarioSpec.from_dict({section: {key: bad}})
+        spec = ScenarioSpec.from_dict({"cluster": {"efficiency_floor": 1}})
+        assert spec.cluster.efficiency_floor == 1
+
     def test_invalid_json_text(self):
         with pytest.raises(ConfigurationError, match="invalid JSON"):
             ScenarioSpec.from_json("{nope")

@@ -11,7 +11,7 @@ import json
 import socket
 
 import pytest
-from service_helpers import gate_spec, server_spec, wait_until
+from service_helpers import gate_spec, server_spec, strip_wall, wait_until
 
 from repro.errors import ServiceError
 
@@ -73,6 +73,61 @@ class TestMalformedPayloads:
         assert exc.value.status == 400
         assert "cascade_threshold must" in exc.value.message
         assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "section, key, bad, complaint",
+        [
+            ("cluster", "nodes", "16", "cluster.nodes must be of type int"),
+            ("engine", "shards", 2.5, "engine.shards must be of type int"),
+            ("cluster", "efficiency_floor", "x",
+             "cluster.efficiency_floor must be of type int or float"),
+        ],
+    )
+    def test_mistyped_scalar_is_400_not_500(
+        self, make_service, section, key, bad, complaint
+    ):
+        _, client = make_service()
+        payload = server_spec()
+        payload[section][key] = bad
+        with pytest.raises(ServiceError) as exc:
+            client.run(payload)
+        assert exc.value.status == 400
+        assert complaint in exc.value.message
+        assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("jobs", "abc"), ("jobs", 2.5), ("jobs", float("nan")),
+            ("mean_interarrival", "x"), ("horizon", "soon"),
+            ("max_nodes", "x"),
+        ],
+    )
+    def test_bad_arrival_option_is_400_not_500(self, make_service, key, bad):
+        """Arrival streams are lazy; their option checks must not be —
+        ``jobs = NaN`` used to answer 200 with an empty run."""
+        _, client = make_service()
+        payload = server_spec()
+        del payload["cluster"]["interarrival"], payload["cluster"]["jobs"]
+        payload["cluster"]["arrivals"] = {
+            "process": "poisson", "jobs": 4, key: bad
+        }
+        with pytest.raises(ServiceError) as exc:
+            client.run(payload)
+        assert exc.value.status == 400
+        assert f"arrivals.{key} must be" in exc.value.message
+        assert client.healthz()["status"] == "ok"
+
+    def test_sharded_spec_runs_under_a_process_pool(self, make_service):
+        """Pool workers are daemonic and may not fork: shards run on the
+        worker's own thread, so the default pool serves a sharded spec."""
+        payload = server_spec()
+        payload["engine"]["shards"] = 2
+        _, threaded = make_service()
+        _, pooled = make_service(mode="process", registry=None, workers=1)
+        assert strip_wall(pooled.run(payload)) == strip_wall(
+            threaded.run(payload)
+        )
 
     def test_validation_failures_do_not_create_jobs(self, make_service):
         _, client = make_service()
