@@ -20,6 +20,11 @@ Layers (bottom-up):
   multiple malleable applications;
 * :mod:`repro.analysis` — metrics, prediction-error studies, sweeps.
 
+``import repro`` itself loads nothing: the names below, and those of every
+subpackage, import their defining module on first access (PEP 562), so a
+process pays for the layers its run touches — numpy on the first seeded
+draw, scipy only under direct execution or verification.
+
 Quickstart::
 
     from repro import (
@@ -36,178 +41,101 @@ Quickstart::
     print(f"predicted running time: {result.predicted_time:.1f} s")
 """
 
-from repro.errors import (
-    ConfigurationError,
-    CostModelError,
-    DeadlockError,
-    DeploymentError,
-    FlowGraphError,
-    MalleabilityError,
-    ReproError,
-    RoutingError,
-    SerializationError,
-    SimulationError,
-    VerificationError,
-)
-from repro.des import Kernel
-from repro.netmodel import (
-    AnalyticNetwork,
-    BackplaneStarNetwork,
-    EqualShareStarNetwork,
-    MaxMinStarNetwork,
-    NetworkParams,
-    PacketNetwork,
-    calibrate,
-)
-from repro.netmodel.params import FAST_ETHERNET, GIGABIT_ETHERNET
-from repro.cpumodel import (
-    CommCostParams,
-    MachineProfile,
-    PENTIUM4_2800,
-    ULTRASPARC_II_440,
-)
-from repro.dps import (
-    AllocationEvent,
-    AllocationSchedule,
-    Compute,
-    DataObject,
-    Deployment,
-    ExecutionBackend,
-    FlowGraph,
-    KernelSpec,
-    LeafOperation,
-    MergeOperation,
-    Post,
-    RemoveThreads,
-    RoundRobin,
-    Runtime,
-    SplitOperation,
-    StreamOperation,
-)
-from repro.dps.trace import TraceLevel
-from repro.sim import (
-    CostModelProvider,
-    DPSSimulator,
-    DirectExecutionProvider,
-    MeasureFirstNProvider,
-    PAPER_CLUSTER,
-    PlatformSpec,
-    SimulationMode,
-    SimulationResult,
-    dynamic_efficiency,
-    mean_efficiency,
-)
-from repro.sim.providers import HostCalibration, MachineCostModel, TableCostModel
-from repro.testbed import Measurement, TestbedExecutor, VirtualCluster
-from repro.apps.lu import LUApplication, LUConfig, LUCostModel
-from repro.apps.matmul import MatmulApplication, MatmulConfig
-from repro.apps.imgpipe import ImagePipelineApplication, ImagePipelineConfig
-from repro.apps.stencil import StencilApplication, StencilConfig, StencilCostModel
-from repro.apps.sort import (
-    SampleSortApplication,
-    SampleSortConfig,
-    SampleSortCostModel,
-)
-from repro.clusterserver import (
-    AdaptiveEfficiencyScheduler,
-    ClusterServer,
-    EquipartitionScheduler,
-    ShardedServer,
-    StaticScheduler,
-    synthetic_workload,
-)
-from repro.analysis import PredictionStudy, SweepCase, run_lu_case, sweep
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "SimulationError",
-    "DeadlockError",
-    "FlowGraphError",
-    "RoutingError",
-    "SerializationError",
-    "DeploymentError",
-    "MalleabilityError",
-    "CostModelError",
-    "VerificationError",
-    # kernel & models
-    "Kernel",
-    "NetworkParams",
-    "FAST_ETHERNET",
-    "GIGABIT_ETHERNET",
-    "AnalyticNetwork",
-    "BackplaneStarNetwork",
-    "EqualShareStarNetwork",
-    "MaxMinStarNetwork",
-    "PacketNetwork",
-    "calibrate",
-    "MachineProfile",
-    "ULTRASPARC_II_440",
-    "PENTIUM4_2800",
-    "CommCostParams",
-    # DPS
-    "DataObject",
-    "KernelSpec",
-    "Compute",
-    "Post",
-    "RemoveThreads",
-    "LeafOperation",
-    "SplitOperation",
-    "MergeOperation",
-    "StreamOperation",
-    "RoundRobin",
-    "FlowGraph",
-    "Deployment",
-    "ExecutionBackend",
-    "Runtime",
-    "TraceLevel",
-    "AllocationEvent",
-    "AllocationSchedule",
-    # simulator
-    "DPSSimulator",
-    "SimulationResult",
-    "SimulationMode",
-    "PlatformSpec",
-    "PAPER_CLUSTER",
-    "CostModelProvider",
-    "DirectExecutionProvider",
-    "MeasureFirstNProvider",
-    "HostCalibration",
-    "MachineCostModel",
-    "TableCostModel",
-    "dynamic_efficiency",
-    "mean_efficiency",
-    # testbed
-    "TestbedExecutor",
-    "VirtualCluster",
-    "Measurement",
-    # apps
-    "LUApplication",
-    "LUConfig",
-    "LUCostModel",
-    "MatmulApplication",
-    "MatmulConfig",
-    "ImagePipelineApplication",
-    "ImagePipelineConfig",
-    "StencilApplication",
-    "StencilConfig",
-    "StencilCostModel",
-    "SampleSortApplication",
-    "SampleSortConfig",
-    "SampleSortCostModel",
-    # cluster server
-    "ClusterServer",
-    "ShardedServer",
-    "StaticScheduler",
-    "EquipartitionScheduler",
-    "AdaptiveEfficiencyScheduler",
-    "synthetic_workload",
-    # analysis
-    "PredictionStudy",
-    "SweepCase",
-    "run_lu_case",
-    "sweep",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        # errors
+        "ReproError": "repro.errors",
+        "ConfigurationError": "repro.errors",
+        "SimulationError": "repro.errors",
+        "DeadlockError": "repro.errors",
+        "FlowGraphError": "repro.errors",
+        "RoutingError": "repro.errors",
+        "SerializationError": "repro.errors",
+        "DeploymentError": "repro.errors",
+        "MalleabilityError": "repro.errors",
+        "CostModelError": "repro.errors",
+        "VerificationError": "repro.errors",
+        # kernel & models
+        "Kernel": "repro.des.kernel",
+        "NetworkParams": "repro.netmodel.params",
+        "FAST_ETHERNET": "repro.netmodel.params",
+        "GIGABIT_ETHERNET": "repro.netmodel.params",
+        "AnalyticNetwork": "repro.netmodel.analytic",
+        "BackplaneStarNetwork": "repro.netmodel.backplane",
+        "EqualShareStarNetwork": "repro.netmodel.star",
+        "MaxMinStarNetwork": "repro.netmodel.maxmin",
+        "PacketNetwork": "repro.netmodel.packet",
+        "calibrate": "repro.netmodel.calibration",
+        "MachineProfile": "repro.cpumodel.machines",
+        "ULTRASPARC_II_440": "repro.cpumodel.machines",
+        "PENTIUM4_2800": "repro.cpumodel.machines",
+        "CommCostParams": "repro.cpumodel.commcost",
+        # DPS
+        "DataObject": "repro.dps.data_objects",
+        "KernelSpec": "repro.dps.operations",
+        "Compute": "repro.dps.operations",
+        "Post": "repro.dps.operations",
+        "RemoveThreads": "repro.dps.operations",
+        "LeafOperation": "repro.dps.operations",
+        "SplitOperation": "repro.dps.operations",
+        "MergeOperation": "repro.dps.operations",
+        "StreamOperation": "repro.dps.operations",
+        "RoundRobin": "repro.dps.routing",
+        "FlowGraph": "repro.dps.flowgraph",
+        "Deployment": "repro.dps.deployment",
+        "ExecutionBackend": "repro.dps.backend",
+        "Runtime": "repro.dps.runtime",
+        "TraceLevel": "repro.dps.trace",
+        "AllocationEvent": "repro.dps.malleability",
+        "AllocationSchedule": "repro.dps.malleability",
+        # simulator
+        "DPSSimulator": "repro.sim.simulator",
+        "SimulationResult": "repro.sim.simulator",
+        "SimulationMode": "repro.sim.modes",
+        "PlatformSpec": "repro.sim.platform",
+        "PAPER_CLUSTER": "repro.sim.platform",
+        "CostModelProvider": "repro.sim.providers",
+        "DirectExecutionProvider": "repro.sim.providers",
+        "MeasureFirstNProvider": "repro.sim.providers",
+        "HostCalibration": "repro.sim.providers",
+        "MachineCostModel": "repro.sim.providers",
+        "TableCostModel": "repro.sim.providers",
+        "dynamic_efficiency": "repro.sim.efficiency",
+        "mean_efficiency": "repro.sim.efficiency",
+        # testbed
+        "TestbedExecutor": "repro.testbed.executor",
+        "VirtualCluster": "repro.testbed.cluster",
+        "Measurement": "repro.testbed.executor",
+        # apps
+        "LUApplication": "repro.apps.lu.app",
+        "LUConfig": "repro.apps.lu.config",
+        "LUCostModel": "repro.apps.lu.costs",
+        "MatmulApplication": "repro.apps.matmul.app",
+        "MatmulConfig": "repro.apps.matmul.app",
+        "ImagePipelineApplication": "repro.apps.imgpipe.app",
+        "ImagePipelineConfig": "repro.apps.imgpipe.app",
+        "StencilApplication": "repro.apps.stencil.app",
+        "StencilConfig": "repro.apps.stencil.app",
+        "StencilCostModel": "repro.apps.stencil.kernels",
+        "SampleSortApplication": "repro.apps.sort.app",
+        "SampleSortConfig": "repro.apps.sort.app",
+        "SampleSortCostModel": "repro.apps.sort.kernels",
+        # cluster server
+        "ClusterServer": "repro.clusterserver.server",
+        "ShardedServer": "repro.clusterserver.sharded",
+        "StaticScheduler": "repro.clusterserver.scheduler",
+        "EquipartitionScheduler": "repro.clusterserver.scheduler",
+        "AdaptiveEfficiencyScheduler": "repro.clusterserver.scheduler",
+        "synthetic_workload": "repro.clusterserver.workload",
+        # analysis
+        "PredictionStudy": "repro.analysis.prediction",
+        "SweepCase": "repro.analysis.sweep",
+        "run_lu_case": "repro.analysis.sweep",
+        "sweep": "repro.analysis.sweep",
+    },
+)

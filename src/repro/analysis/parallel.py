@@ -41,8 +41,6 @@ closed and restarted any number of times in one process.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.pool
 import os
 import signal
 from typing import Callable, Optional
@@ -220,6 +218,8 @@ class ParallelSweepRunner:
         more workers than they have cases (the historical behavior).
         """
         if self._pool is None:
+            import multiprocessing
+
             processes = self.jobs
             if not self.persistent and size_hint is not None:
                 processes = max(1, min(self.jobs, size_hint))

@@ -12,11 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.analysis.metrics import relative_error
 
 
@@ -72,12 +67,16 @@ class PredictionStudy:
     @property
     def errors(self) -> np.ndarray:
         """Signed relative errors of every record."""
+        import numpy as np
+
         return np.array([r.error for r in self.records])
 
     def fraction_within(self, tolerance: float) -> float:
         """Fraction of predictions with ``|error| <= tolerance``."""
         if not self.records:
             return float("nan")
+        import numpy as np
+
         errs = np.abs(self.errors)
         return float(np.mean(errs <= tolerance))
 
@@ -85,12 +84,16 @@ class PredictionStudy:
         """Largest absolute relative error."""
         if not self.records:
             return float("nan")
+        import numpy as np
+
         return float(np.max(np.abs(self.errors)))
 
     def mean_abs_error(self) -> float:
         """Mean absolute relative error."""
         if not self.records:
             return float("nan")
+        import numpy as np
+
         return float(np.mean(np.abs(self.errors)))
 
     def histogram(
@@ -99,6 +102,8 @@ class PredictionStudy:
         """Bin the errors like the paper's Fig. 13 (±16%, 2% bins)."""
         if bin_width <= 0 or limit <= 0:
             raise ValueError("limit and bin_width must be positive")
+        import numpy as np
+
         nbins = int(round(2 * limit / bin_width))
         edges = np.linspace(-limit, limit, nbins + 1)
         clipped = np.clip(self.errors, -limit + 1e-12, limit - 1e-12)

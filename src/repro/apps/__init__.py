@@ -12,6 +12,11 @@
   thread removal at iteration boundaries.
 """
 
-from repro.apps.base import Application
+from repro._lazy import attach
 
-__all__ = ["Application"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "Application": "repro.apps.base",
+    },
+)

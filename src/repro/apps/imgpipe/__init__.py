@@ -1,5 +1,11 @@
 """Split/merge image-processing farm (quickstart example application)."""
 
-from repro.apps.imgpipe.app import ImagePipelineApplication, ImagePipelineConfig
+from repro._lazy import attach
 
-__all__ = ["ImagePipelineApplication", "ImagePipelineConfig"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "ImagePipelineApplication": "repro.apps.imgpipe.app",
+        "ImagePipelineConfig": "repro.apps.imgpipe.app",
+    },
+)

@@ -15,11 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.dps.data_objects import DataObject
 from repro.dps.deployment import Deployment
 from repro.dps.flowgraph import FlowGraph

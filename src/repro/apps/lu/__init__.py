@@ -16,25 +16,20 @@ Variants (paper section 6):
   distributed over all threads (Fig. 7).
 """
 
-from repro.apps.lu.app import LUApplication, LUConfig
-from repro.apps.lu.blockmath import (
-    gemm_update,
-    panel_lu,
-    sequential_block_lu,
-    trsm_block,
-    verify_factorization,
-)
-from repro.apps.lu.costs import LUCostModel, benchmark_rate_factors, lu_total_flops
+from repro._lazy import attach
 
-__all__ = [
-    "LUApplication",
-    "LUConfig",
-    "panel_lu",
-    "trsm_block",
-    "gemm_update",
-    "sequential_block_lu",
-    "verify_factorization",
-    "LUCostModel",
-    "benchmark_rate_factors",
-    "lu_total_flops",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "LUApplication": "repro.apps.lu.app",
+        "LUConfig": "repro.apps.lu.config",
+        "panel_lu": "repro.apps.lu.blockmath",
+        "trsm_block": "repro.apps.lu.blockmath",
+        "gemm_update": "repro.apps.lu.blockmath",
+        "sequential_block_lu": "repro.apps.lu.blockmath",
+        "verify_factorization": "repro.apps.lu.blockmath",
+        "LUCostModel": "repro.apps.lu.costs",
+        "benchmark_rate_factors": "repro.apps.lu.costs",
+        "lu_total_flops": "repro.apps.lu.costs",
+    },
+)

@@ -4,11 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.apps.lu.blockmath import random_matrix, verify_factorization
 from repro.apps.lu.config import LUConfig
 from repro.apps.lu.graphs import LUShared, build_lu_graph
@@ -90,6 +85,8 @@ class LUApplication:
         Only meaningful when payloads were allocated.  Returns the packed
         LU matrix and the global row permutation.
         """
+        import numpy as np
+
         cfg = self.cfg
         if self.original is None:
             raise VerificationError(

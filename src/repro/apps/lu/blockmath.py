@@ -17,15 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-try:
-    import scipy.linalg
-except ImportError:  # no-scipy install: this module fails at use, not import
-    scipy = None  # type: ignore[assignment]
-
 from repro.errors import VerificationError
 
 
@@ -36,9 +27,11 @@ def panel_lu(panel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit-lower ``L`` (below the diagonal) and ``U`` (upper triangle);
     ``piv[i]`` is the row swapped with row ``i`` at elimination step ``i``.
     """
+    from scipy.linalg import lu_factor
+
     if panel.ndim != 2:
         raise VerificationError("panel must be a 2-D array")
-    lu, piv = scipy.linalg.lu_factor(panel, check_finite=False)
+    lu, piv = lu_factor(panel, check_finite=False)
     return lu, piv
 
 def apply_pivots(block: np.ndarray, piv: np.ndarray) -> np.ndarray:
@@ -69,7 +62,9 @@ def trsm_block(l11: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``l11`` is the packed getrf output; only its strict lower triangle is
     read.  This is step 2 of the block scheme (the BLAS ``trsm`` routine).
     """
-    return scipy.linalg.solve_triangular(
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(
         l11, rhs, lower=True, unit_diagonal=True, check_finite=False
     )
 
@@ -100,6 +95,8 @@ def sequential_block_lu(
     ``A``).  Used for verification and for the paper's serial reference
     time (185.1 s on the UltraSparc).
     """
+    import numpy as np
+
     n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise VerificationError("sequential_block_lu expects a square matrix")
@@ -131,6 +128,8 @@ def sequential_block_lu(
 
 def unpack_lu(lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split packed LU into explicit unit-lower L and upper U."""
+    import numpy as np
+
     l = np.tril(lu, -1) + np.eye(lu.shape[0])
     u = np.triu(lu)
     return l, u
@@ -147,6 +146,8 @@ def verify_factorization(
     Raises :class:`VerificationError` when the residual exceeds ``rtol``
     (scaled by the matrix norm).
     """
+    import numpy as np
+
     l, u = unpack_lu(lu)
     pa = a_original[perm, :]
     residual = np.linalg.norm(pa - l @ u) / max(np.linalg.norm(a_original), 1e-300)
@@ -159,6 +160,8 @@ def verify_factorization(
 
 def random_matrix(n: int, seed: int = 0) -> np.ndarray:
     """Well-conditioned random test matrix (diagonally weighted)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     # Mild diagonal dominance keeps pivot growth small without making

@@ -22,11 +22,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.cpumodel.machines import MachineProfile
 from repro.dps.operations import KernelSpec
 from repro.sim.providers import MachineCostModel
@@ -139,6 +134,8 @@ def benchmark_rate_factors(
     """
     bias = bias or DEFAULT_KERNEL_BIAS
     sampler = NoisySampler(seed, bias.sigma)
+    import numpy as np  # after the sampler: its rng() says how to install it
+
     specs = {
         "panel_lu": panel_lu_spec(4 * r, r),
         "trsm": trsm_spec(r),

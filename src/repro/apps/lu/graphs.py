@@ -31,11 +31,6 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.apps.lu.blockmath import (
     apply_pivots,
     panel_lu,
@@ -837,6 +832,8 @@ class PMAssemble(MergeOperation):
         parts = state["parts"]
         prod = None
         if all(v is not None for v in parts.values()) and parts:
+            import numpy as np
+
             prod = np.empty((r, r))
             for (p, q), part in parts.items():
                 prod[p * s : (p + 1) * s, q * s : (q + 1) * s] = part

@@ -1,5 +1,11 @@
 """Standalone parallel matrix multiplication (paper Fig. 7)."""
 
-from repro.apps.matmul.app import MatmulApplication, MatmulConfig
+from repro._lazy import attach
 
-__all__ = ["MatmulApplication", "MatmulConfig"]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "MatmulApplication": "repro.apps.matmul.app",
+        "MatmulConfig": "repro.apps.matmul.app",
+    },
+)

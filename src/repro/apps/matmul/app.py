@@ -16,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.apps.lu.costs import handling_spec, sub_gemm_spec
 from repro.dps.data_objects import DataObject
 from repro.dps.deployment import Deployment
@@ -177,6 +172,8 @@ class _Build(MergeOperation):
         cfg = self.app.cfg
         c = None
         if state and all(v is not None for v in state.values()):
+            import numpy as np
+
             c = np.empty((cfg.n, cfg.n))
             for (p, q), part in state.items():
                 c[p * cfg.s : (p + 1) * cfg.s, q * cfg.s : (q + 1) * cfg.s] = part
@@ -205,6 +202,8 @@ class MatmulApplication:
         self.b: Optional[np.ndarray] = None
         self.result: Optional[np.ndarray] = None
         if cfg.mode.allocates:
+            import numpy as np
+
             rng = np.random.default_rng(cfg.seed)
             self.a = rng.standard_normal((cfg.n, cfg.n))
             self.b = rng.standard_normal((cfg.n, cfg.n))
@@ -253,6 +252,8 @@ class MatmulApplication:
         """Compare the distributed product against ``A @ B``."""
         if self.a is None or self.result is None:
             raise VerificationError("matmul ran without payloads; nothing to verify")
+        import numpy as np
+
         expected = self.a @ self.b
         residual = float(
             np.linalg.norm(self.result - expected) / max(np.linalg.norm(expected), 1e-300)

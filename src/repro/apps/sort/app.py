@@ -28,11 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.apps.sort.kernels import (
     choose_splitters,
     local_sort_spec,
@@ -144,6 +139,8 @@ class _LocalSort(LeafOperation):
 
     def run(self, ctx, obj):
         """Sort the block locally, keep it, report a regular sample."""
+        import numpy as np
+
         cfg = self.app.cfg
         i = obj.get("i")
         size = obj.get("size")
@@ -192,6 +189,8 @@ class _Splitters(MergeOperation):
         cfg = self.app.cfg
         splitters = None
         if state:
+            import numpy as np
+
             pool = np.concatenate(state)
 
             def kernel():
@@ -281,6 +280,8 @@ class _Exchange(StreamOperation):
         total = int(sum(run.size for run in runs)) if runs else 0
 
         def kernel():
+            import numpy as np
+
             merged = np.concatenate([r for r in runs if r.size]) if total else np.empty(0)
             merged.sort(kind="mergesort")
             return merged
@@ -324,6 +325,8 @@ class _Gather(StreamOperation):
         if len(state) != cfg.num_threads:
             return
         if all(v is not None for v in state.values()):
+            import numpy as np
+
             self.app.result = np.concatenate(
                 [state[j] for j in range(cfg.num_threads)]
             )
@@ -342,6 +345,8 @@ class SampleSortApplication:
         self.cfg = cfg
         self.data: Optional[np.ndarray] = None
         if cfg.mode.allocates:
+            import numpy as np
+
             rng = np.random.default_rng(cfg.seed)
             self.data = rng.standard_normal(cfg.m)
         self.result: Optional[np.ndarray] = None
@@ -394,6 +399,8 @@ class SampleSortApplication:
             raise VerificationError(
                 f"result has {self.result.size} keys, expected {self.data.size}"
             )
+        import numpy as np
+
         expected = np.sort(self.data)
         if not np.array_equal(self.result, expected):
             raise VerificationError("sample sort produced an unsorted result")

@@ -13,11 +13,6 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.cpumodel.machines import MachineProfile
 from repro.dps.operations import KernelSpec
 from repro.sim.providers import MachineCostModel
@@ -84,6 +79,8 @@ def sample_sort_rate_factors(
     """Benchmark the ground truth once per kernel, as the paper calibrates."""
     bias = bias or DEFAULT_KERNEL_BIAS
     sampler = NoisySampler(seed, bias.sigma)
+    import numpy as np  # after the sampler: its rng() says how to install it
+
     specs = {
         "local_sort": local_sort_spec(m),
         "partition": partition_spec(m, w),
@@ -132,6 +129,8 @@ class SampleSortCostModel(MachineCostModel):
 
 def choose_splitters(samples: np.ndarray, w: int) -> np.ndarray:
     """Pick ``w - 1`` splitters from the gathered sample set."""
+    import numpy as np
+
     ordered = np.sort(np.asarray(samples, dtype=float).ravel())
     if w <= 1 or ordered.size == 0:
         return np.empty(0)
@@ -144,5 +143,7 @@ def partition_by_splitters(
     block: np.ndarray, splitters: np.ndarray
 ) -> list[np.ndarray]:
     """Cut a *sorted* block into ``len(splitters) + 1`` contiguous runs."""
+    import numpy as np
+
     bounds = np.searchsorted(block, splitters, side="right")
     return np.split(block, bounds)

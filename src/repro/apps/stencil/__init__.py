@@ -1,22 +1,17 @@
 """Jacobi stencil application: neighborhood exchange over DPS flow graphs."""
 
-from repro.apps.stencil.app import StencilApplication, StencilConfig
-from repro.apps.stencil.kernels import (
-    StencilCostModel,
-    initial_grid,
-    jacobi_spec,
-    jacobi_sweep,
-    reference_jacobi,
-    stencil_rate_factors,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "StencilApplication",
-    "StencilConfig",
-    "StencilCostModel",
-    "initial_grid",
-    "jacobi_spec",
-    "jacobi_sweep",
-    "reference_jacobi",
-    "stencil_rate_factors",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "StencilApplication": "repro.apps.stencil.app",
+        "StencilConfig": "repro.apps.stencil.app",
+        "StencilCostModel": "repro.apps.stencil.kernels",
+        "initial_grid": "repro.apps.stencil.kernels",
+        "jacobi_spec": "repro.apps.stencil.kernels",
+        "jacobi_sweep": "repro.apps.stencil.kernels",
+        "reference_jacobi": "repro.apps.stencil.kernels",
+        "stencil_rate_factors": "repro.apps.stencil.kernels",
+    },
+)

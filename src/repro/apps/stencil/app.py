@@ -23,11 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.apps.stencil.kernels import (
     halo_handling_spec,
     initial_grid,
@@ -240,7 +235,7 @@ def _post_halos(
         yield Post(
             DataObject(
                 "halo",
-                payload=None if top_row is None else np.array(top_row, copy=True),
+                payload=None if top_row is None else top_row.copy(),
                 meta={"i": i - 1, "k": k, "side": "bottom"},
                 declared_size=cfg.halo_bytes,
             ),
@@ -250,9 +245,7 @@ def _post_halos(
         yield Post(
             DataObject(
                 "halo",
-                payload=None
-                if bottom_row is None
-                else np.array(bottom_row, copy=True),
+                payload=None if bottom_row is None else bottom_row.copy(),
                 meta={"i": i + 1, "k": k, "side": "top"},
                 declared_size=cfg.halo_bytes,
             ),
@@ -576,6 +569,8 @@ class StencilApplication:
             raise VerificationError(
                 "gather_grid requires an allocating mode (payloads were elided)"
             )
+        import numpy as np
+
         cfg = self.cfg
         grid = np.empty((cfg.n, cfg.n))
         found = 0
@@ -595,6 +590,8 @@ class StencilApplication:
         self, runtime: Optional[Runtime] = None, atol: float = 1e-12
     ) -> float:
         """Compare the distributed result against the sequential reference."""
+        import numpy as np
+
         grid = self.gather_grid(runtime)
         expected = reference_jacobi(self.original, self.cfg.iterations)
         error = float(np.max(np.abs(grid - expected)))

@@ -12,11 +12,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.cpumodel.machines import MachineProfile
 from repro.dps.operations import KernelSpec
 from repro.errors import ConfigurationError
@@ -44,6 +39,8 @@ def jacobi_sweep(
     ``bottom`` likewise below.  Returns the updated stripe and the maximum
     absolute change (the stripe-local residual).
     """
+    import numpy as np
+
     ext_top = stripe[:1] if top is None else top.reshape(1, -1)
     ext_bot = stripe[-1:] if bottom is None else bottom.reshape(1, -1)
     ext = np.vstack([ext_top, stripe, ext_bot])
@@ -62,6 +59,8 @@ def jacobi_sweep(
 
 def reference_jacobi(grid: np.ndarray, iterations: int) -> np.ndarray:
     """Sequential reference: ``iterations`` Jacobi sweeps of the full grid."""
+    import numpy as np
+
     g = np.array(grid, dtype=float, copy=True)
     if g.ndim != 2:
         raise ConfigurationError("reference_jacobi expects a 2-D grid")
@@ -80,6 +79,8 @@ def initial_grid(n: int, seed: int = 7) -> np.ndarray:
     The deterministic pattern keeps residuals meaningful (pure random
     fields average out almost immediately).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     grid = rng.standard_normal((n, n)) * 0.01
     grid[0, :] = 1.0
@@ -128,6 +129,8 @@ def stencil_rate_factors(
     """
     bias = bias or DEFAULT_KERNEL_BIAS
     sampler = NoisySampler(seed, bias.sigma)
+    import numpy as np  # after the sampler: its rng() says how to install it
+
     specs = {
         "jacobi": jacobi_spec(rows, n),
         "overhead": halo_handling_spec(),

@@ -11,7 +11,6 @@ contract the daemon exposes.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import contextlib
 import os
 import signal
@@ -64,6 +63,8 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the service until SIGINT/SIGTERM."""
+    import asyncio
+
     return asyncio.run(_serve(args))
 
 
@@ -76,6 +77,8 @@ def _write_port_file(path: str, port: int) -> None:
 
 
 async def _serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.service.server import ScenarioService
 
     service = ScenarioService(

@@ -5,20 +5,8 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.tables import ascii_bar_chart, ascii_table
-from repro.apps.lu.app import LUApplication
-from repro.apps.lu.config import LUConfig
-from repro.apps.lu.costs import LUCostModel
 from repro.cli.common import parse_kill_events
 from repro.errors import ConfigurationError
-from repro.netmodel.calibration import calibrate
-from repro.netmodel.packet import PacketNetwork
-from repro.netmodel.star import EqualShareStarNetwork
-from repro.sim.efficiency import dynamic_efficiency, mean_efficiency
-from repro.sim.modes import SimulationMode
-from repro.sim.platform import PAPER_CLUSTER
-from repro.sim.providers import CostModelProvider
-from repro.sim.simulator import DPSSimulator
-from repro.testbed.cluster import VirtualCluster
 
 
 # --------------------------------------------------------------------------
@@ -50,6 +38,12 @@ def add_calibrate_parser(sub: argparse._SubParsersAction) -> None:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """Fit (latency, bandwidth) of the chosen network model and print them."""
+    from repro.netmodel.calibration import calibrate
+    from repro.netmodel.packet import PacketNetwork
+    from repro.netmodel.star import EqualShareStarNetwork
+    from repro.sim.platform import PAPER_CLUSTER
+    from repro.testbed.cluster import VirtualCluster
+
     if args.target == "testbed":
         cluster = VirtualCluster(num_nodes=args.nodes, seed=args.seed)
         factory = lambda kernel: PacketNetwork(  # noqa: E731
@@ -260,6 +254,15 @@ def add_efficiency_parser(sub: argparse._SubParsersAction) -> None:
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
     """Simulate an LU run and print its per-iteration dynamic efficiency."""
+    from repro.apps.lu.app import LUApplication
+    from repro.apps.lu.config import LUConfig
+    from repro.apps.lu.costs import LUCostModel
+    from repro.sim.efficiency import dynamic_efficiency, mean_efficiency
+    from repro.sim.modes import SimulationMode
+    from repro.sim.platform import PAPER_CLUSTER
+    from repro.sim.providers import CostModelProvider
+    from repro.sim.simulator import DPSSimulator
+
     cfg = LUConfig(
         n=args.n,
         r=args.r,
@@ -439,9 +442,12 @@ def add_graph_parser(sub: argparse._SubParsersAction) -> None:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     """Print the vertices and edges of the chosen application's flow graph."""
+    from repro.apps.lu.app import LUApplication
+    from repro.apps.lu.config import LUConfig
     from repro.apps.matmul import MatmulApplication, MatmulConfig
     from repro.apps.sort import SampleSortApplication, SampleSortConfig
     from repro.apps.stencil import StencilApplication, StencilConfig
+    from repro.sim.modes import SimulationMode
 
     noalloc = SimulationMode.PDEXEC_NOALLOC
     builders = {

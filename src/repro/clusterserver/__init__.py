@@ -13,64 +13,38 @@ The benches compare static allocation against dynamic-efficiency-aware
 policies, quantifying the service-rate gains the paper argues for.
 """
 
-from repro.clusterserver.workload import (
-    JobSpec,
-    MalleableJob,
-    amdahl_efficiency,
-    lu_like_job,
-    mixed_workload,
-    rampup_job,
-    stencil_like_job,
-    synthetic_workload,
-)
-from repro.clusterserver.arrivals import (
-    ArrivalProcess,
-    bursty_arrivals,
-    closed_stream,
-    diurnal_arrivals,
-    poisson_arrivals,
-    trace_arrivals,
-)
-from repro.clusterserver.metrics import SloAggregator, SloSummary
-from repro.clusterserver.scheduler import (
-    AdaptiveEfficiencyScheduler,
-    AdmissionControlScheduler,
-    AutoscalingScheduler,
-    EquipartitionScheduler,
-    FcfsScheduler,
-    Scheduler,
-    StaticScheduler,
-)
-from repro.clusterserver.server import ClusterServer, ServerResult
-from repro.clusterserver.sharded import JobShard, ShardedServer, ShardStats
+from repro._lazy import attach
 
-__all__ = [
-    "JobSpec",
-    "MalleableJob",
-    "amdahl_efficiency",
-    "lu_like_job",
-    "stencil_like_job",
-    "rampup_job",
-    "synthetic_workload",
-    "mixed_workload",
-    "ArrivalProcess",
-    "poisson_arrivals",
-    "bursty_arrivals",
-    "diurnal_arrivals",
-    "trace_arrivals",
-    "closed_stream",
-    "SloAggregator",
-    "SloSummary",
-    "Scheduler",
-    "StaticScheduler",
-    "FcfsScheduler",
-    "EquipartitionScheduler",
-    "AdaptiveEfficiencyScheduler",
-    "AdmissionControlScheduler",
-    "AutoscalingScheduler",
-    "ClusterServer",
-    "ServerResult",
-    "JobShard",
-    "ShardedServer",
-    "ShardStats",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "JobSpec": "repro.clusterserver.workload",
+        "MalleableJob": "repro.clusterserver.workload",
+        "amdahl_efficiency": "repro.clusterserver.workload",
+        "lu_like_job": "repro.clusterserver.workload",
+        "stencil_like_job": "repro.clusterserver.workload",
+        "rampup_job": "repro.clusterserver.workload",
+        "synthetic_workload": "repro.clusterserver.workload",
+        "mixed_workload": "repro.clusterserver.workload",
+        "ArrivalProcess": "repro.clusterserver.arrivals",
+        "poisson_arrivals": "repro.clusterserver.arrivals",
+        "bursty_arrivals": "repro.clusterserver.arrivals",
+        "diurnal_arrivals": "repro.clusterserver.arrivals",
+        "trace_arrivals": "repro.clusterserver.arrivals",
+        "closed_stream": "repro.clusterserver.arrivals",
+        "SloAggregator": "repro.clusterserver.metrics",
+        "SloSummary": "repro.clusterserver.metrics",
+        "Scheduler": "repro.clusterserver.scheduler",
+        "StaticScheduler": "repro.clusterserver.scheduler",
+        "FcfsScheduler": "repro.clusterserver.scheduler",
+        "EquipartitionScheduler": "repro.clusterserver.scheduler",
+        "AdaptiveEfficiencyScheduler": "repro.clusterserver.scheduler",
+        "AdmissionControlScheduler": "repro.clusterserver.scheduler",
+        "AutoscalingScheduler": "repro.clusterserver.scheduler",
+        "ClusterServer": "repro.clusterserver.server",
+        "ServerResult": "repro.clusterserver.server",
+        "JobShard": "repro.clusterserver.sharded",
+        "ShardedServer": "repro.clusterserver.sharded",
+        "ShardStats": "repro.clusterserver.sharded",
+    },
+)

@@ -18,28 +18,22 @@ This subpackage provides
   finer model with context-switch overhead and seeded OS noise.
 """
 
-from repro.cpumodel.machines import (
-    MachineProfile,
-    PENTIUM4_2800,
-    ULTRASPARC_II_440,
-    MODERN_XEON,
-)
-from repro.cpumodel.commcost import CommCostModel, CommCostParams
-from repro.cpumodel.base import CpuModel, CpuTaskHandle, NodeSlicedAllocator
-from repro.cpumodel.shared import SharedCpuModel
-from repro.cpumodel.timeslice import TimesliceCpuModel, TimesliceParams
+from repro._lazy import attach
 
-__all__ = [
-    "MachineProfile",
-    "ULTRASPARC_II_440",
-    "PENTIUM4_2800",
-    "MODERN_XEON",
-    "CommCostModel",
-    "CommCostParams",
-    "CpuModel",
-    "CpuTaskHandle",
-    "NodeSlicedAllocator",
-    "SharedCpuModel",
-    "TimesliceCpuModel",
-    "TimesliceParams",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "MachineProfile": "repro.cpumodel.machines",
+        "ULTRASPARC_II_440": "repro.cpumodel.machines",
+        "PENTIUM4_2800": "repro.cpumodel.machines",
+        "MODERN_XEON": "repro.cpumodel.machines",
+        "CommCostModel": "repro.cpumodel.commcost",
+        "CommCostParams": "repro.cpumodel.commcost",
+        "CpuModel": "repro.cpumodel.base",
+        "CpuTaskHandle": "repro.cpumodel.base",
+        "NodeSlicedAllocator": "repro.cpumodel.base",
+        "SharedCpuModel": "repro.cpumodel.shared",
+        "TimesliceCpuModel": "repro.cpumodel.timeslice",
+        "TimesliceParams": "repro.cpumodel.timeslice",
+    },
+)

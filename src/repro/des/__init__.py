@@ -12,20 +12,20 @@ This subpackage is the shared substrate for both the paper's simulator
   contention-aware network and CPU models.
 """
 
-from repro.des.event_queue import EventHandle, EventQueue
-from repro.des.kernel import Kernel
-from repro.des.process import AllOf, Process, Signal, Timeout, WaitSignal
-from repro.des.fluid import FluidPool, FluidTask
+from repro._lazy import attach
 
-__all__ = [
-    "EventHandle",
-    "EventQueue",
-    "Kernel",
-    "Process",
-    "Signal",
-    "Timeout",
-    "WaitSignal",
-    "AllOf",
-    "FluidPool",
-    "FluidTask",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "EventHandle": "repro.des.event_queue",
+        "EventQueue": "repro.des.event_queue",
+        "Kernel": "repro.des.kernel",
+        "Process": "repro.des.process",
+        "Signal": "repro.des.process",
+        "Timeout": "repro.des.process",
+        "WaitSignal": "repro.des.process",
+        "AllOf": "repro.des.process",
+        "FluidPool": "repro.des.fluid",
+        "FluidTask": "repro.des.fluid",
+    },
+)

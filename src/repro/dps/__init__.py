@@ -20,69 +20,42 @@ on:
   drive the *same* runtime.
 """
 
-from repro.dps.data_objects import DataObject, Frame
-from repro.dps.serializer import (
-    CountingSerializer,
-    SerializedSizeInfo,
-    payload_nbytes,
-)
-from repro.dps.operations import (
-    Compute,
-    KernelSpec,
-    LeafOperation,
-    MergeOperation,
-    OperationContext,
-    Post,
-    RemoveThreads,
-    SplitOperation,
-    StreamOperation,
-)
-from repro.dps.routing import (
-    Broadcast,
-    ByMetaKey,
-    Constant,
-    Modulo,
-    RoundRobin,
-    RoutingFunction,
-)
-from repro.dps.flowgraph import FlowGraph, VertexKind
-from repro.dps.deployment import Deployment, ThreadId
-from repro.dps.flow_control import FlowControlConfig
-from repro.dps.backend import ExecutionBackend
-from repro.dps.runtime import Runtime, RunResult
-from repro.dps.malleability import AllocationEvent, AllocationSchedule, Migration, MigrationPlanner
+from repro._lazy import attach
 
-__all__ = [
-    "DataObject",
-    "Frame",
-    "CountingSerializer",
-    "SerializedSizeInfo",
-    "payload_nbytes",
-    "Compute",
-    "KernelSpec",
-    "LeafOperation",
-    "MergeOperation",
-    "OperationContext",
-    "Post",
-    "RemoveThreads",
-    "SplitOperation",
-    "StreamOperation",
-    "RoutingFunction",
-    "RoundRobin",
-    "Modulo",
-    "Constant",
-    "Broadcast",
-    "ByMetaKey",
-    "FlowGraph",
-    "VertexKind",
-    "Deployment",
-    "ThreadId",
-    "FlowControlConfig",
-    "ExecutionBackend",
-    "Runtime",
-    "RunResult",
-    "AllocationEvent",
-    "AllocationSchedule",
-    "Migration",
-    "MigrationPlanner",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "DataObject": "repro.dps.data_objects",
+        "Frame": "repro.dps.data_objects",
+        "CountingSerializer": "repro.dps.serializer",
+        "SerializedSizeInfo": "repro.dps.serializer",
+        "payload_nbytes": "repro.dps.serializer",
+        "Compute": "repro.dps.operations",
+        "KernelSpec": "repro.dps.operations",
+        "LeafOperation": "repro.dps.operations",
+        "MergeOperation": "repro.dps.operations",
+        "OperationContext": "repro.dps.operations",
+        "Post": "repro.dps.operations",
+        "RemoveThreads": "repro.dps.operations",
+        "SplitOperation": "repro.dps.operations",
+        "StreamOperation": "repro.dps.operations",
+        "RoutingFunction": "repro.dps.routing",
+        "RoundRobin": "repro.dps.routing",
+        "Modulo": "repro.dps.routing",
+        "Constant": "repro.dps.routing",
+        "Broadcast": "repro.dps.routing",
+        "ByMetaKey": "repro.dps.routing",
+        "FlowGraph": "repro.dps.flowgraph",
+        "VertexKind": "repro.dps.flowgraph",
+        "Deployment": "repro.dps.deployment",
+        "ThreadId": "repro.dps.deployment",
+        "FlowControlConfig": "repro.dps.flow_control",
+        "ExecutionBackend": "repro.dps.backend",
+        "Runtime": "repro.dps.runtime",
+        "RunResult": "repro.dps.runtime",
+        "AllocationEvent": "repro.dps.malleability",
+        "AllocationSchedule": "repro.dps.malleability",
+        "Migration": "repro.dps.malleability",
+        "MigrationPlanner": "repro.dps.malleability",
+    },
+)

@@ -16,12 +16,8 @@ real payload would have had.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
-
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
 
 from repro.dps.data_objects import DataObject
 from repro.errors import SerializationError
@@ -64,6 +60,9 @@ def payload_nbytes(value: Any) -> float:
     """
     if value is None:
         return 0.0
+    # A value can only be an array if numpy is already loaded: ask
+    # sys.modules rather than importing numpy to find out.
+    np = sys.modules.get("numpy")
     if np is not None and isinstance(value, (np.ndarray, np.generic)):
         return float(value.nbytes)
     if isinstance(value, bool):

@@ -15,36 +15,26 @@ finer-grained noisy model used by the ground-truth testbed
 (:class:`~repro.netmodel.packet.PacketNetwork`).
 """
 
-from repro.netmodel.params import NetworkParams
-from repro.netmodel.base import (
-    LinkComponentAllocator,
-    NetworkModel,
-    StarFlowAllocator,
-    Transfer,
-)
-from repro.netmodel.waterfill import Link, MaxMinSolution, maxmin_solve
-from repro.netmodel.analytic import AnalyticNetwork
-from repro.netmodel.backplane import BackplaneStarNetwork
-from repro.netmodel.star import EqualShareStarNetwork
-from repro.netmodel.maxmin import MaxMinStarNetwork
-from repro.netmodel.packet import PacketNetwork, PacketNetworkParams
-from repro.netmodel.calibration import CalibrationResult, calibrate
+from repro._lazy import attach
 
-__all__ = [
-    "Link",
-    "MaxMinSolution",
-    "maxmin_solve",
-    "NetworkParams",
-    "NetworkModel",
-    "StarFlowAllocator",
-    "LinkComponentAllocator",
-    "Transfer",
-    "AnalyticNetwork",
-    "BackplaneStarNetwork",
-    "EqualShareStarNetwork",
-    "MaxMinStarNetwork",
-    "PacketNetwork",
-    "PacketNetworkParams",
-    "CalibrationResult",
-    "calibrate",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "Link": "repro.netmodel.waterfill",
+        "MaxMinSolution": "repro.netmodel.waterfill",
+        "maxmin_solve": "repro.netmodel.waterfill",
+        "NetworkParams": "repro.netmodel.params",
+        "NetworkModel": "repro.netmodel.base",
+        "StarFlowAllocator": "repro.netmodel.base",
+        "LinkComponentAllocator": "repro.netmodel.base",
+        "Transfer": "repro.netmodel.base",
+        "AnalyticNetwork": "repro.netmodel.analytic",
+        "BackplaneStarNetwork": "repro.netmodel.backplane",
+        "EqualShareStarNetwork": "repro.netmodel.star",
+        "MaxMinStarNetwork": "repro.netmodel.maxmin",
+        "PacketNetwork": "repro.netmodel.packet",
+        "PacketNetworkParams": "repro.netmodel.packet",
+        "CalibrationResult": "repro.netmodel.calibration",
+        "calibrate": "repro.netmodel.calibration",
+    },
+)

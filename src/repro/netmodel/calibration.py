@@ -16,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.des.kernel import Kernel
 from repro.netmodel.base import NetworkModel
 from repro.netmodel.params import NetworkParams
@@ -68,6 +63,8 @@ def calibrate(
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 2:
         raise ValueError("calibration needs at least two message sizes")
+    import numpy as np
+
     mean_times = []
     for size in sizes:
         samples = [_measure_once(factory, size) for _ in range(max(1, repetitions))]

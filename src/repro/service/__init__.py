@@ -10,26 +10,21 @@ priorities, queued-job cancellation, and warm shared caches across
 requests.  See ``docs/service.md`` for the HTTP contract.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.jobs import Job, JobTable, canonical_spec, spec_key
-from repro.service.pool import (
-    PoolClosedError,
-    PoolSaturatedError,
-    PoolTicket,
-    ResidentPool,
-)
-from repro.service.server import ScenarioService, ServiceThread
+from repro._lazy import attach
 
-__all__ = [
-    "Job",
-    "JobTable",
-    "PoolClosedError",
-    "PoolSaturatedError",
-    "PoolTicket",
-    "ResidentPool",
-    "ScenarioService",
-    "ServiceClient",
-    "ServiceThread",
-    "canonical_spec",
-    "spec_key",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "Job": "repro.service.jobs",
+        "JobTable": "repro.service.jobs",
+        "PoolClosedError": "repro.service.pool",
+        "PoolSaturatedError": "repro.service.pool",
+        "PoolTicket": "repro.service.pool",
+        "ResidentPool": "repro.service.pool",
+        "ScenarioService": "repro.service.server",
+        "ServiceClient": "repro.service.client",
+        "ServiceThread": "repro.service.server",
+        "canonical_spec": "repro.service.jobs",
+        "spec_key": "repro.service.jobs",
+    },
+)

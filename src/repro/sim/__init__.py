@@ -19,38 +19,25 @@ durations by
 object runs under the simulator or under the ground-truth testbed.
 """
 
-from repro.sim.platform import PlatformSpec, PAPER_CLUSTER
-from repro.sim.modes import SimulationMode
-from repro.sim.providers import (
-    CostModel,
-    CostModelProvider,
-    DirectExecutionProvider,
-    MachineCostModel,
-    MeasureFirstNProvider,
-    TableCostModel,
-)
-from repro.sim.simulator import DPSSimulator, SimulationResult
-from repro.sim.efficiency import (
-    PhaseEfficiency,
-    dynamic_efficiency,
-    mean_efficiency,
-    utilization_timeline,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "PlatformSpec",
-    "PAPER_CLUSTER",
-    "SimulationMode",
-    "CostModel",
-    "MachineCostModel",
-    "TableCostModel",
-    "CostModelProvider",
-    "DirectExecutionProvider",
-    "MeasureFirstNProvider",
-    "DPSSimulator",
-    "SimulationResult",
-    "PhaseEfficiency",
-    "dynamic_efficiency",
-    "mean_efficiency",
-    "utilization_timeline",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "PlatformSpec": "repro.sim.platform",
+        "PAPER_CLUSTER": "repro.sim.platform",
+        "SimulationMode": "repro.sim.modes",
+        "CostModel": "repro.sim.providers",
+        "MachineCostModel": "repro.sim.providers",
+        "TableCostModel": "repro.sim.providers",
+        "CostModelProvider": "repro.sim.providers",
+        "DirectExecutionProvider": "repro.sim.providers",
+        "MeasureFirstNProvider": "repro.sim.providers",
+        "DPSSimulator": "repro.sim.simulator",
+        "SimulationResult": "repro.sim.simulator",
+        "PhaseEfficiency": "repro.sim.efficiency",
+        "dynamic_efficiency": "repro.sim.efficiency",
+        "mean_efficiency": "repro.sim.efficiency",
+        "utilization_timeline": "repro.sim.efficiency",
+    },
+)

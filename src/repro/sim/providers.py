@@ -26,11 +26,6 @@ import time
 from collections import defaultdict
 from typing import Any, Callable, Mapping, Optional
 
-try:
-    import numpy as np
-except ImportError:  # no-numpy install: this module fails at use, not import
-    np = None  # type: ignore[assignment]
-
 from repro.cpumodel.machines import MachineProfile
 from repro.dps.operations import Compute, KernelSpec, OperationContext
 from repro.dps.runtime import DurationProvider
@@ -160,6 +155,8 @@ class HostCalibration:
         self.machine = machine
         self.reference_size = int(check_positive("reference_size", reference_size))
         r = self.reference_size
+        import numpy as np
+
         rng = np.random.default_rng(12345)
         a = rng.standard_normal((r, r))
         b = rng.standard_normal((r, r))

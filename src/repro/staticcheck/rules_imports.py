@@ -1,16 +1,11 @@
 """REP-I: optional-dependency import hygiene.
 
 ``import repro`` must work on a numpy-less install (the ``tests-no-numpy``
-CI leg); numpy and scipy power the opt-in ``*-soa`` backends and the
-numerical apps only.  The contract these rules encode:
-
-* outside the dedicated ``*/soa.py`` backend modules, every
-  ``import numpy`` / ``import scipy`` sits under ``try/except
-  ImportError`` (with a ``None`` fallback) or ``if TYPE_CHECKING:``;
-* an optional-import guard does nothing *but* import — no module-level
-  work may ride inside the ``try`` (it would run only when numpy is
-  present, silently forking module behaviour), and the ``except``
-  fallback stays declarative (assignments/pass/raise).
+CI leg) and must not pay for numpy or scipy on a run that never computes
+with them.  The contract this rule encodes: outside the dedicated
+``*/soa.py`` backend modules, which only load behind a registry closure,
+no ``import numpy`` / ``import scipy`` executes at import time — they
+live in the function bodies that compute, or under ``if TYPE_CHECKING:``.
 """
 
 from __future__ import annotations
@@ -30,7 +25,7 @@ OPTIONAL_MODULES = frozenset({"numpy", "scipy"})
 SOA_EXEMPT = ("**/soa.py",)
 
 
-def _optional_targets(node: ast.stmt) -> list[str]:
+def _optional_targets(node: ast.AST) -> list[str]:
     """The numpy/scipy module names imported by ``node`` (if any)."""
     names: list[str] = []
     if isinstance(node, ast.Import):
@@ -43,122 +38,46 @@ def _optional_targets(node: ast.stmt) -> list[str]:
     ]
 
 
-def _catches_import_error(handler: ast.ExceptHandler) -> bool:
-    if handler.type is None:
-        return True
-    types = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for t in types:
-        name = dotted(t)
-        if name in ("ImportError", "ModuleNotFoundError", "Exception"):
-            return True
-    return False
-
-
 def _is_type_checking_test(test: ast.expr) -> bool:
     name = dotted(test)
     return name is not None and name.endswith("TYPE_CHECKING")
 
 
-class _GuardIndex:
-    """Which statements sit under an ImportError guard / TYPE_CHECKING."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.guarded: set[int] = set()
-        self.guards: list[ast.Try] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Try):
-                if any(_catches_import_error(h) for h in node.handlers):
-                    self.guards.append(node)
-                    for stmt in node.body:
-                        self._mark(stmt)
-            elif isinstance(node, ast.If) and _is_type_checking_test(node.test):
-                for stmt in node.body:
-                    self._mark(stmt)
-
-    def _mark(self, stmt: ast.stmt) -> None:
-        for sub in ast.walk(stmt):
-            self.guarded.add(id(sub))
+def _runs_at_import(node: ast.AST) -> Iterator[ast.AST]:
+    """``node`` and what under it executes when the module is imported:
+    function bodies run later, ``if TYPE_CHECKING:`` bodies never."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return
+    yield node
+    if isinstance(node, ast.If) and _is_type_checking_test(node.test):
+        children = node.orelse
+    else:
+        children = ast.iter_child_nodes(node)
+    for child in children:
+        yield from _runs_at_import(child)
 
 
-class OptionalImportGuardRule(Rule):
-    """REP-I001: numpy/scipy imports outside ``*/soa.py`` must be guarded."""
+class ModuleLevelOptionalImportRule(Rule):
+    """REP-I001: no module-level numpy/scipy import outside ``*/soa.py``."""
 
     rule_id = "REP-I001"
     summary = (
-        "import numpy/scipy outside */soa.py must sit under try/except "
-        "ImportError or TYPE_CHECKING (the core imports numpy-free)"
+        "no module-level import of numpy/scipy outside */soa.py: import "
+        "inside the function that computes (or under TYPE_CHECKING)"
     )
     exclude = SOA_EXEMPT
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        index = _GuardIndex(unit.tree)
-        for node in ast.walk(unit.tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
+        for node in _runs_at_import(unit.tree):
             targets = _optional_targets(node)
-            if not targets or id(node) in index.guarded:
-                continue
-            yield unit.finding(
-                self.rule_id, node,
-                f"unguarded optional import of {', '.join(targets)}; wrap "
-                "in try/except ImportError with a None fallback (or "
-                "TYPE_CHECKING) so numpy-less installs still import",
-            )
+            if targets:
+                yield unit.finding(
+                    self.rule_id, node,
+                    f"module-level import of {', '.join(targets)}: every "
+                    "importer pays for it and numpy-less installs cannot "
+                    "import the module; move it into the function that "
+                    "computes (or under TYPE_CHECKING)",
+                )
 
 
-class OptionalGuardShapeRule(Rule):
-    """REP-I002: optional-import guards import, assign a fallback — nothing
-    else.
-
-    The ``try`` body of a numpy/scipy guard must contain only import
-    statements: any other module-level work would execute exactly when
-    the dependency is present, silently forking behaviour between
-    installs.  The ``except`` fallback must stay declarative —
-    assignments (``np = None``), ``pass``, or ``raise``.
-    """
-
-    rule_id = "REP-I002"
-    summary = (
-        "an optional-import guard's try body may only import, and its "
-        "except fallback may only assign/pass/raise"
-    )
-
-    _FALLBACK_OK = (ast.Assign, ast.AnnAssign, ast.Pass, ast.Raise,
-                    ast.Import, ast.ImportFrom)
-
-    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        index = _GuardIndex(unit.tree)
-        for guard in index.guards:
-            if not any(
-                _optional_targets(stmt)
-                for stmt in guard.body
-                if isinstance(stmt, (ast.Import, ast.ImportFrom))
-            ):
-                continue  # a guard, but not an optional-dependency one
-            for stmt in guard.body:
-                if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                    yield unit.finding(
-                        self.rule_id, stmt,
-                        "module-level work inside an optional-import guard "
-                        "runs only when the dependency is present; move it "
-                        "out of the try body",
-                    )
-            for handler in guard.handlers:
-                for stmt in handler.body:
-                    if not isinstance(stmt, self._FALLBACK_OK):
-                        yield unit.finding(
-                            self.rule_id, stmt,
-                            "an optional-import fallback must stay "
-                            "declarative (assignment/pass/raise); found "
-                            f"{type(stmt).__name__}",
-                        )
-
-
-IMPORT_RULES = (
-    OptionalImportGuardRule(),
-    OptionalGuardShapeRule(),
-)
+IMPORT_RULES = (ModuleLevelOptionalImportRule(),)

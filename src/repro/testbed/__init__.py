@@ -15,15 +15,16 @@ in the paper: genuine model mismatch plus run-to-run noise, not a model
 compared against itself.
 """
 
-from repro.testbed.cluster import VirtualCluster
-from repro.testbed.noise import KernelBias, DEFAULT_KERNEL_BIAS
-from repro.testbed.executor import GroundTruthProvider, TestbedExecutor, Measurement
+from repro._lazy import attach
 
-__all__ = [
-    "VirtualCluster",
-    "KernelBias",
-    "DEFAULT_KERNEL_BIAS",
-    "GroundTruthProvider",
-    "TestbedExecutor",
-    "Measurement",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "VirtualCluster": "repro.testbed.cluster",
+        "KernelBias": "repro.testbed.noise",
+        "DEFAULT_KERNEL_BIAS": "repro.testbed.noise",
+        "GroundTruthProvider": "repro.testbed.executor",
+        "TestbedExecutor": "repro.testbed.executor",
+        "Measurement": "repro.testbed.executor",
+    },
+)

@@ -1,46 +1,29 @@
 """Small shared utilities: units, validation, RNG handling and statistics."""
 
-from repro.util.units import (
-    KB,
-    MB,
-    GB,
-    MICROSECOND,
-    MILLISECOND,
-    SECOND,
-    format_bytes,
-    format_duration,
-    mbit_per_s,
-    mbyte_per_s,
-)
-from repro.util.validation import (
-    check_finite,
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_type,
-)
-from repro.util.rng import SeedSequenceFactory, derive_rng
-from repro.util.stats import OnlineStats, percentile, summarize
+from repro._lazy import attach
 
-__all__ = [
-    "KB",
-    "MB",
-    "GB",
-    "MICROSECOND",
-    "MILLISECOND",
-    "SECOND",
-    "format_bytes",
-    "format_duration",
-    "mbit_per_s",
-    "mbyte_per_s",
-    "check_finite",
-    "check_in_range",
-    "check_non_negative",
-    "check_positive",
-    "check_type",
-    "SeedSequenceFactory",
-    "derive_rng",
-    "OnlineStats",
-    "percentile",
-    "summarize",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "KB": "repro.util.units",
+        "MB": "repro.util.units",
+        "GB": "repro.util.units",
+        "MICROSECOND": "repro.util.units",
+        "MILLISECOND": "repro.util.units",
+        "SECOND": "repro.util.units",
+        "format_bytes": "repro.util.units",
+        "format_duration": "repro.util.units",
+        "mbit_per_s": "repro.util.units",
+        "mbyte_per_s": "repro.util.units",
+        "check_finite": "repro.util.validation",
+        "check_in_range": "repro.util.validation",
+        "check_non_negative": "repro.util.validation",
+        "check_positive": "repro.util.validation",
+        "check_type": "repro.util.validation",
+        "SeedSequenceFactory": "repro.util.rng",
+        "derive_rng": "repro.util.rng",
+        "OnlineStats": "repro.util.stats",
+        "percentile": "repro.util.stats",
+        "summarize": "repro.util.stats",
+    },
+)

@@ -12,11 +12,6 @@ import zlib
 
 from repro.util.validation import check_type
 
-try:
-    import numpy as np
-except ImportError:  # degraded no-numpy install: fail at .rng() call time
-    np = None  # type: ignore[assignment]
-
 
 def _label_key(label: str) -> int:
     """Map a string label to a stable 32-bit integer key."""
@@ -45,11 +40,13 @@ class SeedSequenceFactory:
 
     def rng(self, label: str) -> "np.random.Generator":
         """Return a :class:`numpy.random.Generator` keyed by ``label``."""
-        if np is None:
+        try:
+            import numpy as np
+        except ImportError as exc:
             raise ImportError(
                 "numpy is required for seeded noise streams; "
                 "install the 'fast' extra (pip install repro[fast])"
-            )
+            ) from exc
         ss = np.random.SeedSequence([self._root, _label_key(label)])
         return np.random.Generator(np.random.PCG64(ss))
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cpumodel.machines import ULTRASPARC_II_440
@@ -56,6 +61,27 @@ def _isolated_calibration_cache(tmp_path_factory, monkeypatch):
     """
     cache = tmp_path_factory.getbasetemp() / "repro-calibration-cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(code) -> stdout`` in a new interpreter at the repo root.
+
+    ``sys.modules`` and import order are process-global: tests about them
+    cannot share the suite's interpreter.
+    """
+    repo = Path(__file__).resolve().parents[1]
+
+    def run(code: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=repo, env=dict(os.environ, PYTHONPATH=str(repo / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture

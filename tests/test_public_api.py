@@ -1,0 +1,97 @@
+"""The public names of ``repro`` and its lazily re-exporting packages.
+
+Every package below resolves its ``__all__`` on first access through
+``repro._lazy.attach``; these tests pin what eager ``from … import``
+re-exports used to guarantee for free.  Nothing here needs numpy: every
+defining module imports without it.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+PACKAGES = ["repro"] + [
+    f"repro.{name}"
+    for name in (
+        "analysis apps apps.lu apps.matmul apps.imgpipe apps.sort "
+        "apps.stencil clusterserver cpumodel des dps netmodel service sim "
+        "testbed util"
+    ).split()
+]
+
+
+def export_table(package) -> dict[str, str]:
+    """The ``{name: defining module}`` literal the package hands to ``attach``."""
+    tree = ast.parse(Path(package.__file__).read_text(encoding="utf-8"))
+    (call,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "attach"
+    ]
+    return ast.literal_eval(call.args[1])
+
+
+@pytest.mark.parametrize("package_name", PACKAGES)
+def test_public_names_resolve_to_their_defining_modules(package_name):
+    package = importlib.import_module(package_name)
+    with pytest.raises(AttributeError, match=f"{package_name!r}.*'no_such_name'"):
+        package.no_such_name
+    table = export_table(package)
+    assert package.__all__ == list(table)
+    assert set(package.__all__) <= set(dir(package))
+    star: dict = {}
+    exec(f"from {package_name} import *", star)
+    for name, home in table.items():
+        value = getattr(package, name)
+        assert value is getattr(importlib.import_module(home), name)
+        assert value is star[name]
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home, f"{name} is re-exported by {home}"
+
+
+@pytest.mark.parametrize(
+    "first",
+    ["import repro.analysis.sweep", "from repro.analysis import sweep"],
+    ids=["submodule-first", "function-first"],
+)
+def test_sweep_stays_the_function_in_either_import_order(first, fresh_python):
+    # repro.analysis.sweep is a submodule *and* a public function; the
+    # import system binds a loaded submodule on its parent package.
+    fresh_python(
+        "import inspect, sys, repro.analysis\n"
+        "assert 'repro.analysis.sweep' not in sys.modules  # or no trap\n"
+        f"{first}\n"
+        "import repro, repro.analysis.sweep\n"
+        "from repro.analysis import sweep\n"
+        "function = sys.modules['repro.analysis.sweep'].sweep\n"
+        "assert inspect.isfunction(function)\n"
+        "assert sweep is function\n"
+        "assert repro.analysis.sweep is function\n"
+        "assert repro.sweep is function\n"
+    )
+
+
+def test_threads_resolving_one_name_get_one_object(fresh_python):
+    # `repro serve --pool thread`: two workers' first jobs touch the same
+    # not-yet-imported name at once.
+    fresh_python(
+        "import sys, threading\n"
+        "import repro\n"
+        "assert 'repro.sim.simulator' not in sys.modules  # a first touch\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "workers = 8\n"
+        "barrier = threading.Barrier(workers)\n"
+        "seen = []\n"
+        "def resolve():\n"
+        "    barrier.wait(timeout=30)\n"
+        "    seen.append(repro.DPSSimulator)\n"
+        "threads = [threading.Thread(target=resolve) for _ in range(workers)]\n"
+        "for thread in threads: thread.start()\n"
+        "for thread in threads: thread.join(timeout=30)\n"
+        "assert not any(thread.is_alive() for thread in threads)\n"
+        "assert len(seen) == workers and len(set(map(id, seen))) == 1, seen\n"
+        "from repro.sim.simulator import DPSSimulator\n"
+        "assert seen[0] is DPSSimulator\n"
+    )
