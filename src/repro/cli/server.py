@@ -118,18 +118,23 @@ def cmd_server(args: argparse.Namespace) -> int:
         )
         record = run_scenario(spec, registry)
         records.append(record)
+        result = record.raw["result"]
         stats = record.raw.get("stats")
-        if stats is not None:
+        decisions = (
+            f"{result.allocations} reallocations "
+            f"({result.allocations_elided} elided)"
+        )
+        if stats is None:
+            print(f"[{result.scheduler}] {result.events} events, {decisions}")
+        else:
             print(
-                f"[{record.raw['result'].scheduler}] {stats.epochs} epochs, "
-                f"{stats.allocations} reallocations "
-                f"({stats.allocations_elided} elided), "
+                f"[{result.scheduler}] {stats.epochs} epochs, {decisions}, "
                 f"events/shard {list(stats.shard_events)}, "
                 f"shard advance {stats.barrier_wait_s * 1e3:.1f} ms"
             )
         rows.append(
             (
-                record.raw["result"].scheduler,
+                result.scheduler,
                 f"{record.makespan:.1f}",
                 f"{record.metrics['mean_turnaround']:.1f}",
                 f"{record.metrics['mean_wait']:.1f}",

@@ -40,17 +40,18 @@ class Scheduler(ABC):
     #: running set and its order, each job's spec, current node grant and
     #: done flag — never on job progress (``phase``,
     #: ``remaining_in_phase``, ``remaining_work``).  All built-in policies
-    #: qualify.  The sharded server (:mod:`repro.clusterserver.sharded`)
-    #: requires this, and *relies* on it: at barriers where no job
-    #: arrived or completed, only phase indices and within-phase progress
-    #: have changed, so the flag licenses eliding the reallocation call
-    #: entirely — a phase-reading policy under that elision would
-    #: silently diverge from the eager
-    #: :class:`~repro.clusterserver.server.ClusterServer`, which
-    #: reallocates at every phase boundary.  Set to ``False`` in a
-    #: subclass that reads any job progress (including the phase index);
-    #: such a policy still works under ``ClusterServer`` but is rejected
-    #: by ``ShardedServer``.
+    #: qualify.  Both engines *rely* on it — this is the elision rule,
+    #: stated once: at a decision point where no job was admitted, none
+    #: completed and no fault fired, only phase indices and within-phase
+    #: progress have changed, so the flag licenses skipping the
+    #: reallocation call entirely; the previous grants stand.  A
+    #: phase-reading policy under that elision would silently run on
+    #: stale grants, and nothing checks the label at run time (``repro
+    #: check`` REP-D006 does, statically).  Set to ``False`` in a
+    #: subclass that reads any job progress (including the phase index):
+    #: :class:`~repro.clusterserver.server.ClusterServer` then calls
+    #: :meth:`allocate` at every event, and ``ShardedServer`` — whose
+    #: controller sees phase-granular mirrors only — rejects the policy.
     progress_insensitive = True
 
     #: Open-system engines only: when :meth:`admit` refuses a job, should
@@ -352,9 +353,9 @@ class AutoscalingScheduler(Scheduler):
     one eighth of the cluster.
 
     Resizing keyed to membership *changes* keeps :meth:`allocate`
-    idempotent for unchanged inputs — the property the sharded engine's
-    barrier elision relies on — so the wrapper is exactly as shardable
-    as its inner policy.
+    idempotent for unchanged inputs — the property both engines'
+    reallocation elision relies on — so the wrapper is exactly as
+    shardable as its inner policy.
     """
 
     def __init__(

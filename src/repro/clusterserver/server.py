@@ -1,10 +1,12 @@
 """The cluster server simulation itself.
 
-Event-driven over :class:`~repro.des.kernel.Kernel`: jobs arrive, the
-scheduler reallocates on every arrival and phase/job completion, and jobs
-progress as fluid work at ``nodes x efficiency(nodes)``.  Reallocation at
-*phase* boundaries matters: an LU-like job's efficiency collapses in its
-tail phases, so an adaptive policy shrinks it mid-run — the cluster-level
+Event-driven over :class:`~repro.des.kernel.Kernel`: jobs arrive,
+progress as fluid work at ``nodes x efficiency(nodes)``, and the scheduler
+reallocates whenever membership changed — a job admitted, a job completed,
+a fault fired.  A policy that declares it reads job progress
+(``progress_insensitive = False``) is asked at every *phase* boundary as
+well: an LU-like job's efficiency collapses in its tail phases, so a
+phase-aware policy can shrink it mid-run — the cluster-level
 generalization of the paper's "kill 4 after iteration 1" experiment.
 
 Two workload shapes, one entry point, one loop: :meth:`ClusterServer.run`
@@ -72,6 +74,11 @@ class ServerResult:
     #: kernels for a sharded run — the cost metric the sharding property
     #: tests conserve)
     events: int = 0
+    #: decision points that called the policy, and those that provably
+    #: could not change its answer and skipped the call (the elision rule:
+    #: :attr:`~repro.clusterserver.scheduler.Scheduler.progress_insensitive`)
+    allocations: int = 0
+    allocations_elided: int = 0
     #: streaming SLO aggregates of an open-system run (None for closed
     #: runs, whose per-job dicts carry the full information)
     slo: Optional[SloSummary] = None
@@ -232,6 +239,8 @@ def finalize_result(
     makespan: float,
     events: int,
     starved: int,
+    allocations: int,
+    allocations_elided: int,
     faults=None,
 ) -> ServerResult:
     """Starvation check plus metric assembly, shared by both engines.
@@ -264,6 +273,8 @@ def finalize_result(
         job_node_seconds={},
         total_work=0.0,
         events=events,
+        allocations=allocations,
+        allocations_elided=allocations_elided,
         retries=faults.retries if faults is not None else 0,
         lost_work=faults.lost_work if faults is not None else 0.0,
         failed_jobs=faults.failed_jobs if faults is not None else 0,
@@ -334,6 +345,11 @@ class ClusterServer:
             if self.faults is not None
             else None
         )
+        every_event = not getattr(
+            self.scheduler, "progress_insensitive", False
+        )
+        allocations = 0
+        granted = capacity = 0
         last_update = 0.0
         last_arrival = 0.0
         exhausted = False
@@ -369,14 +385,14 @@ class ClusterServer:
                 return runtime.capacity(self.total_nodes)
             return self.total_nodes
 
-        def apply_faults() -> None:
+        def apply_faults() -> bool:
             # Fire every fault due now against the pre-fault grants of
             # the jobs that have not already completed at this instant —
             # the same retirement-first ordering the sharded engine's
             # barrier uses.
             live = {j.index: j for j in running if not j.done}
             ordered = sorted((idx, j.nodes) for idx, j in live.items())
-            _fired, victims = runtime.fire(kernel.now, ordered)
+            fired, victims = runtime.fire(kernel.now, ordered)
             for idx, entry in victims:
                 job = live.get(idx)
                 if job is None:
@@ -394,18 +410,21 @@ class ClusterServer:
                     job.nodes = 0
                     running.remove(job)
                     del live[idx]
+            return fired
 
-        def reschedule() -> None:
+        def reschedule(admitted: bool = False, fired: bool = False) -> None:
             # Retire finished jobs, apply the policy, arm the next event.
             # The previously armed boundary event is superseded by this
             # decision (rates may have changed); cancelling it keeps the
             # queue free of stale wake-ups that would otherwise fire as
             # no-op decisions — and, after the last completion, drag the
             # makespan past the true end of the workload.
+            nonlocal allocations, granted, capacity
             if boundary[0] is not None:
                 kernel.cancel(boundary[0])
                 boundary[0] = None
             finished = [j for j in running if j.done]
+            job_done = bool(finished)
             for job in finished:
                 job.finished_at = kernel.now
                 job.nodes = 0
@@ -428,19 +447,27 @@ class ClusterServer:
             while deferred and admit(deferred[0][1], running, avail):
                 idx, spec = deferred.popleft()
                 running.append(MalleableJob(spec, index=idx))
-            allocation, granted, capacity = _allocate_checked(
-                self.scheduler, running, avail
-            )
-            for job in running:
-                job.nodes = allocation.get(job, 0)
-                if job.nodes > 0 and math.isnan(job.started_at):
-                    job.started_at = kernel.now
-            if runtime is not None and runtime.factors_live:
-                factors = runtime.rate_factors(
-                    sorted((j.index, j.nodes) for j in running)
+                admitted = True
+            if admitted or job_done or fired or every_event or not allocations:
+                # Membership changed (or the policy reads job progress,
+                # or this is the first decision): the policy replays.
+                allocations += 1
+                allocation, granted, capacity = _allocate_checked(
+                    self.scheduler, running, avail
                 )
                 for job in running:
-                    job.rate_factor = factors[job.index]
+                    job.nodes = allocation.get(job, 0)
+                    if job.nodes > 0 and math.isnan(job.started_at):
+                        job.started_at = kernel.now
+                if runtime is not None and runtime.factors_live:
+                    factors = runtime.rate_factors(
+                        sorted((j.index, j.nodes) for j in running)
+                    )
+                    for job in running:
+                        job.rate_factor = factors[job.index]
+            # Otherwise — pure phase boundaries, rejected or deferred
+            # arrivals — no scheduler-visible change, by
+            # progress-insensitivity: the previous grants stand.
             sink.observe_utilization(kernel.now, granted, capacity)
             horizon = min(
                 (j.time_to_phase_end() for j in running), default=math.inf
@@ -467,19 +494,19 @@ class ClusterServer:
             advance_to_now()
             # One-ahead pull: exactly one future arrival is ever buffered.
             schedule_next_arrival()
-            if admit(spec, running, available_nodes()):
+            admitted = admit(spec, running, available_nodes())
+            if admitted:
                 running.append(MalleableJob(spec, index=idx))
             elif self.scheduler.defer_rejected:
                 deferred.append((idx, spec))
             else:
                 sink.observe_rejection(kernel.now, spec)
-            reschedule()
+            reschedule(admitted=admitted)
 
         def on_fault(t: float) -> None:
             fault_handles.pop(t, None)
             advance_to_now()
-            apply_faults()
-            reschedule()
+            reschedule(fired=apply_faults())
 
         if runtime is not None:
             # Before the first arrival pull, so fault events win
@@ -499,4 +526,7 @@ class ClusterServer:
             kernel.events_executed,
             starved=len(running) + len(deferred),
             faults=runtime,
+            allocations=allocations,
+            # every event is one decision point
+            allocations_elided=kernel.events_executed - allocations,
         )

@@ -44,8 +44,10 @@ Shards are :class:`JobShard` objects advanced one after another on the
 calling thread: an epoch carries about one event, so a second core has
 nothing to run, and a round trip to a worker process per shard per epoch
 costs more than the event itself (``docs/sharding.md`` has the
-measurement).  Sharding here is a determinism contract and an algorithmic
-win over the eager engine, not a parallel speed-up.
+measurement).  Sharding here is a determinism contract and, at hundreds
+of active jobs, an algorithmic win over the eager engine (lazy per-phase
+integration; both engines elide allocation-neutral policy calls), not a
+parallel speed-up.
 """
 
 from __future__ import annotations
@@ -601,6 +603,8 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
             stats.events_total,
             starved=len(running) + len(deferred),
             faults=runtime,
+            allocations=stats.allocations,
+            allocations_elided=stats.allocations_elided,
         )
         stats.wall_s = time.perf_counter() - t_start
         self.stats = stats

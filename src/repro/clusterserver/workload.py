@@ -113,6 +113,7 @@ class MalleableJob:
         self.spec = spec
         #: arrival-order index (the fault layer's stable job identity)
         self.index = index
+        self._phases = len(spec.phase_work)
         self.phase = 0
         self.remaining_in_phase = spec.phase_work[0]
         self.nodes = 0
@@ -125,10 +126,12 @@ class MalleableJob:
         self.finished_at: float = float("nan")
         #: integral of allocated nodes over time (for efficiency accounting)
         self.node_seconds = 0.0
+        #: rate() at the (nodes, rate_factor) it was last priced for
+        self._priced = (0, 1.0, 0.0)
 
     @property
     def done(self) -> bool:
-        return self.phase >= len(self.spec.phase_work)
+        return self.phase >= self._phases
 
     @property
     def remaining_work(self) -> float:
@@ -140,9 +143,16 @@ class MalleableJob:
 
     def rate(self) -> float:
         """Work completed per second at the current allocation."""
-        if self.done or self.nodes <= 0:
+        nodes = self.nodes
+        if nodes <= 0 or self.phase >= self._phases:
             return 0.0
-        return self.nodes * self.spec.efficiency(self.nodes) * self.rate_factor
+        priced_nodes, priced_factor, rate = self._priced
+        if nodes != priced_nodes or self.rate_factor != priced_factor:
+            # A grant is priced once, not once per event it lasts.
+            factor = self.rate_factor
+            rate = nodes * self.spec.efficiency(nodes) * factor
+            self._priced = (nodes, factor, rate)
+        return rate
 
     def current_efficiency(self) -> float:
         """Efficiency at the current allocation (0 when idle)."""
@@ -156,13 +166,13 @@ class MalleableJob:
             raise ConfigurationError("dt must be >= 0")
         self.node_seconds += self.nodes * dt
         progress = self.rate() * dt
-        while progress > 0 and not self.done:
+        while progress > 0 and self.phase < self._phases:
             if progress < self.remaining_in_phase - 1e-12:
                 self.remaining_in_phase -= progress
                 return
             progress -= self.remaining_in_phase
             self.phase += 1
-            if not self.done:
+            if self.phase < self._phases:
                 self.remaining_in_phase = self.spec.phase_work[self.phase]
 
     def time_to_phase_end(self) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.staticcheck.rules_determinism import (
+    POLICY_SCOPE,
     RESULT_SCOPE,
     WALLCLOCK_STATS_ALLOWLIST,
 )
@@ -45,7 +46,8 @@ class CheckConfig:
 
 #: The project's invariants, spelled out: REP-D confined to the
 #: result-producing packages with the wall-clock-stats allowlist on the
-#: monotonic-timer rule; REP-I exempting the dedicated ``*/soa.py``
+#: monotonic-timer rule (the policy rule REP-D006 adds ``examples/`` and
+#: ``benchmarks/``); REP-I exempting the dedicated ``*/soa.py``
 #: numpy backends; REP-C and REP-R everywhere.  (Scopes match the rule
 #: classes' own defaults today; the config exists so the project can
 #: narrow or widen them without touching rule code.)
@@ -57,5 +59,6 @@ DEFAULT_CONFIG = CheckConfig(scopes={
         include=RESULT_SCOPE, exclude=WALLCLOCK_STATS_ALLOWLIST
     ),
     "REP-D005": RuleScope(include=RESULT_SCOPE),
+    "REP-D006": RuleScope(include=POLICY_SCOPE),
     "REP-I001": RuleScope(exclude=("**/soa.py",)),
 })

@@ -240,6 +240,8 @@ def test_server_policy_selection(capsys):
     assert code == 0
     assert "adaptive" in out
     assert "static" not in out
+    # one kernel or many, the decision counters are printed
+    assert "[adaptive] " in out and " reallocations (" in out
 
 
 def test_server_unknown_policy_fails(capsys):

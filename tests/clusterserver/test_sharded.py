@@ -162,8 +162,10 @@ class _ProgressGreedyScheduler(Scheduler):
 
     name = "progress-greedy"
     progress_insensitive = False
+    calls = 0
 
     def allocate(self, running, total_nodes):
+        self.calls += 1
         ranked = sorted(running, key=lambda j: j.remaining_work)
         return {job: (total_nodes if i == 0 else 0) for i, job in enumerate(ranked)}
 
@@ -172,6 +174,15 @@ def test_progress_sensitive_scheduler_rejected():
     server = ShardedServer(8, _ProgressGreedyScheduler(), shards=2)
     with pytest.raises(ConfigurationError, match="progress-insensitive"):
         server.run(synthetic_workload(jobs=3, seed=1))
+
+
+def test_progress_sensitive_scheduler_asked_at_every_eager_event():
+    # The one capability only the eager loop has: no elision for a policy
+    # that declares it reads job progress.
+    policy = _ProgressGreedyScheduler()
+    result = ClusterServer(8, policy).run(synthetic_workload(jobs=6, seed=1))
+    assert policy.calls == result.events == result.allocations
+    assert result.allocations_elided == 0
 
 
 def test_starvation_detected():
