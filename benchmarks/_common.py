@@ -1,49 +1,22 @@
-"""Shared helpers for the benchmark suite.
+"""Shared configuration helpers for the benchmark scripts.
 
 Terminology follows the paper: **measured** values come from the
 ground-truth virtual cluster (:mod:`repro.testbed`), **predicted** values
 from the DPS simulator (:mod:`repro.sim`) using network parameters
-calibrated against that cluster — the workflow a user of the paper's
-system follows on real hardware.
+calibrated against that cluster.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.prediction import PredictionStudy
-from repro.analysis.sweep import SweepCase, SweepResult, run_lu_case
 from repro.apps.lu.config import LUConfig
-from repro.dps.malleability import AllocationEvent, AllocationSchedule
-from repro.dps.trace import TraceLevel
 from repro.sim.modes import SimulationMode
 
 #: paper matrix size
 N = 2592
 #: default measurement seed (one "run" of the real cluster)
 SEED = 1
-
-#: the paper's Fig. 12 strategies, 1-based iteration numbering
-KILL4_AFTER_1 = AllocationSchedule(
-    events=(AllocationEvent("iter1", "workers", (4, 5, 6, 7)),),
-    name="kill 4 after it. 1",
-)
-KILL4_AFTER_4 = AllocationSchedule(
-    events=(AllocationEvent("iter4", "workers", (4, 5, 6, 7)),),
-    name="kill 4 after it. 4",
-)
-KILL2_2 = AllocationSchedule(
-    events=(
-        AllocationEvent("iter2", "workers", (6, 7)),
-        AllocationEvent("iter3", "workers", (4, 5)),
-    ),
-    name="kill 2 after it. 2 + 2 after it. 3",
-)
-
-
-def pm_sub(r: int) -> int:
-    """PM sub-block size used throughout the benches (r/3)."""
-    return r // 3
 
 
 def lu_cfg(
@@ -52,8 +25,6 @@ def lu_cfg(
     threads: Optional[int] = None,
     pipelined: bool = False,
     fc: Optional[int] = None,
-    pm: bool = False,
-    schedule: AllocationSchedule | None = None,
 ) -> LUConfig:
     """Paper-style LU configuration at full size, NOALLOC."""
     return LUConfig(
@@ -63,27 +34,7 @@ def lu_cfg(
         num_nodes=nodes,
         pipelined=pipelined,
         flow_control=fc,
-        pm_subblock=pm_sub(r) if pm else None,
-        schedule=schedule or AllocationSchedule(),
         mode=SimulationMode.PDEXEC_NOALLOC,
-    )
-
-
-_CACHE: dict[tuple, SweepResult] = {}
-
-
-def _cfg_key(cfg: LUConfig, seed: int) -> tuple:
-    return (
-        cfg.n,
-        cfg.r,
-        cfg.num_threads,
-        cfg.num_nodes,
-        cfg.pipelined,
-        cfg.flow_control,
-        cfg.pm_subblock,
-        cfg.schedule.name,
-        tuple(cfg.schedule.events),
-        seed,
     )
 
 
@@ -92,34 +43,3 @@ def platform_for(nodes: int, seed: int = SEED):
     from repro.analysis.parallel import cached_platform
 
     return cached_platform((nodes, seed))
-
-
-def measure_and_predict(
-    label: str,
-    cfg: LUConfig,
-    seed: int = SEED,
-    trace_level: TraceLevel = TraceLevel.SUMMARY,
-    keep_runs: bool = False,
-) -> SweepResult:
-    """One measured/predicted pair, cached across benches."""
-    key = _cfg_key(cfg, seed) + (keep_runs,)
-    if key not in _CACHE:
-        _CACHE[key] = run_lu_case(
-            SweepCase(label, cfg, seed=seed),
-            platform=platform_for(cfg.num_nodes, seed),
-            trace_level=trace_level,
-            keep_runs=keep_runs,
-        )
-    return _CACHE[key]
-
-
-def all_cached_results() -> list[SweepResult]:
-    """Every comparison performed so far in this session (for Fig. 13)."""
-    return list(_CACHE.values())
-
-
-def study_from(results) -> PredictionStudy:
-    study = PredictionStudy()
-    for res in results:
-        study.add(res.case.label, res.measured, res.predicted)
-    return study

@@ -1,8 +1,8 @@
 """Benchmark-suite configuration.
 
-The benches run full-size (n = 2592) experiment pairs — testbed
-measurement plus simulator prediction — under PDEXEC+NOALLOC, so each pair
-costs a fraction of a second of host time.  Results are cached per
-configuration within the session so Fig. 13 can aggregate every comparison
-made by the other benches without re-running them.
+The ``bench_*.py`` scripts run full-size (n = 2592) experiments under
+PDEXEC+NOALLOC, so each costs seconds of host time.  The
+measured-vs-predicted pairs behind Figs. 8-13 are not pytest benches:
+``benchmarks/fidelity.py`` regenerates and checks them against
+``FIDELITY.json``.
 """

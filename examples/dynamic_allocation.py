@@ -22,7 +22,7 @@ from repro import (
     dynamic_efficiency,
     mean_efficiency,
 )
-from repro.analysis.sweep import calibrated_platform
+from repro.analysis.calibcache import calibrated_platform
 from repro.testbed.cluster import VirtualCluster
 
 N, R = 2592, 324

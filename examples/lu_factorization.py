@@ -25,7 +25,7 @@ from repro import (
     TestbedExecutor,
     VirtualCluster,
 )
-from repro.analysis.sweep import calibrated_platform
+from repro.analysis.calibcache import calibrated_platform
 
 N, R, NODES = 1296, 162, 4
 

@@ -134,8 +134,5 @@ __getattr__, __dir__, __all__ = attach(
         "synthetic_workload": "repro.clusterserver.workload",
         # analysis
         "PredictionStudy": "repro.analysis.prediction",
-        "SweepCase": "repro.analysis.sweep",
-        "run_lu_case": "repro.analysis.sweep",
-        "sweep": "repro.analysis.sweep",
     },
 )

@@ -1,8 +1,5 @@
 """Analysis utilities: metrics, prediction errors, sweeps and rendering."""
 
-import sys
-from types import ModuleType
-
 from repro._lazy import attach
 
 __getattr__, __dir__, __all__ = attach(
@@ -14,10 +11,6 @@ __getattr__, __dir__, __all__ = attach(
         "PredictionRecord": "repro.analysis.prediction",
         "PredictionStudy": "repro.analysis.prediction",
         "ErrorHistogram": "repro.analysis.prediction",
-        "SweepCase": "repro.analysis.sweep",
-        "SweepResult": "repro.analysis.sweep",
-        "run_lu_case": "repro.analysis.sweep",
-        "sweep": "repro.analysis.sweep",
         "ParallelSweepRunner": "repro.analysis.parallel",
         "cached_platform": "repro.analysis.parallel",
         "clear_platform_cache": "repro.analysis.parallel",
@@ -42,15 +35,3 @@ __getattr__, __dir__, __all__ = attach(
     },
 )
 
-
-class _Package(ModuleType):
-    """``sweep`` is a public function *and* a submodule: importing
-    ``repro.analysis.sweep`` must not rebind the name to the module."""
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name == "sweep" and isinstance(value, ModuleType):
-            value = value.sweep
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

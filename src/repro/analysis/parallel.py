@@ -1,36 +1,28 @@
-"""Parallel execution of validation sweeps.
+"""Parallel execution of scenario sweeps.
 
-The validation sweeps are embarrassingly parallel: every
-:class:`~repro.analysis.sweep.SweepCase` is an independent
-measurement/prediction pair.  :class:`ParallelSweepRunner` fans
-:func:`~repro.analysis.sweep.run_lu_case` out over a
-:mod:`multiprocessing` pool while keeping the expensive per-platform
-calibration shared: distinct ``(cluster size, seed)`` keys are calibrated
-exactly once (themselves in parallel) through a memoized cache, and each
-worker receives the ready-made :class:`~repro.sim.platform.PlatformSpec`
-with its case instead of re-calibrating.
-
-The runner also consumes declarative scenarios directly:
-:meth:`ParallelSweepRunner.run_records` maps a list of
-:class:`~repro.scenario.spec.ScenarioSpec` over the same pool, so one
-sweep may span *engines* (simulator vs. testbed vs. cluster server) and
-*models* (any registered netmodel/cpumodel) — each spec is executed by
+A sweep's scenarios are independent, so
+:meth:`ParallelSweepRunner.run_records` fans a list of
+:class:`~repro.scenario.spec.ScenarioSpec` out over a
+:mod:`multiprocessing` pool: one sweep may span *engines* (simulator vs.
+testbed vs. cluster server) and *models* (any registered
+netmodel/cpumodel) — each spec is executed by
 :func:`~repro.scenario.runner.run_scenario` and comes back as a
-normalized :class:`~repro.scenario.runner.RunRecord`.  Calibrated
-platforms named by sim specs are prewarmed exactly once, like the legacy
-path.
+normalized :class:`~repro.scenario.runner.RunRecord`.  The expensive
+per-platform calibration stays shared: the distinct ``(cluster size,
+seed)`` keys that calibrated ``sim`` specs name are calibrated exactly
+once (themselves in parallel) through a memoized cache before the
+fan-out.
 
-Results are returned in case order and are identical to a serial
-:func:`~repro.analysis.sweep.sweep` — the simulations are deterministic and
-share no state across cases.
+Records are returned in spec order and are identical to a serial run —
+the simulations are deterministic and share no state across specs.
 
-Two pool lifetimes are supported.  The historical **one-shot** form
+Two pool lifetimes are supported.  The **one-shot** form
 (``persistent=False``, the default) creates the process pool inside each
-``run``/``run_records`` call and tears it down before returning — exactly
-the old behavior.  The **resident** form (``persistent=True``) keeps the
-workers alive across calls, which is what a long-lived service wants:
-worker processes keep their warm in-process calibration memos and their
-imported module state, so repeated scenarios are mostly cache hits.
+``run_records`` call and tears it down before returning.  The
+**resident** form (``persistent=True``) keeps the workers alive across
+calls, which is what a long-lived service wants: worker processes keep
+their warm in-process calibration memos and their imported module state,
+so repeated scenarios are mostly cache hits.
 Resident runners additionally accept asynchronous single-spec submissions
 via :meth:`ParallelSweepRunner.submit_record` (the primitive
 :class:`repro.service.pool.ResidentPool` builds on).  ``close``/``join``
@@ -45,8 +37,6 @@ import os
 import signal
 from typing import Callable, Optional
 
-from repro.analysis.prediction import PredictionStudy
-from repro.dps.trace import TraceLevel
 from repro.errors import ConfigurationError
 from repro.sim.platform import PlatformSpec
 from repro.testbed.cluster import VirtualCluster
@@ -61,17 +51,12 @@ PlatformKey = tuple[int, int]
 _PLATFORM_CACHE: dict[PlatformKey, PlatformSpec] = {}
 
 
-def platform_key(case) -> PlatformKey:
-    """The calibration cache key of a sweep case."""
-    return (case.cfg.num_nodes, case.seed)
-
-
 def cached_platform(key: PlatformKey) -> PlatformSpec:
     """Calibrate the platform for ``key`` once; reuse it afterwards."""
-    from repro.analysis.sweep import calibrated_platform
-
     platform = _PLATFORM_CACHE.get(key)
     if platform is None:
+        from repro.analysis.calibcache import calibrated_platform
+
         num_nodes, seed = key
         platform = calibrated_platform(VirtualCluster(num_nodes=num_nodes, seed=seed))
         _PLATFORM_CACHE[key] = platform
@@ -127,16 +112,6 @@ def _calibrate_worker(key: PlatformKey) -> tuple[PlatformKey, PlatformSpec]:
     return key, cached_platform(key)
 
 
-def _case_worker(payload):
-    from repro.analysis.sweep import run_lu_case
-
-    index, case, platform, trace_level, keep_runs = payload
-    result = run_lu_case(
-        case, platform=platform, trace_level=trace_level, keep_runs=keep_runs
-    )
-    return index, result
-
-
 def _record_worker(payload):
     from repro.scenario import run_scenario
 
@@ -174,16 +149,13 @@ def _tagged_record_worker(payload: tuple) -> dict:
 
 
 class ParallelSweepRunner:
-    """Run sweep cases across a process pool with shared calibrations.
+    """Run scenario specs across a process pool with shared calibrations.
 
     Parameters
     ----------
     jobs:
         Worker processes.  ``None`` or 0 means one per CPU; 1 runs
         everything in-process (no pool), which is handy under debuggers.
-    trace_level, keep_runs:
-        Forwarded to :func:`~repro.analysis.sweep.run_lu_case`.  Run records
-        requested via ``keep_runs`` must survive pickling when ``jobs > 1``.
     persistent:
         Keep the worker pool alive across calls (resident-executor mode).
         The caller owns the lifetime: call :meth:`close` (idempotent) or
@@ -194,15 +166,11 @@ class ParallelSweepRunner:
     def __init__(
         self,
         jobs: Optional[int] = None,
-        trace_level: TraceLevel = TraceLevel.SUMMARY,
-        keep_runs: bool = False,
         persistent: bool = False,
     ) -> None:
         if jobs is not None and jobs < 0:
             raise ConfigurationError(f"jobs must be >= 0, got {jobs!r}")
         self.jobs = jobs or os.cpu_count() or 1
-        self.trace_level = trace_level
-        self.keep_runs = keep_runs
         self.persistent = persistent
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._notes = None  # worker-liveness channel, persistent pools only
@@ -215,7 +183,7 @@ class ParallelSweepRunner:
 
         Persistent runners size the pool at ``jobs`` once and reuse it;
         one-shot calls pass a ``size_hint`` so tiny batches do not fork
-        more workers than they have cases (the historical behavior).
+        more workers than they have specs.
         """
         if self._pool is None:
             import multiprocessing
@@ -245,7 +213,7 @@ class ParallelSweepRunner:
         Joins (or, with ``terminate=True``, kills) every worker process,
         which releases their handles on the on-disk calibration and
         kernel-benchmark cache directory — after ``close`` the runner
-        holds no process or file resources, and the next ``run``/
+        holds no process or file resources, and the next ``run_records``/
         ``submit_record`` transparently forks a fresh pool, so resident
         runners restart cleanly any number of times in one process.
         """
@@ -348,55 +316,6 @@ class ParallelSweepRunner:
         return any(
             p.pid == pid and p.is_alive() for p in pool._pool
         )
-
-    def run(
-        self,
-        cases,
-        study: Optional[PredictionStudy] = None,
-        platform: Optional[PlatformSpec] = None,
-    ):
-        """Run every case; returns results in case order.
-
-        Feeds measured/predicted pairs into ``study`` when given, exactly
-        like the serial :func:`~repro.analysis.sweep.sweep`.  An explicit
-        ``platform`` overrides the per-case calibration cache.
-        """
-        cases = list(cases)
-        results = [None] * len(cases)
-        if not cases:
-            return []
-
-        def case_platform(case) -> PlatformSpec:
-            return platform if platform is not None else cached_platform(platform_key(case))
-
-        if self.jobs == 1:
-            for i, case in enumerate(cases):
-                _, results[i] = _case_worker(
-                    (i, case, case_platform(case), self.trace_level, self.keep_runs)
-                )
-        else:
-            pool = self._ensure_pool(len(cases))
-            try:
-                if platform is None:
-                    # Calibrate each distinct platform once, in parallel, and
-                    # memoize in the parent so later runs reuse them for free.
-                    keys = sorted({platform_key(case) for case in cases})
-                    missing = [k for k in keys if k not in _PLATFORM_CACHE]
-                    for key, calibrated in pool.map(_calibrate_worker, missing):
-                        _PLATFORM_CACHE[key] = calibrated
-                payloads = [
-                    (i, case, case_platform(case), self.trace_level, self.keep_runs)
-                    for i, case in enumerate(cases)
-                ]
-                for index, result in pool.imap_unordered(_case_worker, payloads):
-                    results[index] = result
-            finally:
-                if not self.persistent:
-                    self.close()
-        if study is not None:
-            for result in results:
-                study.add(result.case.label, result.measured, result.predicted)
-        return results
 
     def run_records(self, specs):
         """Run declarative scenarios; records come back in spec order.

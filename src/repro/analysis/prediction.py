@@ -123,3 +123,36 @@ class PredictionStudy:
             "mean_abs": self.mean_abs_error(),
             "max_abs": self.max_abs_error(),
         }
+
+
+def validation_pair(
+    label: str, lu_options: dict, seed: int = 1, events: Iterable[str] = ()
+) -> tuple:
+    """The paper's experiment on one LU configuration, as two scenarios.
+
+    A ``testbed`` spec (the measurement) and a ``sim`` spec on the
+    platform calibrated against that testbed (the prediction), both under
+    PDEXEC+NOALLOC and both named ``label``.  ``repro sweep`` and
+    ``benchmarks/fidelity.py`` build every pair here and run the list
+    through :meth:`~repro.analysis.parallel.ParallelSweepRunner.run_records`.
+    """
+    from repro.scenario import (
+        AppSection,
+        EngineSection,
+        PlatformSection,
+        ScenarioSpec,
+    )
+
+    app = AppSection("lu", dict(lu_options))
+    events = tuple(events)
+    return (
+        ScenarioSpec(
+            name=label, app=app, events=events,
+            engine=EngineSection("testbed", mode="noalloc", seed=seed),
+        ),
+        ScenarioSpec(
+            name=label, app=app, events=events,
+            engine=EngineSection("sim", mode="noalloc", seed=seed),
+            platform=PlatformSection(calibrate=True),
+        ),
+    )

@@ -78,7 +78,14 @@ class RunRecord:
 
     @property
     def mean_efficiency(self) -> Optional[float]:
-        """Whole-run efficiency over the recorded phases (None if none)."""
+        """Efficiency over the recorded phases only (None if none).
+
+        Work over node-seconds from the first phase's start to the last
+        phase's end.  What runs outside a phase — LU's initial block
+        distribution — is not charged, so this reads higher than
+        :func:`repro.sim.efficiency.mean_efficiency`, which divides by
+        the node-seconds of the whole makespan.
+        """
         denom = sum(p.mean_nodes * p.duration for p in self.phases)
         if denom <= 0:
             return None

@@ -86,7 +86,8 @@ def mean_efficiency(result: RunResult) -> float:
 
     This is the quantity a cluster operator wants to maximize; the paper
     argues dynamic deallocation raises it because freed nodes can serve
-    other applications.
+    other applications.  The integral runs over the whole makespan;
+    ``RunRecord.mean_efficiency`` covers the marked phases only.
     """
     node_seconds = _mean_active_nodes(result, 0.0, result.makespan) * result.makespan
     if node_seconds <= 0:

@@ -9,12 +9,10 @@ from repro.analysis.metrics import (
     relative_error,
     speedup,
 )
-from repro.analysis.prediction import PredictionStudy
-from repro.analysis.sweep import SweepCase, run_lu_case, sweep
+from repro.analysis.parallel import ParallelSweepRunner
+from repro.analysis.prediction import PredictionStudy, validation_pair
 from repro.analysis.tables import ascii_bar_chart, ascii_histogram, ascii_table
-from repro.apps.lu.config import LUConfig
 from repro.errors import ConfigurationError
-from repro.sim.modes import SimulationMode
 
 
 # ------------------------------------------------------------------ metrics
@@ -102,25 +100,33 @@ def test_bar_chart_length_mismatch():
 
 
 # ------------------------------------------------------------------ sweep
-def test_run_lu_case_produces_measured_and_predicted():
-    cfg = LUConfig(
-        n=192, r=48, num_threads=4, num_nodes=2, mode=SimulationMode.PDEXEC_NOALLOC
-    )
-    result = run_lu_case(SweepCase("case", cfg, seed=2))
-    assert result.measured > 0
-    assert result.predicted > 0
-    # At small scale the models still agree reasonably.
-    assert abs(result.error) < 0.5
+def _pairs():
+    return [
+        validation_pair(
+            f"c{i}", {"n": 192, "r": r, "num_threads": 4, "num_nodes": 2}, seed=2
+        )
+        for i, r in enumerate((48, 96))
+    ]
+
+
+def test_validation_pair_is_a_measurement_and_its_prediction():
+    (measured, predicted), _ = _pairs()
+    assert (measured.engine.name, predicted.engine.name) == ("testbed", "sim")
+    assert predicted.platform.calibrate and not measured.platform.calibrate
+    assert measured.name == predicted.name == "c0"
+    assert measured.app == predicted.app
+    assert measured.engine.seed == predicted.engine.seed == 2
+    assert measured.engine.mode == predicted.engine.mode == "noalloc"
 
 
 def test_sweep_feeds_study():
     study = PredictionStudy()
-    cfgs = [
-        LUConfig(n=192, r=48, num_threads=4, num_nodes=2, mode=SimulationMode.PDEXEC_NOALLOC),
-        LUConfig(n=192, r=96, num_threads=4, num_nodes=2, mode=SimulationMode.PDEXEC_NOALLOC),
-    ]
-    cases = [SweepCase(f"c{i}", cfg, seed=1) for i, cfg in enumerate(cfgs)]
-    results = sweep(cases, study=study)
-    assert len(results) == 2
+    specs = [spec for pair in _pairs() for spec in pair]
+    records = ParallelSweepRunner(jobs=1).run_records(specs)
+    for measured, predicted in zip(records[0::2], records[1::2]):
+        study.add(measured.scenario, measured.makespan, predicted.makespan)
     assert len(study.records) == 2
     assert study.records[0].label == "c0"
+    assert all(rec.measured > 0 and rec.predicted > 0 for rec in study.records)
+    # At small scale the models still agree reasonably.
+    assert study.max_abs_error() < 0.5

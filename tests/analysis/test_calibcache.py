@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis import calibcache
-from repro.analysis.sweep import calibrated_platform
+from repro.analysis.calibcache import calibrated_platform
 from repro.netmodel.packet import PacketNetworkParams
 from repro.netmodel.params import NetworkParams
 from repro.testbed.cluster import VirtualCluster
@@ -36,12 +36,7 @@ def test_second_calibration_hits_disk(fresh_cache, monkeypatch):
     def boom(*args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("calibrate() ran despite a cache hit")
 
-    import importlib
-
-    # The package re-exports a ``sweep`` *function*, which shadows the
-    # submodule under attribute access; resolve the module explicitly.
-    sweep_module = importlib.import_module("repro.analysis.sweep")
-    monkeypatch.setattr(sweep_module, "calibrate", boom)
+    monkeypatch.setattr(calibcache, "calibrate", boom)
     second = calibrated_platform(cluster)
     assert second.network == first.network
 

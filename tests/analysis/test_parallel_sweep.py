@@ -6,65 +6,55 @@ from repro.analysis.parallel import (
     ParallelSweepRunner,
     cached_platform,
     clear_platform_cache,
-    platform_key,
 )
-from repro.analysis.prediction import PredictionStudy
-from repro.analysis.sweep import SweepCase, sweep
-from repro.apps.lu.config import LUConfig
+from repro.analysis.prediction import validation_pair
 from repro.errors import ConfigurationError
-from repro.sim.modes import SimulationMode
+from repro.scenario import calibration_key
 
 
-def _cases():
-    cfgs = [
-        LUConfig(n=192, r=48, num_threads=4, num_nodes=2, mode=SimulationMode.PDEXEC_NOALLOC),
-        LUConfig(n=192, r=96, num_threads=4, num_nodes=2, mode=SimulationMode.PDEXEC_NOALLOC),
-        LUConfig(n=192, r=48, num_threads=4, num_nodes=4, mode=SimulationMode.PDEXEC_NOALLOC),
+def _specs():
+    """Three measured/predicted pairs over two calibration keys."""
+    return [
+        spec
+        for i, (r, nodes) in enumerate([(48, 2), (96, 2), (48, 4)])
+        for spec in validation_pair(
+            f"c{i}", {"n": 192, "r": r, "num_threads": 4, "num_nodes": nodes}
+        )
     ]
-    return [SweepCase(f"c{i}", cfg, seed=1) for i, cfg in enumerate(cfgs)]
 
 
-def test_parallel_sweep_equals_serial_case_for_case():
-    cases = _cases()
-    serial = sweep(cases)
-    parallel = sweep(cases, jobs=2)
-    assert len(serial) == len(parallel) == len(cases)
+def test_parallel_sweep_equals_serial_spec_for_spec():
+    specs = _specs()
+    serial = ParallelSweepRunner(jobs=1).run_records(specs)
+    parallel = ParallelSweepRunner(jobs=2).run_records(specs)
+    assert len(serial) == len(parallel) == len(specs)
     for ser, par in zip(serial, parallel):
-        assert ser.case.label == par.case.label
-        assert par.measured == pytest.approx(ser.measured, rel=1e-12)
-        assert par.predicted == pytest.approx(ser.predicted, rel=1e-12)
-
-
-def test_parallel_runner_feeds_study_in_case_order():
-    cases = _cases()
-    study = PredictionStudy()
-    results = ParallelSweepRunner(jobs=2).run(cases, study=study)
-    assert [r.case.label for r in results] == [c.label for c in cases]
-    assert [rec.label for rec in study.records] == [c.label for c in cases]
+        assert (ser.scenario, ser.engine) == (par.scenario, par.engine)
+        assert par.makespan == ser.makespan
+        assert par.phases == ser.phases
 
 
 def test_platform_cache_is_memoized():
     clear_platform_cache()
-    case = _cases()[0]
-    key = platform_key(case)
+    key = calibration_key(_specs()[1])
+    assert key == (2, 1)
     first = cached_platform(key)
     assert cached_platform(key) is first
 
 
 def test_jobs_one_runs_in_process():
-    cases = _cases()[:1]
-    results = ParallelSweepRunner(jobs=1).run(cases)
-    assert len(results) == 1
-    assert results[0].measured > 0
+    runner = ParallelSweepRunner(jobs=1, persistent=True)
+    measured, predicted = runner.run_records(_specs()[:2])
+    assert runner._pool is None  # a forked pool would have stayed resident
+    assert measured.makespan > 0
+    # At small scale the models still agree reasonably.
+    assert abs(predicted.makespan - measured.makespan) / measured.makespan < 0.5
 
 
 def test_negative_jobs_rejected():
     with pytest.raises(ConfigurationError):
         ParallelSweepRunner(jobs=-1)
 
-
-def test_empty_case_list():
-    assert ParallelSweepRunner(jobs=2).run([]) == []
 
 # --------------------------------------------------------------------------
 # resident (persistent) pool lifetime: idempotent teardown, clean restart

@@ -181,6 +181,13 @@ def test_sweep_serial(capsys):
     assert code == 0
     assert "LU validation sweep" in out
     assert "r=48,nodes=2" in out and "r=96,nodes=2" in out
+    # The paper's three Fig. 13 thresholds, widest share last.
+    within = [line for line in out.splitlines() if line.startswith("within")]
+    assert [line.split("%")[0] for line in within] == [
+        "within  4", "within  6", "within 12"
+    ]
+    shares = [int(line.split(":")[1].strip().rstrip("%")) for line in within]
+    assert shares == sorted(shares) and 0 <= shares[0] and shares[-1] <= 100
     assert "max abs prediction error" in out
 
 

@@ -445,6 +445,28 @@ class TestRunRecordSchema:
         server = run_scenario(_server_spec())
         assert server.mean_efficiency is None
 
+    def test_the_two_mean_efficiencies_cover_different_spans(self):
+        from repro.sim.efficiency import mean_efficiency
+
+        record = run_scenario(_lu_spec("testbed"))
+        run = record.raw["result"].run
+        phases = record.phases
+        nodes = phases[0].mean_nodes  # static allocation
+        # The record: the iteration phases' work over their node-seconds,
+        # first iteration's start to the last one's end.
+        iterations = phases[-1].end - phases[0].start
+        assert record.mean_efficiency == pytest.approx(
+            sum(p.work for p in phases) / (nodes * iterations)
+        )
+        # sim.efficiency: all work over the whole makespan — the initial
+        # distribution before iter1 adds little work and many node-seconds.
+        assert 0.0 < phases[0].start and phases[-1].end <= run.makespan
+        assert run.total_work > sum(p.work for p in phases)
+        assert mean_efficiency(run) == pytest.approx(
+            run.total_work / (nodes * run.makespan)
+        )
+        assert mean_efficiency(run) < record.mean_efficiency
+
     def test_unknown_engine_and_app_error_paths(self):
         with pytest.raises(ConfigurationError, match="unknown engine"):
             run_scenario(ScenarioSpec.from_dict({"engine": {"name": "quantum"}}))

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.analysis.parallel import ParallelSweepRunner
-from repro.analysis.sweep import SweepCase, run_lu_case, sweep_specs
-from repro.apps.lu.config import LUConfig
 from repro.scenario import (
     AppSection,
     EngineSection,
@@ -13,7 +11,6 @@ from repro.scenario import (
     ScenarioSpec,
     calibration_key,
 )
-from repro.sim.modes import SimulationMode
 
 # Every scenario here runs a real app (LU kernels etc.) — numpy territory.
 pytest.importorskip("numpy")
@@ -48,7 +45,7 @@ def _cross_engine_specs() -> list[ScenarioSpec]:
 
 
 def test_one_sweep_spans_engines_and_netmodels():
-    records = sweep_specs(_cross_engine_specs())
+    records = ParallelSweepRunner(jobs=1).run_records(_cross_engine_specs())
     assert [r.engine for r in records] == ["sim", "sim", "sim", "testbed"]
     assert all(r.makespan > 0 for r in records)
     # Contention models disagree with the contention-free baseline, so the
@@ -72,31 +69,11 @@ def _normalize_wall(record):
 
 def test_parallel_records_equal_serial():
     specs = _cross_engine_specs()
-    serial = sweep_specs(specs, jobs=1)
-    parallel = sweep_specs(specs, jobs=2)
+    serial = ParallelSweepRunner(jobs=1).run_records(specs)
+    parallel = ParallelSweepRunner(jobs=2).run_records(specs)
     assert [_normalize_wall(r) for r in serial] == [
         _normalize_wall(r) for r in parallel
     ]
-
-
-def test_calibrated_sim_spec_matches_legacy_lu_case():
-    """The spec-based sweep pair reproduces run_lu_case bit-for-bit."""
-    cfg = LUConfig(mode=SimulationMode.PDEXEC_NOALLOC, **LU_OPTIONS)
-    legacy = run_lu_case(SweepCase("legacy", cfg, seed=1))
-    app = AppSection("lu", dict(LU_OPTIONS))
-    testbed_rec, sim_rec = sweep_specs([
-        ScenarioSpec(
-            name="tb", app=app,
-            engine=EngineSection("testbed", mode="noalloc", seed=1),
-        ),
-        ScenarioSpec(
-            name="sim", app=app,
-            engine=EngineSection("sim", mode="noalloc", seed=1),
-            platform=PlatformSection(calibrate=True),
-        ),
-    ])
-    assert testbed_rec.makespan == legacy.measured
-    assert sim_rec.makespan == legacy.predicted
 
 
 def test_calibration_key_only_for_calibrated_sim_specs():

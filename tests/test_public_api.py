@@ -51,26 +51,15 @@ def test_public_names_resolve_to_their_defining_modules(package_name):
             assert value.__module__ == home, f"{name} is re-exported by {home}"
 
 
-@pytest.mark.parametrize(
-    "first",
-    ["import repro.analysis.sweep", "from repro.analysis import sweep"],
-    ids=["submodule-first", "function-first"],
-)
-def test_sweep_stays_the_function_in_either_import_order(first, fresh_python):
-    # repro.analysis.sweep is a submodule *and* a public function; the
-    # import system binds a loaded submodule on its parent package.
-    fresh_python(
-        "import inspect, sys, repro.analysis\n"
-        "assert 'repro.analysis.sweep' not in sys.modules  # or no trap\n"
-        f"{first}\n"
-        "import repro, repro.analysis.sweep\n"
-        "from repro.analysis import sweep\n"
-        "function = sys.modules['repro.analysis.sweep'].sweep\n"
-        "assert inspect.isfunction(function)\n"
-        "assert sweep is function\n"
-        "assert repro.analysis.sweep is function\n"
-        "assert repro.sweep is function\n"
-    )
+def test_the_sweep_fork_is_gone_without_an_alias():
+    import repro
+    import repro.analysis
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.analysis.sweep")
+    for package in (repro, repro.analysis):
+        assert not hasattr(package, "sweep")
+        assert "sweep" not in package.__all__
 
 
 def test_threads_resolving_one_name_get_one_object(fresh_python):
