@@ -473,16 +473,8 @@ class ClusterServer:
                 (j.time_to_phase_end() for j in running), default=math.inf
             )
             if math.isfinite(horizon):
-                # Past 2**14 simulated seconds ``now + 1e-12 == now``: a
-                # boundary armed there fires with dt == 0, advances
-                # nothing and re-arms itself forever.  The next
-                # representable time always moves the clock.
-                boundary[0] = kernel.schedule_at(
-                    max(
-                        kernel.now + max(horizon, 1e-12),
-                        math.nextafter(kernel.now, math.inf),
-                    ),
-                    on_phase_boundary,
+                boundary[0] = kernel.schedule_after(
+                    kernel.now + horizon, on_phase_boundary
                 )
 
         def on_phase_boundary() -> None:

@@ -19,6 +19,9 @@ from repro.util.rng import SeedSequenceFactory
 #: efficiency(nodes) -> (0, 1]; phase rate on n nodes = n * efficiency(n).
 EfficiencyFn = Callable[[int], float]
 
+#: Work residual under which :meth:`MalleableJob.advance` ends a phase.
+PHASE_DONE_ATOL = 1e-12
+
 
 class AmdahlEfficiency:
     """Amdahl-style efficiency curve with a given parallel fraction.
@@ -167,7 +170,7 @@ class MalleableJob:
         self.node_seconds += self.nodes * dt
         progress = self.rate() * dt
         while progress > 0 and self.phase < self._phases:
-            if progress < self.remaining_in_phase - 1e-12:
+            if progress < self.remaining_in_phase - PHASE_DONE_ATOL:
                 self.remaining_in_phase -= progress
                 return
             progress -= self.remaining_in_phase

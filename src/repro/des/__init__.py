@@ -6,8 +6,7 @@ This subpackage is the shared substrate for both the paper's simulator
 
 * :class:`~repro.des.event_queue.EventQueue` — a cancellable binary-heap
   event queue with stable FIFO tie-breaking,
-* :class:`~repro.des.kernel.Kernel` — the simulation clock and run loop,
-* generator-based processes (:mod:`repro.des.process`), and
+* :class:`~repro.des.kernel.Kernel` — the simulation clock and run loop, and
 * fluid (rate-based) task pools (:mod:`repro.des.fluid`) used by the
   contention-aware network and CPU models.
 """
@@ -20,11 +19,6 @@ __getattr__, __dir__, __all__ = attach(
         "EventHandle": "repro.des.event_queue",
         "EventQueue": "repro.des.event_queue",
         "Kernel": "repro.des.kernel",
-        "Process": "repro.des.process",
-        "Signal": "repro.des.process",
-        "Timeout": "repro.des.process",
-        "WaitSignal": "repro.des.process",
-        "AllOf": "repro.des.process",
         "FluidPool": "repro.des.fluid",
         "FluidTask": "repro.des.fluid",
     },

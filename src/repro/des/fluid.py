@@ -703,23 +703,11 @@ class FluidPool:
             # Every task is starved; progress resumes only on membership
             # change.
             return
-        now = self.kernel.now
-        # The horizon must *advance the clock*: at large timestamps a tiny
-        # residual's horizon can fall below the float64 resolution of
-        # ``now``, and an event that fires at the same instant would drain
-        # nothing and reschedule itself forever (a Zeno freeze).  Padding
-        # to a few ulps of ``now`` overruns true completion by a relatively
-        # negligible amount and keeps progress strictly monotone.
-        min_step = max(_COMPLETION_ATOL, abs(now) * 1e-15)
-        # Schedule at the *absolute* horizon, not by delay: ``now +
-        # (finish - now)`` is not bit-equal to ``finish``, so a delay-based
-        # event time would depend on when the last reschedule happened —
-        # i.e. on what other tasks share the pool — breaking the
-        # shard-partitioning determinism contract (a job's trajectory must
-        # not depend on its pool-mates' event times).
-        self._event = self.kernel.schedule_at(
-            max(top[0], now + min_step), self._on_horizon
-        )
+        # At the *absolute* horizon: an event time derived from ``now``
+        # would depend on when the last reschedule happened — i.e. on what
+        # other tasks share the pool — breaking the shard-partitioning
+        # determinism contract.
+        self._event = self.kernel.schedule_after(top[0], self._on_horizon)
 
     def _on_horizon(self) -> None:
         self._event = None
@@ -751,8 +739,8 @@ class FluidPool:
                 finished.append(task)
             else:
                 # Float drift left a real residual; re-index at the updated
-                # completion time.  The min-step pad in ``_schedule_next``
-                # keeps the clock advancing, so this cannot loop forever.
+                # completion time.  ``Kernel.schedule_after`` keeps the
+                # clock advancing, so this cannot loop forever.
                 self._entry_counter += 1
                 task._entry = self._entry_counter
                 heapq.heappush(

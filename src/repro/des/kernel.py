@@ -1,17 +1,21 @@
 """The discrete-event kernel: simulation clock plus run loop.
 
 The kernel is deliberately minimal — callbacks and a clock.  Higher-level
-conveniences (generator processes, fluid pools) are layered on top so that
+conveniences (fluid pools) are layered on top so that
 performance-critical models can talk to the kernel directly, as the
 optimization guide recommends: keep the hot loop simple and measurable.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.des.event_queue import EventHandle, EventQueue
 from repro.errors import SimulationError
+
+#: Least clock advance :meth:`Kernel.schedule_after` grants, in seconds.
+MIN_STEP = 1e-12
 
 
 class Kernel:
@@ -72,14 +76,6 @@ class Kernel:
         return self._queue.peek_time()
 
     # ------------------------------------------------------------ scheduling
-    def schedule(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        return self._queue.push(self._now + delay, callback, *args)
-
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
@@ -89,6 +85,24 @@ class Kernel:
                 f"cannot schedule into the past (t={time!r} < now={self._now!r})"
             )
         return self._queue.push(time, callback, *args)
+
+    def schedule_after(
+        self, finish: float, callback: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Schedule ``callback(*args)`` at absolute ``finish``, strictly after now.
+
+        The one strict-progress floor of every self-rearming horizon event:
+        armed at or before ``now`` it would fire with ``dt == 0``, advance
+        nothing and re-arm itself forever.  A ``finish`` less than
+        :data:`MIN_STEP` ahead moves to ``now + MIN_STEP``, or to the next
+        representable time where that sum rounds back to ``now`` (past
+        2**14 s); any later ``finish`` is armed bit-exactly.
+        """
+        now = self._now
+        floor = now + MIN_STEP
+        if finish <= floor:
+            finish = max(floor, math.nextafter(now, math.inf))
+        return self._queue.push(finish, callback, *args)
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event (idempotent)."""

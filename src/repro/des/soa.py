@@ -18,7 +18,7 @@ the only Python object kept per task.
 The engine mirrors :class:`~repro.des.fluid.FluidPool` semantics exactly:
 
 * the same completion tolerances (``remaining <= max(1e-12, work * 1e-9)``)
-  and both Zeno guards (the min-step event pad and the
+  and both Zeno guards (``Kernel.schedule_after``'s floor and the
   ``now + remaining/rate == now`` resolution test);
 * completions dispatch in ``(finish_time, admission order)`` order, all
   tasks are detached *before* any completion callback runs, and a callback
@@ -293,12 +293,10 @@ class SoaFluidEngine:
         if not rated.any():
             return  # every task is starved; progress resumes on membership change
         horizon = float((self.remaining[rated] / self.rate[rated]).min())
-        now = self.kernel.now
-        # Zeno pad: the horizon event must advance the clock (see the
-        # matching comment in FluidPool._schedule_next).
-        min_step = max(_COMPLETION_ATOL, abs(now) * 1e-15)
-        self._event = self.kernel.schedule(
-            max(horizon, min_step), self._on_horizon
+        # ``remaining`` holds at the last sync, so this is FluidPool's
+        # absolute heap key.
+        self._event = self.kernel.schedule_after(
+            self._synced_at + horizon, self._on_horizon
         )
 
     def _on_horizon(self) -> None:

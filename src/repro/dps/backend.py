@@ -75,6 +75,8 @@ class ExecutionBackend:
     ) -> None:
         """Move ``size`` bytes ``src -> dst``; same-node moves are local."""
         if src == dst:
-            self.kernel.schedule(self.local_delivery_delay, on_complete)
+            self.kernel.schedule_at(
+                self.kernel.now + self.local_delivery_delay, on_complete
+            )
         else:
             self.network.submit(src, dst, size, lambda tr: on_complete(), tag=tag)

@@ -353,7 +353,8 @@ class Runtime:
         vertex = self._vertex(vertex_name)
         live = self.live_threads(vertex.group)
         thread = live[thread_index % len(live)]
-        self.backend.kernel.schedule(0.0, self._deliver, vertex_name, obj, thread)
+        kernel = self.backend.kernel
+        kernel.schedule_at(kernel.now, self._deliver, vertex_name, obj, thread)
 
     def run(self, until: Optional[float] = None) -> RunResult:
         """Execute to completion and return the result.
@@ -760,7 +761,8 @@ class Runtime:
         resume = account.release()
         if resume is not None:
             # Resume on a fresh kernel event to keep the call stack shallow.
-            self.backend.kernel.schedule(0.0, resume)
+            kernel = self.backend.kernel
+            kernel.schedule_at(kernel.now, resume)
 
     # --------------------------------------------------------- malleability
     def _start_removal(self, execution: _Execution, item: RemoveThreads) -> None:

@@ -16,4 +16,6 @@ class AnalyticNetwork(NetworkModel):
 
     def _start(self, transfer: Transfer) -> None:
         duration = self.params.uncontended_time(transfer.size)
-        self.kernel.schedule(duration, self._finish, transfer)
+        self.kernel.schedule_at(
+            transfer.submitted_at + duration, self._finish, transfer
+        )

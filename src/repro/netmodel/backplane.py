@@ -31,7 +31,7 @@ from typing import Callable, Collection
 from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
 from repro.errors import ConfigurationError
-from repro.netmodel.base import NetworkModel, StarFlowAllocator, Transfer
+from repro.netmodel.base import NetworkModel, StarFlowAllocator
 from repro.netmodel.params import NetworkParams
 
 #: Incremental updates between exact recomputations of the demand total
@@ -165,20 +165,6 @@ class BackplaneStarNetwork(NetworkModel):
             return cls(kernel, params, capacity=capacity)
 
         return build
-
-    # ------------------------------------------------------------ lifecycle
-    def _start(self, transfer: Transfer) -> None:
-        delay = self.params.effective_latency
-        if delay > 0.0:
-            self.kernel.schedule(delay, self._begin_drain, transfer)
-        else:
-            self._begin_drain(transfer)
-
-    def _begin_drain(self, transfer: Transfer) -> None:
-        self._pool.add(FluidTask(transfer.size, self._drain_done, tag=transfer))
-
-    def _drain_done(self, task: FluidTask) -> None:
-        self._finish(task.tag)
 
     # ------------------------------------------------------------- metrics
     def fabric_load(self) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from abc import ABC, abstractmethod
+from abc import ABC
 from typing import Any, Callable, Collection, Optional, Sequence
 
 from repro.des.fluid import FluidTask, RateAllocator, pool_horizon_stats
@@ -150,10 +150,24 @@ class NetworkModel(ABC):
         """Completion-horizon counters of the backing pool (None if none)."""
         return pool_horizon_stats(self)
 
-    # ------------------------------------------------------------ subclass
-    @abstractmethod
+    # ------------------------------------------------------------ lifecycle
     def _start(self, transfer: Transfer) -> None:
-        """Begin moving ``transfer``; must eventually call :meth:`_finish`."""
+        """The paper's transfer law: wait the latency ``l`` holding no
+        bandwidth, then drain; must eventually call :meth:`_finish`."""
+        delay = self.params.effective_latency
+        if delay > 0.0:
+            self.kernel.schedule_at(
+                transfer.submitted_at + delay, self._begin_drain, transfer
+            )
+        else:
+            self._begin_drain(transfer)
+
+    def _begin_drain(self, transfer: Transfer) -> None:
+        """Hand the bytes to the contended drain (``self._pool``)."""
+        self._pool.add(FluidTask(transfer.size, self._drain_done, tag=transfer))
+
+    def _drain_done(self, task: FluidTask) -> None:
+        self._finish(task.tag)
 
     # ------------------------------------------------------------ internals
     def _finish(self, transfer: Transfer) -> None:

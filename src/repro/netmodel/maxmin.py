@@ -7,7 +7,7 @@ remaining transfers on the same link.  This is how TCP flows on a switched
 LAN approximately share capacity, so the ground-truth testbed builds on this
 model while the paper's simulator uses the simpler equal-share law; the
 difference between the two is one genuine source of prediction error, and
-``benchmarks/bench_ablation_network.py`` quantifies it.
+``benchmarks/bench_ablation_models.py`` quantifies it.
 
 Rate allocation is *incremental*: max-min rates decompose over
 connected components of the bipartite flow/link graph, so when a flow
@@ -23,9 +23,9 @@ design and ``docs/allocator_protocol.md`` for the dirty-set contract.
 
 from __future__ import annotations
 
-from repro.des.fluid import FluidPool, FluidTask
+from repro.des.fluid import FluidPool
 from repro.des.kernel import Kernel
-from repro.netmodel.base import LinkComponentAllocator, NetworkModel, Transfer
+from repro.netmodel.base import LinkComponentAllocator, NetworkModel
 from repro.netmodel.params import NetworkParams
 from repro.netmodel.waterfill import maxmin_solve
 
@@ -100,17 +100,3 @@ class MaxMinStarNetwork(NetworkModel):
             verify=verify_incremental,
         )
         self._pool = FluidPool(kernel, self.allocator, name="maxmin-network")
-
-    def _start(self, transfer: Transfer) -> None:
-        delay = self.params.effective_latency
-        if delay > 0.0:
-            self.kernel.schedule(delay, self._begin_drain, transfer)
-        else:
-            self._begin_drain(transfer)
-
-    def _begin_drain(self, transfer: Transfer) -> None:
-        task = FluidTask(transfer.size, self._drain_done, tag=transfer)
-        self._pool.add(task)
-
-    def _drain_done(self, task: FluidTask) -> None:
-        self._finish(task.tag)

@@ -19,6 +19,7 @@ Everything stochastic derives from an explicit seed, so testbed
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass
 
 from repro.des.fluid import FluidPool, FluidTask
@@ -91,7 +92,54 @@ class IncrementalPacketAllocator(LinkComponentAllocator):
         task.rate = rate * task.tag[1]
 
 
-class PacketNetwork(NetworkModel):
+class PacketLaw(NetworkModel):
+    """The testbed's stochastic transfer law, written once for both backends.
+
+    One seeded stream, two draws per transfer in a fixed order (latency
+    jitter at submission, throughput factor at drain start), so the same
+    seed yields the same "measurements" whether :meth:`_admit` hands the
+    flow to a :class:`~repro.des.fluid.FluidPool` or to the SoA engine.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        params: NetworkParams,
+        packet_params: PacketNetworkParams | None,
+        seed: int,
+    ) -> None:
+        super().__init__(kernel, params)
+        self.packet_params = packet_params or PacketNetworkParams()
+        self._rng = SeedSequenceFactory(seed).rng("packet-network")
+
+    def _start(self, transfer: Transfer) -> None:
+        pp = self.packet_params
+        jitter = 1.0 + pp.latency_jitter * float(self._rng.standard_normal())
+        delay = self.params.effective_latency * max(0.2, jitter)
+        # Armed even at zero latency: the hop is in the pinned event count.
+        self.kernel.schedule_at(
+            transfer.submitted_at + delay, self._begin_drain, transfer
+        )
+
+    def _begin_drain(self, transfer: Transfer) -> None:
+        pp = self.packet_params
+        chunks = max(1, -(-int(transfer.size) // pp.mtu)) if transfer.size else 0
+        # Chunk processing inflates the work; ramp-up inflates the *leading*
+        # work by draining it at a reduced rate, which we fold into extra
+        # equivalent bytes so a single fluid task suffices.
+        work = transfer.size + chunks * pp.per_chunk_cost
+        ramped = min(work, float(pp.ramp_bytes))
+        work += ramped * (1.0 / pp.ramp_factor - 1.0)
+        throughput = 1.0 + pp.rate_jitter * float(self._rng.standard_normal())
+        throughput = min(1.0, max(0.5, throughput))
+        self._admit(transfer, work, throughput)
+
+    @abstractmethod
+    def _admit(self, transfer: Transfer, work: float, throughput: float) -> None:
+        """Start draining ``work`` equivalent bytes at ``throughput`` × fair."""
+
+
+class PacketNetwork(PacketLaw):
     """Chunked, noisy, max-min-fair star network (testbed ground truth).
 
     ``verify_incremental=True`` shadows every incremental update with a
@@ -107,9 +155,7 @@ class PacketNetwork(NetworkModel):
         verify_incremental: bool = False,
         cascade_threshold: float = 0.5,
     ) -> None:
-        super().__init__(kernel, params)
-        self.packet_params = packet_params or PacketNetworkParams()
-        self._rng = SeedSequenceFactory(seed).rng("packet-network")
+        super().__init__(kernel, params, packet_params, seed)
         self.allocator = IncrementalPacketAllocator(
             params.bandwidth,
             cascade_threshold=cascade_threshold,
@@ -117,27 +163,10 @@ class PacketNetwork(NetworkModel):
         )
         self._pool = FluidPool(kernel, self.allocator, name="packet-network")
 
-    # ------------------------------------------------------------ lifecycle
-    def _start(self, transfer: Transfer) -> None:
-        pp = self.packet_params
-        jitter = 1.0 + pp.latency_jitter * float(self._rng.standard_normal())
-        delay = self.params.effective_latency * max(0.2, jitter)
-        self.kernel.schedule(delay, self._begin_drain, transfer)
-
-    def _begin_drain(self, transfer: Transfer) -> None:
-        pp = self.packet_params
-        chunks = max(1, -(-int(transfer.size) // pp.mtu)) if transfer.size else 0
-        # Chunk processing inflates the work; ramp-up inflates the *leading*
-        # work by draining it at a reduced rate, which we fold into extra
-        # equivalent bytes so a single fluid task suffices.
-        work = transfer.size + chunks * pp.per_chunk_cost
-        ramped = min(work, float(pp.ramp_bytes))
-        work += ramped * (1.0 / pp.ramp_factor - 1.0)
-        throughput = 1.0 + pp.rate_jitter * float(self._rng.standard_normal())
-        throughput = min(1.0, max(0.5, throughput))
-        task = FluidTask(work, self._drain_done, tag=(transfer, throughput))
-        self._pool.add(task)
+    def _admit(self, transfer: Transfer, work: float, throughput: float) -> None:
+        self._pool.add(
+            FluidTask(work, self._drain_done, tag=(transfer, throughput))
+        )
 
     def _drain_done(self, task: FluidTask) -> None:
-        transfer, _ = task.tag
-        self._finish(transfer)
+        self._finish(task.tag[0])

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.des.fluid import VERIFY_RTOL
 from repro.des.soa import SoaFluidEngine, np
 from repro.des.kernel import Kernel
 
@@ -74,12 +75,9 @@ def _tri_solve(B: Any, rhs: Any) -> Any:
     return np.linalg.solve(B, rhs)
 from repro.errors import SimulationError
 from repro.netmodel.base import _WARM_RTOL, NetworkModel, Transfer
-from repro.netmodel.packet import PacketNetworkParams
+from repro.netmodel.packet import PacketLaw, PacketNetworkParams
 from repro.netmodel.params import NetworkParams
-from repro.netmodel.waterfill import maxmin_solve
-
-#: Verify-shadow tolerance, matching ``RateAllocator._verify_equivalence``.
-_VERIFY_RTOL = 1e-9
+from repro.netmodel.waterfill import CAPACITY_ATOL, maxmin_solve
 
 
 class _StarSoaEngine(SoaFluidEngine):
@@ -426,7 +424,7 @@ class _MaxMinSoaEngine(_StarSoaEngine):
                         weights=np.concatenate((fair, fair)),
                         minlength=L,
                     )
-                    ok = not (load > cap * (1.0 + _WARM_RTOL) + 1e-12).any()
+                    ok = not (load > cap * (1.0 + _WARM_RTOL) + CAPACITY_ATOL).any()
             if ok:
                 self.fair[live_idx] = fair
                 self.rate[live_idx] = fair * self.factor[live_idx]
@@ -482,7 +480,7 @@ class _MaxMinSoaEngine(_StarSoaEngine):
         expected = np.asarray(solution.rates) * self.factor[live_idx]
         got = self.rate[live_idx]
         scale = np.maximum(np.maximum(np.abs(expected), np.abs(got)), 1.0)
-        bad = np.abs(expected - got) > _VERIFY_RTOL * scale
+        bad = np.abs(expected - got) > VERIFY_RTOL * scale
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise SimulationError(
@@ -515,32 +513,22 @@ class MaxMinStarNetworkSoA(NetworkModel):
         self._pool = _MaxMinSoaEngine(
             kernel,
             "maxmin-soa-network",
-            self._drain_done,
+            self._finish,
             params.bandwidth,
             verify=verify_incremental,
         )
         #: allocator-protocol stats surface (``RunRecord`` model metrics)
         self.allocator = self._pool
 
-    def _start(self, transfer: Transfer) -> None:
-        delay = self.params.effective_latency
-        if delay > 0.0:
-            self.kernel.schedule(delay, self._begin_drain, transfer)
-        else:
-            self._begin_drain(transfer)
-
     def _begin_drain(self, transfer: Transfer) -> None:
         self._pool.add_flow(transfer.size, transfer.src, transfer.dst, transfer)
 
-    def _drain_done(self, transfer: Transfer) -> None:
-        self._finish(transfer)
 
-
-class PacketNetworkSoA(NetworkModel):
+class PacketNetworkSoA(PacketLaw):
     """SoA backend of :class:`~repro.netmodel.packet.PacketNetwork`.
 
-    Replays the scalar model's chunking, ramp-up folding and seeded noise
-    draw-for-draw (same RNG stream, same draw order), so the same seed
+    The chunking, ramp-up folding and seeded noise are the scalar model's
+    own (:class:`~repro.netmodel.packet.PacketLaw`), so the same seed
     produces the same testbed "measurements" on either backend; the seeded
     throughput factor becomes the engine's per-flow ``factor``.
     """
@@ -553,39 +541,17 @@ class PacketNetworkSoA(NetworkModel):
         seed: int = 0,
         verify_incremental: bool = False,
     ) -> None:
-        super().__init__(kernel, params)
-        # Imported lazily-by-module: util.rng needs numpy, which the SoA
-        # backend requires anyway.
-        from repro.util.rng import SeedSequenceFactory
-
-        self.packet_params = packet_params or PacketNetworkParams()
-        self._rng = SeedSequenceFactory(seed).rng("packet-network")
+        super().__init__(kernel, params, packet_params, seed)
         self._pool = _MaxMinSoaEngine(
             kernel,
             "packet-soa-network",
-            self._drain_done,
+            self._finish,
             params.bandwidth,
             verify=verify_incremental,
         )
         self.allocator = self._pool
 
-    def _start(self, transfer: Transfer) -> None:
-        pp = self.packet_params
-        jitter = 1.0 + pp.latency_jitter * float(self._rng.standard_normal())
-        delay = self.params.effective_latency * max(0.2, jitter)
-        self.kernel.schedule(delay, self._begin_drain, transfer)
-
-    def _begin_drain(self, transfer: Transfer) -> None:
-        pp = self.packet_params
-        chunks = max(1, -(-int(transfer.size) // pp.mtu)) if transfer.size else 0
-        work = transfer.size + chunks * pp.per_chunk_cost
-        ramped = min(work, float(pp.ramp_bytes))
-        work += ramped * (1.0 / pp.ramp_factor - 1.0)
-        throughput = 1.0 + pp.rate_jitter * float(self._rng.standard_normal())
-        throughput = min(1.0, max(0.5, throughput))
+    def _admit(self, transfer: Transfer, work: float, throughput: float) -> None:
         self._pool.add_flow(
             work, transfer.src, transfer.dst, transfer, factor=throughput
         )
-
-    def _drain_done(self, transfer: Transfer) -> None:
-        self._finish(transfer)

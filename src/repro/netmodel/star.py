@@ -86,18 +86,10 @@ class EqualShareStarNetwork(NetworkModel):
         self._drain_in: dict[int, int] = {}
 
     # ------------------------------------------------------------ lifecycle
-    def _start(self, transfer: Transfer) -> None:
-        delay = self.params.effective_latency
-        if delay > 0.0:
-            self.kernel.schedule(delay, self._begin_drain, transfer)
-        else:
-            self._begin_drain(transfer)
-
     def _begin_drain(self, transfer: Transfer) -> None:
         self._drain_out[transfer.src] = self._drain_out.get(transfer.src, 0) + 1
         self._drain_in[transfer.dst] = self._drain_in.get(transfer.dst, 0) + 1
-        task = FluidTask(transfer.size, self._drain_done, tag=transfer)
-        self._pool.add(task)
+        self._pool.add(FluidTask(transfer.size, self._drain_done, tag=transfer))
 
     def _drain_done(self, task: FluidTask) -> None:
         transfer: Transfer = task.tag

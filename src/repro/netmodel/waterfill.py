@@ -47,6 +47,11 @@ Link = tuple[str, int]
 #: and the indices of the flows frozen in that round (input order).
 SaturationRound = tuple[Link, float, tuple[int, ...]]
 
+#: Slack of the "no link over capacity" invariant: relative rounding of
+#: the summed rates, plus an absolute term for near-zero capacities.
+CAPACITY_RTOL = 1e-9
+CAPACITY_ATOL = 1e-12
+
 
 def flow_links(src: int, dst: int) -> tuple[Link, Link]:
     """The two star-topology links a ``src -> dst`` flow crosses."""
@@ -162,7 +167,7 @@ def maxmin_solve(
             allocated[link] = allocated.get(link, 0.0) + rates[i]
     for link, load in allocated.items():
         limit = initial_cap[link]
-        if load > limit * (1.0 + 1e-9) + 1e-12:
+        if load > limit * (1.0 + CAPACITY_RTOL) + CAPACITY_ATOL:
             raise SimulationError(
                 f"max-min allocation over capacity on link {link!r}: "
                 f"{load!r} > {limit!r}"

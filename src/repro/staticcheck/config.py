@@ -16,6 +16,7 @@ from typing import Mapping, Optional
 from repro.staticcheck.rules_determinism import (
     POLICY_SCOPE,
     RESULT_SCOPE,
+    TOLERANCE_SCOPE,
     WALLCLOCK_STATS_ALLOWLIST,
 )
 
@@ -47,7 +48,8 @@ class CheckConfig:
 #: The project's invariants, spelled out: REP-D confined to the
 #: result-producing packages with the wall-clock-stats allowlist on the
 #: monotonic-timer rule (the policy rule REP-D006 adds ``examples/`` and
-#: ``benchmarks/``); REP-I exempting the dedicated ``*/soa.py``
+#: ``benchmarks/``, the tolerance rule REP-D007 swaps ``apps/`` and
+#: ``faults.py`` for ``dps/``); REP-I exempting the dedicated ``*/soa.py``
 #: numpy backends; REP-C and REP-R everywhere.  (Scopes match the rule
 #: classes' own defaults today; the config exists so the project can
 #: narrow or widen them without touching rule code.)
@@ -60,5 +62,6 @@ DEFAULT_CONFIG = CheckConfig(scopes={
     ),
     "REP-D005": RuleScope(include=RESULT_SCOPE),
     "REP-D006": RuleScope(include=POLICY_SCOPE),
+    "REP-D007": RuleScope(include=TOLERANCE_SCOPE),
     "REP-I001": RuleScope(exclude=("**/soa.py",)),
 })

@@ -12,7 +12,8 @@ to the result-producing packages: ``des/``, ``netmodel/``,
 Wall-clock *stats* (shard wall-time, barrier-wait counters) live in an
 explicit per-file allowlist rather than in suppressions.  REP-D006 (the
 scheduling-policy contract) also covers ``examples/`` and
-``benchmarks/``, where user-facing policies are written.
+``benchmarks/``, where user-facing policies are written; REP-D007 (named
+tolerances) covers the simulation layers, ``dps/`` included.
 """
 
 from __future__ import annotations
@@ -300,6 +301,56 @@ class ProgressSensitivePolicyRule(Rule):
                         )
 
 
+#: The layers whose float arithmetic decides simulated times.
+TOLERANCE_SCOPE = tuple(
+    f"**/{layer}/**"
+    for layer in ("des", "netmodel", "cpumodel", "clusterserver", "dps")
+)
+
+#: Largest magnitude REP-D007 treats as a tolerance rather than a quantity.
+TOLERANCE_MAX = 1e-6
+
+
+class NamedToleranceRule(Rule):
+    """REP-D007: a tolerance is a named module-level constant.
+
+    A float literal with ``0 < |x| <= 1e-6`` may appear only as the
+    right-hand side of a module-level ``UPPER_CASE = ...`` assignment:
+    both float-resolution bugs this repository shipped were a bare
+    ``1e-12`` added to a clock.
+    """
+
+    rule_id = "REP-D007"
+    summary = (
+        "float literals with 0 < |x| <= 1e-6 in the simulation layers "
+        "must be module-level UPPER_CASE constants"
+    )
+    include = TOLERANCE_SCOPE
+
+    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
+        named = {
+            id(stmt.value)
+            for stmt in unit.tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            and all(
+                isinstance(target, ast.Name) and target.id.isupper()
+                for target in getattr(stmt, "targets", None) or [stmt.target]
+            )
+        }
+        for node in ast.walk(unit.tree):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, float)
+                and 0.0 < abs(node.value) <= TOLERANCE_MAX
+                and id(node) not in named
+            ):
+                yield unit.finding(
+                    self.rule_id, node,
+                    f"bare tolerance {node.value!r}; name it as a "
+                    "module-level UPPER_CASE constant",
+                )
+
+
 DETERMINISM_RULES = (
     GlobalRandomRule(),
     UnseededRngRule(),
@@ -307,4 +358,5 @@ DETERMINISM_RULES = (
     MonotonicTimerRule(),
     SetIterationRule(),
     ProgressSensitivePolicyRule(),
+    NamedToleranceRule(),
 )

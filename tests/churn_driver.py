@@ -12,6 +12,8 @@ the check every per-model ``*_end_to_end_equivalence`` test makes.
 modules import this as ``churn_driver``.
 """
 
+import functools
+import math
 import random
 
 import pytest
@@ -54,9 +56,11 @@ submission_strategy = st.lists(
 )
 
 
-def drive_network(net_factory, arrivals):
-    """Submit (time, src, dst, size) arrivals; return completion times."""
+def drive_network(net_factory, arrivals, t0=0.0):
+    """Submit (time, src, dst, size) arrivals at ``t0 + time``; return
+    completion times."""
     kernel = Kernel()
+    kernel.run(until=t0)
     net = net_factory(kernel)
     completions = {}
 
@@ -64,15 +68,17 @@ def drive_network(net_factory, arrivals):
         net.submit(src, dst, size, lambda tr: completions.setdefault(index, kernel.now))
 
     for i, (time, src, dst, size) in enumerate(arrivals):
-        kernel.schedule(time, submit, i, src, dst, size)
+        kernel.schedule_at(t0 + time, submit, i, src, dst, size)
     kernel.run()
     assert len(completions) == len(arrivals)
     return [completions[i] for i in range(len(arrivals))], net
 
 
-def drive_cpu(cpu_factory, submissions, with_network=False):
-    """Submit (time, node, work) steps; return completion times."""
+def drive_cpu(cpu_factory, submissions, t0=0.0, with_network=False):
+    """Submit (time, node, work) steps at ``t0 + time``; return completion
+    times."""
     kernel = Kernel()
+    kernel.run(until=t0)
     cpu = cpu_factory(kernel)
     if with_network:
         # Couple to a network and keep transfers churning so available
@@ -81,8 +87,8 @@ def drive_cpu(cpu_factory, submissions, with_network=False):
         cpu.attach_network(net)
         rng = random.Random(9)
         for i in range(10):
-            kernel.schedule(
-                rng.uniform(0.0, 2.0),
+            kernel.schedule_at(
+                t0 + rng.uniform(0.0, 2.0),
                 net.submit,
                 rng.randrange(4),
                 4 + rng.randrange(4),
@@ -95,7 +101,7 @@ def drive_cpu(cpu_factory, submissions, with_network=False):
         cpu.submit(node, work, lambda h: completions.setdefault(index, kernel.now))
 
     for i, (time, node, work) in enumerate(submissions):
-        kernel.schedule(time, submit, i, node, work)
+        kernel.schedule_at(t0 + time, submit, i, node, work)
     kernel.run()
     assert len(completions) == len(submissions)
     return [completions[i] for i in range(len(submissions))], cpu
@@ -125,8 +131,7 @@ def _shared(kernel, verify):
     return SharedCpuModel(kernel, CommCostModel(costly), verify_incremental=verify)
 
 
-def _drive_coupled_cpu(cpu_factory, submissions):
-    return drive_cpu(cpu_factory, submissions, with_network=True)
+_drive_coupled_cpu = functools.partial(drive_cpu, with_network=True)
 
 
 #: scalar model name -> (how to drive a workload, model(kernel, verify))
@@ -164,3 +169,17 @@ def assert_matches_verify_run(model, workload):
     for a, b in zip(plain, full):
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
     return shadowed
+
+
+def assert_time_shift_invariant(drive, factory, workload, t0):
+    """A workload submitted ``t0`` later is the same run, ``t0`` later.
+
+    Same event count, completion offsets equal up to the resolution of
+    simulated time at ``t0`` — the contract behind absolute-time
+    scheduling: no model's arithmetic may depend on the size of ``now``.
+    """
+    base, at_zero = drive(factory, workload)
+    shifted, at_t0 = drive(factory, workload, t0=t0)
+    assert at_t0.kernel.events_executed == at_zero.kernel.events_executed
+    for a, b in zip(base, shifted):
+        assert abs((b - t0) - a) <= 16 * math.ulp(t0)

@@ -12,6 +12,7 @@ agree to float reassociation noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import pytest
@@ -106,24 +107,37 @@ def test_sharded_agrees_with_eager_engine(policy):
     assert sharded.total_work == pytest.approx(eager.total_work, rel=1e-12)
 
 
-def test_eager_engine_terminates_past_2_to_the_14_seconds():
+@pytest.mark.parametrize("t0", [2.0**15, 2.0**20])
+def test_eager_engine_terminates_past_2_to_the_14_seconds(t0):
     """Regression: the eager loop armed its phase boundary at
     ``now + max(horizon, 1e-12)``.  From 2**14 simulated seconds on that
     sum can equal ``now``; the boundary then fired with dt == 0, advanced
-    nothing and re-armed itself forever (this test hung).  It now arms at
-    the next representable time at the earliest."""
+    nothing and re-armed itself forever (this test hung).
+    ``Kernel.schedule_after`` arms at the next representable time at the
+    earliest, so a shifted workload is the same run, ``t0`` later."""
+    base = synthetic_workload(jobs=20, mean_interarrival=12.0, seed=0)
     specs = [
-        dataclasses.replace(spec, arrival=spec.arrival + 2.0**15)
-        for spec in synthetic_workload(jobs=20, mean_interarrival=12.0, seed=0)
+        dataclasses.replace(spec, arrival=spec.arrival + t0) for spec in base
     ]
-    eager = ClusterServer(16, AdaptiveEfficiencyScheduler(0.5)).run(specs)
-    sharded = ShardedServer(
-        16, AdaptiveEfficiencyScheduler(0.5), shards=2
-    ).run(specs)
-    assert eager.makespan > 2.0**15
-    assert eager.makespan == pytest.approx(sharded.makespan, abs=1e-9)
+
+    def run(server, workload):
+        return server(16, AdaptiveEfficiencyScheduler(0.5)).run(workload)
+
+    sharded_server = functools.partial(ShardedServer, shards=2)
+    eager = run(ClusterServer, specs)
+    sharded = run(sharded_server, specs)
+    assert eager.makespan > t0
+    # eager == sharded to 1e-9, or to the resolution of simulated time.
+    tol = max(1e-9, 16 * math.ulp(t0))
+    assert eager.makespan == pytest.approx(sharded.makespan, abs=tol)
     for name, value in sharded.job_turnaround.items():
-        assert eager.job_turnaround[name] == pytest.approx(value, abs=1e-9)
+        assert eager.job_turnaround[name] == pytest.approx(value, abs=tol)
+    # The sharded engine arms absolute completion times only: its event
+    # count does not see the shift.  The eager loop's work residuals can
+    # fall below the resolution of ``now``; each boundary then re-arms at
+    # most once on the floor, never unboundedly.
+    assert sharded.events == run(sharded_server, base).events
+    assert eager.events <= 2 * run(ClusterServer, base).events
 
 
 # ---------------------------------------------------------------- accounting

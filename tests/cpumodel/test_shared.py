@@ -113,7 +113,7 @@ def test_incremental_cpu_matches_full_shadow(kernel):
     for j, (src, dst, size) in enumerate(
         [(0, 1, 1e6), (0, 2, 5e5), (1, 3, 2e6), (2, 0, 1e6), (3, 1, 7e5)]
     ):
-        kernel.schedule(0.1 * j, net.submit, src, dst, size, lambda tr: None)
+        kernel.schedule_at(0.1 * j, net.submit, src, dst, size, lambda tr: None)
     kernel.run()
     assert len(done) == 6
     assert cpu.allocator.stats.incremental_updates > 0

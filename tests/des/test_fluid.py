@@ -42,7 +42,7 @@ def test_late_arrival_slows_existing_task(kernel):
     pool = FluidPool(kernel, equal_share(1.0))
     done = {}
     pool.add(FluidTask(2.0, lambda t: done.setdefault("first", kernel.now)))
-    kernel.schedule(1.0, lambda: pool.add(FluidTask(0.5, lambda t: done.setdefault("second", kernel.now))))
+    kernel.schedule_at(1.0, lambda: pool.add(FluidTask(0.5, lambda t: done.setdefault("second", kernel.now))))
     kernel.run()
     # first: 1 unit alone by t=1; shares 0.5/s until second ends at t=2
     # (0.5 more done), then finishes its last 0.5 alone at t=2.5.
@@ -80,7 +80,7 @@ def test_remove_withdraws_task(kernel):
     task = FluidTask(10.0, lambda t: done.append("late"))
     pool.add(task)
     pool.add(FluidTask(1.0, lambda t: done.append("quick")))
-    kernel.schedule(0.5, lambda: pool.remove(task))
+    kernel.schedule_at(0.5, lambda: pool.remove(task))
     kernel.run()
     assert done == ["quick"]
     assert not task.active
@@ -187,7 +187,7 @@ def test_completion_order_and_times_monotonic(arrivals):
         pool.add(FluidTask(work, lambda t: finished.append(kernel.now)))
 
     for arrival, work in arrivals:
-        kernel.schedule(arrival, admit, work)
+        kernel.schedule_at(arrival, admit, work)
     kernel.run()
     assert len(finished) == len(arrivals)
     assert finished == sorted(finished)
@@ -211,7 +211,7 @@ def test_zeno_freeze_guard():
 
     pool = FluidPool(kernel, equal_share)
     # Jump the clock far ahead so float resolution is coarse.
-    kernel.schedule(1e6, lambda: None)
+    kernel.schedule_at(1e6, lambda: None)
     kernel.run()
     done = []
     # A large task plus a sliver: the sliver's completion horizon is far

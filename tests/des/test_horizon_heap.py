@@ -102,7 +102,7 @@ def test_readmission_with_same_rate_completes(kernel):
     done = []
     task = FluidTask(2.0, lambda t: done.append(kernel.now))
     pool.add(task)  # alone → rate 1.0
-    kernel.schedule(0.5, lambda: pool.remove(task))
+    kernel.schedule_at(0.5, lambda: pool.remove(task))
     kernel.run()
     assert done == [] and task.rate == 1.0
     pool.add(task)  # equal_share assigns 1.0 again — same as the stale rate
@@ -123,7 +123,7 @@ def test_direct_remaining_assignment_invalidates_entry(kernel):
         task.remaining = 5.0
         pool.reallocate()
 
-    kernel.schedule(0.5, enlarge)
+    kernel.schedule_at(0.5, enlarge)
     kernel.run()
     assert done == [pytest.approx(5.5)]
 
@@ -136,7 +136,7 @@ def test_zeno_min_step_pad_survives_heap():
     large timestamp must complete rather than respawn zero-dt events."""
     kernel = Kernel()
     pool = FluidPool(kernel, equal_share(1e8))
-    kernel.schedule(1e6, lambda: None)
+    kernel.schedule_at(1e6, lambda: None)
     kernel.run()
     done = []
     pool.add(FluidTask(1e9, lambda t: done.append("big")))
@@ -148,7 +148,7 @@ def test_zeno_min_step_pad_survives_heap():
 def test_zeno_sub_resolution_residual_completes(kernel):
     """A task whose horizon is below the resolution of simulated time must
     complete via the second guard, not loop."""
-    kernel.schedule(1e8, lambda: None)
+    kernel.schedule_at(1e8, lambda: None)
     kernel.run()
     pool = FluidPool(kernel, equal_share(1.0))
     done = []
@@ -167,7 +167,7 @@ def test_heap_events_bounded_under_churn():
     kernel = Kernel()
     pool = FluidPool(kernel, equal_share(3.0))
     for i in range(50):
-        kernel.schedule(i * 0.1, pool.add, FluidTask(1.0 + i % 7, lambda t: None))
+        kernel.schedule_at(i * 0.1, pool.add, FluidTask(1.0 + i % 7, lambda t: None))
     kernel.run()
     assert pool.completed_tasks == 50
     # Each event completes at least one task or reschedules once after a
@@ -246,7 +246,7 @@ def test_heap_pool_conserves_work(arrivals):
     kernel = Kernel()
     pool = FluidPool(kernel, equal_share(1.0))
     for arrival, work in arrivals:
-        kernel.schedule(arrival, pool.add, FluidTask(work, lambda t: None))
+        kernel.schedule_at(arrival, pool.add, FluidTask(work, lambda t: None))
     kernel.run()
     assert pool.completed_tasks == len(arrivals)
     assert pool.completed_work == pytest.approx(sum(w for _, w in arrivals))
@@ -338,7 +338,7 @@ def test_externally_zeroed_rate_starves_instead_of_crashing(kernel):
     done = []
     task = FluidTask(2.0, lambda t: done.append(kernel.now))
     pool.add(task)  # entry at finish=2.0
-    kernel.schedule(0.5, lambda: setattr(task, "rate", 0.0))
+    kernel.schedule_at(0.5, lambda: setattr(task, "rate", 0.0))
     kernel.run()
     assert done == []
     assert len(pool) == 1

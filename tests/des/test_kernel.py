@@ -1,6 +1,9 @@
 """Kernel: clock semantics, run loop, tracing."""
 
+import math
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
@@ -13,8 +16,8 @@ def test_clock_starts_at_zero(kernel):
 
 def test_schedule_and_run(kernel):
     seen = []
-    kernel.schedule(1.0, seen.append, "a")
-    kernel.schedule(0.5, seen.append, "b")
+    kernel.schedule_at(1.0, seen.append, "a")
+    kernel.schedule_at(0.5, seen.append, "b")
     end = kernel.run()
     assert seen == ["b", "a"]
     assert end == 1.0
@@ -22,19 +25,52 @@ def test_schedule_and_run(kernel):
 
 
 def test_schedule_negative_delay_rejected(kernel):
+    # At time zero a negative absolute time is a negative delay.
     with pytest.raises(SimulationError):
-        kernel.schedule(-0.1, lambda: None)
+        kernel.schedule_at(-0.1, lambda: None)
 
 
 def test_schedule_at_past_rejected(kernel):
-    kernel.schedule(1.0, lambda: None)
+    kernel.schedule_at(1.0, lambda: None)
     kernel.run()
     with pytest.raises(SimulationError):
         kernel.schedule_at(0.5, lambda: None)
 
 
+# One ulp is 2.3e-13 at 2**10, 3.6e-12 at 2**14, 1.2e-4 at 2**40.
+@given(
+    now=st.floats(min_value=0.0, max_value=2.0**40),
+    offset=st.floats(min_value=-1.0, max_value=1.0),
+)
+@example(now=0.0, offset=0.0)
+@example(now=1000.0, offset=1e-12)
+@example(now=1000.0, offset=9e-13)
+@example(now=2.0**15, offset=1e-12)
+@example(now=2.0**15, offset=math.ulp(2.0**15))
+@example(now=2.0**40, offset=-1.0)
+def test_schedule_after_arms_strictly_after_now(now, offset):
+    kernel = Kernel()
+    kernel.run(until=now)
+    finish = now + offset
+    armed = kernel.schedule_after(finish, lambda: None).time
+    floor = max(now + 1e-12, math.nextafter(now, math.inf))
+    assert armed > now
+    assert armed >= finish
+    # The eager cluster server's formula, bit for bit: its run pins
+    # depend on it.
+    assert armed == max(finish, floor)
+    if finish >= floor:
+        assert armed == finish
+
+
+@pytest.mark.parametrize("finish", [math.nan, math.inf])
+def test_schedule_after_rejects_non_finite_times(kernel, finish):
+    with pytest.raises(SimulationError):
+        kernel.schedule_after(finish, lambda: None)
+
+
 def test_run_until_advances_clock_exactly(kernel):
-    kernel.schedule(10.0, lambda: None)
+    kernel.schedule_at(10.0, lambda: None)
     end = kernel.run(until=3.0)
     assert end == 3.0
     assert kernel.pending_events == 1
@@ -43,7 +79,7 @@ def test_run_until_advances_clock_exactly(kernel):
 
 
 def test_run_until_beyond_queue_advances_to_until(kernel):
-    kernel.schedule(1.0, lambda: None)
+    kernel.schedule_at(1.0, lambda: None)
     assert kernel.run(until=5.0) == 5.0
 
 
@@ -51,9 +87,9 @@ def test_events_scheduled_during_run_execute(kernel):
     seen = []
 
     def first():
-        kernel.schedule(1.0, seen.append, "second")
+        kernel.schedule_at(kernel.now + 1.0, seen.append, "second")
 
-    kernel.schedule(1.0, first)
+    kernel.schedule_at(1.0, first)
     kernel.run()
     assert seen == ["second"]
     assert kernel.now == 2.0
@@ -61,7 +97,7 @@ def test_events_scheduled_during_run_execute(kernel):
 
 def test_cancel_prevents_execution(kernel):
     seen = []
-    handle = kernel.schedule(1.0, seen.append, "x")
+    handle = kernel.schedule_at(1.0, seen.append, "x")
     kernel.cancel(handle)
     kernel.run()
     assert seen == []
@@ -69,7 +105,7 @@ def test_cancel_prevents_execution(kernel):
 
 def test_max_events_budget(kernel):
     for i in range(5):
-        kernel.schedule(float(i + 1), lambda: None)
+        kernel.schedule_at(float(i + 1), lambda: None)
     kernel.run(max_events=2)
     assert kernel.events_executed == 2
     assert kernel.pending_events == 3
@@ -78,14 +114,14 @@ def test_max_events_budget(kernel):
 def test_trace_hook_sees_every_event(kernel):
     trace = []
     kernel.trace_hook = lambda t, cb, args: trace.append(t)
-    kernel.schedule(1.0, lambda: None)
-    kernel.schedule(2.0, lambda: None)
+    kernel.schedule_at(1.0, lambda: None)
+    kernel.schedule_at(2.0, lambda: None)
     kernel.run()
     assert trace == [1.0, 2.0]
 
 
 def test_reset_rewinds(kernel):
-    kernel.schedule(1.0, lambda: None)
+    kernel.schedule_at(1.0, lambda: None)
     kernel.run()
     kernel.reset()
     assert kernel.now == 0.0
@@ -97,7 +133,7 @@ def test_run_not_reentrant(kernel):
         with pytest.raises(SimulationError):
             kernel.run()
 
-    kernel.schedule(1.0, reenter)
+    kernel.schedule_at(1.0, reenter)
     kernel.run()
 
 
@@ -106,7 +142,7 @@ def test_run_counts_elided_peeks(kernel):
     """Each event dispatched by run() saves the peek the pre-restructure
     loop paid before its pop."""
     for i in range(4):
-        kernel.schedule(float(i + 1), lambda: None)
+        kernel.schedule_at(float(i + 1), lambda: None)
     kernel.run()
     assert kernel.events_executed == 4
     assert kernel.peeks_elided == 4
@@ -114,8 +150,8 @@ def test_run_counts_elided_peeks(kernel):
 
 def test_run_until_stops_without_popping_future_events(kernel):
     seen = []
-    kernel.schedule(1.0, seen.append, "due")
-    kernel.schedule(5.0, seen.append, "late")
+    kernel.schedule_at(1.0, seen.append, "due")
+    kernel.schedule_at(5.0, seen.append, "late")
     assert kernel.run(until=2.0) == 2.0
     assert seen == ["due"]
     assert kernel.pending_events == 1
@@ -126,14 +162,14 @@ def test_run_until_stops_without_popping_future_events(kernel):
 
 def test_run_until_executes_events_at_the_exact_bound(kernel):
     seen = []
-    kernel.schedule(2.0, seen.append, "at-bound")
+    kernel.schedule_at(2.0, seen.append, "at-bound")
     assert kernel.run(until=2.0) == 2.0
     assert seen == ["at-bound"]
 
 
 def test_max_events_budget_with_until_advances_clock(kernel):
-    kernel.schedule(1.0, lambda: None)
-    kernel.schedule(10.0, lambda: None)
+    kernel.schedule_at(1.0, lambda: None)
+    kernel.schedule_at(10.0, lambda: None)
     # Budget drains after the first event; until lies before the next
     # event, so the clock must still advance exactly to it.
     assert kernel.run(until=5.0, max_events=1) == 5.0
@@ -143,8 +179,8 @@ def test_max_events_budget_with_until_advances_clock(kernel):
 
 def test_cancelled_events_do_not_block_pop_due(kernel):
     seen = []
-    handle = kernel.schedule(1.0, seen.append, "cancelled")
-    kernel.schedule(2.0, seen.append, "live")
+    handle = kernel.schedule_at(1.0, seen.append, "cancelled")
+    kernel.schedule_at(2.0, seen.append, "live")
     kernel.cancel(handle)
     assert kernel.run(until=3.0) == 3.0
     assert seen == ["live"]
@@ -152,8 +188,8 @@ def test_cancelled_events_do_not_block_pop_due(kernel):
 
 def test_next_event_time(kernel):
     assert kernel.next_event_time() is None
-    kernel.schedule(2.0, lambda: None)
-    kernel.schedule(1.0, lambda: None)
+    kernel.schedule_at(2.0, lambda: None)
+    kernel.schedule_at(1.0, lambda: None)
     assert kernel.next_event_time() == 1.0
     kernel.run()
     assert kernel.next_event_time() is None

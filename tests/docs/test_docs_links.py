@@ -8,7 +8,9 @@ and fails on drift:
 * **file references** — backticked paths like ``benchmarks/foo.py`` must
   exist relative to the repo root;
 * **symbol references** — backticked dotted names like
-  ``repro.netmodel.waterfill.maxmin_solve`` must import/resolve.
+  ``repro.netmodel.waterfill.maxmin_solve`` must import/resolve;
+* **bench scripts named in source** — a ``benchmarks/*.py`` path in a
+  ``src/`` docstring or comment must exist.
 
 Keeping this in the tier-1 suite (and as a dedicated CI job) means a
 rename or deletion cannot silently orphan the documentation.
@@ -31,6 +33,8 @@ _LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _FILE_REF_RE = re.compile(r"`([\w./-]+/[\w.-]+\.(?:py|md|yml|yaml|json))`")
 #: Backticked dotted repro symbol, optionally with a trailing call/attr.
 _SYMBOL_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: A bench script path as source files cite it (prose, not only backticks).
+_BENCH_REF_RE = re.compile(r"\bbenchmarks/[\w./-]+\.py\b")
 
 
 def _headings(path: Path) -> set[str]:
@@ -107,4 +111,16 @@ def test_referenced_symbols_resolve(doc):
     assert not dead, (
         f"{doc.name}: documented symbols that no longer resolve:\n  "
         + "\n  ".join(sorted(dead))
+    )
+
+
+def test_bench_scripts_named_in_source_exist():
+    missing = sorted(
+        f"{source.relative_to(REPO_ROOT)}: {ref}"
+        for source in (REPO_ROOT / "src").rglob("*.py")
+        for ref in _BENCH_REF_RE.findall(source.read_text(encoding="utf-8"))
+        if not (REPO_ROOT / ref).exists()
+    )
+    assert not missing, "source cites bench scripts that do not exist:\n  " + (
+        "\n  ".join(missing)
     )

@@ -73,7 +73,7 @@ def test_fabric_never_exceeded(kernel):
     def probe():
         loads.append(net.fabric_load())
 
-    kernel.schedule(0.1, probe)
+    kernel.schedule_at(0.1, probe)
     kernel.run()
     assert loads and loads[0] <= 1.0 + 1e-9
 

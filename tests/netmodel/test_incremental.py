@@ -121,7 +121,7 @@ def test_maxmin_incremental_is_hash_seed_deterministic():
         "for i in range(40):\n"
         "    src = rng.randrange(6)\n"
         "    dst = (src + 1 + rng.randrange(5)) % 6\n"
-        "    kernel.schedule(\n"
+        "    kernel.schedule_at(\n"
         "        rng.uniform(0.0, 3.0), net.submit, src, dst,\n"
         "        rng.uniform(1e4, 2e6),\n"
         "        lambda tr, i=i: times.__setitem__(i, kernel.now),\n"

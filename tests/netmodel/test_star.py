@@ -81,7 +81,7 @@ def test_latency_phase_holds_no_bandwidth(kernel):
     net.submit(0, 1, 1e6, lambda tr: done.setdefault("a", kernel.now))
     # Second transfer submitted while the first is still in latency phase
     # finishes its latency later; both then share bandwidth.
-    kernel.schedule(0.5, lambda: net.submit(0, 2, 1e6, lambda tr: done.setdefault("b", kernel.now)))
+    kernel.schedule_at(0.5, lambda: net.submit(0, 2, 1e6, lambda tr: done.setdefault("b", kernel.now)))
     kernel.run()
     # a drains alone during [1.0, 1.5] (0.5 MB), then shares. a has 0.5MB
     # left at 0.5 MB/s -> t=2.5. b: 1 MB at 0.5 until a done (0.5 done at

@@ -130,3 +130,37 @@ class TestProgressSensitivePolicy:
     def test_out_of_scope_module_is_fine(self, tmp_path):
         src = GREEDY_POLICY.format(flag="")
         assert findings(tmp_path, "tests/policy.py", src) == []
+
+
+class TestNamedTolerance:
+    def test_bare_pad_on_a_clock_fires(self, tmp_path):
+        src = "def arm(now, horizon):\n    return now + max(horizon, 1e-12)\n"
+        assert findings(tmp_path, "dps/a.py", src) == ["REP-D007"]
+
+    def test_default_argument_and_class_constant_fire(self, tmp_path):
+        src = (
+            "class Pool:\n"
+            "    ATOL = 1e-9\n"
+            "    def done(self, rem, rtol=-1e-9):\n"
+            "        return rem <= self.ATOL\n"
+        )
+        assert findings(tmp_path, "des/a.py", src) == ["REP-D007", "REP-D007"]
+
+    def test_module_level_constant_is_fine(self, tmp_path):
+        src = (
+            "_COMPLETION_ATOL = 1e-12\n"
+            "VERIFY_RTOL: float = 1e-9\n"
+            "def done(rem):\n"
+            "    return rem <= _COMPLETION_ATOL\n"
+        )
+        assert findings(tmp_path, "netmodel/a.py", src) == []
+
+    def test_lower_case_module_name_fires(self, tmp_path):
+        assert findings(tmp_path, "cpumodel/a.py", "eps = 1e-9\n") == ["REP-D007"]
+
+    def test_quantities_above_the_bound_are_fine(self, tmp_path):
+        src = "def backend(local_delivery_delay=2e-6, latency=0.0):\n    pass\n"
+        assert findings(tmp_path, "dps/a.py", src) == []
+
+    def test_out_of_scope_module_is_fine(self, tmp_path):
+        assert findings(tmp_path, "apps/a.py", "x = y + 1e-12\n") == []

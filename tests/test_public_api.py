@@ -9,6 +9,7 @@ defining module imports without it.
 import ast
 import importlib
 import inspect
+import pydoc
 from pathlib import Path
 
 import pytest
@@ -51,15 +52,25 @@ def test_public_names_resolve_to_their_defining_modules(package_name):
             assert value.__module__ == home, f"{name} is re-exported by {home}"
 
 
-def test_the_sweep_fork_is_gone_without_an_alias():
-    import repro
-    import repro.analysis
-
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.analysis.sweep")
-    for package in (repro, repro.analysis):
-        assert not hasattr(package, "sweep")
-        assert "sweep" not in package.__all__
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("repro", "sweep"),
+        ("repro.analysis", "sweep"),
+        *(
+            ("repro.des", name)
+            for name in "process Process Timeout Signal WaitSignal AllOf".split()
+        ),
+        ("repro.des.kernel.Kernel", "schedule"),
+    ],
+)
+def test_removed_names_stay_removed_without_an_alias(owner, name):
+    holder = pydoc.locate(owner)
+    assert not hasattr(holder, name)
+    assert name not in getattr(holder, "__all__", ())
+    if inspect.ismodule(holder):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"{owner}.{name}")
 
 
 def test_threads_resolving_one_name_get_one_object(fresh_python):
