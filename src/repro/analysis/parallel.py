@@ -68,7 +68,33 @@ def clear_platform_cache() -> None:
     _PLATFORM_CACHE.clear()
 
 
+#: Seconds ``close(terminate=True)`` gives workers to exit on the pool's
+#: SIGTERM before the stragglers are SIGKILLed.
+_TERMINATE_GRACE_S = 5.0
+
+#: Whether :func:`_default_sigterm_in_child` runs after every fork (hooks
+#: cannot be unregistered, so it is installed once, with the first pool).
+_FORK_HOOK_INSTALLED = False
+
+
 # -------------------------------------------------------------- worker side
+def _default_sigterm_in_child() -> None:
+    # The parent may run a SIGTERM handler that only sets a flag (asyncio's
+    # ``add_signal_handler`` under ``repro serve``).  A worker forked while
+    # the pool is being torn down would inherit it and swallow the pool's
+    # own SIGTERM before its initializer runs, then block forever on the
+    # task-queue lock ``Pool.terminate`` holds.  Until the initializer
+    # installs the worker's handler, SIGTERM must simply kill it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _kill_stragglers(pool) -> None:
+    """SIGKILL every worker of ``pool`` that outlived its SIGTERM."""
+    for process in list(pool._pool):
+        if process.exitcode is None:
+            process.kill()
+
+
 def _worker_exit_cleanly(signum, frame):
     # SystemExit unwinds the worker's ``with inqueue._rlock:`` block, so
     # the shared queue lock is released on the way out (a raw
@@ -188,6 +214,10 @@ class ParallelSweepRunner:
         if self._pool is None:
             import multiprocessing
 
+            global _FORK_HOOK_INSTALLED
+            if not _FORK_HOOK_INSTALLED and hasattr(os, "register_at_fork"):
+                os.register_at_fork(after_in_child=_default_sigterm_in_child)
+                _FORK_HOOK_INSTALLED = True
             processes = self.jobs
             if not self.persistent and size_hint is not None:
                 processes = max(1, min(self.jobs, size_hint))
@@ -216,16 +246,31 @@ class ParallelSweepRunner:
         holds no process or file resources, and the next ``run_records``/
         ``submit_record`` transparently forks a fresh pool, so resident
         runners restart cleanly any number of times in one process.
+
+        ``terminate=True`` is bounded: a worker still alive
+        ``_TERMINATE_GRACE_S`` after the pool's SIGTERM is SIGKILLed, so no
+        worker outlives the call (and the call cannot hang on one).
         """
         pool, self._pool = self._pool, None
         notes, self._notes = self._notes, None
         if pool is None:
             return
         if terminate:
-            pool.terminate()
+            import threading
+
+            watchdog = threading.Timer(
+                _TERMINATE_GRACE_S, _kill_stragglers, (pool,)
+            )
+            watchdog.daemon = True
+            watchdog.start()
+            try:
+                pool.terminate()
+                pool.join()
+            finally:
+                watchdog.cancel()
         else:
             pool.close()
-        pool.join()
+            pool.join()
         if notes is not None:
             notes.close()
 

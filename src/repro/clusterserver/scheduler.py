@@ -224,12 +224,26 @@ class AdaptiveEfficiencyScheduler(Scheduler):
         self.efficiency_floor = efficiency_floor
 
     def _desired(self, job: MalleableJob, cap: int) -> int:
-        best = job.spec.min_nodes
+        """The job's efficient size, at most ``cap`` nodes.
+
+        The marginal-rate scan stops at the same n whatever the cap, so it
+        runs once per job (uncapped) and every call clamps the result.
+        """
+        if min(cap, job.spec.max_nodes) < 1:
+            return job.spec.min_nodes
+        floor = self.efficiency_floor
+        priced = job.efficient_size
+        if priced is None or priced[0] != floor:
+            priced = job.efficient_size = (floor, self._efficient(job.spec))
+        return min(cap, priced[1])
+
+    def _efficient(self, spec: JobSpec) -> int:
+        """Largest n up to ``max_nodes`` whose marginal rate stays >= floor."""
+        best = 1
         prev_rate = 0.0
-        for n in range(1, min(cap, job.spec.max_nodes) + 1):
-            rate = n * job.spec.efficiency(n)
-            marginal = rate - prev_rate
-            if n > 1 and marginal < self.efficiency_floor:
+        for n in range(1, spec.max_nodes + 1):
+            rate = n * spec.efficiency(n)
+            if n > 1 and rate - prev_rate < self.efficiency_floor:
                 break
             best = n
             prev_rate = rate

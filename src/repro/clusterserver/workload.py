@@ -131,6 +131,9 @@ class MalleableJob:
         self.node_seconds = 0.0
         #: rate() at the (nodes, rate_factor) it was last priced for
         self._priced = (0, 1.0, 0.0)
+        #: (efficiency floor, efficient node count) as priced once by
+        #: :class:`~repro.clusterserver.scheduler.AdaptiveEfficiencyScheduler`
+        self.efficient_size: tuple[float, int] | None = None
 
     @property
     def done(self) -> bool:

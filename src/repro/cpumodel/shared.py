@@ -26,7 +26,7 @@ only the even-share law.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.cpumodel.base import (
     CompletionCallback,

@@ -36,7 +36,12 @@ from repro.des.fluid import FluidTask, RateAllocator, pool_horizon_stats
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 from repro.netmodel.params import NetworkParams
-from repro.netmodel.waterfill import Link, MaxMinSolution, maxmin_solve
+from repro.netmodel.waterfill import (
+    Link,
+    MaxMinSolution,
+    flow_links,
+    maxmin_solve,
+)
 from repro.util.validation import check_in_range, check_non_negative, check_type
 
 #: Callback type invoked when a transfer completes.
@@ -383,9 +388,10 @@ class LinkComponentAllocator(RateAllocator):
     is redistributed (max-min water-filling and its derivatives), a
     membership change cascades transitively through chained bottlenecks —
     but never past the connected component of the bipartite flow/link graph
-    containing the changed flows.  This base maintains the link index,
-    finds the affected component by BFS (O(component)), and re-solves only
-    that component.
+    containing the changed flows.  This base maintains the link index (and
+    each flow's link pair, built once at registration), finds the affected
+    component by BFS — O(component), or O(threshold) when it stops at the
+    cascade threshold — and re-solves only that component.
 
     When the component cascades past ``cascade_threshold`` of the active
     flows — the dense-traffic regime where the whole pool is one giant
@@ -425,11 +431,17 @@ class LinkComponentAllocator(RateAllocator):
         # tasks or str-hashed links would vary between process runs and
         # leak float nondeterminism into the solve order.
         self._link_tasks: dict[Link, dict[FluidTask, None]] = {}
+        # Each registered flow's (egress, ingress) link pair, derived from
+        # :meth:`_flow` once at registration: a flow's links cannot change
+        # under the cached saturation order, and no hot loop re-derives
+        # them.  Holds exactly the registered flows.
+        self._task_links: dict[FluidTask, tuple[Link, Link]] = {}
         self._warm: Optional[_WarmSolution] = None
 
     # ---------------------------------------------------------------- hooks
     def _flow(self, task: FluidTask) -> tuple[int, int]:
-        """(source, destination) node ids of ``task``."""
+        """(source, destination) node ids of ``task``; read once, when the
+        task registers."""
         transfer = task.tag
         return transfer.src, transfer.dst
 
@@ -452,50 +464,57 @@ class LinkComponentAllocator(RateAllocator):
         return ``None`` (disabling warm starts) unless the override
         produces a valid saturation order.
         """
-        solution = maxmin_solve([self._flow(t) for t in tasks], self.capacity)
+        task_links = self._task_links
+        solution = maxmin_solve([task_links[t] for t in tasks], self.capacity)
         for task, rate in zip(tasks, solution.rates):
             self._apply_rate(task, rate)
         return solution
 
     # -------------------------------------------------------------- helpers
-    def _links(self, task: FluidTask) -> tuple[Link, Link]:
-        src, dst = self._flow(task)
-        return ("out", src), ("in", dst)
-
-    def _register(self, task: FluidTask) -> None:
-        for link in self._links(task):
+    def _register(self, task: FluidTask) -> tuple[Link, Link]:
+        """Index ``task`` under its two links; returns the cached pair."""
+        pair = self._task_links[task] = flow_links(*self._flow(task))
+        for link in pair:
             self._link_tasks.setdefault(link, {})[task] = None
+        return pair
 
-    def _unregister(self, task: FluidTask) -> None:
-        for link in self._links(task):
-            members = self._link_tasks.get(link)
-            if members is not None:
-                members.pop(task, None)
-                if not members:
-                    del self._link_tasks[link]
+    def _unregister(self, task: FluidTask) -> tuple[Link, Link]:
+        """Drop ``task`` from the index; returns the pair it was under."""
+        pair = self._task_links.pop(task)
+        for link in pair:
+            members = self._link_tasks[link]
+            del members[task]
+            if not members:
+                del self._link_tasks[link]
+        return pair
 
-    def _component(self, seed_links: Sequence[Link]) -> list[FluidTask]:
+    def _component(
+        self, seed_links: Sequence[Link], limit: float = math.inf
+    ) -> Optional[list[FluidTask]]:
         """Flows reachable from ``seed_links`` in the flow/link graph.
 
-        O(component flows + component links) — the BFS never leaves the
-        connected component containing the seeds.
+        O(min(component, limit)) — the BFS never leaves the connected
+        component containing the seeds, and returns ``None`` as soon as
+        the component holds more than ``limit`` flows (a cascade past the
+        threshold reads only that fact, never the flows).
         """
-        dirty: set[FluidTask] = set()
-        ordered: list[FluidTask] = []
-        frontier = [link for link in seed_links if link in self._link_tasks]
+        link_tasks = self._link_tasks
+        task_links = self._task_links
+        dirty: dict[FluidTask, None] = {}
+        frontier = [link for link in seed_links if link in link_tasks]
         seen_links = set(seed_links)
         while frontier:
-            link = frontier.pop()
-            for task in self._link_tasks.get(link, ()):
+            for task in link_tasks[frontier.pop()]:
                 if task in dirty:
                     continue
-                dirty.add(task)
-                ordered.append(task)
-                for other in self._links(task):
+                dirty[task] = None
+                for other in task_links[task]:
                     if other not in seen_links:
                         seen_links.add(other)
                         frontier.append(other)
-        return ordered
+            if len(dirty) > limit:
+                return None
+        return list(dirty)
 
     def _solve_all(self, tasks: list[FluidTask]) -> None:
         """Whole-pool solve; caches the saturation order for warm starts."""
@@ -555,8 +574,9 @@ class LinkComponentAllocator(RateAllocator):
                 link: max(0.0, self.capacity - used)
                 for link, used in consumed.items()
             }
+            task_links = self._task_links
             solution = maxmin_solve(
-                [self._flow(t) for t in suffix], self.capacity, residual=residual
+                [task_links[t] for t in suffix], self.capacity, residual=residual
             )
             for task, rate in zip(suffix, solution.rates):
                 self._apply_rate(task, rate)
@@ -593,6 +613,7 @@ class LinkComponentAllocator(RateAllocator):
         """
         warm = self._warm
         capacity = self.capacity
+        task_links = self._task_links
         affected_set = set(affected)
         counts = {
             link: len(self._link_tasks.get(link, ())) for link in affected
@@ -669,7 +690,7 @@ class LinkComponentAllocator(RateAllocator):
                 for task in members:
                     frozen[task] = None
                     self._apply_rate(task, insert_share)
-                    for link in self._links(task):
+                    for link in task_links[task]:
                         consumed[link] = consumed.get(link, 0.0) + insert_share
                         if link not in counts:
                             # The link's residual changed: it joins the
@@ -700,7 +721,7 @@ class LinkComponentAllocator(RateAllocator):
             touched_counts: dict[Link, None] = {}
             for task in round_tasks:
                 frozen[task] = None
-                for link in self._links(task):
+                for link in task_links[task]:
                     consumed[link] = consumed.get(link, 0.0) + share
                     if link in counts:
                         counts[link] -= 1
@@ -720,6 +741,7 @@ class LinkComponentAllocator(RateAllocator):
         the warm-start cache as a side effect.  O((n + L) · log L).
         """
         self._link_tasks = {}
+        self._task_links = {}
         for task in tasks:
             self._register(task)
         self._solve_all(list(tasks))
@@ -746,20 +768,20 @@ class LinkComponentAllocator(RateAllocator):
         # Ordered dedup (not a set) for the determinism reason above.
         seed_links: dict[Link, None] = {}
         for task in removed:
-            for link in self._links(task):
+            for link in self._unregister(task):
                 seed_links[link] = None
-            self._unregister(task)
         for task in added:
-            self._register(task)
-            for link in self._links(task):
+            for link in self._register(task):
                 seed_links[link] = None
         if not tasks:
             # The cached saturation order references flows that are gone;
             # nothing valid can be replayed from it.
             self._warm = None
             return
-        dirty = self._component(list(seed_links))
-        if len(dirty) > self.cascade_threshold * len(tasks):
+        dirty = self._component(
+            list(seed_links), self.cascade_threshold * len(tasks)
+        )
+        if dirty is None:
             # The cascade reaches most of the pool; the restricted solve
             # would cost as much as the full one.  Replay the previous
             # solve's saturation prefix when one is cached and valid.
@@ -792,7 +814,7 @@ class LinkComponentAllocator(RateAllocator):
             # the seeds (covers removed tasks, whose links seeded the BFS).
             comp_links = set(seed_links)
             for task in dirty:
-                comp_links.update(self._links(task))
+                comp_links.update(self._task_links[task])
             # A round's frozen flows all use its bottleneck link, so a
             # round references a dirty (or removed) task iff its
             # bottleneck lies in the component's link set.

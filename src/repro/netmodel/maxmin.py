@@ -27,7 +27,7 @@ from repro.des.fluid import FluidPool
 from repro.des.kernel import Kernel
 from repro.netmodel.base import LinkComponentAllocator, NetworkModel
 from repro.netmodel.params import NetworkParams
-from repro.netmodel.waterfill import maxmin_solve
+from repro.netmodel.waterfill import flow_links, maxmin_solve
 
 
 def maxmin_rates(
@@ -56,7 +56,7 @@ def maxmin_rates(
     so each saturation round costs O(links touched · log L) instead of the
     historical rescan of every flow per round.
     """
-    return maxmin_solve(flows, capacity).rates
+    return maxmin_solve([flow_links(s, d) for s, d in flows], capacity).rates
 
 
 class IncrementalMaxMinAllocator(LinkComponentAllocator):

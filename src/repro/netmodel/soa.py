@@ -77,7 +77,7 @@ from repro.errors import SimulationError
 from repro.netmodel.base import _WARM_RTOL, NetworkModel, Transfer
 from repro.netmodel.packet import PacketLaw, PacketNetworkParams
 from repro.netmodel.params import NetworkParams
-from repro.netmodel.waterfill import CAPACITY_ATOL, maxmin_solve
+from repro.netmodel.waterfill import CAPACITY_ATOL, flow_links, maxmin_solve
 
 
 class _StarSoaEngine(SoaFluidEngine):
@@ -222,11 +222,11 @@ class _MaxMinSoaEngine(_StarSoaEngine):
         if fallback:
             self.stats.full_fallbacks += 1
             self.stats.rates_computed += live_idx.size
-        # The combined link-id space doubles as pseudo node ids: the solver
-        # forms ("out", out_id) / ("in", in_id) links, which are in
-        # bijection with this engine's links.
+        # The combined link-id space doubles as pseudo node ids:
+        # ``flow_links`` forms ("out", out_id) / ("in", in_id) links, which
+        # are in bijection with this engine's links.
         solution = maxmin_solve(
-            list(zip(out.tolist(), inn.tolist())), self.capacity
+            list(map(flow_links, out.tolist(), inn.tolist())), self.capacity
         )
         fair = np.asarray(solution.rates)
         self.fair[live_idx] = fair
@@ -475,7 +475,7 @@ class _MaxMinSoaEngine(_StarSoaEngine):
         """Shadow the incremental state with the scalar reference solver."""
         live_idx, out, inn = self._live_flows()
         solution = maxmin_solve(
-            list(zip(out.tolist(), inn.tolist())), self.capacity
+            list(map(flow_links, out.tolist(), inn.tolist())), self.capacity
         )
         expected = np.asarray(solution.rates) * self.factor[live_idx]
         got = self.rate[live_idx]

@@ -13,7 +13,8 @@ per saturation round — O(rounds · L · F/L) = O(F · rounds) total.
 unfrozen-flow counts in a lazy min-heap keyed by the link's current fair
 share, so each saturation round costs O(links touched · log L):
 
-* every link holds one *live* heap entry (identified by a version number);
+* every link holds one *live* heap entry (identified by the link's
+  unfrozen-flow count, which strictly falls on every touch);
 * freezing a round's flows updates the residual/count of each touched
   link and pushes one fresh entry per touched link (the superseded entry
   is discarded lazily when it surfaces at the top);
@@ -74,7 +75,7 @@ class MaxMinSolution:
 
 
 def maxmin_solve(
-    flows: Sequence[tuple[int, int]],
+    flows: Sequence[tuple[Link, Link]],
     capacity: float,
     residual: Mapping[Link, float] | None = None,
 ) -> MaxMinSolution:
@@ -83,8 +84,9 @@ def maxmin_solve(
     Parameters
     ----------
     flows:
-        ``(src, dst)`` pairs; each node's egress and ingress are separate
-        links of ``capacity`` bytes/s.
+        Each flow's two links, as :func:`flow_links` builds them (callers
+        that keep flows alive cache the pair instead of re-deriving it
+        per solve); each link has ``capacity`` bytes/s.
     capacity:
         Full-duplex link capacity in bytes/s.
     residual:
@@ -94,78 +96,77 @@ def maxmin_solve(
         mapping start at ``capacity``.
 
     Complexity: O((F + L) · log L) for F flows over L distinct links —
-    each flow freezes exactly once, each freeze touches two links, and
-    each touch costs one heap push (stale entries are skipped lazily via
-    per-link version counters).
+    each flow freezes exactly once, each freeze touches its one other
+    link, and each touch costs one heap push (stale entries are skipped
+    lazily: a link's unfrozen count strictly falls on every touch, so an
+    entry is live iff it carries the current count).
     """
     n = len(flows)
     rates = [0.0] * n
     rounds: list[SaturationRound] = []
     if n == 0:
         return MaxMinSolution(rates, rounds)
-    # Insertion-ordered link registry (dict): `order` doubles as the
-    # deterministic heap tie-breaker, matching the first-registered-wins
-    # tie-break of the historical scan loop.
-    members: dict[Link, dict[int, None]] = {}
-    cap: dict[Link, float] = {}
-    initial_cap: dict[Link, float] = {}
-    order: dict[Link, int] = {}
-    for i, (src, dst) in enumerate(flows):
-        for link in flow_links(src, dst):
+    # Insertion-ordered link registry (dict): registration order doubles
+    # as the deterministic heap tie-breaker, matching the
+    # first-registered-wins tie-break of the historical scan loop.  Member
+    # lists stay whole (ascending flow index) for the capacity check.
+    members: dict[Link, list[int]] = {}
+    for i, pair in enumerate(flows):
+        for link in pair:
             group = members.get(link)
             if group is None:
-                members[link] = {i: None}
-                start = capacity if residual is None else residual.get(link, capacity)
-                cap[link] = start
-                initial_cap[link] = start
-                order[link] = len(order)
+                members[link] = [i]
             else:
-                group[i] = None
-    version: dict[Link, int] = {}
+                group.append(i)
+    if residual is None:
+        cap = dict.fromkeys(members, capacity)
+    else:
+        cap = {link: residual.get(link, capacity) for link in members}
+    initial_cap = cap.copy()
+    order: dict[Link, int] = {}
+    left: dict[Link, int] = {}
     heap: list[tuple[float, int, int, Link]] = []
-    for link, group in members.items():
-        version[link] = 0
-        heapq.heappush(heap, (cap[link] / len(group), order[link], 0, link))
+    for k, (link, group) in enumerate(members.items()):
+        order[link] = k
+        left[link] = count = len(group)
+        heap.append((cap[link] / count, k, count, link))
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    frozen_flag = [False] * n
     while heap:
-        share, _, ver, link = heapq.heappop(heap)
-        if version.get(link) != ver:
+        share, _, count, link = pop(heap)
+        if left[link] != count:
             continue  # superseded by a fresher entry, or fully frozen
+        left[link] = 0
         share = max(0.0, share)
-        frozen = tuple(members[link])
+        frozen = tuple([i for i in members[link] if not frozen_flag[i]])
         touched: dict[Link, None] = {}
         for i in frozen:
             rates[i] = share
-            src, dst = flows[i]
-            for other in flow_links(src, dst):
-                del members[other][i]
-                # Clamp: repeated subtraction can drift a hair below zero
-                # under float error, and a negative residual would later
-                # surface as a negative fair share — an invalid rate.
-                cap[other] = max(0.0, cap[other] - share)
-                if other != link:
-                    touched[other] = None
+            frozen_flag[i] = True
+            # The bottleneck's own residual is never read again; only the
+            # flow's other link moves.
+            a, b = flows[i]
+            other = b if a == link else a
+            left[other] -= 1
+            # Clamp: repeated subtraction can drift a hair below zero
+            # under float error, and a negative residual would later
+            # surface as a negative fair share — an invalid rate.
+            rest = cap[other] - share
+            cap[other] = rest if rest > 0.0 else 0.0
+            touched[other] = None
         rounds.append((link, share, frozen))
-        del members[link]
-        del version[link]
         for other in touched:
-            group = members.get(other)
-            if group is None:
-                continue
-            if not group:
-                del members[other]
-                del version[other]
-            else:
-                version[other] += 1
-                heapq.heappush(
-                    heap, (cap[other] / len(group), order[other], version[other], other)
-                )
+            count = left[other]
+            if count:
+                push(heap, (cap[other] / count, order[other], count, other))
     # Invariant: no link carries more than its starting capacity (modulo
-    # rounding).  O(F) — one pass over the flow/link incidences.
-    allocated: dict[Link, float] = {}
-    for i, (src, dst) in enumerate(flows):
-        for link in flow_links(src, dst):
-            allocated[link] = allocated.get(link, 0.0) + rates[i]
-    for link, load in allocated.items():
+    # rounding).  O(F) — one pass over the flow/link incidences, summed
+    # in flow order.
+    for link, group in members.items():
+        load = 0.0
+        for i in group:
+            load += rates[i]
         limit = initial_cap[link]
         if load > limit * (1.0 + CAPACITY_RTOL) + CAPACITY_ATOL:
             raise SimulationError(

@@ -1,7 +1,11 @@
 """Parallel sweep runner: serial/parallel equality, calibration cache."""
 
+import signal
+import time
+
 import pytest
 
+from repro.analysis import parallel
 from repro.analysis.parallel import (
     ParallelSweepRunner,
     cached_platform,
@@ -107,6 +111,33 @@ def test_close_and_join_are_idempotent_in_any_order():
     runner.join()  # join after close is a no-op
     runner.close(terminate=True)
     assert runner._pool is None
+
+
+def _ignore_sigterm_and_sleep(flag_path: str) -> None:
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    open(flag_path, "w").close()
+    time.sleep(60)
+
+
+def test_terminate_kills_a_worker_that_outlives_sigterm(tmp_path, monkeypatch):
+    """``close(terminate=True)`` is bounded: a worker that does not exit on
+    the pool's SIGTERM (ignored here; swallowed by an inherited handler in
+    the respawn race) is SIGKILLed after the grace period, not joined
+    for as long as it cares to run."""
+    monkeypatch.setattr(parallel, "_TERMINATE_GRACE_S", 0.2)
+    runner = ParallelSweepRunner(jobs=1, persistent=True)
+    pool = runner._ensure_pool()
+    flag = tmp_path / "started"
+    pool.apply_async(_ignore_sigterm_and_sleep, (str(flag),))
+    deadline = time.monotonic() + 30
+    while not flag.exists():
+        assert time.monotonic() < deadline, "worker never started the task"
+        time.sleep(0.01)
+    workers = list(pool._pool)
+    started = time.monotonic()
+    runner.close(terminate=True)
+    assert time.monotonic() - started < 20
+    assert not any(p.is_alive() for p in workers)
 
 
 def test_runner_restarts_cleanly_after_close():

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clusterserver.scheduler import (
     AdaptiveEfficiencyScheduler,
@@ -117,6 +118,41 @@ def test_adaptive_grows_efficient_jobs():
     )
     alloc = sched.allocate([good], 16)
     assert alloc[good] >= 6
+
+
+def _desired_by_scan(spec, floor, cap):
+    """The adaptive policy's per-call marginal-rate scan (the oracle)."""
+    best = spec.min_nodes
+    prev_rate = 0.0
+    for n in range(1, min(cap, spec.max_nodes) + 1):
+        rate = n * spec.efficiency(n)
+        if n > 1 and rate - prev_rate < floor:
+            break
+        best = n
+        prev_rate = rate
+    return best
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=12),
+    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=2),
+    st.data(),
+)
+def test_adaptive_desired_size_priced_once_matches_scan(curve, floors, data):
+    """Every cap in 0..max_nodes + 1, in random order on one job (so the
+    once-per-job price is reused), under one or two policies' floors."""
+    max_nodes = len(curve)
+    min_nodes = data.draw(st.integers(min_value=1, max_value=max_nodes))
+    spec = JobSpec(
+        "j", 0.0, (1.0,), lambda n: curve[n - 1],
+        max_nodes=max_nodes, min_nodes=min_nodes,
+    )
+    job = MalleableJob(spec)
+    for floor in floors:
+        sched = AdaptiveEfficiencyScheduler(efficiency_floor=floor)
+        for cap in data.draw(st.permutations(range(max_nodes + 2))):
+            assert sched._desired(job, cap) == _desired_by_scan(spec, floor, cap)
 
 
 # ------------------------------------------------------------------- server

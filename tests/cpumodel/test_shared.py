@@ -1,5 +1,7 @@
 """Even-share CPU model and its coupling to the network."""
 
+import typing
+
 import pytest
 from churn_driver import assert_matches_verify_run
 
@@ -49,6 +51,13 @@ def test_negative_work_rejected(kernel):
     cpu = SharedCpuModel(kernel)
     with pytest.raises(SimulationError):
         cpu.submit(0, -1.0, lambda h: None)
+
+
+def test_submit_annotations_resolve():
+    """Every name in the signature is bound (``get_type_hints`` evaluates
+    the postponed annotations, as documentation tools do)."""
+    hints = typing.get_type_hints(SharedCpuModel.submit)
+    assert hints["tag"] is typing.Any
 
 
 def test_communication_slows_computation(kernel):
