@@ -20,10 +20,12 @@ Layers (bottom-up):
   multiple malleable applications;
 * :mod:`repro.analysis` — metrics, prediction-error studies, sweeps.
 
-``import repro`` itself loads nothing: the names below, and those of every
-subpackage, import their defining module on first access (PEP 562), so a
-process pays for the layers its run touches — numpy on the first seeded
-draw, scipy only under direct execution or verification.
+``import repro`` itself loads nothing: the names below import their
+defining module on first access (PEP 562), so a process pays for the
+layers its run touches — numpy on the first seeded draw, scipy only under
+direct execution or verification.  They are the names some caller outside
+the tests imports from here; everything else is imported from its defining
+module (``from repro.des.kernel import Kernel``).
 
 Quickstart::
 
@@ -48,75 +50,29 @@ __version__ = "1.0.0"
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        # errors
-        "ReproError": "repro.errors",
-        "ConfigurationError": "repro.errors",
-        "SimulationError": "repro.errors",
-        "DeadlockError": "repro.errors",
-        "FlowGraphError": "repro.errors",
-        "RoutingError": "repro.errors",
-        "SerializationError": "repro.errors",
-        "DeploymentError": "repro.errors",
-        "MalleabilityError": "repro.errors",
-        "CostModelError": "repro.errors",
-        "VerificationError": "repro.errors",
         # kernel & models
-        "Kernel": "repro.des.kernel",
         "NetworkParams": "repro.netmodel.params",
         "FAST_ETHERNET": "repro.netmodel.params",
         "GIGABIT_ETHERNET": "repro.netmodel.params",
-        "AnalyticNetwork": "repro.netmodel.analytic",
-        "BackplaneStarNetwork": "repro.netmodel.backplane",
-        "EqualShareStarNetwork": "repro.netmodel.star",
-        "MaxMinStarNetwork": "repro.netmodel.maxmin",
-        "PacketNetwork": "repro.netmodel.packet",
-        "calibrate": "repro.netmodel.calibration",
-        "MachineProfile": "repro.cpumodel.machines",
-        "ULTRASPARC_II_440": "repro.cpumodel.machines",
-        "PENTIUM4_2800": "repro.cpumodel.machines",
-        "CommCostParams": "repro.cpumodel.commcost",
         # DPS
-        "DataObject": "repro.dps.data_objects",
-        "KernelSpec": "repro.dps.operations",
-        "Compute": "repro.dps.operations",
-        "Post": "repro.dps.operations",
-        "RemoveThreads": "repro.dps.operations",
-        "LeafOperation": "repro.dps.operations",
-        "SplitOperation": "repro.dps.operations",
-        "MergeOperation": "repro.dps.operations",
-        "StreamOperation": "repro.dps.operations",
-        "RoundRobin": "repro.dps.routing",
-        "FlowGraph": "repro.dps.flowgraph",
-        "Deployment": "repro.dps.deployment",
-        "ExecutionBackend": "repro.dps.backend",
-        "Runtime": "repro.dps.runtime",
         "TraceLevel": "repro.dps.trace",
         "AllocationEvent": "repro.dps.malleability",
         "AllocationSchedule": "repro.dps.malleability",
         # simulator
         "DPSSimulator": "repro.sim.simulator",
-        "SimulationResult": "repro.sim.simulator",
         "SimulationMode": "repro.sim.modes",
-        "PlatformSpec": "repro.sim.platform",
         "PAPER_CLUSTER": "repro.sim.platform",
         "CostModelProvider": "repro.sim.providers",
-        "DirectExecutionProvider": "repro.sim.providers",
-        "MeasureFirstNProvider": "repro.sim.providers",
-        "HostCalibration": "repro.sim.providers",
         "MachineCostModel": "repro.sim.providers",
-        "TableCostModel": "repro.sim.providers",
         "dynamic_efficiency": "repro.sim.efficiency",
         "mean_efficiency": "repro.sim.efficiency",
         # testbed
         "TestbedExecutor": "repro.testbed.executor",
         "VirtualCluster": "repro.testbed.cluster",
-        "Measurement": "repro.testbed.executor",
         # apps
         "LUApplication": "repro.apps.lu.app",
         "LUConfig": "repro.apps.lu.config",
         "LUCostModel": "repro.apps.lu.costs",
-        "MatmulApplication": "repro.apps.matmul.app",
-        "MatmulConfig": "repro.apps.matmul.app",
         "ImagePipelineApplication": "repro.apps.imgpipe.app",
         "ImagePipelineConfig": "repro.apps.imgpipe.app",
         "StencilApplication": "repro.apps.stencil.app",
@@ -127,12 +83,9 @@ __getattr__, __dir__, __all__ = attach(
         "SampleSortCostModel": "repro.apps.sort.kernels",
         # cluster server
         "ClusterServer": "repro.clusterserver.server",
-        "ShardedServer": "repro.clusterserver.sharded",
         "StaticScheduler": "repro.clusterserver.scheduler",
         "EquipartitionScheduler": "repro.clusterserver.scheduler",
         "AdaptiveEfficiencyScheduler": "repro.clusterserver.scheduler",
         "synthetic_workload": "repro.clusterserver.workload",
-        # analysis
-        "PredictionStudy": "repro.analysis.prediction",
     },
 )

@@ -3,7 +3,8 @@
 The paper's headline comparison metric: "we use the relative performance
 improvement metric, defined as the execution time of the basic flow graph
 (reference time) over the execution time of the program incorporating one
-or several of the proposed variations." (section 8)
+or several of the proposed variations." (section 8) — that ratio is
+:func:`speedup` of the reference time over the variant time.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ def efficiency(serial_time: float, parallel_time: float, nodes: int) -> float:
     if nodes <= 0:
         raise ConfigurationError("nodes must be > 0")
     return speedup(serial_time, parallel_time) / nodes
-
-
-def performance_improvement(reference_time: float, time: float) -> float:
-    """The paper's metric: reference time over variant time (>1 is faster)."""
-    if time <= 0:
-        raise ConfigurationError("time must be > 0")
-    return reference_time / time
 
 
 def relative_error(predicted: float, measured: float) -> float:

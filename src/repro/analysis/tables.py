@@ -47,22 +47,3 @@ def ascii_bar_chart(
         bar = "#" * max(0, int(round(abs(value) / peak * width)))
         lines.append(f"{label.ljust(label_width)}  {bar} {fmt.format(value)}")
     return "\n".join(lines)
-
-
-def ascii_histogram(
-    bins: Sequence[tuple[float, float, int]],
-    width: int = 40,
-    title: Optional[str] = None,
-    percent: bool = True,
-) -> str:
-    """Render a histogram of (low, high, count) bins."""
-    peak = max((count for _, _, count in bins), default=1) or 1
-    lines = [title] if title else []
-    for low, high, count in bins:
-        bar = "#" * int(round(count / peak * width))
-        if percent:
-            label = f"[{low * 100:+6.1f}%, {high * 100:+6.1f}%)"
-        else:
-            label = f"[{low:g}, {high:g})"
-        lines.append(f"{label}  {bar} {count}")
-    return "\n".join(lines)

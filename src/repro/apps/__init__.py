@@ -11,12 +11,3 @@
   neighborhood halo exchange, barrier vs pipelined variants and dynamic
   thread removal at iteration boundaries.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "Application": "repro.apps.base",
-    },
-)

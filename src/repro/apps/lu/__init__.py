@@ -15,21 +15,3 @@ Variants (paper section 6):
 * **PM** — block multiplications decomposed into sub-block products
   distributed over all threads (Fig. 7).
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "LUApplication": "repro.apps.lu.app",
-        "LUConfig": "repro.apps.lu.config",
-        "panel_lu": "repro.apps.lu.blockmath",
-        "trsm_block": "repro.apps.lu.blockmath",
-        "gemm_update": "repro.apps.lu.blockmath",
-        "sequential_block_lu": "repro.apps.lu.blockmath",
-        "verify_factorization": "repro.apps.lu.blockmath",
-        "LUCostModel": "repro.apps.lu.costs",
-        "benchmark_rate_factors": "repro.apps.lu.costs",
-        "lu_total_flops": "repro.apps.lu.costs",
-    },
-)

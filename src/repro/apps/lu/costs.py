@@ -97,20 +97,6 @@ def handling_spec(objects: int = 1) -> KernelSpec:
     return KernelSpec("overhead", flops=HANDLING_FLOPS * objects, working_set=4096.0)
 
 
-def lu_total_flops(n: int, r: int) -> float:
-    """Total flops of the blocked factorization (all kernels, all levels)."""
-    nb = n // r
-    total = 0.0
-    for k in range(nb):
-        m = n - k * r
-        mk = nb - 1 - k
-        total += m * r * r - r**3 / 3.0  # panel
-        total += mk * float(r) ** 3  # trsm
-        total += mk * mk * 2.0 * float(r) ** 3  # gemm
-        total += mk * mk * float(r) * r  # sub
-    return total
-
-
 # --------------------------------------------------------------------------
 # calibration against the ground truth ("benchmarked times")
 # --------------------------------------------------------------------------

@@ -93,4 +93,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]

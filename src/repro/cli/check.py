@@ -117,6 +117,3 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"{len(result.findings)} finding(s)"
         )
     return 0 if result.ok else 1
-
-
-__all__ = ["add_check_parser", "cmd_check"]

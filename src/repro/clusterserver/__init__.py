@@ -19,32 +19,13 @@ __getattr__, __dir__, __all__ = attach(
     __name__,
     {
         "JobSpec": "repro.clusterserver.workload",
-        "MalleableJob": "repro.clusterserver.workload",
         "amdahl_efficiency": "repro.clusterserver.workload",
-        "lu_like_job": "repro.clusterserver.workload",
-        "stencil_like_job": "repro.clusterserver.workload",
-        "rampup_job": "repro.clusterserver.workload",
         "synthetic_workload": "repro.clusterserver.workload",
-        "mixed_workload": "repro.clusterserver.workload",
-        "ArrivalProcess": "repro.clusterserver.arrivals",
-        "poisson_arrivals": "repro.clusterserver.arrivals",
-        "bursty_arrivals": "repro.clusterserver.arrivals",
-        "diurnal_arrivals": "repro.clusterserver.arrivals",
-        "trace_arrivals": "repro.clusterserver.arrivals",
-        "closed_stream": "repro.clusterserver.arrivals",
-        "SloAggregator": "repro.clusterserver.metrics",
-        "SloSummary": "repro.clusterserver.metrics",
-        "Scheduler": "repro.clusterserver.scheduler",
         "StaticScheduler": "repro.clusterserver.scheduler",
         "FcfsScheduler": "repro.clusterserver.scheduler",
         "EquipartitionScheduler": "repro.clusterserver.scheduler",
         "AdaptiveEfficiencyScheduler": "repro.clusterserver.scheduler",
-        "AdmissionControlScheduler": "repro.clusterserver.scheduler",
-        "AutoscalingScheduler": "repro.clusterserver.scheduler",
         "ClusterServer": "repro.clusterserver.server",
-        "ServerResult": "repro.clusterserver.server",
-        "JobShard": "repro.clusterserver.sharded",
         "ShardedServer": "repro.clusterserver.sharded",
-        "ShardStats": "repro.clusterserver.sharded",
     },
 )

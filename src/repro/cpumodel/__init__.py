@@ -17,23 +17,3 @@ This subpackage provides
 * :class:`~repro.cpumodel.timeslice.TimesliceCpuModel` — the testbed's
   finer model with context-switch overhead and seeded OS noise.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "MachineProfile": "repro.cpumodel.machines",
-        "ULTRASPARC_II_440": "repro.cpumodel.machines",
-        "PENTIUM4_2800": "repro.cpumodel.machines",
-        "MODERN_XEON": "repro.cpumodel.machines",
-        "CommCostModel": "repro.cpumodel.commcost",
-        "CommCostParams": "repro.cpumodel.commcost",
-        "CpuModel": "repro.cpumodel.base",
-        "CpuTaskHandle": "repro.cpumodel.base",
-        "NodeSlicedAllocator": "repro.cpumodel.base",
-        "SharedCpuModel": "repro.cpumodel.shared",
-        "TimesliceCpuModel": "repro.cpumodel.timeslice",
-        "TimesliceParams": "repro.cpumodel.timeslice",
-    },
-)

@@ -119,13 +119,3 @@ PENTIUM4_2800 = MachineProfile(
     memory_bound_factor=0.50,
     small_block_factor=0.60,
 )
-
-#: A contemporary core, for what-if examples scaling the paper forward.
-MODERN_XEON = MachineProfile(
-    name="Modern Xeon core",
-    effective_mflops=25000.0,
-    cache_bytes=32 * 1024 * KB,
-    small_overhead_bytes=64 * KB,
-    memory_bound_factor=0.35,
-    small_block_factor=0.45,
-)

@@ -10,16 +10,3 @@ This subpackage is the shared substrate for both the paper's simulator
 * fluid (rate-based) task pools (:mod:`repro.des.fluid`) used by the
   contention-aware network and CPU models.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "EventHandle": "repro.des.event_queue",
-        "EventQueue": "repro.des.event_queue",
-        "Kernel": "repro.des.kernel",
-        "FluidPool": "repro.des.fluid",
-        "FluidTask": "repro.des.fluid",
-    },
-)

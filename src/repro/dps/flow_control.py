@@ -17,23 +17,9 @@ enabling iterations to interleave (Fig. 6).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class FlowControlConfig:
-    """Per-vertex flow-control setting (None disables)."""
-
-    max_in_flight: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ConfigurationError(
-                f"max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
 
 
 class CreditAccount:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Callable
 
 from repro.dps.data_objects import DataObject
 from repro.errors import RoutingError
@@ -83,22 +82,6 @@ class Modulo(RoutingFunction):
                 f"Modulo routing needs meta[{self.key!r}] on {obj.kind!r}"
             )
         return (int(value) + self.offset) % group_size
-
-
-class ByMetaKey(RoutingFunction):
-    """Route by an arbitrary function of a metadata value."""
-
-    def __init__(self, key: str, fn: Callable[[Any, int], int]) -> None:
-        self.key = key
-        self.fn = fn
-
-    def route(self, obj: DataObject, group_size: int) -> int:
-        value = obj.get(self.key)
-        if value is None:
-            raise RoutingError(
-                f"ByMetaKey routing needs meta[{self.key!r}] on {obj.kind!r}"
-            )
-        return int(self.fn(value, group_size)) % group_size
 
 
 class Broadcast(RoutingFunction):

@@ -14,27 +14,3 @@ switch that relaxes the never-a-bottleneck assumption
 finer-grained noisy model used by the ground-truth testbed
 (:class:`~repro.netmodel.packet.PacketNetwork`).
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "Link": "repro.netmodel.waterfill",
-        "MaxMinSolution": "repro.netmodel.waterfill",
-        "maxmin_solve": "repro.netmodel.waterfill",
-        "NetworkParams": "repro.netmodel.params",
-        "NetworkModel": "repro.netmodel.base",
-        "StarFlowAllocator": "repro.netmodel.base",
-        "LinkComponentAllocator": "repro.netmodel.base",
-        "Transfer": "repro.netmodel.base",
-        "AnalyticNetwork": "repro.netmodel.analytic",
-        "BackplaneStarNetwork": "repro.netmodel.backplane",
-        "EqualShareStarNetwork": "repro.netmodel.star",
-        "MaxMinStarNetwork": "repro.netmodel.maxmin",
-        "PacketNetwork": "repro.netmodel.packet",
-        "PacketNetworkParams": "repro.netmodel.packet",
-        "CalibrationResult": "repro.netmodel.calibration",
-        "calibrate": "repro.netmodel.calibration",
-    },
-)

@@ -199,12 +199,7 @@ class NetworkModel(ABC):
 # shared incremental-allocator machinery (star topology)
 # --------------------------------------------------------------------------
 
-# ``Link`` is defined in :mod:`repro.netmodel.waterfill` (the solver core)
-# and re-exported here, where model code conventionally imports it from.
 __all__ = [
-    "ActivityListener",
-    "CompletionCallback",
-    "Link",
     "LinkComponentAllocator",
     "NetworkModel",
     "StarFlowAllocator",

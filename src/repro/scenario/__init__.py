@@ -24,12 +24,7 @@ from repro.scenario.registry import (
     WorkloadPlugin,
     default_registry,
 )
-from repro.scenario.runner import (
-    PhaseRecord,
-    RunRecord,
-    calibration_key,
-    run_scenario,
-)
+from repro.scenario.runner import RunRecord, calibration_key, run_scenario
 from repro.scenario.spec import (
     AppSection,
     ClusterSection,
@@ -38,7 +33,6 @@ from repro.scenario.spec import (
     PlatformSection,
     ProviderSection,
     ScenarioSpec,
-    load_spec,
 )
 
 __all__ = [
@@ -47,7 +41,6 @@ __all__ = [
     "ClusterSection",
     "EngineSection",
     "ModelSection",
-    "PhaseRecord",
     "PlatformSection",
     "ProviderSection",
     "Registry",
@@ -56,6 +49,5 @@ __all__ = [
     "WorkloadPlugin",
     "calibration_key",
     "default_registry",
-    "load_spec",
     "run_scenario",
 ]

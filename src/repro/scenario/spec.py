@@ -10,7 +10,7 @@ process pools, and compare by value, which is what lets sweeps, benches
 and CI jobs all speak one format (see ``docs/scenarios.md``).
 
 Loading: :meth:`ScenarioSpec.from_dict`, :meth:`ScenarioSpec.from_file`
-(``.toml``/``.json`` by suffix), :func:`load_spec`.  Serializing:
+(``.toml``/``.json`` by suffix).  Serializing:
 :meth:`ScenarioSpec.to_dict` emits the canonical fully-expanded dict —
 every scalar field explicit, empty option tables omitted — so that
 ``from_dict(spec.to_dict()).to_dict() == spec.to_dict()`` is an identity.
@@ -149,6 +149,10 @@ class EngineSection:
                 f"unknown engine.mode {self.mode!r}; choose from "
                 f"{sorted(MODE_NAMES)}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"engine.seed must be >= 0, got {self.seed}"
+            )
         if self.shards < 1:
             raise ConfigurationError("engine.shards must be >= 1")
         if self.shard_mode == "process":
@@ -250,6 +254,10 @@ class ClusterSection:
             raise ConfigurationError("cluster.nodes must be >= 1")
         if self.jobs < 1:
             raise ConfigurationError("cluster.jobs must be >= 1")
+        if self.nodes_per_job < 1:
+            raise ConfigurationError(
+                f"cluster.nodes_per_job must be >= 1, got {self.nodes_per_job}"
+            )
         if self.interarrival <= 0:
             raise ConfigurationError("cluster.interarrival must be > 0")
         if self.arrivals and not isinstance(self.arrivals.get("process"), str):
@@ -548,8 +556,3 @@ class ScenarioSpec:
             f"unknown scenario spec format {suffix!r} for {path.name}; "
             "expected .toml or .json"
         )
-
-
-def load_spec(path: "str | Path") -> ScenarioSpec:
-    """Convenience alias for :meth:`ScenarioSpec.from_file`."""
-    return ScenarioSpec.from_file(path)

@@ -15,16 +15,7 @@ from repro._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "Job": "repro.service.jobs",
-        "JobTable": "repro.service.jobs",
-        "PoolClosedError": "repro.service.pool",
-        "PoolSaturatedError": "repro.service.pool",
-        "PoolTicket": "repro.service.pool",
-        "ResidentPool": "repro.service.pool",
-        "ScenarioService": "repro.service.server",
         "ServiceClient": "repro.service.client",
         "ServiceThread": "repro.service.server",
-        "canonical_spec": "repro.service.jobs",
-        "spec_key": "repro.service.jobs",
     },
 )

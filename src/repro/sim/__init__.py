@@ -18,26 +18,3 @@ durations by
 "activate a compilation flag" experience of the paper: the same application
 object runs under the simulator or under the ground-truth testbed.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "PlatformSpec": "repro.sim.platform",
-        "PAPER_CLUSTER": "repro.sim.platform",
-        "SimulationMode": "repro.sim.modes",
-        "CostModel": "repro.sim.providers",
-        "MachineCostModel": "repro.sim.providers",
-        "TableCostModel": "repro.sim.providers",
-        "CostModelProvider": "repro.sim.providers",
-        "DirectExecutionProvider": "repro.sim.providers",
-        "MeasureFirstNProvider": "repro.sim.providers",
-        "DPSSimulator": "repro.sim.simulator",
-        "SimulationResult": "repro.sim.simulator",
-        "PhaseEfficiency": "repro.sim.efficiency",
-        "dynamic_efficiency": "repro.sim.efficiency",
-        "mean_efficiency": "repro.sim.efficiency",
-        "utilization_timeline": "repro.sim.efficiency",
-    },
-)

@@ -17,7 +17,6 @@ iteration 1" curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from repro.dps.runtime import RunResult
 from repro.dps.trace import TraceLevel
@@ -93,39 +92,3 @@ def mean_efficiency(result: RunResult) -> float:
     if node_seconds <= 0:
         return 0.0
     return result.total_work / node_seconds
-
-
-def utilization_timeline(
-    result: RunResult, buckets: int = 100
-) -> list[tuple[float, float]]:
-    """Coarse (time, busy-fraction) series from a FULL trace.
-
-    Busy fraction is compute work per allocated-node-second in each
-    bucket.  Requires ``TraceLevel.FULL``.
-    """
-    if result.trace.level < TraceLevel.FULL:
-        raise ValueError("utilization_timeline requires TraceLevel.FULL")
-    if buckets < 1:
-        raise ValueError("buckets must be >= 1")
-    makespan = result.makespan
-    if makespan <= 0:
-        return []
-    width = makespan / buckets
-    work = [0.0] * buckets
-    for step in result.trace.steps:
-        # Spread the step's uncontended work uniformly over its span.
-        span = max(step.duration, 1e-15)
-        b0 = min(buckets - 1, int(step.start / width))
-        b1 = min(buckets - 1, int(step.end / width))
-        for b in range(b0, b1 + 1):
-            lo = max(step.start, b * width)
-            hi = min(step.end, (b + 1) * width)
-            if hi > lo:
-                work[b] += step.work * (hi - lo) / span
-    series = []
-    for b in range(buckets):
-        t0, t1 = b * width, (b + 1) * width
-        nodes = _mean_active_nodes(result, t0, t1)
-        denom = nodes * width
-        series.append((t0, work[b] / denom if denom > 0 else 0.0))
-    return series

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.cpumodel.machines import MachineProfile
 from repro.dps.operations import Compute, KernelSpec, OperationContext
@@ -70,36 +70,6 @@ class MachineCostModel(CostModel):
         factor = self.rate_factors.get(spec.name, 1.0)
         fixed = self.fixed_costs.get(spec.name, 0.0)
         return base * factor + fixed
-
-
-class TableCostModel(CostModel):
-    """Benchmark-table model: per-kernel durations, keyed by name.
-
-    Entries may be plain seconds or callables ``spec -> seconds`` (for
-    parameter-dependent benchmark interpolations).  Unknown kernels fall
-    back to an optional inner model.
-    """
-
-    def __init__(
-        self,
-        table: Mapping[str, float | Callable[[KernelSpec], float]],
-        fallback: Optional[CostModel] = None,
-    ) -> None:
-        self.table = dict(table)
-        self.fallback = fallback
-
-    def duration(self, spec: KernelSpec) -> float:
-        """Table lookup by kernel name; falls back to the inner model."""
-        entry = self.table.get(spec.name)
-        if entry is None:
-            if self.fallback is None:
-                raise CostModelError(
-                    f"no benchmark entry or fallback for kernel {spec.name!r}"
-                )
-            return self.fallback.duration(spec)
-        if callable(entry):
-            return float(entry(spec))
-        return float(entry)
 
 
 # --------------------------------------------------------------------------

@@ -19,19 +19,8 @@ or, from the command line: ``repro check src/ benchmarks/ examples/``.
 
 from __future__ import annotations
 
-from repro.staticcheck.config import DEFAULT_CONFIG, CheckConfig, RuleScope
-from repro.staticcheck.engine import (
-    BAD_SUPPRESSION,
-    SYNTAX_ERROR,
-    UNUSED_SUPPRESSION,
-    CheckResult,
-    Finding,
-    Project,
-    ProjectRule,
-    Rule,
-    glob_match,
-    run_check,
-)
+from repro.staticcheck.config import DEFAULT_CONFIG
+from repro.staticcheck.engine import Rule, run_check
 from repro.staticcheck.rules_concurrency import CONCURRENCY_RULES
 from repro.staticcheck.rules_determinism import DETERMINISM_RULES
 from repro.staticcheck.rules_imports import IMPORT_RULES
@@ -45,19 +34,4 @@ def all_rules() -> tuple[Rule, ...]:
     )
 
 
-__all__ = [
-    "BAD_SUPPRESSION",
-    "CheckConfig",
-    "CheckResult",
-    "DEFAULT_CONFIG",
-    "Finding",
-    "Project",
-    "ProjectRule",
-    "Rule",
-    "RuleScope",
-    "SYNTAX_ERROR",
-    "UNUSED_SUPPRESSION",
-    "all_rules",
-    "glob_match",
-    "run_check",
-]
+__all__ = ["DEFAULT_CONFIG", "Rule", "all_rules", "run_check"]

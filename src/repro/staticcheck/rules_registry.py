@@ -15,7 +15,10 @@ documentation — from drifting apart:
   look up only);
 * every spec-section dataclass field appears in ``docs/scenarios.md``,
   and every ``[section]`` table the doc's schema example shows is a
-  real spec section.
+  real spec section;
+* every name a package re-exports (its lazy ``attach`` table or its
+  ``__all__``) is imported or named through that package by some
+  caller outside the tests, so each public name has one import path.
 
 Constructor arguments exist only for the rule-pack's own tests (a fake
 registry, a fake docs tree); production use takes the defaults.
@@ -23,6 +26,7 @@ registry, a fake docs tree); production use takes the defaults.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Optional
@@ -206,8 +210,158 @@ class SpecDocsAgreementRule(ProjectRule):
                     )
 
 
+#: Where a re-export's callers live: code, then prose.  Tests are no
+#: caller — a name only tests import belongs in its defining module.
+_CALLER_CODE = ("src", "examples", "benchmarks")
+_CALLER_PROSE = ("docs/*.md", "README.md")
+_DOTTED_RE = re.compile(r"\b[A-Za-z_]\w*(?:\.\w+)+")
+_PROSE_IMPORT_RE = re.compile(
+    r"^\s*from\s+([\w.]+)\s+import\s+(\([^)]*\)|[^\n]*)", re.MULTILINE
+)
+
+
+def _module_name(path: Path) -> str:
+    """Dotted import name of ``path``, walking up through package dirs."""
+    parts = [] if path.stem == "__init__" else [path.stem]
+    folder = path.parent
+    while (folder / "__init__.py").is_file():
+        parts.insert(0, folder.name)
+        folder = folder.parent
+    return ".".join(parts)
+
+
+def _export_entries(tree: ast.Module) -> Iterator[tuple[str, int]]:
+    """``(name, line)`` of every ``attach`` table key and ``__all__`` item."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            value = node.value
+            if any(getattr(t, "id", "") == "__all__" for t in node.targets):
+                items = getattr(value, "elts", ())
+            elif (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", "") == "attach"
+                and len(value.args) == 2
+                and isinstance(value.args[1], ast.Dict)
+            ):
+                items = value.args[1].keys
+            else:
+                continue
+            for item in items:
+                if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                    yield item.value, item.lineno
+
+
+def _split_uses(dotted: str) -> Iterator[tuple[str, str]]:
+    """Every ``(owner, name)`` reading of ``a.b.c``: ``(a, b)``, ``(a.b, c)``."""
+    parts = dotted.split(".")
+    for cut in range(1, len(parts)):
+        yield ".".join(parts[:cut]), parts[cut]
+
+
+def _code_uses(tree: ast.Module, module: str) -> Iterator[tuple[str, str]]:
+    """``(owner, name)`` pairs a module imports or names through ``owner``."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    aliases[head] = head
+        elif isinstance(node, ast.ImportFrom):
+            owner = node.module or ""
+            if node.level:
+                base = module.split(".")[: -node.level]
+                owner = ".".join(base + ([owner] if owner else []))
+            for alias in node.names:
+                yield owner, alias.name
+                aliases[alias.asname or alias.name] = f"{owner}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in aliases:
+                yield from _split_uses(
+                    ".".join([aliases[node.id], *reversed(chain)])
+                )
+
+
+def _prose_uses(text: str) -> Iterator[tuple[str, str]]:
+    """``(owner, name)`` pairs a page imports (``from … import``) or names."""
+    for match in _PROSE_IMPORT_RE.finditer(text):
+        for name in re.findall(r"\w+", match.group(2)):
+            yield match.group(1), name
+    for dotted in _DOTTED_RE.findall(text):
+        yield from _split_uses(dotted)
+
+
+def _is_test(rel: Path) -> bool:
+    return "tests" in rel.parts or rel.name.startswith(("test_", "conftest"))
+
+
+class ExportsUsedRule(ProjectRule):
+    """REP-R004: a package re-exports only what some caller imports from it.
+
+    Every name has one import path: its defining module.  A package
+    ``attach`` table or ``__all__`` entry must be imported or named
+    *through that package* by a module under ``src/``, ``examples/`` or
+    ``benchmarks/``, or by ``docs/*.md`` / ``README.md``; tests do not
+    count.  The tables are those of the checked files; the callers are
+    read from the repository root whatever paths were named.
+    """
+
+    rule_id = "REP-R004"
+    summary = (
+        "every attach-table / __all__ entry must be imported or named "
+        "through its package by src/, examples/, benchmarks/ or the docs "
+        "(tests do not count)"
+    )
+
+    def _uses(self, root: Path) -> set[tuple[str, str]]:
+        uses: set[tuple[str, str]] = set()
+        for top in _CALLER_CODE:
+            for path in sorted((root / top).rglob("*.py")):
+                if _is_test(path.relative_to(root)):
+                    continue
+                try:
+                    tree = ast.parse(path.read_text(encoding="utf-8"))
+                except SyntaxError:
+                    continue  # reported once as REP-X003
+                uses.update(_code_uses(tree, _module_name(path)))
+        for pattern in _CALLER_PROSE:
+            for path in sorted(root.glob(pattern)):
+                uses.update(_prose_uses(path.read_text(encoding="utf-8")))
+        return uses
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        uses: Optional[set[tuple[str, str]]] = None
+        for path, rel in project.matching("**/*.py"):
+            try:
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+            except SyntaxError:
+                continue
+            entries = list(_export_entries(tree))
+            if not entries:
+                continue
+            if uses is None:
+                uses = self._uses(project.root)
+            owner = _module_name(path)
+            for name, line in entries:
+                if (owner, name) not in uses:
+                    yield Finding(
+                        rel, line, self.rule_id,
+                        f"{owner} exports {name!r} but nothing outside "
+                        "the tests imports it from there; import it from "
+                        "its defining module and drop the entry",
+                    )
+
+
 REGISTRY_RULES = (
     RegistryDocsRule(),
     ExampleSpecsParseRule(),
     SpecDocsAgreementRule(),
+    ExportsUsedRule(),
 )

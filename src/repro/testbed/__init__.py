@@ -14,17 +14,3 @@ Prediction error in the reproduction therefore has the same character as
 in the paper: genuine model mismatch plus run-to-run noise, not a model
 compared against itself.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "VirtualCluster": "repro.testbed.cluster",
-        "KernelBias": "repro.testbed.noise",
-        "DEFAULT_KERNEL_BIAS": "repro.testbed.noise",
-        "GroundTruthProvider": "repro.testbed.executor",
-        "TestbedExecutor": "repro.testbed.executor",
-        "Measurement": "repro.testbed.executor",
-    },
-)

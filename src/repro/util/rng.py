@@ -55,8 +55,3 @@ class SeedSequenceFactory:
         return SeedSequenceFactory(
             (self._root * 0x9E3779B1 + _label_key(label)) & 0x7FFFFFFFFFFFFFFF
         )
-
-
-def derive_rng(seed: int | None, label: str) -> np.random.Generator:
-    """One-shot helper: RNG stream for ``label`` under ``seed`` (0 if None)."""
-    return SeedSequenceFactory(0 if seed is None else seed).rng(label)

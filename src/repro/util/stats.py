@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
@@ -191,31 +190,3 @@ def percentile(xs: Sequence[float], q: float) -> float:
         return data[lo]
     frac = pos - lo
     return data[lo] * (1.0 - frac) + data[hi] * frac
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-plus summary of a sample set."""
-
-    count: int
-    mean: float
-    stddev: float
-    minimum: float
-    p50: float
-    p95: float
-    maximum: float
-
-
-def summarize(xs: Sequence[float]) -> Summary:
-    """Compute a :class:`Summary` of the sample set ``xs``."""
-    acc = OnlineStats()
-    acc.extend(xs)
-    return Summary(
-        count=acc.count,
-        mean=acc.mean,
-        stddev=acc.stddev,
-        minimum=acc.minimum,
-        p50=percentile(xs, 50.0),
-        p95=percentile(xs, 95.0),
-        maximum=acc.maximum,
-    )

@@ -1,4 +1,4 @@
-"""Unit constants and human-readable formatting helpers.
+"""Unit constants.
 
 The whole package uses **seconds** for time and **bytes** for data sizes.
 These constants make call sites self-documenting::
@@ -15,8 +15,6 @@ GB: int = 1024 * 1024 * 1024
 
 # --- durations (seconds) ----------------------------------------------------
 MICROSECOND: float = 1e-6
-MILLISECOND: float = 1e-3
-SECOND: float = 1.0
 
 
 def mbit_per_s(mbits: float) -> float:
@@ -25,32 +23,3 @@ def mbit_per_s(mbits: float) -> float:
     Uses the networking convention of 10^6 bits per megabit.
     """
     return mbits * 1e6 / 8.0
-
-
-def mbyte_per_s(mbytes: float) -> float:
-    """Convert a throughput in binary megabytes/second to bytes/second."""
-    return mbytes * float(MB)
-
-
-def format_bytes(size: float) -> str:
-    """Render a byte count as a short human-readable string."""
-    size = float(size)
-    neg = size < 0
-    size = abs(size)
-    for unit, name in ((GB, "GB"), (MB, "MB"), (KB, "KB")):
-        if size >= unit:
-            value = size / unit
-            return f"{'-' if neg else ''}{value:.2f} {name}"
-    return f"{'-' if neg else ''}{size:.0f} B"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration in the most natural unit (s, ms or us)."""
-    seconds = float(seconds)
-    neg = seconds < 0
-    mag = abs(seconds)
-    if mag >= 1.0:
-        return f"{'-' if neg else ''}{mag:.3f} s"
-    if mag >= 1e-3:
-        return f"{'-' if neg else ''}{mag * 1e3:.3f} ms"
-    return f"{'-' if neg else ''}{mag * 1e6:.1f} us"

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import (
-    efficiency,
-    performance_improvement,
-    relative_error,
-    speedup,
-)
+from repro.analysis.metrics import efficiency, relative_error, speedup
 from repro.analysis.parallel import ParallelSweepRunner
 from repro.analysis.prediction import PredictionStudy, validation_pair
-from repro.analysis.tables import ascii_bar_chart, ascii_histogram, ascii_table
+from repro.analysis.tables import ascii_bar_chart, ascii_table
 from repro.errors import ConfigurationError
 
 
@@ -19,12 +14,6 @@ from repro.errors import ConfigurationError
 def test_speedup_and_efficiency():
     assert speedup(100.0, 25.0) == 4.0
     assert efficiency(100.0, 25.0, 8) == 0.5
-
-
-def test_performance_improvement_is_papers_metric():
-    # "execution time of the basic flow graph over the execution time of
-    # the program incorporating the variations"
-    assert performance_improvement(259.4, 72.5) == pytest.approx(3.578, rel=1e-3)
 
 
 def test_relative_error_signed():
@@ -87,11 +76,6 @@ def test_ascii_bar_chart_scales():
     lines = out.splitlines()
     assert lines[1].count("#") == 10
     assert lines[0].count("#") == 5
-
-
-def test_ascii_histogram_renders():
-    out = ascii_histogram([(-0.02, 0.0, 5), (0.0, 0.02, 10)], width=10)
-    assert "10" in out and "5" in out
 
 
 def test_bar_chart_length_mismatch():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.tables import ascii_bar_chart, ascii_histogram, ascii_table
+from repro.analysis.tables import ascii_bar_chart, ascii_table
 
 
 class TestAsciiTable:
@@ -54,23 +54,3 @@ class TestBarChart:
         lines = text.splitlines()
         assert lines[0].count("#") == 8
         assert lines[1].count("#") == 4
-
-
-class TestHistogram:
-    def test_percent_labels(self):
-        text = ascii_histogram([(-0.04, 0.0, 3), (0.0, 0.04, 5)])
-        assert "-4.0%" in text
-        assert "+4.0%" in text
-
-    def test_raw_labels(self):
-        text = ascii_histogram([(0.0, 1.0, 2)], percent=False)
-        assert "[0, 1)" in text
-
-    def test_peak_scaling(self):
-        text = ascii_histogram([(0.0, 0.1, 1), (0.1, 0.2, 4)], width=8)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 8
-        assert lines[0].count("#") == 2
-
-    def test_empty_bins(self):
-        assert ascii_histogram([]) == ""

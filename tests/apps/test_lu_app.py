@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.lu.app import LUApplication
 from repro.apps.lu.config import LUConfig
-from repro.apps.lu.costs import LUCostModel, lu_total_flops
+from repro.apps.lu.costs import LUCostModel
 from repro.dps.malleability import AllocationEvent, AllocationSchedule
 from repro.errors import ConfigurationError
 from repro.sim.modes import SimulationMode
@@ -181,8 +181,3 @@ def test_variant_names():
         LUConfig(n=96, r=24, pipelined=True, flow_control=2, pm_subblock=12).variant_name
         == "P+PM+FC"
     )
-
-
-def test_lu_total_flops_close_to_two_thirds_n_cubed():
-    n = 2592
-    assert lu_total_flops(n, 216) == pytest.approx(2 / 3 * n**3, rel=0.05)

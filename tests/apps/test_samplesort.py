@@ -9,6 +9,8 @@ from repro.apps.sort import (
     SampleSortApplication,
     SampleSortConfig,
     SampleSortCostModel,
+)
+from repro.apps.sort.kernels import (
     choose_splitters,
     local_sort_spec,
     merge_runs_spec,

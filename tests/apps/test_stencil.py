@@ -7,6 +7,8 @@ from repro.apps.stencil import (
     StencilApplication,
     StencilConfig,
     StencilCostModel,
+)
+from repro.apps.stencil.kernels import (
     initial_grid,
     jacobi_sweep,
     reference_jacobi,

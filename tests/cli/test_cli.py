@@ -339,6 +339,8 @@ def test_run_missing_spec_fails(capsys):
     [
         ("cluster", "nodes", "16", "cluster.nodes must be of type int"),
         ("engine", "shards", 2.5, "engine.shards must be of type int"),
+        ("engine", "seed", -1, "engine.seed must be >= 0, got -1"),
+        ("cluster", "nodes_per_job", 0, "cluster.nodes_per_job must be >= 1"),
         ("arrivals", "jobs", "abc", "arrivals.jobs must be of type int"),
         ("arrivals", "jobs", float("nan"), "arrivals.jobs must be of type int"),
         ("arrivals", "mean_interarrival", "x",

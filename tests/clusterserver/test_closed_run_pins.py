@@ -34,9 +34,9 @@ from repro.clusterserver import (
     FcfsScheduler,
     ShardedServer,
     StaticScheduler,
-    mixed_workload,
     synthetic_workload,
 )
+from repro.clusterserver.workload import mixed_workload
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultPlan
 

@@ -16,16 +16,18 @@ import pytest
 
 from repro.clusterserver import (
     AdaptiveEfficiencyScheduler,
-    AdmissionControlScheduler,
-    AutoscalingScheduler,
     ClusterServer,
     EquipartitionScheduler,
     FcfsScheduler,
-    Scheduler,
     ShardedServer,
     StaticScheduler,
-    poisson_arrivals,
     synthetic_workload,
+)
+from repro.clusterserver.arrivals import poisson_arrivals
+from repro.clusterserver.scheduler import (
+    AdmissionControlScheduler,
+    AutoscalingScheduler,
+    Scheduler,
 )
 from repro.faults import FaultEvent, FaultPlan
 

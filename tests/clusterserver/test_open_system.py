@@ -17,17 +17,18 @@ import pytest
 
 from repro.clusterserver import (
     AdaptiveEfficiencyScheduler,
-    AdmissionControlScheduler,
-    AutoscalingScheduler,
     ClusterServer,
     EquipartitionScheduler,
     FcfsScheduler,
     JobSpec,
     ShardedServer,
     amdahl_efficiency,
-    closed_stream,
-    poisson_arrivals,
     synthetic_workload,
+)
+from repro.clusterserver.arrivals import closed_stream, poisson_arrivals
+from repro.clusterserver.scheduler import (
+    AdmissionControlScheduler,
+    AutoscalingScheduler,
 )
 from repro.errors import ConfigurationError
 from repro.util.rng import SeedSequenceFactory

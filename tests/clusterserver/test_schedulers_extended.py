@@ -14,11 +14,13 @@ from repro.clusterserver import (
     JobSpec,
     StaticScheduler,
     amdahl_efficiency,
+    synthetic_workload,
+)
+from repro.clusterserver.workload import (
     lu_like_job,
     mixed_workload,
     rampup_job,
     stencil_like_job,
-    synthetic_workload,
 )
 from repro.errors import ConfigurationError
 

@@ -23,13 +23,12 @@ from repro.clusterserver import (
     ClusterServer,
     EquipartitionScheduler,
     FcfsScheduler,
-    Scheduler,
     ShardedServer,
     StaticScheduler,
-    mixed_workload,
     synthetic_workload,
 )
-from repro.clusterserver.workload import stencil_like_job
+from repro.clusterserver.scheduler import Scheduler
+from repro.clusterserver.workload import mixed_workload, stencil_like_job
 from repro.errors import ConfigurationError
 
 

@@ -52,8 +52,6 @@ def test_speed_ratio_between_paper_hosts():
 
 def test_serial_lu_calibration_anchor():
     """Paper: serial LU of 2592^2 with r=216 runs in 185.1 s."""
-    from repro.apps.lu.costs import lu_total_flops, panel_lu_spec, gemm_spec
-
     m = ULTRASPARC_II_440
     # Approximate the serial time as flops over the gemm-dominated rate.
     total = 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dps.deployment import Deployment, ThreadId
-from repro.dps.flow_control import CreditAccount, FlowControlConfig
+from repro.dps.flow_control import CreditAccount
 from repro.dps.threads import DPSThread, ThreadManager
 from repro.errors import ConfigurationError, DeploymentError, MalleabilityError
 
@@ -88,13 +88,6 @@ def test_credit_transfers_to_waiter():
 def test_release_without_outstanding_rejected():
     with pytest.raises(ConfigurationError):
         CreditAccount(1).release()
-
-
-def test_flow_control_config_validation():
-    FlowControlConfig(None)
-    FlowControlConfig(3)
-    with pytest.raises(ConfigurationError):
-        FlowControlConfig(0)
 
 
 # ----------------------------------------------------------- threads

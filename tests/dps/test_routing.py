@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.dps.data_objects import DataObject
 from repro.dps.routing import (
     Broadcast,
-    ByMetaKey,
     Constant,
     Modulo,
     RoundRobin,
@@ -47,11 +46,6 @@ def test_modulo_offset():
 def test_modulo_missing_key_raises():
     with pytest.raises(RoutingError):
         Modulo("col")(obj(), 4)
-
-
-def test_by_meta_key_custom_function():
-    r = ByMetaKey("size", lambda v, n: v // 10)
-    assert r(obj(size=25), 8) == 2
 
 
 def test_empty_group_rejected():

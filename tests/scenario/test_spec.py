@@ -142,6 +142,25 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ClusterSection(interarrival=0.0)
 
+    @pytest.mark.parametrize(
+        "section, key, bad",
+        [("engine", "seed", -1), ("cluster", "nodes_per_job", 0),
+         ("cluster", "nodes_per_job", -3)],
+    )
+    def test_out_of_range_scalar_rejected_at_load(self, section, key, bad):
+        """Checked in the section, whatever engine or policy reads it."""
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be >="):
+            ScenarioSpec.from_dict({section: {key: bad}})
+        # faults.seed = -1 is a different field: "inherit engine.seed".
+        assert ScenarioSpec.from_dict({"faults": {"seed": -1}}).faults.seed == -1
+
+    @pytest.mark.parametrize(
+        "section, key, least", [("engine", "seed", 0), ("cluster", "nodes_per_job", 1)]
+    )
+    def test_least_in_range_scalar_loads(self, section, key, least):
+        spec = ScenarioSpec.from_dict({section: {key: least}})
+        assert getattr(getattr(spec, section), key) == least
+
     def test_non_dict_options_rejected(self):
         with pytest.raises(ConfigurationError, match="table/dict"):
             AppSection("lu", options=[1, 2])  # type: ignore[arg-type]

@@ -79,6 +79,9 @@ class TestMalformedPayloads:
         [
             ("cluster", "nodes", "16", "cluster.nodes must be of type int"),
             ("engine", "shards", 2.5, "engine.shards must be of type int"),
+            ("engine", "seed", -1, "engine.seed must be >= 0, got -1"),
+            ("cluster", "nodes_per_job", -3,
+             "cluster.nodes_per_job must be >= 1, got -3"),
             ("cluster", "efficiency_floor", "x",
              "cluster.efficiency_floor must be of type int or float"),
         ],

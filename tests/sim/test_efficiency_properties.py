@@ -9,7 +9,6 @@ from repro.dps.trace import TraceLevel
 from repro.sim.efficiency import (
     dynamic_efficiency,
     mean_efficiency,
-    utilization_timeline,
 )
 from repro.sim.modes import SimulationMode
 from repro.sim.platform import PAPER_CLUSTER
@@ -86,39 +85,6 @@ class TestEfficiencyBounds:
         assert all(v <= 1.25 for v in values)  # bounded, but not by 1.0
         # Whole-run efficiency remains a true ratio.
         assert mean_efficiency(result.run) <= 1.0
-
-
-class TestUtilizationTimeline:
-    def test_requires_full_trace(self):
-        result = run_stencil(trace_level=TraceLevel.SUMMARY)
-        with pytest.raises(ValueError, match="FULL"):
-            utilization_timeline(result.run)
-
-    def test_buckets_cover_run(self):
-        result = run_stencil(trace_level=TraceLevel.FULL)
-        series = utilization_timeline(result.run, buckets=20)
-        assert len(series) == 20
-        assert series[0][0] == 0.0
-        assert series[-1][0] < result.run.makespan
-
-    def test_busy_fraction_bounded(self):
-        result = run_stencil(trace_level=TraceLevel.FULL)
-        for _, busy in utilization_timeline(result.run, buckets=25):
-            assert 0.0 <= busy <= 1.0 + 1e-9
-
-    def test_integrated_utilization_matches_total_work(self):
-        result = run_stencil(trace_level=TraceLevel.FULL)
-        buckets = 50
-        series = utilization_timeline(result.run, buckets=buckets)
-        width = result.run.makespan / buckets
-        nodes = 2  # deployment uses 2 nodes throughout (no removal)
-        integrated = sum(busy for _, busy in series) * width * nodes
-        assert integrated == pytest.approx(result.run.total_work, rel=1e-6)
-
-    def test_invalid_bucket_count(self):
-        result = run_stencil(trace_level=TraceLevel.FULL)
-        with pytest.raises(ValueError, match="buckets"):
-            utilization_timeline(result.run, buckets=0)
 
 
 class TestMoreNodesLowerEfficiency:

@@ -11,7 +11,6 @@ from repro.sim.providers import (
     HostCalibration,
     MachineCostModel,
     MeasureFirstNProvider,
-    TableCostModel,
 )
 
 SPEC = KernelSpec("gemm", flops=2.0 * 64**3, working_set=3 * 8 * 64 * 64)
@@ -30,16 +29,6 @@ def test_machine_cost_model_rate_factors_and_fixed():
     )
     base = ULTRASPARC_II_440.seconds_for(SPEC.flops, SPEC.working_set)
     assert m.duration(SPEC) == pytest.approx(2.0 * base + 0.1)
-
-
-def test_table_cost_model_entries_and_fallback():
-    t = TableCostModel({"gemm": 0.5, "trsm": lambda s: s.flops * 1e-9})
-    assert t.duration(SPEC) == 0.5
-    assert t.duration(KernelSpec("trsm", flops=1e6)) == pytest.approx(1e-3)
-    with pytest.raises(CostModelError):
-        t.duration(KernelSpec("unknown"))
-    t2 = TableCostModel({}, fallback=MachineCostModel(ULTRASPARC_II_440))
-    assert t2.duration(SPEC) > 0
 
 
 def test_cost_model_provider_skips_or_runs_kernels():

@@ -1,16 +1,13 @@
 """Simulator facade and dynamic-efficiency computation."""
 
-import pytest
-
 from repro.apps.imgpipe import ImagePipelineApplication, ImagePipelineConfig
 from repro.dps.trace import TraceLevel
 from repro.netmodel.analytic import AnalyticNetwork
 from repro.sim.efficiency import (
     dynamic_efficiency,
     mean_efficiency,
-    utilization_timeline,
 )
-from repro.sim.platform import PAPER_CLUSTER, PlatformSpec
+from repro.sim.platform import PAPER_CLUSTER
 from repro.sim.providers import CostModelProvider, MachineCostModel
 from repro.sim.simulator import DPSSimulator
 
@@ -92,17 +89,3 @@ def test_more_threads_lower_efficiency():
     large = make_sim().run(app(frames=6, threads=8, nodes=8))
     assert mean_efficiency(large.run) < mean_efficiency(small.run)
     assert large.predicted_time < small.predicted_time
-
-
-def test_utilization_timeline_requires_full_trace():
-    res = make_sim().run(app())
-    with pytest.raises(ValueError):
-        utilization_timeline(res.run)
-    res_full = make_sim(trace_level=TraceLevel.FULL).run(app())
-    series = utilization_timeline(res_full.run, buckets=20)
-    assert len(series) == 20
-    assert all(0.0 <= u <= 1.0 + 1e-9 for _, u in series)
-    # Utilization integrates to roughly total work / (N * makespan).
-    total = sum(u for _, u in series) / len(series)
-    expected = mean_efficiency(res_full.run)
-    assert total == pytest.approx(expected, rel=0.1)

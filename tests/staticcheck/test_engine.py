@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.staticcheck import (
+from repro.staticcheck import run_check
+from repro.staticcheck.engine import (
     BAD_SUPPRESSION,
     SYNTAX_ERROR,
     UNUSED_SUPPRESSION,
     Finding,
     glob_match,
-    run_check,
 )
 from repro.staticcheck.rules_determinism import WallClockRule
 

@@ -9,6 +9,7 @@ from repro.scenario.spec import tomllib
 from repro.staticcheck.engine import Project, run_check
 from repro.staticcheck.rules_registry import (
     ExampleSpecsParseRule,
+    ExportsUsedRule,
     RegistryDocsRule,
     SpecDocsAgreementRule,
 )
@@ -195,6 +196,76 @@ class TestSpecDocsAgreement:
             )
         })
         assert list(self.rule().check_project(project)) == []
+
+
+class TestExportsUsed:
+    PACKAGE = {
+        "src/pkg/__init__.py": (
+            "from repro._lazy import attach\n"
+            "__getattr__, __dir__, __all__ = attach(__name__, {\n"
+            "    'Used': 'pkg.mod',\n"
+            "    'TestOnly': 'pkg.mod',\n"
+            "})\n"
+        ),
+        "src/pkg/mod.py": "class Used: ...\nclass TestOnly: ...\n",
+        "src/pkg/plain.py": "__all__ = ['helper']\ndef helper(): ...\n",
+        "tests/test_pkg.py": (
+            "from pkg import TestOnly\nfrom pkg.plain import helper\n"
+        ),
+    }
+
+    def findings(self, tmp_path, callers):
+        project = project_for(tmp_path, {**self.PACKAGE, **callers})
+        return [
+            (f.path, f.line, f.message.split("'")[1])
+            for f in ExportsUsedRule().check_project(project)
+        ]
+
+    def test_entries_only_tests_import_fire(self, tmp_path):
+        found = self.findings(tmp_path, {
+            "examples/demo.py": "from pkg import Used\n",
+        })
+        assert found == [
+            ("src/pkg/__init__.py", 4, "TestOnly"),
+            ("src/pkg/plain.py", 1, "helper"),
+        ]
+
+    def test_imports_attributes_and_docs_count_as_callers(self, tmp_path):
+        found = self.findings(tmp_path, {
+            "src/pkg/user.py": "from . import Used\n",
+            "benchmarks/bench.py": "import pkg.plain\npkg.plain.helper()\n",
+            "docs/api.md": "Subclass `pkg.TestOnly` to ...\n",
+        })
+        assert found == []
+
+    def test_aliased_imports_and_multiline_doc_imports_count(self, tmp_path):
+        found = self.findings(tmp_path, {
+            "examples/demo.py": "import pkg as p\np.Used()\n",
+            "docs/guide.md": "```python\nfrom pkg import TestOnly\n```\n",
+            "README.md": "from pkg.plain import (\n    helper,\n)\n",
+        })
+        assert found == []
+
+    def test_test_modules_outside_tests_do_not_count(self, tmp_path):
+        found = self.findings(tmp_path, {
+            "benchmarks/test_bench.py": (
+                "from pkg import TestOnly\nfrom pkg.plain import helper\n"
+            ),
+            "benchmarks/conftest.py": "import pkg\npkg.Used\n",
+        })
+        assert found == [
+            ("src/pkg/__init__.py", 3, "Used"),
+            ("src/pkg/__init__.py", 4, "TestOnly"),
+            ("src/pkg/plain.py", 1, "helper"),
+        ]
+
+    def test_defining_module_import_does_not_credit_the_package(self, tmp_path):
+        found = self.findings(tmp_path, {
+            "examples/demo.py": (
+                "from pkg.mod import Used, TestOnly\nfrom pkg.plain import helper\n"
+            ),
+        })
+        assert [name for _, _, name in found] == ["Used", "TestOnly"]
 
 
 def test_project_rules_run_through_engine(tmp_path):

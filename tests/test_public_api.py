@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import pydoc
+import re
 from pathlib import Path
 
 import pytest
@@ -17,9 +18,8 @@ import pytest
 PACKAGES = ["repro"] + [
     f"repro.{name}"
     for name in (
-        "analysis apps apps.lu apps.matmul apps.imgpipe apps.sort "
-        "apps.stencil clusterserver cpumodel des dps netmodel service sim "
-        "testbed util"
+        "apps.matmul apps.imgpipe apps.sort apps.stencil clusterserver "
+        "service"
     ).split()
 ]
 
@@ -52,6 +52,27 @@ def test_public_names_resolve_to_their_defining_modules(package_name):
             assert value.__module__ == home, f"{name} is re-exported by {home}"
 
 
+DOCSTRING_ONLY = [
+    f"repro.{name}"
+    for name in (
+        "analysis apps apps.lu cpumodel des dps netmodel sim testbed util"
+    ).split()
+]
+
+
+@pytest.mark.parametrize("package_name", DOCSTRING_ONLY)
+def test_packages_without_callers_export_nothing(package_name):
+    package = importlib.import_module(package_name)
+    assert package.__doc__
+    assert not hasattr(package, "__all__")
+    assert not hasattr(package, "__getattr__")
+    (only,) = ast.parse(Path(package.__file__).read_text(encoding="utf-8")).body
+    assert isinstance(only, ast.Expr) and only.value.value == package.__doc__
+    # every name the docstring points at resolves at its defining module
+    for target in re.findall(r":(?:class|mod|func):`~?([\w.]+)`", package.__doc__):
+        assert pydoc.locate(target) is not None, target
+
+
 @pytest.mark.parametrize(
     "owner, name",
     [
@@ -62,6 +83,34 @@ def test_public_names_resolve_to_their_defining_modules(package_name):
             for name in "process Process Timeout Signal WaitSignal AllOf".split()
         ),
         ("repro.des.kernel.Kernel", "schedule"),
+        # re-exports no caller outside the tests imported: one path per name
+        ("repro", "Kernel"),
+        ("repro", "ReproError"),
+        ("repro.analysis", "ErrorHistogram"),
+        ("repro.des", "Kernel"),
+        ("repro.dps", "FlowGraph"),
+        ("repro.util", "format_bytes"),
+        ("repro.scenario", "PhaseRecord"),
+        ("repro.staticcheck", "Finding"),
+        # definitions only their own tests reached
+        *(
+            ("repro.util.units", name)
+            for name in "SECOND MILLISECOND mbyte_per_s format_bytes "
+            "format_duration".split()
+        ),
+        ("repro.util.stats", "summarize"),
+        ("repro.util.stats", "Summary"),
+        ("repro.util.rng", "derive_rng"),
+        ("repro.cpumodel.machines", "MODERN_XEON"),
+        ("repro.sim.providers", "TableCostModel"),
+        ("repro.sim.efficiency", "utilization_timeline"),
+        ("repro.dps.flow_control", "FlowControlConfig"),
+        ("repro.dps.routing", "ByMetaKey"),
+        ("repro.analysis.metrics", "performance_improvement"),
+        ("repro.analysis.tables", "ascii_histogram"),
+        ("repro.apps.lu.costs", "lu_total_flops"),
+        ("repro.scenario.spec", "load_spec"),
+        ("repro.scenario", "load_spec"),
     ],
 )
 def test_removed_names_stay_removed_without_an_alias(owner, name):

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.util.rng import SeedSequenceFactory, derive_rng
+from repro.util.rng import SeedSequenceFactory
 
 
 def test_same_seed_same_label_reproduces_stream():
@@ -30,8 +30,3 @@ def test_child_factory_is_independent_but_deterministic():
     np.testing.assert_array_equal(c1, c2)
     assert not np.allclose(c1, parent)
 
-
-def test_derive_rng_defaults_none_seed_to_zero():
-    a = derive_rng(None, "lbl").standard_normal(4)
-    b = derive_rng(0, "lbl").standard_normal(4)
-    np.testing.assert_array_equal(a, b)

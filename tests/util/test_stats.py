@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.stats import (
-    OnlineStats,
-    StreamingQuantile,
-    percentile,
-    summarize,
-)
+from repro.util.stats import OnlineStats, StreamingQuantile, percentile
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -107,13 +102,6 @@ def test_percentile_bounds_checked():
 
 def test_percentile_empty_is_nan():
     assert math.isnan(percentile([], 50))
-
-
-def test_summarize_fields():
-    s = summarize([1.0, 2.0, 3.0])
-    assert s.count == 3
-    assert s.p50 == 2.0
-    assert s.minimum == 1.0 and s.maximum == 3.0
 
 
 # ---------------------------------------------------------- StreamingQuantile

@@ -1,16 +1,8 @@
-"""Units and formatting helpers."""
+"""Unit constants and conversions."""
 
 import pytest
 
-from repro.util.units import (
-    GB,
-    KB,
-    MB,
-    format_bytes,
-    format_duration,
-    mbit_per_s,
-    mbyte_per_s,
-)
+from repro.util.units import GB, KB, MB, mbit_per_s
 
 
 def test_byte_constants_are_powers_of_1024():
@@ -23,34 +15,3 @@ def test_mbit_per_s_uses_decimal_bits():
     assert mbit_per_s(100.0) == pytest.approx(100e6 / 8)
     assert mbit_per_s(8.0) == pytest.approx(1e6)
 
-
-def test_mbyte_per_s_uses_binary_megabytes():
-    assert mbyte_per_s(1.0) == float(MB)
-
-
-@pytest.mark.parametrize(
-    "size,expected",
-    [
-        (0, "0 B"),
-        (512, "512 B"),
-        (2048, "2.00 KB"),
-        (3 * MB, "3.00 MB"),
-        (5 * GB, "5.00 GB"),
-        (-2048, "-2.00 KB"),
-    ],
-)
-def test_format_bytes(size, expected):
-    assert format_bytes(size) == expected
-
-
-@pytest.mark.parametrize(
-    "seconds,expected",
-    [
-        (1.5, "1.500 s"),
-        (0.0125, "12.500 ms"),
-        (42e-6, "42.0 us"),
-        (-0.5, "-500.000 ms"),
-    ],
-)
-def test_format_duration(seconds, expected):
-    assert format_duration(seconds) == expected
