@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import check_in_range, check_non_negative
+from repro.util.validation import check_in_range
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,26 @@ FREE_COMMUNICATION = CommCostParams(
 
 
 class CommCostModel:
-    """Maps concurrent transfer counts to consumed processing power."""
+    """Maps concurrent transfer counts to consumed processing power.
+
+    The law is a pure function of two small integers that the CPU model
+    evaluates at every network refresh, so :meth:`available_power`
+    computes each ``(incoming, outgoing)`` pair once.  ``params`` is
+    read-only so the memo cannot go stale.
+    """
 
     def __init__(self, params: CommCostParams | None = None) -> None:
-        self.params = params or CommCostParams()
+        self._params = params or CommCostParams()
+        self._available: dict[tuple[int, int], float] = {}
+
+    @property
+    def params(self) -> CommCostParams:
+        """The platform parameters the law was built with."""
+        return self._params
 
     def _direction_cost(self, count: int, fraction: float) -> float:
         """Sum of geometrically decaying per-transfer costs."""
         count = max(0, int(count))
-        check_non_negative("count", count)
         decay = self.params.marginal_decay
         if count == 0 or fraction == 0.0:
             return 0.0
@@ -79,4 +90,10 @@ class CommCostModel:
 
     def available_power(self, incoming: int, outgoing: int) -> float:
         """Fraction of the node's power left for running operations."""
-        return 1.0 - self.consumed_power(incoming, outgoing)
+        key = (incoming, outgoing)
+        power = self._available.get(key)
+        if power is None:
+            power = self._available[key] = 1.0 - self.consumed_power(
+                incoming, outgoing
+            )
+        return power

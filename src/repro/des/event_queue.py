@@ -1,9 +1,12 @@
 """A cancellable, stable binary-heap event queue.
 
 Events scheduled for the same timestamp pop in FIFO scheduling order, which
-makes simulations deterministic regardless of heap internals.  Cancellation
-is O(1): the handle is flagged and lazily discarded on pop, the standard
-technique for heaps that do not support random removal.
+makes simulations deterministic regardless of heap internals.  The heap
+holds ``(time, seq, handle)`` tuples: ``seq`` is unique, so every sift
+compares two floats and at most two ints in C and never reaches the
+handle.  Cancellation is O(1): the handle is flagged and lazily discarded
+on pop, the standard technique for heaps that do not support random
+removal.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ class EventHandle:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        #: the owning queue while the event is pending; None once it was
+        #: popped, cancelled or cleared
         self._queue = queue
 
     def cancel(self) -> None:
@@ -57,11 +62,6 @@ class EventHandle:
             self._queue = None
             queue._live -= 1
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time!r}, seq={self.seq}, {state})"
@@ -75,7 +75,7 @@ class EventQueue:
     """Priority queue of timestamped callbacks with stable ordering."""
 
     def __init__(self) -> None:
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -85,8 +85,10 @@ class EventQueue:
         """Schedule ``callback(*args)`` at absolute ``time``; returns a handle."""
         if not math.isfinite(time):
             raise SimulationError(f"event time must be finite, got {time!r}")
-        handle = EventHandle(float(time), next(self._counter), callback, args, queue=self)
-        heapq.heappush(self._heap, handle)
+        time = float(time)
+        seq = next(self._counter)
+        handle = EventHandle(time, seq, callback, args, queue=self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._live += 1
         return handle
 
@@ -100,7 +102,7 @@ class EventQueue:
         Raises :class:`SimulationError` when empty.
         """
         while self._heap:
-            handle = heapq.heappop(self._heap)
+            handle = heapq.heappop(self._heap)[2]
             if not handle.cancelled:
                 self._live -= 1
                 # Detach so a late cancel() of an executed event cannot
@@ -111,9 +113,10 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest live event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def pop_due(self, limit: Optional[float]) -> Optional[EventHandle]:
         """Pop the earliest live event iff its time is ``<= limit``.
@@ -126,13 +129,13 @@ class EventQueue:
         where the peek-then-pop sequence paid two.
         """
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         if not heap:
             return None
-        if limit is not None and heap[0].time > limit:
+        if limit is not None and heap[0][0] > limit:
             return None
-        handle = heapq.heappop(heap)
+        handle = heapq.heappop(heap)[2]
         self._live -= 1
         # Detach so a late cancel() of an executed event cannot corrupt
         # the live count.
@@ -147,7 +150,7 @@ class EventQueue:
 
     def clear(self) -> None:
         """Drop every event (used when tearing a simulation down)."""
-        for handle in self._heap:
+        for _, _, handle in self._heap:
             handle._queue = None
         self._heap.clear()
         self._live = 0

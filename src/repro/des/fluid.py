@@ -68,8 +68,8 @@ min-heap:
 * assigning a task a new rate (via the ``task.rate`` setter) syncs its
   progress under the old rate and invalidates its heap entry;
 * after the allocator runs, the pool pushes one fresh entry per re-rated
-  task (``O(dirty · log n)``) and schedules the kernel event at the heap
-  top;
+  task (``O(dirty · log n)``), or rebuilds the heap when the re-rate is
+  wide, and keeps its one kernel event armed at the heap top;
 * stale entries are discarded lazily when they surface at the top.
 
 Together with an incremental allocator this makes the per-event cost of the
@@ -111,6 +111,9 @@ VERIFY_RTOL = 1e-9
 
 #: Below this heap size, stale entries are too cheap to be worth compacting.
 _COMPACT_MIN_ENTRIES = 64
+#: Least pool size at which a flush that re-rates half the pool rebuilds
+#: the horizon heap instead of pushing one entry per re-rated task.
+_REBUILD_MIN_TASKS = 16
 
 
 class FluidTask:
@@ -182,18 +185,11 @@ class FluidTask:
     @remaining.setter
     def remaining(self, value: float) -> None:
         self._remaining = value
-        if self.pool is not None:
-            self._synced_at = self.pool.kernel.now
+        pool = self.pool
+        if pool is not None:
+            self._synced_at = pool.kernel.now
             # The completion time encoded in the heap entry is now wrong.
-            self.pool._note_rated(self)
-
-    def _sync(self, now: float) -> None:
-        """Materialize the lazy progress integral at ``now``."""
-        if self._rate > 0.0:
-            dt = now - self._synced_at
-            if dt > 0.0:
-                self._remaining = max(0.0, self._remaining - self._rate * dt)
-        self._synced_at = now
+            pool._retimed[self] = None
 
     @property
     def rate(self) -> float:
@@ -202,6 +198,14 @@ class FluidTask:
 
     @rate.setter
     def rate(self, value: float) -> None:
+        # Every allocator assigns through here, so the common case returns
+        # first: the same rate with a live entry (or starved) leaves the
+        # heap state exact, and was validated when first set.  A same-rate
+        # task *without* an entry (e.g. re-admitted after removal with its
+        # old rate still set) must still be indexed.
+        old = self._rate
+        if value == old and (value == 0.0 or self._entry is not None):
+            return
         pool = self.pool
         if pool is None:
             self._rate = value
@@ -210,15 +214,17 @@ class FluidTask:
             raise SimulationError(
                 f"pool {pool.name!r}: allocator set invalid rate {value!r}"
             )
-        if value == self._rate and (value == 0.0 or self._entry is not None):
-            # Same rate with a live entry (or starved) → the existing heap
-            # state stays exact; nothing to invalidate.  A same-rate task
-            # *without* an entry (e.g. re-admitted after removal with its
-            # old rate still set) must still be indexed.
-            return
-        self._sync(pool.kernel.now)
+        # Materialize the lazy progress integral under the old rate, then
+        # mark the heap entry for re-indexing after the allocator returns.
+        now = pool.kernel.now
+        if old > 0.0:
+            dt = now - self._synced_at
+            if dt > 0.0:
+                left = self._remaining - old * dt
+                self._remaining = left if left > 0.0 else 0.0
+        self._synced_at = now
         self._rate = value
-        pool._note_rated(self)
+        pool._retimed[self] = None
 
     @property
     def active(self) -> bool:
@@ -226,7 +232,9 @@ class FluidTask:
         return self.pool is not None
 
     def _drained(self) -> bool:
-        return self.remaining <= max(
+        """Whether the remaining work counts as drained; only called at an
+        instant the task is synced to (admission, its horizon)."""
+        return self._remaining <= max(
             _COMPLETION_ATOL, self.work * _COMPLETION_RTOL
         )
 
@@ -301,7 +309,8 @@ class HorizonStats:
     demonstrates the sub-linear hot loop.
     """
 
-    #: horizon-heap entries pushed
+    #: horizon-heap entries placed: one per push, one per entry a rebuild
+    #: indexes
     heap_pushes: int = 0
     #: horizon-heap entries popped (valid and stale)
     heap_pops: int = 0
@@ -311,8 +320,9 @@ class HorizonStats:
     events: int = 0
     #: hypothetical cost of the O(n)-scan baseline over the same run
     scan_cost: int = 0
-    #: heap rebuilds triggered by the stale-entry fraction exceeding 3/4
-    #: (each costs O(live entries) and bounds heap memory within a burst)
+    #: heap rebuilds, on a wide re-rate (half of a pool of 16 or more) or
+    #: a stale-entry fraction over 3/4; each costs O(live entries) and
+    #: drops the stale entries unpopped
     compactions: int = 0
 
     @property
@@ -500,7 +510,7 @@ class FluidPool:
         # Insertion-ordered membership (dict-as-set) for O(1) removal while
         # preserving the deterministic iteration order allocators rely on.
         self._tasks: dict[FluidTask, None] = {}
-        self._last_update = kernel.now
+        # The one armed horizon event, at the earliest live heap entry.
         self._event: Optional[EventHandle] = None
         # Dirty set: membership deltas since the allocator last ran.
         self._added: list[FluidTask] = []
@@ -533,10 +543,10 @@ class FluidPool:
         """Admit a task; zero-work tasks complete immediately (synchronously)."""
         if task.pool is not None:
             raise SimulationError("task is already admitted to a pool")
-        self._advance()
+        now = self.kernel.now
         task.pool = self
-        task.started_at = self.kernel.now
-        task._synced_at = self.kernel.now
+        task.started_at = now
+        task._synced_at = now
         self._admission_counter += 1
         task._seq = self._admission_counter
         if task._drained():
@@ -544,7 +554,7 @@ class FluidPool:
             # (possibly tiny but positive) work so conservation holds.
             task.pool = None
             task._remaining = 0.0
-            task.finished_at = self.kernel.now
+            task.finished_at = now
             self.completed_work += task.work
             self.completed_tasks += 1
             task.on_complete(task)
@@ -560,8 +570,8 @@ class FluidPool:
         """Withdraw a task before completion (e.g. a cancelled transfer)."""
         if task.pool is not self:
             raise SimulationError("task is not admitted to this pool")
-        self._advance()
-        task._sync(self.kernel.now)
+        # Materialize the lazy progress integral before detaching.
+        task._remaining = task.remaining
         del self._tasks[task]
         task.pool = None
         task._entry = None
@@ -578,7 +588,6 @@ class FluidPool:
         :meth:`RateAllocator.refresh` so it can bound the recomputation
         (e.g. to the nodes whose transfer counts changed).
         """
-        self._advance()
         self._reallocate(refresh=True, hint=hint)
 
     def peek_horizon(self) -> float:
@@ -598,91 +607,109 @@ class FluidPool:
         else:
             self._removed.append(task)
 
-    def _note_rated(self, task: FluidTask) -> None:
-        """Record a rate change; the entry is re-pushed after the allocator."""
-        self._retimed[task] = None
-
-    def _advance(self) -> None:
-        """Advance the pool clock (progress itself is integrated lazily)."""
-        now = self.kernel.now
-        if now < self._last_update:  # pragma: no cover - defensive
-            raise SimulationError(f"pool {self.name!r}: time went backwards")
-        self._last_update = now
-
-    def _reallocate(self, refresh: bool = False, hint: Any = None) -> None:
+    def _disarm(self) -> None:
+        """Cancel the armed horizon event (emptied or all-starved pool)."""
         if self._event is not None:
             self.kernel.cancel(self._event)
             self._event = None
+
+    def _reallocate(self, refresh: bool = False, hint: Any = None) -> None:
         added, removed = self._added, self._removed
         if added or removed:
             self._added, self._removed = [], []
-        if not self._tasks and not (self._incremental and (added or removed)):
+        tasks = self._tasks
+        if tasks or (self._incremental and (added or removed)):
+            if self._incremental:
+                # Deliver pending membership deltas and any refresh in one
+                # shot (the allocator applies deltas first so its internal
+                # indices are current, and verifies once at the end).
+                self.allocator.apply(
+                    tasks, added, removed, refresh=refresh, hint=hint
+                )
+            else:
+                self.allocator.allocate(tasks)
+            # What the pre-heap implementation would have paid right here:
+            # one validation-plus-horizon scan over every active task.
+            self.horizon.scan_cost += len(tasks)
+        if not tasks:
             self._retimed.clear()
-            return
-        if self._incremental:
-            # Deliver pending membership deltas and any refresh in one
-            # shot (the allocator applies deltas first so its internal
-            # indices are current, and verifies once at the end).
-            self.allocator.apply(
-                self._tasks, added, removed, refresh=refresh, hint=hint
-            )
-        else:
-            self.allocator.allocate(self._tasks)
-        # What the pre-heap implementation would have paid right here: one
-        # validation-plus-horizon scan over every active task.
-        self.horizon.scan_cost += len(self._tasks)
-        if not self._tasks:
-            self._retimed.clear()
+            self._disarm()
             return
         self._flush_retimed()
         self._schedule_next()
 
     def _flush_retimed(self) -> None:
-        """Push fresh heap entries for every task the allocator re-rated."""
-        if not self._retimed:
+        """Index every task the allocator re-rated.
+
+        A *wide* retime — at least half of a pool of
+        :data:`_REBUILD_MIN_TASKS` or more tasks, e.g. a max-min cascade
+        over a whole component — rebuilds the heap in one ``heapify``
+        instead of ``k`` pushes now and ``k`` stale pops later.  Otherwise
+        each re-rated task gets one push, and the heap is rebuilt only once
+        stale entries exceed 3/4 of it: within one event burst the heap
+        never pops below its high-water mark of stale entries, and live
+        entries number at most ``len(tasks)``.  Amortized O(1): a rebuild
+        costs O(live) and at least 3 * live pushes precede the next
+        compaction.
+        """
+        retimed = self._retimed
+        if not retimed:
             return
-        retimed, self._retimed = self._retimed, {}
+        self._retimed = {}
+        tasks = self._tasks
+        heap = self._heap
+        wide = (
+            len(tasks) >= _REBUILD_MIN_TASKS and 2 * len(retimed) >= len(tasks)
+        )
+        pushes = 0
         for task in retimed:
             if task.pool is not self:
                 continue
-            if task._rate > 0.0:
+            rate = task._rate
+            if rate > 0.0:
                 self._entry_counter += 1
                 task._entry = self._entry_counter
-                finish = task._synced_at + task._remaining / task._rate
-                heapq.heappush(
-                    self._heap, (finish, task._seq, self._entry_counter, task)
-                )
-                self.horizon.heap_pushes += 1
+                if not wide:
+                    heapq.heappush(
+                        heap,
+                        (
+                            task._synced_at + task._remaining / rate,
+                            task._seq,
+                            task._entry,
+                            task,
+                        ),
+                    )
+                    pushes += 1
             else:
                 task._entry = None
-        # Compaction: within one event burst the heap never pops below its
-        # high-water mark of stale entries; rebuild it when stale entries
-        # dominate.  Live entries number at most len(tasks) (one per rated
-        # task), so heap > 4 * len(tasks) implies a stale fraction > 3/4.
-        # Amortized O(1): a rebuild costs O(live) and at least 3 * live
-        # pushes must happen before the next one can trigger.
-        if (
-            len(self._heap) >= _COMPACT_MIN_ENTRIES
-            and len(self._heap) > 4 * len(self._tasks)
+        self.horizon.heap_pushes += pushes
+        if wide or (
+            len(heap) >= _COMPACT_MIN_ENTRIES and len(heap) > 4 * len(tasks)
         ):
-            self._compact_heap()
+            self._rebuild_heap()
 
-    def _compact_heap(self) -> None:
-        """Drop every stale heap entry and re-heapify the live ones."""
-        live = [
-            entry
-            for entry in self._heap
-            if entry[3].pool is self and entry[3]._entry == entry[2]
+    def _rebuild_heap(self) -> None:
+        """Re-index every rated task in a fresh heap; stale entries vanish.
+
+        A task's live key ``(finish, seq, entry, task)`` is recomputed from
+        the same ``_synced_at`` / ``_remaining`` / ``_rate`` it was pushed
+        with (any change to those re-rates the task), and ``seq`` is unique
+        per task, so the pop order is the one the old heap had.  Each entry
+        placed counts as one push; the stale entries are dropped unpopped.
+        """
+        heap = [
+            (
+                task._synced_at + task._remaining / task._rate,
+                task._seq,
+                task._entry,
+                task,
+            )
+            for task in self._tasks
+            if task._entry is not None
         ]
-        # Each discarded entry would otherwise have cost one counted pop
-        # when it surfaced; charge the rebuild the same way so heap_ops
-        # keeps reflecting real horizon work (and stale_discards stays a
-        # subset of heap_pops, as documented).
-        discarded = len(self._heap) - len(live)
-        self.horizon.heap_pops += discarded
-        self.horizon.stale_discards += discarded
-        heapq.heapify(live)
-        self._heap = live
+        heapq.heapify(heap)
+        self._heap = heap
+        self.horizon.heap_pushes += len(heap)
         self.horizon.compactions += 1
 
     def _peek_valid(self) -> Optional[tuple[float, int, int, FluidTask]]:
@@ -702,18 +729,21 @@ class FluidPool:
         if top is None:
             # Every task is starved; progress resumes only on membership
             # change.
+            self._disarm()
             return
         # At the *absolute* horizon: an event time derived from ``now``
         # would depend on when the last reschedule happened — i.e. on what
         # other tasks share the pool — breaking the shard-partitioning
-        # determinism contract.
-        self._event = self.kernel.schedule_after(top[0], self._on_horizon)
+        # determinism contract.  An event already armed there stays.
+        self._event = self.kernel.rearm_after(
+            self._event, top[0], self._on_horizon
+        )
 
     def _on_horizon(self) -> None:
         self._event = None
-        self._advance()
         now = self.kernel.now
-        self.horizon.events += 1
+        horizon = self.horizon
+        horizon.events += 1
         finished: list[FluidTask] = []
         while True:
             top = self._peek_valid()
@@ -721,18 +751,21 @@ class FluidPool:
                 break
             task = top[3]
             heapq.heappop(self._heap)
-            self.horizon.heap_pops += 1
+            horizon.heap_pops += 1
             task._entry = None
-            if task._rate <= 0.0:
+            rate = task._rate
+            if rate <= 0.0:
                 # The rate was externally zeroed without a reallocate, so
                 # the entry id was never superseded: the task is starved,
                 # not finished (the pre-heap scan skipped zero rates too).
-                self.horizon.stale_discards += 1
+                horizon.stale_discards += 1
                 continue
-            task._sync(now)
+            # Materialize the lazy progress integral at ``now``.
+            task._remaining = task.remaining
+            task._synced_at = now
             if task._drained():
                 finished.append(task)
-            elif now + task._remaining / task._rate == now:
+            elif now + task._remaining / rate == now:
                 # Second Zeno guard: a task whose remaining horizon can no
                 # longer advance the clock is complete for all purposes —
                 # its residual is below the resolution of simulated time.
@@ -745,17 +778,12 @@ class FluidPool:
                 task._entry = self._entry_counter
                 heapq.heappush(
                     self._heap,
-                    (
-                        now + task._remaining / task._rate,
-                        task._seq,
-                        self._entry_counter,
-                        task,
-                    ),
+                    (now + task._remaining / rate, task._seq, task._entry, task),
                 )
-                self.horizon.heap_pushes += 1
+                horizon.heap_pushes += 1
         # The pre-heap implementation scanned every task here for drained
         # residuals; account the hypothetical cost for the benchmark.
-        self.horizon.scan_cost += len(self._tasks)
+        horizon.scan_cost += len(self._tasks)
         if not finished:
             self._schedule_next()
             return
@@ -772,7 +800,6 @@ class FluidPool:
         # callback that admits new work sees a consistent pool.
         for task in finished:
             task.on_complete(task)
-        self._advance()
         self._reallocate()
 
     def __len__(self) -> int:

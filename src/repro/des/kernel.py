@@ -104,6 +104,29 @@ class Kernel:
             finish = max(floor, math.nextafter(now, math.inf))
         return self._queue.push(finish, callback, *args)
 
+    def rearm_after(
+        self,
+        handle: Optional[EventHandle],
+        finish: float,
+        callback: Callable[..., None],
+        *args: Any,
+    ) -> EventHandle:
+        """Move ``handle`` to where :meth:`schedule_after` would arm ``finish``.
+
+        A fluid pool owns one horizon event and re-arms it after every rate
+        assignment, and most assignments leave the earliest completion
+        where it was.  A ``handle`` still pending at exactly that time is
+        returned as is: no cancel, no push.  Otherwise it is cancelled and
+        ``callback(*args)`` is armed afresh.  A kept handle is the same
+        callback at the same time; only its older ``seq`` differs, which
+        matters for a same-time tie alone.
+        """
+        if handle is not None and handle._queue is self._queue:
+            if handle.time == finish and finish > self._now + MIN_STEP:
+                return handle
+            handle.cancel()
+        return self.schedule_after(finish, callback, *args)
+
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event (idempotent)."""
         self._queue.cancel(handle)

@@ -25,8 +25,8 @@ The engine mirrors :class:`~repro.des.fluid.FluidPool` semantics exactly:
   that re-enters :meth:`add` triggers an immediate solve that delivers the
   removals and the new admission as one combined delta;
 * zero-work admissions complete synchronously without occupying capacity;
-* one kernel event is scheduled at the earliest completion horizon and
-  re-scheduled on every membership change.
+* one kernel event is armed at the earliest completion horizon and
+  re-armed on a membership change only when that horizon moves.
 
 It also exposes the same observability surface — ``stats``
 (:class:`~repro.des.fluid.AllocatorStats`) and ``horizon``
@@ -260,18 +260,16 @@ class SoaFluidEngine:
     def _solve_pending(self) -> None:
         """Deliver pending deltas in one solve.
 
-        The SoA analogue of ``FluidPool._reallocate``: cancel the pending
-        horizon event, hand the combined added/removed delta to the
-        allocation law, verify once at the end when shadowing is on, and
-        re-schedule the horizon.
+        The SoA analogue of ``FluidPool._reallocate``: hand the combined
+        added/removed delta to the allocation law, verify once at the end
+        when shadowing is on, and re-arm the horizon (keeping the armed
+        event when the earliest completion did not move).
         """
-        if self._event is not None:
-            self.kernel.cancel(self._event)
-            self._event = None
         added, removed = self._added, self._removed
         if added or removed:
             self._added, self._removed = [], []
         elif self._nlive == 0:
+            self._disarm()
             return
         self._sync_all()
         if added or removed:
@@ -286,17 +284,27 @@ class SoaFluidEngine:
         self.horizon.scan_cost += self._nlive
         if self._nlive:
             self._schedule_next()
+        else:
+            self._disarm()
+
+    def _disarm(self) -> None:
+        """Cancel the armed horizon event (emptied or all-starved engine)."""
+        if self._event is not None:
+            self.kernel.cancel(self._event)
+            self._event = None
 
     def _schedule_next(self) -> None:
         assert np is not None
         rated = self.live & (self.rate > 0.0)
         if not rated.any():
-            return  # every task is starved; progress resumes on membership change
+            # Every task is starved; progress resumes on membership change.
+            self._disarm()
+            return
         horizon = float((self.remaining[rated] / self.rate[rated]).min())
         # ``remaining`` holds at the last sync, so this is FluidPool's
-        # absolute heap key.
-        self._event = self.kernel.schedule_after(
-            self._synced_at + horizon, self._on_horizon
+        # absolute heap key; an event already armed there stays.
+        self._event = self.kernel.rearm_after(
+            self._event, self._synced_at + horizon, self._on_horizon
         )
 
     def _on_horizon(self) -> None:

@@ -42,19 +42,25 @@ class IncrementalEqualShareAllocator(StarFlowAllocator):
 
     The per-node indices and single-hop dirty-set computation live in
     :class:`~repro.netmodel.base.StarFlowAllocator`; this class contributes
-    only the paper's rate law ``min(B / n_out(src), B / n_in(dst))``.
+    only the paper's rate law ``min(B / n_out(src), B / n_in(dst))``, read
+    straight off each transfer's node indices.
     """
 
     # ------------------------------------------------------------- allocator
     def _full_rates(self, tasks: Collection[FluidTask]) -> None:
-        for task in tasks:
-            task.rate = self._equal_share_rate(task)
+        self._update_rates(tasks, tasks)
 
     def _update_rates(
         self, dirty: Collection[FluidTask], tasks: Collection[FluidTask]
     ) -> int:
+        capacity = self.capacity
+        out_tasks, in_tasks = self._out_tasks, self._in_tasks
         for task in dirty:
-            task.rate = self._equal_share_rate(task)
+            transfer = task.tag
+            out_share = capacity / len(out_tasks[transfer.src])
+            in_share = capacity / len(in_tasks[transfer.dst])
+            # min(out_share, in_share), without the builtin call
+            task.rate = in_share if in_share < out_share else out_share
         return len(dirty)
 
 

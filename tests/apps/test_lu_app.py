@@ -175,6 +175,32 @@ def test_config_validation():
         LUConfig(n=96, r=24, flow_control=0)
 
 
+#: (option, wrong-typed value) pairs every LU entry point must refuse
+WRONG_TYPED_OPTIONS = [
+    ("pipelined", "no"),  # truthy: used to run the P variant
+    ("pipelined", 1),
+    ("flow_control", 2.5),  # used to run with a fractional credit limit
+    ("pm_subblock", 12.0),
+    ("n", 192.0),
+    ("r", "48"),
+    ("num_threads", True),
+    ("num_nodes", 2.0),
+]
+
+
+@pytest.mark.parametrize("option, bad", WRONG_TYPED_OPTIONS)
+def test_wrong_typed_option_is_a_configuration_error_at_spec_load(option, bad):
+    from repro.scenario import ScenarioSpec, default_registry
+
+    options = {"n": 192, "r": 48, "num_threads": 4, "num_nodes": 2, option: bad}
+    spec = ScenarioSpec.from_dict(
+        {"app": {"name": "lu", "options": options}, "engine": {"name": "sim"}}
+    )
+    plugin = default_registry().resolve("app", "lu")
+    with pytest.raises(ConfigurationError, match=f"{option} must be of type"):
+        plugin.make_config(spec)
+
+
 def test_variant_names():
     assert LUConfig(n=96, r=24).variant_name == "basic"
     assert (

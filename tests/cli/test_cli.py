@@ -367,6 +367,25 @@ def test_run_bad_spec_value_is_one_error_line(
     assert complaint in err
 
 
+@pytest.mark.parametrize(
+    "option, bad", [("pipelined", "no"), ("flow_control", 2.5)]
+)
+def test_run_wrong_typed_lu_option_is_one_error_line(tmp_path, capsys, option, bad):
+    import json as _json
+
+    options = {"n": 192, "r": 48, "num_threads": 4, "num_nodes": 2, option: bad}
+    payload = {
+        "app": {"name": "lu", "options": options},
+        "engine": {"name": "sim", "mode": "noalloc"},
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(_json.dumps(payload))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{option} must be of type" in err
+
+
 def test_scenarios_list(capsys):
     code = main(["scenarios", "list"])
     out = capsys.readouterr().out

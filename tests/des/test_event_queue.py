@@ -28,6 +28,31 @@ def test_fifo_tie_breaking_at_equal_times():
     assert seqs == sorted(seqs)
 
 
+def test_fifo_at_equal_times_survives_cancellations():
+    """The heap orders ``(time, seq)`` tuples: cancelling some of a run of
+    same-time events, then pushing more at that time, pops the survivors
+    in scheduling order, before any later time."""
+    q = EventQueue()
+    handles = [q.push(1.0, lambda: None) for _ in range(6)]
+    q.push(0.5, lambda: None)
+    for i in (0, 3, 4):
+        q.cancel(handles[i])
+    late = [q.push(1.0, lambda: None) for _ in range(3)]
+    q.push(2.0, lambda: None)
+    q.cancel(late[1])
+    popped = [q.pop() for _ in range(len(q))]
+    assert [h.time for h in popped] == [0.5] + [1.0] * 5 + [2.0]
+    assert popped[1:6] == [handles[1], handles[2], handles[5], late[0], late[2]]
+
+
+def test_handles_are_not_orderable():
+    """Ordering lives in the heap's tuples, not on the handle."""
+    q = EventQueue()
+    a, b = q.push(1.0, lambda: None), q.push(2.0, lambda: None)
+    with pytest.raises(TypeError):
+        a < b  # noqa: B015
+
+
 def test_cancel_skips_event():
     q = EventQueue()
     h1 = q.push(1.0, lambda: None)

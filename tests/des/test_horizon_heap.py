@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.des.fluid import FluidPool, FluidTask
-from repro.des.kernel import Kernel
+from repro.des.kernel import MIN_STEP, Kernel
 from repro.errors import SimulationError
 
 
@@ -282,40 +282,156 @@ def test_heap_does_less_work_than_scan_at_scale():
     assert horizon.scan_cost > 4 * horizon.heap_ops
 
 
-def test_heap_compacts_when_stale_fraction_exceeds_three_quarters(kernel):
-    """Repeated whole-pool re-rates within one burst pile up stale entries
-    without ever popping them; once they exceed 3/4 of the heap the pool
-    must rebuild it (counted in ``HorizonStats.compactions``) instead of
-    holding its high-water mark until the next completion."""
+def rerate_first(count: list):
+    """Allocator giving the first ``count[0]`` tasks a fresh rate per call.
+
+    Every other task keeps rate 1.0, so a call re-rates exactly
+    ``count[0]`` tasks (plus any newly admitted one).
+    """
     calls = [0]
 
-    def jittered(tasks):
-        # A slightly different rate every call so each re-rate invalidates
-        # every live entry and pushes a fresh one.
+    def allocate(tasks):
         calls[0] += 1
-        share = 1.0 / len(tasks) * (1.0 + 0.001 * calls[0])
-        for t in tasks:
-            t.rate = share
+        for i, t in enumerate(tasks):
+            t.rate = 1.0 + 0.001 * calls[0] if i < count[0] else 1.0
 
-    pool = FluidPool(kernel, jittered)
-    tasks = [FluidTask(1e6, lambda t: None) for _ in range(40)]
-    for task in tasks:
-        pool.add(task)
-    assert pool.horizon.compactions == 0
-    for _ in range(8):
+    return allocate
+
+
+def test_heap_compacts_when_stale_fraction_exceeds_three_quarters(kernel):
+    """Narrow re-rates within one burst pile up stale entries without ever
+    popping them; once they exceed 3/4 of the heap the pool must rebuild it
+    (counted in ``HorizonStats.compactions``) instead of holding its
+    high-water mark until the next completion."""
+    count = [0]
+    pool = FluidPool(kernel, rerate_first(count))
+    for _ in range(40):
+        pool.add(FluidTask(1e6, lambda t: None))
+    # Each admission re-rated only the newcomer: one push each.
+    assert len(pool._heap) == 40 and pool.horizon.compactions == 0
+    count[0] = 19  # under half the pool: one push per re-rated task
+    for round_ in range(1, 8):
         pool.reallocate()
-    assert pool.horizon.compactions >= 1
-    # After compaction the heap holds at most one live entry per task plus
-    # the sub-threshold stale remainder.
-    assert len(pool._heap) <= 4 * len(pool)
-    # The horizon index is still exact.
-    assert pool.peek_horizon() == pytest.approx(linear_scan_horizon(pool))
+        assert pool.peek_horizon() == linear_scan_horizon(pool)
+        if round_ < 7:
+            assert len(pool._heap) == 40 + 19 * round_
+            assert pool.horizon.compactions == 0
+    # 40 + 7 * 19 = 173 entries > 4 * 40: rebuilt to one entry per task.
+    assert pool.horizon.compactions == 1
+    assert len(pool._heap) == 40
     # And completions still fire correctly afterwards.
     done = []
     quick = FluidTask(1e-6, lambda t: done.append(kernel.now))
     pool.add(quick)
     kernel.run(until=kernel.now + 1.0)
     assert len(done) == 1
+
+
+def test_heap_rebuilds_when_a_flush_retimes_half_the_pool(kernel):
+    """A flush that re-rates at least half of a pool of 16 or more tasks
+    re-indexes every rated task in one ``heapify``: one push per live
+    entry, and no stale entry left to pop later.  One task fewer pushes
+    instead."""
+    count = [0]
+    pool = FluidPool(kernel, rerate_first(count))
+    for _ in range(20):
+        pool.add(FluidTask(1e6, lambda t: None))
+    count[0] = 9  # under half
+    pool.reallocate()
+    assert pool.horizon.compactions == 0
+    assert len(pool._heap) == 29
+    assert pool.peek_horizon() == linear_scan_horizon(pool)
+    count[0] = 10  # exactly half
+    pushes = pool.horizon.heap_pushes
+    pool.reallocate()
+    assert pool.horizon.compactions == 1
+    assert len(pool._heap) == 20
+    assert pool.horizon.heap_pushes - pushes == 20
+    assert pool.peek_horizon() == linear_scan_horizon(pool)
+    # No stale entry ever surfaced: the rebuild dropped them unpopped.
+    assert pool.horizon.stale_discards == 0
+
+
+def test_small_pools_never_rebuild_on_wide_retimes(kernel):
+    """Below 16 tasks a whole-pool re-rate pushes one entry per task."""
+    count = [0]
+    pool = FluidPool(kernel, rerate_first(count))
+    for _ in range(15):
+        pool.add(FluidTask(1e6, lambda t: None))
+    count[0] = 15
+    pool.horizon.reset()
+    pool.reallocate()
+    assert pool.horizon.compactions == 0
+    assert pool.horizon.heap_pushes == 15
+    assert pool.peek_horizon() == linear_scan_horizon(pool)
+
+
+# ------------------------------------------------------ one armed horizon event
+
+
+def rate_table(rates: dict):
+    """Allocator reading each task's rate from ``rates[task.tag]``."""
+
+    def allocate(tasks):
+        for t in tasks:
+            t.rate = rates[t.tag]
+
+    return allocate
+
+
+def test_armed_event_survives_a_refresh_that_keeps_the_head(kernel):
+    rates = {"head": 1.0, "tail": 1.0}
+    pool = FluidPool(kernel, rate_table(rates))
+    pool.add(FluidTask(1.0, lambda t: None, tag="head"))
+    pool.add(FluidTask(5.0, lambda t: None, tag="tail"))
+    armed = pool._event
+    assert armed.time == 1.0
+    pending = kernel.pending_events
+    pool.reallocate()  # nothing re-rated
+    assert pool._event is armed
+    rates["tail"] = 2.0  # re-rates a task behind the head
+    pool.reallocate()
+    assert pool._event is armed and not armed.cancelled
+    assert kernel.pending_events == pending
+
+
+def test_armed_event_is_replaced_when_the_head_moves(kernel):
+    rates = {"head": 1.0, "tail": 1.0}
+    pool = FluidPool(kernel, rate_table(rates))
+    pool.add(FluidTask(2.0, lambda t: None, tag="head"))
+    pool.add(FluidTask(5.0, lambda t: None, tag="tail"))
+    first = pool._event
+    rates["head"] = 4.0  # head moves earlier: 0.5
+    pool.reallocate()
+    earlier = pool._event
+    assert earlier is not first and first.cancelled
+    assert earlier.time == 0.5
+    rates["head"] = 0.25  # head moves later: the tail at 5.0 leads
+    pool.reallocate()
+    later = pool._event
+    assert later is not earlier and earlier.cancelled
+    assert later.time == 5.0
+    assert kernel.pending_events == 1
+    rates["head"] = rates["tail"] = 0.0  # all starved: disarmed
+    pool.reallocate()
+    assert pool._event is None and later.cancelled
+    assert kernel.pending_events == 0
+
+
+def test_head_within_min_step_is_rearmed_through_schedule_after(kernel):
+    """A head at or before ``now + MIN_STEP`` is armed at the floor, not at
+    its own time, so it never counts as unchanged: every refresh re-arms
+    it through ``Kernel.schedule_after``."""
+    pool = FluidPool(kernel, rate_table({"sliver": 2e12}))
+    pool.add(FluidTask(1.0, lambda t: None, tag="sliver"))  # finish 5e-13
+    first = pool._event
+    floor = max(MIN_STEP, math.nextafter(0.0, math.inf))
+    assert pool.peek_horizon() < first.time == floor
+    pool.reallocate()
+    assert pool._event is not first and first.cancelled
+    assert pool._event.time == floor
+    kernel.run()
+    assert len(pool) == 0
 
 
 def test_small_heaps_are_never_compacted(kernel):

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.des.kernel import Kernel
+from repro.des.kernel import MIN_STEP, Kernel
 from repro.errors import SimulationError
 
 
@@ -67,6 +67,34 @@ def test_schedule_after_arms_strictly_after_now(now, offset):
 def test_schedule_after_rejects_non_finite_times(kernel, finish):
     with pytest.raises(SimulationError):
         kernel.schedule_after(finish, lambda: None)
+
+
+def test_rearm_after_keeps_a_pending_handle_at_the_same_time(kernel):
+    kernel.schedule_at(1.0, lambda: None)
+    kernel.run()
+    handle = kernel.schedule_after(3.0, lambda: None)
+    assert kernel.rearm_after(handle, 3.0, lambda: None) is handle
+    assert kernel.pending_events == 1
+    moved = kernel.rearm_after(handle, 2.0, lambda: None)
+    assert moved is not handle and handle.cancelled
+    assert moved.time == 2.0 and kernel.pending_events == 1
+    # A fired, cancelled or absent handle is never kept.
+    assert kernel.rearm_after(handle, 2.0, lambda: None) is not handle
+    assert kernel.rearm_after(None, 4.0, lambda: None).time == 4.0
+
+
+def test_rearm_after_at_the_floor_arms_afresh(kernel):
+    """``schedule_after`` moves a finish within ``MIN_STEP`` of now to the
+    floor, so the handle's time never equals it: re-armed every time."""
+    kernel.schedule_at(1.0, lambda: None)
+    kernel.run()
+    finish = 1.0 + MIN_STEP / 2
+    first = kernel.schedule_after(finish, lambda: None)
+    again = kernel.rearm_after(first, finish, lambda: None)
+    assert again is not first and first.cancelled
+    assert again.time == first.time == max(
+        1.0 + MIN_STEP, math.nextafter(1.0, math.inf)
+    )
 
 
 def test_run_until_advances_clock_exactly(kernel):

@@ -57,6 +57,17 @@ def test_table_is_the_papers_34_configurations():
     }
 
 
+def test_every_section_spec_builds_its_app_config():
+    """Both sections' specs pass the LU config's type and range checks."""
+    from repro.scenario import default_registry
+
+    plugin = default_registry().resolve("app", "lu")
+    for name, section in fidelity.SECTIONS.items():
+        for label in section.labels:
+            for spec in fidelity.section_pair(name, label, section.seeds[0]):
+                plugin.make_config(spec)
+
+
 def test_reduced_section_replays_bit_exactly(reduced):
     assert fidelity.differences(COMMITTED["reduced"], reduced) == []
 

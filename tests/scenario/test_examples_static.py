@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioSpec, default_registry
 from repro.scenario.spec import tomllib
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -27,3 +27,5 @@ def test_example_spec_loads(path):
     assert spec.name, f"{path.name}: spec must carry a name"
     assert spec.app.name
     assert spec.engine.name
+    # The app config's own type and range checks accept it too.
+    default_registry().resolve("app", spec.app.name).make_config(spec)

@@ -75,6 +75,27 @@ class TestMalformedPayloads:
         assert client.healthz()["status"] == "ok"
 
     @pytest.mark.parametrize(
+        "option, bad", [("pipelined", "no"), ("flow_control", 2.5)]
+    )
+    def test_wrong_typed_lu_option_is_400_not_200(self, make_service, option, bad):
+        """``"no"`` is truthy and 2.5 passes every range check: both used
+        to run (the P variant, a fractional credit limit) and answer 200."""
+        pytest.importorskip("numpy")  # the job runs LU kernels' cost model
+        _, client = make_service()
+        payload = {
+            "name": "bad-lu-option",
+            "app": {"name": "lu", "options": {
+                "n": 192, "r": 48, "num_threads": 4, "num_nodes": 2,
+                option: bad}},
+            "engine": {"name": "sim", "mode": "noalloc"},
+        }
+        with pytest.raises(ServiceError) as exc:
+            client.run(payload)
+        assert exc.value.status == 400
+        assert f"{option} must be of type" in exc.value.message
+        assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize(
         "section, key, bad, complaint",
         [
             ("cluster", "nodes", "16", "cluster.nodes must be of type int"),
