@@ -109,8 +109,11 @@ def cmd_server(args: argparse.Namespace) -> int:
             ),
             cluster=ClusterSection(
                 nodes=args.nodes,
-                jobs=args.jobs,
-                interarrival=args.interarrival,
+                arrivals={
+                    "process": "poisson",
+                    "mean_interarrival": args.interarrival,
+                    "jobs": args.jobs,
+                },
                 policy=name,
                 nodes_per_job=args.nodes_per_job,
                 efficiency_floor=args.efficiency_floor,

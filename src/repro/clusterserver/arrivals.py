@@ -10,8 +10,8 @@ ever hold memory.
 
 Four generator families cover the usual traffic shapes:
 
-* :func:`poisson_arrivals` — memoryless arrivals at a constant rate, the
-  open-system analogue of ``synthetic_workload``;
+* :func:`poisson_arrivals` — memoryless arrivals at a constant rate,
+  drawn by the same generator as ``synthetic_workload``;
 * :func:`bursty_arrivals` — a two-state MMPP (Markov-modulated Poisson
   process): quiet/burst phases with exponential dwell times, the burst
   state arriving ``burst_factor`` times faster;
@@ -25,27 +25,22 @@ streams keyed by process name, so a given ``(process, seed)`` pair is a
 reproducible workload.  Every process takes a stop condition — a job
 count, a time horizon, or both — because an unbounded stream with no
 admission control would never drain.
-
-:func:`closed_stream` adapts a materialized job list to the stream
-interface.  The engines already run a ``Sequence[JobSpec]`` through
-their one stream loop in this same arrival order, so the adapter changes
-no scheduling decision — only what comes back: streaming SLO aggregates
-(and the policy's admission hook) instead of per-job dicts.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from repro.clusterserver.workload import (
+    JOB_SHAPES,
     JobSpec,
+    _sample_job,
     amdahl_efficiency,
-    lu_like_job,
-    rampup_job,
-    stencil_like_job,
+    poisson_jobs,
 )
 from repro.errors import ConfigurationError
 from repro.util.rng import SeedSequenceFactory
@@ -55,10 +50,6 @@ from repro.util.validation import check_positive, check_type
 #: nondecreasing time order.  Any iterable qualifies; the generators in
 #: this module are the built-in implementations.
 ArrivalProcess = Iterable[tuple[float, JobSpec]]
-
-#: Job-shape families an arrival process can sample (the same draw
-#: conventions as the closed ``synthetic_workload``/``mixed_workload``).
-JOB_SHAPES = ("lu", "mixed")
 
 
 def _check_positive(name: str, value) -> None:
@@ -81,48 +72,17 @@ def _check_stop(jobs, horizon, required: bool = True) -> None:
         _check_positive("horizon", horizon)
 
 
-def _check_synthetic(mean_interarrival, max_nodes, jobs, horizon) -> None:
+def _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon) -> None:
     """What every synthetic process takes, checked when the stream is
     built — a generator body would not run before the engine's first
     ``next()``."""
     _check_positive("mean_interarrival", mean_interarrival)
+    if shape not in JOB_SHAPES:
+        raise ConfigurationError(
+            f"unknown job shape {shape!r}; choose from {list(JOB_SHAPES)}"
+        )
     check_type("arrivals.max_nodes", max_nodes, int)
     _check_stop(jobs, horizon)
-
-
-def _sample_job(shape: str, rng, index: int, t: float, max_nodes: int) -> JobSpec:
-    """Draw one job of the given shape family (same draws as the closed
-    generators, so stream workloads stay statistically comparable)."""
-    if shape == "lu":
-        return lu_like_job(
-            f"job{index}",
-            arrival=t,
-            nb=int(rng.integers(4, 12)),
-            unit_work=float(rng.uniform(5.0, 25.0)),
-            parallel_fraction=float(rng.uniform(0.92, 0.99)),
-            max_nodes=max_nodes,
-        )
-    if shape == "mixed":
-        unit = float(rng.uniform(5.0, 25.0))
-        pf = float(rng.uniform(0.92, 0.99))
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            return lu_like_job(
-                f"lu{index}", t, nb=int(rng.integers(4, 12)), unit_work=unit,
-                parallel_fraction=pf, max_nodes=max_nodes,
-            )
-        if kind == 1:
-            return stencil_like_job(
-                f"st{index}", t, iterations=int(rng.integers(5, 15)),
-                unit_work=unit, parallel_fraction=pf, max_nodes=max_nodes,
-            )
-        return rampup_job(
-            f"rr{index}", t, phases=int(rng.integers(4, 10)),
-            unit_work=unit, parallel_fraction=pf, max_nodes=max_nodes,
-        )
-    raise ConfigurationError(
-        f"unknown job shape {shape!r}; choose from {list(JOB_SHAPES)}"
-    )
 
 
 def poisson_arrivals(
@@ -135,18 +95,16 @@ def poisson_arrivals(
     horizon: Optional[float] = None,
 ) -> Iterator[tuple[float, JobSpec]]:
     """Constant-rate memoryless arrivals (rate ``1/mean_interarrival``)."""
-    _check_synthetic(mean_interarrival, max_nodes, jobs, horizon)
+    _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon)
 
     def stream() -> Iterator[tuple[float, JobSpec]]:
-        rng = SeedSequenceFactory(seed).rng("arrivals/poisson")
-        t = 0.0
-        i = 0
-        while jobs is None or i < jobs:
-            t += float(rng.exponential(mean_interarrival))
+        arrivals = poisson_jobs(
+            shape, "arrivals/poisson", seed, mean_interarrival, max_nodes
+        )
+        for t, spec in itertools.islice(arrivals, jobs):
             if horizon is not None and t > horizon:
                 return
-            yield t, _sample_job(shape, rng, i, t, max_nodes)
-            i += 1
+            yield t, spec
 
     return stream()
 
@@ -171,7 +129,7 @@ def bursty_arrivals(
     memoryless, redrawing the pending gap at each state switch is
     distributionally exact.
     """
-    _check_synthetic(mean_interarrival, max_nodes, jobs, horizon)
+    _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon)
     _check_positive("burst_factor", burst_factor)
     if burst_factor < 1.0:
         raise ConfigurationError("burst_factor must be >= 1")
@@ -222,7 +180,7 @@ def diurnal_arrivals(
     mean_interarrival``: candidate arrivals are drawn at the peak rate
     and accepted with probability ``rate(t)/peak``.
     """
-    _check_synthetic(mean_interarrival, max_nodes, jobs, horizon)
+    _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon)
     if not 0.0 <= amplitude < 1.0:
         raise ConfigurationError("amplitude must be in [0, 1)")
     _check_positive("period", period)
@@ -323,16 +281,3 @@ def trace_arrivals(
             emitted += 1
 
     return stream()
-
-
-def closed_stream(
-    specs: Sequence[JobSpec],
-) -> Iterator[tuple[float, JobSpec]]:
-    """Adapt a materialized (closed) job list to the stream interface.
-
-    Yields the exact ``JobSpec`` objects in stable arrival order — the
-    order in which the engines themselves feed a ``Sequence[JobSpec]`` to
-    their run loop — so the makespan matches the Sequence run bit-for-bit.
-    """
-    for spec in sorted(specs, key=lambda s: s.arrival):
-        yield spec.arrival, spec

@@ -9,9 +9,9 @@ nodes are used in each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
+import itertools
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from repro.errors import ConfigurationError
 from repro.util.rng import SeedSequenceFactory
@@ -262,6 +262,57 @@ def rampup_job(
     )
 
 
+#: Job-shape families a synthetic stream samples (a ``server`` spec's
+#: ``app.name``).
+JOB_SHAPES = ("lu", "mixed")
+
+
+def _sample_job(shape: str, rng, index: int, t: float, max_nodes: int) -> JobSpec:
+    """Draw one job of a :data:`JOB_SHAPES` family arriving at ``t``."""
+    if shape == "lu":
+        return lu_like_job(
+            f"job{index}",
+            arrival=t,
+            nb=int(rng.integers(4, 12)),
+            unit_work=float(rng.uniform(5.0, 25.0)),
+            parallel_fraction=float(rng.uniform(0.92, 0.99)),
+            max_nodes=max_nodes,
+        )
+    unit = float(rng.uniform(5.0, 25.0))
+    pf = float(rng.uniform(0.92, 0.99))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return lu_like_job(
+            f"lu{index}", t, nb=int(rng.integers(4, 12)), unit_work=unit,
+            parallel_fraction=pf, max_nodes=max_nodes,
+        )
+    if kind == 1:
+        return stencil_like_job(
+            f"st{index}", t, iterations=int(rng.integers(5, 15)),
+            unit_work=unit, parallel_fraction=pf, max_nodes=max_nodes,
+        )
+    return rampup_job(
+        f"rr{index}", t, phases=int(rng.integers(4, 10)),
+        unit_work=unit, parallel_fraction=pf, max_nodes=max_nodes,
+    )
+
+
+def poisson_jobs(
+    shape: str, label: str, seed: int, mean_interarrival: float, max_nodes: int
+) -> Iterator[tuple[float, JobSpec]]:
+    """An endless ``(arrival, JobSpec)`` stream with exponential gaps.
+
+    ``label`` names the :class:`~repro.util.rng.SeedSequenceFactory`
+    stream the gaps and job sizes are drawn from; ``shape`` is one of
+    :data:`JOB_SHAPES`.  Each job draws its gap, then its size.
+    """
+    rng = SeedSequenceFactory(seed).rng(label)
+    t = 0.0
+    for i in itertools.count():
+        t += float(rng.exponential(mean_interarrival))
+        yield t, _sample_job(shape, rng, i, t, max_nodes)
+
+
 def synthetic_workload(
     jobs: int = 12,
     mean_interarrival: float = 40.0,
@@ -269,25 +320,8 @@ def synthetic_workload(
     max_nodes: int = 8,
 ) -> list[JobSpec]:
     """A random stream of LU-like jobs (Poisson arrivals, varied sizes)."""
-    rng = SeedSequenceFactory(seed).rng("workload")
-    specs = []
-    t = 0.0
-    for i in range(jobs):
-        t += float(rng.exponential(mean_interarrival))
-        nb = int(rng.integers(4, 12))
-        unit = float(rng.uniform(5.0, 25.0))
-        pf = float(rng.uniform(0.92, 0.99))
-        specs.append(
-            lu_like_job(
-                f"job{i}",
-                arrival=t,
-                nb=nb,
-                unit_work=unit,
-                parallel_fraction=pf,
-                max_nodes=max_nodes,
-            )
-        )
-    return specs
+    stream = poisson_jobs("lu", "workload", seed, mean_interarrival, max_nodes)
+    return [spec for _, spec in itertools.islice(stream, jobs)]
 
 
 def mixed_workload(
@@ -297,33 +331,7 @@ def mixed_workload(
     max_nodes: int = 8,
 ) -> list[JobSpec]:
     """A random mix of LU-like, stencil-like and ramp-up jobs."""
-    rng = SeedSequenceFactory(seed).rng("mixed-workload")
-    specs = []
-    t = 0.0
-    for i in range(jobs):
-        t += float(rng.exponential(mean_interarrival))
-        unit = float(rng.uniform(5.0, 25.0))
-        pf = float(rng.uniform(0.92, 0.99))
-        shape = int(rng.integers(0, 3))
-        if shape == 0:
-            specs.append(
-                lu_like_job(
-                    f"lu{i}", t, nb=int(rng.integers(4, 12)), unit_work=unit,
-                    parallel_fraction=pf, max_nodes=max_nodes,
-                )
-            )
-        elif shape == 1:
-            specs.append(
-                stencil_like_job(
-                    f"st{i}", t, iterations=int(rng.integers(5, 15)),
-                    unit_work=unit, parallel_fraction=pf, max_nodes=max_nodes,
-                )
-            )
-        else:
-            specs.append(
-                rampup_job(
-                    f"rr{i}", t, phases=int(rng.integers(4, 10)),
-                    unit_work=unit, parallel_fraction=pf, max_nodes=max_nodes,
-                )
-            )
-    return specs
+    stream = poisson_jobs(
+        "mixed", "mixed-workload", seed, mean_interarrival, max_nodes
+    )
+    return [spec for _, spec in itertools.islice(stream, jobs)]

@@ -21,7 +21,6 @@ The subsystem the CLI, sweeps, benches and CI jobs all build on (see
 from repro.scenario.registry import (
     AppPlugin,
     Registry,
-    WorkloadPlugin,
     default_registry,
 )
 from repro.scenario.runner import RunRecord, calibration_key, run_scenario
@@ -46,7 +45,6 @@ __all__ = [
     "Registry",
     "RunRecord",
     "ScenarioSpec",
-    "WorkloadPlugin",
     "calibration_key",
     "default_registry",
     "run_scenario",

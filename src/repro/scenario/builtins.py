@@ -13,8 +13,8 @@ may use to the concrete classes of the repository:
 * **providers** — ``costmodel`` (PDEXEC), ``direct``,
   ``measure_first_n`` (plus the ``auto`` mode-derived default);
 * **engines** — ``sim``, ``testbed``, ``server``;
-* **workloads** — ``lu``, ``mixed`` closed job lists plus the open-system
-  ``poisson``, ``bursty``, ``diurnal``, ``trace`` arrival streams;
+* **workloads** — the ``poisson``, ``bursty``, ``diurnal``, ``trace``
+  arrival streams a ``cluster.arrivals`` table names;
 * **policies** — ``static``, ``fcfs``, ``backfill``, ``equipartition``,
   ``adaptive`` schedulers plus the ``admission`` and ``autoscale``
   wrappers.
@@ -29,7 +29,7 @@ import sys
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
-from repro.scenario.registry import AppPlugin, Registry, WorkloadPlugin
+from repro.scenario.registry import AppPlugin, Registry
 
 
 def _strict(name: str, cls: Callable[..., Any]) -> Callable[..., Any]:
@@ -343,14 +343,15 @@ def _install_engines(registry: Registry) -> None:
 
 
 def _install_workloads(registry: Registry) -> None:
+    """Each workload is a stream factory ``(cluster, seed, shape, params)
+    -> ArrivalProcess``: ``params`` is the spec's ``cluster.arrivals``
+    table less ``process``, ``shape`` its ``app.name``."""
     from repro.clusterserver.arrivals import (
         bursty_arrivals,
-        closed_stream,
         diurnal_arrivals,
         poisson_arrivals,
         trace_arrivals,
     )
-    from repro.clusterserver.workload import mixed_workload, synthetic_workload
 
     def _stream_call(name: str, fn: Callable[..., Any], kwargs: dict) -> Any:
         try:
@@ -364,93 +365,26 @@ def _install_workloads(registry: Registry) -> None:
         """Adapt a shape-sampling generator to the stream contract."""
 
         def stream(cluster: Any, seed: int, shape: str, params: dict) -> Any:
-            kwargs = dict(params)
-            kwargs.setdefault("shape", shape)
+            kwargs = dict(params, shape=shape)
             kwargs.setdefault("seed", seed)
             kwargs.setdefault("max_nodes", cluster.job_max_nodes)
-            if "jobs" not in kwargs and "horizon" not in kwargs:
-                kwargs["jobs"] = cluster.jobs
             return _stream_call(name, fn, kwargs)
-
-        return stream
-
-    def _closed_as_stream(name: str, fn: Callable[..., Any]):
-        """A closed generator replayed through the stream interface."""
-
-        def stream(cluster: Any, seed: int, shape: str, params: dict) -> Any:
-            kwargs = dict(params)
-            kwargs.setdefault("seed", seed)
-            kwargs.setdefault("max_nodes", cluster.job_max_nodes)
-            kwargs.setdefault("jobs", cluster.jobs)
-            return closed_stream(_stream_call(name, fn, kwargs))
 
         return stream
 
     def _trace_stream(cluster: Any, seed: int, shape: str, params: dict) -> Any:
         return _stream_call("trace", trace_arrivals, dict(params))
 
-    registry.register(
-        "workload",
-        "lu",
-        WorkloadPlugin(
-            name="lu",
-            closed=synthetic_workload,
-            stream=_closed_as_stream("lu", synthetic_workload),
-            description="LU-like malleable jobs, Poisson spacing (closed)",
-        ),
-        description="LU-like malleable jobs, Poisson spacing (closed)",
-    )
-    registry.register(
-        "workload",
-        "mixed",
-        WorkloadPlugin(
-            name="mixed",
-            closed=mixed_workload,
-            stream=_closed_as_stream("mixed", mixed_workload),
-            description="mixed LU/stencil/ramp-up job families (closed)",
-        ),
-        description="mixed LU/stencil/ramp-up job families (closed)",
-    )
-    registry.register(
-        "workload",
-        "poisson",
-        WorkloadPlugin(
-            name="poisson",
-            stream=_synthetic_stream("poisson", poisson_arrivals),
-            description="open stream: constant-rate memoryless arrivals",
-        ),
-        description="open stream: constant-rate memoryless arrivals",
-    )
-    registry.register(
-        "workload",
-        "bursty",
-        WorkloadPlugin(
-            name="bursty",
-            stream=_synthetic_stream("bursty", bursty_arrivals),
-            description="open stream: two-state MMPP quiet/burst phases",
-        ),
-        description="open stream: two-state MMPP quiet/burst phases",
-    )
-    registry.register(
-        "workload",
-        "diurnal",
-        WorkloadPlugin(
-            name="diurnal",
-            stream=_synthetic_stream("diurnal", diurnal_arrivals),
-            description="open stream: sinusoidal daily-cycle arrival rate",
-        ),
-        description="open stream: sinusoidal daily-cycle arrival rate",
-    )
-    registry.register(
-        "workload",
-        "trace",
-        WorkloadPlugin(
-            name="trace",
-            stream=_trace_stream,
-            description="open stream: JSON-lines trace replay (path = ...)",
-        ),
-        description="open stream: JSON-lines trace replay (path = ...)",
-    )
+    for name, stream, description in (
+        ("poisson", _synthetic_stream("poisson", poisson_arrivals),
+         "constant-rate memoryless arrivals"),
+        ("bursty", _synthetic_stream("bursty", bursty_arrivals),
+         "two-state MMPP quiet/burst phases"),
+        ("diurnal", _synthetic_stream("diurnal", diurnal_arrivals),
+         "sinusoidal daily-cycle arrival rate"),
+        ("trace", _trace_stream, "JSON-lines trace replay (path = ...)"),
+    ):
+        registry.register("workload", name, stream, description=description)
 
 
 def _install_policies(registry: Registry) -> None:

@@ -176,38 +176,6 @@ class AppPlugin:
 
 
 # --------------------------------------------------------------------------
-# the workload plugin contract
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkloadPlugin:
-    """A ``server``-engine workload: closed generator, stream factory, or both.
-
-    Parameters
-    ----------
-    name:
-        Registry name (``lu``, ``poisson``...).
-    closed:
-        ``(jobs=, mean_interarrival=, seed=, max_nodes=) -> [JobSpec]`` —
-        the materialized closed-system workload (None for stream-only
-        processes).
-    stream:
-        ``(cluster, seed, shape, params) -> ArrivalProcess`` — the lazy
-        open-system arrival stream built from a spec's
-        ``cluster.arrivals`` table (None for closed-only workloads).
-        ``shape`` is the spec's ``app.name``, the job-shape family.
-    description:
-        One-line summary for ``repro scenarios list``.
-    """
-
-    name: str
-    closed: Optional[Callable[..., Any]] = None
-    stream: Optional[Callable[..., Any]] = None
-    description: str = ""
-
-
-# --------------------------------------------------------------------------
 # the default registry
 # --------------------------------------------------------------------------
 

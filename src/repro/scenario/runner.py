@@ -463,35 +463,23 @@ def run_server(spec: ScenarioSpec, registry: Registry) -> RunRecord:
             f"{sorted(spec.engine.options)}; valid: []"
         )
     cluster = spec.cluster
-    if cluster.arrivals:
-        # Open system: a lazy arrival stream named by cluster.arrivals.
-        params = dict(cluster.arrivals)
-        process = str(params.pop("process"))
-        plugin = registry.resolve("workload", process)
-        stream = getattr(plugin, "stream", None)
-        if stream is None:
-            raise ConfigurationError(
-                f"workload {process!r} has no arrival-stream form; "
-                "closed-only workloads configure cluster.jobs/interarrival "
-                "instead of cluster.arrivals"
-            )
-        workload = stream(cluster, spec.engine.seed, spec.app.name, params)
-    else:
-        # Closed system: the legacy materialized workload (bit-compatible
-        # with every pre-arrivals launcher).
-        plugin = registry.resolve("workload", spec.app.name)
-        closed = getattr(plugin, "closed", plugin if callable(plugin) else None)
-        if closed is None:
-            raise ConfigurationError(
-                f"workload {spec.app.name!r} is an open-system arrival "
-                "process; configure it via cluster.arrivals"
-            )
-        workload = closed(
-            jobs=cluster.jobs,
-            mean_interarrival=cluster.interarrival,
-            seed=spec.engine.seed,
-            max_nodes=cluster.job_max_nodes,
+    if not cluster.arrivals:
+        raise ConfigurationError(
+            "the 'server' engine needs a cluster.arrivals table, e.g. "
+            'arrivals = {process = "poisson", mean_interarrival = 25.0, '
+            "jobs = 16}"
         )
+    params = dict(cluster.arrivals)
+    process = params.pop("process")
+    processes = registry.names("workload")
+    if process not in processes:
+        raise ConfigurationError(
+            f"unknown cluster.arrivals.process {process!r}; choose from "
+            f"{processes}"
+        )
+    workload = registry.resolve("workload", process)(
+        cluster, spec.engine.seed, spec.app.name, params
+    )
     policy = registry.resolve("policy", cluster.policy)(cluster)
     plan = _fault_plan(spec, registry)
     stats = None
@@ -521,18 +509,11 @@ def run_server(spec: ScenarioSpec, registry: Registry) -> RunRecord:
         "service_rate": result.service_rate,
         "throughput": result.throughput,
         "total_nodes": result.total_nodes,
-        "jobs": len(result.job_turnaround) or result.jobs_completed,
+        "jobs": result.jobs_completed,
     }
-    if result.slo is not None:
-        # Open-system runs carry the streaming SLO summary: quantile
-        # sojourns, rejection rate, utilization aggregates.
-        metrics.update(result.slo.to_metrics())
-    elif plan is not None:
-        # Closed runs surface the fault counters only under a plan, so
-        # fault-free records keep their exact historical metric keys.
-        metrics["retries"] = result.retries
-        metrics["lost_work"] = result.lost_work
-        metrics["failed_jobs"] = result.failed_jobs
+    # The streaming SLO summary: quantile sojourns, rejection rate,
+    # utilization aggregates and the fault counters.
+    metrics.update(result.slo.to_metrics())
     if stats is not None:
         _flatten_stats("shard_", stats, metrics)
     return RunRecord(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional
@@ -217,27 +216,18 @@ class PlatformSection:
 class ClusterSection:
     """The ``server`` engine's scenario shape (paper §9 workloads).
 
-    Two workload modes:
-
-    * **closed** (default): ``jobs`` specs are materialized up front by
-      the registered workload generator, with ``interarrival`` as the
-      mean job spacing — the original paper-scale form.  ``interarrival``
-      is the deprecated alias for ``arrivals = {process = "poisson",
-      mean_interarrival = ...}`` and keeps the historical closed
-      semantics for bit-compatibility.
-    * **open**: a non-empty ``arrivals`` table names a streaming arrival
-      process (``process = "poisson" | "bursty" | "diurnal" | "trace"``)
-      plus its parameters and a stop condition (``jobs`` and/or
-      ``horizon``); jobs are generated lazily and memory stays bounded
-      by the active-job count (see ``docs/workloads.md``).
+    ``arrivals`` names the streaming arrival process (``process =
+    "poisson" | "bursty" | "diurnal" | "trace"``) plus its parameters and
+    a stop condition (``jobs`` and/or ``horizon``); jobs are generated
+    lazily and memory stays bounded by the active-job count (see
+    ``docs/workloads.md``).  The job shape is the spec's ``app.name``.
+    A ``server`` run needs a non-empty table.
 
     ``policy_options`` are keyword arguments of the policy factory —
     admission/autoscaling limits, and ``inner`` for wrapper policies.
     """
 
     nodes: int = 16
-    jobs: int = 16
-    interarrival: float = 25.0
     policy: str = "adaptive"
     nodes_per_job: int = 8
     efficiency_floor: float = 0.5
@@ -252,19 +242,20 @@ class ClusterSection:
         )
         if self.nodes < 1:
             raise ConfigurationError("cluster.nodes must be >= 1")
-        if self.jobs < 1:
-            raise ConfigurationError("cluster.jobs must be >= 1")
         if self.nodes_per_job < 1:
             raise ConfigurationError(
                 f"cluster.nodes_per_job must be >= 1, got {self.nodes_per_job}"
             )
-        if self.interarrival <= 0:
-            raise ConfigurationError("cluster.interarrival must be > 0")
         if self.arrivals and not isinstance(self.arrivals.get("process"), str):
             raise ConfigurationError(
                 "cluster.arrivals needs a 'process' name (string); e.g. "
                 'arrivals = {process = "poisson", mean_interarrival = 25.0, '
                 "jobs = 1000}"
+            )
+        if "shape" in self.arrivals:
+            raise ConfigurationError(
+                "cluster.arrivals.shape is not an option: app.name is the "
+                "job shape"
             )
 
     @property
@@ -326,7 +317,7 @@ _SECTION_TYPES: dict[str, type] = {
 #: annotations``) checked at load: spec files and ``POST /run`` bodies are
 #: outside input, and a mistyped scalar must not reach the comparisons in
 #: ``__post_init__``.  A float field takes any finite real, so TOML
-#: ``interarrival = 20`` still loads; option tables and fault events
+#: ``efficiency_floor = 1`` still loads; option tables and fault events
 #: validate themselves.
 _SCALAR_FIELDS = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
@@ -351,48 +342,6 @@ def _section_from_dict(section: str, cls: type, payload: Any):
             if isinstance(value, float):
                 check_finite(f"{section}.{key}", value)
     return cls(**payload)
-
-
-_INTERARRIVAL_WARNED = False
-
-
-def _check_cluster_payload(payload: Mapping[str, Any]) -> None:
-    """Validate the deprecated ``interarrival`` key against ``arrivals``.
-
-    ``cluster.interarrival`` is the legacy spelling of
-    ``cluster.arrivals = {process = "poisson", mean_interarrival = ...}``
-    (closed semantics, kept for bit-compatibility).  Setting it warns
-    once per process; setting both spellings with conflicting values is a
-    configuration error.
-    """
-    global _INTERARRIVAL_WARNED
-    if "interarrival" not in payload:
-        return
-    arrivals = payload.get("arrivals") or {}
-    if isinstance(arrivals, Mapping) and arrivals:
-        process = arrivals.get("process")
-        mean = arrivals.get("mean_interarrival", 25.0)
-        try:
-            consistent = process == "poisson" and float(mean) == float(
-                payload["interarrival"]
-            )
-        except (TypeError, ValueError):
-            consistent = False
-        if not consistent:
-            raise ConfigurationError(
-                "cluster.interarrival conflicts with cluster.arrivals "
-                f"(interarrival={payload['interarrival']!r} vs "
-                f"arrivals={dict(arrivals)!r}); drop the deprecated "
-                "interarrival key"
-            )
-    if not _INTERARRIVAL_WARNED:
-        _INTERARRIVAL_WARNED = True
-        warnings.warn(
-            "cluster.interarrival is deprecated; use cluster.arrivals = "
-            '{process = "poisson", mean_interarrival = ...} instead',
-            DeprecationWarning,
-            stacklevel=4,
-        )
 
 
 # --------------------------------------------------------------------------
@@ -457,10 +406,6 @@ class ScenarioSpec:
                         entry[f.name] = dict(v)
                 else:
                     entry[f.name] = v
-            if section == "cluster" and entry.get("arrivals"):
-                # An open-system spec: 'interarrival' would be the
-                # deprecated alias, so the canonical form drops it.
-                entry.pop("interarrival", None)
             payload[section] = entry
         if self.faults != FaultsSection():
             # Omitted when default so pre-fault specs keep their spec_key;
@@ -500,10 +445,6 @@ class ScenarioSpec:
             kwargs["name"] = str(payload["name"])
         for section, section_cls in _SECTION_TYPES.items():
             if section in payload:
-                if section == "cluster" and isinstance(
-                    payload[section], Mapping
-                ):
-                    _check_cluster_payload(payload[section])
                 kwargs[section] = _section_from_dict(
                     section, section_cls, payload[section]
                 )

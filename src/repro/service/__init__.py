@@ -9,13 +9,3 @@ deduplication by canonical spec key, bounded-queue backpressure (429),
 priorities, queued-job cancellation, and warm shared caches across
 requests.  See ``docs/service.md`` for the HTTP contract.
 """
-
-from repro._lazy import attach
-
-__getattr__, __dir__, __all__ = attach(
-    __name__,
-    {
-        "ServiceClient": "repro.service.client",
-        "ServiceThread": "repro.service.server",
-    },
-)

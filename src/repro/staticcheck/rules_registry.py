@@ -100,8 +100,9 @@ def _plugin_names(spec: Any) -> Iterator[tuple[str, str]]:
     yield "policy", cluster.policy
     if "inner" in cluster.policy_options:
         yield "policy", str(cluster.policy_options["inner"])
-    # Open system: the arrival process; closed: the app names the job mix.
-    yield "workload", str(cluster.arrivals.get("process", spec.app.name))
+    # The arrival process (app.name is the job shape, not a plugin); a
+    # spec without a cluster.arrivals table names the empty workload ''.
+    yield "workload", str(cluster.arrivals.get("process", ""))
 
 
 class ExampleSpecsParseRule(ProjectRule):

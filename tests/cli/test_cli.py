@@ -345,6 +345,8 @@ def test_run_missing_spec_fails(capsys):
         ("arrivals", "jobs", float("nan"), "arrivals.jobs must be of type int"),
         ("arrivals", "mean_interarrival", "x",
          "arrivals.mean_interarrival must be of type int or float"),
+        ("cluster", "interarrival", 20.0,
+         "unknown keys ['interarrival'] in spec section 'cluster'"),
     ],
 )
 def test_run_bad_spec_value_is_one_error_line(

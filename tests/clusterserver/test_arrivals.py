@@ -9,12 +9,10 @@ import pytest
 
 from repro.clusterserver.arrivals import (
     bursty_arrivals,
-    closed_stream,
     diurnal_arrivals,
     poisson_arrivals,
     trace_arrivals,
 )
-from repro.clusterserver.workload import synthetic_workload
 from repro.errors import ConfigurationError
 
 PROCESSES = {
@@ -75,10 +73,11 @@ def test_mixed_shape_draws_multiple_families():
     assert prefixes == {"lu", "st", "rr"}
 
 
-def test_unknown_shape_rejected():
-    stream = poisson_arrivals(10.0, shape="cube", seed=0, jobs=1)
-    with pytest.raises(ConfigurationError, match="unknown job shape"):
-        next(stream)
+@pytest.mark.parametrize("name", sorted(PROCESSES))
+def test_unknown_shape_rejected(name):
+    # Checked where the stream is built, not at the engine's first next().
+    with pytest.raises(ConfigurationError, match="unknown job shape 'cube'"):
+        PROCESSES[name](10.0, shape="cube", seed=0, jobs=1)
 
 
 def test_parameter_validation():
@@ -155,15 +154,6 @@ def test_trace_errors_name_the_line(tmp_path):
 def test_trace_missing_file():
     with pytest.raises(ConfigurationError, match="cannot read"):
         list(trace_arrivals("/nonexistent/trace.jsonl"))
-
-
-# ------------------------------------------------------------ closed_stream
-def test_closed_stream_yields_exact_specs_in_arrival_order():
-    specs = synthetic_workload(jobs=8, mean_interarrival=10.0, seed=4)
-    items = list(closed_stream(specs))
-    assert [s for _, s in items] == sorted(specs, key=lambda s: s.arrival)
-    assert all(t == s.arrival for t, s in items)
-    assert all(s in specs for _, s in items)
 
 
 def test_streams_are_lazy():

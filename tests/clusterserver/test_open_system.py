@@ -25,7 +25,7 @@ from repro.clusterserver import (
     amdahl_efficiency,
     synthetic_workload,
 )
-from repro.clusterserver.arrivals import closed_stream, poisson_arrivals
+from repro.clusterserver.arrivals import poisson_arrivals
 from repro.clusterserver.scheduler import (
     AdmissionControlScheduler,
     AutoscalingScheduler,
@@ -87,7 +87,7 @@ def test_closed_stream_matches_closed_run():
     specs = synthetic_workload(jobs=20, mean_interarrival=20.0, seed=3)
     closed = ClusterServer(16, EquipartitionScheduler()).run(specs)
     opened = ClusterServer(16, EquipartitionScheduler()).run(
-        closed_stream(specs)
+        (s.arrival, s) for s in specs
     )
     assert opened.makespan == closed.makespan
     assert opened.jobs_completed == len(specs)
@@ -167,10 +167,10 @@ def test_open_starvation_detected():
 
     big = synthetic_workload(jobs=2, mean_interarrival=5.0, seed=3)
     with pytest.raises(ConfigurationError, match="never completed"):
-        ClusterServer(4, StaticScheduler(8)).run(closed_stream(big))
+        ClusterServer(4, StaticScheduler(8)).run((s.arrival, s) for s in big)
     with pytest.raises(ConfigurationError, match="never completed"):
         ShardedServer(4, StaticScheduler(8), shards=2).run(
-            closed_stream(big)
+            (s.arrival, s) for s in big
         )
     del stream
 

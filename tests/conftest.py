@@ -12,44 +12,8 @@ import pytest
 from repro.cpumodel.machines import ULTRASPARC_II_440
 from repro.des.kernel import Kernel
 from repro.netmodel.params import NetworkParams
-from repro.scenario import spec as spec_module
 from repro.sim.platform import PlatformSpec
 from repro.sim.providers import CostModelProvider, MachineCostModel
-
-
-#: Tests that feed the deprecated ``cluster.interarrival`` key on purpose
-#: (node-id prefixes).  Canonical spec dicts spell the key out for every
-#: closed spec and three example specs still carry it, so anything that
-#: round-trips a spec or loads ``examples/`` trips the deprecation by
-#: design.  Every other test must say ``cluster.arrivals``: CI runs tier-1
-#: with ``-W "error:cluster.interarrival is deprecated"``.
-_LEGACY_INTERARRIVAL_TESTS = (
-    "tests/cli/test_cli.py",  # runs examples/server_sharded.toml
-    "tests/faults/test_fault_plan.py",  # canonical-dict round trip
-    "tests/scenario/test_examples_static.py",
-    "tests/scenario/test_spec.py",
-    "tests/service/",  # client and daemon exchange canonical dicts
-    "tests/staticcheck/test_selfcheck.py",  # REP-R loads every example
-)
-
-
-def pytest_collection_modifyitems(items):
-    legacy_ok = pytest.mark.filterwarnings(
-        "ignore:cluster.interarrival is deprecated:DeprecationWarning"
-    )
-    for item in items:
-        if item.nodeid.startswith(_LEGACY_INTERARRIVAL_TESTS):
-            item.add_marker(legacy_ok)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_interarrival_warning(monkeypatch):
-    """Re-arm the once-per-process deprecation for every test.
-
-    Otherwise the first test to trip it hides every later one, and the
-    CI flag above would only ever see the first.
-    """
-    monkeypatch.setattr(spec_module, "_INTERARRIVAL_WARNED", False)
 
 
 @pytest.fixture(autouse=True)

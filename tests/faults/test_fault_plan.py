@@ -76,7 +76,11 @@ class TestSpecSection:
             "name": "faulty",
             "app": {"name": "lu"},
             "engine": {"name": "server", "seed": 11},
-            "cluster": {"nodes": 8, "jobs": 4, "policy": "equipartition"},
+            "cluster": {
+                "nodes": 8,
+                "policy": "equipartition",
+                "arrivals": {"process": "poisson", "jobs": 4},
+            },
             "faults": {
                 "max_retries": 1,
                 "events": [
@@ -107,8 +111,8 @@ seed = 11
 
 [cluster]
 nodes = 8
-jobs = 4
 policy = "equipartition"
+arrivals = {process = "poisson", jobs = 4}
 
 [faults]
 max_retries = 1

@@ -65,7 +65,7 @@ class TestDefaultRegistry:
         assert registry.names("cpumodel") == ["shared", "timeslice"]
         assert registry.names("engine") == ["server", "sim", "testbed"]
         assert registry.names("workload") == [
-            "bursty", "diurnal", "lu", "mixed", "poisson", "trace",
+            "bursty", "diurnal", "poisson", "trace",
         ]
         assert registry.names("policy") == [
             "adaptive", "admission", "autoscale", "backfill",

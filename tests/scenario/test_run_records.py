@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.clusterserver import AdaptiveEfficiencyScheduler, ClusterServer
-from repro.clusterserver.workload import synthetic_workload
+from repro.clusterserver.arrivals import poisson_arrivals
 from repro.errors import ConfigurationError
 from repro.scenario import (
     AppSection,
@@ -51,7 +51,9 @@ def _server_spec(shards: int = 1) -> ScenarioSpec:
         app=AppSection("lu"),
         engine=EngineSection(name="server", seed=2, shards=shards),
         cluster=ClusterSection(
-            nodes=12, jobs=6, interarrival=20.0, policy="adaptive"
+            nodes=12,
+            policy="adaptive",
+            arrivals={"process": "poisson", "mean_interarrival": 20.0, "jobs": 6},
         ),
     )
 
@@ -212,10 +214,8 @@ class TestTestbedParity:
 class TestServerParity:
     def test_record_matches_native_cluster_server(self):
         record = run_scenario(_server_spec(shards=1))
-        specs = synthetic_workload(
-            jobs=6, mean_interarrival=20.0, seed=2, max_nodes=8
-        )
-        native = ClusterServer(12, AdaptiveEfficiencyScheduler(0.5)).run(specs)
+        stream = poisson_arrivals(20.0, seed=2, max_nodes=8, jobs=6)
+        native = ClusterServer(12, AdaptiveEfficiencyScheduler(0.5)).run(stream)
         assert record.engine == "server"
         assert record.makespan == native.makespan
         assert record.events == native.events
@@ -312,45 +312,6 @@ class TestOpenSystemRecords:
         with pytest.raises(ConfigurationError, match="no policy_options"):
             run_scenario(spec)
 
-    def test_stream_only_workload_rejected_on_closed_path(self):
-        # The closed path resolves the workload from the app name; an
-        # open-system process must be configured via cluster.arrivals.
-        spec = _server_spec()
-        spec = dataclasses.replace(spec, app=AppSection("poisson"))
-        with pytest.raises(ConfigurationError, match="cluster.arrivals"):
-            run_scenario(spec)
-
-    def test_closed_only_workload_has_no_stream_form(self):
-        from repro.scenario import Registry
-        from repro.scenario.builtins import install_builtins
-
-        registry = install_builtins(Registry(name="legacy"))
-        registry.register(
-            "workload",
-            "legacy",
-            lambda jobs, mean_interarrival, seed, max_nodes: [],
-        )
-        spec = self._open_spec(arrivals={"process": "legacy", "jobs": 5})
-        with pytest.raises(ConfigurationError, match="arrival-stream"):
-            run_scenario(spec, registry)
-
-    def test_closed_workload_streams_via_arrivals(self):
-        # lu/mixed keep a stream form too: a closed workload replayed as
-        # an arrival stream makes identical scheduling decisions.
-        closed = run_scenario(_server_spec())
-        opened = run_scenario(
-            self._open_spec(
-                nodes=12,
-                arrivals={
-                    "process": "lu",
-                    "mean_interarrival": 20.0,
-                    "jobs": 6,
-                },
-            )
-        )
-        assert opened.makespan == closed.makespan
-        assert opened.metrics["jobs_completed"] == 6
-
     def test_bad_arrivals_options_report_cleanly(self):
         spec = self._open_spec(
             arrivals={"process": "poisson", "warp": 9, "jobs": 5}
@@ -359,19 +320,24 @@ class TestOpenSystemRecords:
             run_scenario(spec)
 
     @pytest.mark.parametrize(
-        "process, option, bad",
+        "app, process, option, bad",
         [
-            ("poisson", "jobs", "abc"), ("poisson", "jobs", 2.5),
-            ("poisson", "jobs", float("nan")), ("poisson", "jobs", True),
-            ("poisson", "mean_interarrival", "x"),
-            ("poisson", "mean_interarrival", float("nan")),
-            ("poisson", "horizon", "soon"), ("poisson", "horizon", float("inf")),
-            ("poisson", "max_nodes", "x"),
-            ("bursty", "jobs", "abc"), ("diurnal", "jobs", "abc"),
+            ("lu", "poisson", "jobs", "abc"), ("lu", "poisson", "jobs", 2.5),
+            ("lu", "poisson", "jobs", float("nan")),
+            ("lu", "poisson", "jobs", True),
+            ("lu", "poisson", "mean_interarrival", "x"),
+            ("lu", "poisson", "mean_interarrival", float("nan")),
+            ("lu", "poisson", "horizon", "soon"),
+            ("lu", "poisson", "horizon", float("inf")),
+            ("lu", "poisson", "max_nodes", "x"),
+            ("lu", "bursty", "jobs", "abc"), ("lu", "diurnal", "jobs", "abc"),
+            # a DPS app is no job shape
+            ("stencil", "poisson", "jobs", 5), ("stencil", "bursty", "jobs", 5),
+            ("stencil", "diurnal", "jobs", 5),
         ],
     )
     def test_bad_arrival_values_fail_before_the_engine_starts(
-        self, monkeypatch, process, option, bad
+        self, monkeypatch, app, process, option, bad
     ):
         """The arrival processes are lazy, their argument checks are not:
         a bad value never reaches an engine's first ``next()``."""
@@ -383,9 +349,16 @@ class TestOpenSystemRecords:
         monkeypatch.setattr(server.ClusterServer, "run", no_engine)
         monkeypatch.setattr(sharded.ShardedServer, "run", no_engine)
         arrivals = {"process": process, "jobs": 5, option: bad}
+        complaint = (
+            f"arrivals.{option}" if app == "lu" else "unknown job shape 'stencil'"
+        )
         for shards in (1, 2):
-            with pytest.raises(ConfigurationError, match=f"arrivals.{option}"):
-                run_scenario(self._open_spec(shards=shards, arrivals=arrivals))
+            spec = dataclasses.replace(
+                self._open_spec(shards=shards, arrivals=arrivals),
+                app=AppSection(app),
+            )
+            with pytest.raises(ConfigurationError, match=complaint):
+                run_scenario(spec)
 
     def test_bad_trace_stop_condition_reports_cleanly(self, tmp_path):
         trace = tmp_path / "trace.jsonl"

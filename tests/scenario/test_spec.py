@@ -31,7 +31,10 @@ def _full_spec() -> ScenarioSpec:
         cpumodel=ModelSection("shared"),
         provider=ProviderSection("costmodel"),
         platform=PlatformSection("paper", calibrate=True),
-        cluster=ClusterSection(nodes=12, jobs=6),
+        cluster=ClusterSection(
+            nodes=12,
+            arrivals={"process": "poisson", "mean_interarrival": 20.0, "jobs": 6},
+        ),
         events=("2,3@1",),
     )
 
@@ -139,8 +142,6 @@ class TestValidation:
     def test_bad_cluster_rejected(self):
         with pytest.raises(ConfigurationError):
             ClusterSection(nodes=0)
-        with pytest.raises(ConfigurationError):
-            ClusterSection(interarrival=0.0)
 
     @pytest.mark.parametrize(
         "section, key, bad",
@@ -179,7 +180,7 @@ class TestValidation:
              "must be of type int or float, got str"),
             ("cluster", "efficiency_floor", float("nan"),
              "must be finite, got nan"),
-            ("cluster", "interarrival", float("inf"), "must be finite, got inf"),
+            ("cluster", "efficiency_floor", float("inf"), "must be finite, got inf"),
             ("faults", "max_retries", None, "must be of type int, got NoneType"),
         ],
     )
@@ -204,7 +205,7 @@ class TestValidation:
 
 
 # --------------------------------------------------------------------------
-# open-system arrivals and the deprecated interarrival alias
+# cluster.arrivals: the one spelling of a server workload
 # --------------------------------------------------------------------------
 
 
@@ -216,29 +217,20 @@ def _open_cluster(**arrivals):
     }
 
 
-class TestArrivalsShim:
-    # tests/conftest.py re-arms the once-per-process deprecation warning
-    # before every test, so each one observes (or asserts the absence
-    # of) its own copy.
-
+class TestArrivals:
     def test_arrivals_requires_process_name(self):
         with pytest.raises(ConfigurationError, match="'process' name"):
             ClusterSection(arrivals={"mean_interarrival": 10.0})
         with pytest.raises(ConfigurationError, match="'process' name"):
             ClusterSection(arrivals={"process": 7})
 
-    def test_open_spec_round_trips_without_interarrival(self):
+    def test_arrivals_spec_round_trips(self):
         spec = ScenarioSpec.from_dict(
             _open_cluster(process="poisson", mean_interarrival=10.0, jobs=50)
         )
         canonical = spec.to_dict()
-        assert "interarrival" not in canonical["cluster"]
         assert canonical["cluster"]["arrivals"]["process"] == "poisson"
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert ScenarioSpec.from_dict(canonical) == spec
+        assert ScenarioSpec.from_dict(canonical) == spec
 
     def test_policy_options_round_trip(self):
         payload = _open_cluster(process="poisson", jobs=10)
@@ -248,29 +240,34 @@ class TestArrivalsShim:
         assert spec.cluster.policy_options == {"max_active": 4}
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
-    def test_legacy_interarrival_warns_once(self):
-        payload = {"cluster": {"nodes": 8, "interarrival": 20.0}}
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            spec = ScenarioSpec.from_dict(payload)
-        assert spec.cluster.interarrival == 20.0
-        import warnings
+    @pytest.mark.parametrize(
+        "cluster, complaint",
+        [
+            ({"jobs": 8}, "unknown keys ['jobs'] in spec section 'cluster'"),
+            ({"interarrival": 20.0},
+             "unknown keys ['interarrival'] in spec section 'cluster'"),
+            ({"arrivals": {"process": "poisson", "jobs": 8, "shape": "mixed"}},
+             "cluster.arrivals.shape"),
+            ({"arrivals": {"process": "lu", "jobs": 8}},
+             "unknown cluster.arrivals.process 'lu'"),
+            ({"arrivals": {"process": "mixed", "jobs": 8}},
+             "unknown cluster.arrivals.process 'mixed'"),
+            ({}, "needs a cluster.arrivals table"),
+        ],
+    )
+    def test_closed_workload_spelling_is_rejected(self, cluster, complaint):
+        """A server workload is spelled once, as ``cluster.arrivals``: the
+        closed keys, a second shape key and the closed workload names are
+        configuration errors naming the key, with no alias."""
+        from repro.scenario import run_scenario
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ScenarioSpec.from_dict(payload)  # second load stays quiet
-
-    def test_conflicting_interarrival_and_arrivals_rejected(self):
-        payload = _open_cluster(process="poisson", mean_interarrival=5.0)
-        payload["cluster"]["interarrival"] = 20.0
-        with pytest.raises(ConfigurationError, match="conflicts"):
-            ScenarioSpec.from_dict(payload)
-
-    def test_consistent_interarrival_and_arrivals_accepted(self):
-        payload = _open_cluster(process="poisson", mean_interarrival=20.0)
-        payload["cluster"]["interarrival"] = 20.0
-        with pytest.warns(DeprecationWarning):
-            spec = ScenarioSpec.from_dict(payload)
-        assert spec.cluster.arrivals["process"] == "poisson"
+        payload = {
+            "name": "closed", "app": {"name": "lu"},
+            "engine": {"name": "server"}, "cluster": cluster,
+        }
+        with pytest.raises(ConfigurationError) as exc:
+            run_scenario(ScenarioSpec.from_dict(payload))
+        assert complaint in str(exc.value)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,8 @@ import pytest
 
 from repro.scenario import Registry, RunRecord
 from repro.scenario.builtins import install_builtins
-from repro.service import ServiceClient, ServiceThread
+from repro.service.client import ServiceClient
+from repro.service.server import ServiceThread
 
 #: Gate engines must never block forever: a wedged test run would hang
 #: interpreter shutdown (worker threads are joined at exit).

@@ -20,7 +20,7 @@ def server_spec(
     seed: int = 2,
     nodes: int = 8,
     jobs: int = 4,
-    interarrival: float = 10.0,
+    mean_interarrival: float = 10.0,
     policy: str = "fcfs",
 ) -> dict:
     """A tiny (milliseconds) cluster-server scenario in dict form."""
@@ -30,9 +30,12 @@ def server_spec(
         "engine": {"name": "server", "seed": seed},
         "cluster": {
             "nodes": nodes,
-            "jobs": jobs,
-            "interarrival": interarrival,
             "policy": policy,
+            "arrivals": {
+                "process": "poisson",
+                "mean_interarrival": mean_interarrival,
+                "jobs": jobs,
+            },
         },
     }
 

@@ -44,9 +44,9 @@ _cluster_sections = st.fixed_dictionaries(
     {},
     optional={
         "nodes": st.integers(min_value=1, max_value=64),
-        "jobs": st.integers(min_value=1, max_value=32),
-        "interarrival": st.floats(
-            min_value=1.0, max_value=100.0, allow_nan=False
+        "nodes_per_job": st.integers(min_value=1, max_value=32),
+        "efficiency_floor": st.floats(
+            min_value=0.0, max_value=1.0, allow_nan=False
         ),
         "policy": st.sampled_from(["fcfs", "adaptive", "static", "backfill"]),
     },
@@ -125,12 +125,19 @@ def test_semantic_differences_change_the_key():
         "name": "k",
         "app": {"name": "lu"},
         "engine": {"name": "server", "seed": 2},
-        "cluster": {"nodes": 8, "jobs": 4, "policy": "fcfs"},
+        "cluster": {
+            "nodes": 8,
+            "policy": "fcfs",
+            "arrivals": {"process": "poisson", "jobs": 4},
+        },
     }
     variants = [
         {**base, "engine": {"name": "server", "seed": 3}},
         {**base, "cluster": {**base["cluster"], "nodes": 9}},
         {**base, "cluster": {**base["cluster"], "policy": "adaptive"}},
+        {**base, "cluster": {
+            **base["cluster"], "arrivals": {"process": "poisson", "jobs": 5},
+        }},
         {**base, "app": {"name": "lu", "options": {"n": 216}}},
         {**base, "name": "other"},
     ]

@@ -18,7 +18,7 @@ import pytest
 from service_helpers import gate_spec, server_spec, wait_until
 
 from repro.errors import ServiceError
-from repro.service import ServiceClient
+from repro.service.client import ServiceClient
 
 
 def _lu_spec(name: str, n: int = 1296, r: int = 162) -> dict:

@@ -22,7 +22,7 @@ from service_helpers import server_spec, strip_wall, wait_until
 from repro.errors import ServiceError
 from repro.scenario import run_scenario
 from repro.scenario.spec import ScenarioSpec
-from repro.service import ServiceClient
+from repro.service.client import ServiceClient
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 EXAMPLES = ["server_eager.toml", "server_sharded.toml", "lu_sim.toml"]
@@ -82,10 +82,12 @@ def test_serve_subprocess_end_to_end(serve_daemon):
 
     # Forced dedup: saturate the single worker with slow jobs, then
     # submit the same new spec twice — both must map to one job.
-    # jobs=150/interarrival=5.0 keeps each plug ~0.1s; larger streams can
+    # 150 jobs at mean_interarrival 5.0 keep each plug ~0.1s; larger streams can
     # hit seed-dependent pathological schedules in the server engine.
     for seed in (11, 12, 13):
-        client.submit(server_spec(name="slow", seed=seed, jobs=150, interarrival=5.0))
+        client.submit(server_spec(
+            name="slow", seed=seed, jobs=150, mean_interarrival=5.0
+        ))
     dup = server_spec(name="dup-me", seed=99)
     first = client.submit(dup)
     second = client.submit(dup)

@@ -132,7 +132,6 @@ class TestMalformedPayloads:
         ``jobs = NaN`` used to answer 200 with an empty run."""
         _, client = make_service()
         payload = server_spec()
-        del payload["cluster"]["interarrival"], payload["cluster"]["jobs"]
         payload["cluster"]["arrivals"] = {
             "process": "poisson", "jobs": 4, key: bad
         }
@@ -140,6 +139,18 @@ class TestMalformedPayloads:
             client.run(payload)
         assert exc.value.status == 400
         assert f"arrivals.{key} must be" in exc.value.message
+        assert client.healthz()["status"] == "ok"
+
+    def test_closed_workload_name_is_400(self, make_service):
+        """``lu`` is a job shape, not an arrival process: the error names
+        the key whether the loader or the engine finds it."""
+        _, client = make_service()
+        payload = server_spec()
+        payload["cluster"]["arrivals"]["process"] = "lu"
+        with pytest.raises(ServiceError) as exc:
+            client.run(payload)
+        assert exc.value.status == 400
+        assert "unknown cluster.arrivals.process 'lu'" in exc.value.message
         assert client.healthz()["status"] == "ok"
 
     def test_sharded_spec_runs_under_a_process_pool(self, make_service):

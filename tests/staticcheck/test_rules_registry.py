@@ -14,6 +14,8 @@ from repro.staticcheck.rules_registry import (
     SpecDocsAgreementRule,
 )
 
+POISSON = {"process": "poisson", "jobs": 5}
+
 
 class FakeRegistry:
     def __init__(self, plugins):
@@ -110,14 +112,14 @@ class TestExampleSpecsParse:
             ({"provider": {"name": "oracle"}}, "unknown provider 'oracle'"),
             ({"app": {"name": "fft"}}, "unknown app 'fft'"),
             ({"engine": {"name": "emulator"}}, "unknown engine 'emulator'"),
-            ({"engine": {"name": "server"}, "cluster": {"policy": "lottery"}},
+            ({"engine": {"name": "server"},
+              "cluster": {"policy": "lottery", "arrivals": POISSON}},
              "unknown policy 'lottery'"),
             ({"engine": {"name": "server"},
-              "cluster": {"policy": "admission",
+              "cluster": {"policy": "admission", "arrivals": POISSON,
                           "policy_options": {"inner": "lottery"}}},
              "unknown policy 'lottery'"),
-            ({"engine": {"name": "server"}, "app": {"name": "stencil"}},
-             "unknown workload 'stencil'"),
+            ({"engine": {"name": "server"}}, "unknown workload ''"),
             ({"engine": {"name": "server"},
               "cluster": {"arrivals": {"process": "weibull", "jobs": 5}}},
              "unknown workload 'weibull'"),
@@ -134,10 +136,10 @@ class TestExampleSpecsParse:
         assert unknown in found[0].message
 
     def test_open_server_spec_resolves_its_process_not_its_shape(self, tmp_path):
-        # 'stencil' is a job shape here, not a workload plugin.
+        # 'mixed' is a job shape here, not a workload plugin.
         spec = {
             "name": "open",
-            "app": {"name": "stencil"},
+            "app": {"name": "mixed"},
             "engine": {"name": "server"},
             "cluster": {"arrivals": {"process": "poisson", "jobs": 5}},
         }
