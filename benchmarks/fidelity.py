@@ -5,9 +5,9 @@ configuration on the cluster (``testbed`` engine), **predict** it with the
 simulator on the platform calibrated against that cluster (``sim``
 engine), compare.  ``CONFIGS`` holds the 34 configurations of Figs. 8-12
 once; every pair is two scenario specs (``validation_pair``) run through
-``ParallelSweepRunner.run_records``.  A *view* per figure reads its pairs,
-asserts the shape the figure must show and returns our values for the
-ones the paper quotes (``PAPER``).
+``repro.analysis.parallel.run_records``.  A *view* per figure reads its
+pairs, asserts the shape the figure must show and returns our values for
+the ones the paper quotes (``PAPER``).
 
 ``FIDELITY.json`` at the repo root keeps two sections, every float as its
 ``repr``: ``full`` (n = 2592, five measurement seeds, 170 pairs, six
@@ -27,7 +27,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from repro.analysis.metrics import relative_error
-from repro.analysis.parallel import ParallelSweepRunner
+from repro.analysis.parallel import run_records
 from repro.analysis.prediction import PredictionStudy, validation_pair
 
 FIDELITY_JSON = Path(__file__).resolve().parents[1] / "FIDELITY.json"
@@ -313,7 +313,7 @@ def run_section(name: str, jobs: int = 1) -> dict:
     n, seeds, labels, _ = SECTIONS[name]
     cases = [(label, seed) for seed in seeds for label in labels]
     specs = [spec for case in cases for spec in section_pair(name, *case)]
-    records = ParallelSweepRunner(jobs=jobs).run_records(specs)
+    records = run_records(specs, jobs)
     pairs = {}
     for (label, seed), measured, predicted in zip(cases, records[0::2], records[1::2]):
         entry = pairs[f"{label}/s{seed}"] = {

@@ -134,7 +134,7 @@ def validation_pair(
     platform calibrated against that testbed (the prediction), both under
     PDEXEC+NOALLOC and both named ``label``.  ``repro sweep`` and
     ``benchmarks/fidelity.py`` build every pair here and run the list
-    through :meth:`~repro.analysis.parallel.ParallelSweepRunner.run_records`.
+    through :func:`~repro.analysis.parallel.run_records`.
     """
     from repro.scenario import (
         AppSection,

@@ -15,9 +15,6 @@ from repro.dps.runtime import Runtime
 from repro.errors import VerificationError
 from repro.sim.modes import SimulationMode
 
-# Re-export so callers can ``from repro.apps.lu.app import LUConfig``.
-from repro.apps.lu.config import LUConfig as LUConfig  # noqa: F401
-
 
 class LUApplication:
     """Parallel block LU factorization, runnable on any execution engine.

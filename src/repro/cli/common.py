@@ -21,13 +21,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-# Canonical definitions live with the scenario spec; re-exported here for
-# compatibility (tests and external callers import them from this module).
-from repro.scenario.spec import (  # noqa: F401  (re-exports)
-    MODE_NAMES,
-    parse_kill_events,
-    parse_mode,
-)
+from repro.scenario.spec import MODE_NAMES
 from repro.scenario import (
     AppSection,
     EngineSection,

@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.tables import ascii_bar_chart, ascii_table
-from repro.cli.common import parse_kill_events
 from repro.errors import ConfigurationError
+from repro.scenario.spec import parse_kill_events
 
 
 # --------------------------------------------------------------------------
@@ -352,10 +352,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     Every case is a *pair* of declarative scenarios — a ``testbed``
     measurement and a calibrated ``sim`` prediction of the same LU
     configuration — executed through
-    :meth:`~repro.analysis.parallel.ParallelSweepRunner.run_records`, so
-    the CLI sweep and any spec-file sweep speak the same format.
+    :func:`~repro.analysis.parallel.run_records`, so the CLI sweep and
+    any spec-file sweep speak the same format.
     """
-    from repro.analysis.parallel import ParallelSweepRunner
+    from repro.analysis.parallel import run_records
     from repro.analysis.prediction import PredictionStudy, validation_pair
 
     block_sizes = _parse_int_list(args.r, "--r")
@@ -372,7 +372,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             specs.extend(
                 validation_pair(f"r={r},nodes={nodes}", options, seed=args.seed)
             )
-    records = ParallelSweepRunner(jobs=args.jobs).run_records(specs)
+    records = run_records(specs, args.jobs)
     study = PredictionStudy()
     rows = []
     for measured_rec, predicted_rec in zip(records[0::2], records[1::2]):

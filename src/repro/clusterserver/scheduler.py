@@ -7,10 +7,11 @@ Three policies bracket the design space the paper motivates:
   against),
 * :class:`EquipartitionScheduler` — classic malleable scheduling: nodes
   divided evenly among running jobs, reallocated on arrivals/departures,
-* :class:`AdaptiveEfficiencyScheduler` — dynamic-efficiency-aware: jobs
-  whose *current phase* no longer uses nodes efficiently (as the LU tail
-  iterations don't) are shrunk, releasing nodes for queued or efficient
-  jobs — the policy the paper's simulator exists to enable.
+* :class:`AdaptiveEfficiencyScheduler` — efficiency-aware: no job grows
+  past the node count where its efficiency curve stops paying for an
+  extra node, releasing nodes for queued or efficient jobs — the policy
+  the paper's simulator exists to enable.  The size is priced once per
+  job from its spec's curve, not from its progress.
 
 Two *wrapper* policies target the open-system regime (arrival streams
 served indefinitely, see ``docs/workloads.md``), composing around any of
@@ -205,15 +206,18 @@ class EquipartitionScheduler(Scheduler):
 
 
 class AdaptiveEfficiencyScheduler(Scheduler):
-    """Shrink jobs whose current phase uses nodes inefficiently.
+    """Cap every job at the size its efficiency curve still pays for.
 
     For each job, pick the largest node count whose *marginal* efficiency
     stays above ``efficiency_floor`` — i.e. stop adding nodes once an extra
     node buys less than ``efficiency_floor`` of a node's worth of
-    throughput.  Freed nodes go to queued/efficient jobs, raising the
-    cluster's service rate exactly as section 8 of the paper describes
-    ("the service rate of the cluster can be significantly increased if
-    the deallocated compute nodes are assigned to other applications").
+    throughput.  The size is read once per job from ``spec.efficiency(n)``;
+    the policy reads no job progress, so a job's efficient size never
+    changes while it runs.  Freed nodes go to queued/efficient jobs,
+    raising the cluster's service rate exactly as section 8 of the paper
+    describes ("the service rate of the cluster can be significantly
+    increased if the deallocated compute nodes are assigned to other
+    applications").
     """
 
     name = "adaptive"

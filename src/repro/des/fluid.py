@@ -8,7 +8,8 @@ communication handling.  :class:`FluidPool` implements this pattern exactly
 once so both models share it:
 
 * tasks carry ``remaining`` work in arbitrary units,
-* an *allocator* callback assigns a rate to every active task,
+* an *allocator* (a :class:`RateAllocator`) assigns a rate to every
+  active task,
 * rates are piecewise-constant: they are recomputed only when pool
   membership changes (or when an external coupling invalidates them),
 * the pool schedules a single kernel event at the earliest completion time.
@@ -20,21 +21,19 @@ time-stepping, which keeps large simulations cheap (the optimization guide's
 The allocator protocol (dirty-set contract)
 -------------------------------------------
 
-Allocators come in two flavours:
-
-* a plain callable ``allocate(tasks)`` — the pool invokes it with the full
-  task collection on every membership change (full recompute);
-* a :class:`RateAllocator` object — the pool additionally tracks the *dirty
-  set* of tasks added and removed since the last rate assignment and hands
-  it to :meth:`RateAllocator.update`, so the allocator may recompute rates
-  only for the tasks whose rates can actually have changed (e.g. flows
-  sharing a link — directly or transitively — with the changed flow).
+The pool tracks the *dirty set* of tasks added and removed since the last
+rate assignment and hands it to :meth:`RateAllocator.apply`, so the
+allocator may recompute rates only for the tasks whose rates can actually
+have changed (e.g. flows sharing a link — directly or transitively — with
+the changed flow).  A subclass that implements only the full recompute
+:meth:`RateAllocator._full` gets it run on every change.
 
 The contract an incremental allocator must implement:
 
 * after ``update(tasks, added, removed)`` returns, every task in ``tasks``
-  carries the same rate a full :meth:`RateAllocator.allocate` would assign
-  (within float reassociation noise, bounded by ~1e-9 relative);
+  carries the same rate a full recompute (:meth:`RateAllocator._full`)
+  would assign (within float reassociation noise, bounded by ~1e-9
+  relative);
 * ``removed`` tasks are no longer rate-bearing; the allocator must drop any
   internal bookkeeping it holds for them, even when ``tasks`` is empty;
 * :meth:`RateAllocator.refresh` handles *external* invalidations (e.g. the
@@ -78,10 +77,10 @@ whole hot loop ``O(dirty · log n)`` instead of ``O(n)``.
 of the pre-heap linear scan; the perf ledger's ``churn_dense`` workload
 reports the heap side as ``des.horizon_heap_ops``.
 
-:class:`AllocatorStats` counts full recomputations, incremental updates,
-full-recompute *fallbacks* (e.g. max-min cascades whose warm-start prefix
-check failed), warm starts, verify-mode shadow recomputes, and per-task
-rate assignments.
+:class:`AllocatorStats` counts incremental updates, full-recompute
+*fallbacks* (e.g. max-min cascades whose warm-start prefix check
+failed), warm starts, verify-mode shadow recomputes, and per-task rate
+assignments.
 
 Documentation: ``docs/allocator_protocol.md`` is the contract (dirty
 sets, the shared geometry bases, the warm-start invariants);
@@ -94,7 +93,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Optional, Sequence, Union
+from typing import Any, Callable, Collection, Optional, Sequence
 
 from repro.des.event_queue import EventHandle
 from repro.des.kernel import Kernel
@@ -245,10 +244,6 @@ class FluidTask:
         )
 
 
-#: A legacy allocator receives the active tasks and sets ``task.rate`` on each.
-Allocator = Callable[[Collection[FluidTask]], None]
-
-
 @dataclass
 class AllocatorStats:
     """Work counters for allocator benchmarking and regression tests.
@@ -260,8 +255,6 @@ class AllocatorStats:
     rate is recomputed).  See ``docs/allocator_protocol.md``.
     """
 
-    #: full recomputations over the whole task list (pool-requested)
-    full_allocations: int = 0
     #: incremental (dirty-set-bounded) updates
     incremental_updates: int = 0
     #: incremental updates that *fell back* to a real full recompute
@@ -288,7 +281,6 @@ class AllocatorStats:
     rates_computed: int = 0
 
     def reset(self) -> None:
-        self.full_allocations = 0
         self.incremental_updates = 0
         self.full_fallbacks = 0
         self.warm_starts = 0
@@ -386,16 +378,6 @@ class RateAllocator:
         self.stats.rates_computed += len(tasks)
 
     # ------------------------------------------------------------ pool entry
-    def allocate(self, tasks: Collection[FluidTask]) -> None:
-        """Assign every task's rate from scratch — O(n) at minimum.
-
-        The non-incremental entry point (legacy callables); counted in
-        ``stats.full_allocations``.
-        """
-        self.stats.full_allocations += 1
-        self.stats.rates_computed += len(tasks)
-        self._full(tasks)
-
     def update(
         self,
         tasks: Collection[FluidTask],
@@ -466,17 +448,6 @@ class RateAllocator:
                 )
 
 
-class _CallableAllocator(RateAllocator):
-    """Adapter giving legacy callable allocators the object interface."""
-
-    def __init__(self, fn: Allocator) -> None:
-        super().__init__(verify=False)
-        self._fn = fn
-
-    def _full(self, tasks: Collection[FluidTask]) -> None:
-        self._fn(tasks)
-
-
 class FluidPool:
     """A set of fluid tasks sharing capacity under an allocator policy.
 
@@ -484,10 +455,9 @@ class FluidPool:
     a zero rate starves the task (legal — e.g. a compute step on a node whose
     power is fully consumed by communication handling).
 
-    ``allocator`` may be a plain callable (full recompute on every change)
-    or a :class:`RateAllocator`, in which case the pool tracks the dirty set
-    of added/removed tasks between rate assignments and dispatches
-    membership changes through :meth:`RateAllocator.update`.
+    The pool tracks the dirty set of added/removed tasks between rate
+    assignments and delivers it, with any external refresh, through
+    :meth:`RateAllocator.apply` — also when a removal empties the pool.
 
     Completion times are indexed in a lazy min-heap (see the module
     docstring); :attr:`horizon` exposes its work counters.
@@ -496,16 +466,11 @@ class FluidPool:
     def __init__(
         self,
         kernel: Kernel,
-        allocator: Union[Allocator, RateAllocator],
+        allocator: RateAllocator,
         name: str = "",
     ) -> None:
         self.kernel = kernel
-        if isinstance(allocator, RateAllocator):
-            self.allocator = allocator
-            self._incremental = True
-        else:
-            self.allocator = _CallableAllocator(allocator)
-            self._incremental = False
+        self.allocator = allocator
         self.name = name or "fluid-pool"
         # Insertion-ordered membership (dict-as-set) for O(1) removal while
         # preserving the deterministic iteration order allocators rely on.
@@ -618,16 +583,13 @@ class FluidPool:
         if added or removed:
             self._added, self._removed = [], []
         tasks = self._tasks
-        if tasks or (self._incremental and (added or removed)):
-            if self._incremental:
-                # Deliver pending membership deltas and any refresh in one
-                # shot (the allocator applies deltas first so its internal
-                # indices are current, and verifies once at the end).
-                self.allocator.apply(
-                    tasks, added, removed, refresh=refresh, hint=hint
-                )
-            else:
-                self.allocator.allocate(tasks)
+        if tasks or added or removed:
+            # Deliver pending membership deltas and any refresh in one
+            # shot (the allocator applies deltas first so its internal
+            # indices are current, and verifies once at the end).
+            self.allocator.apply(
+                tasks, added, removed, refresh=refresh, hint=hint
+            )
             # What the pre-heap implementation would have paid right here:
             # one validation-plus-horizon scan over every active task.
             self.horizon.scan_cost += len(tasks)

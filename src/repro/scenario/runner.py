@@ -151,7 +151,7 @@ def calibration_key(
 
     Sweep runners prewarm these keys (in parallel, exactly once per
     distinct key) before fanning cases out — see
-    :meth:`repro.analysis.parallel.ParallelSweepRunner.run_records`.
+    :func:`repro.analysis.parallel.run_records`.
     """
     if spec.engine.name == "sim" and spec.platform.calibrate:
         registry = registry or default_registry()

@@ -39,8 +39,7 @@ except ImportError:  # pragma: no cover - exercised only on 3.10
     tomllib = None  # type: ignore[assignment]
 
 
-#: CLI names for the simulation modes (the canonical mapping; the CLI
-#: re-exports it from :mod:`repro.cli.common` for compatibility).
+#: CLI names for the simulation modes.
 MODE_NAMES = {
     "direct": SimulationMode.DIRECT,
     "pdexec": SimulationMode.PDEXEC,

@@ -1,13 +1,11 @@
 """The resident executor: a bounded priority queue over persistent workers.
 
-:class:`ResidentPool` is the execution half of ``repro serve``.  It
-generalizes the one-shot pools of
-:class:`~repro.analysis.parallel.ParallelSweepRunner` into a long-lived
-executor: workers stay warm across requests (keeping their in-process
-calibration memos and imported module state), submissions queue in a
-bounded priority heap, queued work can be cancelled, and a full queue
-raises :class:`PoolSaturatedError` — the signal the HTTP layer turns into
-a 429 instead of letting latency grow without bound.
+:class:`ResidentPool` is the execution half of ``repro serve``: workers
+stay warm across requests (keeping their in-process calibration memos
+and imported module state), submissions queue in a bounded priority
+heap, queued work can be cancelled, and a full queue raises
+:class:`PoolSaturatedError` — the signal the HTTP layer turns into a 429
+instead of letting latency grow without bound.
 
 Two worker modes:
 
@@ -17,26 +15,27 @@ Two worker modes:
   :class:`~repro.scenario.registry.Registry` directly; throughput is
   GIL-bound but per-request latency is minimal.  This is what the test
   harness uses (deterministic, no forking).
-* ``mode="process"`` — a persistent
-  :class:`~repro.analysis.parallel.ParallelSweepRunner` pool executes
-  specs on worker *processes* via
-  :meth:`~repro.analysis.parallel.ParallelSweepRunner.submit_record`.
-  True parallelism for CPU-bound simulations; requires the default
-  registry (plugins must be importable in the workers).
+* ``mode="process"`` — the pool owns one :mod:`multiprocessing` pool of
+  worker *processes*, forked once by
+  :func:`~repro.analysis.parallel.fork_pool` at :meth:`ResidentPool.start`.
+  Each job crosses it as the spec's canonical dict and comes back as the
+  record's wire dict.  True parallelism for CPU-bound simulations;
+  requires the default registry (plugins must be importable in the
+  workers).
 
 Running work cannot be *cancelled* in either mode (there is no safe way
 to kill a worker mid-simulation without losing its warm state), so
 :meth:`ResidentPool.cancel` succeeds only while a ticket is still queued
 — exactly the queued-vs-running contract the service documents.
 
-The pool is additionally crash-safe (``docs/faults.md``): a daemon
-monitor thread maps each in-flight ticket to its worker process via the
-runner's liveness channel, notices a worker that died mid-job (SIGKILL,
-OOM, segfault), and re-dispatches the job under a bounded per-ticket
-retry budget with exponential backoff and jitter.  Per-attempt
-``deadline`` budgets kill the worker (process mode) or discard the
-eventual result (thread mode) and fail the ticket with
-:class:`~repro.errors.DeadlineExceededError`.
+The pool is additionally crash-safe (``docs/faults.md``): in process
+mode every job's worker first announces ``(ticket seq, pid)`` on a
+liveness queue, and a daemon monitor thread maps each in-flight ticket to
+its worker, notices a worker that died mid-job (SIGKILL, OOM, segfault),
+and re-dispatches the job under a bounded per-ticket retry budget with
+exponential backoff and jitter.  Per-attempt ``deadline`` budgets kill
+the worker (process mode) or discard the eventual result (thread mode)
+and fail the ticket with :class:`~repro.errors.DeadlineExceededError`.
 """
 
 from __future__ import annotations
@@ -67,6 +66,28 @@ class PoolSaturatedError(ReproError):
 
 class PoolClosedError(ReproError):
     """A submission arrived after the pool was closed."""
+
+
+#: The liveness queue, set in each worker process by the pool initializer.
+_NOTES = None
+
+
+def _keep_notes(notes) -> None:
+    global _NOTES
+    _NOTES = notes
+
+
+def _run_announced(tag: int, spec_dict: dict) -> dict:
+    """Process-mode job entry: announce ``(tag, pid)``, then run the spec.
+
+    The announcement is the very first statement so the window in which
+    a crash is invisible to the parent is as small as the interpreter
+    allows.
+    """
+    _NOTES.put((tag, os.getpid()))
+    from repro.scenario import run_scenario
+
+    return run_scenario(ScenarioSpec.from_dict(spec_dict)).to_dict()
 
 
 class PoolTicket:
@@ -187,13 +208,13 @@ class ResidentPool:
         self._backoff: list[tuple[float, int, PoolTicket]] = []
         self._running: dict[int, PoolTicket] = {}
         self._seq = itertools.count(1)
-        self._active = 0
         self._executed = 0
         self._lock = threading.Lock()
         self._closed = False
         self._started = False
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._runner = None  # ParallelSweepRunner, process mode
+        self._procs = None  # multiprocessing pool, process mode
+        self._notes = None  # its liveness queue
         self._stop = threading.Event()
         self._monitor: Optional[threading.Thread] = None
 
@@ -211,12 +232,14 @@ class ResidentPool:
                     max_workers=self.workers, thread_name_prefix="repro-serve"
                 )
             else:
-                from repro.analysis.parallel import ParallelSweepRunner
+                import multiprocessing
 
-                self._runner = ParallelSweepRunner(
-                    jobs=self.workers, persistent=True
+                from repro.analysis.parallel import fork_pool
+
+                self._notes = multiprocessing.SimpleQueue()
+                self._procs = fork_pool(
+                    self.workers, _keep_notes, (self._notes,)
                 )
-                self._runner._ensure_pool()
             self._monitor = threading.Thread(
                 target=self._monitor_loop,
                 name="repro-serve-monitor",
@@ -251,8 +274,13 @@ class ResidentPool:
             self._monitor.join(timeout=5.0)
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
-        if self._runner is not None:
-            self._runner.close(terminate=True)
+        procs, self._procs = self._procs, None
+        notes, self._notes = self._notes, None
+        if procs is not None:
+            from repro.analysis.parallel import terminate_pool
+
+            terminate_pool(procs)
+            notes.close()
 
     def __enter__(self) -> "ResidentPool":
         return self.start()
@@ -270,7 +298,7 @@ class ResidentPool:
     @property
     def active(self) -> int:
         """Tickets currently on a worker."""
-        return self._active
+        return len(self._running)
 
     @property
     def executed(self) -> int:
@@ -333,14 +361,13 @@ class ResidentPool:
     # ----------------------------------------------------------- dispatch
     def _pump_locked(self) -> None:
         """Start queued tickets while worker slots are free (lock held)."""
-        while self._active < self.workers and self._heap:
+        while len(self._running) < self.workers and self._heap:
             _, _, ticket = heapq.heappop(self._heap)
             if ticket.state != QUEUED:
                 continue  # cancelled while queued; drop the stale entry
             ticket.state = RUNNING
             ticket.started_at = time.monotonic()
             ticket.attempts += 1
-            self._active += 1
             self._executed += 1
             self._running[ticket.seq] = ticket
             self._dispatch(ticket)
@@ -355,11 +382,11 @@ class ResidentPool:
         if self._executor is not None:
             self._executor.submit(self._run_and_finish, ticket)
         else:
-            self._runner.submit_record(
-                ticket.spec,
+            self._procs.apply_async(
+                _run_announced,
+                (ticket.seq, ticket.spec.to_dict()),
                 callback=lambda record, t=ticket: self._finish(t, record, None),
                 error_callback=lambda exc, t=ticket: self._finish(t, None, exc),
-                tag=ticket.seq,
             )
 
     def _run_and_finish(self, ticket: PoolTicket) -> None:
@@ -388,7 +415,6 @@ class ResidentPool:
                 # process-mode deadline kill); a late straggler result
                 # must not double-free the worker slot.
                 return
-            self._active -= 1
             ticket._pid = None
             if not self._closed:
                 self._pump_locked()
@@ -411,15 +437,39 @@ class ResidentPool:
             except Exception:  # never let monitoring kill the pool
                 pass
 
+    def _drain_pids(self) -> list[tuple[int, int]]:
+        """Drain the liveness queue: ``(ticket seq, worker pid)`` per
+        started job.  Nonblocking; the monitor thread is its one reader."""
+        notes = self._notes
+        out: list[tuple[int, int]] = []
+        if notes is None:
+            return out
+        try:
+            while not notes.empty():
+                out.append(notes.get())
+        except (OSError, EOFError):  # torn down under us
+            pass
+        return out
+
+    def _is_live_worker(self, pid: int) -> bool:
+        """Whether ``pid`` is a live worker process of this pool.
+
+        A worker that died (crash, SIGKILL, OOM) leaves the pool's process
+        list — reaped and replaced by the pool's maintenance thread, or
+        still listed with a set exitcode; both read as dead here.
+        """
+        procs = self._procs
+        return procs is not None and any(
+            p.pid == pid and p.is_alive() for p in procs._pool
+        )
+
     def _tick(self, now: float) -> None:
         """One monitor pass (extracted so tests can drive it directly)."""
-        runner = self._runner
-        if runner is not None:
-            for tag, pid in runner.note_pids():
-                with self._lock:
-                    ticket = self._running.get(tag)
-                if ticket is not None:
-                    ticket._pid = pid
+        for tag, pid in self._drain_pids():
+            with self._lock:
+                ticket = self._running.get(tag)
+            if ticket is not None:
+                ticket._pid = pid
         with self._lock:
             tickets = list(self._running.values())
         for ticket in tickets:
@@ -434,11 +484,7 @@ class ResidentPool:
                 self._deadline_exceeded(ticket)
                 continue
             pid = ticket._pid
-            if (
-                runner is not None
-                and pid is not None
-                and not runner.worker_alive(pid)
-            ):
+            if pid is not None and not self._is_live_worker(pid):
                 self._worker_crashed(ticket)
         with self._lock:
             requeued = False
@@ -459,7 +505,6 @@ class ResidentPool:
             if self._running.pop(ticket.seq, None) is None:
                 return  # settled in the meantime
             self.crashes += 1
-            self._active -= 1
             ticket._pid = None
             retry = ticket.attempts <= ticket.max_retries and not self._closed
             if retry:
@@ -491,17 +536,16 @@ class ResidentPool:
             if ticket.seq not in self._running or ticket.future.done():
                 return
             ticket.failure = "deadline"
-            if self._runner is not None:
-                # Process mode: the worker is killed, so no result will
-                # ever arrive — reclaim the slot here.  Thread mode keeps
-                # the slot until the (undying) worker thread returns.
+            if self.mode == "process":
+                # The worker is killed, so no result will ever arrive —
+                # reclaim the slot here.  Thread mode keeps the slot
+                # until the (undying) worker thread returns.
                 del self._running[ticket.seq]
-                self._active -= 1
                 pid = ticket._pid
                 ticket._pid = None
                 if not self._closed:
                     self._pump_locked()
-        if self._runner is not None and pid is not None:
+        if pid is not None:
             try:
                 os.kill(pid, signal.SIGKILL)
                 self.deadline_kills += 1

@@ -45,8 +45,7 @@ from typing import Any, Optional
 from urllib.parse import parse_qs
 
 from repro.analysis import benchcache, calibcache
-from repro.errors import ConfigurationError, DeadlineExceededError, ReproError
-from repro.scenario.runner import calibration_key
+from repro.errors import ConfigurationError, DeadlineExceededError
 from repro.service import jobs as jobstates
 from repro.service.jobs import Job, JobTable, canonical_spec, spec_key
 from repro.service.pool import PoolSaturatedError, ResidentPool
@@ -112,7 +111,6 @@ class ScenarioService:
             registry=registry,
             max_retries=max_retries,
         )
-        self.registry = registry
         self.jobs = JobTable(history_limit=history_limit)
         self.latency = StreamingQuantile(latency_capacity)
         self.host: Optional[str] = None
@@ -120,8 +118,6 @@ class ScenarioService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started_at = time.monotonic()
-        self._warm_calibrations: set = set()
-        self.cache_hits = 0
 
     # ----------------------------------------------------------- lifetime
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> "ScenarioService":
@@ -280,8 +276,6 @@ class ScenarioService:
             self.jobs.counters["invalid"] += 1
             raise _HttpError(400, str(exc)) from None
         key = spec_key(spec)
-        self._note_calibration(spec)
-
         job = self.jobs.attach(key)
         if job is None:
             job = self.jobs.create(spec, key, priority)
@@ -357,19 +351,6 @@ class ScenarioService:
     def _uptime(self) -> float:
         return time.monotonic() - self._started_at
 
-    def _note_calibration(self, spec) -> None:
-        """Count requests whose calibrated platform is already warm."""
-        try:
-            key = calibration_key(spec, self.registry)
-        except ReproError:
-            return  # unknown app etc. — the run itself will report it
-        if key is None:
-            return
-        if key in self._warm_calibrations:
-            self.cache_hits += 1
-        else:
-            self._warm_calibrations.add(key)
-
     def _stats(self) -> dict:
         count = self.latency.count
         return {
@@ -394,7 +375,6 @@ class ScenarioService:
             "cache": {
                 "calibration_entries": len(calibcache.entries()),
                 "kernelbench_entries": len(benchcache.entries()),
-                "calibration_warm_hits": self.cache_hits,
             },
             "latency": {
                 "count": count,

@@ -7,11 +7,12 @@ statically checkable:
   synchronous sleeps, subprocesses, the blocking
   :class:`~repro.service.client.ServiceClient`, or file I/O; marshal
   such work through ``asyncio.to_thread``/executors instead;
-* **no dispatch under a lock** — calling ``.submit()``/``.put()`` while
-  lexically holding a ``threading.Lock`` invites the completion-under-
-  submit-lock deadlock the resident pool's ``_dispatch`` docstring
-  documents; release the lock first (or dispatch from a method that the
-  caller invokes after releasing);
+* **no dispatch under a lock** — calling
+  ``.submit()``/``.apply_async()``/``.put()`` while lexically holding a
+  ``threading.Lock`` invites the completion-under-submit-lock deadlock
+  the resident pool's ``_dispatch`` docstring documents; release the
+  lock first (or dispatch from a method that the caller invokes after
+  releasing);
 * **signal handlers only set flags** — a handler registered via
   ``signal.signal``/``add_signal_handler`` runs at arbitrary
   interpreter points (or on the loop) and must confine itself to flag
@@ -44,7 +45,7 @@ BLOCKING_METHODS = frozenset({
 })
 
 #: Methods that hand work to an executor/queue (deadlock bait under a lock).
-DISPATCH_METHODS = frozenset({"submit", "submit_record", "put", "put_nowait"})
+DISPATCH_METHODS = frozenset({"submit", "apply_async", "put", "put_nowait"})
 
 
 def _walk_in_function(root: ast.AST) -> Iterator[ast.AST]:
@@ -122,8 +123,9 @@ class DispatchUnderLockRule(Rule):
 
     rule_id = "REP-C002"
     summary = (
-        "no .submit()/.put() lexically inside a 'with <lock>:' block "
-        "(completion callbacks can deadlock on the held lock)"
+        "no .submit()/.apply_async()/.put() lexically inside a "
+        "'with <lock>:' block (completion callbacks can deadlock on the "
+        "held lock)"
     )
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import efficiency, relative_error, speedup
-from repro.analysis.parallel import ParallelSweepRunner
+from repro.analysis.parallel import run_records
 from repro.analysis.prediction import PredictionStudy, validation_pair
 from repro.analysis.tables import ascii_bar_chart, ascii_table
 from repro.errors import ConfigurationError
@@ -106,7 +106,7 @@ def test_validation_pair_is_a_measurement_and_its_prediction():
 def test_sweep_feeds_study():
     study = PredictionStudy()
     specs = [spec for pair in _pairs() for spec in pair]
-    records = ParallelSweepRunner(jobs=1).run_records(specs)
+    records = run_records(specs, jobs=1)
     for measured, predicted in zip(records[0::2], records[1::2]):
         study.add(measured.scenario, measured.makespan, predicted.makespan)
     assert len(study.records) == 2

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.cli.common import MODE_NAMES, parse_kill_events, parse_mode
 from repro.dps.malleability import STATIC
 from repro.errors import ConfigurationError
+from repro.scenario.spec import MODE_NAMES, parse_kill_events, parse_mode
 from repro.sim.modes import SimulationMode
 
 

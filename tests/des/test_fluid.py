@@ -3,18 +3,33 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des.fluid import FluidPool, FluidTask
+from repro.des.fluid import FluidPool, FluidTask, RateAllocator
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
+
+
+class Law(RateAllocator):
+    """A rate law as the pool's allocator: ``fn(tasks)`` sets every rate.
+
+    The pool delivers a removal that empties it too, so every law here
+    accepts an empty task list.
+    """
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def _full(self, tasks):
+        self.fn(tasks)
 
 
 def equal_share(capacity: float):
     """Allocator: split ``capacity`` evenly among active tasks."""
 
+    @Law
     def allocate(tasks):
-        share = capacity / len(tasks)
         for t in tasks:
-            t.rate = share
+            t.rate = capacity / len(tasks)
 
     return allocate
 
@@ -59,6 +74,7 @@ def test_zero_work_completes_immediately(kernel):
 
 
 def test_starved_tasks_wait_for_membership_change(kernel):
+    @Law
     def starve_b(tasks):
         for t in tasks:
             t.rate = 1.0 if t.tag == "a" else 0.0
@@ -93,6 +109,7 @@ def test_remove_unknown_task_raises(kernel):
 
 
 def test_negative_rate_rejected(kernel):
+    @Law
     def bad(tasks):
         for t in tasks:
             t.rate = -1.0
@@ -205,6 +222,7 @@ def test_zeno_freeze_guard():
     """
     kernel = Kernel()
 
+    @Law
     def equal_share(tasks):
         for t in tasks:
             t.rate = 1e8 / len(tasks)
@@ -227,6 +245,7 @@ def test_zeno_guard_preserves_macroscopic_timing():
     """The ulp padding must not perturb normal completion times."""
     kernel = Kernel()
 
+    @Law
     def fixed_rate(tasks):
         for t in tasks:
             t.rate = 1e6

@@ -18,16 +18,31 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des.fluid import FluidPool, FluidTask
+from repro.des.fluid import FluidPool, FluidTask, RateAllocator
 from repro.des.kernel import MIN_STEP, Kernel
 from repro.errors import SimulationError
 
 
+class Law(RateAllocator):
+    """A rate law as the pool's allocator: ``fn(tasks)`` sets every rate.
+
+    The pool delivers a removal that empties it too, so every law here
+    accepts an empty task list.
+    """
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def _full(self, tasks):
+        self.fn(tasks)
+
+
 def equal_share(capacity: float):
+    @Law
     def allocate(tasks):
-        share = capacity / len(tasks)
         for t in tasks:
-            t.rate = share
+            t.rate = capacity / len(tasks)
 
     return allocate
 
@@ -80,6 +95,7 @@ def test_rate_change_invalidates_entry(kernel):
 
 
 def test_zero_rate_task_has_no_entry(kernel):
+    @Law
     def starve_b(tasks):
         for t in tasks:
             t.rate = 1.0 if t.tag == "a" else 0.0
@@ -197,6 +213,7 @@ def test_heap_horizon_equals_linear_scan(trace):
     the heap-derived horizon equals the pre-heap linear scan."""
     kernel = Kernel()
     # Deterministic but irregular rates: capacity split by position weights.
+    @Law
     def weighted(tasks):
         total = sum(1.0 + (i % 5) for i in range(len(tasks)))
         for i, t in enumerate(tasks):
@@ -290,6 +307,7 @@ def rerate_first(count: list):
     """
     calls = [0]
 
+    @Law
     def allocate(tasks):
         calls[0] += 1
         for i, t in enumerate(tasks):
@@ -372,6 +390,7 @@ def test_small_pools_never_rebuild_on_wide_retimes(kernel):
 def rate_table(rates: dict):
     """Allocator reading each task's rate from ``rates[task.tag]``."""
 
+    @Law
     def allocate(tasks):
         for t in tasks:
             t.rate = rates[t.tag]

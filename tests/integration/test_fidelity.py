@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.parallel import ParallelSweepRunner
+from repro.analysis.parallel import run_records
 
 pytest.importorskip("numpy")
 
@@ -82,7 +82,7 @@ def test_measurement_noise_across_seeds_is_small(pair):
     # Two more "runs of the real cluster" beside the section's seed 1: the
     # testbed honours ``engine.seed``, and run-to-run variation is percent-level.
     specs = [fidelity.section_pair("reduced", "4thr", seed)[0] for seed in (2, 3)]
-    records = ParallelSweepRunner(jobs=1).run_records(specs)
+    records = run_records(specs, jobs=1)
     times = [pair("4thr").measured, *(record.makespan for record in records)]
     assert 0 < (max(times) - min(times)) / min(times) < 0.05
 

@@ -82,7 +82,7 @@ def test_bounded_component_stops_exactly_past_the_limit(num_nodes, count, seed):
     rng = random.Random(seed)
     allocator = IncrementalMaxMinAllocator(capacity=1.0)
     tasks = [_flow_task(s, d) for s, d in _random_flows(rng, num_nodes, count)]
-    allocator.allocate(tasks)
+    allocator._full(tasks)
     for _ in range(5):
         seeds = list(
             dict.fromkeys(
@@ -139,7 +139,7 @@ def test_link_cache_holds_exactly_the_live_flows(verify, seed):
     _assert_cache_is_live_set(allocator, active)
     # _full trusts no bookkeeping: a whole new task set replaces the cache.
     active = [_flow_task(src, dst) for src, dst in _random_flows(rng, 6, 5)]
-    allocator.allocate(active)
+    allocator._full(active)
     _assert_cache_is_live_set(allocator, active)
     allocator.update([], [], list(active))
     assert allocator._task_links == {}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.parallel import ParallelSweepRunner
+from repro.analysis.parallel import run_records
 from repro.scenario import (
     AppSection,
     EngineSection,
@@ -45,7 +45,7 @@ def _cross_engine_specs() -> list[ScenarioSpec]:
 
 
 def test_one_sweep_spans_engines_and_netmodels():
-    records = ParallelSweepRunner(jobs=1).run_records(_cross_engine_specs())
+    records = run_records(_cross_engine_specs(), jobs=1)
     assert [r.engine for r in records] == ["sim", "sim", "sim", "testbed"]
     assert all(r.makespan > 0 for r in records)
     # Contention models disagree with the contention-free baseline, so the
@@ -69,8 +69,8 @@ def _normalize_wall(record):
 
 def test_parallel_records_equal_serial():
     specs = _cross_engine_specs()
-    serial = ParallelSweepRunner(jobs=1).run_records(specs)
-    parallel = ParallelSweepRunner(jobs=2).run_records(specs)
+    serial = run_records(specs, jobs=1)
+    parallel = run_records(specs, jobs=2)
     assert [_normalize_wall(r) for r in serial] == [
         _normalize_wall(r) for r in parallel
     ]
@@ -89,10 +89,10 @@ def test_calibration_key_only_for_calibrated_sim_specs():
 
 
 def test_empty_spec_list():
-    assert ParallelSweepRunner(jobs=2).run_records([]) == []
+    assert run_records([], jobs=2) == []
 
 
 def test_records_order_matches_specs_under_pool():
     specs = _cross_engine_specs()
-    records = ParallelSweepRunner(jobs=3).run_records(specs)
+    records = run_records(specs, jobs=3)
     assert [r.scenario for r in records] == [s.name for s in specs]

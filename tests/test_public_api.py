@@ -117,6 +117,8 @@ def test_packages_without_callers_export_nothing(package_name):
         # the service load generator was their last caller outside the tests
         ("repro.service", "ServiceClient"),
         ("repro.service", "ServiceThread"),
+        # one owner per worker pool: sweeps call run_records(specs, jobs)
+        ("repro.analysis.parallel", "ParallelSweepRunner"),
     ],
 )
 def test_removed_names_stay_removed_without_an_alias(owner, name):
