@@ -29,16 +29,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.analysis.calibcache import cache_dir
+from repro.analysis import calibcache
 from repro.cpumodel.machines import MachineProfile
 
 #: Bump when the sample-table format or measurement semantics change.
 CACHE_VERSION = 1
+
+#: Entry-file prefix inside the shared cache directory.
+_FAMILY = "kernelbench"
 
 #: A kernel identity: ``(name, ((param, value), ...))`` with sorted params.
 SampleKey = tuple[str, tuple[tuple[str, Any], ...]]
@@ -62,7 +63,7 @@ def cache_key(machine: MachineProfile, n: int) -> str:
 
 
 def _entry_path(key: str) -> Path:
-    return cache_dir() / f"kernelbench-{key}.json"
+    return calibcache.cache_dir() / f"{_FAMILY}-{key}.json"
 
 
 def load(key: str) -> Optional[dict[SampleKey, list[float]]]:
@@ -115,38 +116,14 @@ def store(key: str, samples: dict[SampleKey, list[float]]) -> None:
             continue
         kernels.append(entry)
     payload = {"version": CACHE_VERSION, "kernels": kernels}
-    path = _entry_path(key)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            os.unlink(tmp_name)
-            raise
-    except OSError:
-        pass
+    calibcache.write_entry(_entry_path(key), payload)
 
 
 def entries() -> list[Path]:
     """Existing kernel-benchmark entry files (empty when absent)."""
-    try:
-        return sorted(cache_dir().glob("kernelbench-*.json"))
-    except OSError:
-        return []
+    return calibcache.entries(_FAMILY)
 
 
 def clear() -> int:
     """Delete every kernel-benchmark entry; returns files removed."""
-    removed = 0
-    for path in entries():
-        try:
-            path.unlink()
-            removed += 1
-        except OSError:
-            pass
-    return removed
+    return calibcache.clear(_FAMILY)

@@ -90,18 +90,22 @@ def load(key: str) -> Optional[NetworkParams]:
 
 
 def store(key: str, params: NetworkParams) -> None:
-    """Persist fitted parameters under ``key`` (atomic; failures ignored).
-
-    A read-only or unwritable cache directory must never break a sweep —
-    the cache is an optimization, not a dependency.
-    """
+    """Persist fitted parameters under ``key`` (atomic; failures ignored)."""
     payload = {
         "version": CACHE_VERSION,
         "latency": params.latency,
         "bandwidth": params.bandwidth,
         "per_object_overhead": params.per_object_overhead,
     }
-    path = _entry_path(key)
+    write_entry(_entry_path(key), payload)
+
+
+def write_entry(path: Path, payload: dict) -> None:
+    """Write one JSON cache entry atomically (temp file + rename).
+
+    Failures are ignored: a read-only or unwritable cache directory must
+    never break a run — the cache is an optimization, not a dependency.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -150,18 +154,19 @@ def calibrated_platform(
     return PlatformSpec(machine=cluster.machine, network=params)
 
 
-def entries() -> list[Path]:
-    """Existing cache entry files (empty when the directory is absent)."""
+def entries(family: str = "calibration") -> list[Path]:
+    """Existing ``<family>-*.json`` entry files (empty when the directory
+    is absent); the kernel-benchmark tables are the ``kernelbench`` family."""
     try:
-        return sorted(cache_dir().glob("calibration-*.json"))
+        return sorted(cache_dir().glob(f"{family}-*.json"))
     except OSError:
         return []
 
 
-def clear() -> int:
-    """Delete every cache entry; returns the number of files removed."""
+def clear(family: str = "calibration") -> int:
+    """Delete every entry of one family; returns the number of files removed."""
     removed = 0
-    for path in entries():
+    for path in entries(family):
         try:
             path.unlink()
             removed += 1

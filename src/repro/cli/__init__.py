@@ -4,20 +4,17 @@ Commands
 --------
 
 * ``run`` — execute a declarative scenario spec (TOML/JSON) under its
-  declared engine; the single entry point everything else delegates to.
+  declared engine — the simulator (prediction), the virtual cluster
+  (measurement) or the cluster server — and print the record with its
+  per-phase dynamic efficiency (Fig. 11); the only way to run a scenario.
 * ``scenarios list`` — show every registered app, model, provider,
   engine, workload and policy a spec may name.
-* ``lu`` / ``stencil`` / ``sort`` / ``matmul`` — run an application under
-  the simulator (prediction), the virtual cluster (measurement) or both.
-* ``efficiency`` — per-iteration dynamic efficiency of an LU run (Fig. 11).
 * ``calibrate`` — characterize a network model's latency and bandwidth.
 * ``sweep`` — measured-vs-predicted validation sweep; ``--jobs`` runs the
   independent cases on a process pool with a shared calibration cache.
 * ``cache`` — manage the on-disk calibration and kernel-benchmark caches
   (``clear`` / ``info [--json]``).
 * ``graph`` — dump an application's flow-graph structure.
-* ``server`` — cluster-level scheduling of malleable jobs (paper §9);
-  ``--shards K`` partitions one scenario over K shard kernels.
 * ``serve`` — long-lived scenario service: HTTP/JSON daemon over a
   resident worker pool with in-flight dedup and 429 backpressure.
 * ``trend`` — render nightly benchmark artifacts into a static trend
@@ -33,20 +30,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.cli.apps import (
-    add_lu_parser,
-    add_matmul_parser,
-    add_sort_parser,
-    add_stencil_parser,
-)
 from repro.cli.check import add_check_parser
 from repro.cli.scenarios import add_run_parser, add_scenarios_parser
-from repro.cli.server import add_server_parser
 from repro.cli.service import add_serve_parser
 from repro.cli.tools import (
     add_cache_parser,
     add_calibrate_parser,
-    add_efficiency_parser,
     add_graph_parser,
     add_sweep_parser,
     add_trend_parser,
@@ -66,16 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     add_run_parser(sub)
     add_scenarios_parser(sub)
-    add_lu_parser(sub)
-    add_stencil_parser(sub)
-    add_sort_parser(sub)
-    add_matmul_parser(sub)
-    add_efficiency_parser(sub)
     add_calibrate_parser(sub)
     add_sweep_parser(sub)
     add_cache_parser(sub)
     add_graph_parser(sub)
-    add_server_parser(sub)
     add_serve_parser(sub)
     add_trend_parser(sub)
     add_check_parser(sub)

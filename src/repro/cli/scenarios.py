@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
 
 from repro.analysis.tables import ascii_table
-from repro.cli.common import write_records
 from repro.scenario import RunRecord, ScenarioSpec, default_registry, run_scenario
 
 
@@ -30,8 +30,7 @@ def add_run_parser(sub: argparse._SubParsersAction) -> None:
         description=(
             "Load a scenario spec, execute it under its declared engine "
             "(simulator, testbed, or cluster server), and print the "
-            "normalized run record — identical metrics to the equivalent "
-            "app subcommand, by construction."
+            "normalized run record with its per-phase dynamic efficiency."
         ),
     )
     p.add_argument("spec", help="path to a .toml or .json scenario spec")
@@ -94,7 +93,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         _print_record(record)
     if args.record_json:
-        write_records(args.record_json, [record])
+        Path(args.record_json).write_text(
+            json.dumps([record.to_dict()], indent=2, sort_keys=True),
+            encoding="utf-8",
+        )
     return 0
 
 

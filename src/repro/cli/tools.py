@@ -1,12 +1,11 @@
-"""Tool subcommands: network calibration, dynamic efficiency, graph dump."""
+"""Tool subcommands: calibration, caches, trend pages, sweep, graph dump."""
 
 from __future__ import annotations
 
 import argparse
 
-from repro.analysis.tables import ascii_bar_chart, ascii_table
+from repro.analysis.tables import ascii_table
 from repro.errors import ConfigurationError
-from repro.scenario.spec import parse_kill_events
 
 
 # --------------------------------------------------------------------------
@@ -222,84 +221,6 @@ def cmd_trend(args: argparse.Namespace) -> int:
             )
             return 3
         print(f"no regressions beyond {args.alert_threshold:.0f}%")
-    return 0
-
-
-# --------------------------------------------------------------------------
-# efficiency
-# --------------------------------------------------------------------------
-
-
-def add_efficiency_parser(sub: argparse._SubParsersAction) -> None:
-    """Register the ``efficiency`` subcommand."""
-    p = sub.add_parser(
-        "efficiency",
-        help="per-iteration dynamic efficiency of an LU run (Fig. 11)",
-        description=(
-            "Simulate an LU configuration and print the paper's dynamic "
-            "efficiency — utilization per iteration — optionally under a "
-            "dynamic thread-removal schedule."
-        ),
-    )
-    p.add_argument("--n", type=int, default=2592)
-    p.add_argument("--r", type=int, default=324)
-    p.add_argument("--threads", type=int, default=8)
-    p.add_argument("--nodes", type=int, default=4)
-    p.add_argument(
-        "--kill", action="append", metavar="T,..@K", default=None,
-        help="remove worker threads T,.. after iteration K (repeatable)",
-    )
-    p.set_defaults(func=cmd_efficiency)
-
-
-def cmd_efficiency(args: argparse.Namespace) -> int:
-    """Simulate an LU run and print its per-iteration dynamic efficiency."""
-    from repro.apps.lu.app import LUApplication
-    from repro.apps.lu.config import LUConfig
-    from repro.apps.lu.costs import LUCostModel
-    from repro.sim.efficiency import dynamic_efficiency, mean_efficiency
-    from repro.sim.modes import SimulationMode
-    from repro.sim.platform import PAPER_CLUSTER
-    from repro.sim.providers import CostModelProvider
-    from repro.sim.simulator import DPSSimulator
-
-    cfg = LUConfig(
-        n=args.n,
-        r=args.r,
-        num_threads=args.threads,
-        num_nodes=args.nodes,
-        schedule=parse_kill_events(args.kill),
-        mode=SimulationMode.PDEXEC_NOALLOC,
-    )
-    sim = DPSSimulator(
-        PAPER_CLUSTER,
-        CostModelProvider(LUCostModel(PAPER_CLUSTER.machine, cfg.r)),
-    )
-    result = sim.run(LUApplication(cfg))
-    series = dynamic_efficiency(result.run)
-    rows = [
-        (
-            p.label,
-            f"{p.duration:.2f} s",
-            f"{p.mean_nodes:.2f}",
-            f"{p.efficiency:.1%}",
-        )
-        for p in series
-    ]
-    print(ascii_table(
-        ("iteration", "duration", "mean nodes", "efficiency"),
-        rows,
-        title=f"dynamic efficiency, schedule={cfg.schedule.name}",
-    ))
-    print()
-    print(ascii_bar_chart(
-        [p.label for p in series],
-        [p.efficiency for p in series],
-        fmt="{:.1%}",
-        title="efficiency per iteration",
-    ))
-    print(f"\npredicted running time : {result.predicted_time:.2f} s")
-    print(f"whole-run efficiency   : {mean_efficiency(result.run):.1%}")
     return 0
 
 

@@ -26,22 +26,16 @@ from repro.scenario.registry import (
 from repro.scenario.runner import RunRecord, calibration_key, run_scenario
 from repro.scenario.spec import (
     AppSection,
-    ClusterSection,
     EngineSection,
-    ModelSection,
     PlatformSection,
-    ProviderSection,
     ScenarioSpec,
 )
 
 __all__ = [
     "AppPlugin",
     "AppSection",
-    "ClusterSection",
     "EngineSection",
-    "ModelSection",
     "PlatformSection",
-    "ProviderSection",
     "Registry",
     "RunRecord",
     "ScenarioSpec",

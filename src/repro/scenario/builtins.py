@@ -30,6 +30,7 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.scenario.registry import AppPlugin, Registry
+from repro.util.validation import check_type
 
 
 def _strict(name: str, cls: Callable[..., Any]) -> Callable[..., Any]:
@@ -108,11 +109,6 @@ def _install_apps(registry: Registry) -> None:
             cost_model=lambda machine, cfg: LUCostModel(machine, cfg.r),
             verify=lambda app, runtime: app.verify(runtime),
             supports_schedule=True,
-            describe=lambda cfg: (
-                f"LU {cfg.n}x{cfg.n}, r={cfg.r}, variant={cfg.variant_name}, "
-                f"{cfg.num_threads} threads on {cfg.num_nodes} nodes, "
-                f"schedule={cfg.schedule.name}"
-            ),
         ),
     )
     registry.register(
@@ -127,12 +123,6 @@ def _install_apps(registry: Registry) -> None:
             ),
             verify=lambda app, runtime: app.verify(runtime),
             supports_schedule=True,
-            describe=lambda cfg: (
-                f"stencil {cfg.n}x{cfg.n}, {cfg.stripes} stripes, "
-                f"{cfg.iterations} iterations, "
-                f"{'barrier' if cfg.barrier else 'pipelined'}, "
-                f"{cfg.num_threads} threads on {cfg.num_nodes} nodes"
-            ),
         ),
     )
     registry.register(
@@ -146,10 +136,6 @@ def _install_apps(registry: Registry) -> None:
                 machine, cfg.block, cfg.num_threads
             ),
             verify=lambda app, runtime: app.verify(),
-            describe=lambda cfg: (
-                f"sample sort of {cfg.m} keys, "
-                f"{cfg.num_threads} threads on {cfg.num_nodes} nodes"
-            ),
         ),
     )
     registry.register(
@@ -161,10 +147,6 @@ def _install_apps(registry: Registry) -> None:
             build=MatmulApplication,
             cost_model=lambda machine, cfg: MachineCostModel(machine),
             verify=lambda app, runtime: app.verify(),
-            describe=lambda cfg: (
-                f"matmul {cfg.n}x{cfg.n}, s={cfg.s}, "
-                f"{cfg.num_threads} threads on {cfg.num_nodes} nodes"
-            ),
         ),
     )
     registry.register(
@@ -175,10 +157,6 @@ def _install_apps(registry: Registry) -> None:
             config_cls=ImagePipelineConfig,
             build=ImagePipelineApplication,
             cost_model=lambda machine, cfg: MachineCostModel(machine),
-            describe=lambda cfg: (
-                f"imgpipe {cfg.frames} frames x {cfg.tiles_per_frame} tiles, "
-                f"{cfg.num_threads} threads on {cfg.num_nodes} nodes"
-            ),
         ),
     )
 
@@ -288,12 +266,19 @@ def _install_cpumodels(registry: Registry) -> None:
 
 
 def _check_options(name: str, options: dict, valid: set[str]) -> None:
+    """Reject unknown provider options and wrong-typed known ones."""
     unknown = sorted(set(options) - valid)
     if unknown:
         raise ConfigurationError(
             f"unknown provider options {unknown} for {name!r}; "
             f"valid: {sorted(valid)}"
         )
+    if "n" in options:
+        n = check_type("provider.options.n", options["n"], int)
+        if n < 1:
+            raise ConfigurationError(f"provider.options.n must be >= 1, got {n}")
+    if "persist" in options:
+        check_type("provider.options.persist", options["persist"], bool)
 
 
 def _install_providers(registry: Registry) -> None:
@@ -319,9 +304,9 @@ def _install_providers(registry: Registry) -> None:
         _check_options("measure_first_n", options, {"n", "persist"})
         return MeasureFirstNProvider(
             DirectExecutionProvider(HostCalibration(platform.machine)),
-            n=int(options.get("n", 3)),
+            n=options.get("n", 3),
             run_kernels_after=mode.allocates,
-            persist=bool(options.get("persist", True)),
+            persist=options.get("persist", True),
         )
 
     registry.register("provider", "costmodel", costmodel)

@@ -20,7 +20,7 @@ normal configuration mistakes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
@@ -142,8 +142,6 @@ class AppPlugin:
     supports_schedule:
         Whether the config accepts a dynamic-allocation ``schedule``
         (kill events).
-    describe:
-        Optional ``config -> str`` one-line description (CLI banner).
     """
 
     name: str
@@ -152,9 +150,6 @@ class AppPlugin:
     cost_model: Callable[[Any, Any], Any]
     verify: Optional[Callable[[Any, Any], None]] = None
     supports_schedule: bool = False
-    describe: Optional[Callable[[Any], str]] = dataclass_field(
-        default=None, compare=False
-    )
 
     def make_config(self, spec: ScenarioSpec) -> Any:
         """Build the app config from a spec (options + mode + events)."""

@@ -12,9 +12,9 @@ allocator/horizon/shard statistics, all JSON-exportable via
 :meth:`RunRecord.to_dict`.
 
 The equivalence contract: for the same spec, the record's metrics are
-bit-identical regardless of *how* the scenario was launched (legacy CLI
-subcommand, ``repro run spec.toml``, a sweep worker process) — the spec is
-the whole truth, and nothing about the launcher leaks into the results.
+bit-identical regardless of *how* the scenario was launched (``repro run
+spec.toml``, ``POST /run``, a sweep worker process) — the spec is the
+whole truth, and nothing about the launcher leaks into the results.
 """
 
 from __future__ import annotations
@@ -223,7 +223,8 @@ def _make_provider(
     options = dict(spec.provider.options)
     if provider_name == "auto":
         if mode is SimulationMode.DIRECT:
-            persist = bool(options.get("persist", True))
+            # The named provider type-checks ``persist`` when it is built.
+            persist = options.get("persist", True)
             provider_name = "measure_first_n" if persist else "direct"
         else:
             provider_name = "costmodel"
@@ -317,9 +318,22 @@ def _require_unsharded(spec: ScenarioSpec, engine: str) -> None:
         )
 
 
+def _trace_level(engine_options: dict) -> Any:
+    """Pop ``engine.options.trace_level``, a :class:`~repro.dps.trace.TraceLevel` name."""
+    from repro.dps.trace import TraceLevel
+
+    value = engine_options.pop("trace_level", "SUMMARY")
+    names = [level.name for level in TraceLevel]
+    if not isinstance(value, str) or value.upper() not in names:
+        raise ConfigurationError(
+            f"engine.options.trace_level must be one of {names}, "
+            f"got {value!r}"
+        )
+    return TraceLevel[value.upper()]
+
+
 def run_sim(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     """The ``sim`` engine: predict under the paper's performance models."""
-    from repro.dps.trace import TraceLevel
     from repro.sim.simulator import DPSSimulator
 
     _require_unused(spec, "sim", ("cluster",))
@@ -336,7 +350,7 @@ def run_sim(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     cpu_options = dict(spec.cpumodel.options)
 
     engine_options = dict(spec.engine.options)
-    trace = TraceLevel[str(engine_options.pop("trace_level", "SUMMARY")).upper()]
+    trace = _trace_level(engine_options)
     if engine_options:
         raise ConfigurationError(
             f"unknown sim engine options {sorted(engine_options)}; "
@@ -373,7 +387,6 @@ def run_sim(spec: ScenarioSpec, registry: Registry) -> RunRecord:
 
 def run_testbed(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     """The ``testbed`` engine: measure on the ground-truth virtual cluster."""
-    from repro.dps.trace import TraceLevel
     from repro.testbed.cluster import VirtualCluster
     from repro.testbed.executor import TestbedExecutor
 
@@ -388,7 +401,7 @@ def run_testbed(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     cfg = _apply_dps_faults(spec, plugin, plugin.make_config(spec), registry)
     mode = spec.mode()
     engine_options = dict(spec.engine.options)
-    trace = TraceLevel[str(engine_options.pop("trace_level", "SUMMARY")).upper()]
+    trace = _trace_level(engine_options)
     verify_incremental = engine_options.pop("verify_incremental", False)
     if engine_options:
         raise ConfigurationError(
@@ -510,6 +523,8 @@ def run_server(spec: ScenarioSpec, registry: Registry) -> RunRecord:
         "throughput": result.throughput,
         "total_nodes": result.total_nodes,
         "jobs": result.jobs_completed,
+        "allocations": result.allocations,
+        "allocations_elided": result.allocations_elided,
     }
     # The streaming SLO summary: quantile sojourns, rejection rate,
     # utilization aggregates and the fault counters.
@@ -539,8 +554,8 @@ def run_scenario(
 ) -> RunRecord:
     """Run one scenario under its declared engine; normalize the result.
 
-    The single entry point the CLI subcommands, ``repro run``, sweeps and
-    CI smoke jobs all delegate to.
+    The single entry point ``repro run``, ``repro serve``, sweeps and CI
+    smoke jobs all delegate to.
     """
     registry = registry or default_registry()
     engine = registry.resolve("engine", spec.engine.name)

@@ -8,6 +8,7 @@ Each helper returns the validated value so it can be used inline::
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Any, TypeVar
 
 from repro.errors import ConfigurationError
@@ -32,7 +33,14 @@ def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
 
 
 def check_finite(name: str, value: float) -> float:
-    """Require a finite real number."""
+    """Require a finite real number (``bool`` is not one, as in :func:`check_type`)."""
+    # Exact int/float skip the slow ABC check; numpy scalars are Real too.
+    if type(value) not in (int, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ConfigurationError(
+            f"{name} must be a real number, got {type(value).__name__}"
+        )
     value = float(value)
     if not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")

@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.metrics import efficiency, relative_error, speedup
 from repro.analysis.parallel import run_records
 from repro.analysis.prediction import PredictionStudy, validation_pair
-from repro.analysis.tables import ascii_bar_chart, ascii_table
+from repro.analysis.tables import ascii_table
 from repro.errors import ConfigurationError
 
 
@@ -69,18 +69,6 @@ def test_ascii_table_alignment():
     assert lines[0] == "T"
     assert "a" in lines[1] and "bb" in lines[1]
     assert len(lines) == 5
-
-
-def test_ascii_bar_chart_scales():
-    out = ascii_bar_chart(["x", "y"], [1.0, 2.0], width=10)
-    lines = out.splitlines()
-    assert lines[1].count("#") == 10
-    assert lines[0].count("#") == 5
-
-
-def test_bar_chart_length_mismatch():
-    with pytest.raises(ValueError):
-        ascii_bar_chart(["a"], [1.0, 2.0])
 
 
 # ------------------------------------------------------------------ sweep

@@ -1,8 +1,6 @@
-"""ASCII renderers: alignment, scaling, degenerate inputs."""
+"""ASCII table renderer: alignment, titles, degenerate inputs."""
 
-import pytest
-
-from repro.analysis.tables import ascii_bar_chart, ascii_table
+from repro.analysis.tables import ascii_table
 
 
 class TestAsciiTable:
@@ -28,29 +26,3 @@ class TestAsciiTable:
         text = ascii_table(("n",), [(3.14159,), (None,)])
         assert "3.14159" in text
         assert "None" in text
-
-
-class TestBarChart:
-    def test_peak_gets_full_width(self):
-        text = ascii_bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[0].count("#") == 5
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_bar_chart(["a"], [1.0, 2.0])
-
-    def test_all_zero_values(self):
-        text = ascii_bar_chart(["a"], [0.0])
-        assert "#" not in text
-
-    def test_custom_format(self):
-        text = ascii_bar_chart(["a"], [0.5], fmt="{:.0%}")
-        assert "50%" in text
-
-    def test_negative_values_use_magnitude(self):
-        text = ascii_bar_chart(["neg", "pos"], [-4.0, 2.0], width=8)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 8
-        assert lines[1].count("#") == 4

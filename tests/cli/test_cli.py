@@ -1,5 +1,7 @@
 """The command-line interface: parsing, each subcommand, error paths."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,11 +30,26 @@ class TestParseMode:
         assert set(MODE_NAMES.values()) == set(SimulationMode)
 
 
-def test_matmul_direct_mode(capsys):
-    code = main([
-        "matmul", "--n", "96", "--s", "24", "--threads", "4", "--nodes", "2",
-        "--mode", "direct", "--verify",
-    ])
+def run_spec(tmp_path, app, options, engine=None, **sections):
+    """``repro run`` on a JSON spec written from its sections."""
+    payload = {
+        "app": {"name": app, "options": options},
+        "engine": {"name": "sim", **(engine or {})},
+        **sections,
+    }
+    path = tmp_path / f"{app}.json"
+    path.write_text(json.dumps(payload))
+    return main(["run", str(path)])
+
+
+MATMUL = {"n": 96, "s": 24, "num_threads": 4, "num_nodes": 2}
+STENCIL = {"n": 48, "stripes": 4, "iterations": 3, "num_threads": 4}
+
+
+def test_matmul_direct_mode(tmp_path, capsys):
+    code = run_spec(
+        tmp_path, "matmul", MATMUL, {"mode": "direct", "verify": True}
+    )
     out = capsys.readouterr().out
     assert code == 0
     assert "verification           : OK" in out
@@ -76,10 +93,7 @@ def test_parser_requires_command():
         parser.parse_args([])
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["lu", "stencil", "sort", "matmul", "efficiency", "calibrate", "graph", "sweep"],
-)
+@pytest.mark.parametrize("command", ["calibrate", "graph", "sweep"])
 def test_all_commands_registered(command):
     parser = build_parser()
     extra = ["lu"] if command == "graph" else []
@@ -87,90 +101,87 @@ def test_all_commands_registered(command):
     assert callable(args.func)
 
 
+def test_help_lists_exactly_the_commands(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    assert "{run,scenarios,calibrate,sweep,cache,graph,serve,trend,check}" in out
+
+
+@pytest.mark.parametrize(
+    "command", ["lu", "stencil", "sort", "matmul", "server", "efficiency"]
+)
+def test_removed_run_commands_are_invalid_choices(command, capsys):
+    """A scenario runs only as ``repro run SPEC``; no alias remains."""
+    with pytest.raises(SystemExit) as stop:
+        main([command])
+    assert stop.value.code == 2
+    assert f"invalid choice: '{command}'" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------------
-# subcommand runs (small configurations)
+# one spec per app and engine (small configurations)
 # --------------------------------------------------------------------------
 
 
-def test_lu_sim(capsys):
-    code = main([
-        "lu", "--n", "648", "--r", "216", "--threads", "4", "--nodes", "2",
-        "--mode", "noalloc",
-    ])
+def test_lu_variants_and_kill(tmp_path, capsys):
+    lu = {"n": 648, "r": 162, "num_threads": 4, "num_nodes": 2}
+    code = run_spec(
+        tmp_path, "lu", dict(lu, pipelined=True, flow_control=4),
+        {"mode": "noalloc"},
+    )
+    assert code == 0
+    assert "per-phase dynamic efficiency" in capsys.readouterr().out
+
+    code = run_spec(
+        tmp_path, "lu", dict(lu, num_nodes=4), {"mode": "noalloc"},
+        events=["2,3@1"],
+    )
     out = capsys.readouterr().out
     assert code == 0
-    assert "predicted running time" in out
-    assert "variant=basic" in out
+    # Fig. 11: after the removal the remaining iterations run on 2 nodes.
+    rows = [line.split() for line in out.splitlines() if line.startswith("iter")]
+    assert rows[0][3] == "4.00" and rows[-1][3] == "2.00"
 
 
-def test_lu_variants_and_kill(capsys):
-    code = main([
-        "lu", "--n", "648", "--r", "162", "--threads", "4", "--nodes", "2",
-        "--pipelined", "--fc", "4", "--mode", "noalloc",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "variant=P+FC" in out
-
-    code = main([
-        "lu", "--n", "648", "--r", "162", "--threads", "4", "--nodes", "4",
-        "--kill", "2,3@1", "--mode", "noalloc",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "kill 2,3@1" in out
+def test_stencil_both_engines_with_verify(tmp_path, capsys):
+    """Predicting and measuring one configuration is two specs."""
+    for engine in ("sim", "testbed"):
+        code = run_spec(
+            tmp_path, "stencil", dict(STENCIL, num_nodes=2),
+            {"name": engine, "verify": True},
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"engine={engine}" in out
+        assert "verification           : OK" in out
 
 
-def test_stencil_both_engines_with_verify(capsys):
-    code = main([
-        "stencil", "--n", "48", "--stripes", "4", "--iterations", "3",
-        "--threads", "4", "--nodes", "2", "--engine", "both", "--verify",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "prediction error" in out
-    assert out.count("verification           : OK") == 2
-
-
-def test_stencil_kill_without_barrier_fails(capsys):
-    code = main([
-        "stencil", "--n", "48", "--stripes", "4", "--iterations", "3",
-        "--threads", "4", "--nodes", "4", "--kill", "2,3@1",
-    ])
+def test_stencil_kill_without_barrier_fails(tmp_path, capsys):
+    code = run_spec(
+        tmp_path, "stencil", dict(STENCIL, num_nodes=4), events=["2,3@1"]
+    )
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
-def test_sort_testbed_with_verify(capsys):
-    code = main([
-        "sort", "--m", "3000", "--threads", "4", "--nodes", "2",
-        "--engine", "testbed", "--verify",
-    ])
+def test_sort_testbed_with_verify(tmp_path, capsys):
+    code = run_spec(
+        tmp_path, "sort", {"m": 3000, "num_threads": 4, "num_nodes": 2},
+        {"name": "testbed", "verify": True},
+    )
     out = capsys.readouterr().out
     assert code == 0
-    assert "measured running time" in out
-
-
-def test_matmul_sim(capsys):
-    code = main([
-        "matmul", "--n", "96", "--s", "24", "--threads", "4", "--nodes", "2",
-        "--engine", "sim", "--verify",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
+    assert "engine=testbed" in out
     assert "verification           : OK" in out
 
 
-def test_efficiency_table(capsys):
-    code = main([
-        "efficiency", "--n", "648", "--r", "81", "--threads", "8", "--nodes", "4",
-        "--kill", "4,5,6,7@1",
-    ])
+def test_matmul_sim(tmp_path, capsys):
+    code = run_spec(tmp_path, "matmul", MATMUL, {"verify": True})
     out = capsys.readouterr().out
     assert code == 0
-    assert "dynamic efficiency" in out
-    assert "iter1" in out
-    assert "whole-run efficiency" in out
+    assert "verification           : OK" in out
 
 
 def test_sweep_serial(capsys):
@@ -229,32 +240,36 @@ def test_graph_lu_pipelined_has_streams(capsys):
     assert "stream" in out
 
 
-def test_server_all_policies(capsys):
-    code = main(["server", "--jobs", "6", "--nodes", "12", "--seed", "2"])
-    out = capsys.readouterr().out
-    assert code == 0
-    for policy in ("static", "fcfs", "fcfs+backfill", "equipartition", "adaptive"):
-        assert policy in out
-    assert "service rate" in out
+def server_spec(tmp_path, policy, shards=1):
+    payload = {
+        "app": {"name": "mixed"},
+        "engine": {"name": "server", "shards": shards},
+        "cluster": {
+            "nodes": 16,
+            "arrivals": {"process": "poisson", "jobs": 4},
+            "policy": policy,
+        },
+    }
+    path = tmp_path / f"server-{policy}-{shards}.json"
+    path.write_text(json.dumps(payload))
+    return path
 
 
-def test_server_policy_selection(capsys):
-    code = main([
-        "server", "--jobs", "4", "--policy", "adaptive",
-        "--workload", "mixed",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "adaptive" in out
-    assert "static" not in out
-    # one kernel or many, the decision counters are printed
-    assert "[adaptive] " in out and " reallocations (" in out
+@pytest.mark.parametrize("shards", [1, 2])
+def test_server_record_carries_reallocation_counts(shards, tmp_path, capsys):
+    """One kernel or many, the record says how often the policy was asked."""
+    path = server_spec(tmp_path, "adaptive", shards)
+    assert main(["run", str(path), "--json"]) == 0
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    # fault-free: one decision per admission and per completion
+    assert metrics["allocations"] == 2 * metrics["jobs"] == 8
+    assert metrics["allocations_elided"] >= 0
 
 
-def test_server_unknown_policy_fails(capsys):
-    code = main(["server", "--jobs", "4", "--policy", "wishful"])
-    assert code == 2
-    assert "unknown policies" in capsys.readouterr().err
+def test_server_unknown_policy_fails(tmp_path, capsys):
+    assert main(["run", str(server_spec(tmp_path, "wishful"))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown policy 'wishful'")
 
 
 # --------------------------------------------------------------------------
@@ -286,37 +301,13 @@ def test_run_example_spec(capsys):
 
 
 def test_run_json_output(capsys):
-    import json as _json
-
     code = main(["run", str(EXAMPLES / "matmul_packet.json"), "--json"])
     out = capsys.readouterr().out
     assert code == 0
-    payload = _json.loads(out)
+    payload = json.loads(out)
     assert payload["engine"] == "sim"
     assert payload["app"] == "matmul"
     assert payload["makespan"] > 0
-
-
-@requires_toml
-def test_run_spec_matches_legacy_subcommand(tmp_path, capsys):
-    """The acceptance criterion: identical RunRecord metrics, bit-equal."""
-    import json as _json
-
-    run_path = tmp_path / "run.json"
-    lu_path = tmp_path / "lu.json"
-    assert main([
-        "run", str(EXAMPLES / "lu_sim.toml"), "--record-json", str(run_path),
-    ]) == 0
-    assert main([
-        "lu", "--n", "648", "--r", "216", "--threads", "4", "--nodes", "2",
-        "--mode", "noalloc", "--record-json", str(lu_path),
-    ]) == 0
-    capsys.readouterr()
-    via_spec = _json.loads(run_path.read_text())[0]
-    via_legacy = _json.loads(lu_path.read_text())[0]
-    assert via_spec["makespan"] == via_legacy["makespan"]
-    assert via_spec["phases"] == via_legacy["phases"]
-    assert via_spec["events"] == via_legacy["events"]
 
 
 @requires_toml
@@ -352,8 +343,6 @@ def test_run_missing_spec_fails(capsys):
 def test_run_bad_spec_value_is_one_error_line(
     tmp_path, capsys, section, key, bad, complaint
 ):
-    import json as _json
-
     payload = {
         "app": {"name": "lu"},
         "engine": {"name": "server"},
@@ -362,7 +351,7 @@ def test_run_bad_spec_value_is_one_error_line(
     target = payload["cluster"] if section == "arrivals" else payload
     target[section][key] = bad
     path = tmp_path / "bad.json"
-    path.write_text(_json.dumps(payload))
+    path.write_text(json.dumps(payload))
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -370,22 +359,40 @@ def test_run_bad_spec_value_is_one_error_line(
 
 
 @pytest.mark.parametrize(
-    "option, bad", [("pipelined", "no"), ("flow_control", 2.5)]
+    "option, bad",
+    [
+        ("pipelined", "no"),
+        ("flow_control", 2.5),
+        # a dotted name is a spec path rather than an app option
+        ("engine.options.trace_level", "bogus"),
+        ("engine.options.trace_level", 3),
+        ("platform.options.latency", "abc"),
+        ("platform.options.latency", True),
+        ("provider.options.n", "abc"),
+        ("provider.options.n", 2.7),
+        ("provider.options.n", 0),
+        ("provider.options.persist", "no"),
+    ],
 )
 def test_run_wrong_typed_lu_option_is_one_error_line(tmp_path, capsys, option, bad):
-    import json as _json
-
-    options = {"n": 192, "r": 48, "num_threads": 4, "num_nodes": 2, option: bad}
+    options = {"n": 192, "r": 48, "num_threads": 4, "num_nodes": 2}
     payload = {
         "app": {"name": "lu", "options": options},
         "engine": {"name": "sim", "mode": "noalloc"},
     }
-    path = tmp_path / "bad.json"
-    path.write_text(_json.dumps(payload))
-    assert main(["run", str(path)]) == 2
+    if option.startswith("provider."):
+        payload["provider"] = {"name": "measure_first_n"}
+    *path, key = option.split(".")
+    target = payload if path else options
+    for part in path:
+        target = target.setdefault(part, {})
+    target[key] = bad
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(payload))
+    assert main(["run", str(spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert f"{option} must be of type" in err
+    assert f"{key} must be" in err
 
 
 def test_scenarios_list(capsys):
@@ -425,8 +432,6 @@ def test_cache_info_reports_both_families_with_sizes(tmp_path, monkeypatch, caps
 
 
 def test_cache_info_json(tmp_path, monkeypatch, capsys):
-    import json as _json
-
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     # Populate one calibration entry via a tiny serial sweep case.
     assert main(["calibrate", "--target", "star"]) == 0
@@ -434,7 +439,7 @@ def test_cache_info_json(tmp_path, monkeypatch, capsys):
     code = main(["cache", "info", "--json"])
     out = capsys.readouterr().out
     assert code == 0
-    payload = _json.loads(out)
+    payload = json.loads(out)
     assert set(payload) == {"directory", "calibrations", "kernel_benches"}
     for family in ("calibrations", "kernel_benches"):
         assert {"entries", "count", "bytes"} <= set(payload[family])
@@ -449,12 +454,11 @@ def test_direct_mode_persists_kernel_benchmarks(tmp_path, monkeypatch, capsys):
     from repro.analysis import benchcache
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    args = ["matmul", "--n", "96", "--s", "24", "--threads", "4",
-            "--nodes", "2", "--mode", "direct", "--verify"]
-    assert main(args) == 0
+    engine = {"mode": "direct", "verify": True}
+    assert run_spec(tmp_path, "matmul", MATMUL, engine) == 0
     assert benchcache.entries(), "direct run should persist sample tables"
     # The second run preloads the tables and still verifies.
-    assert main(args) == 0
+    assert run_spec(tmp_path, "matmul", MATMUL, engine) == 0
     out = capsys.readouterr().out
     assert out.count("verification           : OK") == 2
 
@@ -463,9 +467,9 @@ def test_no_persist_cache_restores_raw_direct_timing(tmp_path, monkeypatch, caps
     from repro.analysis import benchcache
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    assert main([
-        "matmul", "--n", "96", "--s", "24", "--threads", "4", "--nodes", "2",
-        "--mode", "direct", "--no-persist-cache",
-    ]) == 0
+    assert run_spec(
+        tmp_path, "matmul", MATMUL, {"mode": "direct"},
+        provider={"name": "auto", "options": {"persist": False}},
+    ) == 0
     capsys.readouterr()
     assert benchcache.entries() == []

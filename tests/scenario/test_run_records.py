@@ -11,12 +11,11 @@ from repro.clusterserver.arrivals import poisson_arrivals
 from repro.errors import ConfigurationError
 from repro.scenario import (
     AppSection,
-    ClusterSection,
     EngineSection,
-    ModelSection,
     ScenarioSpec,
     run_scenario,
 )
+from repro.scenario.spec import ClusterSection, ModelSection
 from repro.sim.efficiency import dynamic_efficiency
 from repro.sim.modes import SimulationMode
 from repro.sim.platform import PAPER_CLUSTER

@@ -6,11 +6,11 @@ from repro.analysis.parallel import run_records
 from repro.scenario import (
     AppSection,
     EngineSection,
-    ModelSection,
     PlatformSection,
     ScenarioSpec,
     calibration_key,
 )
+from repro.scenario.spec import ModelSection
 
 # Every scenario here runs a real app (LU kernels etc.) — numpy territory.
 pytest.importorskip("numpy")

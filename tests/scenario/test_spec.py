@@ -7,13 +7,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.scenario import (
     AppSection,
-    ClusterSection,
     EngineSection,
-    ModelSection,
     PlatformSection,
-    ProviderSection,
     ScenarioSpec,
 )
+from repro.scenario.spec import ClusterSection, ModelSection, ProviderSection
 from repro.sim.modes import SimulationMode
 
 tomllib = pytest.importorskip("tomllib", reason="TOML specs need Python 3.11+")

@@ -75,24 +75,34 @@ class TestMalformedPayloads:
         assert client.healthz()["status"] == "ok"
 
     @pytest.mark.parametrize(
-        "option, bad", [("pipelined", "no"), ("flow_control", 2.5)]
+        "option, bad",
+        [
+            ("pipelined", "no"),
+            ("flow_control", 2.5),
+            ("engine.options.trace_level", "bogus"),
+        ],
     )
     def test_wrong_typed_lu_option_is_400_not_200(self, make_service, option, bad):
         """``"no"`` is truthy and 2.5 passes every range check: both used
-        to run (the P variant, a fractional credit limit) and answer 200."""
+        to run (the P variant, a fractional credit limit) and answer 200;
+        an unknown trace level used to answer 500."""
         pytest.importorskip("numpy")  # the job runs LU kernels' cost model
         _, client = make_service()
+        options = {"n": 192, "r": 48, "num_threads": 4, "num_nodes": 2}
         payload = {
             "name": "bad-lu-option",
-            "app": {"name": "lu", "options": {
-                "n": 192, "r": 48, "num_threads": 4, "num_nodes": 2,
-                option: bad}},
+            "app": {"name": "lu", "options": options},
             "engine": {"name": "sim", "mode": "noalloc"},
         }
+        *path, key = option.split(".")  # a dotted name is a spec path
+        target = payload if path else options
+        for part in path:
+            target = target.setdefault(part, {})
+        target[key] = bad
         with pytest.raises(ServiceError) as exc:
             client.run(payload)
         assert exc.value.status == 400
-        assert f"{option} must be of type" in exc.value.message
+        assert f"{key} must be" in exc.value.message
         assert client.healthz()["status"] == "ok"
 
     @pytest.mark.parametrize(

@@ -119,6 +119,16 @@ def test_packages_without_callers_export_nothing(package_name):
         ("repro.service", "ServiceThread"),
         # one owner per worker pool: sweeps call run_records(specs, jobs)
         ("repro.analysis.parallel", "ParallelSweepRunner"),
+        # one front door: `repro run SPEC` is the only way to run a scenario
+        ("repro.cli", "apps"),
+        ("repro.cli", "server"),
+        ("repro.cli", "common"),
+        ("repro.analysis.tables", "ascii_bar_chart"),
+        ("repro.scenario.registry.AppPlugin", "describe"),
+        *(
+            ("repro.scenario", name)
+            for name in "ClusterSection ModelSection ProviderSection".split()
+        ),
     ],
 )
 def test_removed_names_stay_removed_without_an_alias(owner, name):

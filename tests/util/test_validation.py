@@ -24,10 +24,18 @@ def test_check_type_rejects_wrong_type():
         check_type("x", "nope", int)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, "abc", "1.5", True, None]
+)
 def test_check_finite_rejects_non_finite(bad):
     with pytest.raises(ConfigurationError):
         check_finite("x", bad)
+
+
+def test_check_finite_accepts_numpy_scalars():
+    np = pytest.importorskip("numpy")
+    assert check_finite("x", np.float64(0.5)) == 0.5
+    assert check_finite("x", np.int64(3)) == 3.0
 
 
 def test_check_positive():
