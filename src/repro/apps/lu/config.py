@@ -8,7 +8,6 @@ from typing import Optional
 from repro.dps.malleability import STATIC, AllocationSchedule
 from repro.errors import ConfigurationError
 from repro.sim.modes import SimulationMode
-from repro.util.validation import check_type
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,6 @@ class LUConfig:
     matrix_seed: int = 7
 
     def __post_init__(self) -> None:
-        # Reaches here from spec files and request bodies: "no" is truthy,
-        # and 2.5 would pass every range check below.
-        for name in ("n", "r", "num_threads", "num_nodes"):
-            check_type(name, getattr(self, name), int)
-        for name in ("flow_control", "pm_subblock"):
-            if getattr(self, name) is not None:
-                check_type(name, getattr(self, name), int)
-        check_type("pipelined", self.pipelined, bool)
         if self.n < 1 or self.r < 1:
             raise ConfigurationError("n and r must be positive")
         if self.n % self.r != 0:

@@ -44,20 +44,12 @@ from repro.clusterserver.workload import (
 )
 from repro.errors import ConfigurationError
 from repro.util.rng import SeedSequenceFactory
-from repro.util.validation import check_positive, check_type
+from repro.util.validation import check_options, check_positive
 
 #: An arrival process: yields ``(arrival_time, JobSpec)`` lazily, in
 #: nondecreasing time order.  Any iterable qualifies; the generators in
 #: this module are the built-in implementations.
 ArrivalProcess = Iterable[tuple[float, JobSpec]]
-
-
-def _check_positive(name: str, value) -> None:
-    """Require a finite real > 0: options arrive from spec files and
-    ``POST /run``, a string must not reach a comparison, and NaN makes
-    every comparison false."""
-    check_type(f"arrivals.{name}", value, (int, float))
-    check_positive(f"arrivals.{name}", value)
 
 
 def _check_stop(jobs, horizon, required: bool = True) -> None:
@@ -66,22 +58,21 @@ def _check_stop(jobs, horizon, required: bool = True) -> None:
             "an arrival process needs a stop condition: set jobs (count) "
             "and/or horizon (last admission time)"
         )
-    if jobs is not None and check_type("arrivals.jobs", jobs, int) < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigurationError("arrivals.jobs must be >= 1")
     if horizon is not None:
-        _check_positive("horizon", horizon)
+        check_positive("arrivals.horizon", horizon)
 
 
-def _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon) -> None:
-    """What every synthetic process takes, checked when the stream is
-    built — a generator body would not run before the engine's first
+def _check_synthetic(mean_interarrival, shape, jobs, horizon) -> None:
+    """The ranges every synthetic process takes, checked when the stream
+    is built — a generator body would not run before the engine's first
     ``next()``."""
-    _check_positive("mean_interarrival", mean_interarrival)
+    check_positive("arrivals.mean_interarrival", mean_interarrival)
     if shape not in JOB_SHAPES:
         raise ConfigurationError(
             f"unknown job shape {shape!r}; choose from {list(JOB_SHAPES)}"
         )
-    check_type("arrivals.max_nodes", max_nodes, int)
     _check_stop(jobs, horizon)
 
 
@@ -95,7 +86,7 @@ def poisson_arrivals(
     horizon: Optional[float] = None,
 ) -> Iterator[tuple[float, JobSpec]]:
     """Constant-rate memoryless arrivals (rate ``1/mean_interarrival``)."""
-    _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon)
+    _check_synthetic(mean_interarrival, shape, jobs, horizon)
 
     def stream() -> Iterator[tuple[float, JobSpec]]:
         arrivals = poisson_jobs(
@@ -129,12 +120,12 @@ def bursty_arrivals(
     memoryless, redrawing the pending gap at each state switch is
     distributionally exact.
     """
-    _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon)
-    _check_positive("burst_factor", burst_factor)
+    _check_synthetic(mean_interarrival, shape, jobs, horizon)
+    check_positive("arrivals.burst_factor", burst_factor)
     if burst_factor < 1.0:
         raise ConfigurationError("burst_factor must be >= 1")
-    _check_positive("mean_quiet", mean_quiet)
-    _check_positive("mean_burst", mean_burst)
+    check_positive("arrivals.mean_quiet", mean_quiet)
+    check_positive("arrivals.mean_burst", mean_burst)
 
     def stream() -> Iterator[tuple[float, JobSpec]]:
         rng = SeedSequenceFactory(seed).rng("arrivals/bursty")
@@ -180,10 +171,10 @@ def diurnal_arrivals(
     mean_interarrival``: candidate arrivals are drawn at the peak rate
     and accepted with probability ``rate(t)/peak``.
     """
-    _check_synthetic(mean_interarrival, shape, max_nodes, jobs, horizon)
+    _check_synthetic(mean_interarrival, shape, jobs, horizon)
     if not 0.0 <= amplitude < 1.0:
         raise ConfigurationError("amplitude must be in [0, 1)")
-    _check_positive("period", period)
+    check_positive("arrivals.period", period)
 
     def stream() -> Iterator[tuple[float, JobSpec]]:
         rng = SeedSequenceFactory(seed).rng("arrivals/diurnal")
@@ -204,6 +195,28 @@ def diurnal_arrivals(
     return stream()
 
 
+def _trace_job(
+    arrival: float,
+    phase_work: tuple,
+    *,
+    name: str = "",
+    parallel_fraction: float = 0.95,
+    max_nodes: int = 8,
+    min_nodes: int = 1,
+    preferred_nodes: int = 0,
+) -> JobSpec:
+    """One trace line's job: the signature is the line format."""
+    return JobSpec(
+        name=name,
+        arrival=float(arrival),
+        phase_work=tuple(check_positive("phase_work", w) for w in phase_work),
+        efficiency=amdahl_efficiency(parallel_fraction),
+        max_nodes=max_nodes,
+        min_nodes=min_nodes,
+        preferred_nodes=preferred_nodes,
+    )
+
+
 def trace_arrivals(
     path: "str | Path",
     *,
@@ -212,13 +225,14 @@ def trace_arrivals(
 ) -> Iterator[tuple[float, JobSpec]]:
     """Replay a JSON-lines trace file, one job per line.
 
-    Each line is an object with ``arrival`` (seconds) and ``phase_work``
-    (list of positive floats), plus optional ``name``,
-    ``parallel_fraction`` (default 0.95), ``max_nodes`` (default 8),
-    ``min_nodes`` and ``preferred_nodes``.  Lines must be in
-    nondecreasing arrival order.  Unlike the synthetic processes a trace
-    is finite by construction, so the stop condition is optional and only
-    truncates.
+    Each line is an object whose fields are :func:`_trace_job`'s
+    parameters, checked the way spec options are: ``arrival`` (seconds)
+    and ``phase_work`` (a non-empty list of finite reals > 0), plus
+    optional ``name`` (default ``trace<line>``), ``parallel_fraction``
+    (default 0.95), ``max_nodes`` (default 8), ``min_nodes`` and
+    ``preferred_nodes``.  Lines must be in nondecreasing arrival order.
+    Unlike the synthetic processes a trace is finite by construction, so
+    the stop condition is optional and only truncates.
     """
     _check_stop(jobs, horizon, required=False)
     path = Path(path)
@@ -226,6 +240,17 @@ def trace_arrivals(
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigurationError(f"cannot read arrival trace: {exc}") from None
+
+    def parse(lineno: int, line: str) -> JobSpec:
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"invalid JSON: {exc}") from None
+        if not isinstance(entry, dict):
+            raise ConfigurationError("each trace line must be an object")
+        check_options("", entry, _trace_job)
+        entry.setdefault("name", f"trace{lineno}")
+        return _trace_job(**entry)
 
     def stream() -> Iterator[tuple[float, JobSpec]]:
         last_t = -math.inf
@@ -236,23 +261,10 @@ def trace_arrivals(
             if jobs is not None and emitted >= jobs:
                 return
             try:
-                entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"{path.name}:{lineno}: invalid JSON: {exc}"
-                ) from None
-            if not isinstance(entry, dict):
-                raise ConfigurationError(
-                    f"{path.name}:{lineno}: each trace line must be an object"
-                )
-            try:
-                t = float(entry["arrival"])
-                work = tuple(float(w) for w in entry["phase_work"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigurationError(
-                    f"{path.name}:{lineno}: needs 'arrival' and 'phase_work': "
-                    f"{exc}"
-                ) from None
+                spec = parse(lineno, line)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{path.name}:{lineno}: {exc}") from None
+            t = spec.arrival
             if t < last_t:
                 raise ConfigurationError(
                     f"{path.name}:{lineno}: arrivals must be nondecreasing "
@@ -261,22 +273,6 @@ def trace_arrivals(
             last_t = t
             if horizon is not None and t > horizon:
                 return
-            try:
-                spec = JobSpec(
-                    name=str(entry.get("name", f"trace{lineno}")),
-                    arrival=t,
-                    phase_work=work,
-                    efficiency=amdahl_efficiency(
-                        float(entry.get("parallel_fraction", 0.95))
-                    ),
-                    max_nodes=int(entry.get("max_nodes", 8)),
-                    min_nodes=int(entry.get("min_nodes", 1)),
-                    preferred_nodes=int(entry.get("preferred_nodes", 0)),
-                )
-            except ConfigurationError as exc:
-                raise ConfigurationError(
-                    f"{path.name}:{lineno}: bad job: {exc}"
-                ) from None
             yield t, spec
             emitted += 1
 

@@ -98,7 +98,6 @@ from typing import Any, Callable, Collection, Optional, Sequence
 from repro.des.event_queue import EventHandle
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
-from repro.util.validation import check_type
 
 #: Relative tolerance under which remaining work counts as drained.
 _COMPLETION_RTOL = 1e-9
@@ -353,8 +352,7 @@ class RateAllocator:
     """
 
     def __init__(self, verify: bool = False) -> None:
-        # Reaches here from spec files and request bodies; "no" is truthy.
-        self.verify = check_type("verify_incremental", verify, bool)
+        self.verify = verify
         self.stats = AllocatorStats()
 
     # ---------------------------------------------------------- subclass api

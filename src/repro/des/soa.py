@@ -58,7 +58,6 @@ from repro.des.fluid import (
 )
 from repro.des.kernel import Kernel
 from repro.errors import ConfigurationError, SimulationError
-from repro.util.validation import check_type
 
 _NO_NUMPY_HINT = (
     "hint: numpy not found - structure-of-arrays backends need it; "
@@ -119,7 +118,7 @@ class SoaFluidEngine:
             )
         self.kernel = kernel
         self.name = name
-        self.verify = check_type("verify_incremental", verify, bool)
+        self.verify = verify
         self._on_complete = on_complete
         self.stats = AllocatorStats()
         self.horizon = HorizonStats()

@@ -40,18 +40,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
-
-#: The fault-event vocabulary: every event is one of these fields plus a
-#: ``kind`` that gives them meaning.  Custom kinds reinterpret the same
-#: fields rather than inventing new ones — that is what keeps the spec
-#: section structurally validatable without a registry in scope.
-_FLOAT_KEYS = ("at", "duration", "factor")
-_INT_KEYS = ("node", "job", "after")
-EVENT_KEYS = ("kind",) + _FLOAT_KEYS + _INT_KEYS
+from repro.util.validation import check_options
 
 #: Primitive timeline operations the engines understand.
 OP_DOWN = "down"        # arg: node index (node leaves the up-set)
@@ -65,6 +58,9 @@ OP_KILL = "kill"        # arg: job index
 class FaultEvent:
     """One declared fault: a kind plus the generic parameter fields.
 
+    The fields are a spec's fault-event vocabulary, typed by their
+    annotations; custom kinds reinterpret them rather than inventing new
+    ones, so the spec section validates without a registry in scope.
     ``-1`` means "unset" for the integer fields (``node = -1`` on a
     node-targeting kind means *draw one deterministically from the plan
     seed*).  ``at`` is simulation time (server engines); ``after`` is a
@@ -83,62 +79,39 @@ class FaultEvent:
     def to_dict(self) -> dict[str, Any]:
         """Canonical dict: ``kind`` plus every non-default field."""
         out: dict[str, Any] = {"kind": self.kind}
-        defaults = _EVENT_DEFAULTS
-        for key in _FLOAT_KEYS + _INT_KEYS:
-            value = getattr(self, key)
-            if value != defaults[key]:
-                out[key] = value
+        for f in _PARAMETER_FIELDS:
+            value = getattr(self, f.name)
+            if value != f.default:
+                out[f.name] = value
         return out
 
 
-_EVENT_DEFAULTS = {
-    "at": -1.0, "node": -1, "job": -1,
-    "duration": 0.0, "factor": 1.0, "after": -1,
-}
+#: The parameter fields in canonical key order: floats, then ints.
+_PARAMETER_FIELDS = sorted(
+    fields(FaultEvent)[1:], key=lambda f: f.type != "float"
+)
 
 
 def normalize_fault_event(raw: Any) -> dict[str, Any]:
     """Structurally validate and canonicalize one raw fault-event table.
 
-    Registry-free (usable from spec parsing): checks the key vocabulary
-    and coerces numeric types; per-kind semantic validation happens when
-    the plan is built (:meth:`FaultPlan.from_section`).
+    Registry-free (usable from spec parsing): checks the table against
+    :class:`FaultEvent`'s fields and turns ints into floats where a float
+    is declared; per-kind semantic validation happens when the plan is
+    built (:meth:`FaultPlan.from_section`).
     """
     if not isinstance(raw, Mapping):
         raise ConfigurationError(
             f"a fault event must be a table/dict, got {type(raw).__name__}"
         )
-    unknown = sorted(set(raw) - set(EVENT_KEYS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown fault event keys {unknown}; valid keys: "
-            f"{sorted(EVENT_KEYS)}"
-        )
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or not kind:
-        raise ConfigurationError(
-            "a fault event needs a 'kind' name (string); e.g. "
-            '{kind = "crash", node = 3, at = 120.0}'
-        )
-    out: dict[str, Any] = {"kind": kind}
-    for key in _FLOAT_KEYS:
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"fault event field {key!r} must be a number, "
-                    f"got {value!r}"
-                )
-            out[key] = float(value)
-    for key in _INT_KEYS:
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"fault event field {key!r} must be an integer, "
-                    f"got {value!r}"
-                )
-            out[key] = int(value)
+    check_options("faults.events", raw, FaultEvent)
+    if not raw["kind"]:
+        raise ConfigurationError("faults.events.kind must be non-empty")
+    out: dict[str, Any] = {"kind": raw["kind"]}
+    for f in _PARAMETER_FIELDS:
+        if f.name in raw:
+            value = raw[f.name]
+            out[f.name] = float(value) if f.type == "float" else value
     return out
 
 
@@ -362,13 +335,7 @@ class FaultPlan:
                         f"fault event {i} targets node {node}, but the "
                         f"cluster has nodes 0..{total_nodes - 1}"
                     )
-            resolved.append(
-                ev if node == ev.node
-                else FaultEvent(
-                    kind=ev.kind, at=ev.at, node=node, job=ev.job,
-                    duration=ev.duration, factor=ev.factor, after=ev.after,
-                )
-            )
+            resolved.append(replace(ev, node=node))
         return FaultPlan(
             events=tuple(resolved),
             max_retries=self.max_retries,

@@ -42,7 +42,7 @@ from repro.netmodel.waterfill import (
     flow_links,
     maxmin_solve,
 )
-from repro.util.validation import check_in_range, check_non_negative, check_type
+from repro.util.validation import check_in_range, check_non_negative
 
 #: Callback type invoked when a transfer completes.
 CompletionCallback = Callable[["Transfer"], None]
@@ -416,9 +416,6 @@ class LinkComponentAllocator(RateAllocator):
     ) -> None:
         super().__init__(verify=verify)
         self.capacity = capacity
-        # A model option, so it arrives unchecked from spec files and
-        # request bodies; a string would only fail at the first cascade.
-        check_type("cascade_threshold", cascade_threshold, (int, float))
         self.cascade_threshold = check_in_range(
             "cascade_threshold", cascade_threshold, 0.0, 1.0
         )

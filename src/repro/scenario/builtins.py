@@ -25,55 +25,54 @@ Extension guide: register your own under a new name (see
 
 from __future__ import annotations
 
+import functools
+import inspect
 import sys
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.scenario.registry import AppPlugin, Registry
-from repro.util.validation import check_type
-
-
-def _strict(name: str, cls: Callable[..., Any]) -> Callable[..., Any]:
-    """Wrap a model constructor so bad option names configuration-error."""
-
-    def factory(*args: Any, **options: Any) -> Any:
-        try:
-            return cls(*args, **options)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"invalid options for {name!r}: {exc}"
-            ) from None
-
-    return factory
+from repro.util.validation import check_options, check_type
 
 
 def _stderr_hint(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+class _Deferred:
+    """A model plugin imported on first use: ``load()`` returns the
+    callable that builds the model, whose signature is the plugin's."""
+
+    def __init__(self, load: Callable[[], Callable[..., Any]]) -> None:
+        self._load = load
+
+    @property
+    def __signature__(self) -> inspect.Signature:
+        return inspect.signature(self._load())
+
+    def __call__(self, *args: Any, **options: Any) -> Any:
+        return self._load()(*args, **options)
+
+
 def _soa_or_scalar(
-    name: str,
-    load_soa: Callable[[], Callable[..., Any]],
-    scalar_factory: Callable[..., Any],
-) -> Callable[..., Any]:
-    """A ``*-soa`` plugin factory with the graceful scalar fallback.
+    attr: str, load_scalar: Callable[[], Callable[..., Any]]
+) -> _Deferred:
+    """A ``*-soa`` plugin: ``repro.netmodel.soa``'s ``attr`` with numpy,
+    else the scalar equivalent after a one-line hint on stderr.  The SoA
+    models accept a subset of the scalar options, so a spec that resolves
+    on a full install resolves on a numpy-less one too."""
 
-    With numpy present the SoA class (imported lazily — its module chain
-    needs numpy) is built strictly; without it the scalar equivalent runs
-    instead, after a one-line hint (not an error) on stderr.  The SoA
-    models accept a subset of the scalar options, so every spec that
-    resolves on a numpy-less install resolves identically on a full one.
-    """
-
-    def factory(*args: Any, **options: Any) -> Any:
+    def load() -> Callable[..., Any]:
         from repro.des.soa import emit_numpy_hint_once, soa_available
 
         if soa_available():
-            return _strict(name, load_soa())(*args, **options)
-        emit_numpy_hint_once(_stderr_hint)
-        return scalar_factory(*args, **options)
+            from repro.netmodel import soa
 
-    return factory
+            return getattr(soa, attr)
+        emit_numpy_hint_once(_stderr_hint)
+        return load_scalar()
+
+    return _Deferred(load)
 
 
 # --------------------------------------------------------------------------
@@ -172,60 +171,44 @@ def _install_netmodels(registry: Registry) -> None:
     from repro.netmodel.maxmin import MaxMinStarNetwork
     from repro.netmodel.star import EqualShareStarNetwork
 
-    def packet_scalar(*args: Any, **options: Any) -> Any:
-        # Lazy: the scalar packet model seeds its noise through numpy's
-        # RNG, and the registry must import on numpy-less installs.
+    def packet() -> Callable[..., Any]:
         from repro.netmodel.packet import PacketNetwork
 
-        return _strict("netmodel packet", PacketNetwork)(*args, **options)
-
-    def _soa(attr: str) -> Callable[[], Callable[..., Any]]:
-        def load() -> Callable[..., Any]:
-            from repro.netmodel import soa
-
-            return getattr(soa, attr)
-
-        return load
+        return PacketNetwork
 
     registry.register(
         "netmodel", "star",
-        _strict("netmodel star", EqualShareStarNetwork),
+        EqualShareStarNetwork,
         description="equal-share star, the paper's model (scalar backend)",
     )
     registry.register(
         "netmodel", "maxmin",
-        _strict("netmodel maxmin", MaxMinStarNetwork),
+        MaxMinStarNetwork,
         description="max-min fair star, incremental water-fill (scalar backend)",
     )
     registry.register(
         "netmodel", "packet",
-        packet_scalar,
+        _Deferred(packet),
         description="chunked noisy testbed network (scalar backend)",
     )
     registry.register(
         "netmodel", "backplane",
-        _strict("netmodel backplane", BackplaneStarNetwork),
+        BackplaneStarNetwork,
         description="star with a shared-backplane cap (scalar backend)",
     )
     registry.register(
         "netmodel", "analytic",
-        _strict("netmodel analytic", AnalyticNetwork),
+        AnalyticNetwork,
         description="contention-free closed-form latency+size (scalar backend)",
     )
     registry.register(
         "netmodel", "maxmin-soa",
-        _soa_or_scalar(
-            "netmodel maxmin-soa",
-            _soa("MaxMinStarNetworkSoA"),
-            _strict("netmodel maxmin-soa", MaxMinStarNetwork),
-        ),
+        _soa_or_scalar("MaxMinStarNetworkSoA", lambda: MaxMinStarNetwork),
         description="max-min fair star over numpy arrays (soa backend)",
     )
     registry.register(
         "netmodel", "packet-soa",
-        _soa_or_scalar(
-            "netmodel packet-soa", _soa("PacketNetworkSoA"), packet_scalar
-        ),
+        _soa_or_scalar("PacketNetworkSoA", packet),
         description="chunked noisy network over numpy arrays (soa backend)",
     )
 
@@ -234,19 +217,21 @@ def _install_cpumodels(registry: Registry) -> None:
     from repro.cpumodel.commcost import CommCostModel
     from repro.cpumodel.shared import SharedCpuModel
 
+    # Each adapter turns the platform into the model's second argument.
+    @functools.wraps(SharedCpuModel, updated=())
     def shared(kernel: Any, platform: Any, **options: Any) -> Any:
-        return _strict("cpumodel shared", SharedCpuModel)(
+        return SharedCpuModel(
             kernel, CommCostModel(platform.comm_cost), **options
         )
 
-    def timeslice(kernel: Any, platform: Any, **options: Any) -> Any:
-        # Lazy: the timeslice model seeds its OS noise through numpy's
-        # RNG, and the registry must import on numpy-less installs.
+    def timeslice() -> Callable[..., Any]:
         from repro.cpumodel.timeslice import TimesliceCpuModel, TimesliceParams
 
-        return _strict("cpumodel timeslice", TimesliceCpuModel)(
-            kernel, TimesliceParams(), **options
-        )
+        @functools.wraps(TimesliceCpuModel, updated=())
+        def build(kernel: Any, platform: Any, **options: Any) -> Any:
+            return TimesliceCpuModel(kernel, TimesliceParams(), **options)
+
+        return build
 
     registry.register(
         "cpumodel", "shared",
@@ -255,7 +240,7 @@ def _install_cpumodels(registry: Registry) -> None:
     )
     registry.register(
         "cpumodel", "timeslice",
-        timeslice,
+        _Deferred(timeslice),
         description="noisy overhead-laden testbed CPU (scalar backend)",
     )
 
@@ -263,22 +248,6 @@ def _install_cpumodels(registry: Registry) -> None:
 # --------------------------------------------------------------------------
 # providers
 # --------------------------------------------------------------------------
-
-
-def _check_options(name: str, options: dict, valid: set[str]) -> None:
-    """Reject unknown provider options and wrong-typed known ones."""
-    unknown = sorted(set(options) - valid)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown provider options {unknown} for {name!r}; "
-            f"valid: {sorted(valid)}"
-        )
-    if "n" in options:
-        n = check_type("provider.options.n", options["n"], int)
-        if n < 1:
-            raise ConfigurationError(f"provider.options.n must be >= 1, got {n}")
-    if "persist" in options:
-        check_type("provider.options.persist", options["persist"], bool)
 
 
 def _install_providers(registry: Registry) -> None:
@@ -289,24 +258,24 @@ def _install_providers(registry: Registry) -> None:
         MeasureFirstNProvider,
     )
 
-    def costmodel(spec, plugin, cfg, platform, mode, options):
-        _check_options("costmodel", options, set())
+    def costmodel(spec, plugin, cfg, platform, mode):
         return CostModelProvider(
             plugin.cost_model(platform.machine, cfg),
             run_kernels=mode.runs_kernels,
         )
 
-    def direct(spec, plugin, cfg, platform, mode, options):
-        _check_options("direct", options, {"persist"})
+    def direct(spec, plugin, cfg, platform, mode, *, persist: bool = True):
+        # ``persist`` only steers ``auto`` between this and measure_first_n.
         return DirectExecutionProvider(HostCalibration(platform.machine))
 
-    def measure_first_n(spec, plugin, cfg, platform, mode, options):
-        _check_options("measure_first_n", options, {"n", "persist"})
+    def measure_first_n(
+        spec, plugin, cfg, platform, mode, *, n: int = 3, persist: bool = True
+    ):
         return MeasureFirstNProvider(
             DirectExecutionProvider(HostCalibration(platform.machine)),
-            n=options.get("n", 3),
+            n=n,
             run_kernels_after=mode.allocates,
-            persist=options.get("persist", True),
+            persist=persist,
         )
 
     registry.register("provider", "costmodel", costmodel)
@@ -330,7 +299,8 @@ def _install_engines(registry: Registry) -> None:
 def _install_workloads(registry: Registry) -> None:
     """Each workload is a stream factory ``(cluster, seed, shape, params)
     -> ArrivalProcess``: ``params`` is the spec's ``cluster.arrivals``
-    table less ``process``, ``shape`` its ``app.name``."""
+    table less ``process``, checked against the generator's signature
+    (which each adapter exposes as its own); ``shape`` is ``app.name``."""
     from repro.clusterserver.arrivals import (
         bursty_arrivals,
         diurnal_arrivals,
@@ -338,34 +308,31 @@ def _install_workloads(registry: Registry) -> None:
         trace_arrivals,
     )
 
-    def _stream_call(name: str, fn: Callable[..., Any], kwargs: dict) -> Any:
-        try:
-            return fn(**kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"invalid cluster.arrivals options for {name!r}: {exc}"
-            ) from None
-
-    def _synthetic_stream(name: str, fn: Callable[..., Any]):
+    def _synthetic_stream(fn: Callable[..., Any]) -> Callable[..., Any]:
         """Adapt a shape-sampling generator to the stream contract."""
 
+        @functools.wraps(fn)
         def stream(cluster: Any, seed: int, shape: str, params: dict) -> Any:
+            check_options("cluster.arrivals", params, fn, supplied=("shape",))
             kwargs = dict(params, shape=shape)
             kwargs.setdefault("seed", seed)
             kwargs.setdefault("max_nodes", cluster.job_max_nodes)
-            return _stream_call(name, fn, kwargs)
+            return fn(**kwargs)
 
         return stream
 
+    @functools.wraps(trace_arrivals)
     def _trace_stream(cluster: Any, seed: int, shape: str, params: dict) -> Any:
-        return _stream_call("trace", trace_arrivals, dict(params))
+        return trace_arrivals(
+            **check_options("cluster.arrivals", params, trace_arrivals)
+        )
 
     for name, stream, description in (
-        ("poisson", _synthetic_stream("poisson", poisson_arrivals),
+        ("poisson", _synthetic_stream(poisson_arrivals),
          "constant-rate memoryless arrivals"),
-        ("bursty", _synthetic_stream("bursty", bursty_arrivals),
+        ("bursty", _synthetic_stream(bursty_arrivals),
          "two-state MMPP quiet/burst phases"),
-        ("diurnal", _synthetic_stream("diurnal", diurnal_arrivals),
+        ("diurnal", _synthetic_stream(diurnal_arrivals),
          "sinusoidal daily-cycle arrival rate"),
         ("trace", _trace_stream, "JSON-lines trace replay (path = ...)"),
     ):
@@ -398,22 +365,25 @@ def _install_policies(registry: Registry) -> None:
 
         return factory
 
-    def wrapper(name: str, cls: Callable[..., Any]) -> Callable[[Any], Any]:
-        """Admission/autoscaling wrap an inner policy named in options."""
+    def wrapper(cls: Callable[..., Any]) -> Callable[[Any], Any]:
+        """Admission/autoscaling wrap an inner policy named in options;
+        the rest are checked against ``cls``'s signature (exposed as the
+        factory's own)."""
 
+        @functools.wraps(cls, updated=())
         def factory(c: Any) -> Any:
             options = dict(c.policy_options)
-            inner_name = str(options.pop("inner", "adaptive"))
+            inner_name = check_type(
+                "cluster.policy_options.inner",
+                options.pop("inner", "adaptive"),
+                str,
+            )
+            check_options("cluster.policy_options", options, cls, skip=1)
             inner_section = dataclasses.replace(
                 c, policy=inner_name, policy_options={}
             )
             inner = registry.resolve("policy", inner_name)(inner_section)
-            try:
-                return cls(inner, **options)
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"invalid policy_options for {name!r}: {exc}"
-                ) from None
+            return cls(inner, **options)
 
         return factory
 
@@ -450,7 +420,7 @@ def _install_policies(registry: Registry) -> None:
     registry.register(
         "policy",
         "admission",
-        wrapper("admission", AdmissionControlScheduler),
+        wrapper(AdmissionControlScheduler),
         description=(
             "admission control around an inner policy "
             "(max_active/max_queued/load_max, defer)"
@@ -459,7 +429,7 @@ def _install_policies(registry: Registry) -> None:
     registry.register(
         "policy",
         "autoscale",
-        wrapper("autoscale", AutoscalingScheduler),
+        wrapper(AutoscalingScheduler),
         description=(
             "utilization-driven node-pool autoscaling around an inner "
             "policy"

@@ -25,6 +25,7 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.scenario.spec import ScenarioSpec, parse_kill_events
+from repro.util.validation import check_options
 
 #: The registrable plugin kinds, in the order ``repro scenarios list``
 #: reports them.
@@ -130,7 +131,7 @@ class AppPlugin:
         Registry name (``lu``, ``stencil``...).
     config_cls:
         The app's frozen config dataclass; ``app.options`` of a spec are
-        its keyword arguments.
+        its keyword arguments, checked against its field annotations.
     build:
         ``config -> Application``.
     cost_model:
@@ -153,8 +154,11 @@ class AppPlugin:
 
     def make_config(self, spec: ScenarioSpec) -> Any:
         """Build the app config from a spec (options + mode + events)."""
-        kwargs = dict(spec.app.options)
-        kwargs["mode"] = spec.mode()
+        options = check_options(
+            "app.options", spec.app.options, self.config_cls,
+            supplied=("mode", "schedule"),
+        )
+        kwargs = dict(options, mode=spec.mode())
         if spec.events:
             if not self.supports_schedule:
                 raise ConfigurationError(
@@ -162,12 +166,7 @@ class AppPlugin:
                     "events; drop the spec's 'events' list"
                 )
             kwargs["schedule"] = parse_kill_events(list(spec.events))
-        try:
-            return self.config_cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"invalid options for app {self.name!r}: {exc}"
-            ) from None
+        return self.config_cls(**kwargs)
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 from repro.scenario.registry import AppPlugin, Registry, default_registry
 from repro.scenario.spec import ScenarioSpec
 from repro.sim.modes import SimulationMode
+from repro.util.validation import check_options, check_type
 
 
 # --------------------------------------------------------------------------
@@ -118,26 +119,24 @@ class RunRecord:
 
 def _platform(spec: ScenarioSpec, num_nodes: int):
     """Resolve the spec's platform (optionally testbed-calibrated)."""
+    from repro.netmodel.params import NetworkParams
     from repro.sim.platform import PAPER_CLUSTER
 
     if spec.platform.name != "paper":
         raise ConfigurationError(
             f"unknown platform {spec.platform.name!r}; choose from ['paper']"
         )
+    options = check_options(
+        "platform.options", spec.platform.options, NetworkParams,
+        supplied=("per_object_overhead",),
+    )
     if spec.platform.calibrate:
         from repro.analysis.parallel import cached_platform
 
         platform = cached_platform((num_nodes, spec.engine.seed))
     else:
         platform = PAPER_CLUSTER
-    options = dict(spec.platform.options)
     if options:
-        known = {"latency", "bandwidth"}
-        unknown = sorted(set(options) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown platform options {unknown}; valid: {sorted(known)}"
-            )
         platform = platform.with_network(
             dataclasses.replace(platform.network, **options)
         )
@@ -220,16 +219,17 @@ def _make_provider(
     """Resolve the duration provider for a sim-engine run."""
     provider_name = spec.provider.name
     mode = spec.mode()
-    options = dict(spec.provider.options)
+    options = spec.provider.options
     if provider_name == "auto":
         if mode is SimulationMode.DIRECT:
-            # The named provider type-checks ``persist`` when it is built.
+            # The named provider's signature type-checks ``persist``.
             persist = options.get("persist", True)
             provider_name = "measure_first_n" if persist else "direct"
         else:
             provider_name = "costmodel"
     factory = registry.resolve("provider", provider_name)
-    return factory(spec, plugin, cfg, platform, mode, options)
+    check_options("provider.options", options, factory, skip=5)
+    return factory(spec, plugin, cfg, platform, mode, **options)
 
 
 def _flatten_stats(prefix: str, stats: Any, out: dict[str, float]) -> None:
@@ -340,14 +340,17 @@ def run_sim(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     _require_unsharded(spec, "sim")
     plugin: AppPlugin = registry.resolve("app", spec.app.name)
     cfg = _apply_dps_faults(spec, plugin, plugin.make_config(spec), registry)
+    net_entry = registry.resolve("netmodel", spec.netmodel.name)
+    net_options = check_options(
+        "netmodel.options", spec.netmodel.options, net_entry, skip=2
+    )
+    cpu_entry = registry.resolve("cpumodel", spec.cpumodel.name)
+    cpu_options = check_options(
+        "cpumodel.options", spec.cpumodel.options, cpu_entry, skip=2
+    )
     platform = _platform(spec, cfg.num_nodes)
     app = plugin.build(cfg)
     provider = _make_provider(spec, plugin, cfg, platform, registry)
-
-    net_entry = registry.resolve("netmodel", spec.netmodel.name)
-    net_options = dict(spec.netmodel.options)
-    cpu_entry = registry.resolve("cpumodel", spec.cpumodel.name)
-    cpu_options = dict(spec.cpumodel.options)
 
     engine_options = dict(spec.engine.options)
     trace = _trace_level(engine_options)
@@ -403,6 +406,7 @@ def run_testbed(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     engine_options = dict(spec.engine.options)
     trace = _trace_level(engine_options)
     verify_incremental = engine_options.pop("verify_incremental", False)
+    check_type("engine.options.verify_incremental", verify_incremental, bool)
     if engine_options:
         raise ConfigurationError(
             f"unknown testbed engine options {sorted(engine_options)}; "

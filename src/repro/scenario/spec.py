@@ -31,7 +31,7 @@ from typing import Any, Mapping, Optional
 from repro.dps.malleability import STATIC, AllocationEvent, AllocationSchedule
 from repro.errors import ConfigurationError
 from repro.sim.modes import SimulationMode
-from repro.util.validation import check_finite, check_type
+from repro.util.validation import check_options, check_type
 
 try:  # Python >= 3.11; TOML specs degrade gracefully to JSON below that.
     import tomllib
@@ -103,7 +103,8 @@ class AppSection:
 
     ``options`` are keyword arguments of the app's config dataclass
     (``n``, ``r``, ``num_threads``, ...); the engine supplies ``mode``
-    and ``schedule`` itself, so those keys are rejected here.
+    and ``schedule`` itself (from ``engine.mode`` and ``events``), so
+    setting those is an error when the config is built.
     """
 
     name: str = "lu"
@@ -111,12 +112,6 @@ class AppSection:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "options", _freeze_options(self.options))
-        for reserved in ("mode", "schedule"):
-            if reserved in self.options:
-                raise ConfigurationError(
-                    f"app option {reserved!r} is reserved: set engine.mode / "
-                    "top-level events instead"
-                )
 
 
 @dataclass(frozen=True)
@@ -251,11 +246,6 @@ class ClusterSection:
                 'arrivals = {process = "poisson", mean_interarrival = 25.0, '
                 "jobs = 1000}"
             )
-        if "shape" in self.arrivals:
-            raise ConfigurationError(
-                "cluster.arrivals.shape is not an option: app.name is the "
-                "job shape"
-            )
 
     @property
     def job_max_nodes(self) -> int:
@@ -285,11 +275,6 @@ class FaultsSection:
 
         if self.max_retries < 0:
             raise ConfigurationError("faults.max_retries must be >= 0")
-        if not isinstance(self.events, (list, tuple)):
-            raise ConfigurationError(
-                "faults.events must be an array of fault tables, "
-                f"got {type(self.events).__name__}"
-            )
         normalized = []
         for raw in self.events:
             ev = event_from_dict(raw)
@@ -312,35 +297,13 @@ _SECTION_TYPES: dict[str, type] = {
 }
 
 
-#: Scalar field annotations (strings, under ``from __future__ import
-#: annotations``) checked at load: spec files and ``POST /run`` bodies are
-#: outside input, and a mistyped scalar must not reach the comparisons in
-#: ``__post_init__``.  A float field takes any finite real, so TOML
-#: ``efficiency_floor = 1`` still loads; option tables and fault events
-#: validate themselves.
-_SCALAR_FIELDS = {"int": int, "float": (int, float), "str": str, "bool": bool}
-
-
 def _section_from_dict(section: str, cls: type, payload: Any):
     if not isinstance(payload, Mapping):
         raise ConfigurationError(
             f"spec section {section!r} must be a table/dict, "
             f"got {type(payload).__name__}"
         )
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - set(fields))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown keys {unknown} in spec section {section!r}; "
-            f"valid keys: {sorted(fields)}"
-        )
-    for key, value in payload.items():
-        expected = _SCALAR_FIELDS.get(fields[key])
-        if expected is not None:
-            check_type(f"{section}.{key}", value, expected)
-            if isinstance(value, float):
-                check_finite(f"{section}.{key}", value)
-    return cls(**payload)
+    return cls(**check_options(section, payload, cls))
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +404,7 @@ class ScenarioSpec:
             )
         kwargs: dict[str, Any] = {}
         if "name" in payload:
-            kwargs["name"] = str(payload["name"])
+            kwargs["name"] = check_type("name", payload["name"], str)
         for section, section_cls in _SECTION_TYPES.items():
             if section in payload:
                 kwargs[section] = _section_from_dict(
@@ -449,13 +412,15 @@ class ScenarioSpec:
                 )
         if "events" in payload:
             events = payload["events"]
-            if isinstance(events, str):
-                events = [events]
-            kwargs["events"] = tuple(str(e) for e in events)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:  # pragma: no cover - guarded above
-            raise ConfigurationError(f"invalid scenario spec: {exc}") from None
+            events = [events] if isinstance(events, str) else events
+            if not isinstance(events, (list, tuple)) or not all(
+                isinstance(e, str) for e in events
+            ):
+                raise ConfigurationError(
+                    f"events must be a string or a list of strings, got {events!r}"
+                )
+            kwargs["events"] = tuple(events)
+        return cls(**kwargs)
 
     # -------------------------------------------------------------- files
     @classmethod

@@ -29,7 +29,7 @@ from typing import Any, Mapping, Optional
 from repro.cpumodel.machines import MachineProfile
 from repro.dps.operations import Compute, KernelSpec, OperationContext
 from repro.dps.runtime import DurationProvider
-from repro.errors import CostModelError
+from repro.errors import ConfigurationError, CostModelError
 from repro.util.validation import check_positive
 
 
@@ -203,7 +203,7 @@ class MeasureFirstNProvider(DurationProvider):
         persist: bool = False,
     ) -> None:
         if n < 1:
-            raise CostModelError(f"MeasureFirstN requires n >= 1, got {n}")
+            raise ConfigurationError(f"measure_first_n n must be >= 1, got {n}")
         self.direct = direct
         self.n = n
         self.run_kernels_after = run_kernels_after

@@ -325,74 +325,20 @@ def test_run_missing_spec_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "section, key, bad, complaint",
-    [
-        ("cluster", "nodes", "16", "cluster.nodes must be of type int"),
-        ("engine", "shards", 2.5, "engine.shards must be of type int"),
-        ("engine", "seed", -1, "engine.seed must be >= 0, got -1"),
-        ("cluster", "nodes_per_job", 0, "cluster.nodes_per_job must be >= 1"),
-        ("arrivals", "jobs", "abc", "arrivals.jobs must be of type int"),
-        ("arrivals", "jobs", float("nan"), "arrivals.jobs must be of type int"),
-        ("arrivals", "mean_interarrival", "x",
-         "arrivals.mean_interarrival must be of type int or float"),
-        ("cluster", "interarrival", 20.0,
-         "unknown keys ['interarrival'] in spec section 'cluster'"),
-    ],
-)
-def test_run_bad_spec_value_is_one_error_line(
-    tmp_path, capsys, section, key, bad, complaint
-):
+def test_run_bad_option_is_one_error_line(tmp_path, capsys):
+    """Every option is checked against the signature it is passed to
+    (``tests/scenario/test_option_boundary.py``); end to end, a bad one is
+    one ``error:`` line and exit status 2."""
     payload = {
-        "app": {"name": "lu"},
-        "engine": {"name": "server"},
-        "cluster": {"nodes": 8, "arrivals": {"process": "poisson", "jobs": 4}},
+        "app": {"name": "stencil", "options": {"barrier": "no"}},
+        "engine": {"name": "sim"},
     }
-    target = payload["cluster"] if section == "arrivals" else payload
-    target[section][key] = bad
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
-    assert main(["run", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert complaint in err
-
-
-@pytest.mark.parametrize(
-    "option, bad",
-    [
-        ("pipelined", "no"),
-        ("flow_control", 2.5),
-        # a dotted name is a spec path rather than an app option
-        ("engine.options.trace_level", "bogus"),
-        ("engine.options.trace_level", 3),
-        ("platform.options.latency", "abc"),
-        ("platform.options.latency", True),
-        ("provider.options.n", "abc"),
-        ("provider.options.n", 2.7),
-        ("provider.options.n", 0),
-        ("provider.options.persist", "no"),
-    ],
-)
-def test_run_wrong_typed_lu_option_is_one_error_line(tmp_path, capsys, option, bad):
-    options = {"n": 192, "r": 48, "num_threads": 4, "num_nodes": 2}
-    payload = {
-        "app": {"name": "lu", "options": options},
-        "engine": {"name": "sim", "mode": "noalloc"},
-    }
-    if option.startswith("provider."):
-        payload["provider"] = {"name": "measure_first_n"}
-    *path, key = option.split(".")
-    target = payload if path else options
-    for part in path:
-        target = target.setdefault(part, {})
-    target[key] = bad
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(payload))
     assert main(["run", str(spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert f"{key} must be" in err
+    assert "app.options.barrier must be of type bool, got str" in err
 
 
 def test_scenarios_list(capsys):

@@ -108,7 +108,9 @@ class TestAppPlugin:
     def test_make_config_rejects_unknown_option(self):
         plugin = default_registry().resolve("app", "lu")
         spec = ScenarioSpec(app=AppSection("lu", {"blocksize": 48}))
-        with pytest.raises(ConfigurationError, match="invalid options"):
+        with pytest.raises(
+            ConfigurationError, match=r"unknown keys \['blocksize'\] in app.options"
+        ):
             plugin.make_config(spec)
 
     def test_events_rejected_for_schedule_free_apps(self):

@@ -117,11 +117,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown keys"):
             ScenarioSpec.from_dict({"engine": {"nam": "sim"}})
 
-    def test_reserved_app_options_rejected(self):
-        with pytest.raises(ConfigurationError, match="reserved"):
-            AppSection("lu", {"mode": "direct"})
-        with pytest.raises(ConfigurationError, match="reserved"):
-            AppSection("lu", {"schedule": None})
+    def test_engine_supplied_app_options_rejected(self):
+        from repro.scenario import default_registry
+
+        plugin = default_registry().resolve("app", "lu")
+        for key in ("mode", "schedule"):
+            spec = ScenarioSpec(app=AppSection("lu", {key: None}))
+            with pytest.raises(
+                ConfigurationError,
+                match=f"app.options.{key} is supplied by the engine",
+            ):
+                plugin.make_config(spec)
 
     def test_bad_engine_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="engine.mode"):
@@ -241,9 +247,9 @@ class TestArrivals:
     @pytest.mark.parametrize(
         "cluster, complaint",
         [
-            ({"jobs": 8}, "unknown keys ['jobs'] in spec section 'cluster'"),
+            ({"jobs": 8}, "unknown keys ['jobs'] in cluster;"),
             ({"interarrival": 20.0},
-             "unknown keys ['interarrival'] in spec section 'cluster'"),
+             "unknown keys ['interarrival'] in cluster;"),
             ({"arrivals": {"process": "poisson", "jobs": 8, "shape": "mixed"}},
              "cluster.arrivals.shape"),
             ({"arrivals": {"process": "lu", "jobs": 8}},

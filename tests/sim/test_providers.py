@@ -4,7 +4,7 @@ import pytest
 
 from repro.cpumodel.machines import ULTRASPARC_II_440
 from repro.dps.operations import Compute, KernelSpec
-from repro.errors import CostModelError
+from repro.errors import ConfigurationError
 from repro.sim.providers import (
     CostModelProvider,
     DirectExecutionProvider,
@@ -106,5 +106,5 @@ def test_measure_first_n_keys_by_params():
 
 def test_measure_first_n_validation():
     cal = HostCalibration(ULTRASPARC_II_440, reference_size=64, repeats=1)
-    with pytest.raises(CostModelError):
+    with pytest.raises(ConfigurationError, match="n must be >= 1"):
         MeasureFirstNProvider(DirectExecutionProvider(cal), n=0)
