@@ -35,7 +35,6 @@ import os
 import time
 import tracemalloc
 
-from _common import SEED
 from repro.analysis.tables import ascii_table
 from repro.clusterserver import (
     AdaptiveEfficiencyScheduler,
@@ -50,6 +49,8 @@ from repro.clusterserver import (
 )
 from repro.util.rng import SeedSequenceFactory
 
+#: the measurement seed of every stream
+SEED = 1
 NODES = 16
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import time
 
-from _common import SEED
 from repro.analysis.tables import ascii_table
 from repro.clusterserver import (
     FcfsScheduler,
@@ -30,6 +29,8 @@ from repro.clusterserver import (
 from repro.faults import FaultEvent, FaultPlan
 from repro.util.rng import SeedSequenceFactory
 
+#: the measurement seed of every stream
+SEED = 1
 FAULT_BENCH_JOBS = int(os.environ.get("REPRO_FAULT_BENCH_JOBS", "10000"))
 FAULT_BENCH_NODES = 128
 #: allowed empty-plan overhead over the no-plan baseline (best-of-5)

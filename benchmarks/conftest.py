@@ -1,8 +1,7 @@
 """Benchmark-suite configuration.
 
-The ``bench_*.py`` scripts run full-size (n = 2592) experiments under
-PDEXEC+NOALLOC, so each costs seconds of host time.  The
-measured-vs-predicted pairs behind Figs. 8-13 are not pytest benches:
-``benchmarks/fidelity.py`` regenerates and checks them against
-``FIDELITY.json``.
+The ``bench_*.py`` scripts time the cluster-server engines and the fault
+layer.  The paper's claims are not pytest benches: Figs. 8-13, Table 1,
+the model ablations, the other apps and the what-if studies are sections
+of ``benchmarks/fidelity.py``, checked against ``FIDELITY.json``.
 """

@@ -1,34 +1,40 @@
-"""Paper fidelity: Figs. 8-13 as one table of measured-vs-predicted pairs.
+"""Paper fidelity: every claim the repo tests, as pinned scenario specs.
 
 The paper's evidence is one experiment repeated: **measure** an LU
 configuration on the cluster (``testbed`` engine), **predict** it with the
 simulator on the platform calibrated against that cluster (``sim``
 engine), compare.  ``CONFIGS`` holds the 34 configurations of Figs. 8-12
-once; every pair is two scenario specs (``validation_pair``) run through
-``repro.analysis.parallel.run_records``.  A *view* per figure reads its
-pairs, asserts the shape the figure must show and returns our values for
-the ones the paper quotes (``PAPER``).
+once; every pair is two scenario specs (``validation_pair``).  The
+paper's other claims are *rows*, one spec each: Table 1's simulation
+modes, the model ablations, the beyond-LU apps and the section 4 what-if
+studies.  Every spec runs through ``repro.analysis.parallel.run_records``.
+A *view* per figure or study reads its section, asserts the shape the
+claim must show and returns our values for the ones the paper quotes
+(``PAPER``).
 
-``FIDELITY.json`` at the repo root keeps two sections, every float as its
+``FIDELITY.json`` at the repo root keeps six sections, every float as its
 ``repr``: ``full`` (n = 2592, five measurement seeds, 170 pairs, six
-views; minutes) and ``reduced`` (n and r halved, so the column-block
-counts and ``iter<k>`` labels are the paper's; seed 1; the subset tier-1
-replays in ~3 s).  ``--check [SECTION ..]`` regenerates and exits 1 on any
-difference from the committed file, ``--write`` stores what it
-regenerated; see ``docs/fidelity.md``.
+views; minutes), ``reduced`` (n and r halved, so the column-block counts
+and ``iter<k>`` labels are the paper's; seed 1; the subset tier-1 replays
+in ~3 s) and the row sections ``table1``, ``ablation``, ``apps`` and
+``whatif`` (paper size, seed 1; ~25 s together).  ``--check [SECTION ..]``
+regenerates and exits 1 on any difference from the committed file,
+``--write`` stores what it regenerated; see ``docs/fidelity.md``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import namedtuple
 from pathlib import Path
 
 from repro.analysis.metrics import relative_error
-from repro.analysis.parallel import run_records
+from repro.analysis.parallel import cached_platform, run_records
 from repro.analysis.prediction import PredictionStudy, validation_pair
+from repro.netmodel.params import FAST_ETHERNET, GIGABIT_ETHERNET
 
 FIDELITY_JSON = Path(__file__).resolve().parents[1] / "FIDELITY.json"
 
@@ -253,6 +259,163 @@ def fig13(pairs):
     return summary
 
 
+# ------------------------------------------------------------- row sections
+def _with(spec, **sections):
+    """``spec`` with some fields of the named sections replaced."""
+    return dataclasses.replace(spec, **{
+        name: dataclasses.replace(getattr(spec, name), **fields)
+        for name, fields in sections.items()
+    })
+
+
+def table1_rows():
+    """Table 1: LU r = 216, basic graph, 8 nodes, run and simulated."""
+    measured, noalloc = validation_pair("table1", _lu(216, 8))
+    serial, _ = validation_pair("table1-serial", _lu(216, 1))
+    return {
+        "testbed-8n": measured,
+        "testbed-1n": serial,
+        "pdexec": _with(noalloc, engine={"mode": "pdexec"}),
+        "noalloc": noalloc,
+    }
+
+
+BACKPLANE_RATIOS = (1, 2, 4, 8)
+FC_LIMITS = (1, 2, 4, 8, 16, 32)
+
+
+def ablation_rows():
+    """Model ablations on the communication-heavy P r = 162, 8 nodes."""
+    measured, star = validation_pair("ablation", _lu(162, 8, pipelined=True))
+    bandwidth = cached_platform((8, star.engine.seed)).network.bandwidth
+    rows = {"testbed": measured, "star": star}
+    for model in ("analytic", "maxmin"):
+        rows[model] = _with(star, netmodel={"name": model})
+    for ratio in BACKPLANE_RATIOS:  # a fabric carrying 8 / ratio links at line rate
+        options = {"capacity": 8 * bandwidth / ratio}
+        rows[f"backplane-{ratio}:1"] = _with(
+            star, netmodel={"name": "backplane", "options": options}
+        )
+    for limit in FC_LIMITS:
+        options = _lu(162, 8, pipelined=True, fc=limit)
+        rows[f"fc{limit}"] = _with(star, app={"options": options})
+    return rows
+
+
+#: label -> (app, app.options): stencil and sample sort at compute-dominant sizes
+APPS = {
+    "stencil-768-4n": ("stencil", dict(n=768, stripes=8, iterations=5,
+                                       num_threads=4, num_nodes=4)),
+    "stencil-1296-barrier-4n": ("stencil", dict(n=1296, stripes=8, iterations=5,
+                                                num_threads=4, num_nodes=4,
+                                                barrier=True)),
+    "stencil-1296-8n": ("stencil", dict(n=1296, stripes=8, iterations=5,
+                                        num_threads=8, num_nodes=8)),
+    "sort-256k-4n": ("sort", dict(m=1 << 18, num_threads=4, num_nodes=4)),
+    "sort-256k-8n": ("sort", dict(m=1 << 18, num_threads=8, num_nodes=8)),
+    "sort-1M-4n": ("sort", dict(m=1 << 20, num_threads=4, num_nodes=4)),
+}
+
+
+def apps_rows():
+    """The paper's experiment on the repository's other applications."""
+    rows = {}
+    for label, (app, options) in APPS.items():
+        measured, predicted = validation_pair(label, options, app=app)
+        rows[f"{label}/measured"], rows[f"{label}/predicted"] = measured, predicted
+    return rows
+
+
+#: label -> (latency, bandwidth) of the paper platform's interconnect
+NETWORKS = {
+    "fast-ethernet": (FAST_ETHERNET.latency, FAST_ETHERNET.bandwidth),
+    "gigabit": (GIGABIT_ETHERNET.latency, GIGABIT_ETHERNET.bandwidth),
+    "gigabit-zero-latency": (0.0, GIGABIT_ETHERNET.bandwidth),
+}
+for _latency in (0.0, 80e-6, 500e-6):
+    for _name, _network in (("fe", FAST_ETHERNET), ("gbe", GIGABIT_ETHERNET)):
+        NETWORKS[f"{_latency * 1e6:g}us-{_name}"] = (_latency, _network.bandwidth)
+
+
+def whatif_rows():
+    """Section 4: one prediction (P r = 162, 8 nodes) on other networks."""
+    _, predicted = validation_pair("whatif", _lu(162, 8, pipelined=True))
+    return {
+        label: _with(predicted, platform={
+            "calibrate": False,
+            "options": {"latency": latency, "bandwidth": bandwidth},
+        })
+        for label, (latency, bandwidth) in NETWORKS.items()
+    }
+
+
+def table1(rows):
+    """Payload elision moves no prediction; the prediction is the run's."""
+    measured, serial = rows["testbed-8n"], rows["testbed-1n"]
+    assert 120 < serial < 260
+    assert 40 < measured < 110
+    assert rows["pdexec"] == rows["noalloc"]
+    error = relative_error(rows["noalloc"], measured)
+    assert abs(error) < 0.12
+    return {
+        "measured_s": measured,
+        "serial_s": serial,
+        "predicted_pdexec_s": rows["pdexec"],
+        "predicted_noalloc_s": rows["noalloc"],
+        "error": error,
+    }
+
+
+def ablation(rows):
+    """Contention, the switch fabric and flow control each shape the time."""
+    measured, star = rows["testbed"], rows["star"]
+    # Ignoring contention (the MPI-SIM/COMPASS assumption) underpredicts.
+    assert rows["analytic"] < star
+    assert abs(star - measured) <= abs(rows["analytic"] - measured)
+    # Max-min hands leftover bandwidth on; at this size (not at n = 1296,
+    # see docs/fidelity.md) that makes it predict no slower.
+    assert rows["maxmin"] <= star
+    fabric = [rows[f"backplane-{ratio}:1"] for ratio in BACKPLANE_RATIOS]
+    assert fabric[0] <= 1.05 * star  # non-blocking: the paper's crossbar
+    assert fabric == sorted(fabric)  # oversubscription only hurts
+    assert fabric[-1] > 1.05 * star
+    credits = {limit: rows[f"fc{limit}"] for limit in FC_LIMITS}
+    assert credits[1] == max(star, *credits.values())  # one credit starves
+    assert min(credits.values()) <= 1.02 * star  # Fig. 6's interleaving
+    return {
+        "measured_s": measured,
+        "star_s": star,
+        "analytic_s": rows["analytic"],
+        "maxmin_s": rows["maxmin"],
+        "backplane_s": {f"{r}:1": t for r, t in zip(BACKPLANE_RATIOS, fabric)},
+        "flow_control_s": credits,
+    }
+
+
+def apps(rows):
+    """The prediction error stays in the paper's band beyond LU."""
+    errors = {
+        label: relative_error(rows[f"{label}/predicted"], rows[f"{label}/measured"])
+        for label in APPS
+    }
+    assert all(abs(e) < 0.12 for e in errors.values())
+    assert sum(abs(e) < 0.06 for e in errors.values()) >= len(errors) / 2
+    return {"error": errors}
+
+
+def whatif(rows):
+    """More bandwidth or less latency never slows the prediction."""
+    for a, (latency_a, bandwidth_a) in NETWORKS.items():
+        for b, (latency_b, bandwidth_b) in NETWORKS.items():
+            if latency_a <= latency_b and bandwidth_a >= bandwidth_b:
+                assert rows[a] <= rows[b], (a, b)
+    assert rows["gigabit"] < rows["fast-ethernet"]
+    return {
+        "predicted_s": rows,
+        "gigabit_speedup": rows["fast-ethernet"] / rows["gigabit"],
+    }
+
+
 #: What the paper quotes, under the keys each view returns for ours.
 PAPER = {
     "fig08": {"reference_s": 259.4, "best_r": 162, "best_measured_s": 72.5,
@@ -265,9 +428,19 @@ PAPER = {
     "fig12": {"measured_s": "all five within ~85-105 s"},
     "fig13": {"count": 168, "within_4pct": 0.714, "within_6pct": 0.816,
               "within_12pct": "> 0.95"},
+    "table1": {"measured_s": 62.3, "serial_s": 185.1, "predicted_direct_s": 60.7,
+               "predicted_pdexec_s": 60.3, "predicted_noalloc_s": 59.9,
+               "error": -0.0385},
+    "ablation": {"contention": "modelled, unlike simulators that assume none",
+                 "switch": "a full crossbar, never a bottleneck"},
+    "apps": {"error": "LU only"},
+    "whatif": {"gigabit_speedup": "vary l and b to value a faster network"},
 }
 
+#: Measured/predicted pairs of ``CONFIGS`` labels at matrix size ``n``.
 Section = namedtuple("Section", "n seeds labels views")
+#: One spec per row: ``rows()`` builds ``{label: spec}`` at paper size.
+Rows = namedtuple("Rows", "rows views")
 SECTIONS = {
     "full": Section(
         N, SEEDS, tuple(CONFIGS), (fig08, fig09, fig10, fig11, fig12, fig13)
@@ -283,6 +456,10 @@ SECTIONS = {
         ),
         (),  # tier-1 asserts this section's shape itself (test_fidelity.py)
     ),
+    "table1": Rows(table1_rows, (table1,)),
+    "ablation": Rows(ablation_rows, (ablation,)),
+    "apps": Rows(apps_rows, (apps,)),
+    "whatif": Rows(whatif_rows, (whatif,)),
 }
 
 
@@ -310,7 +487,14 @@ def section_pair(name: str, label: str, seed: int) -> tuple:
 
 def run_section(name: str, jobs: int = 1) -> dict:
     """Regenerate one section of ``FIDELITY.json`` (views checked)."""
-    n, seeds, labels, _ = SECTIONS[name]
+    section = SECTIONS[name]
+    if isinstance(section, Rows):
+        rows = section.rows()
+        records = run_records(list(rows.values()), jobs)
+        fresh = {"rows": {label: repr(r.makespan) for label, r in zip(rows, records)}}
+        fresh["figures"] = check_views(name, fresh)
+        return fresh
+    n, seeds, labels, _ = section
     cases = [(label, seed) for seed in seeds for label in labels]
     specs = [spec for case in cases for spec in section_pair(name, *case)]
     records = run_records(specs, jobs)
@@ -326,13 +510,17 @@ def run_section(name: str, jobs: int = 1) -> dict:
             entry["phases"] = {
                 "measured": _phases(measured), "predicted": _phases(predicted)
             }
-    figures = check_views(name, pairs)
-    return {"n": n, "seeds": list(seeds), "pairs": pairs, "figures": figures}
+    fresh = {"n": n, "seeds": list(seeds), "pairs": pairs}
+    fresh["figures"] = check_views(name, fresh)
+    return fresh
 
 
-def check_views(name: str, pairs: dict) -> dict:
-    """Run every view of a section over its pair entries."""
-    parsed = {key: Pair(entry) for key, entry in pairs.items()}
+def check_views(name: str, section: dict) -> dict:
+    """Run every view of a section over its ``pairs`` or ``rows`` entries."""
+    if "rows" in section:
+        parsed = {label: float(text) for label, text in section["rows"].items()}
+    else:
+        parsed = {key: Pair(entry) for key, entry in section["pairs"].items()}
     return {
         view.__name__: {"paper": PAPER[view.__name__], "ours": _rounded(view(parsed))}
         for view in SECTIONS[name].views

@@ -50,10 +50,6 @@ __version__ = "1.0.0"
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        # kernel & models
-        "NetworkParams": "repro.netmodel.params",
-        "FAST_ETHERNET": "repro.netmodel.params",
-        "GIGABIT_ETHERNET": "repro.netmodel.params",
         # DPS
         "TraceLevel": "repro.dps.trace",
         "AllocationEvent": "repro.dps.malleability",

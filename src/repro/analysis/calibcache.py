@@ -7,8 +7,8 @@ sweep repeats across CLI invocations: the in-process memo of
 each fitted :class:`~repro.netmodel.params.NetworkParams` under a
 user-cache directory, keyed by a content hash of the parameters the fit
 actually depends on — network parameters, packet-fidelity knobs, and the
-calibration seed (see :func:`cache_key`) — so a repeated ``repro sweep``
-(or any :func:`calibrated_platform` call) skips calibration entirely, and
+calibration seed (see :func:`cache_key`) — so a repeated calibrated run
+(any :func:`calibrated_platform` call) skips calibration entirely, and
 sweeps over many cluster sizes share one entry.
 
 The cache directory resolves, in order, to ``$REPRO_CACHE_DIR``,

@@ -1,16 +1,16 @@
-"""Measured-vs-predicted bookkeeping and the Fig. 13 error histogram.
+"""Measured-vs-predicted bookkeeping: the Fig. 13 summary statistics.
 
 The paper reports, over its 168 measurements: "71.4% of all predictions
 are within ±4% accuracy, 81.6% are within ±6% accuracy, and more than 95%
 are within ±12% prediction accuracy."  :class:`PredictionStudy` accumulates
 (measured, predicted) pairs across experiments and reproduces those summary
-statistics and the histogram.
+statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.analysis.metrics import relative_error
 
@@ -29,25 +29,6 @@ class PredictionRecord:
         return relative_error(self.predicted, self.measured)
 
 
-@dataclass
-class ErrorHistogram:
-    """Binned prediction errors (the Fig. 13 presentation)."""
-
-    edges: tuple[float, ...]
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def bins(self) -> list[tuple[float, float, int]]:
-        """(low, high, count) triples."""
-        return [
-            (self.edges[i], self.edges[i + 1], self.counts[i])
-            for i in range(len(self.counts))
-        ]
-
-
 class PredictionStudy:
     """Accumulates prediction records across experiments."""
 
@@ -59,9 +40,6 @@ class PredictionStudy:
         record = PredictionRecord(label, float(measured), float(predicted))
         self.records.append(record)
         return record
-
-    def extend(self, records: Iterable[PredictionRecord]) -> None:
-        self.records.extend(records)
 
     # ------------------------------------------------------------- queries
     @property
@@ -96,23 +74,6 @@ class PredictionStudy:
 
         return float(np.mean(np.abs(self.errors)))
 
-    def histogram(
-        self, limit: float = 0.16, bin_width: float = 0.02
-    ) -> ErrorHistogram:
-        """Bin the errors like the paper's Fig. 13 (±16%, 2% bins)."""
-        if bin_width <= 0 or limit <= 0:
-            raise ValueError("limit and bin_width must be positive")
-        import numpy as np
-
-        nbins = int(round(2 * limit / bin_width))
-        edges = np.linspace(-limit, limit, nbins + 1)
-        clipped = np.clip(self.errors, -limit + 1e-12, limit - 1e-12)
-        counts, _ = np.histogram(clipped, bins=edges)
-        return ErrorHistogram(
-            edges=tuple(float(e) for e in edges),
-            counts=tuple(int(c) for c in counts),
-        )
-
     def summary(self) -> dict[str, float]:
         """The paper's headline accuracy numbers."""
         return {
@@ -126,14 +87,18 @@ class PredictionStudy:
 
 
 def validation_pair(
-    label: str, lu_options: dict, seed: int = 1, events: Iterable[str] = ()
+    label: str,
+    options: dict,
+    seed: int = 1,
+    events: Iterable[str] = (),
+    app: str = "lu",
 ) -> tuple:
-    """The paper's experiment on one LU configuration, as two scenarios.
+    """The paper's experiment on one configuration, as two scenarios.
 
     A ``testbed`` spec (the measurement) and a ``sim`` spec on the
-    platform calibrated against that testbed (the prediction), both under
-    PDEXEC+NOALLOC and both named ``label``.  ``repro sweep`` and
-    ``benchmarks/fidelity.py`` build every pair here and run the list
+    platform calibrated against that testbed (the prediction) of ``app``
+    with ``options``, both under PDEXEC+NOALLOC and both named ``label``.
+    ``benchmarks/fidelity.py`` builds every pair here and runs the list
     through :func:`~repro.analysis.parallel.run_records`.
     """
     from repro.scenario import (
@@ -143,15 +108,15 @@ def validation_pair(
         ScenarioSpec,
     )
 
-    app = AppSection("lu", dict(lu_options))
+    app_section = AppSection(app, dict(options))
     events = tuple(events)
     return (
         ScenarioSpec(
-            name=label, app=app, events=events,
+            name=label, app=app_section, events=events,
             engine=EngineSection("testbed", mode="noalloc", seed=seed),
         ),
         ScenarioSpec(
-            name=label, app=app, events=events,
+            name=label, app=app_section, events=events,
             engine=EngineSection("sim", mode="noalloc", seed=seed),
             platform=PlatformSection(calibrate=True),
         ),

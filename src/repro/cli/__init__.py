@@ -10,8 +10,6 @@ Commands
 * ``scenarios list`` — show every registered app, model, provider,
   engine, workload and policy a spec may name.
 * ``calibrate`` — characterize a network model's latency and bandwidth.
-* ``sweep`` — measured-vs-predicted validation sweep; ``--jobs`` runs the
-  independent cases on a process pool with a shared calibration cache.
 * ``cache`` — manage the on-disk calibration and kernel-benchmark caches
   (``clear`` / ``info [--json]``).
 * ``graph`` — dump an application's flow-graph structure.
@@ -37,7 +35,6 @@ from repro.cli.tools import (
     add_cache_parser,
     add_calibrate_parser,
     add_graph_parser,
-    add_sweep_parser,
     add_trend_parser,
 )
 from repro.errors import ReproError
@@ -56,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_parser(sub)
     add_scenarios_parser(sub)
     add_calibrate_parser(sub)
-    add_sweep_parser(sub)
     add_cache_parser(sub)
     add_graph_parser(sub)
     add_serve_parser(sub)

@@ -1,11 +1,10 @@
-"""Tool subcommands: calibration, caches, trend pages, sweep, graph dump."""
+"""Tool subcommands: calibration, caches, trend pages, graph dump."""
 
 from __future__ import annotations
 
 import argparse
 
 from repro.analysis.tables import ascii_table
-from repro.errors import ConfigurationError
 
 
 # --------------------------------------------------------------------------
@@ -221,106 +220,6 @@ def cmd_trend(args: argparse.Namespace) -> int:
             )
             return 3
         print(f"no regressions beyond {args.alert_threshold:.0f}%")
-    return 0
-
-
-# --------------------------------------------------------------------------
-# sweep
-# --------------------------------------------------------------------------
-
-
-def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
-    """Register the ``sweep`` subcommand."""
-    p = sub.add_parser(
-        "sweep",
-        help="measured-vs-predicted LU validation sweep (parallelizable)",
-        description=(
-            "Run a measured/predicted pair for every (block size, node "
-            "count) combination; --jobs fans the independent cases out "
-            "over a process pool with a shared calibration cache."
-        ),
-    )
-    p.add_argument("--n", type=int, default=2592, help="matrix size")
-    p.add_argument(
-        "--r", default="216,324", metavar="R1,R2,..",
-        help="comma-separated decomposition block sizes (must divide n)",
-    )
-    p.add_argument(
-        "--nodes", default="4", metavar="N1,N2,..",
-        help="comma-separated cluster sizes",
-    )
-    p.add_argument("--seed", type=int, default=1, help="measurement seed")
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (0 = one per CPU, 1 = serial)",
-    )
-    p.set_defaults(func=cmd_sweep)
-
-
-def _parse_int_list(text: str, option: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"{option} expects comma-separated integers: {exc}")
-    if not values:
-        raise ConfigurationError(f"{option} needs at least one value")
-    return values
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run the LU validation sweep and print the prediction-error study.
-
-    Every case is a *pair* of declarative scenarios — a ``testbed``
-    measurement and a calibrated ``sim`` prediction of the same LU
-    configuration — executed through
-    :func:`~repro.analysis.parallel.run_records`, so the CLI sweep and
-    any spec-file sweep speak the same format.
-    """
-    from repro.analysis.parallel import run_records
-    from repro.analysis.prediction import PredictionStudy, validation_pair
-
-    block_sizes = _parse_int_list(args.r, "--r")
-    node_counts = _parse_int_list(args.nodes, "--nodes")
-    specs = []
-    for nodes in node_counts:
-        for r in block_sizes:
-            options = {
-                "n": args.n,
-                "r": r,
-                "num_threads": max(nodes, 2),
-                "num_nodes": nodes,
-            }
-            specs.extend(
-                validation_pair(f"r={r},nodes={nodes}", options, seed=args.seed)
-            )
-    records = run_records(specs, args.jobs)
-    study = PredictionStudy()
-    rows = []
-    for measured_rec, predicted_rec in zip(records[0::2], records[1::2]):
-        pair = study.add(
-            measured_rec.scenario, measured_rec.makespan, predicted_rec.makespan
-        )
-        rows.append(
-            (
-                pair.label,
-                f"{pair.measured:.2f} s",
-                f"{pair.predicted:.2f} s",
-                f"{pair.error:+.1%}",
-            )
-        )
-    print(ascii_table(
-        ("case", "measured", "predicted", "error"),
-        rows,
-        title=f"LU validation sweep, n={args.n}, jobs={args.jobs or 'auto'}",
-    ))
-    summary = study.summary()
-    print(f"\ncases                    : {summary['count']:.0f}")
-    for pct in (4, 6, 12):  # the paper's three Fig. 13 thresholds
-        print(
-            f"within {pct:>2}% of measurement: "
-            f"{summary[f'within_{pct}pct']:.0%}"
-        )
-    print(f"max abs prediction error : {summary['max_abs']:.1%}")
     return 0
 
 

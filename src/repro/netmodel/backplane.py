@@ -9,8 +9,9 @@ equal-share rates are computed exactly as in
 proportionally whenever their sum exceeds the backplane capacity.
 
 With ``capacity = math.inf`` the model degrades to the paper's exactly;
-the ablation bench sweeps the oversubscription ratio to find where the
-"never a bottleneck" assumption starts to matter for the LU workload.
+the ``ablation`` section of ``benchmarks/fidelity.py`` sweeps the
+oversubscription ratio (``capacity`` = nodes x bandwidth / ratio) to find
+where the "never a bottleneck" assumption starts to matter for LU.
 
 Rate allocation is *incremental*.  The per-node equal-share
 base rates have single-hop dirty sets (no redistribution), and the shared
@@ -26,7 +27,7 @@ what the full recompute would do).
 from __future__ import annotations
 
 import math
-from typing import Callable, Collection
+from typing import Collection
 
 from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
@@ -148,23 +149,6 @@ class BackplaneStarNetwork(NetworkModel):
             params.bandwidth, self.capacity, verify=verify_incremental
         )
         self._pool = FluidPool(kernel, self.allocator, name="backplane-network")
-
-    @classmethod
-    def factory(
-        cls, num_nodes: int, oversubscription: float
-    ) -> Callable[[Kernel, NetworkParams], "BackplaneStarNetwork"]:
-        """Factory for a fabric carrying ``num_nodes / oversubscription``
-        links at line rate (oversubscription 1.0 = non-blocking for
-        one-directional traffic; 2.0 = half the ports can stream).
-        """
-        if oversubscription <= 0:
-            raise ConfigurationError("oversubscription must be positive")
-
-        def build(kernel: Kernel, params: NetworkParams) -> "BackplaneStarNetwork":
-            capacity = num_nodes * params.bandwidth / oversubscription
-            return cls(kernel, params, capacity=capacity)
-
-        return build
 
     # ------------------------------------------------------------- metrics
     def fabric_load(self) -> float:

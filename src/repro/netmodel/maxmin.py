@@ -7,7 +7,7 @@ remaining transfers on the same link.  This is how TCP flows on a switched
 LAN approximately share capacity, so the ground-truth testbed builds on this
 model while the paper's simulator uses the simpler equal-share law; the
 difference between the two is one genuine source of prediction error, and
-``benchmarks/bench_ablation_models.py`` quantifies it.
+the ``ablation`` section of ``benchmarks/fidelity.py`` quantifies it.
 
 Rate allocation is *incremental*: max-min rates decompose over
 connected components of the bipartite flow/link graph, so when a flow

@@ -42,20 +42,6 @@ def test_prediction_study_summary():
     assert summary["max_abs"] == pytest.approx(0.11)
 
 
-def test_histogram_bins_cover_all_records():
-    study = PredictionStudy()
-    rng = np.random.default_rng(0)
-    for i in range(100):
-        err = float(rng.normal(0, 0.05))
-        study.add(f"r{i}", 100.0, 100.0 * (1 + err))
-    hist = study.histogram(limit=0.16, bin_width=0.02)
-    assert hist.total == 100
-    assert len(hist.counts) == 16
-    # Outliers are clipped into the edge bins, never dropped.
-    study.add("huge", 100.0, 200.0)
-    assert study.histogram().total == 101
-
-
 def test_empty_study_is_nan():
     study = PredictionStudy()
     assert np.isnan(study.fraction_within(0.04))

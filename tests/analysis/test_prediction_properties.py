@@ -56,20 +56,6 @@ class TestPredictionStudy:
 
     @given(
         st.lists(
-            st.tuples(positive, st.floats(min_value=0.8, max_value=1.2)),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_histogram_counts_every_record(self, raw):
-        study = self.make_study([(m, m * f) for m, f in raw])
-        hist = study.histogram(bin_width=0.04, limit=0.24)
-        assert hist.total == len(raw)
-        assert sum(count for _, _, count in hist.bins()) == len(raw)
-
-    @given(
-        st.lists(
             st.tuples(positive, st.floats(min_value=0.5, max_value=1.5)),
             min_size=1,
             max_size=40,

@@ -1,14 +1,16 @@
 """Integration: the paper's measured-vs-predicted loop, pinned.
 
 ``benchmarks/fidelity.py`` holds the 34 LU configurations of Figs. 8-13
-and ``FIDELITY.json`` their committed outcome.  Tier-1 regenerates the
-``reduced`` section once — calibrate the network on the testbed, measure,
-simulate, compare, at n = 1296 — and expects every ``repr`` back, so a
-refactor cannot move a prediction inside its band unseen; the tests below
-then assert the paper's qualitative claims on those pairs.  The ``full``
-section (n = 2592, 170 pairs; regenerated nightly) is only re-read: every
-figure's shape must hold on the committed numbers.  Measurement noise is
-the one claim that needs seeds the section does not hold; its test runs them.
+and the rows of the paper's other claims; ``FIDELITY.json`` is their
+committed outcome.  Tier-1 regenerates the ``reduced`` section once —
+calibrate the network on the testbed, measure, simulate, compare, at
+n = 1296 — and expects every ``repr`` back, so a refactor cannot move a
+prediction inside its band unseen; the tests below then assert the
+paper's qualitative claims on those pairs.  The ``apps`` section is
+replayed the same way.  Every other section (paper size; regenerated by
+``--check`` in CI) is only re-read: every view's shape must hold on the
+committed numbers.  Measurement noise is the one claim that needs seeds
+the ``reduced`` section does not hold; its test runs them.
 """
 
 import importlib.util
@@ -58,24 +60,48 @@ def test_table_is_the_papers_34_configurations():
 
 
 def test_every_section_spec_builds_its_app_config():
-    """Both sections' specs pass the LU config's type and range checks."""
+    """Every section's specs pass their app config's type and range checks."""
     from repro.scenario import default_registry
 
-    plugin = default_registry().resolve("app", "lu")
+    registry = default_registry()
     for name, section in fidelity.SECTIONS.items():
-        for label in section.labels:
-            for spec in fidelity.section_pair(name, label, section.seeds[0]):
-                plugin.make_config(spec)
+        if isinstance(section, fidelity.Rows):
+            specs = section.rows().values()
+        else:
+            specs = [
+                spec
+                for label in section.labels
+                for spec in fidelity.section_pair(name, label, section.seeds[0])
+            ]
+        for spec in specs:
+            registry.resolve("app", spec.app.name).make_config(spec)
 
 
 def test_reduced_section_replays_bit_exactly(reduced):
     assert fidelity.differences(COMMITTED["reduced"], reduced) == []
 
 
-def test_every_figure_holds_on_the_committed_full_section():
-    full = COMMITTED["full"]
-    assert len(full["pairs"]) == 34 * 5 == 170
-    assert fidelity.check_views("full", full["pairs"]) == full["figures"]
+def test_apps_section_replays_bit_exactly():
+    assert fidelity.differences(COMMITTED["apps"], fidelity.run_section("apps")) == []
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, section in fidelity.SECTIONS.items() if section.views]
+)
+def test_every_view_holds_on_the_committed_section(name):
+    section = COMMITTED[name]
+    assert fidelity.check_views(name, section) == section["figures"]
+
+
+def test_every_label_predicts_one_value_on_every_seed():
+    pairs = COMMITTED["full"]["pairs"]
+    assert len(pairs) == 34 * 5 == 170
+    # A prediction draws nothing from the seed: one value per label.
+    predictions = {}
+    for key, entry in pairs.items():
+        predictions.setdefault(key.rsplit("/", 1)[0], set()).add(entry["predicted"])
+    assert len(predictions) == 34
+    assert all(len(values) == 1 for values in predictions.values())
 
 
 def test_measurement_noise_across_seeds_is_small(pair):

@@ -4,12 +4,17 @@ Unit tests cover each provider in isolation; these run whole applications
 under each duration source — the Table 1 workflow at test scale.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.apps.lu.app import LUApplication
 from repro.apps.lu.config import LUConfig
 from repro.apps.lu.costs import LUCostModel
 from repro.apps.matmul import MatmulApplication, MatmulConfig
+from repro.scenario import ScenarioSpec, run_scenario
+from repro.sim import providers
 from repro.sim.modes import SimulationMode
 from repro.sim.platform import PAPER_CLUSTER
 from repro.sim.providers import (
@@ -75,24 +80,6 @@ def test_measure_first_n_prediction_close_to_direct(calibration):
     assert 0.4 < ratio < 2.5
 
 
-def test_noalloc_and_pdexec_predict_identically():
-    """Payload elision must not change predicted time (Table 1 property)."""
-    common = dict(n=648, r=162, num_threads=4, num_nodes=2)
-    model = LUCostModel(PAPER_CLUSTER.machine, 162)
-
-    cfg_pd = LUConfig(mode=SimulationMode.PDEXEC, **common)
-    t_pd = DPSSimulator(
-        PAPER_CLUSTER, CostModelProvider(model, run_kernels=True)
-    ).run(LUApplication(cfg_pd)).predicted_time
-
-    cfg_na = LUConfig(mode=SimulationMode.PDEXEC_NOALLOC, **common)
-    t_na = DPSSimulator(
-        PAPER_CLUSTER, CostModelProvider(model, run_kernels=False)
-    ).run(LUApplication(cfg_na)).predicted_time
-
-    assert t_na == pytest.approx(t_pd, rel=1e-12)
-
-
 def test_noalloc_simulation_uses_less_memory():
     """The NOALLOC memory saving (Table 1's 14 MB column) at test scale."""
     common = dict(n=648, r=162, num_threads=4, num_nodes=2)
@@ -109,5 +96,43 @@ def test_noalloc_simulation_uses_less_memory():
 
     allocating = peak(SimulationMode.PDEXEC, True)
     elided = peak(SimulationMode.PDEXEC_NOALLOC, False)
-    # 648^2 doubles = 3.4 MB of matrix the elided run never allocates.
-    assert elided < allocating / 2
+    # 648^2 doubles = 3.4 MB of matrix the elided run never allocates;
+    # Table 1 reads 14 MB against 124 MB at n = 2592.
+    assert elided < 0.2 * allocating
+
+
+def test_pdexec_prediction_does_not_depend_on_the_host(monkeypatch):
+    """Table 1's portability claim: on a host 6.5x faster (the paper's
+    UltraSparc II -> Pentium 4) the PDEXEC predictions stay put, while a
+    direct-execution prediction moves with the host."""
+    lu = {"n": 216, "r": 54, "num_threads": 2, "num_nodes": 2}
+    # Every host timing reads one millisecond, so direct execution is
+    # deterministic and only the calibration scale tells the hosts apart.
+    ticks = itertools.count(0.0, 1e-3)
+    monkeypatch.setattr(providers, "time", SimpleNamespace(perf_counter=ticks.__next__))
+
+    def predict(mode, **provider):
+        spec = ScenarioSpec.from_dict({
+            "app": {"name": "lu", "options": lu},
+            "engine": {"mode": mode},
+            "provider": {"options": provider},
+        })
+        return run_scenario(spec).makespan
+
+    def on_this_host():
+        return (
+            predict("pdexec"), predict("noalloc"), predict("direct", persist=False)
+        )
+
+    pdexec, noalloc, direct = on_this_host()
+    calibrate = HostCalibration.__init__
+
+    def faster_host(self, *args, **kwargs):
+        calibrate(self, *args, **kwargs)
+        self.scale *= 6.5
+
+    monkeypatch.setattr(HostCalibration, "__init__", faster_host)
+    pdexec_p4, noalloc_p4, direct_p4 = on_this_host()
+    assert (pdexec_p4, noalloc_p4) == (pdexec, noalloc)
+    assert pdexec == noalloc  # payload elision moves no prediction
+    assert direct_p4 > 2 * direct  # the patch does reach direct execution

@@ -95,26 +95,16 @@ def test_invalid_capacity_rejected(kernel):
         make(kernel, capacity=-1.0)
 
 
-class TestFactory:
-    def test_factory_capacity_formula(self, kernel):
-        build = BackplaneStarNetwork.factory(num_nodes=8, oversubscription=2.0)
-        net = build(kernel, NetworkParams(latency=0.0, bandwidth=B))
-        assert net.capacity == pytest.approx(8 * B / 2.0)
-
-    def test_factory_rejects_bad_ratio(self):
-        with pytest.raises(ConfigurationError):
-            BackplaneStarNetwork.factory(8, 0.0)
-
-    def test_nonblocking_factory_is_no_bottleneck(self):
-        """Oversubscription 1.0 carries all one-directional traffic."""
-        kernel = Kernel()
-        build = BackplaneStarNetwork.factory(num_nodes=8, oversubscription=1.0)
-        net = build(kernel, NetworkParams(latency=0.0, bandwidth=B))
-        done = []
-        for i in range(4):
-            net.submit(i, i + 4, 1e6, lambda tr: done.append(kernel.now))
-        kernel.run()
-        assert all(t == pytest.approx(1.0) for t in done)
+def test_nonblocking_fabric_is_no_bottleneck():
+    """Oversubscription 1:1 (8 links at line rate on 8 nodes) carries all
+    one-directional traffic."""
+    kernel = Kernel()
+    net = make(kernel, capacity=8 * B)
+    done = []
+    for i in range(4):
+        net.submit(i, i + 4, 1e6, lambda tr: done.append(kernel.now))
+    kernel.run()
+    assert all(t == pytest.approx(1.0) for t in done)
 
 
 @given(

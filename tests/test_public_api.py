@@ -129,6 +129,20 @@ def test_packages_without_callers_export_nothing(package_name):
             ("repro.scenario", name)
             for name in "ClusterSection ModelSection ProviderSection".split()
         ),
+        # every paper claim is a FIDELITY.json section of scenario specs
+        ("repro.analysis", "whatif"),
+        ("repro.netmodel.backplane.BackplaneStarNetwork", "factory"),
+        ("repro.analysis.prediction", "ErrorHistogram"),
+        ("repro.analysis.prediction.PredictionStudy", "histogram"),
+        ("repro.analysis.prediction.PredictionStudy", "extend"),
+        *(
+            ("repro.cli.tools", name)
+            for name in "cmd_sweep add_sweep_parser _parse_int_list".split()
+        ),
+        *(
+            ("repro", name)
+            for name in "NetworkParams FAST_ETHERNET GIGABIT_ETHERNET".split()
+        ),
     ],
 )
 def test_removed_names_stay_removed_without_an_alias(owner, name):
