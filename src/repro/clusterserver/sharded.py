@@ -7,18 +7,20 @@ huge scenario (thousands of malleable jobs) that per-event scan dominates
 the wall clock — and it is exactly the work that partitions.
 
 :class:`ShardedServer` splits the jobs across K shard-local
-:class:`~repro.des.kernel.Kernel` + :class:`~repro.des.fluid.FluidPool`
-instances and advances them with the conservative epoch controller of
-:mod:`repro.des.epoch`:
+:class:`~repro.des.kernel.Kernel` instances and advances them with the
+conservative epoch controller of :mod:`repro.des.epoch`:
 
-* each running job's *current phase* is one fluid task in its shard's
-  pool, so progress integrates lazily and each shard's next phase
-  completion comes from the pool's horizon heap in O(log n) — not from a
-  scan;
-* between global decision points (job arrivals, phase/job completions)
-  every rate is piecewise-constant, so each shard's pending event times
-  are a valid conservative lookahead bound: every shard can safely
-  ``run(until=epoch_end)`` without observing the other shards;
+* each running job's *current phase* integrates lazily — remaining work
+  as of its last rate change, drained at a rate fixed between barriers —
+  and the job owns exactly one kernel event, armed at that phase's
+  completion; no pool and no allocation law are involved;
+* an epoch ends only where the controller has something to decide: an
+  arrival, a fault or a **job** completion.  Each shard keeps a lazy
+  heap of the earliest time each job can complete — the exact event
+  time in its last phase, the rest of its phase chain shaded by
+  :data:`BOUND_RTOL` before it — and the epoch bound is the minimum of
+  those and the controller's lookahead.  Phase completions before the
+  bound run inside the epoch and are reported with their times;
 * arrivals never enter a shard kernel: the controller owns the
   workload — a ``Sequence[JobSpec]`` or a lazy stream, one loop for both
   — and folds the next arrival time into the epoch bound as its own
@@ -28,9 +30,10 @@ instances and advances them with the conservative epoch controller of
   owner shards, replays the scheduler's *global* reallocation over
   phase-granular job mirrors and pushes only the
   changed node grants back to the shards.  Barriers whose
-  scheduler-visible state provably did not change (pure within-job phase
-  boundaries under a :attr:`~repro.clusterserver.scheduler.Scheduler.\
-progress_insensitive` policy) skip the allocation call entirely.
+  scheduler-visible state provably did not change (the approach to a
+  job's last phase, a rejected arrival, under a
+  :attr:`~repro.clusterserver.scheduler.Scheduler.progress_insensitive`
+  policy) skip the allocation call entirely.
 
 Determinism contract (see ``docs/sharding.md``): the
 :class:`~repro.clusterserver.server.ServerResult` is **bit-identical for
@@ -41,8 +44,8 @@ by the controller (identical regardless of K).  ``shards=1`` is therefore
 the ``benchmarks/bench_clusterserver.py`` gate compare against.
 
 Shards are :class:`JobShard` objects advanced one after another on the
-calling thread: an epoch carries about one event, so a second core has
-nothing to run, and a round trip to a worker process per shard per epoch
+calling thread: an epoch carries about three events, so a second core has
+little to run, and a round trip to a worker process per shard per epoch
 costs more than the event itself (``docs/sharding.md`` has the
 measurement).  Sharding here is a determinism contract and, at hundreds
 of active jobs, an algorithmic win over the eager engine (lazy per-phase
@@ -52,11 +55,13 @@ parallel speed-up.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from repro.clusterserver.scheduler import Scheduler
 from repro.clusterserver.server import (
@@ -68,9 +73,10 @@ from repro.clusterserver.server import (
 )
 from repro.clusterserver.workload import JobSpec, MalleableJob
 from repro.des.epoch import EpochController
-from repro.des.fluid import FluidPool, FluidTask, RateAllocator
+from repro.des.event_queue import EventHandle
+from repro.des.fluid import is_settled
 from repro.des.kernel import Kernel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import FaultRuntime
 
 
@@ -107,139 +113,168 @@ class ShardStats:
         return serial_wall_s / self.wall_s
 
 
+#: Relative margin by which a job with phases still to run shades its
+#: completion estimate into the epoch bound.  Orders of magnitude above
+#: the rounding a chain of phase horizons accumulates, so the bound stays
+#: a lower bound; :meth:`ShardedServer.run` raises if it ever is not.
+BOUND_RTOL = 1e-9
+
+
+def _rest_work(phase_work: Sequence[float]) -> list[float]:
+    """Work of the phases after each phase (0.0 after the last)."""
+    rest = list(accumulate(reversed(phase_work[1:])))
+    rest.reverse()
+    rest.append(0.0)
+    return rest
+
+
 class _ShardJob:
-    """Shard-local runtime state of one job (progress lives in the pool)."""
+    """Shard-local runtime state of one job.
 
-    __slots__ = ("index", "spec", "phase", "nodes", "rate", "task")
+    The current phase's progress integrates lazily — ``remaining`` work
+    as of ``synced``, drained at ``rate`` — exactly as a
+    :class:`~repro.des.fluid.FluidTask` would, and ``event`` is the one
+    kernel event armed at the phase's completion.  ``key`` is the job's
+    live entry in its shard's bound heap (``entry`` its stamp, None when
+    the job has no pending completion).
+    """
 
-    def __init__(self, index: int, spec: JobSpec) -> None:
+    __slots__ = (
+        "index", "spec", "phase", "rest", "rate", "remaining", "synced",
+        "event", "key", "entry",
+    )
+
+    def __init__(self, index: int, spec: JobSpec, now: float) -> None:
         self.index = index
         self.spec = spec
         self.phase = 0
-        self.nodes = 0
+        self.rest = _rest_work(spec.phase_work)
         self.rate = 0.0
-        self.task: Optional[FluidTask] = None
-
-
-class _ExternalRateAllocator(RateAllocator):
-    """Pool allocator applying controller-decided rates (no law of its own).
-
-    Rates change only at epoch barriers, through
-    :meth:`JobShard.apply_allocation` → ``pool.reallocate(hint=changed)``;
-    membership changes (phase tasks joining or leaving) just carry each
-    job's current rate over.  Everything is O(dirty), keeping the shard's
-    hot loop sub-linear.
-    """
-
-    def _full(self, tasks: Collection[FluidTask]) -> None:
-        for task in tasks:
-            task.rate = task.tag.rate
-
-    def _update(
-        self,
-        tasks: Collection[FluidTask],
-        added: Sequence[FluidTask],
-        removed: Sequence[FluidTask],
-    ) -> None:
-        for task in added:
-            task.rate = task.tag.rate
-        self.stats.rates_computed += len(added)
-
-    def _refresh(self, tasks: Collection[FluidTask], hint=None) -> None:
-        targets = tasks if hint is None else hint
-        for task in targets:
-            task.rate = task.tag.rate
-        self.stats.rates_computed += len(targets)
+        self.remaining = float(spec.phase_work[0])
+        self.synced = now
+        self.event: Optional[EventHandle] = None
+        self.key = math.inf
+        self.entry: Optional[int] = None
 
 
 class JobShard:
-    """One partition of the scenario: a kernel, a pool, and its jobs.
+    """One partition of the scenario: a kernel and its jobs.
 
     All timing arithmetic here is strictly per-job (admission at the
-    barrier clock, completion horizons from ``synced_at + remaining/rate``)
-    so a job's trajectory is bit-identical no matter which shard owns it —
-    the foundation of the determinism contract.
+    barrier clock, completion horizons from ``synced + remaining/rate``,
+    one kernel event per job) so a job's trajectory is bit-identical no
+    matter which shard owns it — the foundation of the determinism
+    contract.
     """
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.kernel = Kernel()
-        self.pool = FluidPool(
-            self.kernel, _ExternalRateAllocator(), name=f"shard-{shard_id}"
-        )
         #: active jobs only — completed jobs are pruned immediately, so
         #: the dict is O(active) even for million-job open streams
         self.jobs: dict[int, _ShardJob] = {}
         #: every job this shard ever hosted (stats; O(1) state)
         self.jobs_seen = 0
-        self._completed: list[tuple[int, bool]] = []
+        self._completed: list[tuple[int, bool, float]] = []
+        # Lazy min-heap of (key, stamp, job): an entry is live iff
+        # job.entry == stamp.  A key is a lower bound on the job's
+        # completion time at its current rate.
+        self._bounds: list[tuple[float, int, _ShardJob]] = []
+        self._stamps = 0
 
     # ----------------------------------------------------------------- events
-    def _on_phase_complete(self, task: FluidTask) -> None:
-        job: _ShardJob = task.tag
-        job.phase += 1
-        if job.phase < len(job.spec.phase_work):
-            job.task = FluidTask(
-                job.spec.phase_work[job.phase], self._on_phase_complete, tag=job
+    def _arm(self, job: _ShardJob) -> None:
+        """Re-arm the job's completion event for its current phase."""
+        if job.event is not None:
+            job.event.cancel()
+            job.event = None
+        if job.rate > 0.0:
+            job.event = self.kernel.schedule_after(
+                job.synced + job.remaining / job.rate, self._on_event, job
             )
-            self.pool.add(job.task)
-            self._completed.append((job.index, False))
-        else:
-            job.task = None
-            self._completed.append((job.index, True))
-            # Retire immediately: the controller never addresses a
-            # completed job again, so dropping it here bounds shard
-            # memory to active jobs.
-            del self.jobs[job.index]
+
+    def _rekey(self, job: _ShardJob) -> None:
+        """Push the job's earliest possible completion onto the bound heap.
+
+        In its last phase that is the armed event time; before it, the
+        rest of the phase chain at the current rate, shaded by
+        :data:`BOUND_RTOL` and never below the next event.
+        """
+        if job.event is None:
+            job.entry = None
+            return
+        t = job.event.time
+        rest = job.rest[job.phase]
+        key = t
+        if rest:
+            key = max(t, (t + rest / job.rate) * (1.0 - BOUND_RTOL))
+        self._stamps += 1
+        job.key = key
+        job.entry = self._stamps
+        heap = self._bounds
+        heapq.heappush(heap, (key, self._stamps, job))
+        if len(heap) > 4 * len(self.jobs):
+            # Stale entries outnumber live ones 3 to 1: rebuild from the
+            # live keys (amortized O(1) per push).
+            self._bounds = heap = [
+                (j.key, j.entry, j)
+                for j in self.jobs.values()
+                if j.entry is not None
+            ]
+            heapq.heapify(heap)
+
+    def _on_event(self, job: _ShardJob) -> None:
+        """The job's phase horizon: settle it, or re-arm a residual."""
+        job.event = None
+        now = self.kernel.now
+        dt = now - job.synced
+        if dt > 0.0:
+            left = job.remaining - job.rate * dt
+            job.remaining = left if left > 0.0 else 0.0
+        job.synced = now
+        spec = job.spec
+        work = spec.phase_work[job.phase]
+        if is_settled(now, job.remaining, work, job.rate):
+            job.phase += 1
+            if job.phase == len(spec.phase_work):
+                job.entry = None
+                # Retire immediately: the controller never addresses a
+                # completed job again, so dropping it here bounds shard
+                # memory to active jobs.
+                del self.jobs[job.index]
+                self._completed.append((job.index, True, now))
+                return
+            job.remaining = float(spec.phase_work[job.phase])
+            self._completed.append((job.index, False, now))
+        # Otherwise float drift left a real residual: re-arm it, and
+        # ``schedule_after`` keeps the clock advancing, so no Zeno loop.
+        self._arm(job)
+        if job.key < job.event.time:
+            # The old key no longer bounds the next event (it was this
+            # phase's own horizon, or the job entered its last phase).
+            self._rekey(job)
 
     # ---------------------------------------------------------------- epoch api
-    def next_event_time(self) -> Optional[float]:
-        """Earliest pending event (a pool horizon), or None."""
-        return self.kernel.next_event_time()
+    def next_completion_bound(self) -> Optional[float]:
+        """Earliest time any of this shard's jobs can complete, or None.
 
-    def run_until(self, bound: float) -> list[tuple[int, bool]]:
-        """Advance to the epoch bound; report ``(index, job_done)`` per
-        phase completion."""
+        Phase completions before it are shard-local and run inside the
+        epoch; a job completion is what the controller must decide on.
+        """
+        heap = self._bounds
+        while heap:
+            key, stamp, job = heap[0]
+            if job.entry == stamp:
+                return key
+            heapq.heappop(heap)
+        return None
+
+    def run_until(self, bound: float) -> list[tuple[int, bool, float]]:
+        """Advance to the epoch bound; report ``(index, job_done, time)``
+        per phase completion."""
         self.kernel.run(until=bound)
         completed, self._completed = self._completed, []
         return completed
-
-    def admit_spec(self, index: int, spec: JobSpec) -> None:
-        """Register and admit a job at the barrier clock (rate 0).
-
-        Arrivals are the controller's: it pulled ``spec`` from the
-        workload, so the shard never sees an arrival event — the job
-        starts existing here, at ``kernel.now`` (== the barrier bound),
-        exactly when the eager engine would admit it.
-        """
-        self.jobs[index] = job = _ShardJob(index, spec)
-        self.jobs_seen += 1
-        job.task = FluidTask(
-            spec.phase_work[0], self._on_phase_complete, tag=job
-        )
-        self.pool.add(job.task)
-
-    def restart_phase(self, index: int) -> None:
-        """Discard the job's in-flight phase and start it over (fault retry).
-
-        The replacement task carries the job's current rate; a grant or
-        factor change decided at the same barrier follows in the same
-        apply batch via :meth:`apply_allocation`.
-        """
-        job = self.jobs[index]
-        if job.task is not None and job.task.pool is not None:
-            self.pool.remove(job.task)
-        job.task = FluidTask(
-            job.spec.phase_work[job.phase], self._on_phase_complete, tag=job
-        )
-        self.pool.add(job.task)
-
-    def drop(self, index: int) -> None:
-        """Remove a job the fault layer failed (retry budget exhausted)."""
-        job = self.jobs.pop(index)
-        if job.task is not None and job.task.pool is not None:
-            self.pool.remove(job.task)
-        job.task = None
 
     def apply_allocation(
         self,
@@ -248,34 +283,57 @@ class JobShard:
         restarts: Sequence[int] = (),
         drops: Sequence[int] = (),
     ) -> None:
-        """Apply one barrier's decisions: restarts, drops, admissions, then
-        the controller's node-grant deltas, re-rating the touched tasks.
+        """Apply one barrier's decisions at the barrier clock: restarts,
+        drops, admissions, then the controller's node-grant deltas.
 
-        ``factor`` is the fault layer's degraded-node slowdown — 1.0
-        unless a degrade fault is live, and ``x * 1.0`` is exact under
-        IEEE arithmetic, so fault-free runs are bit-unchanged.
+        Arrivals are the controller's: it pulled each admitted spec from
+        the workload, so the shard never sees an arrival event — the job
+        starts existing here, at rate 0, exactly when the eager engine
+        would admit it.  A restart (fault retry) starts the in-flight
+        phase over at the job's current rate; a drop removes a job the
+        fault layer failed.  ``factor`` is the fault layer's
+        degraded-node slowdown — 1.0 unless a degrade fault is live, and
+        ``x * 1.0`` is exact under IEEE arithmetic, so fault-free runs are
+        bit-unchanged.
         """
+        now = self.kernel.now
+        jobs = self.jobs
         for index in restarts:
-            self.restart_phase(index)
+            job = jobs[index]
+            job.remaining = float(job.spec.phase_work[job.phase])
+            job.synced = now
+            self._arm(job)
+            self._rekey(job)
         for index in drops:
-            self.drop(index)
+            job = jobs.pop(index)
+            if job.event is not None:
+                job.event.cancel()
+            job.entry = None
         for index, spec in new_specs:
-            self.admit_spec(index, spec)
-        changed: list[FluidTask] = []
+            jobs[index] = _ShardJob(index, spec, now)
+            self.jobs_seen += 1
         for index, nodes, factor in updates:
-            job = self.jobs[index]
-            job.nodes = nodes
+            job = jobs[index]
             # Same expression as MalleableJob.rate(), so the sharded and
             # eager engines agree to float reassociation noise.
-            job.rate = (
+            rate = (
                 nodes * job.spec.efficiency(nodes) * factor
                 if nodes > 0
                 else 0.0
             )
-            if job.task is not None and job.task.pool is not None:
-                changed.append(job.task)
-        if changed:
-            self.pool.reallocate(hint=changed)
+            old = job.rate
+            if rate == old:
+                continue
+            if old > 0.0:
+                # Fold the work done at the old rate into ``remaining``.
+                dt = now - job.synced
+                if dt > 0.0:
+                    left = job.remaining - old * dt
+                    job.remaining = left if left > 0.0 else 0.0
+            job.synced = now
+            job.rate = rate
+            self._arm(job)
+            self._rekey(job)
 
 
 # --------------------------------------------------------------------------
@@ -334,8 +392,8 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
         arrival, feeds its time into the epoch bound (the controller-side
         *lookahead*, so no epoch overshoots an arrival no shard knows
         about), and at each barrier admits due jobs to their owner shards
-        via :meth:`JobShard.admit_spec`.  Completed jobs retire in index
-        order and are dropped from the decision state — controller
+        via :meth:`JobShard.apply_allocation`.  Completed jobs retire in
+        index order and are dropped from the decision state — controller
         mirrors and shard state are both bounded by the active-job
         count.  All decisions replay in pull order, so the result
         (including the :class:`~repro.clusterserver.metrics.SloSummary`)
@@ -482,9 +540,16 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
             job_done = False
             retired: list[tuple[int, MalleableJob]] = []
             for completed in reports:
-                for idx, done in completed:
+                for idx, done, t in completed:
                     mirror = running[idx]
                     if done:
+                        if t != now:
+                            raise SimulationError(
+                                f"job {idx} completed at t={t!r}, inside "
+                                f"the epoch ending at {now!r}: the epoch "
+                                "bound was not a lower bound on its "
+                                "completion"
+                            )
                         job_done = True
                         close_chunk(idx, now)
                         mirror.phase = len(mirror.spec.phase_work)
@@ -499,7 +564,7 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                         )
                         if runtime is not None:
                             rem[idx] = mirror.remaining_in_phase
-                            rem_sync[idx] = now
+                            rem_sync[idx] = t
             # Fold retirements in index order: the aggregator's call
             # sequence — hence the SloSummary — is K-independent.
             for idx, mirror in sorted(retired):

@@ -6,23 +6,24 @@ Partitioned (sharded) simulation of one scenario runs K independent
 fluid models:
 
 * between two global decision points every shard's rates are
-  piecewise-constant, so each shard's pending event times are valid
-  *lookahead* — no event another shard produces can land before the
-  earliest of them;
-* the controller therefore computes the epoch bound as the minimum next
-  event time across shards, advances every shard with
+  piecewise-constant, so each shard can name the earliest time it may
+  produce something the barrier must act on — its *completion bound*;
+  events before it are shard-local and run inside the epoch;
+* the controller therefore computes the epoch bound as the minimum
+  completion bound across shards, advances every shard with
   ``kernel.run(until=bound)`` (shards without a due event just move their
   clock), and invokes a barrier callback that replays the scenario's
   global decisions (e.g. the cluster scheduler's reallocation) before the
   next epoch begins.
 
-A shard is anything with ``next_event_time()`` (earliest pending event,
-or ``None`` when idle — it must reflect every update the barrier callback
-applied) and ``run_until(bound)`` (advance to the bound, return the
-shard's report for the epoch, which the controller hands to the barrier
-callback unread).  Shards run on the calling thread, one after another:
-an epoch carries about one event, so there is nothing to overlap
-(``docs/sharding.md`` has the measurement).
+A shard is anything with ``next_completion_bound()`` (a lower bound on
+the time of its next barrier-relevant result, or ``None`` when it has
+none — it must reflect every update the barrier callback applied) and
+``run_until(bound)`` (advance to the bound, return the shard's report for
+the epoch, which the controller hands to the barrier callback unread).
+Shards run on the calling thread, one after another: an epoch carries
+about three events on the cluster server's stream, too little to
+overlap (``docs/sharding.md`` has the measurement).
 
 The cluster-server binding of this machinery (job shards, scheduler
 replay, the determinism contract) lives in
@@ -52,14 +53,14 @@ class EpochStats:
 
 
 class EpochController:
-    """Advance a set of shards epoch-by-epoch until no events remain.
+    """Advance a set of shards epoch-by-epoch until no completion remains.
 
     ``on_barrier(bound, reports)`` runs after every epoch with the epoch
-    bound (the global minimum next-event time, now every shard's clock)
+    bound (the global minimum completion bound, now every shard's clock)
     and the per-shard reports in shard order.  It applies the scenario's
     global decisions and returns ``False`` to stop early.
 
-    The loop ends when every shard is idle (no pending events anywhere) —
+    The loop ends when no shard has a completion bound left —
     a scenario that still holds unfinished work at that point is starved,
     which the caller detects from its own state.
     """
@@ -87,7 +88,7 @@ class EpochController:
         while True:
             bound: Optional[float] = None
             for shard in shards:
-                t = shard.next_event_time()
+                t = shard.next_completion_bound()
                 if t is not None and (bound is None or t < bound):
                     bound = t
             if lookahead is not None:

@@ -114,6 +114,26 @@ _COMPACT_MIN_ENTRIES = 64
 _REBUILD_MIN_TASKS = 16
 
 
+def drain_threshold(work: float) -> float:
+    """Remaining work at or below which a task of ``work`` is drained."""
+    return max(_COMPLETION_ATOL, work * _COMPLETION_RTOL)
+
+
+def is_settled(
+    now: float, remaining: float, work: float, rate: float
+) -> bool:
+    """Whether a task synced at ``now`` has completed.
+
+    True when its ``remaining`` work is drained, or when its residual
+    horizon ``remaining / rate`` can no longer advance the clock — the
+    second Zeno guard (the first is :meth:`Kernel.schedule_after`'s
+    floor): the residual is below the resolution of simulated time.
+    """
+    return (
+        remaining <= drain_threshold(work) or now + remaining / rate == now
+    )
+
+
 class FluidTask:
     """A quantity of work drained at a pool-assigned rate.
 
@@ -228,13 +248,6 @@ class FluidTask:
     def active(self) -> bool:
         """Whether the task is currently admitted to a pool."""
         return self.pool is not None
-
-    def _drained(self) -> bool:
-        """Whether the remaining work counts as drained; only called at an
-        instant the task is synced to (admission, its horizon)."""
-        return self._remaining <= max(
-            _COMPLETION_ATOL, self.work * _COMPLETION_RTOL
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -512,7 +525,7 @@ class FluidPool:
         task._synced_at = now
         self._admission_counter += 1
         task._seq = self._admission_counter
-        if task._drained():
+        if task._remaining <= drain_threshold(task.work):
             # Complete without ever occupying capacity.  Still credit the
             # (possibly tiny but positive) work so conservation holds.
             task.pool = None
@@ -723,12 +736,7 @@ class FluidPool:
             # Materialize the lazy progress integral at ``now``.
             task._remaining = task.remaining
             task._synced_at = now
-            if task._drained():
-                finished.append(task)
-            elif now + task._remaining / rate == now:
-                # Second Zeno guard: a task whose remaining horizon can no
-                # longer advance the clock is complete for all purposes —
-                # its residual is below the resolution of simulated time.
+            if is_settled(now, task._remaining, task.work, rate):
                 finished.append(task)
             else:
                 # Float drift left a real residual; re-index at the updated

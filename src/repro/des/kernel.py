@@ -69,9 +69,7 @@ class Kernel:
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest pending event, or ``None`` when idle.
 
-        The shard-safe lookahead hook: an epoch controller reads every
-        shard kernel's next event time to compute a global epoch bound
-        without popping anything (see :mod:`repro.des.epoch`).
+        A peek: nothing is popped and the clock does not move.
         """
         return self._queue.peek_time()
 

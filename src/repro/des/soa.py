@@ -50,12 +50,7 @@ try:  # soft dependency: the core package must import without numpy
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     np = None  # type: ignore[assignment]
 
-from repro.des.fluid import (
-    _COMPLETION_ATOL,
-    _COMPLETION_RTOL,
-    AllocatorStats,
-    HorizonStats,
-)
+from repro.des.fluid import AllocatorStats, HorizonStats, drain_threshold
 from repro.des.kernel import Kernel
 from repro.errors import ConfigurationError, SimulationError
 
@@ -183,7 +178,7 @@ class SoaFluidEngine:
                 f"engine {self.name!r}: invalid task work {work!r}"
             )
         self._admissions += 1
-        thresh = max(_COMPLETION_ATOL, work * _COMPLETION_RTOL)
+        thresh = drain_threshold(work)
         if work <= thresh:
             self.completed_work += work
             self.completed_tasks += 1

@@ -27,9 +27,11 @@ from repro.clusterserver import (
     StaticScheduler,
     synthetic_workload,
 )
+from repro.clusterserver import sharded
+from repro.clusterserver.arrivals import poisson_arrivals
 from repro.clusterserver.scheduler import Scheduler
 from repro.clusterserver.workload import mixed_workload, stencil_like_job
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 def _assert_identical(a, b):
@@ -141,18 +143,62 @@ def test_eager_engine_terminates_past_2_to_the_14_seconds(t0):
 
 # ---------------------------------------------------------------- accounting
 def test_phase_only_barriers_elide_the_scheduler():
-    """Pure within-job phase boundaries skip the allocation call: with one
-    running job, every barrier between its arrival and completion is
-    allocation-neutral."""
+    """Pure within-job phase boundaries run inside an epoch: a solo job's
+    ten phases take three epochs — its arrival, one approach barrier at
+    the shaded completion bound (allocation-neutral, so the scheduler
+    call is elided) and its completion."""
     specs = [stencil_like_job("solo", arrival=0.0, iterations=10)]
     server = ShardedServer(8, EquipartitionScheduler(), shards=1)
     server.run(specs)
     stats = server.stats
-    # Arrival and job completion allocate; the 9 interior phase
-    # boundaries are elided.
     assert stats.allocations == 2
-    assert stats.allocations_elided == 9
-    assert stats.allocations + stats.allocations_elided == stats.epochs
+    assert stats.allocations_elided == 1
+    assert stats.epochs == 3
+    assert stats.shard_events == (10,)
+
+
+def test_tied_completions_count_one_event_per_job_for_every_k():
+    # Regression: a shard pool folded completions at a bit-equal time
+    # into one event, so four identical jobs counted 5 / 10 / 20 events
+    # at K = 1 / 2 / 4.  One kernel event per job makes it 20 at every K.
+    specs = [
+        stencil_like_job(f"twin{i}", arrival=0.0, iterations=5)
+        for i in range(4)
+    ]
+    results = [
+        ShardedServer(8, EquipartitionScheduler(), shards=k).run(specs)
+        for k in (1, 2, 4)
+    ]
+    assert [r.events for r in results] == [20, 20, 20]
+    for result in results[1:]:
+        _assert_identical(result, results[0])
+
+
+def test_epochs_end_only_at_decision_points():
+    """On a Poisson stream an epoch carries several phase completions, and
+    the epoch count is a property of the scenario, not of K."""
+    epochs = {}
+    for shards in (1, 2, 4):
+        server = ShardedServer(
+            32, AdaptiveEfficiencyScheduler(0.5), shards=shards
+        )
+        result = server.run(
+            poisson_arrivals(10.0, seed=7, jobs=500, max_nodes=8)
+        )
+        assert result.jobs_completed == 500
+        assert server.stats.epochs <= 0.5 * result.events
+        epochs[shards] = server.stats.epochs
+    assert epochs[2] == epochs[4] == epochs[1]
+
+
+def test_a_bound_past_a_completion_raises(monkeypatch):
+    # A negative margin makes the epoch bound overshoot job completions;
+    # the barrier must refuse it rather than settle the job late.
+    monkeypatch.setattr(sharded, "BOUND_RTOL", -0.5)
+    specs = [stencil_like_job("solo", arrival=0.0, iterations=10)]
+    server = ShardedServer(8, EquipartitionScheduler(), shards=1)
+    with pytest.raises(SimulationError, match="lower bound"):
+        server.run(specs)
 
 
 def test_stats_record_shape():

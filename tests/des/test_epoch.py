@@ -21,7 +21,7 @@ class _KernelShard:
     def _note(self, label: str) -> None:
         self._pending.append(label)
 
-    def next_event_time(self) -> Optional[float]:
+    def next_completion_bound(self) -> Optional[float]:
         return self.kernel.next_event_time()
 
     def run_until(self, bound: float) -> list[str]:
