@@ -25,6 +25,6 @@ setup(
     install_requires=[],
     extras_require={
         "fast": ["numpy>=1.23", "scipy>=1.9"],
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
 )

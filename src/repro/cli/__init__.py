@@ -15,8 +15,6 @@ Commands
 * ``graph`` — dump an application's flow-graph structure.
 * ``serve`` — long-lived scenario service: HTTP/JSON daemon over a
   resident worker pool with in-flight dedup and 429 backpressure.
-* ``trend`` — render nightly benchmark artifacts into a static trend
-  page; ``--alert-threshold`` gates on first→last regressions.
 * ``check`` — AST-based invariant linter enforcing the project's
   determinism, import-hygiene, concurrency and registry/spec/docs
   contracts (see ``docs/staticcheck.md``).
@@ -35,7 +33,6 @@ from repro.cli.tools import (
     add_cache_parser,
     add_calibrate_parser,
     add_graph_parser,
-    add_trend_parser,
 )
 from repro.errors import ReproError
 
@@ -56,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_parser(sub)
     add_graph_parser(sub)
     add_serve_parser(sub)
-    add_trend_parser(sub)
     add_check_parser(sub)
     return parser
 

@@ -1,4 +1,4 @@
-"""Tool subcommands: calibration, caches, trend pages, graph dump."""
+"""Tool subcommands: calibration, caches, graph dump."""
 
 from __future__ import annotations
 
@@ -154,72 +154,6 @@ def cmd_cache_info(args: argparse.Namespace) -> int:
     for family in families.values():
         for entry in family["entries"]:
             print(f"  {entry['name']}  ({entry['bytes']} B)")
-    return 0
-
-
-# --------------------------------------------------------------------------
-# trend
-# --------------------------------------------------------------------------
-
-
-def add_trend_parser(sub: argparse._SubParsersAction) -> None:
-    """Register the ``trend`` subcommand."""
-    p = sub.add_parser(
-        "trend",
-        help="render benchmark-history JSON into a static trend page",
-        description=(
-            "Read a directory of nightly benchmark artifacts "
-            "(pytest-benchmark JSON files, one subdirectory or file per "
-            "run) and write trend.md plus a self-contained trend.html "
-            "with per-bench sparklines."
-        ),
-    )
-    p.add_argument(
-        "history", help="directory of bench-result JSON files (one run per "
-        "subdirectory or per top-level file)",
-    )
-    p.add_argument(
-        "--out", default="bench-trend",
-        help="output directory for trend.md / trend.html",
-    )
-    p.add_argument(
-        "--alert-threshold", type=float, default=None, metavar="PCT",
-        help="fail (exit 3) when any bench's first→last median delta "
-        "exceeds PCT percent; regressions are printed as GitHub "
-        "::error annotations",
-    )
-    p.set_defaults(func=cmd_trend)
-
-
-def cmd_trend(args: argparse.Namespace) -> int:
-    """Render the trend pages; optionally gate on first→last regressions."""
-    from pathlib import Path
-
-    from repro.analysis.trend import load_history, regressions, write_trend_pages
-
-    history = load_history(Path(args.history))
-    labels, series = history
-    md_path, html_path = write_trend_pages(
-        Path(args.history), Path(args.out), history=history
-    )
-    print(f"{len(series)} benches over {len(labels)} run(s)")
-    print(f"wrote {md_path}")
-    print(f"wrote {html_path}")
-    if args.alert_threshold is not None:
-        flagged = regressions(labels, series, args.alert_threshold / 100.0)
-        for name, delta in flagged:
-            # GitHub Actions annotation syntax; plain noise elsewhere.
-            print(
-                f"::error title=bench regression::{name} is {delta:+.1%} "
-                f"vs the first run (threshold {args.alert_threshold:.0f}%)"
-            )
-        if flagged:
-            print(
-                f"{len(flagged)} bench(es) regressed beyond "
-                f"{args.alert_threshold:.0f}%"
-            )
-            return 3
-        print(f"no regressions beyond {args.alert_threshold:.0f}%")
     return 0
 
 

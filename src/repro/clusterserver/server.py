@@ -41,8 +41,7 @@ def _compile_faults(faults, total_nodes: int):
     """Normalize a ctor ``faults`` argument to a compiled plan or ``None``.
 
     An eventless plan normalizes to ``None`` so it selects the exact
-    fault-free code path (part of the ≤2% empty-plan overhead gate:
-    there is literally nothing to pay).
+    fault-free code path: an empty plan has literally nothing to pay.
     """
     if faults is None:
         return None

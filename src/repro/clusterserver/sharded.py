@@ -40,8 +40,8 @@ Determinism contract (see ``docs/sharding.md``): the
 every shard count** — all timing arithmetic is either
 per-job (identical regardless of which shard holds the job) or performed
 by the controller (identical regardless of K).  ``shards=1`` is therefore
-*the* single-kernel run that the sharded-equivalence property tests and
-the ``benchmarks/bench_clusterserver.py`` gate compare against.
+*the* single-kernel run that the sharded-equivalence property tests
+compare against.
 
 Shards are :class:`JobShard` objects advanced one after another on the
 calling thread: an epoch carries about three events, so a second core has
@@ -82,7 +82,7 @@ from repro.faults import FaultRuntime
 
 @dataclass
 class ShardStats:
-    """Work accounting of one :meth:`ShardedServer.run` (bench-gate feed)."""
+    """Work accounting of one :meth:`ShardedServer.run`."""
 
     #: number of shards the scenario was partitioned into
     shards: int
@@ -105,12 +105,6 @@ class ShardStats:
     def events_total(self) -> int:
         """Kernel events summed over shards (conserved across K)."""
         return sum(self.shard_events)
-
-    def speedup_vs(self, serial_wall_s: float) -> float:
-        """Wall-clock speedup against a serial run of the same scenario."""
-        if self.wall_s <= 0.0:
-            return math.inf
-        return serial_wall_s / self.wall_s
 
 
 #: Relative margin by which a job with phases still to run shades its

@@ -106,17 +106,20 @@ def test_help_lists_exactly_the_commands(capsys):
         main(["--help"])
     assert stop.value.code == 0
     out = capsys.readouterr().out
-    assert "{run,scenarios,calibrate,cache,graph,serve,trend,check}" in out
+    assert "{run,scenarios,calibrate,cache,graph,serve,check}" in out
 
 
 @pytest.mark.parametrize(
-    "command", ["lu", "stencil", "sort", "matmul", "server", "efficiency", "sweep"]
+    "command",
+    ["lu", "stencil", "sort", "matmul", "server", "efficiency", "sweep", "trend"],
 )
 def test_removed_run_commands_are_invalid_choices(command, capsys):
     """A scenario runs only as ``repro run SPEC``; no alias remains.
 
     ``sweep`` was a second spelling of ``validation_pair`` rows; the pinned
-    pairs live in ``benchmarks/fidelity.py``."""
+    pairs live in ``benchmarks/fidelity.py``.  ``trend`` rendered nightly
+    bench history; the perf ledger and ``FIDELITY.json`` now carry every
+    number."""
     with pytest.raises(SystemExit) as stop:
         main([command])
     assert stop.value.code == 2

@@ -27,16 +27,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.clusterserver import (
+from repro.clusterserver import ClusterServer, ShardedServer
+from repro.clusterserver.scheduler import (
     AdaptiveEfficiencyScheduler,
-    ClusterServer,
     EquipartitionScheduler,
     FcfsScheduler,
-    ShardedServer,
     StaticScheduler,
-    synthetic_workload,
 )
-from repro.clusterserver.workload import mixed_workload
+from repro.clusterserver.workload import mixed_workload, synthetic_workload
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultPlan
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.clusterserver.scheduler import (
     AdaptiveEfficiencyScheduler,
     EquipartitionScheduler,
+    FcfsScheduler,
     StaticScheduler,
 )
 from repro.clusterserver.server import ClusterServer
@@ -169,11 +170,34 @@ def test_server_completes_workload(scheduler):
     assert 0 < result.cluster_efficiency <= 1.0
 
 
-def test_malleable_policies_beat_static_turnaround():
-    workload = synthetic_workload(jobs=10, mean_interarrival=15.0, seed=5)
-    static = ClusterServer(16, StaticScheduler(8)).run(workload)
-    equi = ClusterServer(16, EquipartitionScheduler()).run(workload)
-    assert equi.mean_turnaround < static.mean_turnaround
+@pytest.mark.parametrize(
+    "workload",
+    [
+        dict(jobs=10, mean_interarrival=15.0, seed=5),
+        # the section 8 comparison: 16 LU-like jobs, rigid against malleable
+        dict(jobs=16, mean_interarrival=25.0, seed=1, max_nodes=8),
+    ],
+)
+def test_malleable_policies_beat_static_turnaround(workload):
+    specs = synthetic_workload(**workload)
+    policies = [
+        StaticScheduler(nodes_per_job=8),
+        FcfsScheduler(),
+        FcfsScheduler(backfill=True),
+        EquipartitionScheduler(),
+        AdaptiveEfficiencyScheduler(efficiency_floor=0.5),
+    ]
+    runs = {p.name: ClusterServer(16, p).run(specs) for p in policies}
+    static = runs["static"]
+    adaptive = runs["adaptive"]
+    # Malleable policies beat static allocation on turnaround ...
+    assert runs["equipartition"].mean_turnaround < static.mean_turnaround
+    assert adaptive.mean_turnaround < static.mean_turnaround
+    # ... and waste fewer node-seconds per unit of work.
+    assert adaptive.cluster_efficiency > static.cluster_efficiency
+    assert abs(static.total_work - adaptive.total_work) < 1e-6
+    # Backfilling can only help FCFS waits, never hurt them.
+    assert runs["fcfs+backfill"].mean_wait <= runs["fcfs"].mean_wait + 1e-9
 
 
 def test_single_job_uses_cluster_alone():

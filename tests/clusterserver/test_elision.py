@@ -14,21 +14,18 @@ import dataclasses
 
 import pytest
 
-from repro.clusterserver import (
-    AdaptiveEfficiencyScheduler,
-    ClusterServer,
-    EquipartitionScheduler,
-    FcfsScheduler,
-    ShardedServer,
-    StaticScheduler,
-    synthetic_workload,
-)
+from repro.clusterserver import ClusterServer, ShardedServer
 from repro.clusterserver.arrivals import poisson_arrivals
 from repro.clusterserver.scheduler import (
+    AdaptiveEfficiencyScheduler,
     AdmissionControlScheduler,
     AutoscalingScheduler,
+    EquipartitionScheduler,
+    FcfsScheduler,
     Scheduler,
+    StaticScheduler,
 )
+from repro.clusterserver.workload import synthetic_workload
 from repro.faults import FaultEvent, FaultPlan
 
 #: Rigid policies keep their grants through a crash, so they need head

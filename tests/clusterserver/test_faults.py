@@ -14,14 +14,10 @@ import math
 
 import pytest
 
-from repro.clusterserver import (
-    ClusterServer,
-    EquipartitionScheduler,
-    FcfsScheduler,
-    ShardedServer,
-    synthetic_workload,
-)
+from repro.clusterserver import ClusterServer, ShardedServer
 from repro.clusterserver.arrivals import poisson_arrivals
+from repro.clusterserver.scheduler import EquipartitionScheduler, FcfsScheduler
+from repro.clusterserver.workload import synthetic_workload
 from repro.errors import ConfigurationError
 from repro.faults import FaultEvent, FaultPlan
 
@@ -102,22 +98,26 @@ def test_eager_engine_agrees_with_sharded():
 
 
 def test_empty_plan_is_bit_identical_to_no_plan():
+    # An empty plan compiles to no plan at all, so both engines take the
+    # literal fault-free code path: there is no overhead left to time.
+    sharded_empty = ShardedServer(
+        NODES, EquipartitionScheduler(), shards=2, faults=FaultPlan()
+    )
+    eager_empty = ClusterServer(
+        NODES, EquipartitionScheduler(), faults=FaultPlan()
+    )
+    assert sharded_empty.faults is None
+    assert eager_empty.faults is None
     plain = ShardedServer(
         NODES, EquipartitionScheduler(), shards=2
     ).run(_workload())
-    empty = ShardedServer(
-        NODES, EquipartitionScheduler(), shards=2,
-        faults=FaultPlan(),
-    ).run(_workload())
+    empty = sharded_empty.run(_workload())
     _assert_identical(plain, empty)
     assert empty.fault_trace == ()
     eager_plain = ClusterServer(NODES, EquipartitionScheduler()).run(
         _workload()
     )
-    eager_empty = ClusterServer(
-        NODES, EquipartitionScheduler(), faults=FaultPlan()
-    ).run(_workload())
-    _assert_identical(eager_plain, eager_empty)
+    _assert_identical(eager_plain, eager_empty.run(_workload()))
 
 
 # --------------------------------------------------------------- semantics

@@ -15,20 +15,20 @@ import tracemalloc
 
 import pytest
 
-from repro.clusterserver import (
-    AdaptiveEfficiencyScheduler,
-    ClusterServer,
-    EquipartitionScheduler,
-    FcfsScheduler,
-    JobSpec,
-    ShardedServer,
-    amdahl_efficiency,
-    synthetic_workload,
-)
+from repro.clusterserver import ClusterServer, ShardedServer
 from repro.clusterserver.arrivals import poisson_arrivals
 from repro.clusterserver.scheduler import (
+    AdaptiveEfficiencyScheduler,
     AdmissionControlScheduler,
     AutoscalingScheduler,
+    EquipartitionScheduler,
+    FcfsScheduler,
+    StaticScheduler,
+)
+from repro.clusterserver.workload import (
+    JobSpec,
+    amdahl_efficiency,
+    synthetic_workload,
 )
 from repro.errors import ConfigurationError
 from repro.util.rng import SeedSequenceFactory
@@ -163,8 +163,6 @@ def test_empty_stream():
 def test_open_starvation_detected():
     stream = ((t, s) for t, s in _dense_stream(2))
     # Jobs need 1 node but static policy wants 8 of a 4-node cluster.
-    from repro.clusterserver import StaticScheduler
-
     big = synthetic_workload(jobs=2, mean_interarrival=5.0, seed=3)
     with pytest.raises(ConfigurationError, match="never completed"):
         ClusterServer(4, StaticScheduler(8)).run((s.arrival, s) for s in big)
@@ -276,6 +274,8 @@ def _peak_memory(jobs: int) -> int:
     finally:
         tracemalloc.stop()
     assert result.jobs_completed == jobs
+    assert result.job_turnaround == {}  # per-job state retired, not kept
+    assert 0.0 < result.slo.sojourn_p50 <= result.slo.sojourn_p99
     return peak
 
 

@@ -6,21 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clusterserver import (
+from repro.clusterserver import ClusterServer
+from repro.clusterserver.scheduler import (
     AdaptiveEfficiencyScheduler,
-    ClusterServer,
     EquipartitionScheduler,
     FcfsScheduler,
-    JobSpec,
     StaticScheduler,
-    amdahl_efficiency,
-    synthetic_workload,
 )
 from repro.clusterserver.workload import (
+    JobSpec,
+    amdahl_efficiency,
     lu_like_job,
     mixed_workload,
     rampup_job,
     stencil_like_job,
+    synthetic_workload,
 )
 from repro.errors import ConfigurationError
 

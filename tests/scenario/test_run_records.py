@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from repro.clusterserver import AdaptiveEfficiencyScheduler, ClusterServer
+from repro.clusterserver import ClusterServer
 from repro.clusterserver.arrivals import poisson_arrivals
+from repro.clusterserver.scheduler import AdaptiveEfficiencyScheduler
 from repro.errors import ConfigurationError
 from repro.scenario import (
     AppSection,

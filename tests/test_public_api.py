@@ -143,6 +143,14 @@ def test_packages_without_callers_export_nothing(package_name):
             ("repro", name)
             for name in "NetworkParams FAST_ETHERNET GIGABIT_ETHERNET".split()
         ),
+        # one perf harness: the ledger and FIDELITY.json carry every number
+        ("repro.analysis", "trend"),
+        *(
+            ("repro.clusterserver", name)
+            for name in "JobSpec amdahl_efficiency synthetic_workload "
+            "StaticScheduler FcfsScheduler EquipartitionScheduler "
+            "AdaptiveEfficiencyScheduler".split()
+        ),
     ],
 )
 def test_removed_names_stay_removed_without_an_alias(owner, name):
