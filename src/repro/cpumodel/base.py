@@ -20,7 +20,13 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Collection, Optional, Sequence
 
 from repro.cpumodel.commcost import CommCostModel
-from repro.des.fluid import FluidTask, RateAllocator, pool_horizon_stats
+from repro.des.fluid import (
+    FluidPool,
+    FluidTask,
+    HorizonStats,
+    RateAllocator,
+    assign_rate,
+)
 from repro.des.kernel import Kernel
 from repro.netmodel.base import NetworkModel
 
@@ -30,7 +36,7 @@ CompletionCallback = Callable[["CpuTaskHandle"], None]
 class CpuTaskHandle:
     """Handle to a compute step admitted to a CPU model."""
 
-    __slots__ = ("node", "work", "on_complete", "tag", "fluid")
+    __slots__ = ("node", "work", "on_complete", "tag")
 
     def __init__(
         self,
@@ -43,7 +49,6 @@ class CpuTaskHandle:
         self.work = float(work)
         self.on_complete = on_complete
         self.tag = tag
-        self.fluid: Optional[FluidTask] = None
 
 
 class CpuModel(ABC):
@@ -51,7 +56,12 @@ class CpuModel(ABC):
 
     When a network model is attached, its concurrent-transfer counts reduce
     the processing power available to compute steps, per the paper's model.
+    Steps drain through a :class:`~repro.des.fluid.FluidPool` the subclass
+    builds in ``self._pool``, with a :class:`NodeSlicedAllocator`; the
+    subclass contributes :meth:`submit` (how much work a step is).
     """
+
+    _pool: FluidPool
 
     def __init__(self, kernel: Kernel, comm_cost: CommCostModel | None = None) -> None:
         self.kernel = kernel
@@ -59,16 +69,23 @@ class CpuModel(ABC):
         self.network: Optional[NetworkModel] = None
         #: cumulative busy work completed per node (for utilization metrics)
         self.completed_work: dict[int, float] = {}
+        #: compute steps currently running per node
+        self._running: dict[int, int] = {}
 
     def attach_network(self, network: NetworkModel) -> None:
-        """Couple to ``network``: transfer activity now consumes CPU power."""
+        """Couple to ``network``: transfer activity now consumes CPU power.
+
+        The pool's refresh is the listener: the network names the nodes
+        whose transfer counts changed, and the allocator re-rates the steps
+        on those whose available power moved.
+        """
         self.network = network
-        network.add_listener(self._on_network_change)
+        network.add_listener(self._pool.reallocate)
 
     @property
-    def horizon_stats(self):
-        """Completion-horizon counters of the backing pool (None if none)."""
-        return pool_horizon_stats(self)
+    def horizon_stats(self) -> HorizonStats:
+        """Completion-horizon counters of the backing pool."""
+        return self._pool.horizon
 
     # ------------------------------------------------------------ subclass
     @abstractmethod
@@ -81,30 +98,33 @@ class CpuModel(ABC):
     ) -> CpuTaskHandle:
         """Admit a compute step of ``work`` seconds-at-full-power on ``node``."""
 
-    @abstractmethod
+    # ----------------------------------------------------------------- api
     def running_steps(self, node: int) -> int:
         """Number of compute steps currently running on ``node``."""
-
-    @abstractmethod
-    def _on_network_change(self, nodes: Optional[tuple[int, ...]] = None) -> None:
-        """React to a change in concurrent-transfer counts.
-
-        ``nodes`` names the nodes whose counts changed (``None`` means
-        unknown — refresh everything).
-        """
+        return self._running.get(node, 0)
 
     # ------------------------------------------------------------- helpers
+    def _step_done(self, task: FluidTask) -> None:
+        """A step's work drained: account it, then run its callback."""
+        handle: CpuTaskHandle = task.tag
+        node = handle.node
+        self._running[node] -= 1
+        completed = self.completed_work
+        completed[node] = completed.get(node, 0.0) + handle.work
+        handle.on_complete(handle)
+
     def _node_power(self, node: int) -> float:
         """Power available for operations on ``node`` (0..1)."""
-        if self.network is None:
+        network = self.network
+        if network is None:
             return 1.0
+        # The network's count tables, read directly: this runs at every
+        # refresh of every hinted node.
+        incoming, outgoing = network._incoming, network._outgoing
         return self.comm_cost.available_power(
-            self.network.concurrent_incoming(node),
-            self.network.concurrent_outgoing(node),
+            incoming[node] if node in incoming else 0,
+            outgoing[node] if node in outgoing else 0,
         )
-
-    def _record_completion(self, node: int, work: float) -> None:
-        self.completed_work[node] = self.completed_work.get(node, 0.0) + work
 
 
 # --------------------------------------------------------------------------
@@ -119,8 +139,9 @@ class NodeSlicedAllocator(RateAllocator):
     host's available power and the number of resident steps only — so a
     membership change re-rates exactly the changed hosts' groups, and a
     network refresh re-rates only hosts whose cached power actually moved
-    (the network passes the changed nodes as the ``hint``).  Subclasses
-    implement :meth:`_group_rate` — the per-step rate law.
+    (the network passes the changed nodes as the ``hint``).  Steps carry
+    :class:`CpuTaskHandle` tags; subclasses implement :meth:`_group_rate`
+    — the per-step rate law.
 
     Complexity contract: a membership delta costs O(steps on the changed
     hosts); a refresh costs O(hinted hosts) index probes plus O(steps on
@@ -143,25 +164,14 @@ class NodeSlicedAllocator(RateAllocator):
         """Rate of each step on a host with ``resident`` runnable steps."""
         raise NotImplementedError
 
-    def _node_of(self, task: FluidTask) -> int:
-        """Host id of a step (``CpuTaskHandle`` tags by default)."""
-        return task.tag.node
-
     # -------------------------------------------------------------- helpers
-    def _rerate_node(self, node: int) -> int:
-        """Assign rates on ``node``; returns the number of steps touched."""
-        steps = self._node_tasks.get(node)
-        if not steps:
-            self._power.pop(node, None)
-            return 0
-        power = self._power.get(node)
-        if power is None:
-            power = self._model._node_power(node)
-            self._power[node] = power
-        rate = self._group_rate(power, len(steps))
-        for task in steps:
-            task.rate = rate
-        return len(steps)
+    def _rerate_node(self, node: int, power: float) -> int:
+        """Rate ``node``'s group under ``power``; returns the steps touched."""
+        steps = self._node_tasks[node]
+        self._power[node] = power
+        resident = len(steps)
+        assign_rate(steps, self._group_rate(power, resident))
+        return resident
 
     # ------------------------------------------------------------- allocator
     def _full(self, tasks: Collection[FluidTask]) -> None:
@@ -169,12 +179,10 @@ class NodeSlicedAllocator(RateAllocator):
         # not depend on incremental bookkeeping being in sync.
         self._node_tasks = {}
         for task in tasks:
-            self._node_tasks.setdefault(self._node_of(task), {})[task] = None
-        self._power = {
-            node: self._model._node_power(node) for node in self._node_tasks
-        }
+            self._node_tasks.setdefault(task.tag.node, {})[task] = None
+        self._power = {}
         for node in self._node_tasks:
-            self._rerate_node(node)
+            self._rerate_node(node, self._model._node_power(node))
 
     def _update(
         self,
@@ -182,34 +190,49 @@ class NodeSlicedAllocator(RateAllocator):
         added: Sequence[FluidTask],
         removed: Sequence[FluidTask],
     ) -> None:
+        node_tasks = self._node_tasks
         dirty_nodes: dict[int, None] = {}
         for task in removed:
-            node = self._node_of(task)
-            members = self._node_tasks.get(node)
-            if members is not None:
-                members.pop(task, None)
+            node = task.tag.node
+            if node in node_tasks:
+                members = node_tasks[node]
+                if task in members:
+                    del members[task]
                 if not members:
-                    del self._node_tasks[node]
+                    del node_tasks[node]
             dirty_nodes[node] = None
         for task in added:
-            node = self._node_of(task)
-            self._node_tasks.setdefault(node, {})[task] = None
+            node = task.tag.node
+            if node in node_tasks:
+                node_tasks[node][task] = None
+            else:
+                node_tasks[node] = {task: None}
             dirty_nodes[node] = None
+        powers = self._power
+        node_power = self._model._node_power
+        computed = 0
         for node in dirty_nodes:
             # Recompute the node's power rather than trusting the cache: a
             # transfer-completion callback can submit work before the
             # network's change notification arrives, and the cached power
             # would be stale for that window.
-            self._power.pop(node, None)
-            self.stats.rates_computed += self._rerate_node(node)
+            if node in node_tasks:
+                computed += self._rerate_node(node, node_power(node))
+            elif node in powers:
+                del powers[node]
+        self.stats.rates_computed += computed
 
     def _refresh(self, tasks: Collection[FluidTask], hint: Any = None) -> None:
-        nodes = list(self._node_tasks) if hint is None else list(hint)
-        for node in nodes:
-            if node not in self._node_tasks:
-                self._power.pop(node, None)
+        node_tasks = self._node_tasks
+        powers = self._power
+        node_power = self._model._node_power
+        computed = 0
+        for node in list(node_tasks) if hint is None else hint:
+            if node not in node_tasks:
+                if node in powers:
+                    del powers[node]
                 continue
-            power = self._model._node_power(node)
-            if power != self._power.get(node):
-                self._power[node] = power
-                self.stats.rates_computed += self._rerate_node(node)
+            power = node_power(node)
+            if node not in powers or power != powers[node]:
+                computed += self._rerate_node(node, power)
+        self.stats.rates_computed += computed

@@ -26,7 +26,7 @@ only the even-share law.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.cpumodel.base import (
     CompletionCallback,
@@ -65,7 +65,6 @@ class SharedCpuModel(CpuModel):
             self, verify=verify_incremental
         )
         self._pool = FluidPool(kernel, self.allocator, name="shared-cpu")
-        self._running: dict[int, int] = {}
 
     # ----------------------------------------------------------------- api
     def submit(
@@ -79,20 +78,5 @@ class SharedCpuModel(CpuModel):
             raise SimulationError(f"compute work must be >= 0, got {work!r}")
         handle = CpuTaskHandle(node, work, on_complete, tag)
         self._running[node] = self._running.get(node, 0) + 1
-        fluid = FluidTask(work, self._step_done, tag=handle)
-        handle.fluid = fluid
-        self._pool.add(fluid)
+        self._pool.add(FluidTask(work, self._step_done, handle))
         return handle
-
-    def running_steps(self, node: int) -> int:
-        return self._running.get(node, 0)
-
-    # ------------------------------------------------------------ internals
-    def _step_done(self, task: FluidTask) -> None:
-        handle: CpuTaskHandle = task.tag
-        self._running[handle.node] -= 1
-        self._record_completion(handle.node, handle.work)
-        handle.on_complete(handle)
-
-    def _on_network_change(self, nodes: Optional[tuple[int, ...]] = None) -> None:
-        self._pool.reallocate(hint=nodes)

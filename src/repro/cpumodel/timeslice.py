@@ -25,7 +25,7 @@ module contributes only the degraded rate law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.cpumodel.base import (
     CompletionCallback,
@@ -120,7 +120,6 @@ class TimesliceCpuModel(CpuModel):
             self, ts.csw_overhead, verify=verify_incremental
         )
         self._pool = FluidPool(kernel, self.allocator, name="timeslice-cpu")
-        self._running: dict[int, int] = {}
 
     # ----------------------------------------------------------------- api
     def submit(
@@ -139,20 +138,5 @@ class TimesliceCpuModel(CpuModel):
                 self._rng.lognormal(mean=0.0, sigma=self.params.noise_sigma)
             )
         self._running[node] = self._running.get(node, 0) + 1
-        fluid = FluidTask(work * noise, self._step_done, tag=handle)
-        handle.fluid = fluid
-        self._pool.add(fluid)
+        self._pool.add(FluidTask(work * noise, self._step_done, handle))
         return handle
-
-    def running_steps(self, node: int) -> int:
-        return self._running.get(node, 0)
-
-    # ------------------------------------------------------------ internals
-    def _step_done(self, task: FluidTask) -> None:
-        handle: CpuTaskHandle = task.tag
-        self._running[handle.node] -= 1
-        self._record_completion(handle.node, handle.work)
-        handle.on_complete(handle)
-
-    def _on_network_change(self, nodes: Optional[tuple[int, ...]] = None) -> None:
-        self._pool.reallocate(hint=nodes)

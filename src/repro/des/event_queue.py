@@ -4,19 +4,21 @@ Events scheduled for the same timestamp pop in FIFO scheduling order, which
 makes simulations deterministic regardless of heap internals.  The heap
 holds ``(time, seq, handle)`` tuples: ``seq`` is unique, so every sift
 compares two floats and at most two ints in C and never reaches the
-handle.  Cancellation is O(1): the handle is flagged and lazily discarded
-on pop, the standard technique for heaps that do not support random
-removal.
+handle.  A tuple is live iff its ``seq`` is the handle's current ``seq``.
+Cancellation is O(1): the handle's ``seq`` is voided and the tuple is
+lazily discarded on pop, the standard technique for heaps that do not
+support random removal.  :meth:`EventQueue.rekey` moves a pending handle
+the same way: a fresh tuple under a fresh ``seq``, the old one left stale.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
+
+_INF = float("inf")
 
 
 class EventHandle:
@@ -53,6 +55,8 @@ class EventHandle:
         if self.cancelled:
             return
         self.cancelled = True
+        # No heap tuple carries a negative ``seq``: the entry is now stale.
+        self.seq = -1
         # Drop references early: a cancelled transfer-completion event may
         # otherwise pin a large payload in memory until it pops.
         self.callback = _cancelled_callback
@@ -76,21 +80,45 @@ class EventQueue:
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, EventHandle]] = []
-        self._counter = itertools.count()
+        #: last ``seq`` drawn; pushes and re-keys share it
+        self._seq = -1
         self._live = 0
 
     def push(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute ``time``; returns a handle."""
-        if not math.isfinite(time):
+        if not -_INF < time < _INF:
             raise SimulationError(f"event time must be finite, got {time!r}")
-        time = float(time)
-        seq = next(self._counter)
-        handle = EventHandle(time, seq, callback, args, queue=self)
-        heapq.heappush(self._heap, (time, seq, handle))
+        if time.__class__ is not float:
+            time = float(time)
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(time, seq, callback, args, self)
+        heappush(self._heap, (time, seq, handle))
         self._live += 1
         return handle
+
+    def rekey(
+        self,
+        handle: EventHandle,
+        time: float,
+        callback: Callable[..., None],
+        args: tuple[Any, ...],
+    ) -> None:
+        """Move the pending ``handle`` to ``time``, as a cancel-then-push would.
+
+        The handle takes the ``seq`` the push would have drawn, so the pop
+        order is the one the cancel-then-push gave; its old heap tuple goes
+        stale.  The live count does not change.
+        """
+        if not -_INF < time < _INF:
+            raise SimulationError(f"event time must be finite, got {time!r}")
+        self._seq = seq = self._seq + 1
+        handle.time = time
+        handle.seq = seq
+        handle.callback = callback
+        handle.args = args
+        heappush(self._heap, (time, seq, handle))
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a previously pushed event (idempotent)."""
@@ -101,9 +129,10 @@ class EventQueue:
 
         Raises :class:`SimulationError` when empty.
         """
-        while self._heap:
-            handle = heapq.heappop(self._heap)[2]
-            if not handle.cancelled:
+        heap = self._heap
+        while heap:
+            _, seq, handle = heappop(heap)
+            if seq == handle.seq:
                 self._live -= 1
                 # Detach so a late cancel() of an executed event cannot
                 # corrupt the live count.
@@ -114,33 +143,9 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest live event, or ``None`` when empty."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][1] != heap[0][2].seq:
+            heappop(heap)
         return heap[0][0] if heap else None
-
-    def pop_due(self, limit: Optional[float]) -> Optional[EventHandle]:
-        """Pop the earliest live event iff its time is ``<= limit``.
-
-        ``None`` for the limit means "any time" — equivalent to :meth:`pop`
-        on a non-empty queue.  Returns ``None`` when the queue is empty or
-        the earliest live event lies beyond ``limit``; the event stays
-        queued.  This is the single-traversal path of the kernel run loop:
-        one sift over the heap serves both the ``until`` check and the pop,
-        where the peek-then-pop sequence paid two.
-        """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        if limit is not None and heap[0][0] > limit:
-            return None
-        handle = heapq.heappop(heap)[2]
-        self._live -= 1
-        # Detach so a late cancel() of an executed event cannot corrupt
-        # the live count.
-        handle._queue = None
-        return handle
 
     def __len__(self) -> int:
         return self._live

@@ -64,18 +64,20 @@ at which it was last synced, and the true remaining work is derived on
 demand from the current rate — and completion times are indexed in a lazy
 min-heap:
 
-* assigning a task a new rate (via the ``task.rate`` setter) syncs its
-  progress under the old rate and invalidates its heap entry;
-* after the allocator runs, the pool pushes one fresh entry per re-rated
-  task (``O(dirty · log n)``), or rebuilds the heap when the re-rate is
-  wide, and keeps its one kernel event armed at the heap top;
+* assigning a task a new rate (the ``task.rate`` setter, or
+  :func:`assign_rate` for a group) syncs its progress under the old rate
+  and marks it *retimed*;
+* after the allocator runs, one pass of :meth:`FluidPool._reallocate`
+  pushes one fresh entry per retimed task (``O(dirty · log n)``), or
+  rebuilds the heap when the re-rate is wide, and keeps its one kernel
+  event armed at the heap top; a reallocation that changed no membership
+  and retimed no task leaves the armed event alone;
 * stale entries are discarded lazily when they surface at the top.
 
 Together with an incremental allocator this makes the per-event cost of the
 whole hot loop ``O(dirty · log n)`` instead of ``O(n)``.
-:class:`HorizonStats` counts the real heap work plus the hypothetical cost
-of the pre-heap linear scan; the perf ledger's ``churn_dense`` workload
-reports the heap side as ``des.horizon_heap_ops``.
+:class:`HorizonStats` counts the heap work; the perf ledger reports it as
+``des.horizon_heap_ops``.
 
 :class:`AllocatorStats` counts incremental updates, full-recompute
 *fallbacks* (e.g. max-min cascades whose warm-start prefix check
@@ -90,14 +92,16 @@ complexity, counters, the ledger workloads).
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 from repro.des.event_queue import EventHandle
-from repro.des.kernel import Kernel
+from repro.des.kernel import MIN_STEP, Kernel
 from repro.errors import SimulationError
+
+_INF = float("inf")
 
 #: Relative tolerance under which remaining work counts as drained.
 _COMPLETION_RTOL = 1e-9
@@ -172,10 +176,9 @@ class FluidTask:
         on_complete: Callable[["FluidTask"], None],
         tag: Any = None,
     ) -> None:
-        if work < 0.0 or not math.isfinite(work):
+        if not 0.0 <= work < _INF:
             raise SimulationError(f"task work must be finite and >= 0, got {work!r}")
-        self.work = float(work)
-        self._remaining = float(work)
+        self.work = self._remaining = float(work)
         self._synced_at = math.nan
         self._rate = 0.0
         #: id of this task's live horizon-heap entry (None = no entry)
@@ -195,7 +198,7 @@ class FluidTask:
     def remaining(self) -> float:
         """Remaining work, lazily integrated to the pool's current time."""
         if self.pool is not None and self._rate > 0.0:
-            dt = self.pool.kernel.now - self._synced_at
+            dt = self.pool.kernel._now - self._synced_at
             if dt > 0.0:
                 return max(0.0, self._remaining - self._rate * dt)
         return self._remaining
@@ -205,7 +208,7 @@ class FluidTask:
         self._remaining = value
         pool = self.pool
         if pool is not None:
-            self._synced_at = pool.kernel.now
+            self._synced_at = pool.kernel._now
             # The completion time encoded in the heap entry is now wrong.
             pool._retimed[self] = None
 
@@ -216,11 +219,11 @@ class FluidTask:
 
     @rate.setter
     def rate(self, value: float) -> None:
-        # Every allocator assigns through here, so the common case returns
-        # first: the same rate with a live entry (or starved) leaves the
-        # heap state exact, and was validated when first set.  A same-rate
-        # task *without* an entry (e.g. re-admitted after removal with its
-        # old rate still set) must still be indexed.
+        # The same rate with a live entry (or starved) leaves the heap state
+        # exact, and was validated when first set.  A same-rate task
+        # *without* an entry (e.g. re-admitted after removal with its old
+        # rate still set) must still be indexed.  :func:`assign_rate` is
+        # this setter over a group, and must stay in step with it.
         old = self._rate
         if value == old and (value == 0.0 or self._entry is not None):
             return
@@ -228,13 +231,14 @@ class FluidTask:
         if pool is None:
             self._rate = value
             return
-        if not (math.isfinite(value) and value >= 0.0):
+        if not 0.0 <= value < _INF:
             raise SimulationError(
                 f"pool {pool.name!r}: allocator set invalid rate {value!r}"
             )
         # Materialize the lazy progress integral under the old rate, then
-        # mark the heap entry for re-indexing after the allocator returns.
-        now = pool.kernel.now
+        # mark the task retimed: its heap entry is re-indexed after the
+        # allocator returns.
+        now = pool.kernel._now
         if old > 0.0:
             dt = now - self._synced_at
             if dt > 0.0:
@@ -254,6 +258,36 @@ class FluidTask:
             f"FluidTask(work={self.work!r}, remaining={self.remaining!r}, "
             f"rate={self.rate!r}, tag={self.tag!r})"
         )
+
+
+def assign_rate(tasks: Iterable[FluidTask], rate: float) -> None:
+    """Give every task in ``tasks`` the same ``rate``.
+
+    Exactly ``task.rate = rate`` for each task in order — same skips, same
+    progress sync, same validation — in one call: the group assignment of
+    an allocator whose law rates a whole group alike (a CPU slice group).
+    """
+    for task in tasks:
+        old = task._rate
+        if rate == old and (rate == 0.0 or task._entry is not None):
+            continue
+        pool = task.pool
+        if pool is None:
+            task._rate = rate
+            continue
+        if not 0.0 <= rate < _INF:
+            raise SimulationError(
+                f"pool {pool.name!r}: allocator set invalid rate {rate!r}"
+            )
+        now = pool.kernel._now
+        if old > 0.0:
+            dt = now - task._synced_at
+            if dt > 0.0:
+                left = task._remaining - old * dt
+                task._remaining = left if left > 0.0 else 0.0
+        task._synced_at = now
+        task._rate = rate
+        pool._retimed[task] = None
 
 
 @dataclass
@@ -305,13 +339,7 @@ class AllocatorStats:
 
 @dataclass
 class HorizonStats:
-    """Cost counters of the completion-horizon index.
-
-    ``scan_cost`` accumulates what the pre-heap implementation would have
-    paid: one pass over every active task at each rate assignment and at
-    each horizon event.  Comparing it with ``heap_pushes + heap_pops``
-    demonstrates the sub-linear hot loop.
-    """
+    """Cost counters of the completion-horizon index."""
 
     #: horizon-heap entries placed: one per push, one per entry a rebuild
     #: indexes
@@ -322,8 +350,6 @@ class HorizonStats:
     stale_discards: int = 0
     #: horizon events fired
     events: int = 0
-    #: hypothetical cost of the O(n)-scan baseline over the same run
-    scan_cost: int = 0
     #: heap rebuilds, on a wide re-rate (half of a pool of 16 or more) or
     #: a stale-entry fraction over 3/4; each costs O(live entries) and
     #: drops the stale entries unpopped
@@ -339,20 +365,7 @@ class HorizonStats:
         self.heap_pops = 0
         self.stale_discards = 0
         self.events = 0
-        self.scan_cost = 0
         self.compactions = 0
-
-
-def pool_horizon_stats(model: Any) -> Optional[HorizonStats]:
-    """The :class:`HorizonStats` of a model's backing :class:`FluidPool`.
-
-    Resource models conventionally keep their pool in ``_pool``; models
-    without one (e.g. the contention-free analytic network) yield ``None``.
-    Shared by the ``horizon_stats`` properties on the network/CPU model
-    bases.
-    """
-    pool = getattr(model, "_pool", None)
-    return None if pool is None else pool.horizon
 
 
 class RateAllocator:
@@ -519,19 +532,23 @@ class FluidPool:
         """Admit a task; zero-work tasks complete immediately (synchronously)."""
         if task.pool is not None:
             raise SimulationError("task is already admitted to a pool")
-        now = self.kernel.now
+        now = self.kernel._now
         task.pool = self
         task.started_at = now
         task._synced_at = now
         self._admission_counter += 1
         task._seq = self._admission_counter
-        if task._remaining <= drain_threshold(task.work):
+        work = task.work
+        threshold = work * _COMPLETION_RTOL
+        if not threshold > _COMPLETION_ATOL:
+            threshold = _COMPLETION_ATOL
+        if task._remaining <= threshold:
             # Complete without ever occupying capacity.  Still credit the
             # (possibly tiny but positive) work so conservation holds.
             task.pool = None
             task._remaining = 0.0
             task.finished_at = now
-            self.completed_work += task.work
+            self.completed_work += work
             self.completed_tasks += 1
             task.on_complete(task)
             # Membership may have changed re-entrantly; reallocate anyway.
@@ -564,16 +581,23 @@ class FluidPool:
         :meth:`RateAllocator.refresh` so it can bound the recomputation
         (e.g. to the nodes whose transfer counts changed).
         """
-        self._reallocate(refresh=True, hint=hint)
+        self._reallocate(True, hint)
 
     def peek_horizon(self) -> float:
         """Absolute completion time of the earliest live heap entry.
 
         ``math.inf`` when every task is starved (no live entries).  Test
         hook: equals ``now + min(remaining / rate)`` over rated tasks.
+        Reads the heap without discarding anything.
         """
-        top = self._peek_valid()
-        return math.inf if top is None else top[0]
+        return min(
+            (
+                finish
+                for finish, _, entry, task in self._heap
+                if task.pool is self and task._entry == entry
+            ),
+            default=math.inf,
+        )
 
     # -------------------------------------------------------------- internals
     def _note_removed(self, task: FluidTask) -> None:
@@ -583,85 +607,120 @@ class FluidPool:
         else:
             self._removed.append(task)
 
-    def _disarm(self) -> None:
-        """Cancel the armed horizon event (emptied or all-starved pool)."""
-        if self._event is not None:
-            self.kernel.cancel(self._event)
-            self._event = None
-
     def _reallocate(self, refresh: bool = False, hint: Any = None) -> None:
+        """One reallocation pass: deliver, re-index, keep or move the event.
+
+        1. Pending membership deltas and any refresh go to the allocator in
+           one :meth:`RateAllocator.apply` (deltas first, so its indices
+           are current; the verify shadow runs once, at the end).
+        2. Every task the allocator retimed gets one heap push — or, on a
+           *wide* retime (at least half of a pool of
+           :data:`_REBUILD_MIN_TASKS` or more tasks, e.g. a max-min cascade
+           over a whole component), the heap is rebuilt in one ``heapify``
+           instead of ``k`` pushes now and ``k`` stale pops later.  It is
+           also rebuilt once stale entries exceed 3/4 of it: within one
+           event burst the heap never pops below its high-water mark of
+           stale entries, and live entries number at most ``len(tasks)``.
+           Amortized O(1): a rebuild costs O(live) and at least 3 * live
+           pushes precede the next compaction.
+        3. Stale entries at the top are discarded; the live top is the
+           horizon.  The armed event stays if it is pending at exactly that
+           time and later than ``now + MIN_STEP``; otherwise
+           :meth:`Kernel.rearm_after` re-keys it there (or arms a fresh one
+           once it fired).  No live entry: every task is starved, and the
+           event is cancelled until membership changes.
+
+        A pass that delivered no membership change and retimed no task
+        finds the top it left last time and ends at step 3's keep test.
+        """
         added, removed = self._added, self._removed
         if added or removed:
             self._added, self._removed = [], []
         tasks = self._tasks
-        if tasks or added or removed:
-            # Deliver pending membership deltas and any refresh in one
-            # shot (the allocator applies deltas first so its internal
-            # indices are current, and verifies once at the end).
-            self.allocator.apply(
-                tasks, added, removed, refresh=refresh, hint=hint
-            )
-            # What the pre-heap implementation would have paid right here:
-            # one validation-plus-horizon scan over every active task.
-            self.horizon.scan_cost += len(tasks)
-        if not tasks:
-            self._retimed.clear()
-            self._disarm()
-            return
-        self._flush_retimed()
-        self._schedule_next()
-
-    def _flush_retimed(self) -> None:
-        """Index every task the allocator re-rated.
-
-        A *wide* retime — at least half of a pool of
-        :data:`_REBUILD_MIN_TASKS` or more tasks, e.g. a max-min cascade
-        over a whole component — rebuilds the heap in one ``heapify``
-        instead of ``k`` pushes now and ``k`` stale pops later.  Otherwise
-        each re-rated task gets one push, and the heap is rebuilt only once
-        stale entries exceed 3/4 of it: within one event burst the heap
-        never pops below its high-water mark of stale entries, and live
-        entries number at most ``len(tasks)``.  Amortized O(1): a rebuild
-        costs O(live) and at least 3 * live pushes precede the next
-        compaction.
-        """
+        if added or removed or (refresh and tasks):
+            self.allocator.apply(tasks, added, removed, refresh, hint)
         retimed = self._retimed
-        if not retimed:
+        if not tasks:
+            if retimed:
+                self._retimed = {}
+            event = self._event
+            if event is not None:
+                event.cancel()
+                self._event = None
             return
-        self._retimed = {}
-        tasks = self._tasks
         heap = self._heap
-        wide = (
-            len(tasks) >= _REBUILD_MIN_TASKS and 2 * len(retimed) >= len(tasks)
-        )
-        pushes = 0
-        for task in retimed:
-            if task.pool is not self:
-                continue
-            rate = task._rate
-            if rate > 0.0:
-                self._entry_counter += 1
-                task._entry = self._entry_counter
-                if not wide:
-                    heapq.heappush(
-                        heap,
-                        (
-                            task._synced_at + task._remaining / rate,
-                            task._seq,
-                            task._entry,
-                            task,
-                        ),
-                    )
-                    pushes += 1
+        horizon = self.horizon
+        if retimed:
+            self._retimed = {}
+            count = len(tasks)
+            wide = count >= _REBUILD_MIN_TASKS and 2 * len(retimed) >= count
+            entry = self._entry_counter
+            pushes = 0
+            for task in retimed:
+                if task.pool is not self:
+                    continue
+                rate = task._rate
+                if rate > 0.0:
+                    entry += 1
+                    task._entry = entry
+                    if not wide:
+                        heappush(
+                            heap,
+                            (
+                                task._synced_at + task._remaining / rate,
+                                task._seq,
+                                entry,
+                                task,
+                            ),
+                        )
+                        pushes += 1
+                else:
+                    task._entry = None
+            self._entry_counter = entry
+            horizon.heap_pushes += pushes
+            if wide:
+                heap = self._rebuild_heap()
             else:
-                task._entry = None
-        self.horizon.heap_pushes += pushes
-        if wide or (
-            len(heap) >= _COMPACT_MIN_ENTRIES and len(heap) > 4 * len(tasks)
+                size = len(heap)
+                if size >= _COMPACT_MIN_ENTRIES and size > 4 * count:
+                    heap = self._rebuild_heap()
+        stale = 0
+        while heap:
+            top = heap[0]
+            task = top[3]
+            if task.pool is self and task._entry == top[2]:
+                break
+            heappop(heap)
+            stale += 1
+        else:
+            horizon.heap_pops += stale
+            horizon.stale_discards += stale
+            # Every task is starved; progress resumes only on membership
+            # change.
+            event = self._event
+            if event is not None:
+                event.cancel()
+                self._event = None
+            return
+        if stale:
+            horizon.heap_pops += stale
+            horizon.stale_discards += stale
+        # At the *absolute* horizon: an event time derived from ``now``
+        # would depend on when the last reschedule happened — i.e. on what
+        # other tasks share the pool — breaking the shard-partitioning
+        # determinism contract.
+        finish = top[0]
+        event = self._event
+        if (
+            event is not None
+            and event.time == finish
+            and event._queue is not None
+            and finish > self.kernel._now + MIN_STEP
         ):
-            self._rebuild_heap()
+            return
+        self._event = self.kernel.rearm_after(event, finish, self._on_horizon)
 
-    def _rebuild_heap(self) -> None:
+    def _rebuild_heap(self) -> list[tuple[float, int, int, FluidTask]]:
         """Re-index every rated task in a fresh heap; stale entries vanish.
 
         A task's live key ``(finish, seq, entry, task)`` is recomputed from
@@ -680,63 +739,54 @@ class FluidPool:
             for task in self._tasks
             if task._entry is not None
         ]
-        heapq.heapify(heap)
+        heapify(heap)
         self._heap = heap
         self.horizon.heap_pushes += len(heap)
         self.horizon.compactions += 1
-
-    def _peek_valid(self) -> Optional[tuple[float, int, int, FluidTask]]:
-        """Top live heap entry, lazily discarding stale ones."""
-        heap = self._heap
-        while heap:
-            _, _, entry_id, task = heap[0]
-            if task.pool is self and task._entry == entry_id:
-                return heap[0]
-            heapq.heappop(heap)
-            self.horizon.heap_pops += 1
-            self.horizon.stale_discards += 1
-        return None
-
-    def _schedule_next(self) -> None:
-        top = self._peek_valid()
-        if top is None:
-            # Every task is starved; progress resumes only on membership
-            # change.
-            self._disarm()
-            return
-        # At the *absolute* horizon: an event time derived from ``now``
-        # would depend on when the last reschedule happened — i.e. on what
-        # other tasks share the pool — breaking the shard-partitioning
-        # determinism contract.  An event already armed there stays.
-        self._event = self.kernel.rearm_after(
-            self._event, top[0], self._on_horizon
-        )
+        return heap
 
     def _on_horizon(self) -> None:
         self._event = None
-        now = self.kernel.now
-        horizon = self.horizon
-        horizon.events += 1
+        now = self.kernel._now
+        heap = self._heap
         finished: list[FluidTask] = []
-        while True:
-            top = self._peek_valid()
-            if top is None or top[0] > now:
-                break
+        # Heap work, counted locally and added to ``horizon`` once.
+        pops = stale = pushes = 0
+        while heap:
+            top = heap[0]
             task = top[3]
-            heapq.heappop(self._heap)
-            horizon.heap_pops += 1
+            if task.pool is not self or task._entry != top[2]:
+                heappop(heap)
+                pops += 1
+                stale += 1
+                continue
+            if top[0] > now:
+                break
+            heappop(heap)
+            pops += 1
             task._entry = None
             rate = task._rate
             if rate <= 0.0:
                 # The rate was externally zeroed without a reallocate, so
                 # the entry id was never superseded: the task is starved,
                 # not finished (the pre-heap scan skipped zero rates too).
-                horizon.stale_discards += 1
+                stale += 1
                 continue
-            # Materialize the lazy progress integral at ``now``.
-            task._remaining = task.remaining
+            # Materialize the lazy progress integral at ``now`` (the
+            # ``remaining`` property, inlined).
+            remaining = task._remaining
+            dt = now - task._synced_at
+            if dt > 0.0:
+                remaining -= rate * dt
+                if not remaining > 0.0:
+                    remaining = 0.0
+                task._remaining = remaining
             task._synced_at = now
-            if is_settled(now, task._remaining, task.work, rate):
+            # ``is_settled``, inlined.
+            threshold = task.work * _COMPLETION_RTOL
+            if not threshold > _COMPLETION_ATOL:
+                threshold = _COMPLETION_ATOL
+            if remaining <= threshold or now + remaining / rate == now:
                 finished.append(task)
             else:
                 # Float drift left a real residual; re-index at the updated
@@ -744,17 +794,17 @@ class FluidPool:
                 # clock advancing, so this cannot loop forever.
                 self._entry_counter += 1
                 task._entry = self._entry_counter
-                heapq.heappush(
-                    self._heap,
-                    (now + task._remaining / rate, task._seq, task._entry, task),
+                heappush(
+                    heap, (now + remaining / rate, task._seq, task._entry, task)
                 )
-                horizon.heap_pushes += 1
-        # The pre-heap implementation scanned every task here for drained
-        # residuals; account the hypothetical cost for the benchmark.
-        horizon.scan_cost += len(self._tasks)
-        if not finished:
-            self._schedule_next()
-            return
+                pushes += 1
+        horizon = self.horizon
+        horizon.events += 1
+        horizon.heap_pops += pops
+        horizon.stale_discards += stale
+        horizon.heap_pushes += pushes
+        retimed = self._retimed
+        added = self._added
         for task in finished:
             del self._tasks[task]
             task.pool = None
@@ -762,8 +812,12 @@ class FluidPool:
             self.completed_tasks += 1
             task._remaining = 0.0
             task.finished_at = now
-            self._retimed.pop(task, None)
-            self._note_removed(task)
+            if retimed:
+                retimed.pop(task, None)
+            if task in added:
+                added.remove(task)
+            else:
+                self._removed.append(task)
         # Run completion callbacks *after* detaching all finished tasks so a
         # callback that admits new work sees a consistent pool.
         for task in finished:

@@ -9,6 +9,7 @@ optimization guide recommends: keep the hot loop simple and measurable.
 from __future__ import annotations
 
 import math
+from heapq import heappop
 from typing import Any, Callable, Optional
 
 from repro.des.event_queue import EventHandle, EventQueue
@@ -112,41 +113,34 @@ class Kernel:
         """Move ``handle`` to where :meth:`schedule_after` would arm ``finish``.
 
         A fluid pool owns one horizon event and re-arms it after every rate
-        assignment, and most assignments leave the earliest completion
-        where it was.  A ``handle`` still pending at exactly that time is
-        returned as is: no cancel, no push.  Otherwise it is cancelled and
-        ``callback(*args)`` is armed afresh.  A kept handle is the same
-        callback at the same time; only its older ``seq`` differs, which
-        matters for a same-time tie alone.
+        assignment.  A ``handle`` still pending at exactly that time is
+        returned as is.  Any other pending ``handle`` is re-keyed in place
+        (:meth:`EventQueue.rekey`): it takes the time and the ``seq`` a
+        cancel-then-:meth:`schedule_after` would have given a fresh handle,
+        so the event order is the same and no handle is allocated.  A
+        fired, cancelled or absent ``handle`` is replaced by a fresh one.
+        A kept handle is the same callback at the same time; only its
+        older ``seq`` differs, which matters for a same-time tie alone.
         """
-        if handle is not None and handle._queue is self._queue:
-            if handle.time == finish and finish > self._now + MIN_STEP:
-                return handle
-            handle.cancel()
-        return self.schedule_after(finish, callback, *args)
+        queue = self._queue
+        pending = handle is not None and handle._queue is queue
+        # The floor of :meth:`schedule_after`.
+        now = self._now
+        floor = now + MIN_STEP
+        if finish <= floor:
+            finish = max(floor, math.nextafter(now, math.inf))
+        elif pending and handle.time == finish:
+            return handle
+        if not pending:
+            return queue.push(finish, callback, *args)
+        queue.rekey(handle, finish, callback, args)
+        return handle
 
     def cancel(self, handle: EventHandle) -> None:
         """Cancel a scheduled event (idempotent)."""
         self._queue.cancel(handle)
 
     # -------------------------------------------------------------- run loop
-    def _dispatch(self, handle: EventHandle) -> None:
-        """Advance the clock to ``handle`` and execute its callback."""
-        if handle.time < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue returned an event from the past")
-        self._now = handle.time
-        self._executed += 1
-        if self.trace_hook is not None:
-            self.trace_hook(self._now, handle.callback, handle.args)
-        handle.callback(*handle.args)
-
-    def step(self) -> bool:
-        """Execute the next event; return ``False`` if the queue was empty."""
-        if not self._queue:
-            return False
-        self._dispatch(self._queue.pop())
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.
 
@@ -154,34 +148,49 @@ class Kernel:
         ``until`` is given and the queue still holds later events, the clock
         is advanced exactly to ``until``.
 
-        The loop pops each due event in a single heap traversal
-        (:meth:`~repro.des.event_queue.EventQueue.pop_due` folds the
-        ``until`` check into the pop); the per-event peek this replaces is
-        counted in :attr:`peeks_elided`.
+        The loop pops each due event in a single traversal of the heap top:
+        the ``until`` check is folded into the pop.  The per-event peek
+        this replaces is counted in :attr:`peeks_elided`.
         """
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
         self._running = True
         budget = max_events if max_events is not None else -1
+        limit = until if until is not None else math.inf
+        queue = self._queue
+        heap = queue._heap
+        executed = self._executed
         try:
-            while self._queue:
+            while queue._live:
                 if budget == 0:
                     # Budget exhaustion is a once-per-run exit, so a peek
                     # here (to honour the until-advance contract) is cheap.
-                    next_time = self._queue.peek_time()
+                    next_time = queue.peek_time()
                     if until is not None and (
                         next_time is None or next_time > until
                     ):
                         self._now = max(self._now, until)
                     break
-                handle = self._queue.pop_due(until)
-                if handle is None:
-                    # Queue is non-empty (the while guard) and nothing was
-                    # due: the earliest live event lies beyond ``until``.
+                # A live event exists, so the heap holds a live tuple:
+                # discard stale heads (cancelled or re-keyed) until it.
+                time, seq, handle = heap[0]
+                while seq != handle.seq:
+                    heappop(heap)
+                    time, seq, handle = heap[0]
+                if time > limit:
+                    # The earliest live event lies beyond ``until``.
                     self._now = max(self._now, until)
                     break
-                self._peeks_elided += 1
-                self._dispatch(handle)
+                heappop(heap)
+                queue._live -= 1
+                # Detach so a late cancel() of an executed event cannot
+                # corrupt the live count.
+                handle._queue = None
+                self._now = time
+                self._executed += 1
+                if self.trace_hook is not None:
+                    self.trace_hook(time, handle.callback, handle.args)
+                handle.callback(*handle.args)
                 if budget > 0:
                     budget -= 1
             else:
@@ -189,6 +198,7 @@ class Kernel:
                     self._now = until
         finally:
             self._running = False
+            self._peeks_elided += self._executed - executed
         return self._now
 
     def reset(self) -> None:

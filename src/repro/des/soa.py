@@ -32,8 +32,8 @@ It also exposes the same observability surface — ``stats``
 (:class:`~repro.des.fluid.AllocatorStats`) and ``horizon``
 (:class:`~repro.des.fluid.HorizonStats`) — so ``RunRecord`` model metrics
 and the benchmarks read SoA and scalar backends identically.  (There is no
-heap in this engine; the heap counters stay zero and ``scan_cost`` /
-``events`` keep their meanings.)
+heap in this engine; the heap counters stay zero and ``events`` keeps its
+meaning.)
 
 numpy is an *optional* dependency (``pip install repro[fast]``): this module
 imports without it, :func:`soa_available` reports whether the backend can
@@ -273,9 +273,6 @@ class SoaFluidEngine:
             if self.verify and self._nlive:
                 self.stats.verify_recomputes += 1
                 self._verify_full()
-        # Same accounting as FluidPool: what a validation-plus-horizon scan
-        # over the active tasks would cost right here.
-        self.horizon.scan_cost += self._nlive
         if self._nlive:
             self._schedule_next()
         else:
@@ -329,7 +326,6 @@ class SoaFluidEngine:
             if finished.size:
                 order = np.lexsort((self.seq[finished], finish[finished]))
                 finished = finished[order]
-        self.horizon.scan_cost += self._nlive
         if finished is None or not finished.size:
             self._schedule_next()
             return

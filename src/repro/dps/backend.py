@@ -53,30 +53,40 @@ class ExecutionBackend:
     @property
     def now(self) -> float:
         """Current simulation time."""
-        return self.kernel.now
+        return self.kernel._now
 
     def submit_compute(
         self,
         node: int,
         seconds: float,
-        on_complete: Callable[[], None],
+        on_complete: Callable[[Any], None],
         tag: Any = None,
     ) -> None:
-        """Run a compute step of uncontended duration ``seconds`` on ``node``."""
-        self.cpu.submit(node, seconds, lambda handle: on_complete(), tag=tag)
+        """Run a compute step of uncontended duration ``seconds`` on ``node``.
+
+        ``on_complete`` receives the CPU model's
+        :class:`~repro.cpumodel.base.CpuTaskHandle`.
+        """
+        self.cpu.submit(node, seconds, on_complete, tag)
 
     def submit_transfer(
         self,
         src: int,
         dst: int,
         size: float,
-        on_complete: Callable[[], None],
+        on_complete: Callable[[Any], None],
         tag: Any = None,
     ) -> None:
-        """Move ``size`` bytes ``src -> dst``; same-node moves are local."""
+        """Move ``size`` bytes ``src -> dst``; same-node moves are local.
+
+        ``on_complete`` receives the network's
+        :class:`~repro.netmodel.base.Transfer`, or ``None`` for a local
+        delivery.
+        """
         if src == dst:
-            self.kernel.schedule_at(
-                self.kernel.now + self.local_delivery_delay, on_complete
+            kernel = self.kernel
+            kernel.schedule_at(
+                kernel._now + self.local_delivery_delay, on_complete, None
             )
         else:
-            self.network.submit(src, dst, size, lambda tr: on_complete(), tag=tag)
+            self.network.submit(src, dst, size, on_complete, tag)

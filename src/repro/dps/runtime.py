@@ -22,8 +22,8 @@ Concurrency semantics:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.dps.backend import ExecutionBackend
 from repro.dps.data_objects import DataObject, Frame
@@ -201,7 +201,7 @@ class _RtContext(OperationContext):
 
     @property
     def now(self) -> float:
-        return self._runtime.backend.now
+        return self._runtime._kernel._now
 
 
 @dataclass
@@ -282,9 +282,13 @@ class Runtime:
         self.graph = graph
         self.deployment = deployment
         self.backend = backend
+        # The clock, read as ``self._kernel._now`` on the per-step paths.
+        self._kernel = backend.kernel
         self.provider = provider
         self.serializer = serializer or CountingSerializer()
         self.trace = RuntimeTrace(level=trace_level)
+        # Below FULL the trace only accounts: no per-step record is built.
+        self._keep_records = trace_level >= TraceLevel.FULL
         self.migration_planner = migration_planner or round_robin_planner()
 
         # Thread managers per used node ("same deployment scheme as the
@@ -315,6 +319,10 @@ class Runtime:
         self._completed_instances: set[tuple[str, Any]] = set()
         # Every credit account ever created (deadlock diagnostics).
         self._accounts: list[CreditAccount] = []
+        # (source vertex, Post.to) -> what :meth:`_route` resolves.
+        self._routes: dict[
+            tuple[str, Optional[str]], tuple[Edge, list[DPSThread], bool]
+        ] = {}
 
         # Phases and allocation history.
         self.phases: list[tuple[float, str]] = []
@@ -340,7 +348,7 @@ class Runtime:
 
     def mark_phase(self, label: str) -> None:
         """Record a phase boundary at the current simulation time."""
-        self.phases.append((self.backend.now, label))
+        self.phases.append((self._kernel._now, label))
         self._current_phase = label
 
     # ----------------------------------------------------------- bootstrap
@@ -385,7 +393,8 @@ class Runtime:
             raise FlowGraphError(f"unknown vertex {name!r}") from None
 
     def _deliver(self, vertex_name: str, obj: DataObject, thread: DPSThread) -> None:
-        thread.ensure_alive()
+        if not thread.alive:
+            thread.ensure_alive()  # raises
         thread.queue.append((vertex_name, obj))
         self._kick(thread)
 
@@ -402,7 +411,12 @@ class Runtime:
                 self._dispatch(thread, vertex_name, obj)
 
     def _dispatch(self, thread: DPSThread, vertex_name: str, obj: DataObject) -> None:
-        vertex = self._vertex(vertex_name)
+        vertices = self.graph.vertices
+        vertex = (
+            vertices[vertex_name]
+            if vertex_name in vertices
+            else self._vertex(vertex_name)  # raises
+        )
         kind = vertex.kind
         if kind in (VertexKind.LEAF, VertexKind.SPLIT):
             ctx = _RtContext(self, thread, vertex)
@@ -411,14 +425,8 @@ class Runtime:
             if kind is VertexKind.SPLIT:
                 emitter = _Emitter(self._new_account(vertex))
             execution = _Execution(
-                gen=op.run(ctx, obj),
-                ctx=ctx,
-                vertex=vertex,
-                thread=thread,
-                frames_in=obj.frames,
-                role="run",
-                emitter=emitter,
-                trigger_obj=obj,
+                op.run(ctx, obj), ctx, vertex, thread, obj.frames, "run",
+                emitter, None, obj,
             )
             thread.current = execution
             self._drive(execution, None)
@@ -444,15 +452,8 @@ class Runtime:
             self._after_combine(instance, obj)
             return
         execution = _Execution(
-            gen=gen,
-            ctx=instance.ctx,
-            vertex=vertex,
-            thread=thread,
-            frames_in=obj.frames,
-            role="combine",
-            emitter=instance.emitter,
-            instance=instance,
-            trigger_obj=obj,
+            gen, instance.ctx, vertex, thread, obj.frames, "combine",
+            instance.emitter, instance, obj,
         )
         thread.current = execution
         self._drive(execution, None)
@@ -539,26 +540,31 @@ class Runtime:
     def _submit_compute(
         self, execution: _Execution, item: Compute, seconds: float, result: Any
     ) -> None:
-        start = self.backend.now
+        kernel = self._kernel
+        start = kernel._now
         phase = self._current_phase
         node = execution.thread.node
+        trace = self.trace
 
-        def done() -> None:
-            self.trace.record_step(
-                StepRecord(
-                    vertex=execution.vertex.name,
-                    thread=execution.thread.tid,
-                    node=node,
-                    kernel=item.spec.name,
-                    start=start,
-                    end=self.backend.now,
-                    work=seconds,
-                    phase=phase,
+        def done(_handle: Any) -> None:
+            if self._keep_records:
+                trace.record_step(
+                    StepRecord(
+                        vertex=execution.vertex.name,
+                        thread=execution.thread.tid,
+                        node=node,
+                        kernel=item.spec.name,
+                        start=start,
+                        end=kernel._now,
+                        work=seconds,
+                        phase=phase,
+                    )
                 )
-            )
+            else:
+                trace.account_step(node, seconds, phase)
             self._drive(execution, result)
 
-        self.backend.submit_compute(node, seconds, done, tag=execution.vertex.name)
+        self.backend.submit_compute(node, seconds, done, execution.vertex.name)
 
     def _on_execution_done(self, execution: _Execution) -> None:
         if execution.role == "run":
@@ -677,13 +683,15 @@ class Runtime:
         obj = post.obj
         obj.frames = self._frames_for_post(execution)
         obj.fc_source = account
-        obj.created_at = self.backend.now
+        obj.created_at = self._kernel._now
         if execution.emitter is not None:
             execution.emitter.posted += 1
-        edge = self.graph.edge_to(execution.vertex.name, post.to)
-        dst_vertex = self._vertex(edge.dst)
-        live = self.live_threads(dst_vertex.group)
-        if isinstance(edge.routing, Broadcast):
+        key = (execution.vertex.name, post.to)
+        try:
+            edge, live, broadcast = self._routes[key]
+        except KeyError:
+            edge, live, broadcast = self._routes[key] = self._route(*key)
+        if broadcast:
             if account is not None:
                 raise FlowGraphError(
                     "flow control cannot be combined with broadcast routing"
@@ -705,6 +713,17 @@ class Runtime:
         else:
             index = edge.routing(obj, len(live))
         self._send(execution, edge, obj, live[index])
+
+    def _route(
+        self, src: str, to: Optional[str]
+    ) -> tuple[Edge, list[DPSThread], bool]:
+        """Edge of ``Post(to=to)`` from ``src``, its live target threads
+        (the group's list itself, which removals edit in place) and whether
+        it broadcasts.  The graph is fixed for the run, so :meth:`_emit`
+        caches the answer per ``(src, to)``."""
+        edge = self.graph.edge_to(src, to)
+        live = self.live_threads(self._vertex(edge.dst).group)
+        return edge, live, isinstance(edge.routing, Broadcast)
 
     def _frames_for_post(self, execution: _Execution) -> tuple[Frame, ...]:
         kind = execution.vertex.kind
@@ -731,27 +750,31 @@ class Runtime:
         src_node = execution.thread.node
         dst_node = target.node
         size = self.serializer.size(obj)
-        start = self.backend.now
+        kernel = self._kernel
+        start = kernel._now
         phase = self._current_phase
+        trace = self.trace
 
-        def delivered() -> None:
-            if src_node != dst_node:
-                self.trace.record_transfer(
+        def delivered(_transfer: Any) -> None:
+            if src_node == dst_node:
+                trace.record_local_delivery()
+            elif self._keep_records:
+                trace.record_transfer(
                     TransferRecord(
                         kind=obj.kind,
                         src_node=src_node,
                         dst_node=dst_node,
                         size=size,
                         start=start,
-                        end=self.backend.now,
+                        end=kernel._now,
                         phase=phase,
                     )
                 )
             else:
-                self.trace.record_local_delivery()
+                trace.account_transfer(size)
             self._deliver(edge.dst, obj, target)
 
-        self.backend.submit_transfer(src_node, dst_node, size, delivered, tag=obj.kind)
+        self.backend.submit_transfer(src_node, dst_node, size, delivered, obj.kind)
 
     def _release_credit(self, obj: Optional[DataObject]) -> None:
         if obj is None or obj.fc_source is None:
@@ -761,8 +784,8 @@ class Runtime:
         resume = account.release()
         if resume is not None:
             # Resume on a fresh kernel event to keep the call stack shallow.
-            kernel = self.backend.kernel
-            kernel.schedule_at(kernel.now, resume)
+            kernel = self._kernel
+            kernel.schedule_at(kernel._now, resume)
 
     # --------------------------------------------------------- malleability
     def _start_removal(self, execution: _Execution, item: RemoveThreads) -> None:
@@ -825,7 +848,7 @@ class Runtime:
                 src_node,
                 dst_node,
                 migration.size,
-                lambda m=migration: one_done(m),
+                lambda _transfer, m=migration: one_done(m),
                 tag=("migration", migration.key),
             )
 
@@ -837,7 +860,7 @@ class Runtime:
         }
         current = self.allocation_timeline[-1][1]
         if frozenset(active) != current:
-            self.allocation_timeline.append((self.backend.now, frozenset(active)))
+            self.allocation_timeline.append((self._kernel._now, frozenset(active)))
         self._drive(execution, None)
 
     # ------------------------------------------------------------ deadlock

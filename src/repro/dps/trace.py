@@ -85,28 +85,37 @@ class RuntimeTrace:
     local_deliveries: int = 0
 
     # ------------------------------------------------------------ recording
-    def record_step(self, record: StepRecord) -> None:
-        """Account one completed compute step."""
+    def account_step(self, node: int, work: float, phase: Optional[str]) -> None:
+        """Account one completed compute step, without keeping a record.
+
+        What :meth:`record_step` does below ``FULL``; the runtime calls it
+        directly there, so no :class:`StepRecord` is built.
+        """
         self.step_count += 1
         if self.level >= TraceLevel.SUMMARY:
-            self.node_work[record.node] = (
-                self.node_work.get(record.node, 0.0) + record.work
-            )
-            if record.phase is not None:
-                self.phase_work[record.phase] = (
-                    self.phase_work.get(record.phase, 0.0) + record.work
-                )
-                key = (record.phase, record.node)
+            node_work = self.node_work
+            node_work[node] = node_work.get(node, 0.0) + work
+            if phase is not None:
+                self.phase_work[phase] = self.phase_work.get(phase, 0.0) + work
+                key = (phase, node)
                 self.phase_node_work[key] = (
-                    self.phase_node_work.get(key, 0.0) + record.work
+                    self.phase_node_work.get(key, 0.0) + work
                 )
+
+    def record_step(self, record: StepRecord) -> None:
+        """Account one completed compute step; keep it at ``FULL``."""
+        self.account_step(record.node, record.work, record.phase)
         if self.level >= TraceLevel.FULL:
             self.steps.append(record)
 
-    def record_transfer(self, record: TransferRecord) -> None:
-        """Account one completed inter-node transfer."""
+    def account_transfer(self, size: float) -> None:
+        """Account one completed inter-node transfer, without a record."""
         self.transfer_count += 1
-        self.transfer_bytes += record.size
+        self.transfer_bytes += size
+
+    def record_transfer(self, record: TransferRecord) -> None:
+        """Account one completed inter-node transfer; keep it at ``FULL``."""
+        self.account_transfer(record.size)
         if self.level >= TraceLevel.FULL:
             self.transfers.append(record)
 

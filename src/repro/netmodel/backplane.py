@@ -27,7 +27,7 @@ what the full recompute would do).
 from __future__ import annotations
 
 import math
-from typing import Collection
+from typing import Collection, Sequence
 
 from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
@@ -87,10 +87,18 @@ class IncrementalBackplaneAllocator(StarFlowAllocator):
         for task in tasks:
             task.rate = self._base[task] * scale
 
-    def _forget(self, task: FluidTask) -> None:
-        base = self._base.pop(task, None)
-        if base is not None:
-            self._total -= base
+    def _update(
+        self,
+        tasks: Collection[FluidTask],
+        added: Sequence[FluidTask],
+        removed: Sequence[FluidTask],
+    ) -> None:
+        # A departed flow's base share leaves the running sum first.
+        for task in removed:
+            base = self._base.pop(task, None)
+            if base is not None:
+                self._total -= base
+        super()._update(tasks, added, removed)
 
     def _update_rates(
         self, dirty: Collection[FluidTask], tasks: Collection[FluidTask]

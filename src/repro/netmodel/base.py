@@ -32,7 +32,7 @@ import math
 from abc import ABC
 from typing import Any, Callable, Collection, Optional, Sequence
 
-from repro.des.fluid import FluidTask, RateAllocator, pool_horizon_stats
+from repro.des.fluid import FluidTask, HorizonStats, RateAllocator
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 from repro.netmodel.params import NetworkParams
@@ -43,6 +43,8 @@ from repro.netmodel.waterfill import (
     maxmin_solve,
 )
 from repro.util.validation import check_in_range, check_non_negative
+
+_INF = float("inf")
 
 #: Callback type invoked when a transfer completes.
 CompletionCallback = Callable[["Transfer"], None]
@@ -84,7 +86,13 @@ class Transfer:
         self.transfer_id = next(Transfer._ids)
         self.src = int(src)
         self.dst = int(dst)
-        self.size = check_non_negative("size", size)
+        # An exact non-negative float is what every runtime transfer
+        # carries; anything else goes through the full check.
+        self.size = (
+            size
+            if size.__class__ is float and 0.0 <= size < _INF
+            else check_non_negative("size", size)
+        )
         self.on_complete = on_complete
         self.tag = tag
         self.submitted_at: float = math.nan
@@ -127,7 +135,7 @@ class NetworkModel(ABC):
     ) -> Transfer:
         """Admit a transfer; the callback fires when the last byte arrives."""
         transfer = Transfer(src, dst, size, on_complete, tag)
-        transfer.submitted_at = self.kernel.now
+        transfer.submitted_at = self.kernel._now
         self._outgoing[src] = self._outgoing.get(src, 0) + 1
         self._incoming[dst] = self._incoming.get(dst, 0) + 1
         self._start(transfer)
@@ -151,9 +159,14 @@ class NetworkModel(ABC):
         self._listeners.append(listener)
 
     @property
-    def horizon_stats(self):
-        """Completion-horizon counters of the backing pool (None if none)."""
-        return pool_horizon_stats(self)
+    def horizon_stats(self) -> Optional[HorizonStats]:
+        """Completion-horizon counters of the backing pool.
+
+        ``None`` for a model without one (the contention-free analytic
+        network).
+        """
+        pool = getattr(self, "_pool", None)
+        return None if pool is None else pool.horizon
 
     # ------------------------------------------------------------ lifecycle
     def _start(self, transfer: Transfer) -> None:
@@ -177,7 +190,7 @@ class NetworkModel(ABC):
     # ------------------------------------------------------------ internals
     def _finish(self, transfer: Transfer) -> None:
         """Mark ``transfer`` complete and invoke its callback."""
-        transfer.completed_at = self.kernel.now
+        transfer.completed_at = self.kernel._now
         self._outgoing[transfer.src] -= 1
         self._incoming[transfer.dst] -= 1
         self.completed_transfers += 1
@@ -227,9 +240,8 @@ class StarFlowAllocator(RateAllocator):
     * :meth:`_update_rates` — assign rates for the dirty tasks, returning
       the number of per-task rate assignments actually performed.
 
-    Tasks are located in the topology through :meth:`_flow`, which by
-    default reads ``task.tag.src`` / ``task.tag.dst``
-    (:class:`Transfer` tags).
+    Tasks carry :class:`Transfer` tags: the indices read ``task.tag.src``
+    and ``task.tag.dst``.
     """
 
     def __init__(self, capacity: float, verify: bool = False) -> None:
@@ -239,11 +251,6 @@ class StarFlowAllocator(RateAllocator):
         self._in_tasks: dict[int, dict[FluidTask, None]] = {}
 
     # ---------------------------------------------------------------- hooks
-    def _flow(self, task: FluidTask) -> tuple[int, int]:
-        """(source, destination) node ids of ``task``."""
-        transfer = task.tag
-        return transfer.src, transfer.dst
-
     def _full_rates(self, tasks: Collection[FluidTask]) -> None:
         """Assign a rate to every task (indices are freshly rebuilt)."""
         raise NotImplementedError
@@ -254,24 +261,21 @@ class StarFlowAllocator(RateAllocator):
         """Assign rates for the dirty set; return rates actually computed."""
         raise NotImplementedError
 
-    def _forget(self, task: FluidTask) -> None:
-        """Drop any extra per-task bookkeeping for a removed task."""
-
     # -------------------------------------------------------------- helpers
     def _equal_share_rate(self, task: FluidTask) -> float:
         """The paper's sharing law: ``min(B / n_out(src), B / n_in(dst))``."""
-        src, dst = self._flow(task)
-        out_share = self.capacity / len(self._out_tasks[src])
-        in_share = self.capacity / len(self._in_tasks[dst])
+        transfer = task.tag
+        out_share = self.capacity / len(self._out_tasks[transfer.src])
+        in_share = self.capacity / len(self._in_tasks[transfer.dst])
         return min(out_share, in_share)
 
     def _rebuild_index(self, tasks: Collection[FluidTask]) -> None:
         self._out_tasks = {}
         self._in_tasks = {}
         for task in tasks:
-            src, dst = self._flow(task)
-            self._out_tasks.setdefault(src, {})[task] = None
-            self._in_tasks.setdefault(dst, {})[task] = None
+            transfer = task.tag
+            self._out_tasks.setdefault(transfer.src, {})[task] = None
+            self._in_tasks.setdefault(transfer.dst, {})[task] = None
 
     # ------------------------------------------------------------- allocator
     def _full(self, tasks: Collection[FluidTask]) -> None:
@@ -286,38 +290,50 @@ class StarFlowAllocator(RateAllocator):
         added: Sequence[FluidTask],
         removed: Sequence[FluidTask],
     ) -> None:
+        # Index maintenance and the one-hop dirty set, without a call per
+        # task: ``dirty |= members`` appends a link's flows in index order
+        # and leaves flows already dirty where they are.
+        out_tasks, in_tasks = self._out_tasks, self._in_tasks
         dirty: dict[FluidTask, None] = {}
         for task in removed:
-            src, dst = self._flow(task)
-            members = self._out_tasks.get(src)
-            if members is not None:
-                members.pop(task, None)
-                if not members:
-                    del self._out_tasks[src]
-            members = self._in_tasks.get(dst)
-            if members is not None:
-                members.pop(task, None)
-                if not members:
-                    del self._in_tasks[dst]
-            self._forget(task)
-            for neighbour in self._out_tasks.get(src, ()):
-                dirty[neighbour] = None
-            for neighbour in self._in_tasks.get(dst, ()):
-                dirty[neighbour] = None
+            transfer = task.tag
+            src, dst = transfer.src, transfer.dst
+            if src in out_tasks:
+                members = out_tasks[src]
+                if task in members:
+                    del members[task]
+                if members:
+                    dirty |= members
+                else:
+                    del out_tasks[src]
+            if dst in in_tasks:
+                members = in_tasks[dst]
+                if task in members:
+                    del members[task]
+                if members:
+                    dirty |= members
+                else:
+                    del in_tasks[dst]
         for task in added:
-            src, dst = self._flow(task)
-            self._out_tasks.setdefault(src, {})[task] = None
-            self._in_tasks.setdefault(dst, {})[task] = None
+            transfer = task.tag
+            src, dst = transfer.src, transfer.dst
+            if src in out_tasks:
+                out_tasks[src][task] = None
+            else:
+                out_tasks[src] = {task: None}
+            if dst in in_tasks:
+                in_tasks[dst][task] = None
+            else:
+                in_tasks[dst] = {task: None}
         for task in added:
-            src, dst = self._flow(task)
-            for neighbour in self._out_tasks[src]:
-                dirty[neighbour] = None
-            for neighbour in self._in_tasks[dst]:
-                dirty[neighbour] = None
+            transfer = task.tag
+            dirty |= out_tasks[transfer.src]
+            dirty |= in_tasks[transfer.dst]
         # A task removed later in the batch may have entered ``dirty`` as a
         # neighbour of an earlier removal; it holds no rate any more.
         for task in removed:
-            dirty.pop(task, None)
+            if task in dirty:
+                del dirty[task]
         self.stats.rates_computed += self._update_rates(dirty, tasks)
 
 

@@ -33,8 +33,11 @@ from typing import Collection
 
 from repro.des.fluid import FluidPool, FluidTask
 from repro.des.kernel import Kernel
+from repro.errors import SimulationError
 from repro.netmodel.base import NetworkModel, StarFlowAllocator, Transfer
 from repro.netmodel.params import NetworkParams
+
+_INF = float("inf")
 
 
 class IncrementalEqualShareAllocator(StarFlowAllocator):
@@ -55,12 +58,44 @@ class IncrementalEqualShareAllocator(StarFlowAllocator):
     ) -> int:
         capacity = self.capacity
         out_tasks, in_tasks = self._out_tasks, self._in_tasks
+        # Each node's share is one division per update, not one per flow.
+        out_shares: dict[int, float] = {}
+        in_shares: dict[int, float] = {}
         for task in dirty:
             transfer = task.tag
-            out_share = capacity / len(out_tasks[transfer.src])
-            in_share = capacity / len(in_tasks[transfer.dst])
+            src, dst = transfer.src, transfer.dst
+            if src in out_shares:
+                out_share = out_shares[src]
+            else:
+                out_share = out_shares[src] = capacity / len(out_tasks[src])
+            if dst in in_shares:
+                in_share = in_shares[dst]
+            else:
+                in_share = in_shares[dst] = capacity / len(in_tasks[dst])
             # min(out_share, in_share), without the builtin call
-            task.rate = in_share if in_share < out_share else out_share
+            rate = in_share if in_share < out_share else out_share
+            # ``task.rate = rate``: the setter's skip, sync and retime,
+            # inlined (see :attr:`FluidTask.rate`).
+            old = task._rate
+            if rate == old and (rate == 0.0 or task._entry is not None):
+                continue
+            pool = task.pool
+            if pool is None:
+                task._rate = rate
+                continue
+            if not 0.0 <= rate < _INF:
+                raise SimulationError(
+                    f"pool {pool.name!r}: allocator set invalid rate {rate!r}"
+                )
+            now = pool.kernel._now
+            if old > 0.0:
+                dt = now - task._synced_at
+                if dt > 0.0:
+                    left = task._remaining - old * dt
+                    task._remaining = left if left > 0.0 else 0.0
+            task._synced_at = now
+            task._rate = rate
+            pool._retimed[task] = None
         return len(dirty)
 
 

@@ -1,6 +1,7 @@
 """Parallel sweeps: serial/parallel equality, calibration cache, fail-fast."""
 
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -15,6 +16,12 @@ from repro.analysis.prediction import validation_pair
 from repro.errors import ConfigurationError
 from repro.scenario import calibration_key, run_scenario
 from repro.scenario.spec import ScenarioSpec
+
+
+#: How long a slow spec holds its worker in the fail-fast test: long past
+#: the parent's reaction to the failure, so a worker freed by the failing
+#: spec cannot start a second slow one before the pool is dropped.
+_SLOW_SPEC_S = 2.0
 
 
 def _specs():
@@ -98,18 +105,30 @@ def test_sweep_leaves_no_worker_behind():
     assert set(multiprocessing.active_children()) <= before
 
 
-def test_failing_spec_surfaces_before_queued_specs_run():
+def test_failing_spec_surfaces_before_queued_specs_run(monkeypatch, tmp_path):
     """The first failure ends the sweep: the specs still queued behind it
-    are dropped with the pool, not run to completion before the raise."""
-    slow = _server_spec(jobs=1200, nodes=128)
-    run_scenario(slow)  # warm: the timing below is one spec's steady cost
-    started = time.perf_counter()
-    run_scenario(slow)
-    serial_s = 48 * (time.perf_counter() - started)
-    specs = [_server_spec(engine="not-an-engine")] + [slow] * 48
+    are dropped with the pool, not run to completion before the raise.
+
+    Every slow spec leaves a marker file as it starts (the forked workers
+    inherit the patched ``run_scenario``) and then holds its worker for a
+    while.  When the failure surfaces, each of the pool's two workers holds
+    at most one slow spec, so no more than two may ever have started; a
+    sweep that ran the queue out would start all 48.
+    """
+    import repro.scenario
+
+    real_run = repro.scenario.run_scenario
+
+    def counted_run(spec, *args, **kwargs):
+        if spec.engine.name == "server":
+            (tmp_path / f"started-{os.getpid()}-{time.monotonic_ns()}").touch()
+            time.sleep(_SLOW_SPEC_S)
+        return real_run(spec, *args, **kwargs)
+
+    monkeypatch.setattr(repro.scenario, "run_scenario", counted_run)
+    specs = [_server_spec(engine="not-an-engine")] + [_server_spec()] * 48
     before = set(multiprocessing.active_children())
-    started = time.perf_counter()
     with pytest.raises(ConfigurationError, match="not-an-engine"):
         run_records(specs, jobs=2)
-    assert time.perf_counter() - started < serial_s / 4
+    assert len(list(tmp_path.iterdir())) <= 2
     assert set(multiprocessing.active_children()) <= before

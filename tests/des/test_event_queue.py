@@ -182,42 +182,3 @@ def test_cancellation_preserves_order_of_rest(times, data):
     popped = [q.pop().time for _ in range(len(q))]
     assert popped == sorted(popped)
     assert len(popped) == len(times) - len(to_cancel)
-
-
-# ------------------------------------------------------------------ pop_due
-def test_pop_due_respects_limit():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    q.push(3.0, lambda: None)
-    assert q.pop_due(0.5) is None
-    handle = q.pop_due(1.0)
-    assert handle is not None and handle.time == 1.0
-    assert q.pop_due(2.0) is None
-    assert len(q) == 1
-
-
-def test_pop_due_none_limit_behaves_like_pop():
-    q = EventQueue()
-    q.push(2.0, lambda: None)
-    assert q.pop_due(None).time == 2.0
-    assert q.pop_due(None) is None
-
-
-def test_pop_due_discards_cancelled_heads():
-    q = EventQueue()
-    first = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.cancel(first)
-    handle = q.pop_due(5.0)
-    assert handle.time == 2.0
-    assert len(q) == 0
-
-
-def test_pop_due_keeps_live_count_consistent():
-    q = EventQueue()
-    q.push(1.0, lambda: None)
-    handle = q.pop_due(10.0)
-    assert len(q) == 0
-    # A late cancel of an already-popped handle must not corrupt the count.
-    handle.cancel()
-    assert len(q) == 0

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des.fluid import FluidPool, FluidTask, RateAllocator
+from repro.des.fluid import FluidPool, FluidTask, RateAllocator, assign_rate
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 
@@ -255,3 +255,57 @@ def test_zeno_guard_preserves_macroscopic_timing():
     pool.add(FluidTask(5e6, lambda t: finish.append(kernel.now)))
     kernel.run()
     assert finish[0] == pytest.approx(5.0, rel=1e-9)
+
+
+def _rate_schedule(assign):
+    """Law: at its k-th call, every task gets the k-th rate of a cycle that
+    repeats values (the setter's no-op case) and starves (rate 0)."""
+    rates = [1.0, 0.0, 0.5, 0.5, 2.0, 2.0, 0.25, 1.5]
+    calls = [0]
+
+    @Law
+    def allocate(tasks):
+        rate = rates[calls[0] % len(rates)]
+        calls[0] += 1
+        assign(tasks, rate)
+
+    return allocate
+
+
+def _by_setter(tasks, rate):
+    for task in tasks:
+        task.rate = rate
+
+
+def test_assign_rate_is_the_setter_over_a_group():
+    """``assign_rate`` leaves bit-identical task state to the setter: the
+    same skips, progress syncs, heap work and completion times."""
+
+    def run(assign):
+        kernel = Kernel()
+        pool = FluidPool(kernel, _rate_schedule(assign))
+        done = []
+        for i, work in enumerate([1.0, 2.0, 0.5, 3.0, 0.75]):
+            task = FluidTask(work, lambda t: done.append((t.tag, kernel.now)), i)
+            kernel.schedule_at(0.3 * i, pool.add, task)
+        for i in range(12):
+            kernel.schedule_at(0.1 + 0.7 * i, pool.reallocate)
+        kernel.run()
+        left = [(t.tag, t._remaining, t._rate, t._synced_at) for t in pool.tasks]
+        horizon = pool.horizon
+        return done, left, horizon.heap_ops, horizon.stale_discards
+
+    assert run(_by_setter) == run(assign_rate)
+
+
+def test_assign_rate_indexes_a_readmitted_task_at_its_old_rate(kernel):
+    """A task re-admitted with its old rate still set has no heap entry:
+    assigning that same rate must still index it, as the setter does."""
+    pool = FluidPool(kernel, Law(lambda tasks: assign_rate(tasks, 1.0)))
+    done = []
+    task = FluidTask(2.0, lambda t: done.append(kernel.now))
+    pool.add(task)
+    kernel.schedule_at(0.5, pool.remove, task)
+    kernel.schedule_at(1.0, pool.add, task)
+    kernel.run()
+    assert done == [2.5]

@@ -75,26 +75,44 @@ def test_rearm_after_keeps_a_pending_handle_at_the_same_time(kernel):
     handle = kernel.schedule_after(3.0, lambda: None)
     assert kernel.rearm_after(handle, 3.0, lambda: None) is handle
     assert kernel.pending_events == 1
+    seq = handle.seq
     moved = kernel.rearm_after(handle, 2.0, lambda: None)
-    assert moved is not handle and handle.cancelled
-    assert moved.time == 2.0 and kernel.pending_events == 1
+    assert moved is handle and not handle.cancelled
+    assert handle.time == 2.0 and handle.seq > seq
+    assert kernel.pending_events == 1
     # A fired, cancelled or absent handle is never kept.
-    assert kernel.rearm_after(handle, 2.0, lambda: None) is not handle
-    assert kernel.rearm_after(None, 4.0, lambda: None).time == 4.0
+    kernel.run()
+    assert kernel.rearm_after(handle, 4.0, lambda: None) is not handle
+    cancelled = kernel.schedule_after(5.0, lambda: None)
+    cancelled.cancel()
+    assert kernel.rearm_after(cancelled, 5.0, lambda: None) is not cancelled
+    assert kernel.rearm_after(None, 6.0, lambda: None).time == 6.0
 
 
-def test_rearm_after_at_the_floor_arms_afresh(kernel):
+def test_rearm_after_moves_in_the_order_a_fresh_push_gets(kernel):
+    """A re-keyed handle takes the next ``seq``: at a same-time tie it
+    runs after an event pushed before the move, as a fresh push would."""
+    seen = []
+    moving = kernel.schedule_at(5.0, seen.append, "moved")
+    kernel.schedule_at(2.0, seen.append, "pushed first")
+    kernel.rearm_after(moving, 2.0, seen.append, "moved")
+    kernel.schedule_at(2.0, seen.append, "pushed after")
+    kernel.run()
+    assert seen == ["pushed first", "moved", "pushed after"]
+    assert kernel.now == 2.0 and kernel.events_executed == 3
+
+
+def test_rearm_after_at_the_floor_moves_to_the_floor(kernel):
     """``schedule_after`` moves a finish within ``MIN_STEP`` of now to the
-    floor, so the handle's time never equals it: re-armed every time."""
+    floor, so the handle's time never equals it: re-keyed every time."""
     kernel.schedule_at(1.0, lambda: None)
     kernel.run()
     finish = 1.0 + MIN_STEP / 2
     first = kernel.schedule_after(finish, lambda: None)
+    seq = first.seq
     again = kernel.rearm_after(first, finish, lambda: None)
-    assert again is not first and first.cancelled
-    assert again.time == first.time == max(
-        1.0 + MIN_STEP, math.nextafter(1.0, math.inf)
-    )
+    assert again is first and first.seq > seq
+    assert first.time == max(1.0 + MIN_STEP, math.nextafter(1.0, math.inf))
 
 
 def test_run_until_advances_clock_exactly(kernel):
@@ -205,13 +223,17 @@ def test_max_events_budget_with_until_advances_clock(kernel):
     assert kernel.pending_events == 1
 
 
-def test_cancelled_events_do_not_block_pop_due(kernel):
+def test_cancelled_events_do_not_block_the_run_loop(kernel):
     seen = []
     handle = kernel.schedule_at(1.0, seen.append, "cancelled")
-    kernel.schedule_at(2.0, seen.append, "live")
+    live = kernel.schedule_at(2.0, seen.append, "live")
+    kernel.schedule_at(4.0, seen.append, "late")
     kernel.cancel(handle)
     assert kernel.run(until=3.0) == 3.0
     assert seen == ["live"]
+    # A late cancel of an executed event must not corrupt the live count.
+    kernel.cancel(live)
+    assert kernel.pending_events == 1
 
 
 def test_next_event_time(kernel):

@@ -84,22 +84,24 @@ def make_backend(kernel):
 def test_backend_local_transfer_uses_delay(kernel):
     backend = make_backend(kernel)
     done = []
-    backend.submit_transfer(2, 2, 1e9, lambda: done.append(kernel.now))
+    backend.submit_transfer(2, 2, 1e9, lambda tr: done.append((kernel.now, tr)))
     kernel.run()
-    assert done == [pytest.approx(5e-6)]  # size irrelevant locally
+    assert done == [(pytest.approx(5e-6), None)]  # size irrelevant locally
 
 
 def test_backend_remote_transfer_uses_network(kernel):
     backend = make_backend(kernel)
     done = []
-    backend.submit_transfer(0, 1, 1e7, lambda: done.append(kernel.now))
+    backend.submit_transfer(0, 1, 1e7, done.append)
     kernel.run()
-    assert done == [pytest.approx(1.0 + 1e-4)]
+    (transfer,) = done
+    assert (transfer.src, transfer.dst, transfer.size) == (0, 1, 1e7)
+    assert transfer.completed_at == pytest.approx(1.0 + 1e-4)
 
 
 def test_backend_compute_goes_to_cpu(kernel):
     backend = make_backend(kernel)
     done = []
-    backend.submit_compute(0, 0.25, lambda: done.append(kernel.now))
+    backend.submit_compute(0, 0.25, lambda h: done.append((kernel.now, h.node)))
     kernel.run()
-    assert done == [pytest.approx(0.25)]
+    assert done == [(pytest.approx(0.25), 0)]

@@ -7,7 +7,10 @@ from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 from repro.netmodel.base import Transfer
 from repro.netmodel.params import NetworkParams
-from repro.netmodel.star import EqualShareStarNetwork
+from repro.netmodel.star import (
+    EqualShareStarNetwork,
+    IncrementalEqualShareAllocator,
+)
 
 
 def make(kernel, latency=0.0, bandwidth=1e6):
@@ -159,3 +162,54 @@ def test_all_transfers_complete_and_delivered_bytes_conserved(flows):
     total = sum(s for _, _, s in flows)
     assert kernel.now >= max(s for _, _, s in flows) / 1e6 - 1e-9
     assert kernel.now <= total / 1e6 * 2 + 1e-6 + total  # loose upper bound
+
+
+class SetterEqualShareAllocator(IncrementalEqualShareAllocator):
+    """The same law, each rate assigned through the ``FluidTask.rate``
+    setter instead of the allocator's inlined copy of it."""
+
+    def _update_rates(self, dirty, tasks):
+        for task in dirty:
+            task.rate = self._equal_share_rate(task)
+        return len(dirty)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=4),
+            st.floats(min_value=1.0, max_value=1e6),
+            st.floats(min_value=0.0, max_value=2.0),
+        ).filter(lambda t: t[0] != t[1]),
+        min_size=1,
+        max_size=16,
+    )
+)
+def test_inlined_rate_assignment_is_the_setter_bit_for_bit(flows):
+    """Staggered arrivals re-rate draining flows mid-transfer: every
+    completion time and every horizon counter must be the setter's."""
+
+    def run(allocator_class):
+        kernel = Kernel()
+        net = make(kernel, bandwidth=1e6)
+        net.allocator = net._pool.allocator = allocator_class(1e6)
+        done = []
+        for src, dst, size, at in flows:
+            kernel.schedule_at(
+                at, net.submit, src, dst, size,
+                lambda tr: done.append((tr.transfer_id, tr.completed_at)),
+            )
+        kernel.run()
+        order = sorted(done)
+        first = order[0][0]
+        horizon = net.horizon_stats
+        return (
+            [(i - first, t) for i, t in order],
+            horizon.heap_ops,
+            horizon.stale_discards,
+            net.allocator.stats.rates_computed,
+        )
+
+    assert run(IncrementalEqualShareAllocator) == run(SetterEqualShareAllocator)
