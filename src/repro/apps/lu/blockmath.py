@@ -80,11 +80,6 @@ def gemm_update(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c - a @ b
 
 
-def block_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The block product ``A @ B`` — operation (d)/(e) of the flow graphs."""
-    return a @ b
-
-
 def sequential_block_lu(
     a: np.ndarray, r: int
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.dps.malleability import STATIC, AllocationSchedule
@@ -103,19 +103,3 @@ class LUConfig:
     def node_of_worker(self, t: int) -> int:
         """Deployment formula: worker thread ``t`` lives on this node."""
         return t % self.num_nodes
-
-    def with_variant(
-        self,
-        pipelined: Optional[bool] = None,
-        flow_control: Optional[int] | str = "keep",
-        pm_subblock: Optional[int] | str = "keep",
-    ) -> "LUConfig":
-        """Copy with different variant switches (sweep helper)."""
-        changes = {}
-        if pipelined is not None:
-            changes["pipelined"] = pipelined
-        if flow_control != "keep":
-            changes["flow_control"] = flow_control
-        if pm_subblock != "keep":
-            changes["pm_subblock"] = pm_subblock
-        return replace(self, **changes)

@@ -21,6 +21,15 @@ the above:
   queue or load crosses a limit, bounding sojourn times under overload,
 * :class:`AutoscalingScheduler` — grow/shrink the usable node pool
   against utilization targets, modeling an elastic cluster.
+
+What a policy receives and returns: :meth:`Scheduler.allocate` gets the
+running jobs as :class:`~repro.clusterserver.workload.JobView` objects in
+admission order — spec, arrival index and current grant, nothing about
+progress — plus the usable node count, and returns ``{view: nodes}``.
+:meth:`Scheduler.admit` gets an arriving spec and the same views.  A view
+carries no progress, so a policy that answers equal views equally (every
+policy here does) can change its answer only when membership changes —
+a job admitted, completed or faulted — and the engines ask it only then.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Optional, Sequence
 
-from repro.clusterserver.workload import JobSpec, MalleableJob
+from repro.clusterserver.workload import JobSpec, JobView
 from repro.errors import ConfigurationError
 
 
@@ -36,24 +45,6 @@ class Scheduler(ABC):
     """Decides each running job's node count at every scheduling point."""
 
     name = "scheduler"
-
-    #: Whether :meth:`allocate` depends only on *membership state*: the
-    #: running set and its order, each job's spec, current node grant and
-    #: done flag — never on job progress (``phase``,
-    #: ``remaining_in_phase``, ``remaining_work``).  All built-in policies
-    #: qualify.  Both engines *rely* on it — this is the elision rule,
-    #: stated once: at a decision point where no job was admitted, none
-    #: completed and no fault fired, only phase indices and within-phase
-    #: progress have changed, so the flag licenses skipping the
-    #: reallocation call entirely; the previous grants stand.  A
-    #: phase-reading policy under that elision would silently run on
-    #: stale grants, and nothing checks the label at run time (``repro
-    #: check`` REP-D006 does, statically).  Set to ``False`` in a
-    #: subclass that reads any job progress (including the phase index):
-    #: :class:`~repro.clusterserver.server.ClusterServer` then calls
-    #: :meth:`allocate` at every event, and ``ShardedServer`` — whose
-    #: controller sees phase-granular mirrors only — rejects the policy.
-    progress_insensitive = True
 
     #: Open-system engines only: when :meth:`admit` refuses a job, should
     #: it be *deferred* (retried at the next membership change) instead of
@@ -63,22 +54,22 @@ class Scheduler(ABC):
 
     @abstractmethod
     def allocate(
-        self, running: Sequence[MalleableJob], total_nodes: int
-    ) -> dict[MalleableJob, int]:
+        self, running: Sequence[JobView], total_nodes: int
+    ) -> dict[JobView, int]:
         """Return the node count for every running job (0 allowed).
 
         The sum over jobs must not exceed ``total_nodes``.
         """
 
     def admit(
-        self, spec: JobSpec, running: Sequence[MalleableJob], total_nodes: int
+        self, spec: JobSpec, running: Sequence[JobView], total_nodes: int
     ) -> bool:
         """Open-system admission hook: accept ``spec`` into the system?
 
         Called by the open-system engines for every arrival *before* the
         job joins the running set.  The default admits everything (the
-        closed-system behaviour).  Must be progress-insensitive under the
-        same contract as :meth:`allocate`.
+        closed-system behaviour).  It sees the same views as
+        :meth:`allocate`.
         """
         return True
 
@@ -87,7 +78,7 @@ class Scheduler(ABC):
         return total_nodes
 
 
-def _clamp(job: MalleableJob, nodes: int) -> int:
+def _clamp(job: JobView, nodes: int) -> int:
     return max(
         0, min(int(nodes), job.spec.max_nodes)
     )
@@ -108,9 +99,9 @@ class StaticScheduler(Scheduler):
         self.nodes_per_job = nodes_per_job
 
     def allocate(
-        self, running: Sequence[MalleableJob], total_nodes: int
-    ) -> dict[MalleableJob, int]:
-        allocation: dict[MalleableJob, int] = {}
+        self, running: Sequence[JobView], total_nodes: int
+    ) -> dict[JobView, int]:
+        allocation: dict[JobView, int] = {}
         free = total_nodes
         for job in running:
             if job.nodes > 0:
@@ -147,9 +138,9 @@ class FcfsScheduler(Scheduler):
         return "fcfs+backfill" if self.backfill else "fcfs"
 
     def allocate(
-        self, running: Sequence[MalleableJob], total_nodes: int
-    ) -> dict[MalleableJob, int]:
-        allocation: dict[MalleableJob, int] = {}
+        self, running: Sequence[JobView], total_nodes: int
+    ) -> dict[JobView, int]:
+        allocation: dict[JobView, int] = {}
         free = total_nodes
         # Started jobs are rigid: they keep their grant.
         for job in running:
@@ -180,22 +171,22 @@ class EquipartitionScheduler(Scheduler):
     name = "equipartition"
 
     def allocate(
-        self, running: Sequence[MalleableJob], total_nodes: int
-    ) -> dict[MalleableJob, int]:
-        active = [j for j in running if not j.done]
-        if not active:
+        self, running: Sequence[JobView], total_nodes: int
+    ) -> dict[JobView, int]:
+        if not running:
             return {}
-        base = total_nodes // len(active)
-        extra = total_nodes % len(active)
+        base = total_nodes // len(running)
+        extra = total_nodes % len(running)
+        ordered = sorted(running, key=lambda j: j.spec.arrival)
         allocation = {}
         free = 0
-        for i, job in enumerate(sorted(active, key=lambda j: j.spec.arrival)):
+        for i, job in enumerate(ordered):
             share = base + (1 if i < extra else 0)
             granted = _clamp(job, max(share, job.spec.min_nodes if share else 0))
             allocation[job] = min(granted, share) if share else 0
             free += share - allocation[job]
         # Redistribute capped-away nodes greedily by arrival order.
-        for job in sorted(active, key=lambda j: j.spec.arrival):
+        for job in ordered:
             if free <= 0:
                 break
             room = job.spec.max_nodes - allocation[job]
@@ -212,7 +203,7 @@ class AdaptiveEfficiencyScheduler(Scheduler):
     stays above ``efficiency_floor`` — i.e. stop adding nodes once an extra
     node buys less than ``efficiency_floor`` of a node's worth of
     throughput.  The size is read once per job from ``spec.efficiency(n)``;
-    the policy reads no job progress, so a job's efficient size never
+    the view carries no job progress, so a job's efficient size never
     changes while it runs.  Freed nodes go to queued/efficient jobs,
     raising the cluster's service rate exactly as section 8 of the paper
     describes ("the service rate of the cluster can be significantly
@@ -227,7 +218,7 @@ class AdaptiveEfficiencyScheduler(Scheduler):
             raise ConfigurationError("efficiency_floor must be in (0, 1]")
         self.efficiency_floor = efficiency_floor
 
-    def _desired(self, job: MalleableJob, cap: int) -> int:
+    def _desired(self, job: JobView, cap: int) -> int:
         """The job's efficient size, at most ``cap`` nodes.
 
         The marginal-rate scan stops at the same n whatever the cap, so it
@@ -254,11 +245,9 @@ class AdaptiveEfficiencyScheduler(Scheduler):
         return best
 
     def allocate(
-        self, running: Sequence[MalleableJob], total_nodes: int
-    ) -> dict[MalleableJob, int]:
-        active = sorted(
-            (j for j in running if not j.done), key=lambda j: j.spec.arrival
-        )
+        self, running: Sequence[JobView], total_nodes: int
+    ) -> dict[JobView, int]:
+        active = sorted(running, key=lambda j: j.spec.arrival)
         if not active:
             return {}
         allocation = {job: 0 for job in active}
@@ -329,14 +318,8 @@ class AdmissionControlScheduler(Scheduler):
     def name(self) -> str:  # type: ignore[override]
         return f"admission+{self.inner.name}"
 
-    @property
-    def progress_insensitive(self) -> bool:  # type: ignore[override]
-        # admit() reads only membership state (counts and grants), so the
-        # wrapper is exactly as shardable as its inner policy.
-        return self.inner.progress_insensitive
-
     def admit(
-        self, spec: JobSpec, running: Sequence[MalleableJob], total_nodes: int
+        self, spec: JobSpec, running: Sequence[JobView], total_nodes: int
     ) -> bool:
         if self.max_active is not None and len(running) >= self.max_active:
             return False
@@ -351,8 +334,8 @@ class AdmissionControlScheduler(Scheduler):
         return True
 
     def allocate(
-        self, running: Sequence[MalleableJob], total_nodes: int
-    ) -> dict[MalleableJob, int]:
+        self, running: Sequence[JobView], total_nodes: int
+    ) -> dict[JobView, int]:
         return self.inner.allocate(running, total_nodes)
 
     def capacity(self, total_nodes: int) -> int:
@@ -372,8 +355,7 @@ class AutoscalingScheduler(Scheduler):
 
     Resizing keyed to membership *changes* keeps :meth:`allocate`
     idempotent for unchanged inputs — the property both engines'
-    reallocation elision relies on — so the wrapper is exactly as
-    shardable as its inner policy.
+    reallocation elision relies on.
     """
 
     def __init__(
@@ -405,18 +387,14 @@ class AutoscalingScheduler(Scheduler):
     def name(self) -> str:  # type: ignore[override]
         return f"autoscale+{self.inner.name}"
 
-    @property
-    def progress_insensitive(self) -> bool:  # type: ignore[override]
-        return self.inner.progress_insensitive
-
     def capacity(self, total_nodes: int) -> int:
         if self._pool is None:
             return min(self.min_nodes, total_nodes)
         return self._pool
 
     def allocate(
-        self, running: Sequence[MalleableJob], total_nodes: int
-    ) -> dict[MalleableJob, int]:
+        self, running: Sequence[JobView], total_nodes: int
+    ) -> dict[JobView, int]:
         if self._pool is None:
             self._pool = min(self.min_nodes, total_nodes)
         step = self.step or max(1, total_nodes // 8)
@@ -438,8 +416,7 @@ class AutoscalingScheduler(Scheduler):
         # to grant anything (e.g. static wanting 8 of a 2-node pool).
         # Growing until the first grant (or the full cluster) is
         # deterministic and idempotent, so it cannot starve the run.
-        active = any(not j.done for j in running)
-        while active and granted == 0 and self._pool < total_nodes:
+        while running and granted == 0 and self._pool < total_nodes:
             self._pool = min(total_nodes, self._pool + step)
             allocation = self.inner.allocate(running, self._pool)
             granted = sum(allocation.values())

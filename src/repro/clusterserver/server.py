@@ -3,11 +3,9 @@
 Event-driven over :class:`~repro.des.kernel.Kernel`: jobs arrive,
 progress as fluid work at ``nodes x efficiency(nodes)``, and the scheduler
 reallocates whenever membership changed — a job admitted, a job completed,
-a fault fired.  A policy that declares it reads job progress
-(``progress_insensitive = False``) is asked at every *phase* boundary as
-well: an LU-like job's efficiency collapses in its tail phases, so a
-phase-aware policy can shrink it mid-run — the cluster-level
-generalization of the paper's "kill 4 after iteration 1" experiment.
+a fault fired (:func:`_membership_changed`).  The policy sees
+:class:`~repro.clusterserver.workload.JobView` objects, which carry no
+progress, so a phase boundary alone cannot change its answer.
 
 Two workload shapes, one entry point, one loop: :meth:`ClusterServer.run`
 takes either a materialized ``Sequence[JobSpec]`` (the paper's §9 shape)
@@ -24,14 +22,14 @@ stays O(active jobs) no matter how long the stream is.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.clusterserver.metrics import SloAggregator, SloSummary
 from repro.clusterserver.scheduler import Scheduler
-from repro.clusterserver.workload import JobSpec, MalleableJob
+from repro.clusterserver.workload import JobSpec, JobView, MalleableJob
 from repro.des.kernel import Kernel
 from repro.errors import ConfigurationError
 from repro.faults import CompiledFaultPlan, FaultPlan, FaultRuntime
@@ -73,9 +71,8 @@ class ServerResult:
     #: kernels for a sharded run — the cost metric the sharding property
     #: tests conserve)
     events: int = 0
-    #: decision points that called the policy, and those that provably
-    #: could not change its answer and skipped the call (the elision rule:
-    #: :attr:`~repro.clusterserver.scheduler.Scheduler.progress_insensitive`)
+    #: decision points that called the policy, and those that left
+    #: membership unchanged and skipped the call (:func:`_membership_changed`)
     allocations: int = 0
     allocations_elided: int = 0
     #: streaming SLO aggregates of an open-system run (None for closed
@@ -200,8 +197,14 @@ def _open_workload(workload, scheduler: Scheduler):
     keeps the completed ones (:class:`_KeptJobs`); any other iterable is
     a stream of ``(arrival_time, JobSpec)`` pairs that asks the policy's
     admission hook and folds completions into an :class:`SloAggregator`.
+    A Sequence's per-job results are keyed by job name, so its names must
+    be unique.
     """
     if isinstance(workload, SequenceABC):
+        names = Counter(spec.name for spec in workload)
+        repeated = sorted(name for name, n in names.items() if n > 1)
+        if repeated:
+            raise ConfigurationError(f"duplicate job names: {repeated}")
         ordered = sorted(enumerate(workload), key=lambda p: p[1].arrival)
         return (
             ((spec.arrival, i, spec) for i, spec in ordered),
@@ -215,9 +218,22 @@ def _open_workload(workload, scheduler: Scheduler):
     )
 
 
+def _membership_changed(
+    admitted: bool, completed: bool, fired: bool, first: bool
+) -> bool:
+    """The eager engine's elision rule: ask the policy at this event?
+
+    Only when a job was admitted or completed, a fault fired, or no
+    decision has been made yet.  Between such events only job progress
+    moves, and a :class:`~repro.clusterserver.workload.JobView` does not
+    show it, so the previous grants stand.
+    """
+    return admitted or completed or fired or first
+
+
 def _allocate_checked(
-    scheduler: Scheduler, running: Sequence[MalleableJob], avail: int
-) -> tuple[dict[MalleableJob, int], int, int]:
+    scheduler: Scheduler, running: Sequence[JobView], avail: int
+) -> tuple[dict[JobView, int], int, int]:
     """One policy decision: ``(allocation, granted, capacity)``, checked."""
     allocation = scheduler.allocate(running, avail)
     granted = sum(allocation.values())
@@ -344,9 +360,6 @@ class ClusterServer:
             if self.faults is not None
             else None
         )
-        every_event = not getattr(
-            self.scheduler, "progress_insensitive", False
-        )
         allocations = 0
         granted = capacity = 0
         last_update = 0.0
@@ -354,6 +367,9 @@ class ClusterServer:
         exhausted = False
         boundary: list = [None]  # pending phase-boundary event handle
         fault_handles: dict[float, object] = {}
+
+        def views() -> list[JobView]:
+            return [job.view for job in running]
 
         def advance_to_now() -> None:
             nonlocal last_update
@@ -390,7 +406,7 @@ class ClusterServer:
             # the same retirement-first ordering the sharded engine's
             # barrier uses.
             live = {j.index: j for j in running if not j.done}
-            ordered = sorted((idx, j.nodes) for idx, j in live.items())
+            ordered = sorted((idx, j.view.nodes) for idx, j in live.items())
             fired, victims = runtime.fire(kernel.now, ordered)
             for idx, entry in victims:
                 job = live.get(idx)
@@ -404,9 +420,6 @@ class ClusterServer:
                     # every engine agree bit-for-bit after the fault.
                     job.remaining_in_phase = job.spec.phase_work[job.phase]
                 else:
-                    job.failed = True
-                    job.finished_at = kernel.now
-                    job.nodes = 0
                     running.remove(job)
                     del live[idx]
             return fired
@@ -426,7 +439,6 @@ class ClusterServer:
             job_done = bool(finished)
             for job in finished:
                 job.finished_at = kernel.now
-                job.nodes = 0
                 running.remove(job)
                 sink.observe_completion(job)
             avail = available_nodes()
@@ -443,30 +455,27 @@ class ClusterServer:
                 fault_handles.clear()
             # Deferred arrivals retry in FIFO order; membership state may
             # have changed since they were parked.
-            while deferred and admit(deferred[0][1], running, avail):
+            while deferred and admit(deferred[0][1], views(), avail):
                 idx, spec = deferred.popleft()
                 running.append(MalleableJob(spec, index=idx))
                 admitted = True
-            if admitted or job_done or fired or every_event or not allocations:
-                # Membership changed (or the policy reads job progress,
-                # or this is the first decision): the policy replays.
+            if _membership_changed(admitted, job_done, fired, not allocations):
                 allocations += 1
                 allocation, granted, capacity = _allocate_checked(
-                    self.scheduler, running, avail
+                    self.scheduler, views(), avail
                 )
                 for job in running:
-                    job.nodes = allocation.get(job, 0)
-                    if job.nodes > 0 and math.isnan(job.started_at):
+                    nodes = job.view.nodes = allocation.get(job.view, 0)
+                    if nodes > 0 and math.isnan(job.started_at):
                         job.started_at = kernel.now
                 if runtime is not None and runtime.factors_live:
                     factors = runtime.rate_factors(
-                        sorted((j.index, j.nodes) for j in running)
+                        sorted((j.index, j.view.nodes) for j in running)
                     )
                     for job in running:
                         job.rate_factor = factors[job.index]
             # Otherwise — pure phase boundaries, rejected or deferred
-            # arrivals — no scheduler-visible change, by
-            # progress-insensitivity: the previous grants stand.
+            # arrivals — the previous grants stand.
             sink.observe_utilization(kernel.now, granted, capacity)
             horizon = min(
                 (j.time_to_phase_end() for j in running), default=math.inf
@@ -485,7 +494,7 @@ class ClusterServer:
             advance_to_now()
             # One-ahead pull: exactly one future arrival is ever buffered.
             schedule_next_arrival()
-            admitted = admit(spec, running, available_nodes())
+            admitted = admit(spec, views(), available_nodes())
             if admitted:
                 running.append(MalleableJob(spec, index=idx))
             elif self.scheduler.defer_rejected:

@@ -27,13 +27,12 @@ conservative epoch controller of :mod:`repro.des.epoch`:
   lookahead, so a shard's events are phase completions only (and
   ``ServerResult.events`` counts exactly those);
 * at each epoch barrier the controller admits the due arrivals to their
-  owner shards, replays the scheduler's *global* reallocation over
-  phase-granular job mirrors and pushes only the
-  changed node grants back to the shards.  Barriers whose
-  scheduler-visible state provably did not change (the approach to a
-  job's last phase, a rejected arrival, under a
-  :attr:`~repro.clusterserver.scheduler.Scheduler.progress_insensitive`
-  policy) skip the allocation call entirely.
+  owner shards, replays the scheduler's *global* reallocation over the
+  jobs' :class:`~repro.clusterserver.workload.JobView` objects and pushes
+  only the changed node grants back to the shards.  A view carries no
+  progress, so a barrier that admitted, completed and faulted no job (a
+  phase completion, a rejected arrival) skips the allocation call
+  entirely.
 
 Determinism contract (see ``docs/sharding.md``): the
 :class:`~repro.clusterserver.server.ServerResult` is **bit-identical for
@@ -71,7 +70,7 @@ from repro.clusterserver.server import (
     _open_workload,
     finalize_result,
 )
-from repro.clusterserver.workload import JobSpec, MalleableJob
+from repro.clusterserver.workload import JobSpec, JobView
 from repro.des.epoch import EpochController
 from repro.des.event_queue import EventHandle
 from repro.des.fluid import is_settled
@@ -330,6 +329,51 @@ class JobShard:
             self._rekey(job)
 
 
+class _Mirror:
+    """Controller-side record of one active job.
+
+    ``view`` is all the policy sees; the rest is the result's accounting
+    and, updated only under a fault plan, the phase and its remaining
+    work ``rem`` as of ``rem_sync`` that a fault's lost work is
+    measured against.
+    """
+
+    __slots__ = (
+        "view", "spec", "index", "owner", "started_at", "finished_at",
+        "node_seconds", "last_change", "rate_factor", "phase", "rem",
+        "rem_sync",
+    )
+
+    def __init__(
+        self, index: int, spec: JobSpec, owner: int, now: float
+    ) -> None:
+        self.view = JobView(spec, index)
+        self.spec = spec
+        self.index = index
+        self.owner = owner
+        self.started_at = math.nan
+        self.finished_at = math.nan
+        self.node_seconds = 0.0
+        self.last_change = now
+        self.rate_factor = 1.0
+        self.phase = 0
+        self.rem = spec.phase_work[0]
+        self.rem_sync = now
+
+    def close_chunk(self, now: float) -> None:
+        """Book the node-seconds of the grant held since the last change."""
+        self.node_seconds += self.view.nodes * (now - self.last_change)
+        self.last_change = now
+
+    def fold_rem(self, now: float) -> None:
+        """Drain ``rem`` to ``now`` at the rate MalleableJob.rate() gives."""
+        nodes = self.view.nodes
+        if now > self.rem_sync and nodes > 0:
+            rate = nodes * self.spec.efficiency(nodes) * self.rate_factor
+            self.rem -= rate * (now - self.rem_sync)
+        self.rem_sync = now
+
+
 # --------------------------------------------------------------------------
 # the sharded server
 # --------------------------------------------------------------------------
@@ -343,11 +387,6 @@ class ShardedServer:
     :class:`~repro.clusterserver.server.ServerResult` — with the
     determinism contract that the result is bit-identical for every
     ``shards`` value.  ``shards=1`` is the single-kernel run.
-
-    Requires a :attr:`~repro.clusterserver.scheduler.Scheduler.\
-progress_insensitive` policy: the scheduler sees *phase-granular* job
-    mirrors at barriers (within-phase progress stays shard-local), and
-    allocation-neutral barriers elide the scheduler call.
     """
 
     def __init__(
@@ -393,13 +432,6 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
         (including the :class:`~repro.clusterserver.metrics.SloSummary`)
         is bit-identical for every shard count.
         """
-        if not getattr(self.scheduler, "progress_insensitive", False):
-            raise ConfigurationError(
-                f"{self.scheduler.name}: sharded simulation requires a "
-                "progress-insensitive scheduler (allocate() must not read "
-                "job progress — phase index or remaining work); run it on "
-                "ClusterServer instead"
-            )
         t_start = time.perf_counter()
         K = self.shards
         arrivals, admit, sink = _open_workload(workload, self.scheduler)
@@ -411,12 +443,9 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
         stats = ShardStats(shards=K)
         shards = [JobShard(sid) for sid in range(K)]
 
-        # Controller-side decision state — active jobs only.
-        running: dict[int, MalleableJob] = {}
-        owner: dict[int, int] = {}
-        last_change: dict[int, float] = {}
-        rem: dict[int, float] = {}
-        rem_sync: dict[int, float] = {}
+        # Controller-side decision state — active jobs only, in
+        # admission order.
+        running: dict[int, _Mirror] = {}
         deferred: deque[tuple[int, int, JobSpec]] = deque()
         pending: list = [next(arrivals, None)]
         state = {"pulled": 0, "last_bound": 0.0}
@@ -434,33 +463,13 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                     t = ft
             return t
 
-        def close_chunk(idx: int, now: float) -> None:
-            mirror = running[idx]
-            mirror.node_seconds += mirror.nodes * (now - last_change[idx])
-            last_change[idx] = now
-
-        def fold_rem(idx: int, now: float) -> None:
-            dt = now - rem_sync[idx]
-            if dt > 0:
-                rem[idx] -= running[idx].rate() * dt
-            rem_sync[idx] = now
-
-        def forget(idx: int) -> None:
-            del running[idx]
-            del owner[idx]
-            del last_change[idx]
-            if runtime is not None:
-                del rem[idx], rem_sync[idx]
+        def views() -> list[JobView]:
+            return [mirror.view for mirror in running.values()]
 
         def admit_job(
             idx: int, sid: int, spec: JobSpec, now: float, new_specs: dict
         ) -> None:
-            running[idx] = MalleableJob(spec, index=idx)
-            owner[idx] = sid
-            last_change[idx] = now
-            if runtime is not None:
-                rem[idx] = spec.phase_work[0]
-                rem_sync[idx] = now
+            running[idx] = _Mirror(idx, spec, sid, now)
             new_specs.setdefault(sid, []).append((idx, spec))
 
         def available_nodes() -> int:
@@ -470,7 +479,7 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
 
         def apply_faults(now: float, ops: dict) -> bool:
             ordered = sorted(
-                (idx, m.nodes) for idx, m in running.items()
+                (idx, m.view.nodes) for idx, m in running.items()
             )
             fired, victims = runtime.fire(now, ordered)
             for idx, entry in victims:
@@ -478,21 +487,15 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 if mirror is None:
                     entry["outcome"] = "absent"
                     continue
-                fold_rem(idx, now)
-                lost = mirror.spec.phase_work[mirror.phase] - rem[idx]
+                mirror.fold_rem(now)
+                work = mirror.spec.phase_work[mirror.phase]
+                lost = work - mirror.rem
                 if runtime.record_loss(idx, lost, entry) == "retry":
-                    rem[idx] = mirror.spec.phase_work[mirror.phase]
-                    mirror.remaining_in_phase = rem[idx]
-                    ops["restarts"].setdefault(owner[idx], []).append(
-                        idx
-                    )
+                    mirror.rem = work
+                    ops["restarts"].setdefault(mirror.owner, []).append(idx)
                 else:
-                    close_chunk(idx, now)
-                    mirror.failed = True
-                    mirror.finished_at = now
-                    mirror.nodes = 0
-                    ops["drops"].setdefault(owner[idx], []).append(idx)
-                    forget(idx)
+                    ops["drops"].setdefault(mirror.owner, []).append(idx)
+                    del running[idx]
             return fired
 
         def pull_arrivals(now: float, new_specs: dict) -> bool:
@@ -513,7 +516,7 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 # so any deterministic rule works.
                 sid = state["pulled"] % K
                 state["pulled"] += 1
-                if admit(spec, list(running.values()), available_nodes()):
+                if admit(spec, views(), available_nodes()):
                     admit_job(idx, sid, spec, now, new_specs)
                     admitted = True
                 elif self.scheduler.defer_rejected:
@@ -524,15 +527,52 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
 
         def drain_deferred(now: float, new_specs: dict) -> None:
             while deferred and admit(
-                deferred[0][2], list(running.values()), available_nodes()
+                deferred[0][2], views(), available_nodes()
             ):
                 idx, sid, spec = deferred.popleft()
                 admit_job(idx, sid, spec, now, new_specs)
 
+        def reallocate(now: float) -> dict[int, list[tuple[int, int, float]]]:
+            """Replay the policy; return the changed grants per shard."""
+            stats.allocations += 1
+            allocation, granted, capacity = _allocate_checked(
+                self.scheduler, views(), available_nodes()
+            )
+            factors = None
+            if runtime is not None and runtime.factors_live:
+                factors = runtime.rate_factors(
+                    sorted(
+                        (idx, allocation.get(m.view, 0))
+                        for idx, m in running.items()
+                    )
+                )
+            updates: dict[int, list[tuple[int, int, float]]] = {}
+            for idx, mirror in running.items():
+                view = mirror.view
+                nodes = allocation.get(view, 0)
+                factor = (
+                    mirror.rate_factor if factors is None else factors[idx]
+                )
+                if nodes == view.nodes and factor == mirror.rate_factor:
+                    continue
+                if runtime is not None:
+                    mirror.fold_rem(now)
+                if nodes != view.nodes:
+                    mirror.close_chunk(now)
+                    view.nodes = nodes
+                    if nodes > 0 and math.isnan(mirror.started_at):
+                        mirror.started_at = now
+                mirror.rate_factor = factor
+                updates.setdefault(mirror.owner, []).append(
+                    (idx, nodes, factor)
+                )
+            sink.observe_utilization(now, granted, capacity)
+            return updates
+
         def on_barrier(now: float, reports: list) -> bool:
             state["last_bound"] = now
             job_done = False
-            retired: list[tuple[int, MalleableJob]] = []
+            retired: list[tuple[int, _Mirror]] = []
             for completed in reports:
                 for idx, done, t in completed:
                     mirror = running[idx]
@@ -545,24 +585,19 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                                 "completion"
                             )
                         job_done = True
-                        close_chunk(idx, now)
-                        mirror.phase = len(mirror.spec.phase_work)
-                        mirror.remaining_in_phase = 0.0
+                        mirror.close_chunk(now)
                         mirror.finished_at = now
-                        mirror.nodes = 0
                         retired.append((idx, mirror))
-                    else:
+                    elif runtime is not None:
+                        # Fault bookkeeping only: the policy's view
+                        # carries no phase.
                         mirror.phase += 1
-                        mirror.remaining_in_phase = (
-                            mirror.spec.phase_work[mirror.phase]
-                        )
-                        if runtime is not None:
-                            rem[idx] = mirror.remaining_in_phase
-                            rem_sync[idx] = t
+                        mirror.rem = mirror.spec.phase_work[mirror.phase]
+                        mirror.rem_sync = t
             # Fold retirements in index order: the aggregator's call
             # sequence — hence the SloSummary — is K-independent.
             for idx, mirror in sorted(retired):
-                forget(idx)
+                del running[idx]
                 sink.observe_completion(mirror)
             ops: dict = {"restarts": {}, "drops": {}}
             fired = False
@@ -576,61 +611,10 @@ progress_insensitive` policy: the scheduler sees *phase-granular* job
                 # Membership changed: deferred jobs get their retry,
                 # then the global policy replays.
                 drain_deferred(now, new_specs)
-                stats.allocations += 1
-                allocation, granted, capacity = _allocate_checked(
-                    self.scheduler,
-                    list(running.values()),
-                    available_nodes(),
-                )
-                updates: dict[int, list[tuple[int, int, float]]] = {}
-                if runtime is None:
-                    for idx, mirror in running.items():
-                        nodes = allocation.get(mirror, 0)
-                        if nodes != mirror.nodes:
-                            close_chunk(idx, now)
-                            mirror.nodes = nodes
-                            if nodes > 0 and math.isnan(
-                                mirror.started_at
-                            ):
-                                mirror.started_at = now
-                            updates.setdefault(owner[idx], []).append(
-                                (idx, nodes, 1.0)
-                            )
-                else:
-                    changed: set[int] = set()
-                    for idx, mirror in running.items():
-                        nodes = allocation.get(mirror, 0)
-                        if nodes != mirror.nodes:
-                            close_chunk(idx, now)
-                            fold_rem(idx, now)
-                            mirror.nodes = nodes
-                            if nodes > 0 and math.isnan(
-                                mirror.started_at
-                            ):
-                                mirror.started_at = now
-                            changed.add(idx)
-                    if runtime.factors_live:
-                        factors = runtime.rate_factors(
-                            sorted(
-                                (idx, m.nodes)
-                                for idx, m in running.items()
-                            )
-                        )
-                        for idx, mirror in running.items():
-                            f = factors[idx]
-                            if f != mirror.rate_factor:
-                                fold_rem(idx, now)
-                                mirror.rate_factor = f
-                                changed.add(idx)
-                    for idx, mirror in running.items():
-                        if idx in changed:
-                            updates.setdefault(owner[idx], []).append(
-                                (idx, mirror.nodes, mirror.rate_factor)
-                            )
-                sink.observe_utilization(now, granted, capacity)
+                updates = reallocate(now)
             else:
-                # Pure phase boundaries (or rejected arrivals): no
-                # scheduler-visible change, by progress-insensitivity.
+                # Phase boundaries or rejected arrivals: the views are
+                # unchanged, so the previous grants stand.
                 stats.allocations_elided += 1
                 updates = {}
             touched = sorted(

@@ -109,47 +109,64 @@ class JobSpec:
         return self.total_work / rate if rate > 0 else float("inf")
 
 
-class MalleableJob:
-    """Runtime state of one job inside the server simulation."""
+class JobView:
+    """What a scheduling policy sees of one active job: membership only.
+
+    ``spec`` and arrival ``index`` identify the job, ``nodes`` is its
+    grant (the one copy rates are read from).  Made at admission, dropped
+    at retirement, so it can key an allocation.  Progress stays
+    engine-side: reading it here raises :class:`AttributeError`, which is
+    what lets both engines skip the policy while membership is unchanged.
+    """
+
+    __slots__ = ("spec", "index", "nodes", "efficient_size")
 
     def __init__(self, spec: JobSpec, index: int = -1) -> None:
+        self.spec = spec
+        self.index = index
+        self.nodes = 0
+        #: (efficiency floor, efficient node count) as priced once by
+        #: :class:`~repro.clusterserver.scheduler.AdaptiveEfficiencyScheduler`
+        self.efficient_size: tuple[float, int] | None = None
+
+
+class MalleableJob:
+    """Runtime state of one job inside the eager server simulation.
+
+    The grant lives on :attr:`view`, the only part a policy is handed.
+    """
+
+    __slots__ = (
+        "view", "spec", "index", "_phases", "phase", "remaining_in_phase",
+        "rate_factor", "started_at", "finished_at", "node_seconds",
+        "_priced",
+    )
+
+    def __init__(self, spec: JobSpec, index: int = -1) -> None:
+        self.view = JobView(spec, index)
         self.spec = spec
         #: arrival-order index (the fault layer's stable job identity)
         self.index = index
         self._phases = len(spec.phase_work)
         self.phase = 0
         self.remaining_in_phase = spec.phase_work[0]
-        self.nodes = 0
         #: degraded-node slowdown in (0, 1]; 1.0 (the default) is exact
         #: under IEEE multiplication, so fault-free runs are bit-unchanged
         self.rate_factor = 1.0
-        #: set when the fault layer exhausts the job's retry budget
-        self.failed = False
         self.started_at: float = float("nan")
         self.finished_at: float = float("nan")
         #: integral of allocated nodes over time (for efficiency accounting)
         self.node_seconds = 0.0
         #: rate() at the (nodes, rate_factor) it was last priced for
         self._priced = (0, 1.0, 0.0)
-        #: (efficiency floor, efficient node count) as priced once by
-        #: :class:`~repro.clusterserver.scheduler.AdaptiveEfficiencyScheduler`
-        self.efficient_size: tuple[float, int] | None = None
 
     @property
     def done(self) -> bool:
         return self.phase >= self._phases
 
-    @property
-    def remaining_work(self) -> float:
-        if self.done:
-            return 0.0
-        return self.remaining_in_phase + sum(
-            self.spec.phase_work[self.phase + 1 :]
-        )
-
     def rate(self) -> float:
         """Work completed per second at the current allocation."""
-        nodes = self.nodes
+        nodes = self.view.nodes
         if nodes <= 0 or self.phase >= self._phases:
             return 0.0
         priced_nodes, priced_factor, rate = self._priced
@@ -160,17 +177,11 @@ class MalleableJob:
             self._priced = (nodes, factor, rate)
         return rate
 
-    def current_efficiency(self) -> float:
-        """Efficiency at the current allocation (0 when idle)."""
-        if self.done or self.nodes <= 0:
-            return 0.0
-        return self.spec.efficiency(self.nodes)
-
     def advance(self, dt: float) -> None:
         """Progress the job by ``dt`` seconds at its current rate."""
         if dt < 0:
             raise ConfigurationError("dt must be >= 0")
-        self.node_seconds += self.nodes * dt
+        self.node_seconds += self.view.nodes * dt
         progress = self.rate() * dt
         while progress > 0 and self.phase < self._phases:
             if progress < self.remaining_in_phase - PHASE_DONE_ATOL:

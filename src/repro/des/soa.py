@@ -139,11 +139,6 @@ class SoaFluidEngine:
     def __len__(self) -> int:
         return self._nlive
 
-    @property
-    def task_count(self) -> int:
-        """Number of active tasks (live slots)."""
-        return self._nlive
-
     def _grow(self) -> None:
         old = self.work.shape[0]
         new = old * 2

@@ -35,11 +35,6 @@ class CreditAccount:
         self._blocked: deque[Callable[[], None]] = deque()
 
     @property
-    def has_credit(self) -> bool:
-        """Whether another object may be posted immediately."""
-        return self.outstanding < self.limit
-
-    @property
     def blocked_count(self) -> int:
         """Number of suspended emitters waiting for credits."""
         return len(self._blocked)

@@ -167,10 +167,6 @@ class FlowGraph:
         return edge
 
     # ------------------------------------------------------------- queries
-    def out_edges(self, name: str) -> list[Edge]:
-        """Outgoing edges of vertex ``name``."""
-        return self._out_edges[name]
-
     def edge_to(self, src: str, dst: Optional[str]) -> Edge:
         """Resolve the edge used by ``Post(obj, to=dst)`` from ``src``.
 

@@ -223,13 +223,6 @@ class RunResult:
             intervals.append((label, start, end))
         return intervals
 
-    def phase_duration(self, label: str) -> float:
-        """Wall duration of the phase named ``label``."""
-        for name, start, end in self.phase_intervals():
-            if name == label:
-                return end - start
-        raise KeyError(f"no phase {label!r} in run result")
-
     def active_nodes_at(self, time: float) -> frozenset[int]:
         """The node allocation in force at simulation time ``time``."""
         current = self.allocation_timeline[0][1]

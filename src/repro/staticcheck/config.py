@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from repro.staticcheck.rules_determinism import (
-    POLICY_SCOPE,
     RESULT_SCOPE,
     TOLERANCE_SCOPE,
     WALLCLOCK_STATS_ALLOWLIST,
@@ -47,8 +46,7 @@ class CheckConfig:
 
 #: The project's invariants, spelled out: REP-D confined to the
 #: result-producing packages with the wall-clock-stats allowlist on the
-#: monotonic-timer rule (the policy rule REP-D006 adds ``examples/`` and
-#: ``benchmarks/``, the tolerance rule REP-D007 swaps ``apps/`` and
+#: monotonic-timer rule (the tolerance rule REP-D007 swaps ``apps/`` and
 #: ``faults.py`` for ``dps/``); REP-I exempting the dedicated ``*/soa.py``
 #: numpy backends; REP-C and REP-R everywhere.  (Scopes match the rule
 #: classes' own defaults today; the config exists so the project can
@@ -61,7 +59,6 @@ DEFAULT_CONFIG = CheckConfig(scopes={
         include=RESULT_SCOPE, exclude=WALLCLOCK_STATS_ALLOWLIST
     ),
     "REP-D005": RuleScope(include=RESULT_SCOPE),
-    "REP-D006": RuleScope(include=POLICY_SCOPE),
     "REP-D007": RuleScope(include=TOLERANCE_SCOPE),
     "REP-I001": RuleScope(exclude=("**/soa.py",)),
 })

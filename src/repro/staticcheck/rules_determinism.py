@@ -10,10 +10,8 @@ Scoped (by the default :class:`~repro.staticcheck.config.CheckConfig`)
 to the result-producing packages: ``des/``, ``netmodel/``,
 ``cpumodel/``, ``clusterserver/``, ``faults.py`` and ``apps/``.
 Wall-clock *stats* (shard wall-time, barrier-wait counters) live in an
-explicit per-file allowlist rather than in suppressions.  REP-D006 (the
-scheduling-policy contract) also covers ``examples/`` and
-``benchmarks/``, where user-facing policies are written; REP-D007 (named
-tolerances) covers the simulation layers, ``dps/`` included.
+explicit per-file allowlist rather than in suppressions.  REP-D007
+(named tolerances) covers the simulation layers, ``dps/`` included.
 """
 
 from __future__ import annotations
@@ -32,10 +30,6 @@ RESULT_SCOPE = (
     "**/faults.py",
     "**/apps/**",
 )
-
-#: Where scheduling policies live: the result scope plus the trees users
-#: copy a policy from.
-POLICY_SCOPE = RESULT_SCOPE + ("**/examples/**", "**/benchmarks/**")
 
 #: Files allowed to read monotonic timers: they feed *wall-clock stats*
 #: (``ShardStats.wall_s``, ``EpochStats.barrier_wait_s``), never results.
@@ -227,80 +221,6 @@ class SetIterationRule(Rule):
                     )
 
 
-#: What a policy may not read while declaring itself progress-insensitive.
-PROGRESS_ATTRS = frozenset({
-    "phase", "remaining_in_phase", "remaining_work", "time_to_phase_end",
-})
-
-#: The :class:`~repro.clusterserver.scheduler.Scheduler` decision hooks.
-POLICY_HOOKS = frozenset({"allocate", "admit", "capacity"})
-
-
-class ProgressSensitivePolicyRule(Rule):
-    """REP-D006: a policy that reads job progress must say so.
-
-    Both cluster-server engines skip ``allocate()`` at events that leave
-    membership unchanged, on the strength of
-    ``Scheduler.progress_insensitive`` (default ``True``).  No engine is
-    a safety net for a mislabelled policy: one that reads ``.phase``,
-    ``.remaining_in_phase``, ``.remaining_work`` or
-    ``.time_to_phase_end()`` in a decision hook while inheriting the
-    default silently gets stale grants.  It must set
-    ``progress_insensitive = False`` in its class body (the eager engine
-    then asks it at every event; the sharded engine rejects it).
-    """
-
-    rule_id = "REP-D006"
-    summary = (
-        "a Scheduler subclass whose allocate/admit/capacity reads job "
-        "progress must set progress_insensitive = False in its class body"
-    )
-    include = POLICY_SCOPE
-
-    @staticmethod
-    def _declares_sensitive(cls: ast.ClassDef) -> bool:
-        """``progress_insensitive = False`` as a class-body statement."""
-        return any(
-            isinstance(stmt, ast.Assign)
-            and isinstance(stmt.value, ast.Constant)
-            and stmt.value.value is False
-            and any(
-                isinstance(target, ast.Name)
-                and target.id == "progress_insensitive"
-                for target in stmt.targets
-            )
-            for stmt in cls.body
-        )
-
-    def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        for cls in ast.walk(unit.tree):
-            if not isinstance(cls, ast.ClassDef) or not any(
-                (dotted(base) or "").endswith("Scheduler")
-                for base in cls.bases
-            ):
-                continue
-            if self._declares_sensitive(cls):
-                continue
-            hooks = [
-                stmt for stmt in cls.body
-                if isinstance(stmt, ast.FunctionDef)
-                and stmt.name in POLICY_HOOKS
-            ]
-            for hook in hooks:
-                for node in ast.walk(hook):
-                    if (
-                        isinstance(node, ast.Attribute)
-                        and node.attr in PROGRESS_ATTRS
-                    ):
-                        yield unit.finding(
-                            self.rule_id, node,
-                            f"{cls.name}.{hook.name}() reads job progress "
-                            f"(.{node.attr}) but {cls.name} does not set "
-                            "progress_insensitive = False; the engines "
-                            "elide its calls between membership changes",
-                        )
-
-
 #: The layers whose float arithmetic decides simulated times.
 TOLERANCE_SCOPE = tuple(
     f"**/{layer}/**"
@@ -357,6 +277,5 @@ DETERMINISM_RULES = (
     WallClockRule(),
     MonotonicTimerRule(),
     SetIterationRule(),
-    ProgressSensitivePolicyRule(),
     NamedToleranceRule(),
 )

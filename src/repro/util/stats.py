@@ -53,12 +53,6 @@ class OnlineStats:
         return self._m2 / (self._n - 1)
 
     @property
-    def stddev(self) -> float:
-        """Sample standard deviation (NaN below two samples)."""
-        v = self.variance
-        return math.sqrt(v) if v == v else math.nan
-
-    @property
     def minimum(self) -> float:
         """Smallest sample seen (NaN while empty)."""
         return self._min if self._n else math.nan

@@ -14,6 +14,7 @@ from repro.clusterserver.scheduler import (
 from repro.clusterserver.server import ClusterServer
 from repro.clusterserver.workload import (
     JobSpec,
+    JobView,
     MalleableJob,
     amdahl_efficiency,
     lu_like_job,
@@ -49,11 +50,11 @@ def test_job_spec_validation():
 def test_malleable_job_advance_and_phases():
     spec = JobSpec("j", 0.0, (2.0, 1.0), amdahl_efficiency(1.0))
     job = MalleableJob(spec)
-    job.nodes = 2
+    job.view.nodes = 2
     assert job.rate() == pytest.approx(2.0)
     job.advance(1.0)  # completes phase 0 exactly
     assert job.phase == 1
-    assert job.remaining_work == pytest.approx(1.0)
+    assert job.remaining_in_phase == pytest.approx(1.0)
     job.advance(0.5)
     assert job.done
     assert job.node_seconds == pytest.approx(3.0)
@@ -77,7 +78,7 @@ def test_synthetic_workload_deterministic():
 # ---------------------------------------------------------------- scheduler
 def _jobs(n, max_nodes=8):
     return [
-        MalleableJob(lu_like_job(f"j{i}", arrival=float(i), max_nodes=max_nodes))
+        JobView(lu_like_job(f"j{i}", arrival=float(i), max_nodes=max_nodes))
         for i in range(n)
     ]
 
@@ -104,7 +105,7 @@ def test_static_grants_and_queues():
 
 def test_adaptive_shrinks_inefficient_jobs():
     sched = AdaptiveEfficiencyScheduler(efficiency_floor=0.8)
-    poor = MalleableJob(
+    poor = JobView(
         JobSpec("poor", 0.0, (10.0,), amdahl_efficiency(0.5), max_nodes=16)
     )
     alloc = sched.allocate([poor], 16)
@@ -114,7 +115,7 @@ def test_adaptive_shrinks_inefficient_jobs():
 
 def test_adaptive_grows_efficient_jobs():
     sched = AdaptiveEfficiencyScheduler(efficiency_floor=0.5)
-    good = MalleableJob(
+    good = JobView(
         JobSpec("good", 0.0, (10.0,), amdahl_efficiency(0.999), max_nodes=8)
     )
     alloc = sched.allocate([good], 16)
@@ -149,7 +150,7 @@ def test_adaptive_desired_size_priced_once_matches_scan(curve, floors, data):
         "j", 0.0, (1.0,), lambda n: curve[n - 1],
         max_nodes=max_nodes, min_nodes=min_nodes,
     )
-    job = MalleableJob(spec)
+    job = JobView(spec)
     for floor in floors:
         sched = AdaptiveEfficiencyScheduler(efficiency_floor=floor)
         for cap in data.draw(st.permutations(range(max_nodes + 2))):
@@ -157,6 +158,14 @@ def test_adaptive_desired_size_priced_once_matches_scan(curve, floors, data):
 
 
 # ------------------------------------------------------------------- server
+def test_duplicate_job_names_rejected():
+    # Per-job results are keyed by name: a repeat would count two
+    # completed jobs against one turnaround.
+    specs = [lu_like_job("a", 0.0), lu_like_job("b", 0.5), lu_like_job("a", 1.0)]
+    with pytest.raises(ConfigurationError, match="duplicate job names.*'a'"):
+        ClusterServer(4, EquipartitionScheduler()).run(specs)
+
+
 @pytest.mark.parametrize(
     "scheduler",
     [StaticScheduler(8), EquipartitionScheduler(), AdaptiveEfficiencyScheduler()],

@@ -1,11 +1,12 @@
 """The eager engine's elision rule: ask the policy only on membership change.
 
-The contract (``Scheduler.progress_insensitive``): under a
-progress-insensitive policy an event that neither admits, completes nor
-faults a job cannot change ``allocate()``'s answer, so
-:class:`~repro.clusterserver.server.ClusterServer` skips the call — and
-the run stays **bit-identical** to asking at every event, which is what a
-``progress_insensitive = False`` policy still gets.
+The contract (``server._membership_changed``): a policy sees
+:class:`~repro.clusterserver.workload.JobView` objects, which carry no
+progress, so an event that neither admits, completes nor faults a job
+cannot change ``allocate()``'s answer, and
+:class:`~repro.clusterserver.server.ClusterServer` skips the call.  The
+run stays **bit-identical** to asking at every event, the reference
+schedule this file gets by patching the predicate to always-true.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from repro.clusterserver import ClusterServer, ShardedServer
+from repro.clusterserver import ClusterServer, ShardedServer, server
 from repro.clusterserver.arrivals import poisson_arrivals
 from repro.clusterserver.scheduler import (
     AdaptiveEfficiencyScheduler,
@@ -25,7 +26,7 @@ from repro.clusterserver.scheduler import (
     Scheduler,
     StaticScheduler,
 )
-from repro.clusterserver.workload import synthetic_workload
+from repro.clusterserver.workload import stencil_like_job, synthetic_workload
 from repro.faults import FaultEvent, FaultPlan
 
 #: Rigid policies keep their grants through a crash, so they need head
@@ -34,14 +35,8 @@ from repro.faults import FaultEvent, FaultPlan
 NODES = 20
 
 
-class _PerEvent(Scheduler):
-    """Test-only oracle: the inner policy, asked at every event.
-
-    Declaring ``progress_insensitive = False`` forces the call-per-event
-    schedule the eager loop ran before it elided anything.
-    """
-
-    progress_insensitive = False
+class _Counting(Scheduler):
+    """Test-only: the inner policy, counting its ``allocate`` calls."""
 
     def __init__(self, inner: Scheduler) -> None:
         self.inner = inner
@@ -63,8 +58,8 @@ class _PerEvent(Scheduler):
 class _NewestFirst(Scheduler):
     """Test-only: the whole cluster to the newest job, none to the rest.
 
-    Progress-insensitive, and the one shape where a job let in from the
-    deferred queue is granted nodes at once — see ``POLICIES``.
+    The one shape where a job let in from the deferred queue is granted
+    nodes at once — see ``POLICIES``.
     """
 
     name = "newest-first"
@@ -78,7 +73,7 @@ class _NewestFirst(Scheduler):
 
 
 class _CountingAdaptive(AdaptiveEfficiencyScheduler):
-    """The adaptive policy (still progress-insensitive), counting calls."""
+    """The adaptive policy, counting calls."""
 
     def __init__(self) -> None:
         super().__init__(0.5)
@@ -135,11 +130,16 @@ PLANS = {
 @pytest.mark.parametrize("plan", sorted(PLANS))
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("policy", sorted(POLICIES))
-def test_elided_run_equals_per_event_run_bit_for_bit(policy, workload, plan):
+def test_elided_run_equals_per_event_run_bit_for_bit(
+    policy, workload, plan, monkeypatch
+):
     elided = ClusterServer(
         NODES, POLICIES[policy](), faults=PLANS[plan]()
     ).run(WORKLOADS[workload]())
-    oracle_policy = _PerEvent(POLICIES[policy]())
+    # The reference: the call-per-event schedule the eager loop ran
+    # before it elided anything.
+    monkeypatch.setattr(server, "_membership_changed", lambda *_: True)
+    oracle_policy = _Counting(POLICIES[policy]())
     oracle = ClusterServer(
         NODES, oracle_policy, faults=PLANS[plan]()
     ).run(WORKLOADS[workload]())
@@ -181,3 +181,56 @@ def test_allocate_calls_are_admissions_plus_completions():
     assert twin.allocations == sharded.stats.allocations
     assert twin.allocations_elided == sharded.stats.allocations_elided
 
+
+# ------------------------------------------------------- the view's boundary
+#: What a policy might want of job progress; none of it is on a JobView.
+PROGRESS_READS = {
+    "phase": lambda job: job.phase,
+    "remaining_in_phase": lambda job: job.remaining_in_phase,
+    "remaining_work": lambda job: job.remaining_work,
+    "time_to_phase_end": lambda job: job.time_to_phase_end(),
+    "node_seconds": lambda job: job.node_seconds,
+}
+
+ENGINES = {
+    "eager": lambda policy: ClusterServer(8, policy),
+    "sharded-1": lambda policy: ShardedServer(8, policy, shards=1),
+    "sharded-2": lambda policy: ShardedServer(8, policy, shards=2),
+}
+
+
+class _ProgressReader(EquipartitionScheduler):
+    """Test-only: reads one progress field of every job in one hook."""
+
+    def __init__(self, hook: str, read) -> None:
+        self.hook = hook
+        self.read = read
+
+    def allocate(self, running, total_nodes):
+        if self.hook == "allocate":
+            for job in running:
+                self.read(job)
+        return super().allocate(running, total_nodes)
+
+    def admit(self, spec, running, total_nodes):
+        if self.hook == "admit":
+            for job in running:
+                self.read(job)
+        return True
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("attr", sorted(PROGRESS_READS))
+@pytest.mark.parametrize("hook", ["admit", "allocate"])
+def test_a_progress_reading_policy_cannot_run(hook, attr, engine):
+    # The elision rule is structural: a policy is handed views that do not
+    # carry progress, so reading it fails at once instead of silently
+    # deciding on stale state.  Job b arrives while a runs, so admit()
+    # sees a non-empty running set.
+    stream = iter([
+        (0.0, stencil_like_job("a", 0.0)),
+        (1.0, stencil_like_job("b", 1.0)),
+    ])
+    policy = _ProgressReader(hook, PROGRESS_READS[attr])
+    with pytest.raises(AttributeError, match=attr):
+        ENGINES[engine](policy).run(stream)

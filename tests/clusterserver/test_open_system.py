@@ -222,7 +222,6 @@ def test_admission_control_validation():
         AdmissionControlScheduler(EquipartitionScheduler(), load_max=1.5)
     policy = AdmissionControlScheduler(EquipartitionScheduler(), load_max=0.5)
     assert policy.name == "admission+equipartition"
-    assert policy.progress_insensitive
 
 
 def test_autoscaler_grows_and_caps_utilization():

@@ -24,7 +24,6 @@ from repro.clusterserver.scheduler import (
     AdaptiveEfficiencyScheduler,
     EquipartitionScheduler,
     FcfsScheduler,
-    Scheduler,
     StaticScheduler,
 )
 from repro.clusterserver.workload import (
@@ -215,35 +214,6 @@ def test_stats_record_shape():
     assert stats.wall_s > 0
 
 
-# -------------------------------------------------------------------- guards
-class _ProgressGreedyScheduler(Scheduler):
-    """A scheduler that (illegally, for sharding) reads job progress."""
-
-    name = "progress-greedy"
-    progress_insensitive = False
-    calls = 0
-
-    def allocate(self, running, total_nodes):
-        self.calls += 1
-        ranked = sorted(running, key=lambda j: j.remaining_work)
-        return {job: (total_nodes if i == 0 else 0) for i, job in enumerate(ranked)}
-
-
-def test_progress_sensitive_scheduler_rejected():
-    server = ShardedServer(8, _ProgressGreedyScheduler(), shards=2)
-    with pytest.raises(ConfigurationError, match="progress-insensitive"):
-        server.run(synthetic_workload(jobs=3, seed=1))
-
-
-def test_progress_sensitive_scheduler_asked_at_every_eager_event():
-    # The one capability only the eager loop has: no elision for a policy
-    # that declares it reads job progress.
-    policy = _ProgressGreedyScheduler()
-    result = ClusterServer(8, policy).run(synthetic_workload(jobs=6, seed=1))
-    assert policy.calls == result.events == result.allocations
-    assert result.allocations_elided == 0
-
-
 def test_starvation_detected():
     # Jobs demand 8 nodes but the cluster only has 4: StaticScheduler
     # never grants, and the run must fail loudly like ClusterServer does.
@@ -257,6 +227,14 @@ def test_validation_errors():
         ShardedServer(0, EquipartitionScheduler())
     with pytest.raises(ConfigurationError):
         ShardedServer(8, EquipartitionScheduler(), shards=0)
+
+
+def test_duplicate_job_names_rejected():
+    # Per-job results are keyed by name: a repeat would count two
+    # completed jobs against one turnaround.
+    specs = [stencil_like_job("a", 0.0), stencil_like_job("a", 1.0)]
+    with pytest.raises(ConfigurationError, match="duplicate job names.*'a'"):
+        ShardedServer(4, EquipartitionScheduler(), shards=2).run(specs)
 
 
 def test_empty_workload():

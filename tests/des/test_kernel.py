@@ -157,7 +157,7 @@ def test_max_events_budget(kernel):
     assert kernel.pending_events == 3
 
 
-def test_trace_hook_sees_every_event(kernel):
+def test_trace_hook_sees_each_event(kernel):
     trace = []
     kernel.trace_hook = lambda t, cb, args: trace.append(t)
     kernel.schedule_at(1.0, lambda: None)

@@ -85,53 +85,6 @@ class TestSetIteration:
         assert findings(tmp_path, "des/a.py", src) == []
 
 
-GREEDY_POLICY = '''\
-from repro.clusterserver import Scheduler
-
-
-class ShortestRemainingFirst(Scheduler):
-    name = "srf"
-{flag}
-    def allocate(self, running, total_nodes):
-        ranked = sorted(running, key=lambda j: j.remaining_work)
-        return {{j: (total_nodes if i == 0 else 0) for i, j in enumerate(ranked)}}
-'''
-
-
-class TestProgressSensitivePolicy:
-    def test_unlabelled_progress_read_fires(self, tmp_path):
-        src = GREEDY_POLICY.format(flag="")
-        assert findings(tmp_path, "examples/policy.py", src) == ["REP-D006"]
-
-    def test_fires_in_the_result_scope_too(self, tmp_path):
-        src = GREEDY_POLICY.format(flag="")
-        assert findings(tmp_path, "clusterserver/policy.py", src) == ["REP-D006"]
-
-    def test_labelled_policy_is_fine(self, tmp_path):
-        src = GREEDY_POLICY.format(flag="    progress_insensitive = False\n")
-        assert findings(tmp_path, "examples/policy.py", src) == []
-
-    def test_membership_only_policy_is_fine(self, tmp_path):
-        src = (
-            "class Even(Scheduler):\n"
-            "    def allocate(self, running, total_nodes):\n"
-            "        return {j: j.spec.min_nodes for j in running if not j.done}\n"
-        )
-        assert findings(tmp_path, "benchmarks/policy.py", src) == []
-
-    def test_time_to_phase_end_in_admit_fires(self, tmp_path):
-        src = (
-            "class Picky(AdaptiveEfficiencyScheduler):\n"
-            "    def admit(self, spec, running, total_nodes):\n"
-            "        return all(j.time_to_phase_end() > 1.0 for j in running)\n"
-        )
-        assert findings(tmp_path, "benchmarks/policy.py", src) == ["REP-D006"]
-
-    def test_out_of_scope_module_is_fine(self, tmp_path):
-        src = GREEDY_POLICY.format(flag="")
-        assert findings(tmp_path, "tests/policy.py", src) == []
-
-
 class TestNamedTolerance:
     def test_bare_pad_on_a_clock_fires(self, tmp_path):
         src = "def arm(now, horizon):\n    return now + max(horizon, 1e-12)\n"

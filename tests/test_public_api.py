@@ -151,6 +151,15 @@ def test_packages_without_callers_export_nothing(package_name):
             "StaticScheduler FcfsScheduler EquipartitionScheduler "
             "AdaptiveEfficiencyScheduler".split()
         ),
+        # policies see a JobView: no progress label, no progress to read
+        ("repro.clusterserver.scheduler.Scheduler", "progress_insensitive"),
+        ("repro.clusterserver.workload.MalleableJob", "remaining_work"),
+        ("repro.clusterserver.workload.MalleableJob", "current_efficiency"),
+        (
+            "repro.staticcheck.rules_determinism",
+            "ProgressSensitivePolicyRule",
+        ),
+        ("repro.staticcheck.rules_determinism", "POLICY_SCOPE"),
     ],
 )
 def test_removed_names_stay_removed_without_an_alias(owner, name):
