@@ -302,8 +302,11 @@ def ablation_rows():
     return rows
 
 
-#: label -> (app, app.options): stencil and sample sort at compute-dominant sizes
+#: label -> (app, app.options): the Fig. 7 matrix multiplication, stencil
+#: and sample sort at compute-dominant sizes
 APPS = {
+    "matmul-1536-4n": ("matmul", dict(n=1536, s=192, num_threads=4, num_nodes=4)),
+    "matmul-1536-8n": ("matmul", dict(n=1536, s=192, num_threads=8, num_nodes=8)),
     "stencil-768-4n": ("stencil", dict(n=768, stripes=8, iterations=5,
                                        num_threads=4, num_nodes=4)),
     "stencil-1296-barrier-4n": ("stencil", dict(n=1296, stripes=8, iterations=5,

@@ -69,8 +69,6 @@ __getattr__, __dir__, __all__ = attach(
         "LUApplication": "repro.apps.lu.app",
         "LUConfig": "repro.apps.lu.config",
         "LUCostModel": "repro.apps.lu.costs",
-        "ImagePipelineApplication": "repro.apps.imgpipe.app",
-        "ImagePipelineConfig": "repro.apps.imgpipe.app",
         "StencilApplication": "repro.apps.stencil.app",
         "StencilConfig": "repro.apps.stencil.app",
         "StencilCostModel": "repro.apps.stencil.kernels",

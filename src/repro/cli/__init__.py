@@ -12,7 +12,7 @@ Commands
 * ``calibrate`` — characterize a network model's latency and bandwidth.
 * ``cache`` — manage the on-disk calibration and kernel-benchmark caches
   (``clear`` / ``info [--json]``).
-* ``graph`` — dump an application's flow-graph structure.
+* ``graph SPEC`` — dump the flow graph a spec's ``[app]`` section builds.
 * ``serve`` — long-lived scenario service: HTTP/JSON daemon over a
   resident worker pool with in-flight dedup and 429 backpressure.
 * ``check`` — AST-based invariant linter enforcing the project's

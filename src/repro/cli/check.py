@@ -65,7 +65,7 @@ def add_check_parser(sub) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Entry point for ``repro check``."""
-    from repro.staticcheck import DEFAULT_CONFIG, all_rules, run_check
+    from repro.staticcheck import all_rules, run_check
 
     rules = all_rules()
     if args.list_rules:
@@ -98,9 +98,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
 
     try:
-        result = run_check(
-            paths, rules, config=DEFAULT_CONFIG, only=args.rule
-        )
+        result = run_check(paths, rules, only=args.rule)
     except ValueError as exc:  # unknown --rule selector
         raise ConfigurationError(str(exc)) from exc
 

@@ -166,47 +166,29 @@ def add_graph_parser(sub: argparse._SubParsersAction) -> None:
     """Register the ``graph`` subcommand."""
     p = sub.add_parser(
         "graph",
-        help="dump an application's flow-graph structure",
-        description="Print the vertices and edges of an application's flow graph.",
+        help="dump the flow-graph structure of a spec's application",
+        description=(
+            "Print the vertices and edges of the flow graph a DPS scenario "
+            "spec's [app] section builds."
+        ),
     )
-    p.add_argument(
-        "app",
-        choices=("lu", "lu-pipelined", "stencil", "stencil-barrier", "sort", "matmul"),
-    )
+    p.add_argument("spec", help="scenario spec file (.toml or .json)")
     p.set_defaults(func=cmd_graph)
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    """Print the vertices and edges of the chosen application's flow graph."""
-    from repro.apps.lu.app import LUApplication
-    from repro.apps.lu.config import LUConfig
-    from repro.apps.matmul import MatmulApplication, MatmulConfig
-    from repro.apps.sort import SampleSortApplication, SampleSortConfig
-    from repro.apps.stencil import StencilApplication, StencilConfig
-    from repro.sim.modes import SimulationMode
+    """Print the vertices and edges of the spec's application flow graph."""
+    from repro.errors import ConfigurationError
+    from repro.scenario import ScenarioSpec, default_registry
 
-    noalloc = SimulationMode.PDEXEC_NOALLOC
-    builders = {
-        "lu": lambda: LUApplication(LUConfig(n=648, r=216, mode=noalloc)),
-        "lu-pipelined": lambda: LUApplication(
-            LUConfig(n=648, r=216, pipelined=True, mode=noalloc)
-        ),
-        "stencil": lambda: StencilApplication(
-            StencilConfig(n=16, stripes=2, iterations=2, num_threads=2,
-                          num_nodes=2, mode=noalloc)
-        ),
-        "stencil-barrier": lambda: StencilApplication(
-            StencilConfig(n=16, stripes=2, iterations=2, num_threads=2,
-                          num_nodes=2, barrier=True, mode=noalloc)
-        ),
-        "sort": lambda: SampleSortApplication(
-            SampleSortConfig(m=64, num_threads=2, num_nodes=2, mode=noalloc)
-        ),
-        "matmul": lambda: MatmulApplication(
-            MatmulConfig(n=64, s=32, num_threads=2, num_nodes=2, mode=noalloc)
-        ),
-    }
-    graph = builders[args.app]().build_graph()
+    spec = ScenarioSpec.from_file(args.spec)
+    if spec.engine.name == "server":
+        raise ConfigurationError(
+            "a server spec runs a stream of jobs, not one flow graph; "
+            "give repro graph a sim or testbed spec"
+        )
+    plugin = default_registry().resolve("app", spec.app.name)
+    graph = plugin.build(plugin.make_config(spec)).build_graph()
     rows = [
         (v.name, v.kind.value, v.group,
          v.closes or "", v.max_in_flight or "")

@@ -3,7 +3,7 @@
 One place wires every name a :class:`~repro.scenario.spec.ScenarioSpec`
 may use to the concrete classes of the repository:
 
-* **apps** — ``lu``, ``stencil``, ``sort``, ``matmul``, ``imgpipe``;
+* **apps** — ``lu``, ``stencil``, ``sort``, ``matmul``;
 * **netmodels** — ``star`` (equal share, the paper's model), ``maxmin``,
   ``packet``, ``backplane``, ``analytic``, plus the numpy
   structure-of-arrays variants ``maxmin-soa`` and ``packet-soa`` (scalar
@@ -81,7 +81,6 @@ def _soa_or_scalar(
 
 
 def _install_apps(registry: Registry) -> None:
-    from repro.apps.imgpipe import ImagePipelineApplication, ImagePipelineConfig
     from repro.apps.lu.app import LUApplication
     from repro.apps.lu.config import LUConfig
     from repro.apps.lu.costs import LUCostModel
@@ -146,16 +145,6 @@ def _install_apps(registry: Registry) -> None:
             build=MatmulApplication,
             cost_model=lambda machine, cfg: MachineCostModel(machine),
             verify=lambda app, runtime: app.verify(),
-        ),
-    )
-    registry.register(
-        "app",
-        "imgpipe",
-        AppPlugin(
-            name="imgpipe",
-            config_cls=ImagePipelineConfig,
-            build=ImagePipelineApplication,
-            cost_model=lambda machine, cfg: MachineCostModel(machine),
         ),
     )
 

@@ -142,6 +142,12 @@ class EngineSection:
                 f"unknown engine.mode {self.mode!r}; choose from "
                 f"{sorted(MODE_NAMES)}"
             )
+        if self.verify and self.mode == "noalloc":
+            raise ConfigurationError(
+                "engine.verify needs the computed data, which engine.mode "
+                "'noalloc' never allocates; use mode 'pdexec' or 'direct', "
+                "or drop engine.verify"
+            )
         if self.seed < 0:
             raise ConfigurationError(
                 f"engine.seed must be >= 0, got {self.seed}"

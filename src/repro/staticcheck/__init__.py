@@ -10,8 +10,8 @@ suppression policy.
 
 Usage::
 
-    from repro.staticcheck import all_rules, run_check, DEFAULT_CONFIG
-    result = run_check(["src"], all_rules(), DEFAULT_CONFIG)
+    from repro.staticcheck import all_rules, run_check
+    result = run_check(["src"], all_rules())
     assert result.ok, [f.render() for f in result.findings]
 
 or, from the command line: ``repro check src/ benchmarks/ examples/``.
@@ -19,7 +19,6 @@ or, from the command line: ``repro check src/ benchmarks/ examples/``.
 
 from __future__ import annotations
 
-from repro.staticcheck.config import DEFAULT_CONFIG
 from repro.staticcheck.engine import Rule, run_check
 from repro.staticcheck.rules_concurrency import CONCURRENCY_RULES
 from repro.staticcheck.rules_determinism import DETERMINISM_RULES
@@ -34,4 +33,4 @@ def all_rules() -> tuple[Rule, ...]:
     )
 
 
-__all__ = ["DEFAULT_CONFIG", "Rule", "all_rules", "run_check"]
+__all__ = ["Rule", "all_rules", "run_check"]

@@ -2,9 +2,9 @@
 
 The engine is deliberately small and stdlib-only: it discovers files
 under the requested paths, parses each Python module once, dispatches
-every enabled rule whose path scope matches (see
-:class:`~repro.staticcheck.config.CheckConfig`), and post-processes the
-findings against inline suppression markers.
+every enabled rule whose path scope (its own ``include``/``exclude``)
+matches, and post-processes the findings against inline suppression
+markers.
 
 Two rule families plug in:
 
@@ -113,7 +113,7 @@ class Rule:
 
     rule_id: str = "REP-000"
     summary: str = ""
-    #: Default path scope; :class:`CheckConfig` may override per rule.
+    #: Path scope: checked iff ``include`` matches and ``exclude`` does not.
     include: tuple[str, ...] = ("**",)
     exclude: tuple[str, ...] = ()
 
@@ -296,18 +296,17 @@ class CheckResult:
 def run_check(
     paths: Sequence["str | Path"],
     rules: Sequence[Rule],
-    config: Optional["CheckConfigLike"] = None,
     root: Optional["str | Path"] = None,
     only: Optional[Sequence[str]] = None,
 ) -> CheckResult:
     """Run ``rules`` over ``paths``; returns sorted, suppression-filtered
     findings.
 
-    ``config`` narrows each rule's path scope (falling back to the
-    rule's own ``include``/``exclude``); ``root`` anchors relative paths
-    and repo-level resources (default: the current directory); ``only``
-    restricts to rules whose id matches one of the given ids or id
-    prefixes (``REP-D`` selects the whole determinism pack).
+    Each rule sees only the files its ``include``/``exclude`` scope
+    admits; ``root`` anchors relative paths and repo-level resources
+    (default: the current directory); ``only`` restricts to rules whose
+    id matches one of the given ids or id prefixes (``REP-D`` selects
+    the whole determinism pack).
     """
     root = Path(root) if root is not None else Path.cwd()
     enabled = _select(rules, only)
@@ -334,8 +333,7 @@ def run_check(
         for rule in enabled:
             if isinstance(rule, ProjectRule):
                 continue
-            include, exclude = _scope(rule, config)
-            if not in_scope(rel, include, exclude):
+            if not in_scope(rel, rule.include, rule.exclude):
                 continue
             for finding in rule.check(unit):
                 if not suppressions.absorbs(finding):
@@ -362,18 +360,3 @@ def _select(rules: Sequence[Rule], only: Optional[Sequence[str]]) -> list[Rule]:
         known = sorted(rule.rule_id for rule in rules)
         raise ValueError(f"no rule matches {list(only)}; known rules: {known}")
     return selected
-
-
-def _scope(rule: Rule, config) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if config is not None:
-        scoped = config.scope_for(rule.rule_id)
-        if scoped is not None:
-            return scoped
-    return rule.include, rule.exclude
-
-
-class CheckConfigLike:
-    """Protocol: anything with ``scope_for(rule_id) -> (include, exclude)``."""
-
-    def scope_for(self, rule_id: str):  # pragma: no cover - protocol stub
-        raise NotImplementedError

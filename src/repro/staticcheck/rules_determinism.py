@@ -6,12 +6,13 @@ orders, and machines.  These rules reject the constructs that break
 that — ambient randomness, wall-clock reads feeding simulated state,
 and iteration orders Python does not define.
 
-Scoped (by the default :class:`~repro.staticcheck.config.CheckConfig`)
-to the result-producing packages: ``des/``, ``netmodel/``,
-``cpumodel/``, ``clusterserver/``, ``faults.py`` and ``apps/``.
-Wall-clock *stats* (shard wall-time, barrier-wait counters) live in an
-explicit per-file allowlist rather than in suppressions.  REP-D007
-(named tolerances) covers the simulation layers, ``dps/`` included.
+Each rule class's own ``include``/``exclude`` is its scope:
+:data:`RESULT_SCOPE`, the result-producing packages ``des/``,
+``netmodel/``, ``cpumodel/``, ``clusterserver/``, ``faults.py`` and
+``apps/``.  Wall-clock *stats* (shard wall-time, barrier-wait counters)
+live in an explicit per-file allowlist rather than in suppressions.
+REP-D007 (named tolerances) covers the simulation layers, ``dps/``
+included.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
-"""Matrix multiplication (Fig. 7) and the image pipeline apps."""
+"""Matrix multiplication (Fig. 7)."""
 
 import pytest
 
-from repro.apps.imgpipe import ImagePipelineApplication, ImagePipelineConfig
 from repro.apps.matmul import MatmulApplication, MatmulConfig
 from repro.errors import ConfigurationError
 from repro.sim.modes import SimulationMode
@@ -61,30 +60,9 @@ def test_matmul_config_validation():
         MatmulConfig(num_threads=1, num_nodes=2)
 
 
-def test_imgpipe_runs_and_marks_frames():
-    cfg = ImagePipelineConfig(frames=5, tiles_per_frame=6, num_threads=4, num_nodes=2)
-    res = sim(run_kernels=False).run(ImagePipelineApplication(cfg))
-    assert res.predicted_time > 0
-    assert len(res.run.phases) == 5
-
-
-def test_imgpipe_pipelining_beats_serial_frames():
-    """Back-to-back frames overlap: time << frames x single-frame time.
-
-    A single 2-tile frame leaves six of the eight workers idle; streaming
-    eight frames through the graph fills them, so the total is far below
-    the strictly serial 8 x t1 (macro-dataflow pipelining, paper §2).
-    """
-    one = ImagePipelineConfig(frames=1, tiles_per_frame=2, num_threads=8, num_nodes=8)
-    many = ImagePipelineConfig(frames=8, tiles_per_frame=2, num_threads=8, num_nodes=8)
-    t1 = sim(run_kernels=False).run(ImagePipelineApplication(one)).predicted_time
-    t8 = sim(run_kernels=False).run(ImagePipelineApplication(many)).predicted_time
-    assert t8 < 8 * t1 * 0.85
-
-
-def test_imgpipe_more_nodes_faster():
-    small = ImagePipelineConfig(frames=6, tiles_per_frame=12, num_threads=2, num_nodes=2)
-    large = ImagePipelineConfig(frames=6, tiles_per_frame=12, num_threads=8, num_nodes=8)
-    t_small = sim(run_kernels=False).run(ImagePipelineApplication(small)).predicted_time
-    t_large = sim(run_kernels=False).run(ImagePipelineApplication(large)).predicted_time
+def test_matmul_more_nodes_faster():
+    small = MatmulConfig(n=384, s=48, num_threads=2, num_nodes=2)
+    large = MatmulConfig(n=384, s=48, num_threads=8, num_nodes=8)
+    t_small = sim(run_kernels=False).run(MatmulApplication(small)).predicted_time
+    t_large = sim(run_kernels=False).run(MatmulApplication(large)).predicted_time
     assert t_large < t_small

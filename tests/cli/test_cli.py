@@ -96,7 +96,7 @@ def test_parser_requires_command():
 @pytest.mark.parametrize("command", ["calibrate", "graph"])
 def test_all_commands_registered(command):
     parser = build_parser()
-    extra = ["lu"] if command == "graph" else []
+    extra = ["spec.toml"] if command == "graph" else []
     args = parser.parse_args([command] + extra)
     assert callable(args.func)
 
@@ -205,23 +205,6 @@ def test_calibrate_testbed(capsys):
     assert "fitted bandwidth" in out
 
 
-@pytest.mark.parametrize(
-    "app", ["lu", "lu-pipelined", "stencil", "stencil-barrier", "sort", "matmul"]
-)
-def test_graph_dump(app, capsys):
-    code = main(["graph", app])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "flow graph" in out
-    assert "edges" in out
-
-
-def test_graph_lu_pipelined_has_streams(capsys):
-    main(["graph", "lu-pipelined"])
-    out = capsys.readouterr().out
-    assert "stream" in out
-
-
 def server_spec(tmp_path, policy, shards=1):
     payload = {
         "app": {"name": "mixed"},
@@ -270,6 +253,67 @@ except ImportError:  # pragma: no cover - Python 3.10 CI leg
 requires_toml = pytest.mark.skipif(
     not _HAS_TOMLLIB, reason="TOML specs need Python 3.11+ (tomllib)"
 )
+
+
+def _example_specs(server: bool) -> list:
+    return [
+        pytest.param(path, id=path.name,
+                     marks=[requires_toml] if path.suffix == ".toml" else [])
+        for path in sorted([*EXAMPLES.glob("*.toml"), *EXAMPLES.glob("*.json")])
+        if path.name.startswith("server_") == server
+    ]
+
+
+@pytest.mark.parametrize("spec", _example_specs(server=False))
+def test_graph_dump(spec, capsys):
+    code = main(["graph", str(spec)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "flow graph" in out
+    assert "edges" in out
+
+
+@pytest.mark.parametrize("spec", _example_specs(server=True))
+def test_graph_of_a_server_spec_is_one_error_line(spec, capsys):
+    assert main(["graph", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "server spec" in err
+
+
+def test_graph_follows_the_spec(tmp_path, capsys):
+    """The graph is the one the spec's ``[app]`` section builds."""
+    lu = {"n": 648, "r": 162, "num_threads": 4, "num_nodes": 2}
+    pipelined = dict(lu, pipelined=True, flow_control=4)
+    for name, options in (("basic", lu), ("pipelined", pipelined)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "app": {"name": "lu", "options": options},
+            "engine": {"mode": "noalloc"},
+        }))
+        assert main(["graph", str(path)]) == 0
+    basic, piped = capsys.readouterr().out.split("flow graph")[1:]
+    assert "'lu-basic-n648-r162'" in basic
+    assert "'lu-P+FC-n648-r162'" in piped
+    # Flow control puts credits on the pipelined graph's c@k streams.
+    def streams(text):
+        rows = (line.split() for line in text.splitlines())
+        return {row[0]: row[2:] for row in rows if row[1:2] == ["keyed_stream"]}
+
+    assert streams(piped)["c@0"] == ["control", "4"]
+    assert streams(basic)["c@0"] == ["control"]
+
+
+def test_graph_lu_pipelined_has_streams(tmp_path, capsys):
+    path = tmp_path / "pipelined.json"
+    path.write_text(json.dumps({"app": {"name": "lu", "options": {
+        "n": 648, "r": 162, "num_threads": 4, "num_nodes": 2,
+        "pipelined": True,
+    }}}))
+    assert main(["graph", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "'lu-P-n648-r162'" in out
+    assert "keyed_stream" in out
 
 
 @requires_toml
@@ -330,7 +374,7 @@ def test_scenarios_list(capsys):
     for line in ("app", "netmodel", "cpumodel", "provider", "engine",
                  "workload", "policy"):
         assert line in out
-    assert "lu, matmul, sort, stencil" in out.replace("imgpipe, ", "")
+    assert "app      : lu, matmul, sort, stencil\n" in out
 
 
 def test_scenarios_list_kind_filter(capsys):

@@ -85,6 +85,17 @@ def test_apps_section_replays_bit_exactly():
     assert fidelity.differences(COMMITTED["apps"], fidelity.run_section("apps")) == []
 
 
+def test_every_registered_app_has_a_pinned_claim():
+    """An app earns its registry entry with a measured-vs-predicted row;
+    LU's are the ``CONFIGS`` sections."""
+    from repro.scenario import default_registry
+
+    labels = COMMITTED["apps"]["rows"]
+    for app in default_registry().names("app"):
+        if app != "lu":
+            assert any(label.startswith(f"{app}-") for label in labels), app
+
+
 @pytest.mark.parametrize(
     "name", [name for name, section in fidelity.SECTIONS.items() if section.views]
 )

@@ -195,12 +195,12 @@ REPRODUCED = [
      "app.options.iterations must be of type int"),
     ({"app": {"name": "matmul", "options": {"s": 16.0}}},
      "app.options.s must be of type int"),
-    ({"app": {"name": "imgpipe", "options": {"frames": 2.5}}},
-     "app.options.frames must be of type int"),
-    ({"app": {"name": "imgpipe", "options": {"flops_per_pixel": "x"}}},
-     "app.options.flops_per_pixel must be of type int or float"),
-    ({"app": {"name": "imgpipe", "options": {"flops_per_pixel": NAN}}},
-     "app.options.flops_per_pixel must be finite"),
+    ({"app": {"name": "lu", "options": {**LU, "flow_control": 2.5}}},
+     "app.options.flow_control must be of type int"),
+    ({"netmodel": {"name": "backplane", "options": {"capacity": "x"}}},
+     "netmodel.options.capacity must be of type int or float"),
+    ({"netmodel": {"name": "maxmin", "options": {"cascade_threshold": NAN}}},
+     "netmodel.options.cascade_threshold must be finite"),
     ({"netmodel": {"name": "packet", "options": {"packet_params": 3}}},
      "netmodel.options.packet_params cannot be set in a spec"),
     # silent runs

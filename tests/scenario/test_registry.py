@@ -55,9 +55,7 @@ class TestRegistration:
 class TestDefaultRegistry:
     def test_builtins_present(self):
         registry = default_registry()
-        assert registry.names("app") == [
-            "imgpipe", "lu", "matmul", "sort", "stencil",
-        ]
+        assert registry.names("app") == ["lu", "matmul", "sort", "stencil"]
         assert registry.names("netmodel") == [
             "analytic", "backplane", "maxmin", "maxmin-soa",
             "packet", "packet-soa", "star",

@@ -16,6 +16,8 @@ from repro.scenario import (
     ScenarioSpec,
     run_scenario,
 )
+from repro.scenario.builtins import install_builtins
+from repro.scenario.registry import Registry
 from repro.scenario.spec import ClusterSection, ModelSection
 from repro.sim.efficiency import dynamic_efficiency
 from repro.sim.modes import SimulationMode
@@ -495,9 +497,16 @@ class TestRunRecordSchema:
             ))
 
     def test_verify_without_verifier_rejected(self):
+        # A user plugin may omit its verifier; engine.verify then refuses.
+        registry = Registry()
+        install_builtins(registry)
+        stencil = registry.resolve("app", "stencil")
+        registry.register(
+            "app", "quiet", dataclasses.replace(stencil, name="quiet", verify=None)
+        )
         spec = ScenarioSpec(
-            app=AppSection("imgpipe"),
-            engine=EngineSection(name="sim", mode="noalloc", verify=True),
+            app=AppSection("quiet", {"n": 16, "stripes": 2, "iterations": 2}),
+            engine=EngineSection(name="sim", verify=True),
         )
         with pytest.raises(ConfigurationError, match="no verification"):
-            run_scenario(spec)
+            run_scenario(spec, registry)

@@ -133,6 +133,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="engine.mode"):
             EngineSection(mode="warp")
 
+    @pytest.mark.parametrize("engine", ["sim", "testbed"])
+    def test_verify_with_noalloc_rejected_at_load(self, engine):
+        """``noalloc`` never allocates the data a verifier reads, so the
+        pair is refused before an engine spends a whole run on it."""
+        with pytest.raises(ConfigurationError, match="engine.verify"):
+            ScenarioSpec.from_dict({
+                "app": {"name": "lu", "options": {"n": 2592, "r": 162}},
+                "engine": {"name": engine, "mode": "noalloc", "verify": True},
+            })
+
     def test_bad_shards_rejected(self):
         with pytest.raises(ConfigurationError, match="shards"):
             EngineSection(shards=0)

@@ -81,6 +81,18 @@ class TestMalformedPayloads:
         assert "unknown cluster.arrivals.process 'lu'" in exc.value.message
         assert client.healthz()["status"] == "ok"
 
+    def test_verify_with_noalloc_is_400_before_any_run(self, make_service):
+        _, client = make_service()
+        payload = {"app": {"name": "lu", "options": {"n": 648, "r": 162}},
+                   "engine": {"mode": "noalloc", "verify": True}}
+        with pytest.raises(ServiceError) as exc:
+            client.run(payload)
+        assert exc.value.status == 400
+        assert "engine.verify" in exc.value.message
+        counters = client.stats()["counters"]
+        assert counters["invalid"] == 1
+        assert counters["submitted"] == 0
+
     def test_sharded_spec_runs_under_a_process_pool(self, make_service):
         """Pool workers are daemonic and may not fork: shards run on the
         worker's own thread, so the default pool serves a sharded spec."""

@@ -1,6 +1,6 @@
 """Simulator facade and dynamic-efficiency computation."""
 
-from repro.apps.imgpipe import ImagePipelineApplication, ImagePipelineConfig
+from repro.apps.stencil import StencilApplication, StencilConfig
 from repro.dps.trace import TraceLevel
 from repro.netmodel.analytic import AnalyticNetwork
 from repro.sim.efficiency import (
@@ -21,9 +21,10 @@ def make_sim(trace_level=TraceLevel.SUMMARY, **kw):
     )
 
 
-def app(frames=4, threads=4, nodes=4):
-    return ImagePipelineApplication(
-        ImagePipelineConfig(frames=frames, tiles_per_frame=8, num_threads=threads, num_nodes=nodes)
+def app(iterations=4, threads=4, nodes=4):
+    return StencilApplication(
+        StencilConfig(n=64, stripes=8, iterations=iterations,
+                      num_threads=threads, num_nodes=nodes)
     )
 
 
@@ -36,7 +37,7 @@ def test_simulation_returns_prediction_and_cost():
 
 
 def test_memory_measurement_optional():
-    res = make_sim(measure_memory=True).run(app(frames=2))
+    res = make_sim(measure_memory=True).run(app(iterations=2))
     assert res.simulation_peak_memory is not None
     assert res.simulation_peak_memory_mb > 0
 
@@ -65,14 +66,14 @@ def test_faster_network_speeds_up_prediction():
 
 
 def test_dynamic_efficiency_series():
-    res = make_sim().run(app(frames=6))
+    res = make_sim().run(app(iterations=6))
     series = dynamic_efficiency(res.run)
     assert len(series) == 6
     for pe in series:
         assert 0.0 <= pe.efficiency <= 1.0
         assert pe.mean_nodes == 4.0
-    # The sink marks a phase per completed frame, so every interval but
-    # the last (which ends exactly at the makespan) has positive width.
+    # The app marks a phase per completed iteration, so every interval
+    # but the last (which ends at the makespan) has positive width.
     for pe in series[:-1]:
         assert pe.duration > 0
 
@@ -85,7 +86,7 @@ def test_mean_efficiency_bounded():
 
 def test_more_threads_lower_efficiency():
     """More parallelism on the same workload means lower efficiency."""
-    small = make_sim().run(app(frames=6, threads=2, nodes=2))
-    large = make_sim().run(app(frames=6, threads=8, nodes=8))
+    small = make_sim().run(app(iterations=6, threads=2, nodes=2))
+    large = make_sim().run(app(iterations=6, threads=8, nodes=8))
     assert mean_efficiency(large.run) < mean_efficiency(small.run)
     assert large.predicted_time < small.predicted_time

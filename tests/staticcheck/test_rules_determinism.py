@@ -1,6 +1,6 @@
 """REP-D: each determinism rule fires on the bad shape, not the good one."""
 
-from repro.staticcheck import DEFAULT_CONFIG, run_check
+from repro.staticcheck import run_check
 from repro.staticcheck.rules_determinism import DETERMINISM_RULES
 
 
@@ -8,9 +8,7 @@ def findings(tmp_path, rel, source):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source, encoding="utf-8")
-    result = run_check(
-        [tmp_path], DETERMINISM_RULES, config=DEFAULT_CONFIG, root=tmp_path
-    )
+    result = run_check([tmp_path], DETERMINISM_RULES, root=tmp_path)
     return [f.rule_id for f in result.findings]
 
 

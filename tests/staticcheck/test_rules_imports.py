@@ -1,6 +1,6 @@
 """REP-I: optional-import hygiene rules on fixture modules."""
 
-from repro.staticcheck import DEFAULT_CONFIG, run_check
+from repro.staticcheck import run_check
 from repro.staticcheck.rules_imports import IMPORT_RULES
 
 GUARDED = (
@@ -15,9 +15,7 @@ def findings(tmp_path, rel, source):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source, encoding="utf-8")
-    result = run_check(
-        [tmp_path], IMPORT_RULES, config=DEFAULT_CONFIG, root=tmp_path
-    )
+    result = run_check([tmp_path], IMPORT_RULES, root=tmp_path)
     return [f.rule_id for f in result.findings]
 
 

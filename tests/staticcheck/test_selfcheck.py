@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.staticcheck import DEFAULT_CONFIG, all_rules, run_check
+from repro.staticcheck import all_rules, run_check
 
 REPO = Path(__file__).resolve().parents[2]
 CHECKED = [REPO / p for p in ("src", "benchmarks", "examples")]
@@ -21,7 +21,6 @@ def test_repo_tree_is_clean():
     result = run_check(
         [p for p in CHECKED if p.exists()],
         all_rules(),
-        config=DEFAULT_CONFIG,
         root=REPO,
     )
     assert result.ok, "\n" + "\n".join(f.render() for f in result.findings)

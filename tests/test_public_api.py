@@ -18,7 +18,7 @@ import pytest
 PACKAGES = ["repro"] + [
     f"repro.{name}"
     for name in (
-        "apps.matmul apps.imgpipe apps.sort apps.stencil clusterserver"
+        "apps.matmul apps.sort apps.stencil clusterserver"
     ).split()
 ]
 
@@ -160,6 +160,14 @@ def test_packages_without_callers_export_nothing(package_name):
             "ProgressSensitivePolicyRule",
         ),
         ("repro.staticcheck.rules_determinism", "POLICY_SCOPE"),
+        # every registered thing backs a claim: no imgpipe, no exporter,
+        # no scope table beside the rules' own
+        ("repro.apps", "imgpipe"),
+        ("repro", "ImagePipelineApplication"),
+        ("repro", "ImagePipelineConfig"),
+        ("repro.analysis", "export"),
+        ("repro.staticcheck", "DEFAULT_CONFIG"),
+        ("repro.staticcheck", "config"),
     ],
 )
 def test_removed_names_stay_removed_without_an_alias(owner, name):

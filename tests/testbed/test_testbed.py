@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.imgpipe import ImagePipelineApplication, ImagePipelineConfig
+from repro.apps.stencil import StencilApplication, StencilConfig
 from repro.dps.operations import Compute, KernelSpec
 from repro.testbed.cluster import VirtualCluster
 from repro.testbed.executor import GroundTruthProvider, TestbedExecutor
@@ -10,8 +10,8 @@ from repro.testbed.noise import DEFAULT_KERNEL_BIAS, KernelBias, NoisySampler
 
 
 def app():
-    return ImagePipelineApplication(
-        ImagePipelineConfig(frames=3, tiles_per_frame=6, num_threads=4, num_nodes=2)
+    return StencilApplication(
+        StencilConfig(n=64, stripes=8, iterations=3, num_threads=4, num_nodes=2)
     )
 
 
