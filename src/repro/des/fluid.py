@@ -65,8 +65,8 @@ demand from the current rate — and completion times are indexed in a lazy
 min-heap:
 
 * assigning a task a new rate (the ``task.rate`` setter, or
-  :func:`assign_rate` for a group) syncs its progress under the old rate
-  and marks it *retimed*;
+  :func:`assign_rate` / :func:`assign_scaled` for a group) syncs its
+  progress under the old rate and marks it *retimed*;
 * after the allocator runs, one pass of :meth:`FluidPool._reallocate`
   pushes one fresh entry per retimed task (``O(dirty · log n)``), or
   rebuilds the heap when the re-rate is wide, and keeps its one kernel
@@ -222,8 +222,9 @@ class FluidTask:
         # The same rate with a live entry (or starved) leaves the heap state
         # exact, and was validated when first set.  A same-rate task
         # *without* an entry (e.g. re-admitted after removal with its old
-        # rate still set) must still be indexed.  :func:`assign_rate` is
-        # this setter over a group, and must stay in step with it.
+        # rate still set) must still be indexed.  :func:`assign_rate` and
+        # :func:`assign_scaled` are this setter over a group, and must stay
+        # in step with it.
         old = self._rate
         if value == old and (value == 0.0 or self._entry is not None):
             return
@@ -288,6 +289,41 @@ def assign_rate(tasks: Iterable[FluidTask], rate: float) -> None:
         task._synced_at = now
         task._rate = rate
         pool._retimed[task] = None
+
+
+def assign_scaled(groups: Iterable[tuple[dict[FluidTask, float], float]]) -> None:
+    """Give every task of each ``(tasks, rate)`` group ``rate`` times its
+    own factor.
+
+    Exactly ``task.rate = rate * factor`` for each ``task, factor`` item of
+    each group in order — same skips, same progress sync, same validation
+    — in one call: the assignment of a water-filling solve, whose flow
+    classes each share one fair share under per-flow factors (``1.0`` for
+    max-min, the seeded throughput factor for the packet model).
+    """
+    for tasks, rate in groups:
+        for task, factor in tasks.items():
+            value = rate * factor
+            old = task._rate
+            if value == old and (value == 0.0 or task._entry is not None):
+                continue
+            pool = task.pool
+            if pool is None:
+                task._rate = value
+                continue
+            if not 0.0 <= value < _INF:
+                raise SimulationError(
+                    f"pool {pool.name!r}: allocator set invalid rate {value!r}"
+                )
+            now = pool.kernel._now
+            if old > 0.0:
+                dt = now - task._synced_at
+                if dt > 0.0:
+                    left = task._remaining - old * dt
+                    task._remaining = left if left > 0.0 else 0.0
+            task._synced_at = now
+            task._rate = value
+            pool._retimed[task] = None
 
 
 @dataclass

@@ -13,10 +13,11 @@ the star topology (see the allocator protocol in :mod:`repro.des.fluid`):
 * :class:`StarFlowAllocator` — per-node egress/ingress indices with
   *single-hop* dirty sets, for sharing laws without redistribution (the
   paper's equal-share law, the finite-backplane variant);
-* :class:`LinkComponentAllocator` — a link → flows index plus BFS over
-  connected components of the bipartite flow/link graph, with a
-  warm-started re-solve for cascades that swallow the pool (max-min
-  water-filling, the packet-level testbed model).
+* :class:`LinkComponentAllocator` — a link → flow-class index over integer
+  link ids plus BFS over connected components of the bipartite
+  class/link graph, with a warm-started re-solve for cascades that
+  swallow the pool (max-min water-filling, the packet-level testbed
+  model).
 
 Concrete models subclass one of these and implement only the rate law.
 The dirty-set contract lives in ``docs/allocator_protocol.md`` (including
@@ -29,19 +30,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from abc import ABC
 from typing import Any, Callable, Collection, Optional, Sequence
 
-from repro.des.fluid import FluidTask, HorizonStats, RateAllocator
+from repro.des.fluid import FluidTask, HorizonStats, RateAllocator, assign_scaled
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 from repro.netmodel.params import NetworkParams
-from repro.netmodel.waterfill import (
-    Link,
-    MaxMinSolution,
-    flow_links,
-    maxmin_solve,
-)
+from repro.netmodel.waterfill import Link, flow_links, maxmin_solve
 from repro.util.validation import check_in_range, check_non_negative
 
 _INF = float("inf")
@@ -345,31 +342,49 @@ class StarFlowAllocator(RateAllocator):
 _WARM_RTOL = 1e-9
 
 
+class _FlowClass:
+    """The live flows of one (source, destination) pair.
+
+    They cross the same two links, so the solver freezes them together
+    at one fair share.  ``flows`` maps each flow to its rate factor, in
+    registration order; ``first`` is the registration number of the
+    earliest live flow, the key that orders classes.  Hashes by identity.
+    """
+
+    __slots__ = ("out", "into", "flows", "first")
+
+    def __init__(self, out: Link, into: Link, first: int) -> None:
+        self.out = out
+        self.into = into
+        self.flows: dict[FluidTask, float] = {}
+        self.first = first
+
+
+#: Sort key of classes: the registration number of the earliest flow.
+_first = operator.attrgetter("first")
+
+#: One cached saturation round: bottleneck link, share, frozen classes.
+_Round = tuple[Link, float, tuple[_FlowClass, ...]]
+
+
 class _WarmSolution:
     """Cached saturation order of the last whole-pool water-filling solve.
 
     ``rounds`` mirrors :class:`repro.netmodel.waterfill.MaxMinSolution`
-    rounds but references the live :class:`FluidTask` objects instead of
-    flow indices, so a later update can replay it against the current
-    membership.  ``capacity`` pins the link capacity the solve ran under —
-    a capacity edit invalidates the cache.
+    rounds but references the live flow classes instead of class indices,
+    so a later update can replay it against the current membership.
+    ``capacity`` pins the link capacity the solve ran under — a capacity
+    edit invalidates the cache.
     """
 
     __slots__ = ("capacity", "rounds")
 
-    def __init__(
-        self,
-        capacity: float,
-        rounds: list[tuple[Link, float, tuple[FluidTask, ...]]],
-    ) -> None:
+    def __init__(self, capacity: float, rounds: list[_Round]) -> None:
         self.capacity = capacity
         self.rounds = rounds
 
 
-def _merge_saturation_orders(
-    a: list[tuple[Link, float, tuple[FluidTask, ...]]],
-    b: list[tuple[Link, float, tuple[FluidTask, ...]]],
-) -> list[tuple[Link, float, tuple[FluidTask, ...]]]:
+def _merge_saturation_orders(a: list[_Round], b: list[_Round]) -> list[_Round]:
     """Merge two disjoint-component saturation orders by share.
 
     Both inputs are nondecreasing in share; for link-disjoint components a
@@ -378,7 +393,7 @@ def _merge_saturation_orders(
     saturation order (ties may order differently than a fresh solve, which
     is fine — the max-min fixed point is unique).
     """
-    merged: list[tuple[Link, float, tuple[FluidTask, ...]]] = []
+    merged: list[_Round] = []
     i = j = 0
     while i < len(a) and j < len(b):
         if a[i][1] <= b[j][1]:
@@ -393,16 +408,20 @@ def _merge_saturation_orders(
 
 
 class LinkComponentAllocator(RateAllocator):
-    """Link → flows index with BFS over connected components + warm start.
+    """Link → flow-class index with BFS over connected components + warm start.
 
     For sharing laws where bandwidth unused by flows bottlenecked elsewhere
     is redistributed (max-min water-filling and its derivatives), a
     membership change cascades transitively through chained bottlenecks —
     but never past the connected component of the bipartite flow/link graph
-    containing the changed flows.  This base maintains the link index (and
-    each flow's link pair, built once at registration), finds the affected
-    component by BFS — O(component), or O(threshold) when it stops at the
-    cascade threshold — and re-solves only that component.
+    containing the changed flows.  This base groups the live flows of each
+    (source, destination) pair into one *flow class* (they cross the same
+    two links and always freeze together), keeps per-link state in lists
+    indexed by integer link id (:func:`~repro.netmodel.waterfill.flow_links`),
+    finds the affected component by BFS — O(component), or O(threshold)
+    when it stops at the cascade threshold — and re-solves only that
+    component.  Every walk, replay and solve runs per class; only the final
+    assignment visits a class's flows.
 
     When the component cascades past ``cascade_threshold`` of the active
     flows — the dense-traffic regime where the whole pool is one giant
@@ -416,12 +435,12 @@ class LinkComponentAllocator(RateAllocator):
     warm start increments ``stats.warm_starts`` and counts only the suffix
     in ``stats.rates_computed``; when the prefix check fails (or no cache
     is available) the allocator falls back to the full solve and increments
-    ``stats.full_fallbacks``.
+    ``stats.full_fallbacks``.  Every counter counts flows, not classes.
 
-    Subclasses provide the flow geometry via :meth:`_flow` and the rate
-    application via :meth:`_apply_rate` (e.g. the packet model multiplies
-    in its per-transfer throughput factor).  The water-filling solve itself
-    is :func:`repro.netmodel.waterfill.maxmin_solve`.
+    Subclasses provide the flow geometry and rate factor via :meth:`_flow`
+    (e.g. the packet model's per-transfer throughput factor).  The
+    water-filling solve itself is
+    :func:`repro.netmodel.waterfill.maxmin_solve`.
     """
 
     def __init__(
@@ -435,112 +454,154 @@ class LinkComponentAllocator(RateAllocator):
         self.cascade_threshold = check_in_range(
             "cascade_threshold", cascade_threshold, 0.0, 1.0
         )
-        # Insertion-ordered (dict-as-set): set iteration over id-hashed
-        # tasks or str-hashed links would vary between process runs and
-        # leak float nondeterminism into the solve order.
-        self._link_tasks: dict[Link, dict[FluidTask, None]] = {}
-        # Each registered flow's (egress, ingress) link pair, derived from
-        # :meth:`_flow` once at registration: a flow's links cannot change
-        # under the cached saturation order, and no hot loop re-derives
-        # them.  Holds exactly the registered flows.
-        self._task_links: dict[FluidTask, tuple[Link, Link]] = {}
         self._warm: Optional[_WarmSolution] = None
+        self._reset_index()
+
+    def _reset_index(self) -> None:
+        # Classes by link pair (lookup only: ordered passes sort by
+        # ``first``), and each registered flow's class and registration
+        # number — fixed while the flow is live.
+        self._classes: dict[tuple[Link, Link], _FlowClass] = {}
+        self._class_of: dict[FluidTask, tuple[_FlowClass, int]] = {}
+        self._registered = 0
+        # Per link id: live flow count, classes crossing it (insertion
+        # order), and the stamp of the last walk that reached it.
+        self._load: list[int] = []
+        self._link_classes: list[dict[_FlowClass, None]] = []
+        self._mark: list[int] = []
+        self._walks = 0
 
     # ---------------------------------------------------------------- hooks
-    def _flow(self, task: FluidTask) -> tuple[int, int]:
-        """(source, destination) node ids of ``task``; read once, when the
-        task registers."""
+    def _flow(self, task: FluidTask) -> tuple[int, int, float]:
+        """(source, destination, rate factor) of ``task``, read once at
+        registration.  Its rate is its class's fair share times the
+        factor — warm-start-exact, as the factor is per-task constant."""
         transfer = task.tag
-        return transfer.src, transfer.dst
-
-    def _apply_rate(self, task: FluidTask, rate: float) -> None:
-        """Apply a fair ``rate`` to ``task`` (subclass hook).
-
-        The warm-start machinery reasons about *fair* rates; subclasses
-        layering a per-task factor on top (e.g. the packet model's seeded
-        throughput factor) override this to fold the factor in — which
-        stays warm-start-exact because the factor is per-task constant.
-        """
-        task.rate = rate
-
-    def _solve(self, tasks: Sequence[FluidTask]) -> Optional[MaxMinSolution]:
-        """Water-fill ``tasks`` (a component, or everything) at full capacity.
-
-        Returns the :class:`~repro.netmodel.waterfill.MaxMinSolution` so
-        whole-pool solves can cache the saturation order for warm starts.
-        Overriding this with a non-water-filling law is allowed but should
-        return ``None`` (disabling warm starts) unless the override
-        produces a valid saturation order.
-        """
-        task_links = self._task_links
-        solution = maxmin_solve([task_links[t] for t in tasks], self.capacity)
-        for task, rate in zip(tasks, solution.rates):
-            self._apply_rate(task, rate)
-        return solution
+        return transfer.src, transfer.dst, 1.0
 
     # -------------------------------------------------------------- helpers
-    def _register(self, task: FluidTask) -> tuple[Link, Link]:
-        """Index ``task`` under its two links; returns the cached pair."""
-        pair = self._task_links[task] = flow_links(*self._flow(task))
-        for link in pair:
-            self._link_tasks.setdefault(link, {})[task] = None
-        return pair
+    def _register(self, task: FluidTask) -> _FlowClass:
+        """Index ``task`` under its class; returns the class."""
+        src, dst, factor = self._flow(task)
+        out, into = flow_links(src, dst)
+        self._registered += 1
+        cls = self._classes.get((out, into))
+        if cls is None:
+            if src < 0 or dst < 0:
+                raise SimulationError(f"negative node id in {src} -> {dst}")
+            grow = max(out, into) + 1 - len(self._load)
+            if grow > 0:
+                self._load += [0] * grow
+                self._link_classes += [{} for _ in range(grow)]
+                self._mark += [0] * grow
+            cls = self._classes[out, into] = _FlowClass(
+                out, into, self._registered
+            )
+            self._link_classes[out][cls] = None
+            self._link_classes[into][cls] = None
+        cls.flows[task] = factor
+        self._class_of[task] = (cls, self._registered)
+        self._load[out] += 1
+        self._load[into] += 1
+        return cls
 
-    def _unregister(self, task: FluidTask) -> tuple[Link, Link]:
-        """Drop ``task`` from the index; returns the pair it was under."""
-        pair = self._task_links.pop(task)
-        for link in pair:
-            members = self._link_tasks[link]
-            del members[task]
-            if not members:
-                del self._link_tasks[link]
-        return pair
+    def _unregister(self, task: FluidTask) -> _FlowClass:
+        """Drop ``task`` from the index; returns the class it was in."""
+        cls, number = self._class_of.pop(task)
+        flows = cls.flows
+        del flows[task]
+        self._load[cls.out] -= 1
+        self._load[cls.into] -= 1
+        if not flows:
+            del self._classes[cls.out, cls.into]
+            del self._link_classes[cls.out][cls]
+            del self._link_classes[cls.into][cls]
+        elif number == cls.first:
+            cls.first = self._class_of[next(iter(flows))][1]
+        return cls
+
+    def _ordered_classes(self) -> list[_FlowClass]:
+        """Every live class, by the registration of its earliest flow —
+        the order in which a per-flow solve first meets each link."""
+        return sorted(self._classes.values(), key=_first)
 
     def _component(
         self, seed_links: Sequence[Link], limit: float = math.inf
-    ) -> Optional[list[FluidTask]]:
-        """Flows reachable from ``seed_links`` in the flow/link graph.
+    ) -> Optional[list[_FlowClass]]:
+        """Classes reachable from ``seed_links`` in the class/link graph.
 
-        O(min(component, limit)) — the BFS never leaves the connected
-        component containing the seeds, and returns ``None`` as soon as
-        the component holds more than ``limit`` flows (a cascade past the
-        threshold reads only that fact, never the flows).
+        A popped link visits its classes by ``first``, so the solver meets
+        every link where a per-flow walk would have.  ``None`` once the
+        loads of the reached egress links — a lower bound of the
+        component's flow count, exact when the walk ends — pass ``limit``.
+        Stamps the component's links ``self._walks`` in ``_mark``.
+        O(min(component, limit)).
         """
-        link_tasks = self._link_tasks
-        task_links = self._task_links
-        dirty: dict[FluidTask, None] = {}
-        frontier = [link for link in seed_links if link in link_tasks]
-        seen_links = set(seed_links)
+        load = self._load
+        link_classes = self._link_classes
+        mark = self._mark
+        self._walks += 2
+        seen = self._walks - 1
+        done = self._walks
+        frontier = []
+        flows = 0
+        for link in seed_links:
+            if link < len(mark) and mark[link] != seen:
+                mark[link] = seen
+                frontier.append(link)
+                if link & 1:
+                    flows += load[link]
+        if flows > limit:
+            return None
+        found: list[_FlowClass] = []
         while frontier:
-            for task in link_tasks[frontier.pop()]:
-                if task in dirty:
-                    continue
-                dirty[task] = None
-                for other in task_links[task]:
-                    if other not in seen_links:
-                        seen_links.add(other)
-                        frontier.append(other)
-            if len(dirty) > limit:
-                return None
-        return list(dirty)
+            link = frontier.pop()
+            mark[link] = done
+            classes: Collection[_FlowClass] = link_classes[link]
+            if len(classes) > 1:
+                classes = sorted(classes, key=_first)
+            for cls in classes:
+                other = cls.into if link & 1 else cls.out
+                state = mark[other]
+                if state == done:
+                    continue  # visited when ``other`` was popped
+                found.append(cls)
+                if state != seen:
+                    mark[other] = seen
+                    frontier.append(other)
+                    if other & 1:
+                        flows += load[other]
+                        if flows > limit:
+                            return None
+        return found
 
-    def _solve_all(self, tasks: list[FluidTask]) -> None:
+    def _fill(
+        self,
+        classes: list[_FlowClass],
+        residual: Optional[list[float]] = None,
+    ) -> list[_Round]:
+        """Water-fill ``classes``, assign every flow its rate, and return
+        the saturation order over class objects."""
+        solution = maxmin_solve(
+            [(cls.out, cls.into, len(cls.flows)) for cls in classes],
+            self.capacity,
+            residual,
+        )
+        assign_scaled(
+            [(cls.flows, share) for cls, share in zip(classes, solution.rates)]
+        )
+        return [
+            (link, share, tuple(map(classes.__getitem__, indices)))
+            for link, share, indices in solution.rounds
+        ]
+
+    def _solve_all(self) -> None:
         """Whole-pool solve; caches the saturation order for warm starts."""
-        solution = self._solve(tasks)
-        if solution is not None:
-            self._warm = _WarmSolution(
-                self.capacity,
-                [
-                    (link, share, tuple(tasks[i] for i in indices))
-                    for link, share, indices in solution.rounds
-                ],
-            )
-        else:
-            self._warm = None
+        self._warm = _WarmSolution(
+            self.capacity, self._fill(self._ordered_classes())
+        )
 
-    def _warm_solve(
-        self, tasks: Collection[FluidTask], affected: list[Link]
-    ) -> bool:
+    def _warm_solve(self, affected: list[Link]) -> bool:
         """Re-solve after a cascade by replaying the cached saturation order.
 
         The delta (added/removed flows) directly perturbs only the links in
@@ -548,21 +609,22 @@ class LinkComponentAllocator(RateAllocator):
         count replay identically until the first round whose bottleneck is
         an affected link or whose share an affected link undercuts.  The
         prefix of rounds before that point re-freezes byte-identically (the
-        frozen tasks keep their rates — no reassignment, no horizon-heap
-        work), and only the remaining flows are re-solved against the
+        frozen flows keep their rates — no reassignment, no horizon-heap
+        work), and only the remaining classes are re-solved against the
         prefix's residual capacities.
 
         Returns ``True`` on success (rates assigned, cache refreshed);
         ``False`` when no usable prefix exists — the caller then performs
-        the accounted full fallback.  Cost: O(prefix flows + rounds ·
-        |affected|) for the replay plus a suffix-sized bottleneck search.
+        the accounted full fallback.  Cost: O(prefix classes + rounds ·
+        log |affected|) for the replay plus a suffix-sized bottleneck
+        search.
 
         An undercut does not end the prefix: the undercutting link *is*
         the true next bottleneck (its fair share is below the round's
         share, every unaffected link's share is at or above it, and it is
         the minimum among the affected links), so a new round freezing
-        its unfrozen flows at that share is inserted into the order and
-        the replay continues.  The links of the just-frozen flows join
+        its unfrozen classes at that share is inserted into the order and
+        the replay continues.  The links of the just-frozen classes join
         the affected set — their residuals changed — so later rounds they
         bottleneck still break the prefix.
         Each insertion is exact and bounded by the link's membership;
@@ -573,25 +635,19 @@ class LinkComponentAllocator(RateAllocator):
         prefix, frozen, consumed = self._replay_insert(affected)
         if not prefix:
             return False
-        suffix = [task for task in tasks if task not in frozen]
+        suffix = [cls for cls in self._ordered_classes() if cls not in frozen]
         self.stats.warm_starts += 1
-        self.stats.rates_computed += len(suffix)
-        suffix_rounds: list[tuple[Link, float, tuple[FluidTask, ...]]] = []
+        self.stats.rates_computed += sum([len(cls.flows) for cls in suffix])
+        suffix_rounds: list[_Round] = []
         if suffix:
-            residual = {
-                link: max(0.0, self.capacity - used)
-                for link, used in consumed.items()
-            }
-            task_links = self._task_links
-            solution = maxmin_solve(
-                [task_links[t] for t in suffix], self.capacity, residual=residual
+            capacity = self.capacity
+            suffix_rounds = self._fill(
+                suffix,
+                [
+                    rest if (rest := capacity - used) > 0.0 else 0.0
+                    for used in consumed
+                ],
             )
-            for task, rate in zip(suffix, solution.rates):
-                self._apply_rate(task, rate)
-            suffix_rounds = [
-                (link, share, tuple(suffix[i] for i in indices))
-                for link, share, indices in solution.rounds
-            ]
         # Prefix shares are <= every suffix share (the suffix starts at the
         # break point's residual state), so the concatenation is itself a
         # valid saturation order for the current membership — reusable by
@@ -601,11 +657,7 @@ class LinkComponentAllocator(RateAllocator):
 
     def _replay_insert(
         self, affected: list[Link]
-    ) -> tuple[
-        list[tuple[Link, float, tuple[FluidTask, ...]]],
-        dict[FluidTask, None],
-        dict[Link, float],
-    ]:
+    ) -> tuple[list[_Round], set[_FlowClass], list[float]]:
         """Replay with bounded insertion of undercutting affected links.
 
         Affected links live in a lazy min-heap keyed by their current
@@ -613,146 +665,138 @@ class LinkComponentAllocator(RateAllocator):
         computed from and are discarded when the link has moved on, so
         each cached round costs O(1) amortized instead of O(|affected|).
         An entry below the round's share triggers an insertion; the
-        links its frozen flows touch join the affected set (their
+        links its frozen classes touch join the affected set (their
         residuals changed) with their own heap entries.  A cached round
         whose bottleneck is affected is skipped when insertions already
         froze its whole membership, and breaks the prefix otherwise (its
         share rose — only a drop is provably the next bottleneck).
+
+        Returns the prefix, the classes it froze, and the capacity each
+        link id consumed, summed flow by flow in round order.
         """
-        warm = self._warm
         capacity = self.capacity
-        task_links = self._task_links
-        affected_set = set(affected)
-        counts = {
-            link: len(self._link_tasks.get(link, ())) for link in affected
-        }
-        consumed: dict[Link, float] = {}
+        load = self._load
+        size = len(load)
+        # Unfrozen flows per *affected* link (``None``: not affected).
+        counts: list[Optional[int]] = [None] * size
+        consumed = [0.0] * size
         # Frozen-flow tallies per link (all links, not just affected) so a
         # link entering the affected set mid-replay can derive its current
         # unfrozen count without scanning its membership.
-        frozen_on: dict[Link, int] = {}
-        frozen: dict[FluidTask, None] = {}
-        prefix: list[tuple[Link, float, tuple[FluidTask, ...]]] = []
-        # Lazy share heap over the affected links: (share, link, count,
-        # consumed); an entry is valid iff its state matches the link's.
-        heap: list[tuple[float, Link, int, float]] = []
-
-        def push(link: Link) -> None:
-            count = counts[link]
-            if count > 0:
-                used = consumed.get(link, 0.0)
-                heapq.heappush(heap, ((capacity - used) / count, link, count, used))
-
-        for link in counts:
-            push(link)
-        broke = False
-        for entry in warm.rounds:
-            bottleneck, share, round_tasks = entry
+        frozen_on = [0] * size
+        frozen: set[_FlowClass] = set()
+        prefix: list[_Round] = []
+        for link in affected:
+            counts[link] = load[link]
+        # Lazy share heap over the affected links: (share, tie key, count,
+        # consumed, link); an entry is valid iff its state matches the
+        # link's.  The tie key orders every ingress before every egress,
+        # each by node id.
+        heap = [
+            (capacity / count, (link & 1) << 40 | link >> 1, count, 0.0, link)
+            for link in affected
+            if (count := load[link])
+        ]
+        heapq.heapify(heap)
+        for entry in self._warm.rounds:
+            bottleneck, share, round_classes = entry
             threshold = share * (1.0 - _WARM_RTOL)
-            accept = True
             while True:
                 # The minimum-share affected link, if it undercuts this
                 # round; lazily discard entries whose link moved on.
-                insert_link: Optional[Link] = None
-                insert_share = 0.0
                 while heap and heap[0][0] < threshold:
-                    s_top, link, count, used = heap[0]
-                    if counts[link] != count or consumed.get(link, 0.0) != used:
-                        heapq.heappop(heap)  # stale
-                        continue
-                    insert_link, insert_share = link, s_top
-                    break
-                if insert_link is None:
-                    if bottleneck in affected_set:
-                        if counts[bottleneck] == 0:
-                            # Every member of this round's bottleneck is
-                            # already frozen (by inserted rounds) or
-                            # removed; the round would freeze nothing —
-                            # skip it.
-                            accept = False
-                            break
-                        # The bottleneck's fair share did not strictly
-                        # drop (no undercut): for removals it *rose*, so
-                        # the cached share and frozen-flow set are stale
-                        # and unfrozen unaffected links may saturate
-                        # first — end the prefix.
-                        broke = True
+                    _, _, count, used, link = heap[0]
+                    if counts[link] == count and consumed[link] == used:
                         break
+                    heapq.heappop(heap)  # stale
+                if heap and heap[0][0] < threshold:
+                    # Insert the undercutting link as the next round: its
+                    # fair share is below this round's share, every
+                    # unaffected unfrozen link sits at or above the round's
+                    # share, and affected links sit at or above it by heap
+                    # minimality — so freezing its unfrozen classes at its
+                    # fair share is exactly what the full solve would do
+                    # next.  The links they touch join the affected set.
+                    at, _, _, _, shared = heapq.heappop(heap)
+                    classes = [
+                        cls
+                        for cls in self._link_classes[shared]
+                        if cls not in frozen
+                    ]
+                    if not classes:  # pragma: no cover - count drift guard
+                        counts[shared] = 0
+                        continue
+                    join = True
+                elif counts[bottleneck] is None:
+                    # Accept the round.  Every class it froze is still live
+                    # and unchanged: a changed class's links are both
+                    # affected, so the round that froze it ends or skips
+                    # here; a class frozen by an inserted round crosses
+                    # only affected links, whose later rounds do the same.
+                    shared, at, classes = bottleneck, share, round_classes
+                    join = False
+                elif counts[bottleneck]:
+                    # The bottleneck's fair share did not strictly drop (no
+                    # undercut): for removals it *rose*, so the cached share
+                    # and frozen-class set are stale and unaffected links
+                    # may saturate first — end the prefix.
+                    return prefix, frozen, consumed
+                else:
+                    # Insertions (or removals) left this round's bottleneck
+                    # nothing to freeze — skip it.
                     break
-                # Insert the undercutting link as the next round: its fair
-                # share is below this round's share, every unaffected
-                # unfrozen link sits at or above the round's share, and
-                # affected links sit at or above it by heap minimality —
-                # so freezing its unfrozen flows at its fair share is
-                # exactly what the full solve would do next.
-                heapq.heappop(heap)
-                members = [
-                    task
-                    for task in self._link_tasks.get(insert_link, ())
-                    if task not in frozen
-                ]
-                if not members:  # pragma: no cover - count drift guard
-                    counts[insert_link] = 0
-                    continue
-                touched: dict[Link, None] = {}
-                for task in members:
-                    frozen[task] = None
-                    self._apply_rate(task, insert_share)
-                    for link in task_links[task]:
-                        consumed[link] = consumed.get(link, 0.0) + insert_share
-                        if link not in counts:
-                            # The link's residual changed: it joins the
-                            # affected set at its current unfrozen count.
-                            counts[link] = len(
-                                self._link_tasks.get(link, ())
-                            ) - frozen_on.get(link, 0)
-                            affected_set.add(link)
-                        counts[link] -= 1
-                        frozen_on[link] = frozen_on.get(link, 0) + 1
-                        touched[link] = None
-                for link in touched:
-                    push(link)
-                prefix.append((insert_link, insert_share, tuple(members)))
+                # Freeze: classes on one link differ in their other end, so
+                # each link is tallied and pushed once.  k flows add their
+                # share one by one, never k times it at once — the float
+                # path of the per-flow sum.
+                tallies = []
+                flows = 0
+                for cls in classes:
+                    frozen.add(cls)
+                    k = len(cls.flows)
+                    flows += k
+                    tallies.append((cls.into if shared & 1 else cls.out, k))
+                tallies.append((shared, flows))
+                for link, k in tallies:
+                    used = consumed[link]
+                    for _ in range(k):
+                        used += at
+                    consumed[link] = used
+                    count = counts[link]
+                    if count is None and join:
+                        # Its residual changed: it joins the affected set
+                        # at its current unfrozen count.
+                        count = load[link] - frozen_on[link]
+                    frozen_on[link] += k
+                    if count is not None:
+                        count = counts[link] = count - k
+                        if count:
+                            fair = (capacity - used) / count
+                            tie = (link & 1) << 40 | link >> 1
+                            heapq.heappush(heap, (fair, tie, count, used, link))
+                if not join:
+                    prefix.append(entry)
+                    break
+                assign_scaled([(cls.flows, at) for cls in classes])
+                prefix.append((shared, at, tuple(classes)))
                 self.stats.warm_inserts += 1
-                self.stats.rates_computed += len(members)
+                self.stats.rates_computed += flows
                 # Re-check this same cached round against the grown
                 # affected set before deciding its fate.
-            if broke:
-                break
-            if not accept:
-                continue
-            # Accept the round.  Every frozen task is still present and
-            # unfrozen: a removed task's links are both affected, so the
-            # round that froze it broke above; a task frozen by an
-            # inserted round crosses only links in the affected set,
-            # whose later cached rounds are skipped or break.
-            touched_counts: dict[Link, None] = {}
-            for task in round_tasks:
-                frozen[task] = None
-                for link in task_links[task]:
-                    consumed[link] = consumed.get(link, 0.0) + share
-                    if link in counts:
-                        counts[link] -= 1
-                        touched_counts[link] = None
-                    frozen_on[link] = frozen_on.get(link, 0) + 1
-            for link in touched_counts:
-                push(link)
-            prefix.append(entry)
         return prefix, frozen, consumed
 
     # ------------------------------------------------------------- allocator
     def _full(self, tasks: Collection[FluidTask]) -> None:
-        """Rebuild the link index and solve everything from scratch.
+        """Rebuild the class index and solve everything from scratch.
 
         The full path must not depend on incremental bookkeeping being in
         sync (verify mode and fallbacks run it mid-stream); it refreshes
-        the warm-start cache as a side effect.  O((n + L) · log L).
+        the warm-start cache as a side effect.  O(n + (C + L) · log L).
         """
-        self._link_tasks = {}
-        self._task_links = {}
+        self._reset_index()
         for task in tasks:
             self._register(task)
-        self._solve_all(list(tasks))
+        self._solve_all()
 
     def _update(
         self,
@@ -773,35 +817,34 @@ class LinkComponentAllocator(RateAllocator):
         check fails does the allocator pay the full solve, counted in
         ``stats.full_fallbacks``.
         """
-        # Ordered dedup (not a set) for the determinism reason above.
-        seed_links: dict[Link, None] = {}
+        # Ordered dedup (not a set): the seeds' order is the walk's.
+        seeds: dict[Link, None] = {}
         for task in removed:
-            for link in self._unregister(task):
-                seed_links[link] = None
+            cls = self._unregister(task)
+            seeds[cls.out] = seeds[cls.into] = None
         for task in added:
-            for link in self._register(task):
-                seed_links[link] = None
+            cls = self._register(task)
+            seeds[cls.out] = seeds[cls.into] = None
         if not tasks:
             # The cached saturation order references flows that are gone;
             # nothing valid can be replayed from it.
             self._warm = None
             return
+        seed_links = list(seeds)
         dirty = self._component(
-            list(seed_links), self.cascade_threshold * len(tasks)
+            seed_links, self.cascade_threshold * len(tasks)
         )
+        warm = self._warm
+        fresh = warm is not None and warm.capacity == self.capacity
         if dirty is None:
             # The cascade reaches most of the pool; the restricted solve
             # would cost as much as the full one.  Replay the previous
             # solve's saturation prefix when one is cached and valid.
-            if (
-                self._warm is not None
-                and self._warm.capacity == self.capacity
-                and self._warm_solve(tasks, list(seed_links))
-            ):
+            if fresh and self._warm_solve(seed_links):
                 return
             self.stats.full_fallbacks += 1
             self.stats.rates_computed += len(tasks)
-            self._solve_all(list(tasks))
+            self._solve_all()
             return
         # Component-restricted re-solve.  The cached whole-pool saturation
         # order is *not* invalidated wholesale: components are closed under
@@ -811,30 +854,16 @@ class LinkComponentAllocator(RateAllocator):
         # component's new saturation order back in (by share, keeping the
         # order nondecreasing) leaves a valid whole-pool order for the next
         # warm start — counted in ``stats.warm_merges``.
-        self.stats.rates_computed += len(dirty)
-        solution = self._solve(dirty)
-        if (
-            self._warm is not None
-            and self._warm.capacity == self.capacity
-            and solution is not None
-        ):
-            # The dirty component's links: every link of a dirty task plus
-            # the seeds (covers removed tasks, whose links seeded the BFS).
-            comp_links = set(seed_links)
-            for task in dirty:
-                comp_links.update(self._task_links[task])
-            # A round's frozen flows all use its bottleneck link, so a
-            # round references a dirty (or removed) task iff its
-            # bottleneck lies in the component's link set.
-            kept = [
-                entry
-                for entry in self._warm.rounds
-                if entry[0] not in comp_links
-            ]
-            new_rounds = [
-                (link, share, tuple(dirty[i] for i in indices))
-                for link, share, indices in solution.rounds
-            ]
+        self.stats.rates_computed += sum([len(cls.flows) for cls in dirty])
+        new_rounds = self._fill(dirty)
+        if fresh:
+            # The walk stamped the component's links — every link of a
+            # dirty class plus the seeds (covering removed flows).  A
+            # round's frozen classes all cross its bottleneck, so a round
+            # references a dirty (or removed) flow iff its bottleneck lies
+            # in the component.
+            mark, stamp = self._mark, self._walks
+            kept = [entry for entry in warm.rounds if mark[entry[0]] != stamp]
             self._warm = _WarmSolution(
                 self.capacity, _merge_saturation_orders(kept, new_rounds)
             )

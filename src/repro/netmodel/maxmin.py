@@ -13,9 +13,9 @@ Rate allocation is *incremental*: max-min rates decompose over
 connected components of the bipartite flow/link graph, so when a flow
 arrives or departs only the flows in its component — those sharing a link
 with it directly or transitively through chained bottlenecks — can change
-rate.  The component tracking (link index, BFS, cascade fallback) and the
-warm-started re-solve that kicks in when the component swallows the pool
-live in :class:`~repro.netmodel.base.LinkComponentAllocator`; the
+rate.  The component tracking (flow-class index, BFS, cascade fallback)
+and the warm-started re-solve that kicks in when the component swallows
+the pool live in :class:`~repro.netmodel.base.LinkComponentAllocator`; the
 bottleneck-search solve itself lives in
 :mod:`repro.netmodel.waterfill`.  See ``docs/performance.md`` for the
 design and ``docs/allocator_protocol.md`` for the dirty-set contract.
@@ -56,7 +56,9 @@ def maxmin_rates(
     so each saturation round costs O(links touched · log L) instead of the
     historical rescan of every flow per round.
     """
-    return maxmin_solve([flow_links(s, d) for s, d in flows], capacity).rates
+    return maxmin_solve(
+        [(*flow_links(s, d), 1) for s, d in flows], capacity
+    ).rates
 
 
 class IncrementalMaxMinAllocator(LinkComponentAllocator):

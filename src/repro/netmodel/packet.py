@@ -84,12 +84,9 @@ class IncrementalPacketAllocator(LinkComponentAllocator):
     stay exact (prefix flows keep ``fair_share * factor`` untouched).
     """
 
-    def _flow(self, task: FluidTask) -> tuple[int, int]:
-        transfer = task.tag[0]
-        return transfer.src, transfer.dst
-
-    def _apply_rate(self, task: FluidTask, rate: float) -> None:
-        task.rate = rate * task.tag[1]
+    def _flow(self, task: FluidTask) -> tuple[int, int, float]:
+        transfer, throughput = task.tag
+        return transfer.src, transfer.dst, throughput
 
 
 class PacketLaw(NetworkModel):

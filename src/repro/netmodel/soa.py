@@ -80,6 +80,11 @@ from repro.netmodel.params import NetworkParams
 from repro.netmodel.waterfill import CAPACITY_ATOL, flow_links, maxmin_solve
 
 
+def _solo_classes(out: Any, inn: Any) -> list[tuple[int, int, int]]:
+    """One count-1 class per flow, for the scalar reference solver."""
+    return [(*flow_links(o, i), 1) for o, i in zip(out.tolist(), inn.tolist())]
+
+
 class _StarSoaEngine(SoaFluidEngine):
     """Shared star-topology geometry: two link ids and a factor per flow.
 
@@ -223,11 +228,10 @@ class _MaxMinSoaEngine(_StarSoaEngine):
             self.stats.full_fallbacks += 1
             self.stats.rates_computed += live_idx.size
         # The combined link-id space doubles as pseudo node ids:
-        # ``flow_links`` forms ("out", out_id) / ("in", in_id) links, which
-        # are in bijection with this engine's links.
-        solution = maxmin_solve(
-            list(map(flow_links, out.tolist(), inn.tolist())), self.capacity
-        )
+        # ``flow_links`` forms egress ``2 * out_id + 1`` and ingress
+        # ``2 * in_id`` links, which are in bijection with this engine's
+        # links (``link >> 1`` maps back).
+        solution = maxmin_solve(_solo_classes(out, inn), self.capacity)
         fair = np.asarray(solution.rates)
         self.fair[live_idx] = fair
         self.rate[live_idx] = fair * self.factor[live_idx]
@@ -237,7 +241,7 @@ class _MaxMinSoaEngine(_StarSoaEngine):
         s = np.empty(R)
         cnt = np.empty(R, dtype=np.int64)
         for k, (link, share, indices) in enumerate(rounds):
-            order[k] = link[1]
+            order[k] = link >> 1
             s[k] = share
             cnt[k] = len(indices)
             members = np.fromiter(indices, dtype=np.int64, count=len(indices))
@@ -474,9 +478,7 @@ class _MaxMinSoaEngine(_StarSoaEngine):
     def _verify_full(self) -> None:
         """Shadow the incremental state with the scalar reference solver."""
         live_idx, out, inn = self._live_flows()
-        solution = maxmin_solve(
-            list(map(flow_links, out.tolist(), inn.tolist())), self.capacity
-        )
+        solution = maxmin_solve(_solo_classes(out, inn), self.capacity)
         expected = np.asarray(solution.rates) * self.factor[live_idx]
         got = self.rate[live_idx]
         scale = np.maximum(np.maximum(np.abs(expected), np.abs(got)), 1.0)

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.des.fluid import FluidPool, FluidTask, RateAllocator, assign_rate
+from repro.des.fluid import (
+    FluidPool,
+    FluidTask,
+    RateAllocator,
+    assign_rate,
+    assign_scaled,
+)
 from repro.des.kernel import Kernel
 from repro.errors import SimulationError
 
@@ -277,25 +283,46 @@ def _by_setter(tasks, rate):
         task.rate = rate
 
 
+def _run_schedule(assign):
+    """Five staggered tasks under ``_rate_schedule(assign)``: completion
+    times, the survivors' state and the horizon heap's work."""
+    kernel = Kernel()
+    pool = FluidPool(kernel, _rate_schedule(assign))
+    done = []
+    for i, work in enumerate([1.0, 2.0, 0.5, 3.0, 0.75]):
+        task = FluidTask(work, lambda t: done.append((t.tag, kernel.now)), i)
+        kernel.schedule_at(0.3 * i, pool.add, task)
+    for i in range(12):
+        kernel.schedule_at(0.1 + 0.7 * i, pool.reallocate)
+    kernel.run()
+    left = [(t.tag, t._remaining, t._rate, t._synced_at) for t in pool.tasks]
+    horizon = pool.horizon
+    return done, left, horizon.heap_ops, horizon.stale_discards
+
+
 def test_assign_rate_is_the_setter_over_a_group():
     """``assign_rate`` leaves bit-identical task state to the setter: the
     same skips, progress syncs, heap work and completion times."""
+    assert _run_schedule(_by_setter) == _run_schedule(assign_rate)
 
-    def run(assign):
-        kernel = Kernel()
-        pool = FluidPool(kernel, _rate_schedule(assign))
-        done = []
-        for i, work in enumerate([1.0, 2.0, 0.5, 3.0, 0.75]):
-            task = FluidTask(work, lambda t: done.append((t.tag, kernel.now)), i)
-            kernel.schedule_at(0.3 * i, pool.add, task)
-        for i in range(12):
-            kernel.schedule_at(0.1 + 0.7 * i, pool.reallocate)
-        kernel.run()
-        left = [(t.tag, t._remaining, t._rate, t._synced_at) for t in pool.tasks]
-        horizon = pool.horizon
-        return done, left, horizon.heap_ops, horizon.stale_discards
 
-    assert run(_by_setter) == run(assign_rate)
+def test_assign_scaled_is_the_setter_over_factored_groups():
+    """``assign_scaled`` gives each task ``rate * factor`` exactly as the
+    setter would, over several groups per call: the same skips, syncs,
+    heap work and completion times."""
+    factors = [1.0, 0.75, 0.5, 1.0, 0.625]
+
+    def by_setter(tasks, rate):
+        for task in tasks:
+            task.rate = rate * factors[task.tag]
+
+    def by_groups(tasks, rate):
+        assign_scaled([
+            ({t: factors[t.tag] for t in tasks if t.tag % 2}, rate),
+            ({t: factors[t.tag] for t in tasks if not t.tag % 2}, rate),
+        ])
+
+    assert _run_schedule(by_setter) == _run_schedule(by_groups)
 
 
 def test_assign_rate_indexes_a_readmitted_task_at_its_old_rate(kernel):

@@ -29,6 +29,12 @@ from repro.netmodel.maxmin import (
 from repro.netmodel.params import NetworkParams
 from repro.netmodel.star import EqualShareStarNetwork
 
+try:
+    import numpy  # noqa: F401
+    HAS_NUMPY = True
+except ImportError:
+    HAS_NUMPY = False
+
 
 @settings(deadline=None, max_examples=40)
 @given(arrival_strategy)
@@ -101,45 +107,126 @@ def test_cascade_threshold_falls_back_to_full(kernel):
     assert done == [pytest.approx(4.0)] * 4
 
 
+_HASH_SEED_SCRIPT = """\
+import hashlib
+import random
+import sys
+from repro.des.kernel import Kernel
+from repro.netmodel.maxmin import MaxMinStarNetwork
+from repro.netmodel.packet import PacketNetwork
+from repro.netmodel.params import NetworkParams
+
+def build(kernel):
+    params = NetworkParams(latency=0.0, bandwidth=1e6)
+    if model == "packet":
+        return PacketNetwork(kernel, params, seed=2)
+    return MaxMinStarNetwork(kernel, params)
+
+def digest(values):
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+def submit():
+    global spawned
+    spawned += 1
+    src = rng.randrange(4)
+    dst = rng.randrange(4)
+    while dst == src:
+        dst = rng.randrange(4)
+    net.submit(src, dst, rng.uniform(0.5e6, 1.5e6), on_done)
+
+def on_done(transfer):
+    done.append(kernel.now)
+    if spawned < 64 + 200:
+        submit()
+
+for model in sys.argv[1:]:
+    # 40 staggered flows over 6 nodes.
+    kernel = Kernel()
+    net = build(kernel)
+    rng = random.Random(3)
+    times = {}
+    for i in range(40):
+        src = rng.randrange(6)
+        dst = (src + 1 + rng.randrange(5)) % 6
+        kernel.schedule_at(
+            rng.uniform(0.0, 3.0), net.submit, src, dst,
+            rng.uniform(1e4, 2e6),
+            lambda tr, i=i: times.__setitem__(i, kernel.now),
+        )
+    kernel.run()
+    print(digest(sorted(times.items())))
+    print(repr(net.allocator.stats))
+
+    # Pair-heavy churn: 64 concurrent flows over 4 nodes (12 pairs), each
+    # completion replaced until 200 more have been submitted.
+    kernel = Kernel()
+    net = build(kernel)
+    rng = random.Random(2)
+    done = []
+    spawned = 0
+    for _ in range(64):
+        submit()
+    kernel.run()
+    print(repr(kernel.now), kernel.events_executed)
+    print(digest(done))
+    print(repr(net.allocator.stats))
+"""
+
+#: What the script prints per model named on its command line: the
+#: SHA-256 of the ``repr`` of the 40-flow completion times, that run's
+#: allocator counters, the churn's makespan and event count, the SHA-256
+#: of the ``repr`` of its completion times, and its allocator counters.
+_HASH_SEED_PINS = {
+    "maxmin": [
+        "c3ae6a00f2d70882c7b009e3f2a3e8918d653cbc531bdcbc0ebdad5fc97441d3",
+        "AllocatorStats(incremental_updates=80, full_fallbacks=14, "
+        "warm_starts=59, warm_inserts=39, warm_merges=6, verify_recomputes=0, "
+        "refreshes=0, rates_computed=580)",
+        "77.93183543854882 264",
+        "902baa0ee4b1ce202dd9ccad2618580c69ee77c1ed959e3d866491822edbe92c",
+        "AllocatorStats(incremental_updates=328, full_fallbacks=84, "
+        "warm_starts=240, warm_inserts=173, warm_merges=3, "
+        "verify_recomputes=0, refreshes=0, rates_computed=10417)",
+    ],
+    "packet": [
+        "f25e72ebbe48914ed0690d159a2b2fe8021aa3f8869bf2fa46e57c25a8f07849",
+        "AllocatorStats(incremental_updates=80, full_fallbacks=13, "
+        "warm_starts=60, warm_inserts=39, warm_merges=6, verify_recomputes=0, "
+        "refreshes=0, rates_computed=587)",
+        "80.85546003022726 528",
+        "6eec6237c26f8fda46150436beb140cf7eefe79959c9a82689ed168a75f8b9e8",
+        "AllocatorStats(incremental_updates=528, full_fallbacks=84, "
+        "warm_starts=440, warm_inserts=310, warm_merges=3, "
+        "verify_recomputes=0, refreshes=0, rates_computed=12922)",
+    ],
+}
+
+
 def test_maxmin_incremental_is_hash_seed_deterministic():
-    """Regression: the component BFS must not iterate id- or str-hashed
-    sets, or rates pick up run-to-run float noise.  The same workload under
-    different PYTHONHASHSEEDs must produce bit-identical completion times."""
+    """Regression: no id- or str-hashed iteration order may reach the
+    allocator's float work, or rates pick up run-to-run noise.  The same
+    workloads under different PYTHONHASHSEEDs must produce bit-identical
+    completion times and allocator counters — and the very bits pinned
+    here, a staggered mixed-pair run and a churn where pairs repeat."""
     import os
     import subprocess
     import sys
 
-    script = (
-        "import random\n"
-        "from repro.des.kernel import Kernel\n"
-        "from repro.netmodel.maxmin import MaxMinStarNetwork\n"
-        "from repro.netmodel.params import NetworkParams\n"
-        "kernel = Kernel()\n"
-        "net = MaxMinStarNetwork(kernel, NetworkParams(latency=0.0, bandwidth=1e6))\n"
-        "rng = random.Random(3)\n"
-        "times = {}\n"
-        "for i in range(40):\n"
-        "    src = rng.randrange(6)\n"
-        "    dst = (src + 1 + rng.randrange(5)) % 6\n"
-        "    kernel.schedule_at(\n"
-        "        rng.uniform(0.0, 3.0), net.submit, src, dst,\n"
-        "        rng.uniform(1e4, 2e6),\n"
-        "        lambda tr, i=i: times.__setitem__(i, kernel.now),\n"
-        "    )\n"
-        "kernel.run()\n"
-        "print(repr(sorted(times.items())))\n"
-    )
+    # The packet model's seeded noise streams need numpy.
+    models = ["maxmin", "packet"] if HAS_NUMPY else ["maxmin"]
     src_dir = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
     outputs = set()
     for hash_seed in ("1", "2", "random"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         env["PYTHONPATH"] = os.path.abspath(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
-            [sys.executable, "-c", script],
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, *models],
             capture_output=True, text=True, env=env, check=True,
         )
         outputs.add(proc.stdout)
     assert len(outputs) == 1
+    expected = [line for model in models for line in _HASH_SEED_PINS[model]]
+    assert outputs.pop().splitlines() == expected
 
 
 def test_incremental_allocator_component_restriction_is_exact():

@@ -1,15 +1,19 @@
-"""The max-min cascade's two shortcuts, each held to the path it replaced.
+"""The max-min cascade's shortcuts, each held to the path it replaced.
 
 * **Bounded component BFS** — ``LinkComponentAllocator._component(seeds,
-  limit)`` stops once the component holds more than ``limit`` flows and
-  returns ``None``; below the limit it returns exactly the ordered list
-  the unbounded walk does (the restricted re-solve depends on the order).
-* **Link pairs built once** — each flow's ``(egress, ingress)`` pair is
-  cached at registration, dropped at unregistration and rebuilt by
-  ``_full``; the cache must hold exactly the live flows, never a leak.
-* **Link pairs into the solver** — ``maxmin_solve`` takes each flow's
-  pair; rates and saturation rounds are ``repr``-equal to a reference
-  scan-based water-fill over ``(src, dst)`` pairs.
+  limit)`` returns ``None`` exactly when the component holds more than
+  ``limit`` flows; otherwise the ordered class walk, which visits classes
+  in the order a per-flow walk first meets them (the restricted re-solve
+  depends on the order).
+* **Flow classes built at registration** — the live flows of each
+  (source, destination) pair form one class, indexed under its two
+  integer link ids; the index must hold exactly the live flows, each
+  link's load must equal its live flow count, and ``_full`` rebuilds it
+  from scratch — never a leak.
+* **Classes into the solver** — ``maxmin_solve`` takes ``(egress,
+  ingress, count)`` classes; rates and saturation rounds, expanded per
+  flow, are ``repr``-equal to a reference scan-based per-flow water-fill
+  over ``(src, dst)`` pairs.
 """
 
 import math
@@ -51,25 +55,38 @@ def _random_flows(rng, num_nodes, count):
     return flows
 
 
+def _live_in_registration_order(allocator):
+    return sorted(allocator._class_of, key=lambda t: allocator._class_of[t][1])
+
+
 # ------------------------------------------------------------- bounded BFS
 
 
 def _reference_component(allocator, seed_links):
-    """The unbounded walk, deriving each flow's links from ``_flow``."""
+    """The unbounded per-flow walk, over links derived from ``_flow``.
+
+    Each link lists its flows in registration order; the walk's flow order
+    is projected onto classes by first appearance.
+    """
+    link_flows: dict = {}
+    for task in _live_in_registration_order(allocator):
+        for link in flow_links(*allocator._flow(task)[:2]):
+            link_flows.setdefault(link, []).append(task)
     dirty, ordered = set(), []
-    frontier = [link for link in seed_links if link in allocator._link_tasks]
+    frontier = [link for link in seed_links if link in link_flows]
     seen = set(seed_links)
     while frontier:
-        for task in allocator._link_tasks.get(frontier.pop(), ()):
+        for task in link_flows[frontier.pop()]:
             if task in dirty:
                 continue
             dirty.add(task)
             ordered.append(task)
-            for other in flow_links(*allocator._flow(task)):
+            for other in flow_links(*allocator._flow(task)[:2]):
                 if other not in seen:
                     seen.add(other)
                     frontier.append(other)
-    return ordered
+    classes = list(dict.fromkeys(allocator._class_of[t][0] for t in ordered))
+    return classes, len(ordered)
 
 
 @settings(deadline=None, max_examples=40)
@@ -83,43 +100,73 @@ def test_bounded_component_stops_exactly_past_the_limit(num_nodes, count, seed):
     allocator = IncrementalMaxMinAllocator(capacity=1.0)
     tasks = [_flow_task(s, d) for s, d in _random_flows(rng, num_nodes, count)]
     allocator._full(tasks)
+    # Churn moves the earliest flow of some classes, and with it their
+    # place in the order.
+    for _ in range(3):
+        removed = [tasks.pop(rng.randrange(len(tasks)))
+                   for _ in range(min(len(tasks), rng.randint(0, 4)))]
+        added = [_flow_task(s, d) for s, d in
+                 _random_flows(rng, num_nodes, rng.randint(0, 4))]
+        tasks += added
+        allocator.update(tasks, added, removed)
     for _ in range(5):
         seeds = list(
             dict.fromkeys(
-                (rng.choice(["out", "in"]), rng.randrange(num_nodes + 2))
+                2 * rng.randrange(num_nodes + 2) + rng.randrange(2)
                 for _ in range(rng.randint(1, 4))
             )
         )
-        full = _reference_component(allocator, seeds)
+        full, flows = _reference_component(allocator, seeds)
         assert allocator._component(seeds) == full
         # Limits are flow counts (``cascade_threshold · n``), never negative.
-        n = len(full)
-        for limit in {0, 0.5, max(0, n - 1), max(0, n - 0.5), n, n + 1,
-                      rng.uniform(0, count + 1), math.inf}:
+        for limit in {0, 0.5, max(0, flows - 1), max(0, flows - 0.5), flows,
+                      flows + 1, rng.uniform(0, count + 1), math.inf}:
             bounded = allocator._component(seeds, limit)
-            if len(full) > limit:
+            if flows > limit:
                 assert bounded is None
             else:
                 assert bounded == full
 
 
-# -------------------------------------------------------------- link cache
+# -------------------------------------------------------------- class index
 
 
-def _assert_cache_is_live_set(allocator, live):
-    assert set(allocator._task_links) == set(live)
+def _assert_index_is_live_set(allocator, live):
+    assert set(allocator._class_of) == set(live)
+    classes = list(allocator._classes.values())
+    assert {t for cls in classes for t in cls.flows} == set(live)
+    load = [0] * len(allocator._load)
     for task in live:
-        assert allocator._task_links[task] == flow_links(task.tag.src, task.tag.dst)
-    indexed = {t for members in allocator._link_tasks.values() for t in members}
-    assert indexed == set(live)
+        cls, number = allocator._class_of[task]
+        src, dst = task.tag.src, task.tag.dst
+        assert (cls.out, cls.into) == flow_links(src, dst)
+        assert allocator._classes[cls.out, cls.into] is cls
+        assert cls.flows[task] == 1.0
+        load[cls.out] += 1
+        load[cls.into] += 1
+    assert allocator._load == load
+    for cls in classes:
+        numbers = [allocator._class_of[t][1] for t in cls.flows]
+        assert numbers == sorted(numbers) and cls.first == numbers[0]
+    for link, members in enumerate(allocator._link_classes):
+        assert set(members) == {
+            cls for cls in classes if link in (cls.out, cls.into)
+        }
+
+
+def _assert_index_is_empty(allocator):
+    assert allocator._classes == {}
+    assert allocator._class_of == {}
+    assert not any(allocator._load)
+    assert not any(allocator._link_classes)
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.booleans(), st.integers(min_value=0, max_value=2**32))
 def test_link_cache_holds_exactly_the_live_flows(verify, seed):
-    """Steady churn with removals, optionally shadowed by verify mode's
-    ``_full`` after every update, then an emptied pool: the cache tracks
-    the live set at every step and ends empty."""
+    """Steady churn with removals over few pairs, optionally shadowed by
+    verify mode's ``_full`` after every update, then an emptied pool: the
+    classes hold exactly the live flows at every step and end empty."""
     rng = random.Random(seed)
     allocator = IncrementalMaxMinAllocator(capacity=1.0, verify=verify)
     active: list[FluidTask] = []
@@ -129,21 +176,20 @@ def test_link_cache_holds_exactly_the_live_flows(verify, seed):
             for _ in range(min(len(active), rng.randint(1, 3))):
                 removed.append(active.pop(rng.randrange(len(active))))
         else:
-            for src, dst in _random_flows(rng, 6, rng.randint(1, 3)):
+            for src, dst in _random_flows(rng, 4, rng.randint(1, 3)):
                 task = _flow_task(src, dst)
                 active.append(task)
                 added.append(task)
         allocator.update(active, added, removed)
-        _assert_cache_is_live_set(allocator, active)
+        _assert_index_is_live_set(allocator, active)
     allocator.refresh(active)  # a bare _full mid-stream
-    _assert_cache_is_live_set(allocator, active)
-    # _full trusts no bookkeeping: a whole new task set replaces the cache.
+    _assert_index_is_live_set(allocator, active)
+    # _full trusts no bookkeeping: a whole new task set replaces the index.
     active = [_flow_task(src, dst) for src, dst in _random_flows(rng, 6, 5)]
     allocator._full(active)
-    _assert_cache_is_live_set(allocator, active)
+    _assert_index_is_live_set(allocator, active)
     allocator.update([], [], list(active))
-    assert allocator._task_links == {}
-    assert allocator._link_tasks == {}
+    _assert_index_is_empty(allocator)
 
 
 @pytest.mark.parametrize(
@@ -172,8 +218,7 @@ def test_network_run_leaves_no_cached_links(model):
         net.submit(src, dst, rng.uniform(1e3, 1e5), lambda tr: None)
     kernel.run()
     assert net.completed_transfers == 40
-    assert net.allocator._task_links == {}
-    assert net.allocator._link_tasks == {}
+    _assert_index_is_empty(net.allocator)
 
 
 # ------------------------------------------------------------- solver input
@@ -219,14 +264,16 @@ def _reference_solve(pairs, capacity, residual=None):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    st.integers(min_value=2, max_value=9),      # node count
-    st.integers(min_value=0, max_value=30),     # flow count
+    st.integers(min_value=2, max_value=4),      # node count
+    st.integers(min_value=0, max_value=60),     # flow count
     st.sampled_from([1.0, 3.0, 0.1, 1e6, 7.3]),  # capacity
     st.booleans(),                              # with residual
     st.integers(min_value=0, max_value=2**32),  # seed
 )
 def test_solver_on_link_pairs_matches_reference(num_nodes, count, capacity,
                                                 with_residual, seed):
+    """Few nodes, many flows: pairs repeat, and each pair's flows are one
+    class, listed by first appearance."""
     rng = random.Random(seed)
     pairs = _random_flows(rng, num_nodes, count)
     residual = None
@@ -235,9 +282,26 @@ def test_solver_on_link_pairs_matches_reference(num_nodes, count, capacity,
             flow_links(src, dst)[rng.randrange(2)]: rng.uniform(0.0, capacity)
             for src, dst in pairs[: count // 2 + 1]
         }
+    members: dict = {}
+    for i, pair in enumerate(pairs):
+        members.setdefault(pair, []).append(i)
+    classes = [(*flow_links(*pair), len(flows)) for pair, flows in members.items()]
+    groups = list(members.values())
     solution = maxmin_solve(
-        [flow_links(src, dst) for src, dst in pairs], capacity, residual
+        classes,
+        capacity,
+        None if residual is None else [
+            residual.get(link, capacity) for link in range(2 * num_nodes)
+        ],
     )
-    rates, rounds = _reference_solve(pairs, capacity, residual)
-    assert repr(solution.rates) == repr(rates)
-    assert repr(solution.rounds) == repr(rounds)
+    rates = [0.0] * count
+    for share, flows in zip(solution.rates, groups):
+        for i in flows:
+            rates[i] = share
+    rounds = [
+        (link, share, tuple(sorted(i for c in indices for i in groups[c])))
+        for link, share, indices in solution.rounds
+    ]
+    assert (repr(rates), repr(rounds)) == tuple(
+        map(repr, _reference_solve(pairs, capacity, residual))
+    )

@@ -4,14 +4,20 @@ Host timings of the hot loop move with the machine; these counts do not.
 The tests run one small pipelined LU (n = 648, r = 54, eight nodes) after
 a warm-up run — predicted on the ``sim`` engine, and measured on the
 ``testbed`` engine for the frame count — and pin what it costs against a
-bound with headroom over today's figure.
+bound with headroom over today's figure.  A dense all-to-all churn on
+the two water-filling networks holds the allocator half the same way.
 """
 
 import gc
+import random
 import sys
 
 import pytest
 
+from repro.des.kernel import Kernel
+from repro.netmodel.maxmin import MaxMinStarNetwork
+from repro.netmodel.packet import PacketNetwork
+from repro.netmodel.params import NetworkParams
 from repro.scenario import ScenarioSpec, run_scenario
 
 #: Python frames entered per simulated event.  The one-pass reallocation
@@ -19,9 +25,16 @@ from repro.scenario import ScenarioSpec, run_scenario
 #: comprehensions, so it only counts fewer.
 FRAMES_PER_EVENT_BOUND = 42.5
 
-#: The same on the testbed engine (packet network, timeslice CPU): 55.3
-#: frames per event over 5,652 events on CPython 3.11.
-TESTBED_FRAMES_PER_EVENT_BOUND = 61.0
+#: The same on the testbed engine (packet network, timeslice CPU): 44.9
+#: frames per event over 5,652 events on CPython 3.11 since the max-min
+#: allocator works per flow class (55.3 before it).
+TESTBED_FRAMES_PER_EVENT_BOUND = 51.0
+
+#: Frames per event of a dense churn — 128 concurrent flows all-to-all
+#: over 12 nodes, each completion replaced until 200 more have run — per
+#: water-filling model: 58.6 (``maxmin``) and 37.5 (``packet``) on
+#: CPython 3.11 with flow classes, 245.6 and 151.6 per flow.
+CHURN_FRAMES_PER_EVENT_BOUND = {"maxmin": 140.0, "packet": 90.0}
 
 #: Objects the cyclic GC finds after one run.  What is left is the run's
 #: own structure (graph, threads, merge instances: 1,727 on CPython 3.11);
@@ -48,7 +61,8 @@ def lu_spec():
     return spec
 
 
-def _frames_per_event(spec: ScenarioSpec) -> float:
+def _frames_per_call(run) -> tuple[float, int]:
+    """Python frames ``run()`` enters, per event it reports."""
     calls = 0
 
     def count(frame, event, arg):
@@ -58,11 +72,16 @@ def _frames_per_event(spec: ScenarioSpec) -> float:
 
     sys.setprofile(count)
     try:
-        record = run_scenario(spec)
+        events = run()
     finally:
         sys.setprofile(None)
-    assert record.events > 5_000
-    return calls / record.events
+    return calls / events, events
+
+
+def _frames_per_event(spec: ScenarioSpec) -> float:
+    frames, events = _frames_per_call(lambda: run_scenario(spec).events)
+    assert events > 5_000
+    return frames
 
 
 def test_python_frames_per_simulated_event(lu_spec):
@@ -75,6 +94,44 @@ def test_python_frames_per_testbed_event():
     run_scenario(_lu_spec(engine, n=108))
     frames = _frames_per_event(_lu_spec(engine))
     assert frames < TESTBED_FRAMES_PER_EVENT_BOUND
+
+
+def _churn(model: str, flows: int, nodes: int, completions: int) -> int:
+    """The perf ledger's dense churn driver; returns the events run."""
+    kernel = Kernel()
+    params = NetworkParams(latency=0.0, bandwidth=1e6)
+    if model == "packet":
+        network = PacketNetwork(kernel, params, seed=2)
+    else:
+        network = MaxMinStarNetwork(kernel, params)
+    rng = random.Random(2)
+    spawned = 0
+
+    def submit() -> None:
+        nonlocal spawned
+        spawned += 1
+        src = rng.randrange(nodes)
+        dst = rng.randrange(nodes)
+        while dst == src:
+            dst = rng.randrange(nodes)
+        network.submit(src, dst, rng.uniform(0.5e6, 1.5e6), on_done)
+
+    def on_done(_transfer) -> None:
+        if spawned < flows + completions:
+            submit()
+
+    for _ in range(flows):
+        submit()
+    kernel.run()
+    return kernel.events_executed
+
+
+@pytest.mark.parametrize("model", ["maxmin", "packet"])
+def test_python_frames_per_dense_churn_event(model):
+    _churn(model, 16, 4, 10)  # warm-up
+    frames, events = _frames_per_call(lambda: _churn(model, 128, 12, 200))
+    assert events > 300
+    assert frames < CHURN_FRAMES_PER_EVENT_BOUND[model]
 
 
 def test_a_run_leaves_little_for_the_cyclic_gc(lu_spec):
