@@ -35,6 +35,7 @@ a job admitted, completed or faulted — and the engines ask it only then.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.clusterserver.workload import JobSpec, JobView
@@ -76,6 +77,9 @@ class Scheduler(ABC):
     def capacity(self, total_nodes: int) -> int:
         """Nodes currently usable (autoscalers shrink this below total)."""
         return total_nodes
+
+
+_by_arrival = attrgetter("spec.arrival")
 
 
 def _clamp(job: JobView, nodes: int) -> int:
@@ -149,7 +153,7 @@ class FcfsScheduler(Scheduler):
                 free -= job.nodes
         queued = sorted(
             (j for j in running if allocation.get(j, 0) == 0),
-            key=lambda j: j.spec.arrival,
+            key=_by_arrival,
         )
         for job in queued:
             want = _clamp(job, job.spec.request) or job.spec.min_nodes
@@ -177,7 +181,7 @@ class EquipartitionScheduler(Scheduler):
             return {}
         base = total_nodes // len(running)
         extra = total_nodes % len(running)
-        ordered = sorted(running, key=lambda j: j.spec.arrival)
+        ordered = sorted(running, key=_by_arrival)
         allocation = {}
         free = 0
         for i, job in enumerate(ordered):
@@ -218,20 +222,6 @@ class AdaptiveEfficiencyScheduler(Scheduler):
             raise ConfigurationError("efficiency_floor must be in (0, 1]")
         self.efficiency_floor = efficiency_floor
 
-    def _desired(self, job: JobView, cap: int) -> int:
-        """The job's efficient size, at most ``cap`` nodes.
-
-        The marginal-rate scan stops at the same n whatever the cap, so it
-        runs once per job (uncapped) and every call clamps the result.
-        """
-        if min(cap, job.spec.max_nodes) < 1:
-            return job.spec.min_nodes
-        floor = self.efficiency_floor
-        priced = job.efficient_size
-        if priced is None or priced[0] != floor:
-            priced = job.efficient_size = (floor, self._efficient(job.spec))
-        return min(cap, priced[1])
-
     def _efficient(self, spec: JobSpec) -> int:
         """Largest n up to ``max_nodes`` whose marginal rate stays >= floor."""
         best = 1
@@ -247,27 +237,36 @@ class AdaptiveEfficiencyScheduler(Scheduler):
     def allocate(
         self, running: Sequence[JobView], total_nodes: int
     ) -> dict[JobView, int]:
-        active = sorted(running, key=lambda j: j.spec.arrival)
+        active = sorted(running, key=_by_arrival)
         if not active:
             return {}
-        allocation = {job: 0 for job in active}
+        allocation = dict.fromkeys(active, 0)
         free = total_nodes
         # First pass: everyone gets their minimum, by arrival order.
         for job in active:
-            grant = min(job.spec.min_nodes, free)
+            grant = job.spec.min_nodes
+            if free < grant:
+                grant = free
             allocation[job] = grant
             free -= grant
             if free <= 0:
                 break
-        # Second pass: grow each job up to its efficient size.
+        # Second pass: grow each job up to its efficient size, priced
+        # once per job by the marginal-rate scan (the scan stops at the
+        # same n whatever the free count, so only the result is capped).
+        floor = self.efficiency_floor
         for job in active:
             if free <= 0:
                 break
-            desired = self._desired(job, allocation[job] + free)
-            grow = max(0, desired - allocation[job])
-            take = min(grow, free)
-            allocation[job] += take
-            free -= take
+            priced = job.efficient_size
+            if priced is None or priced[0] != floor:
+                priced = job.efficient_size = (floor, self._efficient(job.spec))
+            take = priced[1] - allocation[job]
+            if take > 0:
+                if take > free:
+                    take = free
+                allocation[job] += take
+                free -= take
         return allocation
 
 

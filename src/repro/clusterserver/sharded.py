@@ -60,7 +60,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from repro.clusterserver.scheduler import Scheduler
 from repro.clusterserver.server import (
@@ -105,6 +106,9 @@ class ShardStats:
         """Kernel events summed over shards (conserved across K)."""
         return sum(self.shard_events)
 
+
+#: Shared empty mapping: a barrier's grant and fault ops when it has none.
+_NO_OPS: Mapping = MappingProxyType({})
 
 #: Relative margin by which a job with phases still to run shades its
 #: completion estimate into the epoch bound.  Orders of magnitude above
@@ -444,8 +448,12 @@ class ShardedServer:
         shards = [JobShard(sid) for sid in range(K)]
 
         # Controller-side decision state — active jobs only, in
-        # admission order.
+        # admission order; ``views`` is the policy's side of ``running``,
+        # kept in step with it and handed out as a snapshot.
         running: dict[int, _Mirror] = {}
+        views: list[JobView] = []
+        #: this barrier's admissions per shard (emptied by each apply)
+        new_specs: dict[int, list[tuple[int, JobSpec]]] = {}
         deferred: deque[tuple[int, int, JobSpec]] = deque()
         pending: list = [next(arrivals, None)]
         state = {"pulled": 0, "last_bound": 0.0}
@@ -463,13 +471,9 @@ class ShardedServer:
                     t = ft
             return t
 
-        def views() -> list[JobView]:
-            return [mirror.view for mirror in running.values()]
-
-        def admit_job(
-            idx: int, sid: int, spec: JobSpec, now: float, new_specs: dict
-        ) -> None:
-            running[idx] = _Mirror(idx, spec, sid, now)
+        def admit_job(idx: int, sid: int, spec: JobSpec, now: float) -> None:
+            mirror = running[idx] = _Mirror(idx, spec, sid, now)
+            views.append(mirror.view)
             new_specs.setdefault(sid, []).append((idx, spec))
 
         def available_nodes() -> int:
@@ -477,7 +481,7 @@ class ShardedServer:
                 return runtime.capacity(self.total_nodes)
             return self.total_nodes
 
-        def apply_faults(now: float, ops: dict) -> bool:
+        def apply_faults(now: float, restarts: dict, drops: dict) -> bool:
             ordered = sorted(
                 (idx, m.view.nodes) for idx, m in running.items()
             )
@@ -492,13 +496,14 @@ class ShardedServer:
                 lost = work - mirror.rem
                 if runtime.record_loss(idx, lost, entry) == "retry":
                     mirror.rem = work
-                    ops["restarts"].setdefault(mirror.owner, []).append(idx)
+                    restarts.setdefault(mirror.owner, []).append(idx)
                 else:
-                    ops["drops"].setdefault(mirror.owner, []).append(idx)
+                    drops.setdefault(mirror.owner, []).append(idx)
                     del running[idx]
+                    views.remove(mirror.view)
             return fired
 
-        def pull_arrivals(now: float, new_specs: dict) -> bool:
+        def pull_arrivals(now: float) -> bool:
             """Admit/defer/reject every arrival due at or before now."""
             admitted = False
             while pending[0] is not None and pending[0][0] <= now:
@@ -516,8 +521,8 @@ class ShardedServer:
                 # so any deterministic rule works.
                 sid = state["pulled"] % K
                 state["pulled"] += 1
-                if admit(spec, views(), available_nodes()):
-                    admit_job(idx, sid, spec, now, new_specs)
+                if admit(spec, tuple(views), available_nodes()):
+                    admit_job(idx, sid, spec, now)
                     admitted = True
                 elif self.scheduler.defer_rejected:
                     deferred.append((idx, sid, spec))
@@ -525,18 +530,18 @@ class ShardedServer:
                     sink.observe_rejection(now, spec)
             return admitted
 
-        def drain_deferred(now: float, new_specs: dict) -> None:
+        def drain_deferred(now: float) -> None:
             while deferred and admit(
-                deferred[0][2], views(), available_nodes()
+                deferred[0][2], tuple(views), available_nodes()
             ):
                 idx, sid, spec = deferred.popleft()
-                admit_job(idx, sid, spec, now, new_specs)
+                admit_job(idx, sid, spec, now)
 
         def reallocate(now: float) -> dict[int, list[tuple[int, int, float]]]:
             """Replay the policy; return the changed grants per shard."""
             stats.allocations += 1
             allocation, granted, capacity = _allocate_checked(
-                self.scheduler, views(), available_nodes()
+                self.scheduler, tuple(views), available_nodes()
             )
             factors = None
             if runtime is not None and runtime.factors_live:
@@ -547,14 +552,19 @@ class ShardedServer:
                     )
                 )
             updates: dict[int, list[tuple[int, int, float]]] = {}
-            for idx, mirror in running.items():
+            for mirror in running.values():
                 view = mirror.view
                 nodes = allocation.get(view, 0)
-                factor = (
-                    mirror.rate_factor if factors is None else factors[idx]
-                )
-                if nodes == view.nodes and factor == mirror.rate_factor:
-                    continue
+                if factors is None:
+                    # No live degrade: the factor stands, only the grant
+                    # can change.
+                    if nodes == view.nodes:
+                        continue
+                    factor = mirror.rate_factor
+                else:
+                    factor = factors[mirror.index]
+                    if nodes == view.nodes and factor == mirror.rate_factor:
+                        continue
                 if runtime is not None:
                     mirror.fold_rem(now)
                 if nodes != view.nodes:
@@ -564,15 +574,14 @@ class ShardedServer:
                         mirror.started_at = now
                 mirror.rate_factor = factor
                 updates.setdefault(mirror.owner, []).append(
-                    (idx, nodes, factor)
+                    (mirror.index, nodes, factor)
                 )
             sink.observe_utilization(now, granted, capacity)
             return updates
 
         def on_barrier(now: float, reports: list) -> bool:
             state["last_bound"] = now
-            job_done = False
-            retired: list[tuple[int, _Mirror]] = []
+            retired: Optional[list[tuple[int, _Mirror]]] = None
             for completed in reports:
                 for idx, done, t in completed:
                     mirror = running[idx]
@@ -584,9 +593,10 @@ class ShardedServer:
                                 "bound was not a lower bound on its "
                                 "completion"
                             )
-                        job_done = True
                         mirror.close_chunk(now)
                         mirror.finished_at = now
+                        if retired is None:
+                            retired = []
                         retired.append((idx, mirror))
                     elif runtime is not None:
                         # Fault bookkeeping only: the policy's view
@@ -594,40 +604,42 @@ class ShardedServer:
                         mirror.phase += 1
                         mirror.rem = mirror.spec.phase_work[mirror.phase]
                         mirror.rem_sync = t
-            # Fold retirements in index order: the aggregator's call
-            # sequence — hence the SloSummary — is K-independent.
-            for idx, mirror in sorted(retired):
-                del running[idx]
-                sink.observe_completion(mirror)
-            ops: dict = {"restarts": {}, "drops": {}}
+            if retired is not None:
+                # Fold retirements in index order: the aggregator's call
+                # sequence — hence the SloSummary — is K-independent.
+                retired.sort()
+                for idx, mirror in retired:
+                    del running[idx]
+                    views.remove(mirror.view)
+                    sink.observe_completion(mirror)
+            restarts = drops = _NO_OPS
             fired = False
             if runtime is not None:
                 # Completions settle before faults, faults before
                 # arrivals — the eager engine's tie order.
-                fired = apply_faults(now, ops)
-            new_specs: dict[int, list[tuple[int, JobSpec]]] = {}
-            admitted = pull_arrivals(now, new_specs)
-            if admitted or job_done or fired:
+                restarts, drops = {}, {}
+                fired = apply_faults(now, restarts, drops)
+            admitted = pull_arrivals(now)
+            if admitted or retired is not None or fired:
                 # Membership changed: deferred jobs get their retry,
                 # then the global policy replays.
-                drain_deferred(now, new_specs)
+                drain_deferred(now)
                 updates = reallocate(now)
             else:
                 # Phase boundaries or rejected arrivals: the views are
                 # unchanged, so the previous grants stand.
                 stats.allocations_elided += 1
-                updates = {}
-            touched = sorted(
-                set(new_specs) | set(updates) | set(ops["restarts"])
-                | set(ops["drops"])
-            )
-            for sid in touched:
+                updates = _NO_OPS
+            if not (new_specs or updates or restarts or drops):
+                return True
+            for sid in sorted({*new_specs, *updates, *restarts, *drops}):
                 shards[sid].apply_allocation(
                     updates.get(sid, ()),
                     new_specs.get(sid, ()),
-                    ops["restarts"].get(sid, ()),
-                    ops["drops"].get(sid, ()),
+                    restarts.get(sid, ()),
+                    drops.get(sid, ()),
                 )
+            new_specs.clear()
             return True
 
         controller = EpochController(shards)

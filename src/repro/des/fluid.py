@@ -133,9 +133,11 @@ def is_settled(
     second Zeno guard (the first is :meth:`Kernel.schedule_after`'s
     floor): the residual is below the resolution of simulated time.
     """
-    return (
-        remaining <= drain_threshold(work) or now + remaining / rate == now
-    )
+    # ``drain_threshold``, inlined (``not >`` keeps max()'s NaN answer).
+    threshold = work * _COMPLETION_RTOL
+    if not threshold > _COMPLETION_ATOL:
+        threshold = _COMPLETION_ATOL
+    return remaining <= threshold or now + remaining / rate == now
 
 
 class FluidTask:

@@ -27,8 +27,10 @@ class OnlineStats:
         delta = x - self._mean
         self._mean += delta / self._n
         self._m2 += delta * (x - self._mean)
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
+        if x < self._min:
+            self._min = x
+        if x > self._max:
+            self._max = x
 
     def extend(self, xs: Iterable[float]) -> None:
         """Fold many samples into the accumulator."""

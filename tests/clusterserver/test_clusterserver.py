@@ -135,26 +135,69 @@ def _desired_by_scan(spec, floor, cap):
     return best
 
 
+def _allocate_by_scan(running, total_nodes, floor):
+    """The adaptive policy's two-pass allocation, scanning the curve at
+    every growth step (the oracle)."""
+    active = sorted(running, key=lambda j: j.spec.arrival)
+    if not active:
+        return {}
+    allocation = {job: 0 for job in active}
+    free = total_nodes
+    for job in active:
+        grant = min(job.spec.min_nodes, free)
+        allocation[job] = grant
+        free -= grant
+        if free <= 0:
+            break
+    for job in active:
+        if free <= 0:
+            break
+        desired = _desired_by_scan(job.spec, floor, allocation[job] + free)
+        take = min(max(0, desired - allocation[job]), free)
+        allocation[job] += take
+        free -= take
+    return allocation
+
+
 @settings(deadline=None, max_examples=60)
 @given(
-    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=12),
-    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=2),
+    st.lists(
+        st.tuples(
+            st.lists(
+                st.floats(min_value=0.01, max_value=1.0),
+                min_size=1, max_size=8,
+            ),
+            st.integers(0, 3),
+            st.integers(1, 8),
+        ),
+        min_size=1, max_size=8,
+    ),
+    st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=2),
     st.data(),
 )
-def test_adaptive_desired_size_priced_once_matches_scan(curve, floors, data):
-    """Every cap in 0..max_nodes + 1, in random order on one job (so the
-    once-per-job price is reused), under one or two policies' floors."""
-    max_nodes = len(curve)
-    min_nodes = data.draw(st.integers(min_value=1, max_value=max_nodes))
-    spec = JobSpec(
-        "j", 0.0, (1.0,), lambda n: curve[n - 1],
-        max_nodes=max_nodes, min_nodes=min_nodes,
-    )
-    job = JobView(spec)
+def test_adaptive_allocate_matches_two_pass_scan(jobs, floors, data):
+    """Any membership, in any admission order (deferral reorders it),
+    with arrival ties, on 0..sum(max_nodes) + 2 nodes: the same dict in
+    the same key order as the oracle, under two floors on the same views
+    (so the once-per-job price is re-priced and then reused)."""
+    views = []
+    for i, (curve, arrival, min_nodes) in enumerate(jobs):
+        spec = JobSpec(
+            f"j{i}", float(arrival), (1.0,),
+            lambda n, curve=curve: curve[n - 1],
+            max_nodes=len(curve), min_nodes=min(min_nodes, len(curve)),
+        )
+        views.append(JobView(spec, i))
+    running = data.draw(st.permutations(views))
+    most = sum(v.spec.max_nodes for v in views) + 2
+    totals = data.draw(st.lists(st.integers(0, most), min_size=2, max_size=2))
     for floor in floors:
         sched = AdaptiveEfficiencyScheduler(efficiency_floor=floor)
-        for cap in data.draw(st.permutations(range(max_nodes + 2))):
-            assert sched._desired(job, cap) == _desired_by_scan(spec, floor, cap)
+        for total in totals:
+            got = sched.allocate(tuple(running), total)
+            want = _allocate_by_scan(running, total, floor)
+            assert got == want
+            assert list(got) == list(want)
 
 
 # ------------------------------------------------------------------- server

@@ -17,20 +17,24 @@ import pytest
 
 from repro.clusterserver import ClusterServer, ShardedServer
 from repro.clusterserver.arrivals import poisson_arrivals
+from repro.clusterserver.metrics import SloAggregator
 from repro.clusterserver.scheduler import (
     AdaptiveEfficiencyScheduler,
     AdmissionControlScheduler,
     AutoscalingScheduler,
     EquipartitionScheduler,
     FcfsScheduler,
+    Scheduler,
     StaticScheduler,
 )
+from repro.clusterserver.sharded import JobShard
 from repro.clusterserver.workload import (
     JobSpec,
     amdahl_efficiency,
     synthetic_workload,
 )
 from repro.errors import ConfigurationError
+from repro.faults import FaultEvent, FaultPlan, FaultRuntime
 from repro.util.rng import SeedSequenceFactory
 
 
@@ -305,6 +309,85 @@ def test_eager_open_memory_bounded_by_active_jobs():
     small = peak(1000)
     large = peak(6000)
     assert large < 3.0 * small
+
+
+class _Recorder(Scheduler):
+    """FCFS+backfill that checks every view sequence it is handed against
+    its own tally of the active jobs, kept in admission order."""
+
+    def __init__(self) -> None:
+        self.inner = FcfsScheduler(backfill=True)
+        self.name = self.inner.name
+        self.active: list[str] = []
+        self.calls = 0
+
+    def _check(self, running) -> None:
+        self.calls += 1
+        assert [view.spec.name for view in running] == self.active
+
+    def admit(self, spec, running, total_nodes):
+        self._check(running)
+        self.active.append(spec.name)
+        return True
+
+    def allocate(self, running, total_nodes):
+        self._check(running)
+        return self.inner.allocate(running, total_nodes)
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_decision_state_holds_only_active_jobs(monkeypatch, faulted):
+    """Counted O(active) bound on the controller's decision state: every
+    admit/allocate call sees each active job once, in admission order,
+    and no retired or fault-dropped job; shard-held jobs never exceed
+    the active count."""
+    recorder = _Recorder()
+    specs = [spec for _, spec in _dense_stream(1000)]
+    shards: list[JobShard] = []
+    peak = [0]
+
+    def observe_completion(self, job, _orig=SloAggregator.observe_completion):
+        recorder.active.remove(job.spec.name)
+        _orig(self, job)
+
+    def record_loss(self, idx, lost, entry, _orig=FaultRuntime.record_loss):
+        outcome = _orig(self, idx, lost, entry)
+        if outcome == "fail":
+            recorder.active.remove(specs[idx].name)
+        return outcome
+
+    def init(self, shard_id, _orig=JobShard.__init__):
+        _orig(self, shard_id)
+        shards.append(self)
+
+    def run_until(self, bound, _orig=JobShard.run_until):
+        held = sum(len(shard.jobs) for shard in shards)
+        assert held <= len(recorder.active)
+        peak[0] = max(peak[0], held)
+        return _orig(self, bound)
+
+    monkeypatch.setattr(SloAggregator, "observe_completion", observe_completion)
+    monkeypatch.setattr(FaultRuntime, "record_loss", record_loss)
+    monkeypatch.setattr(JobShard, "__init__", init)
+    monkeypatch.setattr(JobShard, "run_until", run_until)
+    plan = None
+    if faulted:
+        plan = FaultPlan(
+            events=(
+                FaultEvent(kind="killjob", at=50.0, job=10),
+                FaultEvent(kind="crash", at=120.0, node=0),
+                FaultEvent(kind="killjob", at=300.0, job=250),
+            ),
+            max_retries=0,
+        )
+    result = ShardedServer(128, recorder, shards=2, faults=plan).run(
+        (spec.arrival, spec) for spec in specs
+    )
+    assert result.failed_jobs == (3 if faulted else 0)
+    assert result.jobs_completed + result.failed_jobs == 1000
+    assert recorder.active == []
+    assert recorder.calls > 2000
+    assert 0 < peak[0] < 150  # ~60 active at this load, not 1000
 
 
 def test_slo_summary_survives_makespan_zero():
