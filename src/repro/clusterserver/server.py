@@ -29,7 +29,9 @@ from typing import Optional, Sequence
 
 from repro.clusterserver.metrics import SloAggregator, SloSummary
 from repro.clusterserver.scheduler import Scheduler
-from repro.clusterserver.workload import JobSpec, JobView, MalleableJob
+from repro.clusterserver.workload import (
+    PHASE_DONE_ATOL, JobSpec, JobView, MalleableJob, grant_rate,
+)
 from repro.des.kernel import Kernel
 from repro.errors import ConfigurationError
 from repro.faults import CompiledFaultPlan, FaultPlan, FaultRuntime
@@ -231,6 +233,45 @@ def _membership_changed(
     return admitted or completed or fired or first
 
 
+def advance_running(
+    running: Sequence[MalleableJob], dt: float
+) -> tuple[float, bool]:
+    """The eager engine's one pass per event over its running jobs.
+
+    Advances each job ``dt`` seconds at its ``work_rate`` (``dt == 0``
+    advances none) and returns ``(horizon, finished)``: seconds to the
+    first phase end at the current rates (``inf`` if none progresses)
+    and whether any job ran out of phases.
+    """
+    horizon = math.inf
+    finished = False
+    for job in running:
+        rate = job.work_rate
+        phase = job.phase
+        phases = job.phases
+        remaining = job.remaining_in_phase
+        if dt > 0:
+            job.node_seconds += job.view.nodes * dt
+            progress = rate * dt
+            while progress > 0 and phase < phases:
+                if progress < remaining - PHASE_DONE_ATOL:
+                    remaining -= progress
+                    break
+                progress -= remaining
+                phase += 1
+                if phase < phases:
+                    remaining = job.spec.phase_work[phase]
+            job.phase = phase
+            job.remaining_in_phase = remaining
+        if phase >= phases:
+            finished = True
+        elif rate > 0.0:
+            left = remaining / rate
+            if left < horizon:
+                horizon = left
+    return horizon, finished
+
+
 def _allocate_checked(
     scheduler: Scheduler, running: Sequence[JobView], avail: int
 ) -> tuple[dict[JobView, int], int, int]:
@@ -354,6 +395,8 @@ class ClusterServer:
         arrivals, admit, sink = _open_workload(workload, self.scheduler)
         kernel = Kernel()
         running: list[MalleableJob] = []
+        #: the policy's side of ``running``, in the same order
+        views: list[JobView] = []
         deferred: deque[tuple[int, JobSpec]] = deque()
         runtime = (
             FaultRuntime(self.faults, self.total_nodes)
@@ -368,16 +411,11 @@ class ClusterServer:
         boundary: list = [None]  # pending phase-boundary event handle
         fault_handles: dict[float, object] = {}
 
-        def views() -> list[JobView]:
-            return [job.view for job in running]
-
-        def advance_to_now() -> None:
+        def advance_to_now() -> tuple[float, bool]:
             nonlocal last_update
-            dt = kernel.now - last_update
-            if dt > 0:
-                for job in running:
-                    job.advance(dt)
+            step = advance_running(running, kernel.now - last_update)
             last_update = kernel.now
+            return step
 
         def schedule_next_arrival() -> None:
             nonlocal last_arrival, exhausted
@@ -421,27 +459,31 @@ class ClusterServer:
                     job.remaining_in_phase = job.spec.phase_work[job.phase]
                 else:
                     running.remove(job)
+                    views.remove(job.view)
                     del live[idx]
             return fired
 
-        def reschedule(admitted: bool = False, fired: bool = False) -> None:
-            # Retire finished jobs, apply the policy, arm the next event.
-            # The previously armed boundary event is superseded by this
+        def reschedule(
+            horizon: float, job_done: bool, admitted=False, fired=False
+        ) -> None:
+            # Retire finished jobs, apply the policy, arm the next event;
+            # ``horizon`` and ``job_done`` are this event's pass.  The
+            # previously armed boundary event is superseded by this
             # decision (rates may have changed); cancelling it keeps the
             # queue free of stale wake-ups that would otherwise fire as
             # no-op decisions — and, after the last completion, drag the
             # makespan past the true end of the workload.
             nonlocal allocations, granted, capacity
+            now = kernel.now
             if boundary[0] is not None:
                 kernel.cancel(boundary[0])
                 boundary[0] = None
-            finished = [j for j in running if j.done]
-            job_done = bool(finished)
-            for job in finished:
-                job.finished_at = kernel.now
-                running.remove(job)
-                sink.observe_completion(job)
-            avail = available_nodes()
+            if job_done:
+                for job in [j for j in running if j.done]:
+                    job.finished_at = now
+                    running.remove(job)
+                    views.remove(job.view)
+                    sink.observe_completion(job)
             if (
                 runtime is not None
                 and exhausted
@@ -455,58 +497,74 @@ class ClusterServer:
                 fault_handles.clear()
             # Deferred arrivals retry in FIFO order; membership state may
             # have changed since they were parked.
-            while deferred and admit(deferred[0][1], views(), avail):
-                idx, spec = deferred.popleft()
-                running.append(MalleableJob(spec, index=idx))
+            while deferred and admit(
+                deferred[0][1], tuple(views), available_nodes()
+            ):
+                admit_job(*deferred.popleft())
                 admitted = True
-            if _membership_changed(admitted, job_done, fired, not allocations):
+            decided = _membership_changed(
+                admitted, job_done, fired, not allocations
+            )
+            if decided:
                 allocations += 1
                 allocation, granted, capacity = _allocate_checked(
-                    self.scheduler, views(), avail
+                    self.scheduler, tuple(views), available_nodes()
+                )
+                factors = (
+                    runtime.rate_factors(sorted(
+                        (j.index, allocation.get(j.view, 0)) for j in running
+                    ))
+                    if runtime is not None and runtime.factors_live
+                    else None
                 )
                 for job in running:
-                    nodes = job.view.nodes = allocation.get(job.view, 0)
+                    view = job.view
+                    nodes = allocation.get(view, 0)
+                    factor = factors[job.index] if factors else job.rate_factor
+                    # A grant is priced once, not once per event it lasts.
+                    if nodes != view.nodes or factor != job.rate_factor:
+                        view.nodes = nodes
+                        job.rate_factor = factor
+                        job.work_rate = grant_rate(job.spec, nodes, factor)
                     if nodes > 0 and math.isnan(job.started_at):
-                        job.started_at = kernel.now
-                if runtime is not None and runtime.factors_live:
-                    factors = runtime.rate_factors(
-                        sorted((j.index, j.view.nodes) for j in running)
-                    )
-                    for job in running:
-                        job.rate_factor = factors[job.index]
+                        job.started_at = now
             # Otherwise — pure phase boundaries, rejected or deferred
-            # arrivals — the previous grants stand.
-            sink.observe_utilization(kernel.now, granted, capacity)
-            horizon = min(
-                (j.time_to_phase_end() for j in running), default=math.inf
-            )
+            # arrivals — the previous grants, rates and so the pass's
+            # horizon stand (retired jobs added none to it).  A fault may
+            # restart a phase, so a plan always asks again.
+            sink.observe_utilization(now, granted, capacity)
+            if decided or runtime is not None:
+                horizon = advance_running(running, 0.0)[0]
             if math.isfinite(horizon):
                 boundary[0] = kernel.schedule_after(
-                    kernel.now + horizon, on_phase_boundary
+                    now + horizon, on_phase_boundary
                 )
+
+        def admit_job(idx: int, spec: JobSpec) -> None:
+            job = MalleableJob(spec, index=idx)
+            running.append(job)
+            views.append(job.view)
 
         def on_phase_boundary() -> None:
             boundary[0] = None
-            advance_to_now()
-            reschedule()
+            reschedule(*advance_to_now())
 
         def on_arrival(idx: int, spec: JobSpec) -> None:
-            advance_to_now()
+            step = advance_to_now()
             # One-ahead pull: exactly one future arrival is ever buffered.
             schedule_next_arrival()
-            admitted = admit(spec, views(), available_nodes())
+            admitted = admit(spec, tuple(views), available_nodes())
             if admitted:
-                running.append(MalleableJob(spec, index=idx))
+                admit_job(idx, spec)
             elif self.scheduler.defer_rejected:
                 deferred.append((idx, spec))
             else:
                 sink.observe_rejection(kernel.now, spec)
-            reschedule(admitted=admitted)
+            reschedule(*step, admitted=admitted)
 
         def on_fault(t: float) -> None:
             fault_handles.pop(t, None)
-            advance_to_now()
-            reschedule(fired=apply_faults())
+            reschedule(*advance_to_now(), fired=apply_faults())
 
         if runtime is not None:
             # Before the first arrival pull, so fault events win

@@ -71,7 +71,7 @@ from repro.clusterserver.server import (
     _open_workload,
     finalize_result,
 )
-from repro.clusterserver.workload import JobSpec, JobView
+from repro.clusterserver.workload import JobSpec, JobView, grant_rate
 from repro.des.epoch import EpochController
 from repro.des.event_queue import EventHandle
 from repro.des.fluid import is_settled
@@ -311,13 +311,7 @@ class JobShard:
             self.jobs_seen += 1
         for index, nodes, factor in updates:
             job = jobs[index]
-            # Same expression as MalleableJob.rate(), so the sharded and
-            # eager engines agree to float reassociation noise.
-            rate = (
-                nodes * job.spec.efficiency(nodes) * factor
-                if nodes > 0
-                else 0.0
-            )
+            rate = grant_rate(job.spec, nodes, factor)
             old = job.rate
             if rate == old:
                 continue
@@ -370,10 +364,10 @@ class _Mirror:
         self.last_change = now
 
     def fold_rem(self, now: float) -> None:
-        """Drain ``rem`` to ``now`` at the rate MalleableJob.rate() gives."""
+        """Drain ``rem`` to ``now`` at the grant's :func:`grant_rate`."""
         nodes = self.view.nodes
         if now > self.rem_sync and nodes > 0:
-            rate = nodes * self.spec.efficiency(nodes) * self.rate_factor
+            rate = grant_rate(self.spec, nodes, self.rate_factor)
             self.rem -= rate * (now - self.rem_sync)
         self.rem_sync = now
 

@@ -19,7 +19,7 @@ from repro.util.rng import SeedSequenceFactory
 #: efficiency(nodes) -> (0, 1]; phase rate on n nodes = n * efficiency(n).
 EfficiencyFn = Callable[[int], float]
 
-#: Work residual under which :meth:`MalleableJob.advance` ends a phase.
+#: Work residual under which the eager engine's pass ends a phase.
 PHASE_DONE_ATOL = 1e-12
 
 
@@ -130,16 +130,30 @@ class JobView:
         self.efficient_size: tuple[float, int] | None = None
 
 
+def grant_rate(spec: JobSpec, nodes: int, factor: float) -> float:
+    """Work per second of ``spec`` on ``nodes`` (0.0 on none).
+
+    ``factor`` is the fault layer's degraded-node slowdown in (0, 1];
+    1.0 is exact under IEEE multiplication, so fault-free runs are
+    bit-unchanged.  The one rate formula both engines price a grant by.
+    """
+    return nodes * spec.efficiency(nodes) * factor if nodes > 0 else 0.0
+
+
 class MalleableJob:
     """Runtime state of one job inside the eager server simulation.
 
-    The grant lives on :attr:`view`, the only part a policy is handed.
+    The grant lives on :attr:`view`, the only part a policy is handed;
+    :attr:`work_rate` is the grant priced by :func:`grant_rate`, set when
+    a decision changes the grant or its factor.  The eager engine's one
+    pass per event (:func:`repro.clusterserver.server.advance_running`)
+    moves the progress fields.
     """
 
     __slots__ = (
-        "view", "spec", "index", "_phases", "phase", "remaining_in_phase",
-        "rate_factor", "started_at", "finished_at", "node_seconds",
-        "_priced",
+        "view", "spec", "index", "phases", "phase", "remaining_in_phase",
+        "work_rate", "rate_factor", "started_at", "finished_at",
+        "node_seconds",
     )
 
     def __init__(self, spec: JobSpec, index: int = -1) -> None:
@@ -147,57 +161,21 @@ class MalleableJob:
         self.spec = spec
         #: arrival-order index (the fault layer's stable job identity)
         self.index = index
-        self._phases = len(spec.phase_work)
+        self.phases = len(spec.phase_work)
         self.phase = 0
         self.remaining_in_phase = spec.phase_work[0]
-        #: degraded-node slowdown in (0, 1]; 1.0 (the default) is exact
-        #: under IEEE multiplication, so fault-free runs are bit-unchanged
+        #: work per second at the current grant; 0.0 while it holds none
+        self.work_rate = 0.0
+        #: degraded-node slowdown in (0, 1]
         self.rate_factor = 1.0
         self.started_at: float = float("nan")
         self.finished_at: float = float("nan")
         #: integral of allocated nodes over time (for efficiency accounting)
         self.node_seconds = 0.0
-        #: rate() at the (nodes, rate_factor) it was last priced for
-        self._priced = (0, 1.0, 0.0)
 
     @property
     def done(self) -> bool:
-        return self.phase >= self._phases
-
-    def rate(self) -> float:
-        """Work completed per second at the current allocation."""
-        nodes = self.view.nodes
-        if nodes <= 0 or self.phase >= self._phases:
-            return 0.0
-        priced_nodes, priced_factor, rate = self._priced
-        if nodes != priced_nodes or self.rate_factor != priced_factor:
-            # A grant is priced once, not once per event it lasts.
-            factor = self.rate_factor
-            rate = nodes * self.spec.efficiency(nodes) * factor
-            self._priced = (nodes, factor, rate)
-        return rate
-
-    def advance(self, dt: float) -> None:
-        """Progress the job by ``dt`` seconds at its current rate."""
-        if dt < 0:
-            raise ConfigurationError("dt must be >= 0")
-        self.node_seconds += self.view.nodes * dt
-        progress = self.rate() * dt
-        while progress > 0 and self.phase < self._phases:
-            if progress < self.remaining_in_phase - PHASE_DONE_ATOL:
-                self.remaining_in_phase -= progress
-                return
-            progress -= self.remaining_in_phase
-            self.phase += 1
-            if self.phase < self._phases:
-                self.remaining_in_phase = self.spec.phase_work[self.phase]
-
-    def time_to_phase_end(self) -> float:
-        """Seconds until the current phase completes at the current rate."""
-        rate = self.rate()
-        if rate <= 0.0:
-            return float("inf")
-        return self.remaining_in_phase / rate
+        return self.phase >= self.phases
 
 
 def lu_like_job(

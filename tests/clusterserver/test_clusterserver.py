@@ -11,12 +11,14 @@ from repro.clusterserver.scheduler import (
     FcfsScheduler,
     StaticScheduler,
 )
-from repro.clusterserver.server import ClusterServer
+from repro.clusterserver.server import ClusterServer, advance_running
 from repro.clusterserver.workload import (
+    PHASE_DONE_ATOL,
     JobSpec,
     JobView,
     MalleableJob,
     amdahl_efficiency,
+    grant_rate,
     lu_like_job,
     synthetic_workload,
 )
@@ -51,11 +53,13 @@ def test_malleable_job_advance_and_phases():
     spec = JobSpec("j", 0.0, (2.0, 1.0), amdahl_efficiency(1.0))
     job = MalleableJob(spec)
     job.view.nodes = 2
-    assert job.rate() == pytest.approx(2.0)
-    job.advance(1.0)  # completes phase 0 exactly
+    job.work_rate = grant_rate(spec, 2, 1.0)
+    assert job.work_rate == pytest.approx(2.0)
+    # completes phase 0 exactly; phase 1 then ends 0.5 s out
+    assert advance_running([job], 1.0) == (pytest.approx(0.5), False)
     assert job.phase == 1
     assert job.remaining_in_phase == pytest.approx(1.0)
-    job.advance(0.5)
+    assert advance_running([job], 0.5) == (math.inf, True)
     assert job.done
     assert job.node_seconds == pytest.approx(3.0)
 
@@ -63,9 +67,149 @@ def test_malleable_job_advance_and_phases():
 def test_job_zero_nodes_makes_no_progress():
     spec = JobSpec("j", 0.0, (1.0,), amdahl_efficiency(1.0))
     job = MalleableJob(spec)
-    job.advance(10.0)
+    assert advance_running([job], 10.0) == (math.inf, False)
     assert not job.done
-    assert math.isinf(job.time_to_phase_end())
+    assert (job.phase, job.remaining_in_phase) == (0, 1.0)
+
+
+class _OracleJob:
+    """The per-job methods the eager loop called before its one pass.
+
+    ``rate()``, ``advance(dt)`` and ``time_to_phase_end()`` exactly as
+    ``MalleableJob`` had them, kept here as the pass's reference.
+    """
+
+    def __init__(self, spec: JobSpec, nodes: int, factor: float) -> None:
+        self.spec = spec
+        self.nodes = nodes
+        self.rate_factor = factor
+        self._phases = len(spec.phase_work)
+        self.phase = 0
+        self.remaining_in_phase = spec.phase_work[0]
+        self.node_seconds = 0.0
+        self._priced = (0, 1.0, 0.0)
+
+    @property
+    def done(self) -> bool:
+        return self.phase >= self._phases
+
+    def rate(self) -> float:
+        nodes = self.nodes
+        if nodes <= 0 or self.phase >= self._phases:
+            return 0.0
+        priced_nodes, priced_factor, rate = self._priced
+        if nodes != priced_nodes or self.rate_factor != priced_factor:
+            factor = self.rate_factor
+            rate = nodes * self.spec.efficiency(nodes) * factor
+            self._priced = (nodes, factor, rate)
+        return rate
+
+    def advance(self, dt: float) -> None:
+        self.node_seconds += self.nodes * dt
+        progress = self.rate() * dt
+        while progress > 0 and self.phase < self._phases:
+            if progress < self.remaining_in_phase - PHASE_DONE_ATOL:
+                self.remaining_in_phase -= progress
+                return
+            progress -= self.remaining_in_phase
+            self.phase += 1
+            if self.phase < self._phases:
+                self.remaining_in_phase = self.spec.phase_work[self.phase]
+
+    def time_to_phase_end(self) -> float:
+        rate = self.rate()
+        if rate <= 0.0:
+            return float("inf")
+        return self.remaining_in_phase / rate
+
+
+_pass_jobs = st.lists(
+    st.tuples(
+        st.lists(st.floats(0.05, 20.0), min_size=1, max_size=6),
+        st.floats(0.5, 1.0),             # parallel fraction
+        st.integers(0, 8),               # granted nodes
+        st.sampled_from([1.0, 0.5]),     # rate factor
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+#: One event's ``dt``: zero; free; the phase end of job ``i`` moved by
+#: up to one PHASE_DONE_ATOL of work either way; or enough to run job
+#: ``i`` through its next ``k`` phases.
+_pass_steps = st.lists(
+    st.one_of(
+        st.just(("zero",)),
+        st.tuples(st.just("free"), st.floats(1e-6, 30.0)),
+        st.tuples(
+            st.just("edge"), st.integers(0, 7),
+            st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        ),
+        st.tuples(st.just("cross"), st.integers(0, 7), st.integers(2, 5)),
+    ),
+    min_size=3,
+    max_size=12,
+)
+
+
+def _step_dt(step, oracles) -> float:
+    kind = step[0]
+    if kind == "zero":
+        return 0.0
+    if kind == "free":
+        return step[1]
+    job = oracles[step[1] % len(oracles)]
+    rate = job.rate()
+    if rate <= 0.0:
+        return 0.0
+    if kind == "edge":
+        residual = step[2] * PHASE_DONE_ATOL
+        return max(0.0, (job.remaining_in_phase + residual) / rate)
+    ahead = job.spec.phase_work[job.phase + 1:job.phase + step[2]]
+    return (job.remaining_in_phase + sum(ahead)) / rate * 1.0001
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+@settings(deadline=None, max_examples=40)
+@given(jobs=_pass_jobs, steps=_pass_steps)
+def test_one_pass_matches_the_per_job_methods_bit_for_bit(jobs, steps):
+    oracles, running = [], []
+    for work, pf, nodes, factor in jobs:
+        spec = JobSpec("j", 0.0, tuple(work), amdahl_efficiency(pf))
+        oracles.append(_OracleJob(spec, nodes, factor))
+        job = MalleableJob(spec)
+        job.view.nodes = nodes
+        job.rate_factor = factor
+        job.work_rate = grant_rate(spec, nodes, factor)
+        running.append(job)
+    for step in steps:
+        if not oracles:
+            break
+        dt = _step_dt(step, oracles)
+        # The eager loop advanced only on dt > 0, then took the minimum
+        # phase end and retired the finished jobs.
+        if dt > 0:
+            for oracle in oracles:
+                oracle.advance(dt)
+        horizon = min(
+            (o.time_to_phase_end() for o in oracles), default=math.inf
+        )
+        finished = any(o.done for o in oracles)
+        got_horizon, got_finished = advance_running(running, dt)
+        assert got_finished == finished
+        assert _bits(got_horizon) == _bits(horizon)
+        for oracle, job in zip(oracles, running):
+            assert job.phase == oracle.phase
+            assert _bits(job.remaining_in_phase) == _bits(
+                oracle.remaining_in_phase
+            )
+            assert _bits(job.node_seconds) == _bits(oracle.node_seconds)
+        kept = [i for i, o in enumerate(oracles) if not o.done]
+        oracles = [oracles[i] for i in kept]
+        running = [running[i] for i in kept]
 
 
 def test_synthetic_workload_deterministic():

@@ -155,6 +155,11 @@ def test_packages_without_callers_export_nothing(package_name):
         ("repro.clusterserver.scheduler.Scheduler", "progress_insensitive"),
         ("repro.clusterserver.workload.MalleableJob", "remaining_work"),
         ("repro.clusterserver.workload.MalleableJob", "current_efficiency"),
+        # one pass per eager event owns the job arithmetic
+        *(
+            ("repro.clusterserver.workload.MalleableJob", name)
+            for name in "advance rate time_to_phase_end _priced".split()
+        ),
         (
             "repro.staticcheck.rules_determinism",
             "ProgressSensitivePolicyRule",
