@@ -530,10 +530,10 @@ class ClusterServer:
                         job.started_at = now
             # Otherwise — pure phase boundaries, rejected or deferred
             # arrivals — the previous grants, rates and so the pass's
-            # horizon stand (retired jobs added none to it).  A fault may
-            # restart a phase, so a plan always asks again.
+            # horizon stand (retired jobs added none to it).  A fault
+            # restarts a phase only when it fired, which forces a decision.
             sink.observe_utilization(now, granted, capacity)
-            if decided or runtime is not None:
+            if decided:
                 horizon = advance_running(running, 0.0)[0]
             if math.isfinite(horizon):
                 boundary[0] = kernel.schedule_after(

@@ -1,12 +1,12 @@
 """Deterministic failure injection: fault plans, kinds, and replay.
 
 The paper's machinery handles *planned* resource loss — scripted
-``RemoveThreads`` schedules that the DPS runtime migrates around.  This
-module makes **unplanned** loss a first-class, declarative, deterministic
-input.  A :class:`FaultPlan` describes node crashes, transient brown-outs,
-degraded (slow) nodes and job kills as plain data; the cluster-server
-engines replay it at their decision points, and the DPS engines compile
-``crash`` faults into the same allocation schedule the scripted kills use.
+``RemoveThreads`` schedules that the DPS runtime migrates around, spelled
+as a spec's ``events`` list.  This module makes **unplanned** loss on the
+cluster server a first-class, declarative, deterministic input.  A
+:class:`FaultPlan` describes node crashes, transient brown-outs, degraded
+(slow) nodes and job kills as plain data, and the cluster-server engines
+replay it at their decision points.
 
 Determinism contract (see ``docs/faults.md``):
 
@@ -63,9 +63,7 @@ class FaultEvent:
     ones, so the spec section validates without a registry in scope.
     ``-1`` means "unset" for the integer fields (``node = -1`` on a
     node-targeting kind means *draw one deterministically from the plan
-    seed*).  ``at`` is simulation time (server engines); ``after`` is a
-    DPS phase index (``crash`` on the sim/testbed engines, following the
-    apps' ``iter<k>`` labels).
+    seed*).  ``at`` is simulation time.
     """
 
     kind: str
@@ -74,7 +72,6 @@ class FaultEvent:
     job: int = -1
     duration: float = 0.0
     factor: float = 1.0
-    after: int = -1
 
     def to_dict(self) -> dict[str, Any]:
         """Canonical dict: ``kind`` plus every non-default field."""
@@ -103,6 +100,11 @@ def normalize_fault_event(raw: Any) -> dict[str, Any]:
     if not isinstance(raw, Mapping):
         raise ConfigurationError(
             f"a fault event must be a table/dict, got {type(raw).__name__}"
+        )
+    if "after" in raw:
+        raise ConfigurationError(
+            "fault event key 'after' was removed; a DPS run loses threads "
+            "through its 'events' list, e.g. events = [\"1,3@2\"]"
         )
     check_options("faults.events", raw, FaultEvent)
     if not raw["kind"]:
@@ -139,7 +141,6 @@ class FaultKind:
     timeline:
         ``event -> sequence of (time, op, arg)`` primitive operations
         (:data:`OP_DOWN` and friends) for the cluster-server engines.
-        May raise when the event only applies to DPS engines.
     targets_node:
         Whether ``node = -1`` should resolve to a seed-drawn node.
     description:
@@ -159,18 +160,10 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _validate_crash(ev: FaultEvent) -> None:
-    _require(
-        ev.at >= 0.0 or ev.after >= 0,
-        "crash fault needs 'at' (server time) or 'after' (DPS phase index)",
-    )
+    _require(ev.at >= 0.0, "crash fault needs 'at' (server time)")
 
 
 def _timeline_crash(ev: FaultEvent) -> Sequence[tuple]:
-    _require(
-        ev.at >= 0.0,
-        "crash fault keyed by 'after' applies to the DPS engines only; "
-        "give it 'at' (a simulation time) for the server engine",
-    )
     return ((ev.at, OP_DOWN, ev.node),)
 
 
@@ -219,10 +212,7 @@ BUILTIN_FAULT_KINDS: dict[str, FaultKind] = {
             validate=_validate_crash,
             timeline=_timeline_crash,
             targets_node=True,
-            description=(
-                "node leaves permanently at time 'at' (server) or after "
-                "phase 'after' (DPS RemoveThreads)"
-            ),
+            description="node leaves permanently at time 'at'",
         ),
         FaultKind(
             name="brownout",
@@ -382,48 +372,6 @@ class CompiledFaultPlan:
     max_retries: int
     entries: tuple[tuple, ...] = ()
     events: tuple[FaultEvent, ...] = ()
-
-
-def compile_dps_removals(
-    plan: FaultPlan, num_nodes: int, num_threads: int,
-    node_of_worker: Optional[Callable[[int], int]] = None,
-    registry: Any = None,
-):
-    """Compile ``crash`` faults into DPS ``RemoveThreads`` events.
-
-    A ``crash`` with an ``after`` phase index maps to removing every
-    worker thread deployed on the crashed node (the apps' round-robin
-    ``thread % num_nodes`` placement unless ``node_of_worker`` says
-    otherwise) after ``iter<after>`` — exactly the shape of the paper's
-    scripted kill events, so the malleability machinery (migration
-    planning, dynamic-efficiency accounting) applies unchanged.
-    """
-    from repro.dps.malleability import AllocationEvent
-
-    resolved = plan.resolve(num_nodes, registry)
-    node_of = node_of_worker or (lambda t: t % num_nodes)
-    events = []
-    for i, ev in enumerate(resolved.events):
-        if ev.kind != "crash":
-            raise ConfigurationError(
-                f"the DPS engines honor only 'crash' faults; fault event "
-                f"{i} has kind {ev.kind!r} (run it on the 'server' engine)"
-            )
-        if ev.after < 0:
-            raise ConfigurationError(
-                f"crash fault event {i} needs 'after' (a phase index) for "
-                "the DPS engines; 'at' applies to the server engine"
-            )
-        threads = tuple(
-            t for t in range(num_threads) if node_of(t) == ev.node
-        )
-        if not threads:
-            raise ConfigurationError(
-                f"crash fault event {i}: no worker threads are deployed "
-                f"on node {ev.node}"
-            )
-        events.append(AllocationEvent(f"iter{ev.after}", "workers", threads))
-    return tuple(events)
 
 
 # --------------------------------------------------------------------------

@@ -175,40 +175,6 @@ def _fault_plan(spec: ScenarioSpec, registry: Registry):
     return FaultPlan.from_section(spec.faults, spec.engine.seed, registry)
 
 
-def _apply_dps_faults(
-    spec: ScenarioSpec, plugin: AppPlugin, cfg: Any, registry: Registry
-) -> Any:
-    """Fold ``crash`` faults into a DPS config's allocation schedule.
-
-    The DPS engines model a node crash as the paper's dynamic-allocation
-    primitive: every worker thread on the crashed node is removed after
-    the fault's ``after`` phase (``RemoveThreads`` semantics), so the
-    malleability machinery — migration planning, dynamic efficiency —
-    accounts for the failure with no new mechanism.
-    """
-    plan = _fault_plan(spec, registry)
-    if plan is None:
-        return cfg
-    if not plugin.supports_schedule:
-        raise ConfigurationError(
-            f"app {plugin.name!r} does not support dynamic allocation, so "
-            "crash faults cannot be applied; drop the spec's [faults] "
-            "section or pick a malleable app"
-        )
-    from repro.dps.malleability import AllocationSchedule
-    from repro.faults import compile_dps_removals
-
-    removals = compile_dps_removals(
-        plan, cfg.num_nodes, cfg.num_threads, registry=registry
-    )
-    base = cfg.schedule
-    name = f"{base.name} + faults" if base.events else "faults"
-    schedule = AllocationSchedule(
-        events=tuple(base.events) + removals, name=name
-    )
-    return dataclasses.replace(cfg, schedule=schedule)
-
-
 def _make_provider(
     spec: ScenarioSpec,
     plugin: AppPlugin,
@@ -293,6 +259,9 @@ def _verify_app(
 
 _DEFAULT_SPEC = ScenarioSpec()
 
+#: Where a refused [faults] section's intent goes on a DPS engine.
+_EVENTS_HINT = " (a DPS run loses threads through its 'events' list)"
+
 
 def _require_unused(spec: ScenarioSpec, engine: str, sections: tuple) -> None:
     """Reject sections an engine does not consume.
@@ -304,9 +273,10 @@ def _require_unused(spec: ScenarioSpec, engine: str, sections: tuple) -> None:
     """
     for section in sections:
         if getattr(spec, section) != getattr(_DEFAULT_SPEC, section):
+            hint = _EVENTS_HINT if section == "faults" else ""
             raise ConfigurationError(
                 f"the {engine!r} engine does not use the {section!r} "
-                "section; remove it from the spec"
+                f"section; remove it from the spec{hint}"
             )
 
 
@@ -336,10 +306,10 @@ def run_sim(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     """The ``sim`` engine: predict under the paper's performance models."""
     from repro.sim.simulator import DPSSimulator
 
-    _require_unused(spec, "sim", ("cluster",))
+    _require_unused(spec, "sim", ("cluster", "faults"))
     _require_unsharded(spec, "sim")
     plugin: AppPlugin = registry.resolve("app", spec.app.name)
-    cfg = _apply_dps_faults(spec, plugin, plugin.make_config(spec), registry)
+    cfg = plugin.make_config(spec)
     net_entry = registry.resolve("netmodel", spec.netmodel.name)
     net_options = check_options(
         "netmodel.options", spec.netmodel.options, net_entry, skip=2
@@ -397,11 +367,11 @@ def run_testbed(spec: ScenarioSpec, registry: Registry) -> RunRecord:
     # noisy duration provider and platform are fixed by construction.
     _require_unused(
         spec, "testbed",
-        ("cluster", "netmodel", "cpumodel", "provider", "platform"),
+        ("cluster", "faults", "netmodel", "cpumodel", "provider", "platform"),
     )
     _require_unsharded(spec, "testbed")
     plugin: AppPlugin = registry.resolve("app", spec.app.name)
-    cfg = _apply_dps_faults(spec, plugin, plugin.make_config(spec), registry)
+    cfg = plugin.make_config(spec)
     mode = spec.mode()
     engine_options = dict(spec.engine.options)
     trace = _trace_level(engine_options)

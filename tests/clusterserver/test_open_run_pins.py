@@ -5,7 +5,7 @@ running jobs in one pass per event, and is replayed here bit-for-bit:
 ``repr`` of every float, so a change in the last digit is a failure.
 The grid is ``test_elision.py``'s eight policies on its ``stream``
 workload x {no plan, its fault plan} — admission control, deferral, an
-autoscaler and the fault layer's replay among them — plus the five
+autoscaler and the fault layer's replay among them — plus the six
 ``examples/server_*.toml`` specs through :func:`run_scenario`.
 ``test_elision.py`` compares the eager loop only with its own
 call-per-event twin; these pins compare it with earlier code.
@@ -76,8 +76,20 @@ def pinned() -> dict:
 
 
 def test_the_grid_is_the_pinned_grid(pinned):
-    assert len(CASES) == 2 * len(POLICIES) + 5
+    assert len(CASES) == 2 * len(POLICIES) + 6
     assert sorted(pinned) == sorted(CASES)
+
+
+def test_every_fault_kind_has_a_pinned_claim(pinned):
+    """A fault kind earns its registry entry with a pinned example run."""
+    from repro.scenario import default_registry
+
+    kinds = {}
+    for path in sorted(EXAMPLES.glob("server_*.toml")):
+        for event in ScenarioSpec.from_file(path).faults.events:
+            kinds.setdefault(event["kind"], []).append(f"example/{path.stem}")
+    for kind in default_registry().names("fault"):
+        assert any(key in pinned for key in kinds.get(kind, ())), kind
 
 
 @pytest.mark.parametrize("key", sorted(CASES))

@@ -3,13 +3,15 @@
 Covers the ``[faults]`` section's contract (``docs/faults.md``): lossless
 TOML/JSON round-trip through the canonical spec dict, strict structural
 validation, deterministic seeded target-node resolution, pluggable fault
-kinds through the scenario registry, and the crash → DPS ``RemoveThreads``
-compilation.
+kinds through the scenario registry, and the DPS engines' refusal of the
+section: they lose capacity only through a spec's ``events`` list.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,14 +21,16 @@ from repro.faults import (
     FaultEvent,
     FaultKind,
     FaultPlan,
-    compile_dps_removals,
     event_from_dict,
     normalize_fault_event,
     resolve_fault_kind,
 )
+from repro.scenario import run_scenario
 from repro.scenario.builtins import install_builtins
 from repro.scenario.registry import Registry
 from repro.scenario.spec import FaultsSection, ScenarioSpec
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 class TestEvents:
@@ -64,10 +68,19 @@ class TestEvents:
             resolve_fault_kind("killjob").validate(
                 FaultEvent(kind="killjob", at=1.0)  # needs a job index
             )
+        with pytest.raises(ConfigurationError, match="'at'"):
+            resolve_fault_kind("crash").validate(FaultEvent(kind="crash"))
 
     def test_unknown_kind_names_choices(self):
         with pytest.raises(ConfigurationError, match="crash"):
             resolve_fault_kind("meteor")
+
+    def test_removed_after_key_names_events_at_parse(self):
+        crash = {"kind": "crash", "node": 1, "after": 2}
+        with pytest.raises(ConfigurationError, match="'events'"):
+            normalize_fault_event(crash)
+        with pytest.raises(ConfigurationError, match="'events'"):
+            ScenarioSpec.from_dict({"faults": {"events": [crash]}})
 
 
 class TestSpecSection:
@@ -232,24 +245,37 @@ class TestRegistryPluggability:
         assert ops == [(3.0, "down", 1), (3.5, "up", 1)]
 
 
-class TestDpsCompilation:
-    def test_crash_with_after_maps_to_node_thread_removal(self):
-        plan = FaultPlan(
-            events=(FaultEvent(kind="crash", node=1, after=2),)
-        )
-        events = compile_dps_removals(plan, num_nodes=4, num_threads=8)
-        assert len(events) == 1
-        assert events[0].after_phase == "iter2"
-        assert events[0].thread_indices == (1, 5)  # t % num_nodes == 1
+class TestDpsEngines:
+    """A DPS run loses capacity only through the spec's ``events`` list."""
 
-    def test_non_crash_kinds_are_rejected(self):
-        plan = FaultPlan(
-            events=(FaultEvent(kind="brownout", at=1.0, duration=2.0),)
-        )
-        with pytest.raises(ConfigurationError, match="crash"):
-            compile_dps_removals(plan, num_nodes=4, num_threads=8)
+    #: (makespan repr, events) of ``lu_crash_malleability.toml`` per engine,
+    #: recorded when the example still spelled its kill as a ``crash``
+    #: fault with ``after = 2``; the ``events`` spelling replays them.
+    PINS = {
+        "sim": ("2.4035289652510947", 202),
+        "testbed": ("2.4380696543513296", 222),
+    }
 
-    def test_crash_without_after_is_rejected(self):
-        plan = FaultPlan(events=(FaultEvent(kind="crash", at=1.0),))
-        with pytest.raises(ConfigurationError, match="after"):
-            compile_dps_removals(plan, num_nodes=4, num_threads=8)
+    def _spec(self, engine):
+        # engine.seed stays the default 1: the testbed twin's noise seed.
+        spec = ScenarioSpec.from_file(EXAMPLES / "lu_crash_malleability.toml")
+        return dataclasses.replace(
+            spec, engine=dataclasses.replace(spec.engine, name=engine)
+        )
+
+    @pytest.mark.parametrize("engine", sorted(PINS))
+    def test_crash_example_replays_its_pin(self, engine):
+        pytest.importorskip("numpy")  # the LU kernels and testbed noise
+        record = run_scenario(self._spec(engine))
+        assert (repr(record.makespan), record.events) == self.PINS[engine]
+
+    @pytest.mark.parametrize("engine", sorted(PINS))
+    def test_faults_section_is_refused_naming_events(self, engine):
+        spec = dataclasses.replace(
+            self._spec(engine),
+            faults=FaultsSection(
+                events=({"kind": "crash", "at": 1.0, "node": 1},)
+            ),
+        )
+        with pytest.raises(ConfigurationError, match="'events'"):
+            run_scenario(spec)
